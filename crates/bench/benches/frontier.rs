@@ -1,7 +1,7 @@
 //! Frontier-layout bench: the resident service answering a 4-stream
-//! batch with each pluggable frontier (single workload queues, bucket
-//! wheel, MLMQ), in two provisioning regimes — ample queues, and
-//! deliberately under-provisioned queues so overflow pressure is real.
+//! batch with each pluggable frontier (single workload queues, MLMQ),
+//! in two provisioning regimes — ample queues, and deliberately
+//! under-provisioned queues so overflow pressure is real.
 //! The claims graded here are the MLMQ headline: fewer global-memory
 //! atomic instructions than the single layout (lane-hashed sub-queues
 //! spread the tail counters), and under overflow stress the spill

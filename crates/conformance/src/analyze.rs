@@ -718,8 +718,8 @@ mod tests {
         };
         assert_eq!(axis_of("gpu/bl"), 1);
         assert_eq!(axis_of("multi-gpu/k2"), 1);
-        assert_eq!(axis_of("gpu/full"), 3);
-        assert_eq!(axis_of("service/pooled"), 3);
+        assert_eq!(axis_of("gpu/full"), 2);
+        assert_eq!(axis_of("service/pooled"), 2);
     }
 
     /// Baseline round-trip and regression detection.

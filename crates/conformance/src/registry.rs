@@ -261,11 +261,6 @@ pub fn all() -> Vec<Implementation> {
         imp("gpu/basyn-adwl", Gpu, Kind::Gpu(Variant::Rdbs(RdbsConfig::basyn_adwl()))),
         imp("gpu/full", Gpu, Kind::Gpu(Variant::Rdbs(RdbsConfig::full()))),
         imp(
-            "gpu/full-wheel",
-            Gpu,
-            Kind::Gpu(Variant::Rdbs(RdbsConfig::full().with_frontier(FrontierKind::Wheel))),
-        ),
-        imp(
             "gpu/full-mlmq",
             Gpu,
             Kind::Gpu(Variant::Rdbs(RdbsConfig::full().with_frontier(FrontierKind::Mlmq))),

@@ -383,21 +383,19 @@ mod tests {
         assert_eq!(report.cells[0].entry_id, "gpu/bl");
     }
 
-    /// The wheel and MLMQ frontiers must respect the same snapshot /
-    /// volatile / atomic discipline as the single queue: rerouting the
-    /// quick RDBS entries through `--frontier` stays violation-free.
+    /// The MLMQ frontier must respect the same snapshot / volatile /
+    /// atomic discipline as the single queue: rerouting the quick RDBS
+    /// entries through `--frontier` stays violation-free.
     #[test]
     fn frontier_axis_is_violation_free() {
-        for kind in [FrontierKind::Wheel, FrontierKind::Mlmq] {
-            let opts = SanOptions {
-                quick: true,
-                entry_filter: Some("gpu/full".into()),
-                graph_filter: Some("erdos".into()),
-                frontier: Some(kind),
-            };
-            let report = run_sanitize(&opts, |_| {});
-            assert!(!report.cells.is_empty());
-            assert!(report.is_green(), "{kind:?} frontier is dirty: {:?}", report.cells);
-        }
+        let opts = SanOptions {
+            quick: true,
+            entry_filter: Some("gpu/full".into()),
+            graph_filter: Some("erdos".into()),
+            frontier: Some(FrontierKind::Mlmq),
+        };
+        let report = run_sanitize(&opts, |_| {});
+        assert!(!report.cells.is_empty());
+        assert!(report.is_green(), "MLMQ frontier is dirty: {:?}", report.cells);
     }
 }

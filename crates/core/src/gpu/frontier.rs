@@ -1,17 +1,13 @@
 //! Pluggable device frontiers behind the RDBS driver.
 //!
 //! The driver ([`super::rdbs::RdbsDriver`]) is generic over how the
-//! per-bucket worklists live on the device. Three implementations:
+//! per-bucket worklists live on the device. Two implementations:
 //!
 //! * [`WorkloadQueues`] (`--frontier single`) — the original layout:
 //!   one queue per ADWL workload class plus a bucket-membership queue,
 //!   all capacity-`n`. Overflow is impossible fault-free (pending
 //!   marks deduplicate enqueues); a detected overflow goes to the
 //!   service's escalation ladder.
-//! * [`WheelFrontier`] (`--frontier wheel`) — a bucket wheel:
-//!   [`WHEEL_SLOTS`] rotating [`WorkloadQueues`] sets sharing one
-//!   pending buffer. Phase 1 works the active slot; phase 3 collects
-//!   into the next; `advance` rotates. Escalatable like `single`.
 //! * [`MlmqFrontier`] (`--frontier mlmq`) — a multi-level multi-queue:
 //!   [`MLMQ_LEVELS`] priority levels (current bucket, deferred) each
 //!   fanned out into [`MLMQ_FANOUT`] sub-queues. A device push picks
@@ -36,8 +32,6 @@ use crate::workload::{classify, WorkloadClass};
 use crate::{Csr, VertexId};
 use rdbs_gpu_sim::{Buf, Device, GangScatter, Lane};
 
-/// Rotating queue sets in the bucket wheel.
-pub const WHEEL_SLOTS: usize = 4;
 /// Priority levels of the MLMQ: the active bucket and one deferred
 /// (spill) level. Two suffice — `advance` rotates, so a deferred
 /// entry is drained at most two buckets after it spilled.
@@ -52,22 +46,18 @@ pub enum FrontierKind {
     /// One workload-queue set (the original layout).
     #[default]
     Single,
-    /// Rotating bucket wheel of workload-queue sets.
-    Wheel,
     /// Multi-level multi-queue with overflow spilling.
     Mlmq,
 }
 
 impl FrontierKind {
     /// Every frontier implementation, in matrix order.
-    pub const ALL: [FrontierKind; 3] =
-        [FrontierKind::Single, FrontierKind::Wheel, FrontierKind::Mlmq];
+    pub const ALL: [FrontierKind; 2] = [FrontierKind::Single, FrontierKind::Mlmq];
 
     /// CLI name (`--frontier <name>`).
     pub fn name(self) -> &'static str {
         match self {
             FrontierKind::Single => "single",
-            FrontierKind::Wheel => "wheel",
             FrontierKind::Mlmq => "mlmq",
         }
     }
@@ -82,7 +72,6 @@ impl FrontierKind {
     pub fn label_suffix(self) -> &'static str {
         match self {
             FrontierKind::Single => "",
-            FrontierKind::Wheel => "+WHEEL",
             FrontierKind::Mlmq => "+MLMQ",
         }
     }
@@ -231,18 +220,6 @@ pub(crate) struct WorkloadQueues {
 impl WorkloadQueues {
     pub(crate) fn new(device: &mut Device, n: u32, adwl: bool, scatter: ScatterMode) -> Self {
         let pending = device.alloc("pending", n as usize);
-        Self::with_pending(device, n, adwl, scatter, pending)
-    }
-
-    /// Build a set around a caller-owned pending buffer (wheel slots
-    /// share one).
-    pub(crate) fn with_pending(
-        device: &mut Device,
-        n: u32,
-        adwl: bool,
-        scatter: ScatterMode,
-        pending: Buf,
-    ) -> Self {
         let q = [
             DeviceQueue::new(device, "workload_small", n),
             DeviceQueue::new(device, "workload_medium", n),
@@ -330,8 +307,14 @@ impl WorkloadQueues {
             }
         }
     }
+}
 
-    fn seed_queues(&self, device: &mut Device, graph: &Csr, source: VertexId) {
+impl Frontier for WorkloadQueues {
+    fn kind(&self) -> FrontierKind {
+        FrontierKind::Single
+    }
+
+    fn seed(&self, device: &mut Device, graph: &Csr, source: VertexId) {
         device.write_word(self.pending, source as usize, 1);
         let src_class = if self.adwl {
             classify(host_light_degree(graph, source))
@@ -342,37 +325,10 @@ impl WorkloadQueues {
         self.members.host_push(device, source);
     }
 
-    fn drain_set(&self, device: &mut Device) -> DrainedLayer {
+    fn drain_layer(&self, device: &mut Device, _graph: &Csr) -> DrainedLayer {
         let new_members = self.members.drain(device);
         let lists = std::array::from_fn(|c| self.q[c].drain(device));
         DrainedLayer { lists, new_members }
-    }
-
-    fn check_set(&self, device: &Device) -> Result<(), QueueOverflow> {
-        for q in self.queues() {
-            q.check(device)?;
-        }
-        Ok(())
-    }
-
-    fn reset_queues(&self, device: &mut Device) {
-        for q in self.queues() {
-            q.reset(device);
-        }
-    }
-}
-
-impl Frontier for WorkloadQueues {
-    fn kind(&self) -> FrontierKind {
-        FrontierKind::Single
-    }
-
-    fn seed(&self, device: &mut Device, graph: &Csr, source: VertexId) {
-        self.seed_queues(device, graph, source);
-    }
-
-    fn drain_layer(&self, device: &mut Device, _graph: &Csr) -> DrainedLayer {
-        self.drain_set(device)
     }
 
     fn relax_view(&self) -> FrontierView {
@@ -394,86 +350,17 @@ impl Frontier for WorkloadQueues {
     }
 
     fn check(&self, device: &Device) -> Result<(), QueueOverflow> {
-        self.check_set(device)
+        for q in self.queues() {
+            q.check(device)?;
+        }
+        Ok(())
     }
 
     fn advance(&mut self) {}
 
     fn reset(&self, device: &mut Device) {
-        self.reset_queues(device);
-        device.fill(self.pending, 0);
-    }
-}
-
-/// A bucket wheel: [`WHEEL_SLOTS`] rotating [`WorkloadQueues`] sets
-/// over one shared pending buffer. Bucket ordinal `i` works slot
-/// `i % WHEEL_SLOTS`; phase 3 collects into the next slot, so the
-/// collect-side enqueues never interleave with the drains of the slot
-/// phase 1 is still working.
-#[derive(Clone, Copy)]
-pub(crate) struct WheelFrontier {
-    pub(crate) slots: [WorkloadQueues; WHEEL_SLOTS],
-    pub(crate) pending: Buf,
-    pub(crate) active: usize,
-}
-
-impl WheelFrontier {
-    pub(crate) fn new(device: &mut Device, n: u32, adwl: bool, scatter: ScatterMode) -> Self {
-        let pending = device.alloc("pending", n as usize);
-        let slots = std::array::from_fn(|_| {
-            WorkloadQueues::with_pending(device, n, adwl, scatter, pending)
-        });
-        Self { slots, pending, active: 0 }
-    }
-
-    fn slot(&self) -> &WorkloadQueues {
-        &self.slots[self.active]
-    }
-}
-
-impl Frontier for WheelFrontier {
-    fn kind(&self) -> FrontierKind {
-        FrontierKind::Wheel
-    }
-
-    fn seed(&self, device: &mut Device, graph: &Csr, source: VertexId) {
-        self.slot().seed_queues(device, graph, source);
-    }
-
-    fn drain_layer(&self, device: &mut Device, _graph: &Csr) -> DrainedLayer {
-        self.slot().drain_set(device)
-    }
-
-    fn relax_view(&self) -> FrontierView {
-        FrontierView::Workload(*self.slot())
-    }
-
-    fn collect_view(&self) -> FrontierView {
-        FrontierView::Workload(self.slots[(self.active + 1) % WHEEL_SLOTS])
-    }
-
-    fn membership_backing(&self) -> DeviceQueue {
-        self.slot().members
-    }
-
-    fn has_deferred(&self, _device: &Device) -> bool {
-        false // slots never hold work beyond the next rotation
-    }
-
-    fn check(&self, device: &Device) -> Result<(), QueueOverflow> {
-        for slot in &self.slots {
-            slot.check_set(device)?;
-        }
-        Ok(())
-    }
-
-    fn advance(&mut self) {
-        self.active = (self.active + 1) % WHEEL_SLOTS;
-    }
-
-    fn reset(&self, device: &mut Device) {
-        for slot in &self.slots {
-            slot.reset_queues(device);
+        for q in self.queues() {
+            q.reset(device);
         }
         device.fill(self.pending, 0);
     }
@@ -665,13 +552,9 @@ impl Frontier for MlmqFrontier {
 /// Static dispatch over the frontier implementations — the driver and
 /// the service scratch hold this by value (`Copy`, like the buffer
 /// bundles kernels capture).
-// The wheel variant is a few hundred bytes of queue handles; boxing it
-// would break the by-value `Copy` capture the kernel closures rely on.
-#[allow(clippy::large_enum_variant)]
 #[derive(Clone, Copy)]
 pub(crate) enum AnyFrontier {
     Single(WorkloadQueues),
-    Wheel(WheelFrontier),
     Mlmq(MlmqFrontier),
 }
 
@@ -689,7 +572,6 @@ impl AnyFrontier {
             FrontierKind::Single => {
                 AnyFrontier::Single(WorkloadQueues::new(device, n, adwl, scatter))
             }
-            FrontierKind::Wheel => AnyFrontier::Wheel(WheelFrontier::new(device, n, adwl, scatter)),
             FrontierKind::Mlmq => AnyFrontier::Mlmq(MlmqFrontier::new(device, n, adwl, scatter)),
         }
     }
@@ -699,9 +581,6 @@ impl AnyFrontier {
     pub(crate) fn device_queues(&self) -> Vec<DeviceQueue> {
         match self {
             AnyFrontier::Single(wq) => wq.queues().copied().collect(),
-            AnyFrontier::Wheel(w) => {
-                w.slots.iter().flat_map(WorkloadQueues::queues).copied().collect()
-            }
             AnyFrontier::Mlmq(m) => m.queues().copied().collect(),
         }
     }
@@ -710,7 +589,6 @@ impl AnyFrontier {
     pub(crate) fn pending(&self) -> Buf {
         match self {
             AnyFrontier::Single(wq) => wq.pending,
-            AnyFrontier::Wheel(w) => w.pending,
             AnyFrontier::Mlmq(m) => m.pending,
         }
     }
@@ -720,7 +598,6 @@ macro_rules! dispatch {
     ($self:expr, $f:ident $(, $arg:expr)*) => {
         match $self {
             AnyFrontier::Single(x) => x.$f($($arg),*),
-            AnyFrontier::Wheel(x) => x.$f($($arg),*),
             AnyFrontier::Mlmq(x) => x.$f($($arg),*),
         }
     };
@@ -774,10 +651,10 @@ impl Frontier for AnyFrontier {
 
 /// The kernel-side face of a frontier: a `Copy` capture for wave and
 /// child-kernel closures, resolved by the host to a concrete enqueue
-/// target (the wheel's active slot, the MLMQ's level) before launch.
+/// target (the MLMQ's level) before launch.
 #[derive(Clone, Copy)]
 pub(crate) enum FrontierView {
-    /// A workload-queue set (single layout, or one wheel slot).
+    /// The single layout's workload-queue set.
     Workload(WorkloadQueues),
     /// The MLMQ with the level this wave's enqueues land in.
     Mlmq { frontier: MlmqFrontier, target: usize },
@@ -959,7 +836,8 @@ mod tests {
             });
             assert!(f.check(&d).is_ok(), "{scatter}: at-capacity fill must stay clean");
             assert_eq!(f.members.len(&d), 32, "{scatter}: tail must land exactly on capacity");
-            let layer = f.drain_set(&mut d);
+            let g = crate::Csr::from_raw(vec![0; 33], vec![], vec![]);
+            let layer = f.drain_layer(&mut d, &g);
             assert_eq!(layer.new_members, (0..32).collect::<Vec<_>>(), "{scatter}");
         }
     }
@@ -1017,21 +895,5 @@ mod tests {
             observed.push((active, deferred));
         }
         assert_eq!(observed[0], observed[1], "multisplit and scalar must split identically");
-    }
-
-    #[test]
-    fn wheel_rotates_through_all_slots() {
-        let mut d = Device::new(DeviceConfig::test_tiny());
-        let mut w = WheelFrontier::new(&mut d, 8, false, ScatterMode::Multisplit);
-        let first = w.slot().members.data;
-        let mut seen = vec![first];
-        for _ in 0..WHEEL_SLOTS - 1 {
-            w.advance();
-            let cur = w.slot().members.data;
-            assert!(!seen.contains(&cur), "each bucket gets its own slot");
-            seen.push(cur);
-        }
-        w.advance();
-        assert_eq!(w.slot().members.data, first, "the wheel wraps");
     }
 }

@@ -23,8 +23,8 @@
 //!   heavy edges can be changed immediately").
 //!
 //! The worklists themselves live behind the pluggable [`Frontier`]
-//! seam ([`super::frontier`]): the classic single queue set, a bucket
-//! wheel, or the multi-level multi-queue whose full sub-queues *spill*
+//! seam ([`super::frontier`]): the classic single queue set, or the
+//! multi-level multi-queue whose full sub-queues *spill*
 //! into a deferred level instead of overflowing. A spilling frontier
 //! changes two driver invariants: the phase-1/phase-2 staleness check
 //! only rejects `dist >= hi` (a deferred activation arrives with a
@@ -307,7 +307,7 @@ pub fn rdbs_on(
 pub(crate) struct RdbsDriver {
     gb: GraphBuffers,
     /// The driver's own copy of the scratch frontier (its rotation
-    /// cursor advances per bucket; the scratch copy stays at slot 0).
+    /// cursor advances per bucket; the scratch copy stays at level 0).
     frontier: AnyFrontier,
     scan_out: Buf,
     config: RdbsConfig,
@@ -1198,10 +1198,6 @@ mod tests {
         assert_eq!(
             RdbsConfig::full().with_frontier(FrontierKind::Mlmq).label(),
             "BASYN+PRO+ADWL+MLMQ"
-        );
-        assert_eq!(
-            RdbsConfig::sync_delta().with_frontier(FrontierKind::Wheel).label(),
-            "SYNC-Δ+WHEEL"
         );
     }
 }

@@ -25,14 +25,21 @@
 //!   query start — a finished run leaves them at per-vertex widths.
 //!
 //! [`SsspService::batch`] answers a slice of sources and accounts the
-//! amortization in [`BatchStats`]. With [`ServiceConfig::streams`] > 1
-//! the single-GPU backend spreads a batch across simulated command
-//! streams ([`rdbs_gpu_sim::StreamSet`]): every in-flight query owns a
+//! amortization in [`BatchStats`]. The single-GPU backend has one
+//! scheduler, the traffic tier's ([`traffic`]): it spreads queries
+//! across [`ServiceConfig::streams`] simulated command streams
+//! ([`rdbs_gpu_sim::StreamSet`]), where every in-flight query owns a
 //! pool-leased *lane* (distance vector, queue set, Δ controller, and
 //! its own heavy-offset copy under PRO) while sharing the single
-//! resident graph upload, and the scheduler steps whichever stream is
-//! least busy — at bucket granularity for RDBS variants — so answers
-//! stay bit-identical to a sequential batch.
+//! resident graph upload, and steps whichever stream is furthest behind
+//! on the shared wall clock — at bucket granularity for RDBS variants —
+//! so answers stay bit-identical to a one-stream run. A closed-loop
+//! batch is the degenerate open-loop workload: every query arrives at
+//! t = 0 with an infinite deadline and the answer cache off, so the
+//! earliest-wall pick is the least-busy stream and earliest-deadline
+//! dispatch is first-come. [`SsspService::try_query`] is the same run
+//! on one query. The multi-GPU backend has no shared stream clock and
+//! answers queries one at a time.
 //!
 //! A query whose device attempt reports a [`QueueOverflow`] is
 //! replayed **on the device** with its queue set re-acquired from the
@@ -47,20 +54,18 @@ pub mod pool;
 pub mod traffic;
 
 use crate::adaptive_delta::DeltaController;
-use crate::gpu::bl::{bl_on, BlScratch};
+use crate::gpu::bl::BlScratch;
 use crate::gpu::buffers::{DeviceQueue, GraphArrays, GraphBuffers, QueueOverflow};
-use crate::gpu::frontier::{
-    AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode, WheelFrontier, WorkloadQueues,
-};
+use crate::gpu::frontier::{AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode, WorkloadQueues};
 use crate::gpu::multi::{MultiGpuConfig, MultiGpuState};
-use crate::gpu::rdbs::{self, rdbs_on, RdbsDriver, RdbsScratch};
+use crate::gpu::rdbs::{self, RdbsDriver, RdbsScratch};
 use crate::gpu::{RdbsConfig, Variant};
 use crate::seq::dijkstra;
 use crate::stats::{BatchStats, SsspResult};
 use crate::{default_delta, Csr, VertexId, Weight, INF};
 use pool::BufferPool;
 use rdbs_gpu_sim::{
-    Buf, Device, DeviceConfig, FaultEvent, FaultPlan, FaultSpec, SanConfig, SanViolation, StreamSet,
+    Buf, Device, DeviceConfig, FaultEvent, FaultPlan, FaultSpec, SanConfig, SanViolation,
 };
 use rdbs_graph::reorder::Permutation;
 use std::time::Instant;
@@ -85,8 +90,8 @@ pub struct ServiceConfig {
     /// Δ₀ override for the multi-GPU backend (single-GPU variants
     /// carry their own in [`crate::gpu::RdbsConfig`]).
     pub delta0: Option<Weight>,
-    /// Command streams a batch may be spread across on the single-GPU
-    /// backend (1 = sequential; clamped to the batch size at
+    /// Command streams queries may be spread across on the single-GPU
+    /// backend (1 = sequential; clamped to the number of queries at
     /// dispatch). Each extra stream leases its own lane of per-query
     /// buffers from the pool; the graph upload stays shared.
     pub streams: usize,
@@ -198,8 +203,8 @@ impl From<QueueOverflow> for ServiceError {
 }
 
 /// Per-query device scratch, shaped by the variant.
-// The RDBS variant is a few hundred bytes of queue handles (the wheel
-// frontier holds four slot sets); it lives in a per-lane slot, not a
+// The RDBS variant is a few hundred bytes of queue handles (the MLMQ
+// frontier holds eight sub-queues); it lives in a per-lane slot, not a
 // hot collection, so the size skew is harmless.
 #[allow(clippy::large_enum_variant)]
 enum Scratch {
@@ -207,11 +212,10 @@ enum Scratch {
     Bl(BlScratch),
 }
 
-/// One query's exclusive device lease: everything the concurrent
-/// scheduler must keep disjoint between in-flight queries. Lane 0
-/// always exists and serves sequential queries; extra lanes are
-/// created on demand by concurrent batches and recycled with the
-/// graph generation.
+/// One query's exclusive device lease: everything the scheduler must
+/// keep disjoint between in-flight queries. Lane 0 always exists and
+/// serves one-stream runs; extra lanes are created on demand by runs
+/// spread across more streams and recycled with the graph generation.
 struct QueryLane {
     dist: Buf,
     scratch: Scratch,
@@ -219,8 +223,7 @@ struct QueryLane {
     /// Private heavy-offset buffer (PRO variants, lanes ≥ 1 only).
     /// The uploaded [`GraphArrays::heavy`] is per-query *mutable*
     /// state — runs re-split it as buckets settle — so concurrent
-    /// lanes each own a copy; lane 0 keeps the uploaded buffer,
-    /// preserving the sequential path bit-for-bit.
+    /// lanes each own a copy; lane 0 keeps the uploaded buffer.
     heavy: Option<Buf>,
     /// Whether the lane's heavy offsets must be recomputed on-device
     /// before its next run (fresh lanes, and every lane after a run
@@ -366,36 +369,32 @@ impl SsspService {
 
     /// Answer one query against the resident graph; `Err` on an
     /// out-of-range source or a device-queue overflow that escalation
-    /// could not recover.
+    /// could not recover. On the single-GPU backend this is the
+    /// scheduler's run on one query, with the ceiling overflow handed
+    /// back instead of answered by the host oracle — the recovery
+    /// ladder ([`crate::recover`]) counts it as a detection.
     pub fn try_query(&mut self, source: VertexId) -> Result<SsspResult, ServiceError> {
-        self.try_query_from(source, None)
-    }
-
-    /// Core of [`SsspService::try_query`]. `sojourn_origin_ns` is the
-    /// simulated wall time the query is considered to have *arrived*
-    /// — its own start when `None` (standalone queries), the batch
-    /// start for sequential batches, so the sojourn sample includes
-    /// time spent queued behind earlier queries of the same batch.
-    fn try_query_from(
-        &mut self,
-        source: VertexId,
-        sojourn_origin_ns: Option<f64>,
-    ) -> Result<SsspResult, ServiceError> {
         let n = self.graph.num_vertices() as u32;
         if source >= n {
             return Err(ServiceError::SourceOutOfRange { source, n });
         }
-        let started = Instant::now();
-        let sim_before = self.device_elapsed_ns();
-        let result = self.query_escalating(source, 0)?;
-        if let Some(before) = sim_before {
-            let after = self.device_elapsed_ns().expect("backend unchanged");
-            self.stats.per_query_sim_ms.push((after - before) / 1e6);
-            let origin = sojourn_origin_ns.unwrap_or(before);
-            self.stats.per_query_sojourn_ms.push((after - origin) / 1e6);
+        if let State::Multi(st) = &mut self.state {
+            // No shared stream clock to schedule on, and no escalation
+            // ladder: one straight device attempt.
+            let started = Instant::now();
+            self.last_audit_hits = 0;
+            let result = st.try_run(source)?.result;
+            self.note_query(started);
+            return Ok(result);
         }
-        self.note_query(started);
-        Ok(result)
+        let (queries, cfg) = traffic::closed_loop(&[source]);
+        let mut run = self.schedule(&queries, &cfg);
+        match run.ceiling.pop() {
+            Some((_, _, overflow)) => Err(overflow.into()),
+            None => {
+                Ok(run.outcomes.pop().flatten().expect("a live query is answered").into_exact())
+            }
+        }
     }
 
     /// Like [`SsspService::try_query`] but panicking on error — the
@@ -405,46 +404,32 @@ impl SsspService {
         self.try_query(source).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Answer many sources against one upload. With
-    /// [`ServiceConfig::streams`] > 1 on the single-GPU backend the
-    /// batch is spread across command streams, one leased lane per
+    /// Answer many sources against one upload. On the single-GPU
+    /// backend this is a closed-loop [`SsspService::serve_queries`]
+    /// run — every query arrives at t = 0 — spread across
+    /// [`ServiceConfig::streams`] command streams, one leased lane per
     /// in-flight query. A query whose device attempt overflows is
     /// replayed with an escalated queue set; only past the escalation
     /// ceiling is it re-answered by host Dijkstra (counted in
     /// [`BatchStats::fallbacks`]). An out-of-range source panics — the
     /// batch's shape is the caller's contract.
     pub fn batch(&mut self, sources: &[VertexId]) -> Vec<SsspResult> {
-        let sim_before = self.device_elapsed_ns();
-        let concurrent =
-            self.config.streams > 1 && sources.len() > 1 && matches!(self.state, State::Gpu(_));
-        let results = if concurrent {
-            self.batch_concurrent(sources)
-        } else {
-            sources
+        let Some(before) = self.device_elapsed_ns() else {
+            // Multi-GPU: no shared stream clock to schedule on.
+            return sources
                 .iter()
-                .map(|&source| match self.try_query_from(source, sim_before) {
+                .map(|&source| match self.try_query(source) {
                     Ok(result) => result,
-                    Err(e @ ServiceError::SourceOutOfRange { .. }) => panic!("{e}"),
-                    Err(ServiceError::Overflow(_)) => {
-                        let result = self.host_fallback(source);
-                        // The fallback's sojourn ends where its device
-                        // attempt died (the host recompute runs off the
-                        // simulated timeline) — recorded so the wall
-                        // series keeps covering every query.
-                        if let (Some(origin), Some(after)) = (sim_before, self.device_elapsed_ns())
-                        {
-                            self.stats.per_query_sojourn_ms.push((after - origin) / 1e6);
-                        }
-                        result
-                    }
+                    Err(ServiceError::Overflow(_)) => self.host_fallback(source),
+                    Err(e) => panic!("{e}"),
                 })
-                .collect()
+                .collect();
         };
-        if let Some(before) = sim_before {
-            let after = self.device_elapsed_ns().expect("backend unchanged");
-            self.stats.sim_batch_ms += (after - before) / 1e6;
-        }
-        results
+        let (queries, cfg) = traffic::closed_loop(sources);
+        let report = self.serve_queries(&queries, &cfg);
+        let after = self.device_elapsed_ns().expect("backend unchanged");
+        self.stats.sim_batch_ms += (after - before) / 1e6;
+        report.outcomes.into_iter().map(traffic::Outcome::into_exact).collect()
     }
 
     /// Amortization accounting since construction (pool counters are
@@ -611,97 +596,8 @@ impl SsspService {
         }
     }
 
-    /// Run the device attempt, escalating the lane's queue set one
-    /// size class per overflow; `Err` only past the ceiling.
-    fn query_escalating(
-        &mut self,
-        source: VertexId,
-        lane: usize,
-    ) -> Result<SsspResult, ServiceError> {
-        loop {
-            let overflow = match self.device_query(source, lane) {
-                Ok(result) => return Ok(result),
-                Err(e) => e,
-            };
-            let escalated = match &mut self.state {
-                State::Gpu(st) => escalate_queues(
-                    &mut self.pool,
-                    &mut st.device,
-                    &mut st.lanes[lane].scratch,
-                    self.graph.num_vertices(),
-                ),
-                State::Multi(_) => false,
-            };
-            if escalated {
-                self.stats.escalations += 1;
-            } else {
-                return Err(overflow.into());
-            }
-        }
-    }
-
-    /// The device attempt proper: reset recycled buffers, run on the
-    /// given lane, map distances back to the caller's labelling.
-    fn device_query(
-        &mut self,
-        source: VertexId,
-        lane_idx: usize,
-    ) -> Result<SsspResult, QueueOverflow> {
-        self.last_audit_hits = 0;
-        match &mut self.state {
-            State::Gpu(st) => {
-                let st = &mut **st;
-                let mapped = st.perm.as_ref().map_or(source, |p| p.new_id(source));
-                let lane = &mut st.lanes[lane_idx];
-                let gb = lane_buffers(st.arrays, lane);
-                match (&st.variant, &lane.scratch) {
-                    (Variant::Baseline, Scratch::Bl(scratch)) => {
-                        Ok(bl_on(&mut st.device, gb, scratch, &self.graph, mapped))
-                    }
-                    (Variant::Rdbs(cfg), Scratch::Rdbs(scratch)) => {
-                        if cfg.pro && lane.heavy_dirty {
-                            // A finished (or aborted) run leaves the
-                            // heavy offsets at whatever widths its
-                            // buckets last touched, per vertex; re-arm
-                            // the controller first so they are
-                            // recomputed device-side at the width the
-                            // run will actually start at.
-                            lane.controller.start_run();
-                            rdbs::refresh_heavy_offsets(
-                                &mut st.device,
-                                gb,
-                                lane.controller.delta(),
-                            );
-                        }
-                        if cfg.pro {
-                            lane.heavy_dirty = true; // the run re-splits them
-                        }
-                        let run = rdbs_on(
-                            &mut st.device,
-                            gb,
-                            scratch,
-                            &self.graph,
-                            mapped,
-                            *cfg,
-                            &mut lane.controller,
-                        )?;
-                        self.last_audit_hits = run.audit.len();
-                        let mut result = run.result;
-                        if let Some(perm) = &st.perm {
-                            result.dist = perm.unapply_to_array(&result.dist);
-                            result.source = source;
-                        }
-                        Ok(result)
-                    }
-                    _ => unreachable!("scratch kind always matches the variant"),
-                }
-            }
-            State::Multi(st) => Ok(st.try_run(source)?.result),
-        }
-    }
-
-    /// Grow the lane set to `count` leases (concurrent batches only).
-    /// Extra lanes pull their buffers from the pool, so a later
+    /// Grow the lane set to `count` leases. Extra lanes (runs on more
+    /// than one stream) pull their buffers from the pool, so a later
     /// generation recycles them like any per-query buffer.
     fn ensure_lanes(&mut self, count: usize) {
         let State::Gpu(st) = &mut self.state else { return };
@@ -727,190 +623,6 @@ impl SsspService {
                 .map(|_| self.pool.acquire(&mut st.device, "heavy_offsets", n as usize));
             st.lanes.push(QueryLane { dist, scratch, controller, heavy, heavy_dirty: true });
         }
-    }
-
-    /// Spread a batch across the device's command streams: every busy
-    /// stream holds one in-flight query on its own lane, the scheduler
-    /// steps whichever stream is least loaded (bucket granularity for
-    /// RDBS variants), and an overflowed query escalates and replays
-    /// on its stream without disturbing the rest.
-    fn batch_concurrent(&mut self, sources: &[VertexId]) -> Vec<SsspResult> {
-        let n = self.graph.num_vertices() as u32;
-        if let Some(&bad) = sources.iter().find(|&&s| s >= n) {
-            let e = ServiceError::SourceOutOfRange { source: bad, n };
-            panic!("{e}");
-        }
-        let streams = self.config.streams.min(sources.len());
-        self.ensure_lanes(streams);
-        self.last_audit_hits = 0;
-
-        let mut results: Vec<Option<SsspResult>> = vec![None; sources.len()];
-        // Queries that overflowed past the escalation ceiling — graded
-        // by the host oracle once the scheduler's borrows are done.
-        let mut ceiling_hits: Vec<usize> = Vec::new();
-        // Per-query (dispatch, completion) *wall* times for the
-        // overlap sweep. Wall coordinates (`StreamSet::wall_ns`) are
-        // comparable across streams; per-stream busy clocks are not —
-        // a stream that sat idle while others worked would appear to
-        // dispatch "in the past" and overcount concurrency.
-        let mut intervals: Vec<(f64, f64)> = Vec::new();
-
-        {
-            let State::Gpu(st) = &mut self.state else {
-                unreachable!("batch() gates concurrency on the single-GPU backend")
-            };
-            let GpuState { device, variant, perm, arrays, lanes } = &mut **st;
-            let lanes = &mut lanes[..streams];
-            let graph = &self.graph;
-            let mut set = StreamSet::new(device, streams);
-            match *variant {
-                Variant::Rdbs(cfg) => {
-                    struct Inflight {
-                        qi: usize,
-                        driver: RdbsDriver,
-                        started: Instant,
-                        dispatched_wall: f64,
-                    }
-                    let mut running: Vec<Option<Inflight>> = Vec::new();
-                    running.resize_with(streams, || None);
-                    let mut next = 0usize;
-                    loop {
-                        // Least-busy stream that can make progress:
-                        // running streams step one bucket, idle ones
-                        // dispatch the next source.
-                        let mut pick: Option<(usize, f64)> = None;
-                        for (s, slot) in running.iter().enumerate() {
-                            if slot.is_none() && next >= sources.len() {
-                                continue;
-                            }
-                            let busy = set.busy_ns(s as u32);
-                            if pick.is_none_or(|(_, best)| busy < best) {
-                                pick = Some((s, busy));
-                            }
-                        }
-                        let Some((s, _)) = pick else { break };
-                        let sid = s as u32;
-                        let lane = &mut lanes[s];
-                        if running[s].is_none() {
-                            let qi = next;
-                            next += 1;
-                            let source = sources[qi];
-                            let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                            let dispatched_wall = set.wall_ns(sid);
-                            let started = Instant::now();
-                            let driver = set.run(device, sid, |dev| {
-                                start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg)
-                            });
-                            running[s] = Some(Inflight { qi, driver, started, dispatched_wall });
-                            continue;
-                        }
-                        let inflight = running[s].as_mut().expect("picked a running stream");
-                        let stepped = set.run(device, sid, |dev| {
-                            inflight.driver.step(dev, graph, &mut lane.controller)
-                        });
-                        match stepped {
-                            Ok(false) => {}
-                            Ok(true) => {
-                                let done = running[s].take().expect("stream was running");
-                                let run = set.run(device, sid, |dev| done.driver.finish(dev));
-                                self.last_audit_hits = self.last_audit_hits.max(run.audit.len());
-                                let mut result = run.result;
-                                if let Some(perm) = perm.as_ref() {
-                                    result.dist = perm.unapply_to_array(&result.dist);
-                                    result.source = sources[done.qi];
-                                }
-                                let end = set.wall_ns(sid);
-                                intervals.push((done.dispatched_wall, end));
-                                self.stats
-                                    .per_query_sim_ms
-                                    .push((end - done.dispatched_wall) / 1e6);
-                                // Closed-loop batches: every query
-                                // "arrives" at batch start, so sojourn
-                                // runs from the set's base.
-                                self.stats.per_query_sojourn_ms.push((end - set.base_ns()) / 1e6);
-                                note_query_parts(
-                                    &mut self.stats,
-                                    &mut self.queries_on_graph,
-                                    self.uploads_per_graph,
-                                    done.started,
-                                );
-                                results[done.qi] = Some(result);
-                            }
-                            Err(_overflow) => {
-                                let escalated = escalate_queues(
-                                    &mut self.pool,
-                                    device,
-                                    &mut lane.scratch,
-                                    graph.num_vertices(),
-                                );
-                                if escalated {
-                                    self.stats.escalations += 1;
-                                    // Replay from the start on the same
-                                    // stream: the larger queue set is
-                                    // reset by the pool path, and the
-                                    // driver's scratch reset clears the
-                                    // stale pending marks.
-                                    let inflight = running[s].as_mut().expect("stream was running");
-                                    let source = sources[inflight.qi];
-                                    let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                                    inflight.driver = set.run(device, sid, |dev| {
-                                        start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg)
-                                    });
-                                } else {
-                                    let dead = running[s].take().expect("stream was running");
-                                    // The fallback's sojourn ends where
-                                    // its device attempt died; the host
-                                    // recompute happens off the
-                                    // simulated timeline. Recording it
-                                    // here keeps the wall series — and
-                                    // its tail percentiles — covering
-                                    // the slowest queries.
-                                    self.stats
-                                        .per_query_sojourn_ms
-                                        .push((set.wall_ns(sid) - set.base_ns()) / 1e6);
-                                    ceiling_hits.push(dead.qi);
-                                }
-                            }
-                        }
-                    }
-                }
-                Variant::Baseline => {
-                    // BL has no resumable driver: whole queries are the
-                    // scheduling grain, balanced onto the least-loaded
-                    // stream.
-                    for (qi, &source) in sources.iter().enumerate() {
-                        let sid = set.least_loaded();
-                        let lane = &mut lanes[sid as usize];
-                        let Scratch::Bl(scratch) = &lane.scratch else {
-                            unreachable!("scratch kind always matches the variant")
-                        };
-                        let gb = lane_buffers(*arrays, lane);
-                        let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                        let dispatched_wall = set.wall_ns(sid);
-                        let started = Instant::now();
-                        let result =
-                            set.run(device, sid, |dev| bl_on(dev, gb, scratch, graph, mapped));
-                        let end = set.wall_ns(sid);
-                        intervals.push((dispatched_wall, end));
-                        self.stats.per_query_sim_ms.push((end - dispatched_wall) / 1e6);
-                        self.stats.per_query_sojourn_ms.push((end - set.base_ns()) / 1e6);
-                        note_query_parts(
-                            &mut self.stats,
-                            &mut self.queries_on_graph,
-                            self.uploads_per_graph,
-                            started,
-                        );
-                        results[qi] = Some(result);
-                    }
-                }
-            }
-        }
-
-        for qi in ceiling_hits {
-            results[qi] = Some(self.host_fallback(sources[qi]));
-        }
-        self.stats.inflight_peak = self.stats.inflight_peak.max(peak_overlap(&intervals));
-        results.into_iter().map(|r| r.expect("every query answered")).collect()
     }
 
     /// Answer from the host oracle after a detected device error —
@@ -945,8 +657,8 @@ impl SsspService {
     }
 }
 
-/// Per-query bookkeeping, split out so the concurrent scheduler can
-/// call it while the service's state is mutably borrowed.
+/// Per-query bookkeeping, split out so the scheduler can call it
+/// while the service's state is mutably borrowed.
 fn note_query_parts(
     stats: &mut BatchStats,
     queries_on_graph: &mut u64,
@@ -1019,46 +731,28 @@ fn escalate_queues(
     scratch: &mut Scratch,
     n: usize,
 ) -> bool {
-    let Scratch::Rdbs(s) = scratch else {
-        return false; // the BL scratch has no queues to escalate
+    // Only the single layout grows. The BL scratch has no queues, and
+    // the MLMQ never escalates: a full sub-queue spills to the deferred
+    // level by design, so a raised overflow there is genuine loss the
+    // host oracle answers.
+    let Scratch::Rdbs(RdbsScratch { frontier: AnyFrontier::Single(wq), .. }) = scratch else {
+        return false;
     };
-    // Which workload-queue sets grow: the single layout's one set, or
-    // every wheel slot (uniformly — the set must stay in one size
-    // class). The MLMQ never escalates: a full sub-queue spills to the
-    // deferred level by design, so a raised overflow there is genuine
-    // loss the host oracle answers.
-    let sets: Vec<&mut WorkloadQueues> = match &mut s.frontier {
-        AnyFrontier::Single(wq) => vec![wq],
-        AnyFrontier::Wheel(w) => w.slots.iter_mut().collect(),
-        AnyFrontier::Mlmq(_) => return false,
-    };
-    let old_cap = sets
-        .iter()
-        .flat_map(|wq| wq.queues())
-        .map(|q| q.capacity as usize)
-        .max()
-        .expect("a workload set holds four queues");
+    let old_cap =
+        wq.queues().map(|q| q.capacity as usize).max().expect("a workload set holds four queues");
     let class = pool::size_class(old_cap);
     let new_cap = if old_cap < class { class } else { 2 * class };
     if new_cap > 2 * pool::size_class(n) {
         return false;
     }
+    for q in wq.queues() {
+        pool.release(device, q.data);
+        pool.release(device, q.tail);
+        pool.release(device, q.overflow);
+    }
     // pooled_queue resets the recycled cursor cells, clearing the
     // sticky overflow flag before the replay.
-    let cap = new_cap as u32;
-    for wq in sets {
-        for q in wq.queues() {
-            pool.release(device, q.data);
-            pool.release(device, q.tail);
-            pool.release(device, q.overflow);
-        }
-        wq.q = [
-            pooled_queue(pool, device, "workload_small", cap),
-            pooled_queue(pool, device, "workload_medium", cap),
-            pooled_queue(pool, device, "workload_large", cap),
-        ];
-        wq.members = pooled_queue(pool, device, "bucket_members", cap);
-    }
+    *wq = pooled_workload(pool, device, new_cap as u32, wq.pending, wq.adwl, wq.scatter);
     true
 }
 
@@ -1133,7 +827,7 @@ fn build_scratch(
         Variant::Rdbs(cfg) => {
             let cap = queue_capacity.unwrap_or(n);
             // One vertex-indexed pending buffer per lane, shared by
-            // every slot/level of the frontier.
+            // every level of the frontier.
             let pending = pool.acquire(device, "pending", n as usize);
             let frontier = match cfg.frontier {
                 FrontierKind::Single => AnyFrontier::Single(pooled_workload(
@@ -1144,12 +838,6 @@ fn build_scratch(
                     cfg.adwl,
                     cfg.scatter,
                 )),
-                FrontierKind::Wheel => {
-                    let slots = std::array::from_fn(|_| {
-                        pooled_workload(pool, device, cap, pending, cfg.adwl, cfg.scatter)
-                    });
-                    AnyFrontier::Wheel(WheelFrontier { slots, pending, active: 0 })
-                }
                 FrontierKind::Mlmq => {
                     let sub = MlmqFrontier::sub_capacity(cap);
                     let levels = std::array::from_fn(|_| {
@@ -1175,7 +863,7 @@ fn build_scratch(
 }
 
 /// One pooled workload-queue set around a caller-owned pending buffer
-/// (wheel slots share one).
+/// (escalation keeps the lane's).
 fn pooled_workload(
     pool: &mut BufferPool,
     device: &mut Device,
@@ -1611,6 +1299,9 @@ mod tests {
         }
         let stats = svc.stats();
         assert!(stats.fallbacks >= 1, "the rigged lane must force at least one fallback");
+        // A query that dies on lane 1 was in flight alongside lane 0's
+        // until its death: the peak counts it.
+        assert_eq!(stats.inflight_peak, 2);
         assert_eq!(
             stats.per_query_sim_ms.len() as u64,
             stats.queries - stats.fallbacks,
@@ -1710,12 +1401,32 @@ mod tests {
         let g = star(64);
         let config =
             ServiceConfig::rdbs(tiny()).with_frontier(FrontierKind::Mlmq).with_queue_capacity(2);
-        let mut svc = SsspService::new(&g, config);
+        let mut svc = SsspService::new(&g, config.clone());
         let results = svc.batch(&[0]);
         check_against_dijkstra(&g, 0, &results[0].dist).unwrap();
         let stats = svc.stats();
         assert_eq!(stats.escalations, 0);
         assert!(stats.fallbacks >= 1, "spill-of-spill loss must be detected and re-answered");
+
+        // A single query hands the same loss back as a typed error
+        // instead of falling back — on any stream count.
+        let mut svc = SsspService::new(&g, config.with_streams(4));
+        let err = svc.try_query(0).unwrap_err();
+        assert!(matches!(err, ServiceError::Overflow(_)), "{err:?}");
+        let stats = svc.stats();
+        assert_eq!(stats.fallbacks, 0);
+        assert_eq!(stats.queries, 0);
+    }
+
+    #[test]
+    fn single_query_leases_one_lane() {
+        // A lone query runs on lane 0 however many streams the service
+        // may spread a batch across: no extra lanes are leased.
+        let g = graph(13);
+        let mut one = SsspService::new(&g, ServiceConfig::rdbs(tiny()));
+        let mut four = SsspService::new(&g, ServiceConfig::rdbs(tiny()).with_streams(4));
+        assert_eq!(one.query(5).dist, four.query(5).dist);
+        assert_eq!(four.stats().pool_allocs, one.stats().pool_allocs);
     }
 
     #[test]

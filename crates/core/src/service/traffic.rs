@@ -1,6 +1,7 @@
 //! Open-loop traffic tier for [`SsspService`]: seeded arrival
 //! processes, deadline-aware dispatch, admission control with typed
-//! shedding, and the `(generation, source)` answer cache.
+//! shedding, and the `(generation, source)` answer cache — and the
+//! service's one scheduler.
 //!
 //! Closed-loop batches ([`SsspService::batch`]) measure *service*
 //! latency under a workload that politely waits for the previous
@@ -13,11 +14,14 @@
 //!   Poisson or bursty two-state MMPP process
 //!   ([`generate_arrivals`]), with a uniform or hot-set source mix.
 //! * **Dispatch** runs on the shared wall timeline exposed by
-//!   [`rdbs_gpu_sim::StreamSet`] (`wall_ns`/`advance_to`): a free
-//!   stream waits idle until the next arrival instead of running work
-//!   "in the past", and among waiting queries the
-//!   earliest-deadline-first one is served — replacing the closed-loop
-//!   scheduler's pure least-busy rule.
+//!   [`rdbs_gpu_sim::StreamSet`] (`wall_ns`/`advance_to`): the stream
+//!   furthest behind steps next, a free stream waits idle until the
+//!   next arrival instead of running work "in the past", and among
+//!   waiting queries the earliest-deadline-first one is served. A
+//!   closed-loop batch is the degenerate workload — every query
+//!   arrives at t = 0 with an infinite deadline and the cache off — so
+//!   no stream ever waits, the earliest wall frontier is the least
+//!   busy stream, and EDF over equal deadlines is first-come.
 //! * **Admission control** predicts each query's completion from an
 //!   EWMA of observed service times; a query whose predicted sojourn
 //!   blows its SLO deadline is refused with a typed
@@ -41,6 +45,7 @@ use super::{
     State,
 };
 use crate::gpu::bl::bl_on;
+use crate::gpu::buffers::QueueOverflow;
 use crate::gpu::rdbs::RdbsDriver;
 use crate::gpu::Variant;
 use crate::stats::{percentile, SsspResult, UpdateStats};
@@ -200,6 +205,17 @@ pub struct TrafficReport {
     pub deadline_violations: usize,
 }
 
+impl Outcome {
+    /// The answer of a closed-loop query, which is never shed or
+    /// approximated.
+    pub(super) fn into_exact(self) -> SsspResult {
+        match self {
+            Outcome::Exact { result, .. } => result,
+            _ => unreachable!("a closed-loop query is never shed or approximated"),
+        }
+    }
+}
+
 impl TrafficReport {
     /// Sojourns of the exact answers, ms, completion untracked
     /// (arrival order).
@@ -357,6 +373,30 @@ pub fn generate_arrivals(cfg: &TrafficConfig, n: u32) -> Vec<Query> {
     queries
 }
 
+/// The closed-loop workload over `sources`: every query arrives at
+/// t = 0 with an infinite deadline, and the answer cache is off.
+pub(super) fn closed_loop(sources: &[VertexId]) -> (Vec<Query>, TrafficConfig) {
+    let queries = sources
+        .iter()
+        .map(|&source| Query { source, arrival_ms: 0.0, deadline_ms: f64::INFINITY })
+        .collect();
+    // The arrival process is never drawn from: the queries are explicit.
+    (queries, TrafficConfig::poisson(1.0, sources.len(), f64::INFINITY, 0))
+}
+
+/// One scheduler run, before the host oracle answers its ceiling hits.
+pub(super) struct Scheduled {
+    /// Per-query outcomes in arrival order; `None` for ceiling hits.
+    pub(super) outcomes: Vec<Option<Outcome>>,
+    /// Queries that overflowed past the escalation ceiling, in death
+    /// order: index, sojourn at death (ms), and the overflow.
+    pub(super) ceiling: Vec<(usize, f64, QueueOverflow)>,
+    device_answered: usize,
+    makespan_ms: f64,
+    /// Device clock at the run's start, ns.
+    base_ns: f64,
+}
+
 /// EWMA service-time predictor for the admission test. Before the
 /// first observation it predicts zero — the first query on an idle
 /// system is always admitted.
@@ -394,9 +434,80 @@ impl SsspService {
     }
 
     /// Serve an explicit query list (the open-loop entry point
-    /// generates one; tests hand-construct them to pin scheduler
-    /// behaviour). Queries must be in arrival order.
+    /// generates one; [`SsspService::batch`] passes a closed loop;
+    /// tests hand-construct them to pin scheduler behaviour). Queries
+    /// must be in arrival order.
     pub fn serve_queries(&mut self, queries: &[Query], cfg: &TrafficConfig) -> TrafficReport {
+        let Scheduled { mut outcomes, ceiling, device_answered, makespan_ms, base_ns } =
+            self.schedule(queries, cfg);
+        let generation = self.generation;
+        let cache_enabled = cfg.cache.is_some();
+        let fallbacks = ceiling.len();
+        for (qi, sojourn_ms, _overflow) in ceiling {
+            let q = queries[qi];
+            let result = self.host_fallback(q.source);
+            // The fallback's sojourn ends where its device attempt
+            // died; the host recompute runs off the simulated timeline.
+            self.stats.per_query_sojourn_ms.push(sojourn_ms);
+            if let Some(c) = self.traffic_cache.as_mut().filter(|_| cache_enabled) {
+                c.insert(
+                    generation,
+                    q.source,
+                    Arc::new(result.dist.clone()),
+                    base_ns / 1e6 + q.arrival_ms + sojourn_ms,
+                );
+            }
+            outcomes[qi] = Some(Outcome::Exact {
+                result,
+                via: AnswerSource::HostFallback,
+                arrival_ms: q.arrival_ms,
+                sojourn_ms,
+                queue_ms: 0.0,
+            });
+        }
+
+        let outcomes: Vec<Outcome> =
+            outcomes.into_iter().map(|o| o.expect("every offered query has an outcome")).collect();
+        let mut exact = 0;
+        let mut approx = 0;
+        let mut shed = 0;
+        let mut cache_hits = 0;
+        let mut deadline_violations = 0;
+        for (o, q) in outcomes.iter().zip(queries) {
+            match o {
+                Outcome::Exact { via, sojourn_ms, .. } => {
+                    exact += 1;
+                    if *via == AnswerSource::Cache {
+                        cache_hits += 1;
+                    }
+                    if q.arrival_ms + *sojourn_ms > q.deadline_ms + 1e-9 {
+                        deadline_violations += 1;
+                    }
+                }
+                Outcome::Approx { .. } => approx += 1,
+                Outcome::Rejected(_) => shed += 1,
+            }
+        }
+        TrafficReport {
+            outcomes,
+            offered: queries.len(),
+            exact,
+            approx,
+            shed,
+            device_answered,
+            fallbacks,
+            cache_hits,
+            slo_ms: cfg.slo_ms,
+            makespan_ms,
+            deadline_violations,
+        }
+    }
+
+    /// The scheduler: run `queries` (in arrival order) across
+    /// `min(streams, queries)` leased lanes, recording every device
+    /// answer, escalating overflowed queue sets on-device, and leaving
+    /// the queries that die at the escalation ceiling to the caller.
+    pub(super) fn schedule(&mut self, queries: &[Query], cfg: &TrafficConfig) -> Scheduled {
         assert!(
             matches!(self.state, State::Gpu(_)),
             "the traffic tier requires a single-GPU backend"
@@ -409,7 +520,7 @@ impl SsspService {
         if let Some(bad) = queries.iter().find(|q| q.source >= n) {
             panic!("source {} out of range for a {n}-vertex graph", bad.source);
         }
-        let streams = self.config.streams.max(1);
+        let streams = self.config.streams.min(queries.len()).max(1);
         self.ensure_lanes(streams);
         self.last_audit_hits = 0;
         let generation = self.generation;
@@ -422,14 +533,15 @@ impl SsspService {
         }
 
         let mut outcomes: Vec<Option<Outcome>> = vec![None; queries.len()];
-        // Ceiling-hit queries, graded by the host oracle once the
-        // scheduler's borrows are done: (index, sojourn at death).
-        let mut ceiling: Vec<(usize, f64)> = Vec::new();
+        let mut ceiling = Vec::new();
+        // Per-query (dispatch, completion or death) *wall* times for
+        // the overlap sweep. Wall coordinates are comparable across
+        // streams; per-stream busy clocks are not.
         let mut intervals: Vec<(f64, f64)> = Vec::new();
         let mut predictor = Predictor::new();
         let mut device_answered = 0usize;
         let makespan_ms;
-        let base_abs_ns;
+        let base_ns;
 
         {
             let State::Gpu(st) = &mut self.state else { unreachable!("gated above") };
@@ -514,10 +626,12 @@ impl SsspService {
                     }
                 }
 
-                if running[s].is_some() {
+                // A query that completed on stream `s` this iteration:
+                // (index, result, dispatch wall time, host start).
+                let mut finished = None;
+                if let Some(inflight) = running[s].as_mut() {
                     // Step the in-flight query one bucket.
                     let lane = &mut lanes[s];
-                    let inflight = running[s].as_mut().expect("picked a running stream");
                     let stepped = set.run(device, sid, |dev| {
                         inflight.driver.step(dev, graph, &mut lane.controller)
                     });
@@ -527,43 +641,10 @@ impl SsspService {
                             let done = running[s].take().expect("stream was running");
                             let run = set.run(device, sid, |dev| done.driver.finish(dev));
                             self.last_audit_hits = self.last_audit_hits.max(run.audit.len());
-                            let q = queries[done.qi];
-                            let mut result = run.result;
-                            if let Some(perm) = perm.as_ref() {
-                                result.dist = perm.unapply_to_array(&result.dist);
-                                result.source = q.source;
-                            }
-                            let end = set.wall_ns(sid);
-                            let service_ns = end - done.dispatched_wall;
-                            let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
-                            intervals.push((done.dispatched_wall, end));
-                            self.stats.per_query_sim_ms.push(service_ns / 1e6);
-                            self.stats.per_query_sojourn_ms.push(sojourn_ms);
-                            note_query_parts(
-                                &mut self.stats,
-                                &mut self.queries_on_graph,
-                                self.uploads_per_graph,
-                                done.started,
-                            );
-                            predictor.observe(service_ns);
-                            if let Some(c) = cache.as_mut().filter(|_| cache_enabled) {
-                                c.insert(
-                                    generation,
-                                    q.source,
-                                    Arc::new(result.dist.clone()),
-                                    end / 1e6,
-                                );
-                            }
-                            device_answered += 1;
-                            outcomes[done.qi] = Some(Outcome::Exact {
-                                result,
-                                via: AnswerSource::Device,
-                                arrival_ms: q.arrival_ms,
-                                sojourn_ms,
-                                queue_ms: (done.dispatched_wall - arrival_ns(&q)) / 1e6,
-                            });
+                            finished =
+                                Some((done.qi, run.result, done.dispatched_wall, done.started));
                         }
-                        Err(_overflow) => {
+                        Err(overflow) => {
                             let escalated = escalate_queues(
                                 &mut self.pool,
                                 device,
@@ -572,7 +653,6 @@ impl SsspService {
                             );
                             if escalated {
                                 self.stats.escalations += 1;
-                                let inflight = running[s].as_mut().expect("stream was running");
                                 let source = queries[inflight.qi].source;
                                 let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
                                 let cfg_rdbs = rdbs_cfg.expect("a driver implies RDBS");
@@ -585,183 +665,126 @@ impl SsspService {
                                 let dead = running[s].take().expect("stream was running");
                                 let end = set.wall_ns(sid);
                                 let q = queries[dead.qi];
-                                let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
                                 intervals.push((dead.dispatched_wall, end));
-                                self.stats.per_query_sojourn_ms.push(sojourn_ms);
-                                ceiling.push((dead.qi, sojourn_ms));
+                                ceiling.push((dead.qi, (end - arrival_ns(&q)) / 1e6, overflow));
                             }
                         }
                     }
-                    continue;
+                } else {
+                    // Idle stream: dispatch the earliest-deadline
+                    // waiting query that passes admission; shed (or
+                    // serve an approximate bound to) the ones that
+                    // cannot make their deadline anymore.
+                    while let Some(pos) = waiting
+                        .iter()
+                        .enumerate()
+                        .min_by(|a, b| {
+                            let da = queries[*a.1].deadline_ms;
+                            let db = queries[*b.1].deadline_ms;
+                            da.partial_cmp(&db).expect("deadlines are never NaN")
+                        })
+                        .map(|(pos, _)| pos)
+                    {
+                        let qi = waiting.remove(pos);
+                        let q = queries[qi];
+                        let t_free = set.wall_ns(sid);
+                        let start_ns = t_free.max(arrival_ns(&q));
+                        let predicted_done = start_ns + cfg.shed_margin * predictor.predicted_ns();
+                        if start_ns > deadline_ns(&q) || predicted_done > deadline_ns(&q) {
+                            let now_ms = (start_ns - base) / 1e6;
+                            let bound = cache
+                                .as_mut()
+                                .filter(|_| cache_enabled && cfg.approx_on_shed)
+                                .and_then(|c| c.upper_bound(generation, q.source, start_ns / 1e6));
+                            outcomes[qi] = Some(match bound {
+                                Some(upper) => {
+                                    self.stats.cache_approx_hits += 1;
+                                    Outcome::Approx {
+                                        source: q.source,
+                                        upper,
+                                        arrival_ms: q.arrival_ms,
+                                        sojourn_ms: now_ms - q.arrival_ms,
+                                    }
+                                }
+                                None => {
+                                    self.stats.shed += 1;
+                                    Outcome::Rejected(Rejected {
+                                        source: q.source,
+                                        arrival_ms: q.arrival_ms,
+                                        deadline_ms: q.deadline_ms,
+                                        predicted_completion_ms: (predicted_done - base) / 1e6,
+                                    })
+                                }
+                            });
+                            continue;
+                        }
+                        // Admitted: wait idle until the arrival if the
+                        // stream got here early, then run.
+                        if start_ns > t_free {
+                            set.advance_to(device, sid, start_ns);
+                        }
+                        let mapped = perm.as_ref().map_or(q.source, |p| p.new_id(q.source));
+                        let lane = &mut lanes[s];
+                        let dispatched_wall = set.wall_ns(sid);
+                        let started = Instant::now();
+                        if let Some(cfg_rdbs) = rdbs_cfg {
+                            let driver = set.run(device, sid, |dev| {
+                                super::start_rdbs_driver(
+                                    dev, lane, *arrays, graph, mapped, cfg_rdbs,
+                                )
+                            });
+                            running[s] = Some(Inflight { qi, driver, started, dispatched_wall });
+                        } else {
+                            // BL has no resumable driver: the whole
+                            // query is the scheduling grain.
+                            let Scratch::Bl(scratch) = &lane.scratch else {
+                                unreachable!("scratch kind always matches the variant")
+                            };
+                            let gb = lane_buffers(*arrays, lane);
+                            let result =
+                                set.run(device, sid, |dev| bl_on(dev, gb, scratch, graph, mapped));
+                            finished = Some((qi, result, dispatched_wall, started));
+                        }
+                        break;
+                    }
                 }
 
-                // Idle stream: dispatch the earliest-deadline waiting
-                // query that passes admission; shed (or serve an
-                // approximate bound to) the ones that cannot make
-                // their deadline anymore.
-                while let Some(pos) = waiting
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| {
-                        let da = queries[*a.1].deadline_ms;
-                        let db = queries[*b.1].deadline_ms;
-                        da.partial_cmp(&db).expect("finite deadlines")
-                    })
-                    .map(|(pos, _)| pos)
-                {
-                    let qi = waiting.remove(pos);
-                    let q = queries[qi];
-                    let t_free = set.wall_ns(sid);
-                    let start_ns = t_free.max(arrival_ns(&q));
-                    let predicted_done = start_ns + cfg.shed_margin * predictor.predicted_ns();
-                    if start_ns > deadline_ns(&q) || predicted_done > deadline_ns(&q) {
-                        let now_ms = (start_ns - base) / 1e6;
-                        let bound = cache
-                            .as_mut()
-                            .filter(|_| cache_enabled && cfg.approx_on_shed)
-                            .and_then(|c| c.upper_bound(generation, q.source, start_ns / 1e6));
-                        outcomes[qi] = Some(match bound {
-                            Some(upper) => {
-                                self.stats.cache_approx_hits += 1;
-                                Outcome::Approx {
-                                    source: q.source,
-                                    upper,
-                                    arrival_ms: q.arrival_ms,
-                                    sojourn_ms: now_ms - q.arrival_ms,
-                                }
-                            }
-                            None => {
-                                self.stats.shed += 1;
-                                Outcome::Rejected(Rejected {
-                                    source: q.source,
-                                    arrival_ms: q.arrival_ms,
-                                    deadline_ms: q.deadline_ms,
-                                    predicted_completion_ms: (predicted_done - base) / 1e6,
-                                })
-                            }
-                        });
-                        continue;
-                    }
-                    // Admitted: wait idle until the arrival if the
-                    // stream got here early, then run.
-                    if start_ns > t_free {
-                        set.advance_to(device, sid, start_ns);
-                    }
-                    let mapped = perm.as_ref().map_or(q.source, |p| p.new_id(q.source));
-                    let lane = &mut lanes[s];
-                    let dispatched_wall = set.wall_ns(sid);
-                    let started = Instant::now();
-                    if let Some(cfg_rdbs) = rdbs_cfg {
-                        let driver = set.run(device, sid, |dev| {
-                            super::start_rdbs_driver(dev, lane, *arrays, graph, mapped, cfg_rdbs)
-                        });
-                        running[s] = Some(Inflight { qi, driver, started, dispatched_wall });
-                    } else {
-                        // BL has no resumable driver: the whole query
-                        // is the scheduling grain.
-                        let Scratch::Bl(scratch) = &lane.scratch else {
-                            unreachable!("scratch kind always matches the variant")
-                        };
-                        let gb = lane_buffers(*arrays, lane);
-                        let result =
-                            set.run(device, sid, |dev| bl_on(dev, gb, scratch, graph, mapped));
-                        let end = set.wall_ns(sid);
-                        let service_ns = end - dispatched_wall;
-                        let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
-                        intervals.push((dispatched_wall, end));
-                        self.stats.per_query_sim_ms.push(service_ns / 1e6);
-                        self.stats.per_query_sojourn_ms.push(sojourn_ms);
-                        note_query_parts(
-                            &mut self.stats,
-                            &mut self.queries_on_graph,
-                            self.uploads_per_graph,
-                            started,
-                        );
-                        predictor.observe(service_ns);
-                        if let Some(c) = cache.as_mut().filter(|_| cache_enabled) {
-                            c.insert(
-                                generation,
-                                q.source,
-                                Arc::new(result.dist.clone()),
-                                end / 1e6,
-                            );
-                        }
-                        device_answered += 1;
-                        outcomes[qi] = Some(Outcome::Exact {
-                            result,
-                            via: AnswerSource::Device,
-                            arrival_ms: q.arrival_ms,
-                            sojourn_ms,
-                            queue_ms: (dispatched_wall - arrival_ns(&q)) / 1e6,
-                        });
-                    }
-                    break;
+                let Some((qi, mut result, dispatched_wall, started)) = finished else { continue };
+                let q = queries[qi];
+                if let Some(perm) = perm.as_ref() {
+                    result.dist = perm.unapply_to_array(&result.dist);
+                    result.source = q.source;
                 }
+                let end = set.wall_ns(sid);
+                let service_ns = end - dispatched_wall;
+                let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
+                intervals.push((dispatched_wall, end));
+                self.stats.per_query_sim_ms.push(service_ns / 1e6);
+                self.stats.per_query_sojourn_ms.push(sojourn_ms);
+                note_query_parts(
+                    &mut self.stats,
+                    &mut self.queries_on_graph,
+                    self.uploads_per_graph,
+                    started,
+                );
+                predictor.observe(service_ns);
+                if let Some(c) = cache.as_mut().filter(|_| cache_enabled) {
+                    c.insert(generation, q.source, Arc::new(result.dist.clone()), end / 1e6);
+                }
+                device_answered += 1;
+                outcomes[qi] = Some(Outcome::Exact {
+                    result,
+                    via: AnswerSource::Device,
+                    arrival_ms: q.arrival_ms,
+                    sojourn_ms,
+                    queue_ms: (dispatched_wall - arrival_ns(&q)) / 1e6,
+                });
             }
             makespan_ms = set.makespan_ns() / 1e6;
-            base_abs_ns = set.base_ns();
-        }
-
-        let mut fallbacks = 0usize;
-        for &(qi, sojourn_ms) in &ceiling {
-            let q = queries[qi];
-            let result = self.host_fallback(q.source);
-            if let Some(c) = &mut self.traffic_cache {
-                if cache_enabled {
-                    c.insert(
-                        generation,
-                        q.source,
-                        Arc::new(result.dist.clone()),
-                        base_abs_ns / 1e6 + q.arrival_ms + sojourn_ms,
-                    );
-                }
-            }
-            fallbacks += 1;
-            outcomes[qi] = Some(Outcome::Exact {
-                result,
-                via: AnswerSource::HostFallback,
-                arrival_ms: q.arrival_ms,
-                sojourn_ms,
-                queue_ms: 0.0,
-            });
+            base_ns = set.base_ns();
         }
         self.stats.inflight_peak = self.stats.inflight_peak.max(peak_overlap(&intervals));
-
-        let outcomes: Vec<Outcome> =
-            outcomes.into_iter().map(|o| o.expect("every offered query has an outcome")).collect();
-        let mut exact = 0;
-        let mut approx = 0;
-        let mut shed = 0;
-        let mut cache_hits = 0;
-        let mut deadline_violations = 0;
-        for (o, q) in outcomes.iter().zip(queries) {
-            match o {
-                Outcome::Exact { via, sojourn_ms, .. } => {
-                    exact += 1;
-                    if *via == AnswerSource::Cache {
-                        cache_hits += 1;
-                    }
-                    if q.arrival_ms + *sojourn_ms > q.deadline_ms + 1e-9 {
-                        deadline_violations += 1;
-                    }
-                }
-                Outcome::Approx { .. } => approx += 1,
-                Outcome::Rejected(_) => shed += 1,
-            }
-        }
-        TrafficReport {
-            outcomes,
-            offered: queries.len(),
-            exact,
-            approx,
-            shed,
-            device_answered,
-            fallbacks,
-            cache_hits,
-            slo_ms: cfg.slo_ms,
-            makespan_ms,
-            deadline_violations,
-        }
+        Scheduled { outcomes, ceiling, device_answered, makespan_ms, base_ns }
     }
 }
 

@@ -127,7 +127,8 @@ pub struct BatchStats {
     /// [`BatchStats::per_query_sim_ms`] this series also records
     /// ceiling-hit queries re-answered by the host fallback (their
     /// sojourn ends at the device attempt's death; the host recompute
-    /// runs off the simulated timeline), so on the single-GPU backend
+    /// runs off the simulated timeline, after the run's device
+    /// answers, so they come last), so on the single-GPU backend
     /// `per_query_sojourn_ms.len() == queries`. The multi-GPU backend
     /// has no shared simulated clock and contributes nothing.
     pub per_query_sojourn_ms: Vec<f64>,

@@ -393,7 +393,7 @@ with --validate, if any query disagrees with Dijkstra).
                       kronecker:12:16; erdos:1500:6000 with --quick)
   --backend rdbs|bl|multi-gpu:K
                       execution engine (default rdbs = BASYN+PRO+ADWL)
-  --frontier single|wheel|mlmq
+  --frontier single|mlmq
                       device frontier layout for the rdbs backend
                       (default single; mlmq spills overflow to the next
                       level instead of escalating)
@@ -737,7 +737,7 @@ the first divergence. Exits non-zero on any mismatch.
   --quick             reduced sweep (two families, one source)
   --impl SUBSTR       only implementations whose id contains SUBSTR
   --graph SUBSTR      only families whose name contains SUBSTR
-  --frontier single|wheel|mlmq
+  --frontier single|mlmq
                       run every RDBS-backed implementation on this
                       device frontier layout
   --delta0 W          bucket-width override for the whole sweep
@@ -962,7 +962,7 @@ the same fault schedules byte for byte.
   --model SUBSTR      only fault models whose name contains SUBSTR
   --entry SUBSTR      only entry points whose id contains SUBSTR
   --graph SUBSTR      only families whose name contains SUBSTR
-  --frontier single|wheel|mlmq
+  --frontier single|mlmq
                       run every RDBS-backed entry on this device
                       frontier layout (service/mlmq-spill keeps its own)
   --rate R            injection rate override (default is per-model)
@@ -1196,7 +1196,7 @@ wrong, races, or the specimen goes undetected. Deterministic in
 
   --quick             reduced sweep (quick entries x quick families)
   --entry SUBSTR      only entry points whose id contains SUBSTR
-  --frontier single|wheel|mlmq
+  --frontier single|mlmq
                       fuzz every RDBS-backed entry on this device
                       frontier layout
   --perms N           permutation seeds per (entry, graph) (default 32)
@@ -1283,7 +1283,7 @@ byte.
   --quick             reduced sweep (quick families, four entries, one source)
   --entry SUBSTR      only entry points whose id contains SUBSTR
   --graph SUBSTR      only families whose name contains SUBSTR
-  --frontier single|wheel|mlmq
+  --frontier single|mlmq
                       sanitize every RDBS-backed entry on this device
                       frontier layout
   --max N             violations to print per dirty cell (default 5)
@@ -1314,7 +1314,7 @@ Deterministic: the same flags reproduce the same bytes.
 
   --quick             reduced sweep (quick families, quick entries)
   --entry SUBSTR      only entry points whose id contains SUBSTR
-  --frontier single|wheel|mlmq
+  --frontier single|mlmq
                       analyze only this frontier layout
   --json              print the full report as JSON
   --write PATH        write the certificate baseline to PATH
