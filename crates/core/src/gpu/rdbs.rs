@@ -11,7 +11,9 @@
 //!   fresh kernel launch plus a grid barrier. With ADWL, small
 //!   vertices are handled by their parent thread, medium ones by a
 //!   32-lane warp gang, large ones by dynamic-parallelism child
-//!   kernels with one thread per light edge (§4.2, Fig. 5).
+//!   kernels with one thread per light edge (§4.2, Fig. 5). A small
+//!   list too short to fill the device widens its parent thread into
+//!   a gang sized to the list's longest walk (`small_gang`).
 //! * **Phases 2 & 3** are fused into one synchronous pass (kernel
 //!   fusion, §4.2): relax heavy edges of every vertex settled in the
 //!   current bucket, then collect the next bucket's active vertices
@@ -183,7 +185,10 @@ pub struct GpuBucketTrace {
     pub active: u64,
     /// Converged vertices (C_i of Eq. 1).
     pub converged: u64,
-    /// Lanes used (T_i of Eq. 1).
+    /// The paper's lane count T_i of Eq. 1: one lane per small vertex,
+    /// a warp per medium one, a lane per light edge (plus the parent)
+    /// of a large one. Not the lanes that ran: a short small list runs
+    /// wider gangs without changing T_i.
     pub threads: u64,
 }
 
@@ -422,10 +427,12 @@ impl RdbsDriver {
                 }
                 any = true;
                 trace.threads += phase1_wave_threads(graph, c, items, width, config.pro);
+                let gang = phase1_gang(graph, c, items, width, config, device.config().num_sms);
                 run_phase1_list(
                     device,
                     config.basyn,
                     c,
+                    gang,
                     items,
                     gb,
                     frontier.relax_view(),
@@ -599,7 +606,18 @@ fn audit_bucket(
     }
 }
 
-/// Lanes a phase-1 wave will use (T_i accounting).
+/// Edges a phase-1 lane walks for `v`: its light prefix under PRO,
+/// its whole row (weight-checked per edge) without.
+fn phase1_walk(graph: &Csr, v: VertexId, width: Weight, pro: bool) -> u32 {
+    if pro {
+        graph.light_degree(v, width)
+    } else {
+        graph.degree(v)
+    }
+}
+
+/// Lanes a phase-1 wave is charged for: the paper's T_i of Eq. 1, one
+/// lane per small vertex whatever gang the wave actually runs with.
 fn phase1_wave_threads(
     graph: &Csr,
     class: usize,
@@ -610,13 +628,47 @@ fn phase1_wave_threads(
     match class {
         0 => items.len() as u64,
         1 => items.len() as u64 * 32,
-        _ => items
-            .iter()
-            .map(|&v| {
-                1 + if pro { graph.light_degree(v, width) as u64 } else { graph.degree(v) as u64 }
-            })
-            .sum(),
+        _ => items.iter().map(|&v| 1 + phase1_walk(graph, v, width, pro) as u64).sum(),
     }
+}
+
+/// Lanes per vertex of a phase-1 wave: a warp per medium vertex, one
+/// parent thread per large vertex (it spawns children), and for the
+/// small list the work-sized gang of [`small_gang`], picked by the
+/// manager from the drained list and the resident CSR.
+fn phase1_gang(
+    graph: &Csr,
+    class: usize,
+    items: &[VertexId],
+    width: Weight,
+    config: RdbsConfig,
+    num_sms: u32,
+) -> u32 {
+    match class {
+        0 => {
+            let longest =
+                items.iter().map(|&v| phase1_walk(graph, v, width, config.pro)).max().unwrap_or(0);
+            small_gang(items.len(), longest, config.adwl, num_sms)
+        }
+        1 => 32,
+        _ => 1,
+    }
+}
+
+/// Gang size for a small-list wave under ADWL (DESIGN "Modeling
+/// decisions" item 10): the smallest power of two covering the
+/// longest walk, capped at a warp, then halved until the wave fits one
+/// warp per SM. Without ADWL every vertex keeps its single lane.
+fn small_gang(items: usize, longest_walk: u32, adwl: bool, num_sms: u32) -> u32 {
+    if !adwl {
+        return 1;
+    }
+    let budget = 32 * num_sms as u64;
+    let mut gang = longest_walk.min(32).next_power_of_two();
+    while gang > 1 && items as u64 * gang as u64 > budget {
+        gang /= 2;
+    }
+    gang
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -624,6 +676,7 @@ fn run_phase1_list(
     device: &mut Device,
     basyn: bool,
     class: usize,
+    gang: u32,
     items: &[VertexId],
     gb: GraphBuffers,
     view: FrontierView,
@@ -633,11 +686,6 @@ fn run_phase1_list(
     accept_below: bool,
     inst: &Rc<Inst>,
 ) {
-    let gang = match class {
-        0 => 1u32,
-        1 => 32,
-        _ => 1, // large vertices: parent thread spawns children
-    };
     let large = class == 2;
     let inst_outer = Rc::clone(inst);
     let body = move |lane: &mut Lane<'_>| {
@@ -1116,6 +1164,55 @@ mod tests {
             d.counters().child_kernel_launches > 0,
             "expected dynamic parallelism on the hub vertex"
         );
+    }
+
+    #[test]
+    fn small_gang_covers_the_longest_walk_within_one_warp_per_sm() {
+        // test_tiny has 2 SMs: a 64-lane budget per wave.
+        let sms = DeviceConfig::test_tiny().num_sms;
+        assert_eq!(small_gang(16, 3, true, sms), 4, "exactly 64 lanes");
+        assert_eq!(small_gang(17, 3, true, sms), 2);
+        assert_eq!(small_gang(65, 3, true, sms), 1);
+        for items in [1, 16, 65, 1000] {
+            assert_eq!(small_gang(items, 0, true, sms), 1);
+            assert_eq!(small_gang(items, 1, true, sms), 1);
+        }
+        assert_eq!(small_gang(2, 31, true, sms), 32);
+        for (items, walk) in [(1, 0), (2, 31), (16, 3), (65, 3), (1000, 1000)] {
+            assert_eq!(small_gang(items, walk, false, sms), 1, "no gangs without ADWL");
+        }
+    }
+
+    #[test]
+    fn small_list_gangs_shorten_road_waves_and_change_nothing_else() {
+        // The Table 2 road-crossover graph and device of the shape
+        // tests, from original vertex 0. Every road vertex is small, so
+        // full() and basyn_pro() differ only in the small list's gang
+        // width: same answers, buckets, T_i and relaxations, but more
+        // lanes and less simulated time.
+        let g = rdbs_graph::datasets::by_name("road-TX").unwrap().generate(9, 42);
+        let (pg, perm) = reorder::pro(&g, default_delta(&g));
+        let run = |cfg: RdbsConfig| {
+            let mut d = Device::new(
+                DeviceConfig::v100().with_overhead_scale(1.0 / 128.0).with_cache_scale(1.0 / 128.0),
+            );
+            let run = rdbs(&mut d, &pg, perm.new_id(0), cfg);
+            let small_lanes: u64 =
+                d.reports().iter().filter(|r| r.name == "phase1_small").map(|r| r.threads).sum();
+            (run, small_lanes, d.elapsed_ms())
+        };
+        let (full, full_lanes, full_ms) = run(RdbsConfig::full());
+        let (pro, pro_lanes, pro_ms) = run(RdbsConfig::basyn_pro());
+        assert_eq!(full.result.dist, pro.result.dist);
+        let key = |t: &GpuBucketTrace| (t.lo, t.width, t.layers, t.active, t.converged, t.threads);
+        assert_eq!(
+            full.buckets.iter().map(key).collect::<Vec<_>>(),
+            pro.buckets.iter().map(key).collect::<Vec<_>>()
+        );
+        assert_eq!(full.result.stats.checks, pro.result.stats.checks);
+        assert_eq!(full.result.stats.total_updates, pro.result.stats.total_updates);
+        assert!(full_lanes > pro_lanes, "phase1_small lanes: full {full_lanes} vs pro {pro_lanes}");
+        assert!(full_ms < pro_ms, "full {full_ms} ms vs pro {pro_ms} ms");
     }
 
     #[test]

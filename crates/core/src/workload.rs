@@ -2,7 +2,9 @@
 //!
 //! Active vertices are classified by their number of *light* edges:
 //!
-//! * `< β = 32` → **small** list, processed by the parent thread;
+//! * `< β = 32` → **small** list, processed by the parent thread (a
+//!   list too short to fill the device widens it into a work-sized
+//!   gang — see `gpu::rdbs`);
 //! * `β ..= α-1` (`α = 256`) → **medium** list, processed by one Warp
 //!   (32 lanes);
 //! * `>= α` → **large** list, processed via dynamic parallelism with
