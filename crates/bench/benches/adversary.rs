@@ -7,7 +7,7 @@
 //! Writes the machine-readable record to `results/BENCH_adversary.json`.
 
 use criterion::robust_stats;
-use rdbs_conformance::{fuzz_schedules, run_adversary, AdversaryOptions, FuzzOptions};
+use rdbs_conformance::{fuzz_schedules, run_adversary, SweepOptions};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -23,15 +23,15 @@ struct Row {
 }
 
 fn measure_search(name: &'static str, budget: u64, max_evals: u32) -> Row {
-    let opts = AdversaryOptions {
+    let opts = SweepOptions {
         quick: true,
         entry_filter: Some("gpu/".into()),
         graph_filter: Some("erdos".into()),
         budget,
         max_evals,
-        seed: 3,
+        seeds: vec![3],
         corpus_keep: 4,
-        frontier: None,
+        ..SweepOptions::default()
     };
     let mut host_ms = Vec::with_capacity(REPS);
     let mut report = None;
@@ -59,12 +59,11 @@ fn measure_search(name: &'static str, budget: u64, max_evals: u32) -> Row {
 }
 
 fn measure_fuzz(name: &'static str, perms: u32) -> Row {
-    let opts = FuzzOptions {
+    let opts = SweepOptions {
         quick: true,
         entry_filter: Some("gpu/".into()),
         perms,
-        seed: 1,
-        frontier: None,
+        ..SweepOptions::default()
     };
     let mut host_ms = Vec::with_capacity(REPS);
     let mut report = None;

@@ -35,20 +35,22 @@
 //! ([`replay_case`]): same spec, same score, same verdict.
 //!
 //! Schedule fuzzing ([`fuzz_schedules`]) attacks the other
-//! nondeterminism axis: each quick entry is re-executed with the
-//! device's seeded lane-permutation fuzzer armed
+//! nondeterminism axis: each [`FUZZ`] entry's scenario — the service
+//! entries through the service itself — is re-executed with the
+//! seeded lane-permutation fuzzer armed
 //! ([`rdbs_gpu_sim::Device::arm_schedule_fuzz`]) *and* the sanitizer
 //! watching, across many permutation seeds. Green requires every
 //! permuted run to stay oracle-correct with zero violations, and the
 //! planted-race specimen to stay detected under permutation — a
 //! sanitizer that goes blind when the schedule shifts is worthless.
 
-use crate::chaos::{self, default_rate, CellVerdict, ChaosEntry};
+use crate::chaos::{self, default_rate, CellVerdict};
 use crate::graphs::{self, GraphCase};
+use crate::registry::{self, Entry, Instruments, SweepOptions, FAULTS, FRONTIER, FUZZ};
+use crate::sanitize;
 use rdbs_core::gpu::{run_gpu_on, FrontierKind};
 use rdbs_core::recover::{RecoveryOutcome, RecoveryReport, RecoveryStep};
 use rdbs_core::seq::dijkstra;
-use rdbs_core::validate::check_against;
 use rdbs_core::{Csr, VertexId, INF};
 use rdbs_gpu_sim::{Device, DeviceConfig, FaultModel, FaultSpec, FaultTarget, SanCheck, SanConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -152,13 +154,13 @@ pub struct ScoutIntel {
 const SCOUT_KEEP: usize = 6;
 
 /// Run the entry's kernel variant fault-free under the sanitizer and
-/// harvest targeting intel. Entries without a single-device kernel
-/// variant (the multi-GPU exchange) still get the oracle-derived deep
-/// frontier; their profile-derived pools stay empty and the search
-/// falls back to generic exchange/site targets.
-pub fn scout(entry: &ChaosEntry, graph: &Csr, source: VertexId, oracle_dist: &[u32]) -> ScoutIntel {
+/// harvest targeting intel. Entries without a kernel variant (the
+/// multi-GPU exchange) still get the oracle-derived deep frontier;
+/// their profile-derived pools stay empty and the search falls back to
+/// generic exchange/site targets.
+pub fn scout(entry: &Entry, graph: &Csr, source: VertexId, oracle_dist: &[u32]) -> ScoutIntel {
     let mut intel = ScoutIntel::default();
-    if let Some(variant) = entry.scout_variant() {
+    if let Some(variant) = entry.variant {
         let mut device = Device::new(DeviceConfig::test_tiny());
         device.arm_sanitizer(SanConfig::default());
         let ran = catch_unwind(AssertUnwindSafe(|| {
@@ -200,7 +202,7 @@ pub fn scout(entry: &ChaosEntry, graph: &Csr, source: VertexId, oracle_dist: &[u
 /// at an atomic/plain overlap site resurrects dead snapshots; a failed
 /// child launch inside a kernel's own wave window severs dynamic
 /// parallelism where it actually fires.
-fn playbook(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, FaultTarget)> {
+fn playbook(entry: &Entry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, FaultTarget)> {
     let mut book: Vec<(FaultModel, f64, FaultTarget)> = Vec::new();
     let site_pin = |site| FaultTarget { site: Some(site), index: None, wave: None, stream: None };
     for &site in &intel.hot_read_buffers {
@@ -250,7 +252,7 @@ fn playbook(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, Fau
 }
 
 /// Build the pool of candidate [`FaultTarget`]s the search draws from.
-fn target_pool(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<FaultTarget> {
+fn target_pool(entry: &Entry, intel: &ScoutIntel) -> Vec<FaultTarget> {
     let mut pool: Vec<FaultTarget> = Vec::new();
     let mut push = |t: FaultTarget| {
         if !pool.contains(&t) {
@@ -286,7 +288,7 @@ fn target_pool(entry: &ChaosEntry, intel: &ScoutIntel) -> Vec<FaultTarget> {
     pool
 }
 
-fn models_for(entry: &ChaosEntry) -> Vec<FaultModel> {
+fn models_for(entry: &Entry) -> Vec<FaultModel> {
     FaultModel::ALL
         .into_iter()
         .filter(|m| !m.is_message_model() || entry.carries_messages())
@@ -325,6 +327,8 @@ fn verdict_name(v: &CellVerdict) -> &'static str {
 pub struct AttackRun {
     pub entry_id: &'static str,
     pub graph: &'static str,
+    /// The forced frontier layout the entry ran on, if one applied.
+    pub frontier: Option<FrontierKind>,
     pub source: VertexId,
     /// Scouting summary: waves profiled and targets pooled.
     pub waves: u64,
@@ -338,51 +342,6 @@ pub struct AttackRun {
     /// Silent-wrong candidates found (targeted + uniform) — any makes
     /// the sweep red.
     pub silent_wrong: usize,
-}
-
-/// What to search and how hard.
-#[derive(Clone, Debug)]
-pub struct AdversaryOptions {
-    /// Reduced sweep: quick entries × quick graph families.
-    pub quick: bool,
-    /// Only entries whose id contains this substring.
-    pub entry_filter: Option<String>,
-    /// Only families whose name contains this substring.
-    pub graph_filter: Option<String>,
-    /// Injection budget per `(entry, graph)` per arm: the total number
-    /// of faults either arm (targeted search / uniform baseline) may
-    /// inject, enforced device-side via [`FaultSpec::with_cap`] — a
-    /// candidate plan is capped at the arm's remaining budget, so
-    /// neither arm can overspend. Placement is exactly what the budget
-    /// makes scarce: at equal injections, where they land is all that
-    /// differs.
-    pub budget: u64,
-    /// Hard cap on candidate evaluations per arm (bounds wall-clock
-    /// when plans inject little).
-    pub max_evals: u32,
-    /// Search seed: the whole sweep is a pure function of
-    /// `(seed, budget, max_evals)`.
-    pub seed: u64,
-    /// Corpus entries kept per `(entry, graph)`.
-    pub corpus_keep: usize,
-    /// Attack every RDBS-backed entry on this frontier layout
-    /// (`--frontier`); `None` keeps each entry's own.
-    pub frontier: Option<FrontierKind>,
-}
-
-impl Default for AdversaryOptions {
-    fn default() -> Self {
-        Self {
-            quick: true,
-            entry_filter: None,
-            graph_filter: None,
-            budget: 64,
-            max_evals: 12,
-            seed: 1,
-            corpus_keep: 4,
-            frontier: None,
-        }
-    }
 }
 
 /// Outcome of an adversarial sweep.
@@ -403,10 +362,6 @@ impl AdversaryReport {
     pub fn targeted_beats_uniform(&self) -> bool {
         self.runs.iter().any(|r| r.best_targeted > r.best_uniform)
     }
-}
-
-fn substring(filter: &Option<String>, s: &str) -> bool {
-    filter.as_ref().is_none_or(|f| s.contains(f.as_str()))
 }
 
 fn sample_target(rng: &mut SearchRng, pool: &[FaultTarget]) -> FaultTarget {
@@ -450,7 +405,7 @@ fn mutate(rng: &mut SearchRng, best: FaultSpec, pool: &[FaultTarget]) -> FaultSp
 /// Run the budgeted placement search for one `(entry, graph)` pair.
 /// Deterministic in `(opts.seed, opts.budget)`: same corpus, same
 /// scores, same worst plan.
-pub fn attack(entry: &ChaosEntry, family: &GraphCase, opts: &AdversaryOptions) -> AttackRun {
+pub fn attack(entry: &Entry, family: &GraphCase, opts: &SweepOptions) -> AttackRun {
     let graph = family.build();
     let source = family.sources(graph.num_vertices())[0];
     let oracle = dijkstra(&graph, source);
@@ -462,7 +417,7 @@ pub fn attack(entry: &ChaosEntry, family: &GraphCase, opts: &AdversaryOptions) -
     // Independent deterministic streams for the targeted search and the
     // uniform baseline, both derived from (seed, entry, graph).
     let mix = |tag: u64| {
-        let mut h = opts.seed ^ tag;
+        let mut h = opts.seed() ^ tag;
         for b in entry.id.bytes().chain(family.name.bytes()) {
             h = h.wrapping_mul(0x100_0000_01B3).wrapping_add(u64::from(b));
         }
@@ -546,6 +501,7 @@ pub fn attack(entry: &ChaosEntry, family: &GraphCase, opts: &AdversaryOptions) -
     AttackRun {
         entry_id: entry.id,
         graph: family.name,
+        frontier: opts.frontier.filter(|_| entry.has(FRONTIER)),
         source,
         waves: intel.waves,
         pool_size: pool.len(),
@@ -556,28 +512,13 @@ pub fn attack(entry: &ChaosEntry, family: &GraphCase, opts: &AdversaryOptions) -
     }
 }
 
-/// Sweep the adversarial search over entries × families. `progress` is
-/// called once per completed `(entry, graph)` attack.
-pub fn run_adversary(
-    opts: &AdversaryOptions,
-    mut progress: impl FnMut(&AttackRun),
-) -> AdversaryReport {
-    let entries: Vec<ChaosEntry> =
-        if opts.quick { chaos::quick_chaos_entries() } else { chaos::chaos_entries() }
-            .into_iter()
-            .filter(|e| substring(&opts.entry_filter, e.id))
-            .map(|e| match opts.frontier {
-                Some(kind) => e.with_frontier(kind),
-                None => e,
-            })
-            .collect();
-    let families: Vec<GraphCase> =
-        if opts.quick { graphs::quick_families() } else { graphs::families() }
-            .into_iter()
-            .filter(|g| substring(&opts.graph_filter, g.name))
-            .collect();
+/// Sweep the adversarial search over the [`FAULTS`] entries ×
+/// families. Deterministic in `(seed, budget, max_evals)`. `progress`
+/// is called once per completed `(entry, graph)` attack.
+pub fn run_adversary(opts: &SweepOptions, mut progress: impl FnMut(&AttackRun)) -> AdversaryReport {
+    let entries = opts.entries(FAULTS);
     let mut report = AdversaryReport::default();
-    for family in &families {
+    for family in &opts.families() {
         for entry in &entries {
             let run = attack(entry, family, opts);
             progress(&run);
@@ -609,9 +550,13 @@ pub fn corpus_lines(report: &AdversaryReport) -> String {
     for run in &report.runs {
         for c in &run.corpus {
             let t = c.spec.target.unwrap_or(FaultTarget::ANY);
+            // The layout is recorded only when a forced one applied:
+            // corpora searched without an override carry no field.
+            let frontier =
+                run.frontier.map_or_else(String::new, |f| format!(" frontier={}", f.name()));
             out.push_str(&format!(
-                "entry={} graph={} source={} model={} rate={} seed={} cap={} site={} index={} \
-                 wave={} stream={} score={} verdict={}\n",
+                "entry={} graph={}{frontier} source={} model={} rate={} seed={} cap={} site={} \
+                 index={} wave={} stream={} score={} verdict={}\n",
                 run.entry_id,
                 run.graph,
                 run.source,
@@ -636,6 +581,8 @@ pub fn corpus_lines(report: &AdversaryReport) -> String {
 pub struct CorpusCase {
     pub entry_id: String,
     pub graph: String,
+    /// The forced frontier layout the search ran the entry on.
+    pub frontier: Option<FrontierKind>,
     pub source: VertexId,
     pub spec: FaultSpec,
     /// Score and verdict recorded at search time.
@@ -708,9 +655,14 @@ pub fn parse_corpus_line(line: &str) -> Option<CorpusCase> {
         "-" => None,
         s => Some(s.parse().ok()?),
     };
+    let frontier = match kv.get("frontier") {
+        Some(name) => Some(FrontierKind::parse(name)?),
+        None => None,
+    };
     Some(CorpusCase {
         entry_id: (*kv.get("entry")?).to_string(),
         graph: (*kv.get("graph")?).to_string(),
+        frontier,
         source: kv.get("source")?.parse().ok()?,
         spec,
         score: kv.get("score")?.parse().ok()?,
@@ -718,12 +670,14 @@ pub fn parse_corpus_line(line: &str) -> Option<CorpusCase> {
     })
 }
 
-/// Replay a corpus case through the ordinary chaos cell runner.
+/// Replay a corpus case through the ordinary chaos cell runner, on the
+/// frontier layout the line records.
 /// Returns `(score, verdict)` — a healthy corpus replays every line to
 /// its recorded values. `None` when the entry or graph no longer
 /// exists.
 pub fn replay_case(case: &CorpusCase) -> Option<(u32, &'static str)> {
-    let entry = chaos::chaos_entries().into_iter().find(|e| e.id == case.entry_id)?;
+    let entry = registry::all().into_iter().find(|e| e.id == case.entry_id && e.has(FAULTS))?;
+    let entry = case.frontier.map_or(entry, |kind| entry.with_frontier(kind));
     let family = graphs::families().into_iter().find(|f| f.name == case.graph)?;
     let graph = family.build();
     let oracle = dijkstra(&graph, case.source);
@@ -734,28 +688,6 @@ pub fn replay_case(case: &CorpusCase) -> Option<(u32, &'static str)> {
 // ---------------------------------------------------------------------------
 // Schedule fuzzing.
 // ---------------------------------------------------------------------------
-
-/// What to fuzz and how many permutations.
-#[derive(Clone, Debug)]
-pub struct FuzzOptions {
-    /// Reduced sweep: quick entries × quick families.
-    pub quick: bool,
-    /// Only entries whose id contains this substring.
-    pub entry_filter: Option<String>,
-    /// Lane-permutation seeds per `(entry, graph)`.
-    pub perms: u32,
-    /// Base seed the permutation seeds derive from.
-    pub seed: u64,
-    /// Fuzz every RDBS-backed entry on this frontier layout
-    /// (`--frontier`); `None` keeps each entry's own.
-    pub frontier: Option<FrontierKind>,
-}
-
-impl Default for FuzzOptions {
-    fn default() -> Self {
-        Self { quick: true, entry_filter: None, perms: 32, seed: 1, frontier: None }
-    }
-}
 
 /// One permuted execution of one entry on one graph.
 #[derive(Clone, Debug)]
@@ -799,77 +731,40 @@ impl FuzzReport {
     }
 }
 
-/// The planted-race specimen re-armed under one permutation seed:
-/// every lane of one wave plain-stores the same word while the seeded
-/// lane permuter shuffles execution order. Returns whether the
-/// write-write race was still detected.
+/// The planted-race specimen (`sanitize::planted_race`) re-run under
+/// one permutation seed. Returns whether the write-write race was
+/// still detected.
 pub fn permuted_specimen_detected(perm_seed: u64) -> bool {
-    let mut device = Device::new(DeviceConfig::test_tiny());
-    device.arm_sanitizer(SanConfig::default());
-    device.arm_schedule_fuzz(perm_seed);
-    let victim = device.alloc("specimen-victim", 4);
-    device.fill(victim, 0);
-    let mut session = device.wave_session("planted-race");
-    session.wave(8, 1, |lane| {
-        lane.st(victim, 0, lane.tid() as u32);
-    });
+    let arm = Instruments { sanitizer: true, permute: Some(perm_seed), ..Instruments::default() };
+    let device = sanitize::planted_race(&arm);
     device.san_violations().iter().any(|v| v.check == SanCheck::WriteWriteRace)
 }
 
-/// Re-execute each entry's kernel variant under `perms` seeded lane
+/// Re-execute each [`FUZZ`] entry's scenario under `perms` seeded lane
 /// permutations with the sanitizer armed. `progress` fires per cell.
-pub fn fuzz_schedules(opts: &FuzzOptions, mut progress: impl FnMut(&FuzzCell)) -> FuzzReport {
-    let entries: Vec<ChaosEntry> =
-        if opts.quick { chaos::quick_chaos_entries() } else { chaos::chaos_entries() }
-            .into_iter()
-            .filter(|e| substring(&opts.entry_filter, e.id) && e.scout_variant().is_some())
-            .map(|e| match opts.frontier {
-                Some(kind) => e.with_frontier(kind),
-                None => e,
-            })
-            .collect();
-    let families: Vec<GraphCase> =
-        if opts.quick { graphs::quick_families() } else { graphs::families() };
-
-    let mut report = FuzzReport { cells: Vec::new(), specimen_alive: true };
-    let mut rng = SearchRng::new(opts.seed);
+pub fn fuzz_schedules(opts: &SweepOptions, mut progress: impl FnMut(&FuzzCell)) -> FuzzReport {
+    let entries = opts.entries(FUZZ);
+    let mut rng = SearchRng::new(opts.seed());
     let perm_seeds: Vec<u64> = (0..opts.perms).map(|_| rng.next_u64()).collect();
-
-    report.specimen_alive = perm_seeds.iter().all(|&s| permuted_specimen_detected(s));
-
-    for family in &families {
+    let mut report = FuzzReport {
+        cells: Vec::new(),
+        specimen_alive: perm_seeds.iter().all(|&s| permuted_specimen_detected(s)),
+    };
+    for family in &opts.families() {
         let graph = family.build();
         let source = family.sources(graph.num_vertices())[0];
         let oracle = dijkstra(&graph, source);
         for entry in &entries {
-            let Some(variant) = entry.scout_variant() else { continue };
             for &perm_seed in &perm_seeds {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let mut device = Device::new(DeviceConfig::test_tiny());
-                    device.arm_sanitizer(SanConfig::default());
-                    device.arm_schedule_fuzz(perm_seed);
-                    let run = run_gpu_on(&mut device, &graph, source, variant);
-                    (run.result.dist, device.san_total())
-                }));
-                let cell = match outcome {
-                    Ok((dist, violations)) => FuzzCell {
-                        entry_id: entry.id,
-                        graph: family.name,
-                        source,
-                        perm_seed,
-                        correct: check_against(&oracle.dist, &dist).is_ok(),
-                        violations,
-                        panic: None,
-                    },
-                    Err(payload) => FuzzCell {
-                        entry_id: entry.id,
-                        graph: family.name,
-                        source,
-                        perm_seed,
-                        correct: false,
-                        violations: 0,
-                        panic: Some(crate::runner::panic_message(payload.as_ref())),
-                    },
+                let seen = sanitize::run_cell(entry, &graph, &oracle.dist, source, Some(perm_seed));
+                let cell = FuzzCell {
+                    entry_id: entry.id,
+                    graph: family.name,
+                    source,
+                    perm_seed,
+                    correct: seen.mismatch.is_none() && seen.panic.is_none(),
+                    violations: seen.total,
+                    panic: seen.panic,
                 };
                 progress(&cell);
                 report.cells.push(cell);
@@ -883,22 +778,21 @@ pub fn fuzz_schedules(opts: &FuzzOptions, mut progress: impl FnMut(&FuzzCell)) -
 mod tests {
     use super::*;
 
-    fn small_opts() -> AdversaryOptions {
-        AdversaryOptions {
+    fn small_opts() -> SweepOptions {
+        SweepOptions {
             quick: true,
             entry_filter: Some("gpu/full".into()),
             graph_filter: Some("erdos".into()),
             budget: 48,
             max_evals: 6,
-            seed: 1,
             corpus_keep: 3,
-            frontier: None,
+            ..SweepOptions::default()
         }
     }
 
     #[test]
     fn scout_harvests_profile_and_deep_frontier() {
-        let entry = chaos::chaos_entries().into_iter().find(|e| e.id == "gpu/full").unwrap();
+        let entry = registry::by_id("gpu/full").unwrap();
         let family =
             graphs::quick_families().into_iter().find(|f| f.name == "erdos-renyi").unwrap();
         let graph = family.build();
@@ -944,12 +838,37 @@ mod tests {
         }
     }
 
+    /// Regression: a corpus searched under a forced frontier records
+    /// the layout and replays on it. Replayed on the entry's own layout
+    /// instead, this search's bit flip on the concurrent service scores
+    /// 1 where the search recorded 2.
+    #[test]
+    fn corpus_replays_on_the_recorded_frontier() {
+        let opts = SweepOptions {
+            quick: true,
+            entry_filter: Some("service/concurrent".into()),
+            graph_filter: Some("erdos".into()),
+            frontier: Some(FrontierKind::Mlmq),
+            budget: 32,
+            max_evals: 8,
+            ..SweepOptions::default()
+        };
+        let text = corpus_lines(&run_adversary(&opts, |_| {}));
+        let cases: Vec<CorpusCase> = text.lines().filter_map(parse_corpus_line).collect();
+        assert!(!cases.is_empty(), "no corpus:\n{text}");
+        for case in &cases {
+            assert_eq!(case.frontier, Some(FrontierKind::Mlmq), "{case:?}");
+            let (score, verdict) = replay_case(case).expect("replay target vanished");
+            assert_eq!((score, verdict), (case.score, case.verdict.as_str()), "{case:?}");
+        }
+    }
+
     #[test]
     fn adversarial_search_never_finds_silent_wrong() {
         // The acceptance gate: a targeted search hunting for the
         // jackpot must still come up empty — the robustness layer
         // holds under adversarial placement, not just uniform spray.
-        let report = run_adversary(&AdversaryOptions { budget: 64, ..small_opts() }, |_| {});
+        let report = run_adversary(&SweepOptions { budget: 64, ..small_opts() }, |_| {});
         assert!(report.is_green(), "adversarial search found a silent wrong answer");
     }
 
@@ -961,15 +880,13 @@ mod tests {
         // On the refaulting entry the scouted book reaches the
         // degraded rung (3) while uniform spray at this budget stalls
         // at the repair sweep (1).
-        let opts = AdversaryOptions {
+        let opts = SweepOptions {
             quick: true,
             entry_filter: Some("gpu/refault".into()),
             graph_filter: Some("erdos".into()),
             budget: 32,
-            max_evals: 12,
-            seed: 3,
-            corpus_keep: 4,
-            frontier: None,
+            seeds: vec![3],
+            ..SweepOptions::default()
         };
         let report = run_adversary(&opts, |_| {});
         assert!(report.is_green());
@@ -986,12 +903,11 @@ mod tests {
 
     #[test]
     fn schedule_fuzz_quick_sweep_is_clean_and_specimen_stays_alive() {
-        let opts = FuzzOptions {
+        let opts = SweepOptions {
             quick: true,
             entry_filter: Some("gpu/full".into()),
             perms: 8,
-            seed: 1,
-            frontier: None,
+            ..SweepOptions::default()
         };
         let report = fuzz_schedules(&opts, |_| {});
         assert!(!report.cells.is_empty());

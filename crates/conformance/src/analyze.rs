@@ -22,29 +22,16 @@
 //!   volatile reads) yet is a real race: the reader can observe a
 //!   half-published state. Only the static verifier catches it.
 
-use crate::graphs::{self, GraphCase};
-use crate::sanitize::{san_entries, EntryKind, SanEntry};
-use rdbs_core::gpu::{run_gpu_on, FrontierKind, MultiGpuConfig, MultiGpuState, Variant};
+use crate::registry::{Entry, Instruments, SweepOptions, FRONTIER, SANITIZE};
+use crate::sanitize::planted_race;
+use rdbs_core::gpu::FrontierKind;
 use rdbs_core::seq::dijkstra;
-use rdbs_core::service::{ServiceConfig, SsspService};
 use rdbs_core::validate::check_against;
 use rdbs_core::{Csr, VertexId};
 use rdbs_gpu_sim::{AccessIr, Device, DeviceConfig, HazardKind, SanConfig};
 use rdbs_statan::{Analysis, QueueClass, Verdict};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// What to analyze.
-#[derive(Clone, Debug, Default)]
-pub struct AnalyzeOptions {
-    /// Reduced sweep: quick graph families and the quick entry subset.
-    pub quick: bool,
-    /// Only entries whose id contains this substring.
-    pub entry_filter: Option<String>,
-    /// Analyze only this frontier layout instead of each entry's full
-    /// applicable axis.
-    pub frontier: Option<FrontierKind>,
-}
 
 /// One `entry@frontier` cell: the merged analysis of that entry point
 /// across every graph family and source it ran on.
@@ -100,123 +87,46 @@ impl AnalyzeReport {
     }
 }
 
-/// The frontier layouts an entry is actually sensitive to: RDBS-backed
-/// single-device entries and the service route their frontier through
-/// [`FrontierKind`]; the synchronous baseline and the multi-GPU
-/// exchange do not, so re-running them per layout would only duplicate
-/// identical certificates.
-fn frontier_axis(entry: &SanEntry, forced: Option<FrontierKind>) -> Vec<FrontierKind> {
-    let sensitive = matches!(
-        entry.kind,
-        EntryKind::Gpu(Variant::Rdbs(_)) | EntryKind::Service | EntryKind::ServiceConcurrent
-    );
-    match (forced, sensitive) {
-        (Some(kind), true) => vec![kind],
-        (Some(kind), false) => {
-            // A forced layout still runs the insensitive entries once,
-            // under their canonical single-layout key, so the matrix
-            // keeps full registry coverage.
-            if kind == FrontierKind::Single {
-                vec![FrontierKind::Single]
-            } else {
-                Vec::new()
-            }
-        }
-        (None, true) => FrontierKind::ALL.to_vec(),
-        (None, false) => vec![FrontierKind::Single],
+/// The frontier layouts a cell sweep covers for `entry`: every layout
+/// for an entry that accepts a forced one ([`FRONTIER`]) — unless the
+/// sweep already forced one — and its own layout otherwise. Entries
+/// without a frontier choice would only duplicate identical
+/// certificates per layout.
+fn frontier_axis(entry: &Entry, forced: Option<FrontierKind>) -> Vec<FrontierKind> {
+    match forced {
+        None if entry.has(FRONTIER) => FrontierKind::ALL.to_vec(),
+        _ => vec![entry.frontier()],
     }
 }
 
-/// Run one entry point once with the IR recorder armed and verify the
-/// retained IR. Returns the per-device analyses merged.
+/// Run one entry's scenario once with the IR recorder armed and verify
+/// the retained IR. Returns the per-device analyses merged.
 fn run_verified(
-    entry: &SanEntry,
+    entry: &Entry,
     graph: &Csr,
     oracle_dist: &[u32],
     source: VertexId,
 ) -> Result<(Analysis, Option<String>), String> {
-    let outcome = catch_unwind(AssertUnwindSafe(|| match entry.kind {
-        EntryKind::Gpu(variant) => {
-            let mut device = Device::new(DeviceConfig::test_tiny());
-            device.arm_ir();
-            let run = run_gpu_on(&mut device, graph, source, entry.apply_variant(variant));
-            let ir = device.take_ir().expect("IR was armed");
-            (run.result.dist, vec![ir])
-        }
-        EntryKind::MultiGpu(k) => {
-            let config = MultiGpuConfig {
-                num_devices: k,
-                device: DeviceConfig::test_tiny(),
-                interconnect_gbps: 50.0,
-                exchange_latency_us: 5.0,
-                delta0: None,
-            };
-            let mut state = MultiGpuState::new(graph, &config);
-            state.arm_ir();
-            let run = state.run(source);
-            (run.result.dist, state.take_irs())
-        }
-        EntryKind::Service => {
-            let config = entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()));
-            let mut svc = SsspService::new(graph, config);
-            svc.arm_ir();
-            let n = graph.num_vertices();
-            let warm = VertexId::try_from((source as usize + 1) % n).expect("vertex id fits");
-            let _ = svc.query(warm);
-            let result = svc.query(source);
-            (result.dist, svc.take_irs())
-        }
-        EntryKind::ServiceConcurrent => {
-            let config =
-                entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(4));
-            let mut svc = SsspService::new(graph, config);
-            svc.arm_ir();
-            let n = graph.num_vertices();
-            let other = |k: usize| VertexId::try_from((source as usize + k) % n).expect("fits");
-            let batch = [source, other(1), other(2), other(3)];
-            let mut results = svc.batch(&batch);
-            let result = results.swap_remove(0);
-            (result.dist, svc.take_irs())
-        }
-    }));
-    match outcome {
-        Ok((dist, irs)) => {
-            let mismatch = check_against(oracle_dist, &dist).err().map(|m| m.to_string());
-            let mut analysis = Analysis::default();
-            for ir in &irs {
-                analysis.merge(rdbs_statan::verify(ir));
-            }
-            Ok((analysis, mismatch))
-        }
-        Err(payload) => Err(crate::runner::panic_message(payload.as_ref())),
+    let arm = Instruments { ir: true, ..Instruments::default() };
+    let seen = catch_unwind(AssertUnwindSafe(|| entry.observe(graph, source, None, &arm)))
+        .map_err(|payload| crate::registry::panic_message(payload.as_ref()))?;
+    let (result, _) = seen.attempt.outcome?;
+    let mismatch = check_against(oracle_dist, &result.dist).err().map(|m| m.to_string());
+    let mut analysis = Analysis::default();
+    for ir in &seen.irs {
+        analysis.merge(rdbs_statan::verify(ir));
     }
+    Ok((analysis, mismatch))
 }
 
-fn substring(filter: &Option<String>, s: &str) -> bool {
-    match filter {
-        Some(f) => s.contains(f.as_str()),
-        None => true,
-    }
-}
-
-/// Sweep the static-verification matrix: registry × frontier axis ×
-/// graph families, one merged cell per `entry@frontier`. `progress` is
-/// called once per completed cell.
-pub fn run_analyze(
-    opts: &AnalyzeOptions,
-    mut progress: impl FnMut(&AnalyzedCell),
-) -> AnalyzeReport {
-    let entries: Vec<SanEntry> =
-        if opts.quick { crate::sanitize::quick_san_entries() } else { san_entries() }
-            .into_iter()
-            .filter(|e| substring(&opts.entry_filter, e.id))
-            .collect();
-    let families: Vec<GraphCase> =
-        if opts.quick { graphs::quick_families() } else { graphs::families() };
-
+/// Sweep the static-verification matrix: [`SANITIZE`] entries ×
+/// frontier axis × graph families, one merged cell per
+/// `entry@frontier`. `progress` is called once per completed cell.
+pub fn run_analyze(opts: &SweepOptions, mut progress: impl FnMut(&AnalyzedCell)) -> AnalyzeReport {
+    let families = opts.families();
     let mut report = AnalyzeReport::default();
-    for entry in &entries {
-        for kind in frontier_axis(entry, opts.frontier) {
+    for entry in opts.entries(SANITIZE) {
+        for kind in frontier_axis(&entry, opts.frontier) {
             let entry = entry.with_frontier(kind);
             let mut cell = AnalyzedCell {
                 entry_id: entry.id,
@@ -324,26 +234,13 @@ pub fn schedule_hidden_specimen() -> HiddenSpecimen {
     }
 }
 
-/// PR 4's planted write-write race, re-run with the IR recorder armed
-/// and statically verified: eight lanes plain-store one word in one
-/// wave. The dynamic sanitizer catches this one too
+/// The planted write-write race (`sanitize::planted_race`), re-run with the
+/// IR recorder armed and statically verified. The dynamic sanitizer catches this one too
 /// ([`crate::sanitize::planted_race_specimen`]); the static verifier
 /// must agree.
 pub fn planted_race_static() -> Analysis {
-    let mut device = Device::new(DeviceConfig::test_tiny());
-    device.arm_ir();
-    let victim = device.alloc("specimen-victim", 4);
-    device.fill(victim, 0);
-    {
-        let mut session = device.wave_session("planted-race");
-        session.wave(8, 1, |lane| {
-            lane.st(victim, 0, lane.tid() as u32);
-            if lane.tid() == 0 {
-                let _ = lane.ld(victim, 1);
-            }
-        });
-    }
-    rdbs_statan::verify(&device.take_ir().expect("IR was armed"))
+    let arm = Instruments { ir: true, ..Instruments::default() };
+    rdbs_statan::verify(&planted_race(&arm).take_ir().expect("IR was armed"))
 }
 
 /// The verifier's liveness gate, run by the CLI before every sweep:
@@ -666,7 +563,7 @@ mod tests {
     /// queue `Bounded` or `Spilling`, right answers everywhere.
     #[test]
     fn quick_static_matrix_is_green() {
-        let report = run_analyze(&AnalyzeOptions { quick: true, ..Default::default() }, |_| {});
+        let report = run_analyze(&SweepOptions { quick: true, ..Default::default() }, |_| {});
         assert!(!report.cells.is_empty());
         let red: Vec<String> = report
             .red_cells()
@@ -711,11 +608,7 @@ mod tests {
     /// through the frontier abstraction.
     #[test]
     fn frontier_axis_matches_sensitivity() {
-        let entries = san_entries();
-        let axis_of = |id: &str| {
-            let e = entries.iter().find(|e| e.id == id).unwrap();
-            frontier_axis(e, None).len()
-        };
+        let axis_of = |id: &str| frontier_axis(&crate::registry::by_id(id).unwrap(), None).len();
         assert_eq!(axis_of("gpu/bl"), 1);
         assert_eq!(axis_of("multi-gpu/k2"), 1);
         assert_eq!(axis_of("gpu/full"), 2);
@@ -726,10 +619,11 @@ mod tests {
     #[test]
     fn baseline_diff_flags_regressions_only() {
         let report = run_analyze(
-            &AnalyzeOptions {
+            &SweepOptions {
                 quick: true,
                 entry_filter: Some("gpu/full".into()),
                 frontier: Some(FrontierKind::Single),
+                ..Default::default()
             },
             |_| {},
         );
@@ -785,7 +679,11 @@ mod tests {
     #[test]
     fn baseline_json_round_trips() {
         let report = run_analyze(
-            &AnalyzeOptions { quick: true, entry_filter: Some("gpu/bl".into()), frontier: None },
+            &SweepOptions {
+                quick: true,
+                entry_filter: Some("gpu/bl".into()),
+                ..Default::default()
+            },
             |_| {},
         );
         let text = baseline_json(&report);

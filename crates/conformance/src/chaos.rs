@@ -15,159 +15,22 @@
 //!   invariant violation the matrix exists to rule out, and the only
 //!   verdict that makes a sweep red.
 //!
-//! Message-channel fault models only apply to the multi-GPU entry
-//! point; on single-device entries they have no injection sites and
-//! are skipped rather than swept as trivially-clean cells.
+//! Message-channel fault models only apply to entries that carry
+//! messages (the multi-GPU exchange); elsewhere they have no injection
+//! sites and are skipped rather than swept as trivially-clean cells.
 //!
 //! The `gpu/refault` entry re-arms the same fault spec on the rung-2
 //! recovery rerun (persistent-fault semantics), so the recovery path
 //! itself executes under fire: the ladder's audit gate on the rerun's
 //! output — not fault-free luck — is what keeps that cell honest.
 
-use crate::graphs::{self, GraphCase};
-use rdbs_core::gpu::{FrontierKind, MultiGpuConfig, RdbsConfig, Variant};
-use rdbs_core::recover::{
-    run_gpu_recovered, run_gpu_recovered_refault, run_multi_recovered,
-    run_service_concurrent_recovered, run_service_recovered, run_service_traffic_recovered,
-    RecoveryOutcome, RecoveryReport,
-};
+use crate::registry::{Entry, Instruments, SweepOptions, FAULTS};
+use rdbs_core::recover::{recover, RecoveredRun, RecoveryBudget, RecoveryOutcome, RecoveryReport};
 use rdbs_core::seq::dijkstra;
-use rdbs_core::service::ServiceConfig;
 use rdbs_core::validate::{check_against, Mismatch};
 use rdbs_core::{Csr, VertexId};
-use rdbs_gpu_sim::{DeviceConfig, FaultModel, FaultSpec};
+use rdbs_gpu_sim::{FaultModel, FaultSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// Which recovered entry point a chaos cell exercises.
-#[derive(Clone, Copy, Debug)]
-pub struct ChaosEntry {
-    /// Stable id used in reports and filters (e.g. `gpu/full`).
-    pub id: &'static str,
-    kind: EntryKind,
-    /// `--frontier` override: run every RDBS-backed surface of this
-    /// entry on this frontier layout instead of its registered one.
-    frontier: Option<FrontierKind>,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum EntryKind {
-    Gpu(Variant),
-    /// Same as `Gpu`, but with persistent-fault semantics: the spec
-    /// is re-armed on the rung-2 rerun device, so the recovery path
-    /// itself runs under fire and must still never lie.
-    GpuRefault(Variant),
-    MultiGpu(usize),
-    /// The resident batched service's pooled entry point (full RDBS
-    /// on one device; the faulted query runs on recycled buffers).
-    Service,
-    /// The service's concurrent scheduler: the scored query flies in a
-    /// three-source batch across four command streams, so injections
-    /// land while sibling queries are in flight.
-    ServiceConcurrent,
-    /// The service's open-loop traffic tier: the scored query is the
-    /// first arrival, a past-deadline arrival exercises typed
-    /// shedding, and the graded answer is a cache replay — injections
-    /// must never hide behind the answer cache or the shed path.
-    ServiceTraffic,
-    /// The MLMQ spill path under fire: the service runs the scored
-    /// query on a deliberately under-provisioned multi-level frontier,
-    /// so hot-level overflow spills into the deferred level while
-    /// faults land. A faulted spill must never go silently wrong —
-    /// real loss surfaces as a counted host fallback, never a lie.
-    ServiceSpill,
-}
-
-impl ChaosEntry {
-    /// Whether message-channel fault models have injection sites here.
-    pub fn carries_messages(&self) -> bool {
-        matches!(self.kind, EntryKind::MultiGpu(k) if k > 1)
-    }
-
-    /// Run every RDBS-backed surface of this entry on `kind`'s
-    /// frontier layout (`--frontier`). The dedicated spill entry keeps
-    /// its own MLMQ layout — its id names the layout it exists to
-    /// exercise.
-    #[must_use]
-    pub fn with_frontier(mut self, kind: FrontierKind) -> Self {
-        if !matches!(self.kind, EntryKind::ServiceSpill) {
-            self.frontier = Some(kind);
-        }
-        self
-    }
-
-    fn apply_variant(&self, v: Variant) -> Variant {
-        match (self.frontier, v) {
-            (Some(kind), Variant::Rdbs(cfg)) => Variant::Rdbs(cfg.with_frontier(kind)),
-            (_, v) => v,
-        }
-    }
-
-    fn apply_service(&self, config: ServiceConfig) -> ServiceConfig {
-        match self.frontier {
-            Some(kind) => config.with_frontier(kind),
-            None => config,
-        }
-    }
-
-    /// The single-device kernel variant this entry runs, when it has
-    /// one — used by the adversarial scout to profile the entry's
-    /// memory accesses under the sanitizer.
-    pub(crate) fn scout_variant(&self) -> Option<Variant> {
-        let variant = match self.kind {
-            EntryKind::Gpu(v) | EntryKind::GpuRefault(v) => v,
-            EntryKind::MultiGpu(_) => return None,
-            // Every service tier runs full RDBS on one device.
-            EntryKind::Service | EntryKind::ServiceConcurrent | EntryKind::ServiceTraffic => {
-                Variant::Rdbs(RdbsConfig::full())
-            }
-            EntryKind::ServiceSpill => {
-                Variant::Rdbs(RdbsConfig::full().with_frontier(FrontierKind::Mlmq))
-            }
-        };
-        Some(self.apply_variant(variant))
-    }
-}
-
-/// Every entry point the full chaos sweep covers.
-pub fn chaos_entries() -> Vec<ChaosEntry> {
-    let entry = |id, kind| ChaosEntry { id, kind, frontier: None };
-    vec![
-        entry("gpu/full", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::full()))),
-        entry("gpu/sync-delta", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::sync_delta()))),
-        entry("gpu/basyn", EntryKind::Gpu(Variant::Rdbs(RdbsConfig::basyn_only()))),
-        entry("gpu/refault", EntryKind::GpuRefault(Variant::Rdbs(RdbsConfig::full()))),
-        entry("multi-gpu/k2", EntryKind::MultiGpu(2)),
-        entry("service/pooled", EntryKind::Service),
-        entry("service/concurrent", EntryKind::ServiceConcurrent),
-        entry("service/traffic", EntryKind::ServiceTraffic),
-        entry("service/mlmq-spill", EntryKind::ServiceSpill),
-    ]
-}
-
-/// The reduced sweep: the asynchronous single-device entry (widest
-/// fault surface), the persistent-fault entry (recovery path under
-/// fire), the multi-GPU exchange (message models), the pooled service
-/// entry (buffer-reuse surface), the concurrent scheduler (faults
-/// under in-flight concurrency), the traffic tier (faults behind the
-/// answer cache and the shedding path), and the under-provisioned
-/// MLMQ frontier (faults landing on the cross-level spill path).
-pub fn quick_chaos_entries() -> Vec<ChaosEntry> {
-    chaos_entries()
-        .into_iter()
-        .filter(|e| {
-            matches!(
-                e.id,
-                "gpu/full"
-                    | "gpu/refault"
-                    | "multi-gpu/k2"
-                    | "service/pooled"
-                    | "service/concurrent"
-                    | "service/traffic"
-                    | "service/mlmq-spill"
-            )
-        })
-        .collect()
-}
 
 /// Per-model default injection rate: high enough that faults actually
 /// land on the small matrix graphs, low enough that runs terminate.
@@ -184,39 +47,6 @@ pub fn default_rate(model: FaultModel) -> f64 {
         FaultModel::LostMessage => 0.4,
         FaultModel::DuplicatedMessage => 0.4,
         FaultModel::ReorderedMessage => 0.4,
-    }
-}
-
-/// What to sweep.
-#[derive(Clone, Debug, Default)]
-pub struct ChaosOptions {
-    /// Reduced sweep: quick graph families, two entries, one seed.
-    pub quick: bool,
-    /// Only fault models whose name contains this substring.
-    pub model_filter: Option<String>,
-    /// Only entries whose id contains this substring.
-    pub entry_filter: Option<String>,
-    /// Only families whose name contains this substring.
-    pub graph_filter: Option<String>,
-    /// Override every model's default injection rate.
-    pub rate: Option<f64>,
-    /// Fault seeds to sweep; empty picks the defaults (`[1]` quick,
-    /// `[1, 2]` full). A single explicit seed replays one schedule.
-    pub seeds: Vec<u64>,
-    /// Run every RDBS-backed entry on this frontier layout
-    /// (`--frontier`); `None` keeps each entry's own.
-    pub frontier: Option<FrontierKind>,
-}
-
-impl ChaosOptions {
-    fn effective_seeds(&self) -> Vec<u64> {
-        if !self.seeds.is_empty() {
-            self.seeds.clone()
-        } else if self.quick {
-            vec![1]
-        } else {
-            vec![1, 2]
-        }
     }
 }
 
@@ -310,83 +140,26 @@ impl ChaosReport {
     }
 }
 
-fn substring(filter: &Option<String>, s: &str) -> bool {
-    match filter {
-        Some(f) => s.contains(f.as_str()),
-        None => true,
-    }
-}
-
-/// The under-provisioned MLMQ service the spill entry runs: each
-/// lane's frontier gets about a third of the vertex count in logical
-/// slots, so hot-level sub-queues overflow into the deferred level on
-/// dense buckets, while the level pair still holds enough total slots
-/// that a fault-free run never drops work. Real loss under fire is
-/// still possible (that is the point) — it must surface as a typed
-/// overflow and a counted host fallback through `batch`.
-pub(crate) fn spill_service_config(graph: &Csr) -> ServiceConfig {
-    let capacity = (graph.num_vertices() as u32 / 3).max(8);
-    ServiceConfig::rdbs(DeviceConfig::test_tiny())
-        .with_streams(2)
-        .with_frontier(FrontierKind::Mlmq)
-        .with_queue_capacity(capacity)
-}
-
-/// Run one chaos cell and grade it.
+/// Run one chaos cell — the entry's scenario with `spec` armed, graded
+/// by the recovery ladder — and grade the final answer.
 pub fn run_cell(
-    entry: &ChaosEntry,
+    entry: &Entry,
     graph: &Csr,
     oracle_dist: &[u32],
     source: VertexId,
     spec: FaultSpec,
 ) -> (Option<RecoveryReport>, CellVerdict) {
-    let attempt = catch_unwind(AssertUnwindSafe(|| match entry.kind {
-        EntryKind::Gpu(variant) => run_gpu_recovered(
-            graph,
-            source,
-            entry.apply_variant(variant),
-            DeviceConfig::test_tiny(),
-            Some(spec),
-        ),
-        EntryKind::GpuRefault(variant) => run_gpu_recovered_refault(
-            graph,
-            source,
-            entry.apply_variant(variant),
-            DeviceConfig::test_tiny(),
-            Some(spec),
-        ),
-        EntryKind::MultiGpu(k) => {
-            let config = MultiGpuConfig {
-                num_devices: k,
-                device: DeviceConfig::test_tiny(),
-                interconnect_gbps: 50.0,
-                exchange_latency_us: 5.0,
-                delta0: None,
-            };
-            run_multi_recovered(graph, source, &config, Some(spec))
-        }
-        EntryKind::Service => {
-            let config = entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()));
-            run_service_recovered(graph, source, config, Some(spec))
-        }
-        EntryKind::ServiceConcurrent => {
-            let config =
-                entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(4));
-            run_service_concurrent_recovered(graph, source, config, Some(spec))
-        }
-        EntryKind::ServiceTraffic => {
-            let config =
-                entry.apply_service(ServiceConfig::rdbs(DeviceConfig::test_tiny()).with_streams(2));
-            run_service_traffic_recovered(graph, source, config, Some(spec))
-        }
-        EntryKind::ServiceSpill => {
-            let config = spill_service_config(graph);
-            run_service_concurrent_recovered(graph, source, config, Some(spec))
-        }
+    let arm = Instruments { fault: Some(spec), ..Instruments::default() };
+    let attempt = catch_unwind(AssertUnwindSafe(|| {
+        let observed = entry.observe(graph, source, None, &arm);
+        let rerun = |g: &Csr, s: VertexId| entry.rerun(g, s, Some(spec));
+        recover(graph, source, observed.attempt, &rerun, RecoveryBudget::default())
     }));
     match attempt {
         Ok(run) => grade_run(oracle_dist, run),
-        Err(payload) => (None, CellVerdict::Error(crate::runner::panic_message(payload.as_ref()))),
+        Err(payload) => {
+            (None, CellVerdict::Error(crate::registry::panic_message(payload.as_ref())))
+        }
     }
 }
 
@@ -397,7 +170,7 @@ pub fn run_cell(
 /// (or graded as) a silent wrong answer.
 pub(crate) fn grade_run(
     oracle_dist: &[u32],
-    run: rdbs_core::recover::RecoveredRun,
+    run: RecoveredRun,
 ) -> (Option<RecoveryReport>, CellVerdict) {
     let verdict = if run.report.outcome == RecoveryOutcome::Exhausted {
         CellVerdict::Error(format!("recovery budget exhausted ({})", run.report.budget))
@@ -410,28 +183,21 @@ pub(crate) fn grade_run(
     (Some(run.report), verdict)
 }
 
-/// Sweep the chaos matrix. `progress` is called once per cell as it
-/// completes; pass a no-op closure when output is unwanted.
-pub fn run_chaos(opts: &ChaosOptions, mut progress: impl FnMut(&ChaosCell)) -> ChaosReport {
-    let entries: Vec<ChaosEntry> = if opts.quick { quick_chaos_entries() } else { chaos_entries() }
-        .into_iter()
-        .filter(|e| substring(&opts.entry_filter, e.id))
-        .map(|e| match opts.frontier {
-            Some(kind) => e.with_frontier(kind),
-            None => e,
-        })
-        .collect();
-    let families: Vec<GraphCase> =
-        if opts.quick { graphs::quick_families() } else { graphs::families() }
-            .into_iter()
-            .filter(|g| substring(&opts.graph_filter, g.name))
-            .collect();
+/// Sweep the chaos matrix over the [`FAULTS`] entries. `progress` is
+/// called once per cell as it completes; pass a no-op closure when
+/// output is unwanted.
+pub fn run_chaos(opts: &SweepOptions, mut progress: impl FnMut(&ChaosCell)) -> ChaosReport {
+    let entries = opts.entries(FAULTS);
     let models: Vec<FaultModel> =
-        FaultModel::ALL.into_iter().filter(|m| substring(&opts.model_filter, m.name())).collect();
-    let seeds = opts.effective_seeds();
+        FaultModel::ALL.into_iter().filter(|m| opts.model_selected(m.name())).collect();
+    let seeds = match (opts.seeds.is_empty(), opts.quick) {
+        (false, _) => opts.seeds.clone(),
+        (true, true) => vec![1],
+        (true, false) => vec![1, 2],
+    };
 
     let mut report = ChaosReport::default();
-    for family in &families {
+    for family in &opts.families() {
         let graph = family.build();
         let source = family.sources(graph.num_vertices())[0];
         let oracle = dijkstra(&graph, source);
@@ -467,7 +233,9 @@ pub fn run_chaos(opts: &ChaosOptions, mut progress: impl FnMut(&ChaosCell)) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{by_id, FAULT_OFF_BY_ONE};
+    use crate::graphs;
+    use crate::registry::{by_id, Shape, FAULT_OFF_BY_ONE};
+    use rdbs_core::gpu::FrontierKind;
     use rdbs_core::validate::audit_sssp;
 
     /// The acceptance gate: the quick chaos matrix must have zero
@@ -475,7 +243,7 @@ mod tests {
     /// recovered) or an explicit error.
     #[test]
     fn quick_chaos_matrix_has_no_silent_wrong_answers() {
-        let report = run_chaos(&ChaosOptions { quick: true, ..Default::default() }, |_| {});
+        let report = run_chaos(&SweepOptions { quick: true, ..Default::default() }, |_| {});
         assert!(!report.cells.is_empty());
         let wrong: Vec<String> = report
             .silent_wrong()
@@ -490,7 +258,7 @@ mod tests {
     /// ladder — otherwise the matrix proves nothing about recovery.
     #[test]
     fn quick_chaos_matrix_exercises_recovery() {
-        let report = run_chaos(&ChaosOptions { quick: true, ..Default::default() }, |_| {});
+        let report = run_chaos(&SweepOptions { quick: true, ..Default::default() }, |_| {});
         assert!(report.cells.iter().any(|c| c.injections() > 0), "no cell injected anything");
         assert!(
             report.cells.iter().any(super::ChaosCell::detected),
@@ -500,7 +268,7 @@ mod tests {
 
     #[test]
     fn filters_restrict_the_sweep() {
-        let opts = ChaosOptions {
+        let opts = SweepOptions {
             quick: true,
             model_filter: Some("dropped-atomic".into()),
             entry_filter: Some("gpu/full".into()),
@@ -517,7 +285,7 @@ mod tests {
 
     #[test]
     fn chaos_cells_replay_deterministically() {
-        let opts = ChaosOptions {
+        let opts = SweepOptions {
             quick: true,
             model_filter: Some("bit-flip".into()),
             entry_filter: Some("gpu/full".into()),
@@ -540,9 +308,6 @@ mod tests {
     /// wrong.
     #[test]
     fn exhausted_budget_grades_as_error_not_silent_wrong() {
-        use rdbs_core::gpu::RdbsConfig;
-        use rdbs_core::recover::{run_gpu_recovered_budgeted, RecoveryBudget};
-
         // The adversarial 199-hop path from the recover tests: rung 1
         // cannot certify inside its round budget, so one rung exhausts.
         let mut el = rdbs_graph::builder::EdgeList::new(200);
@@ -553,14 +318,12 @@ mod tests {
         let source = 199;
         let oracle = dijkstra(&g, source);
         let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 1.0, 0);
-        let run = run_gpu_recovered_budgeted(
-            &g,
-            source,
-            Variant::Rdbs(RdbsConfig::full()),
-            DeviceConfig::test_tiny(),
-            Some(spec),
-            RecoveryBudget { max_rungs: 1, repair_rounds: 32 },
-        );
+        let entry = by_id("gpu/full").unwrap();
+        let arm = Instruments { fault: Some(spec), ..Instruments::default() };
+        let attempt = entry.observe(&g, source, None, &arm).attempt;
+        let rerun = |g: &Csr, s: VertexId| entry.rerun(g, s, Some(spec));
+        let budget = RecoveryBudget { max_rungs: 1, repair_rounds: 32 };
+        let run = recover(&g, source, attempt, &rerun, budget);
         assert_eq!(run.report.outcome, RecoveryOutcome::Exhausted, "{}", run.report);
         assert_ne!(run.result.dist, oracle.dist, "exhausted run accidentally correct");
         let (report, verdict) = grade_run(&oracle.dist, run);
@@ -592,7 +355,7 @@ mod tests {
     /// (possibly via a counted host fallback) or a loud error.
     #[test]
     fn faulted_mlmq_spill_is_never_silently_wrong() {
-        let opts = ChaosOptions {
+        let opts = SweepOptions {
             quick: true,
             entry_filter: Some("mlmq-spill".into()),
             ..Default::default()
@@ -618,11 +381,12 @@ mod tests {
     fn spill_entry_config_is_clean_without_faults() {
         use rdbs_core::service::SsspService;
 
+        let variant = by_id("service/mlmq-spill").unwrap().variant.unwrap();
         for family in graphs::quick_families() {
             let graph = family.build();
             let source = family.sources(graph.num_vertices())[0];
             let oracle = dijkstra(&graph, source);
-            let mut svc = SsspService::new(&graph, spill_service_config(&graph));
+            let mut svc = SsspService::new(&graph, Shape::Spill.config(&graph, variant, None));
             let results = svc.batch(&[source, (source + 1) % graph.num_vertices() as u32]);
             check_against(&oracle.dist, &results[0].dist).unwrap();
             let stats = svc.stats();
@@ -635,7 +399,7 @@ mod tests {
     /// stays green on the MLMQ layout too.
     #[test]
     fn chaos_frontier_axis_stays_green() {
-        let opts = ChaosOptions {
+        let opts = SweepOptions {
             quick: true,
             model_filter: Some("dropped-atomic".into()),
             entry_filter: Some("gpu/full".into()),
@@ -671,5 +435,77 @@ mod tests {
             }
         }
         assert!(caught, "specimen never diverged on the quick families");
+    }
+
+    /// The recovery tests' graph: 120 vertices, 600 random edges.
+    fn erdos(seed: u64) -> Csr {
+        let mut el = rdbs_graph::generate::erdos_renyi(120, 600, seed);
+        rdbs_graph::generate::uniform_weights(&mut el, seed + 9);
+        rdbs_graph::builder::build_undirected(&el)
+    }
+
+    /// Dropped atomics on a service shape are never silently wrong, and
+    /// at least one seed trips a detector.
+    fn service_shape_recovers(id: &str, graph_seed: u64) {
+        let g = erdos(graph_seed);
+        let oracle = dijkstra(&g, 0);
+        let entry = by_id(id).unwrap();
+        let mut detected_any = false;
+        for seed in 0..4 {
+            let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
+            let (report, verdict) = run_cell(&entry, &g, &oracle.dist, 0, spec);
+            assert!(matches!(verdict, CellVerdict::Correct), "{id} seed {seed}: {verdict}");
+            detected_any |= report.unwrap().detected();
+        }
+        assert!(detected_any, "no seed tripped a detector on {id}");
+    }
+
+    /// The faulted query runs on recycled pooled buffers (after a
+    /// fault-free warm-up) — reuse must not weaken the guarantee.
+    #[test]
+    fn service_pooled_queries_are_never_silently_wrong() {
+        service_shape_recovers("service/pooled", 7);
+    }
+
+    /// Faults land while three queries are in flight across four
+    /// command streams — interleaved bucket execution must not weaken
+    /// the zero-silent-wrong guarantee for the scored query.
+    #[test]
+    fn concurrent_batches_are_never_silently_wrong() {
+        service_shape_recovers("service/concurrent", 10);
+    }
+
+    #[test]
+    fn service_fault_free_run_is_clean() {
+        let g = erdos(8);
+        let entry = by_id("service/pooled").unwrap();
+        let attempt = entry.observe(&g, 3, None, &Instruments::default()).attempt;
+        let run =
+            recover(&g, 3, attempt, &|g, s| entry.rerun(g, s, None), RecoveryBudget::default());
+        assert_eq!(run.report.outcome, RecoveryOutcome::Clean);
+        assert!(!run.report.detected());
+        check_against(&dijkstra(&g, 3).dist, &run.result.dist).unwrap();
+    }
+
+    /// Regression: a bit flip pinned to `heavy_offsets` inflates a
+    /// light-edge count until ADWL queues a child of about 2^31 lanes.
+    /// The simulator refuses that launch with a catchable panic, so the
+    /// cell is graded — a detection the ladder recovers from — instead
+    /// of aborting the process on the per-lane allocation.
+    #[test]
+    fn runaway_child_launch_is_graded_not_fatal() {
+        use rdbs_gpu_sim::FaultTarget;
+        let family = graphs::families().into_iter().find(|f| f.name == "grid").unwrap();
+        let g = family.build();
+        let oracle = dijkstra(&g, 0);
+        let target =
+            FaultTarget { site: Some("heavy_offsets"), index: None, wave: None, stream: None };
+        let spec = FaultSpec::new(FaultModel::BitFlip, 1.0, 48).with_target(target).with_cap(4);
+        for id in ["gpu/full", "service/pooled"] {
+            let (report, verdict) = run_cell(&by_id(id).unwrap(), &g, &oracle.dist, 0, spec);
+            assert!(matches!(verdict, CellVerdict::Correct), "{id}: {verdict}");
+            let panic = report.and_then(|r| r.panic).unwrap_or_default();
+            assert!(panic.contains("above the simulator's"), "{id}: attempt ended with {panic:?}");
+        }
     }
 }

@@ -3,11 +3,14 @@
 //! Keeps every SSSP implementation honest against the Dijkstra oracle,
 //! and turns any disagreement into a minimal, replayable artifact:
 //!
-//! * [`registry`] — every public SSSP entry point (sequential
-//!   references, CPU-parallel, the simulated-GPU RDBS with all
-//!   ablation toggles, the multi-GPU port at k ∈ {1, 2, 4}, every
-//!   baseline comparator, and the framework integration) behind one
-//!   uniform `(graph, source, Δ₀) → SsspResult` signature.
+//! * [`registry`] — one table of every public SSSP entry point
+//!   (sequential references, CPU-parallel, the simulated-GPU RDBS with
+//!   all ablation toggles, the multi-GPU port at k ∈ {1, 2, 4}, the
+//!   resident service's shapes, every baseline comparator, and the
+//!   framework integration). Each entry names one scenario, its
+//!   kernel variant and the capability flags that decide which sweeps
+//!   select it; the instruments below are armed on whatever backend
+//!   the scenario builds.
 //! * [`runner`] — the differential matrix: implementations × graph
 //!   families × seeded sources, each compared exactly against the
 //!   oracle; panics are caught and reported as failures.
@@ -35,10 +38,10 @@
 //!   lane-permutation schedule fuzzer that re-executes race windows
 //!   under shuffled interleavings with the sanitizer watching.
 //!
-//! The whole pipeline is reachable from the command line via
-//! `rdbs-cli verify` (differential matrix), `rdbs-cli chaos`
-//! (fault-injection matrix) and `rdbs-cli sanitize` (memory-model
-//! matrix), all exiting non-zero on violation.
+//! Every sweep takes one [`SweepOptions`] and is reachable from the
+//! command line — `rdbs-cli verify`, `chaos`, `chaos --adversarial`,
+//! `fuzz-schedules`, `sanitize` and `analyze` — all exiting non-zero
+//! on violation.
 
 pub mod adversary;
 pub mod analyze;
@@ -52,24 +55,21 @@ pub mod shrink;
 
 pub use analyze::{
     baseline_json, check_baseline, planted_race_static, report_json, run_analyze,
-    schedule_hidden_specimen, specimens_caught_statically, AnalyzeOptions, AnalyzeReport,
-    AnalyzedCell, BaselineCheck,
+    schedule_hidden_specimen, specimens_caught_statically, AnalyzeReport, AnalyzedCell,
+    BaselineCheck,
 };
 
 pub use adversary::{
     corpus_lines, depth_label, fuzz_schedules, ladder_depth, parse_corpus_line, replay_case,
-    run_adversary, AdversaryOptions, AdversaryReport, AttackRun, Candidate, CorpusCase, FuzzCell,
-    FuzzOptions, FuzzReport, ScoutIntel,
+    run_adversary, AdversaryReport, AttackRun, Candidate, CorpusCase, FuzzCell, FuzzReport,
+    ScoutIntel,
 };
-pub use chaos::{
-    chaos_entries, run_chaos, CellVerdict, ChaosCell, ChaosEntry, ChaosOptions, ChaosReport,
-};
+pub use chaos::{run_chaos, CellVerdict, ChaosCell, ChaosReport};
 pub use graphs::{families, GraphCase};
 pub use localize::{localize, Divergence};
-pub use registry::{all, by_id, with_faults, Family, Implementation, FAULT_OFF_BY_ONE};
-pub use runner::{run_matrix, CaseFailure, FailureKind, MatrixOptions, MatrixReport};
+pub use registry::{all, by_id, with_faults, Entry, SweepOptions, FAULT_OFF_BY_ONE};
+pub use runner::{run_matrix, CaseFailure, FailureKind, MatrixReport};
 pub use sanitize::{
-    planted_race_specimen, run_sanitize, san_entries, specimen_detected, SanCell, SanEntry,
-    SanMatrixReport, SanOptions,
+    planted_race_specimen, run_sanitize, specimen_detected, SanCell, SanMatrixReport,
 };
 pub use shrink::{shrink, shrink_built, ShrunkWitness};

@@ -8,8 +8,8 @@
 //! earliest-settled mismatched vertex together with the oracle edge it
 //! failed to apply.
 
-use crate::registry::Implementation;
-use crate::runner::panic_message;
+use crate::registry::Entry;
+use crate::registry::{panic_message, TRACED};
 use rdbs_core::seq::dijkstra;
 use rdbs_core::stats::trace::{self, RelaxEvent};
 use rdbs_core::{saturating_relax, Csr, Dist, VertexId, Weight, INF};
@@ -106,7 +106,7 @@ fn fmt_dist(d: Dist) -> String {
 /// Replay `imp` on the instance with tracing armed. Returns `None`
 /// when the run matches the oracle (nothing to localize).
 pub fn localize(
-    imp: &Implementation,
+    imp: &Entry,
     graph: &Csr,
     source: VertexId,
     delta0: Option<Weight>,
@@ -129,8 +129,8 @@ pub fn localize(
                 missing_edge: None,
                 events: events.len(),
                 dropped,
-                traced: imp.traced(),
-                panic: Some(panic_message(&payload)),
+                traced: imp.has(TRACED),
+                panic: Some(panic_message(payload.as_ref())),
             })
         }
     };
@@ -171,7 +171,7 @@ pub fn localize(
         missing_edge,
         events: events.len(),
         dropped,
-        traced: imp.traced(),
+        traced: imp.has(TRACED),
         panic: None,
     })
 }
@@ -235,7 +235,7 @@ mod tests {
         let oracle = dijkstra(&g, 0);
         for id in ["cpu/parallel-delta", "cpu/async-bucket"] {
             let imp = by_id(id).unwrap();
-            assert!(imp.traced(), "{id} must be marked traced");
+            assert!(imp.has(TRACED), "{id} must be marked traced");
             trace::start(1 << 20);
             let r = imp.run(&g, 0, None);
             let (events, _) = trace::take();

@@ -1,33 +1,13 @@
-//! The differential runner: every registered implementation × every
-//! graph family × every seeded source, each compared exactly against
-//! the Dijkstra oracle. Panics inside an implementation are caught and
-//! reported as failures rather than aborting the sweep.
+//! The differential runner: every [`DIFFERENTIAL`] registry entry ×
+//! every graph family × every seeded source, each compared exactly
+//! against the Dijkstra oracle. Panics inside an implementation are
+//! caught and reported as failures rather than aborting the sweep.
 
-use crate::graphs::{self, GraphCase};
-use crate::registry::{self, Implementation};
+use crate::registry::{Entry, SweepOptions, DIFFERENTIAL};
 use rdbs_core::seq::dijkstra;
 use rdbs_core::validate::{check_against, Mismatch};
 use rdbs_core::{Csr, VertexId, Weight};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-/// What to sweep.
-#[derive(Clone, Debug, Default)]
-pub struct MatrixOptions {
-    /// Reduced sweep (two families, one source) for fast smoke runs.
-    pub quick: bool,
-    /// Only run implementations whose id contains this substring.
-    pub impl_filter: Option<String>,
-    /// Only run families whose name contains this substring.
-    pub graph_filter: Option<String>,
-    /// Also run the deliberately broken registry entries
-    /// (demonstrates the shrinker/localizer pipeline).
-    pub include_faults: bool,
-    /// Override Δ₀ for every width-parameterized implementation.
-    pub delta0: Option<Weight>,
-    /// Run every RDBS-backed implementation on this frontier layout
-    /// (`--frontier`); `None` keeps each entry's own.
-    pub frontier: Option<rdbs_core::gpu::FrontierKind>,
-}
 
 /// How one case failed.
 #[derive(Clone, Debug)]
@@ -76,29 +56,19 @@ impl MatrixReport {
     }
 }
 
-/// Run one implementation on one instance and compare against the
-/// oracle's distances.
+/// Run one entry on one instance and compare against the oracle's
+/// distances.
 pub fn run_case(
-    imp: &Implementation,
+    imp: &Entry,
     graph: &Csr,
     oracle_dist: &[u32],
     source: VertexId,
     delta0: Option<Weight>,
 ) -> Result<(), FailureKind> {
-    let result = catch_unwind(AssertUnwindSafe(|| imp.run(graph, source, delta0)));
-    match result {
+    match catch_unwind(AssertUnwindSafe(|| imp.run(graph, source, delta0))) {
         Ok(r) => check_against(oracle_dist, &r.dist).map_err(FailureKind::Mismatch),
-        Err(payload) => Err(FailureKind::Panic(panic_message(&payload))),
+        Err(payload) => Err(FailureKind::Panic(crate::registry::panic_message(payload.as_ref()))),
     }
-}
-
-/// Extract a printable message from a panic payload.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(std::string::ToString::to_string)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "<non-string panic payload>".into())
 }
 
 /// Sweep the full differential matrix.
@@ -107,31 +77,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// with the cell's coordinates and whether it passed; pass a no-op
 /// closure when output is unwanted.
 pub fn run_matrix(
-    opts: &MatrixOptions,
+    opts: &SweepOptions,
     mut progress: impl FnMut(&str, &str, VertexId, bool),
 ) -> MatrixReport {
-    let impls: Vec<Implementation> =
-        if opts.include_faults { registry::with_faults() } else { registry::all() }
-            .into_iter()
-            .filter(|i| match &opts.impl_filter {
-                Some(f) => i.id.contains(f.as_str()),
-                None => true,
-            })
-            .map(|i| match opts.frontier {
-                Some(kind) => i.with_frontier(kind),
-                None => i,
-            })
-            .collect();
-
-    let families: Vec<GraphCase> =
-        if opts.quick { graphs::quick_families() } else { graphs::families() }
-            .into_iter()
-            .filter(|g| match &opts.graph_filter {
-                Some(f) => g.name.contains(f.as_str()),
-                None => true,
-            })
-            .collect();
-
+    let impls = opts.entries(DIFFERENTIAL);
+    let families = opts.families();
     let mut report =
         MatrixReport { impls_run: impls.len(), graphs_run: families.len(), ..Default::default() };
 
@@ -168,17 +118,17 @@ mod tests {
     #[test]
     fn quick_matrix_is_green() {
         let report =
-            run_matrix(&MatrixOptions { quick: true, ..Default::default() }, |_, _, _, _| {});
+            run_matrix(&SweepOptions { quick: true, ..Default::default() }, |_, _, _, _| {});
         assert!(report.is_green(), "failures: {:?}", report.failures);
         assert!(report.cases_run > 0);
     }
 
     #[test]
     fn injected_fault_is_caught() {
-        let opts = MatrixOptions {
+        let opts = SweepOptions {
             quick: true,
             include_faults: true,
-            impl_filter: Some("fault/".into()),
+            entry_filter: Some("fault/".into()),
             ..Default::default()
         };
         let report = run_matrix(&opts, |_, _, _, _| {});
@@ -188,9 +138,9 @@ mod tests {
 
     #[test]
     fn filters_restrict_the_sweep() {
-        let opts = MatrixOptions {
+        let opts = SweepOptions {
             quick: true,
-            impl_filter: Some("seq/dijkstra".into()),
+            entry_filter: Some("seq/dijkstra".into()),
             graph_filter: Some("erdos".into()),
             ..Default::default()
         };

@@ -6,7 +6,7 @@
 //! persists, converging on a minimal witness — typically a handful of
 //! vertices — plus the exact CLI command that replays it.
 
-use crate::registry::Implementation;
+use crate::registry::Entry;
 use crate::runner::{run_case, FailureKind};
 use rdbs_core::seq::dijkstra;
 use rdbs_core::{VertexId, Weight};
@@ -54,7 +54,7 @@ impl ShrunkWitness {
 /// minimized against directed rebuilds, or symmetrization would mask
 /// (or manufacture) the divergence.
 fn fails(
-    imp: &Implementation,
+    imp: &Entry,
     el: &EdgeList,
     source: VertexId,
     delta0: Option<Weight>,
@@ -72,7 +72,7 @@ fn fails(
 /// `imp` fails on `(el, source, delta0)` (with the same `directed`
 /// build mode); panics otherwise.
 pub fn shrink(
-    imp: &Implementation,
+    imp: &Entry,
     el: &EdgeList,
     source: VertexId,
     delta0: Option<Weight>,
@@ -84,7 +84,7 @@ pub fn shrink(
 /// minimizes a directed-CSR failure and marks the witness so replay
 /// rebuilds the same shape.
 pub fn shrink_built(
-    imp: &Implementation,
+    imp: &Entry,
     el: &EdgeList,
     source: VertexId,
     delta0: Option<Weight>,

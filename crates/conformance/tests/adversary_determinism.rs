@@ -8,19 +8,19 @@
 
 use proptest::prelude::*;
 use rdbs_conformance::{
-    corpus_lines, parse_corpus_line, replay_case, run_adversary, AdversaryOptions, CorpusCase,
+    corpus_lines, parse_corpus_line, replay_case, run_adversary, CorpusCase, SweepOptions,
 };
 
-fn opts(entry: &str, budget: u64, seed: u64) -> AdversaryOptions {
-    AdversaryOptions {
+fn opts(entry: &str, budget: u64, seed: u64) -> SweepOptions {
+    SweepOptions {
         quick: true,
         entry_filter: Some(entry.into()),
         graph_filter: Some("erdos".into()),
         budget,
         max_evals: 6,
-        seed,
+        seeds: vec![seed],
         corpus_keep: 3,
-        frontier: None,
+        ..SweepOptions::default()
     }
 }
 

@@ -80,7 +80,7 @@ proptest! {
     #[test]
     fn multisplit_matches_scalar_bit_for_bit(
         family_idx in 0usize..5,
-        frontier_idx in 0usize..3,
+        frontier_idx in 0..FrontierKind::ALL.len(),
         source_salt in 0u32..1000,
         under_provision in any::<bool>(),
     ) {
@@ -88,10 +88,10 @@ proptest! {
         let family = &fams[family_idx % fams.len()];
         let graph = family.build();
         let n = graph.num_vertices() as u32;
-        let kind = FrontierKind::ALL[frontier_idx % FrontierKind::ALL.len()];
+        let kind = FrontierKind::ALL[frontier_idx];
         let capacity = under_provision.then(|| (n / 3).max(8));
 
-        let mut sources: Vec<VertexId> = family.sources(4);
+        let mut sources: Vec<VertexId> = family.sources(graph.num_vertices());
         sources.push(source_salt % n);
         let scalar = run(&graph, &sources, kind, ScatterMode::Scalar, capacity, None);
         let multi = run(&graph, &sources, kind, ScatterMode::Multisplit, capacity, None);
@@ -122,15 +122,15 @@ proptest! {
     #[test]
     fn multisplit_matches_scalar_under_lane_permutations(
         family_idx in 0usize..5,
-        frontier_idx in 0usize..3,
+        frontier_idx in 0..FrontierKind::ALL.len(),
         fuzz_seed in 1u64..1_000_000,
     ) {
         let fams = families();
         let family = &fams[family_idx % fams.len()];
         let graph = family.build();
-        let kind = FrontierKind::ALL[frontier_idx % FrontierKind::ALL.len()];
+        let kind = FrontierKind::ALL[frontier_idx];
 
-        let sources: Vec<VertexId> = family.sources(3);
+        let sources: Vec<VertexId> = family.sources(graph.num_vertices());
         let scalar =
             run(&graph, &sources, kind, ScatterMode::Scalar, None, Some(fuzz_seed));
         let multi =

@@ -7,7 +7,8 @@
 
 use proptest::prelude::*;
 use rdbs_conformance::graphs::quick_families;
-use rdbs_conformance::sanitize::{planted_race_specimen, run_cell, san_entries};
+use rdbs_conformance::registry::{all, SANITIZE};
+use rdbs_conformance::sanitize::{planted_race_specimen, run_cell};
 use rdbs_core::seq::dijkstra;
 
 /// Render everything observable about a cell, violations included,
@@ -32,7 +33,7 @@ proptest! {
         family_pick in 0usize..64,
         source_pick in 0usize..8,
     ) {
-        let entries = san_entries();
+        let entries: Vec<_> = all().into_iter().filter(|e| e.has(SANITIZE)).collect();
         let entry = &entries[entry_pick % entries.len()];
         let families = quick_families();
         let family = &families[family_pick % families.len()];
@@ -41,8 +42,8 @@ proptest! {
         let source = sources[source_pick % sources.len()];
         let oracle = dijkstra(&graph, source);
 
-        let first = render(&run_cell(entry, &graph, &oracle.dist, source));
-        let second = render(&run_cell(entry, &graph, &oracle.dist, source));
+        let first = render(&run_cell(entry, &graph, &oracle.dist, source, None));
+        let second = render(&run_cell(entry, &graph, &oracle.dist, source, None));
         prop_assert_eq!(first, second);
     }
 }

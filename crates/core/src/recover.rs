@@ -1,7 +1,9 @@
-//! Detect-and-recover execution: run a GPU SSSP entry point (possibly
-//! under an armed fault plan), audit the result without an oracle, and
-//! climb a recovery ladder until the answer is certified — so RDBS
-//! never returns a silently wrong answer.
+//! Detect-and-recover: audit an SSSP attempt (possibly run under an
+//! armed fault plan) without an oracle, and climb a recovery ladder
+//! until the answer is certified — so RDBS never returns a silently
+//! wrong answer. [`recover`] is the one entry point; the conformance
+//! registry builds the attempts (one-shot device runs, the multi-GPU
+//! state, the resident service's shapes) and hands them in.
 //!
 //! Detection is cheap and oracle-free:
 //!
@@ -10,35 +12,29 @@
 //!   active when faults are armed, so fault-free runs pay nothing);
 //! * a final O(V+E) post-pass, [`crate::validate::audit_sssp`]: no
 //!   edge left relaxable, and every reached vertex certified by a
-//!   tight-edge path from the source.
+//!   tight-edge path from the source;
+//! * a panic or typed error in the attempt (e.g. a queue overflow).
 //!
 //! The recovery ladder, each rung bounded and recorded in the
 //! [`RecoveryReport`]:
 //!
 //! 1. **Repair sweep** — reset the audit-flagged vertices and run a
 //!    bounded host-side re-relaxation seeded from the intact ones;
-//! 2. **Synchronous rerun** — rerun fault-free with the barrier-per-
-//!    layer [`RdbsConfig::sync_delta`] variant (for multi-GPU, a
-//!    fault-free multi rerun);
+//! 2. **Rerun** — the caller's rung-2 entry, typically the barrier-per-
+//!    layer [`crate::gpu::RdbsConfig::sync_delta`] variant on a fresh
+//!    device (for multi-GPU, a fault-free multi rerun);
 //! 3. **Graceful degradation** — sequential Dijkstra.
 //!
-//! Recovery reruns are fault-free by default (transient-fault
-//! semantics): the plan stays on the faulted device and is not
-//! re-armed. [`run_gpu_recovered_refault`] models *persistent* faults
-//! instead — the same spec is re-armed on the rerun device — and the
-//! ladder still never returns silently wrong, because [`finish`]
-//! audits the rerun's output and falls through to the sequential rung
-//! when the re-faulted rerun is itself corrupt.
+//! A rerun that is itself faulted (persistent-fault semantics: the
+//! caller re-arms the spec on the rerun device) still never returns
+//! silently wrong, because the ladder audits the rerun's output and
+//! falls through to the sequential rung when it is corrupt.
 
-use crate::gpu::{
-    multi_gpu_sssp, multi_gpu_sssp_faulted, run_gpu_on, MultiGpuConfig, RdbsConfig, Variant,
-};
 use crate::seq::dijkstra;
-use crate::service::{ServiceConfig, SsspService};
 use crate::stats::{SsspResult, UpdateStats};
 use crate::validate::audit_sssp;
 use crate::{saturating_relax, Csr, Dist, VertexId, INF};
-use rdbs_gpu_sim::{Device, DeviceConfig, FaultEvent, FaultPlan, FaultSpec};
+use rdbs_gpu_sim::{FaultEvent, FaultSpec};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Upper bound on full-edge re-relaxation rounds in the repair sweep.
@@ -199,346 +195,41 @@ pub struct RecoveredRun {
     pub report: RecoveryReport,
 }
 
-/// Run a single-device GPU variant under `fault` (or fault-free when
-/// `None`), audit, and recover. The returned distances are always
-/// audit-certified.
-pub fn run_gpu_recovered(
-    graph: &Csr,
-    source: VertexId,
-    variant: Variant,
-    device_config: DeviceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    run_gpu_recovered_with(
-        graph,
-        source,
-        variant,
-        device_config,
-        fault,
-        false,
-        RecoveryBudget::default(),
-    )
+/// One attempt at a query, as the ladder receives it: the answer plus
+/// its per-bucket monotonicity-audit hits — or the panic or typed
+/// error that replaced it — and what the armed fault plan injected.
+pub struct Attempt {
+    /// The fault spec the attempt ran under, if any.
+    pub fault: Option<FaultSpec>,
+    /// Total injections the plan performed.
+    pub injections: u64,
+    /// Injection log (capped device-side).
+    pub fault_events: Vec<FaultEvent>,
+    /// `Err` carries the panic or typed-error text (a detection).
+    pub outcome: Result<(SsspResult, usize), String>,
 }
 
-/// Like [`run_gpu_recovered`], with an explicit ladder retry budget.
-/// With a budget too small to reach a certifying rung the run ends in
-/// the typed [`RecoveryOutcome::Exhausted`] carrying best-effort,
-/// **uncertified** distances.
-pub fn run_gpu_recovered_budgeted(
+/// Detect and recover: audit `attempt` without an oracle and climb
+/// the ladder until an answer is certified or `budget` runs out.
+/// `rerun` is the rung-2 entry — a synchronous rerun on a fresh device
+/// (with the fault re-armed for persistent-fault semantics, if the
+/// caller wants recovery under fire) or a fault-free multi-GPU rerun.
+/// Unless the outcome is [`RecoveryOutcome::Exhausted`], the returned
+/// distances are audit-certified.
+pub fn recover(
     graph: &Csr,
     source: VertexId,
-    variant: Variant,
-    device_config: DeviceConfig,
-    fault: Option<FaultSpec>,
-    budget: RecoveryBudget,
-) -> RecoveredRun {
-    run_gpu_recovered_with(graph, source, variant, device_config, fault, false, budget)
-}
-
-/// Like [`run_gpu_recovered`], but with persistent-fault semantics:
-/// the fault spec is re-armed on the fresh device used for the rung-2
-/// synchronous rerun, so recovery itself executes under fire. Safe
-/// because the rerun's output is audited before it is accepted — a
-/// still-corrupt rerun is recorded as a dirty [`RecoveryStep::SyncRerun`]
-/// and the ladder degrades to sequential Dijkstra.
-pub fn run_gpu_recovered_refault(
-    graph: &Csr,
-    source: VertexId,
-    variant: Variant,
-    device_config: DeviceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    run_gpu_recovered_with(
-        graph,
-        source,
-        variant,
-        device_config,
-        fault,
-        true,
-        RecoveryBudget::default(),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_gpu_recovered_with(
-    graph: &Csr,
-    source: VertexId,
-    variant: Variant,
-    device_config: DeviceConfig,
-    fault: Option<FaultSpec>,
-    refault_rerun: bool,
-    budget: RecoveryBudget,
-) -> RecoveredRun {
-    let mut device = Device::new(device_config.clone());
-    if let Some(spec) = fault {
-        device.arm_faults(FaultPlan::new(spec));
-    }
-    let attempt =
-        catch_unwind(AssertUnwindSafe(|| run_gpu_on(&mut device, graph, source, variant)));
-    let (injections, fault_events) = match device.disarm_faults() {
-        Some(plan) => (plan.injections(), plan.log().to_vec()),
-        None => (0, Vec::new()),
-    };
-    let (attempt, panic) = match attempt {
-        Ok(run) => (Some((run.result, run.audit.len())), None),
-        Err(payload) => (None, Some(panic_text(payload.as_ref()))),
-    };
-    let delta0 = match variant {
-        Variant::Rdbs(cfg) => cfg.delta0,
-        Variant::Baseline => None,
-    };
-    let rerun = |graph: &Csr, source: VertexId| {
-        let mut fresh = Device::new(device_config.clone());
-        if refault_rerun {
-            if let Some(spec) = fault {
-                fresh.arm_faults(FaultPlan::new(spec));
-            }
-        }
-        let cfg = RdbsConfig { delta0, ..RdbsConfig::sync_delta() };
-        run_gpu_on(&mut fresh, graph, source, Variant::Rdbs(cfg)).result
-    };
-    finish(graph, source, fault, injections, fault_events, attempt, panic, &rerun, budget)
-}
-
-/// Run the resident batched service ([`crate::service`]) under
-/// `fault`, audit, and recover. The faulted query runs *after* a
-/// fault-free warm-up query, so the attempt exercises recycled pooled
-/// buffers — the reuse path the chaos matrix must show can never turn
-/// a fault into a silent wrong answer. A typed [`ServiceError`]
-/// (e.g. a queue overflow) counts as a detection and is recorded in
-/// the report's `panic` field alongside real panics.
-///
-/// [`ServiceError`]: crate::service::ServiceError
-pub fn run_service_recovered(
-    graph: &Csr,
-    source: VertexId,
-    config: ServiceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    let device_config = config.device.clone();
-    let delta0 = config.delta0;
-    let mut service = SsspService::new(graph, config);
-    let n = graph.num_vertices() as u32;
-    if n > 1 {
-        let _ = service.query((source + 1) % n); // warm the pooled buffers
-    }
-    if let Some(spec) = fault {
-        service.arm_faults(spec);
-    }
-    let attempt = catch_unwind(AssertUnwindSafe(|| service.try_query(source)));
-    let (injections, fault_events) = service.disarm_faults().unwrap_or((0, Vec::new()));
-    let (attempt, panic) = match attempt {
-        Ok(Ok(result)) => (Some((result, service.last_audit_hits())), None),
-        Ok(Err(e)) => (None, Some(e.to_string())), // typed detection
-        Err(payload) => (None, Some(panic_text(payload.as_ref()))),
-    };
-    let rerun = move |graph: &Csr, source: VertexId| {
-        let mut fresh = Device::new(device_config.clone());
-        let cfg = RdbsConfig { delta0, ..RdbsConfig::sync_delta() };
-        run_gpu_on(&mut fresh, graph, source, Variant::Rdbs(cfg)).result
-    };
-    finish(
-        graph,
-        source,
-        fault,
-        injections,
-        fault_events,
-        attempt,
-        panic,
-        &rerun,
-        RecoveryBudget::default(),
-    )
-}
-
-/// Run the resident service's *concurrent* scheduler under `fault`,
-/// audit, and recover. The scored query flies as the middle element of
-/// a three-source batch spread across `config.streams` command
-/// streams, after a fault-free warm-up — so injections land while
-/// other queries are in flight on sibling streams and the detection +
-/// ladder guarantee must hold with interleaved bucket execution. The
-/// batch itself never errors (overflow escalates on device, then
-/// degrades to a host oracle), so detection here rests on the
-/// monotonicity audit (maxed across every in-flight query of the
-/// batch), the final O(V+E) audit of the scored element, and panic
-/// capture.
-pub fn run_service_concurrent_recovered(
-    graph: &Csr,
-    source: VertexId,
-    config: ServiceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    let device_config = config.device.clone();
-    let delta0 = config.delta0;
-    let mut service = SsspService::new(graph, config);
-    let n = graph.num_vertices() as u32;
-    let wrap = |k: u32| (source + k) % n;
-    if n > 1 {
-        let _ = service.query(wrap(1)); // warm the pooled buffers
-    }
-    if let Some(spec) = fault {
-        service.arm_faults(spec);
-    }
-    let batch = [wrap(2), source, wrap(3)];
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let mut results = service.batch(&batch);
-        results.swap_remove(1)
-    }));
-    let (injections, fault_events) = service.disarm_faults().unwrap_or((0, Vec::new()));
-    let (attempt, panic) = match attempt {
-        Ok(result) => (Some((result, service.last_audit_hits())), None),
-        Err(payload) => (None, Some(panic_text(payload.as_ref()))),
-    };
-    let rerun = move |graph: &Csr, source: VertexId| {
-        let mut fresh = Device::new(device_config.clone());
-        let cfg = RdbsConfig { delta0, ..RdbsConfig::sync_delta() };
-        run_gpu_on(&mut fresh, graph, source, Variant::Rdbs(cfg)).result
-    };
-    finish(
-        graph,
-        source,
-        fault,
-        injections,
-        fault_events,
-        attempt,
-        panic,
-        &rerun,
-        RecoveryBudget::default(),
-    )
-}
-
-/// Run the service's open-loop *traffic tier* under `fault`, audit,
-/// and recover. The scored query arrives first (an empty admission
-/// predictor always admits it), a sibling query runs alongside, a
-/// past-deadline query exercises the typed shedding path, and a late
-/// repeat of the scored source is answered from the answer cache — so
-/// the graded result flows through the cache-replay path and the
-/// detection + ladder guarantee must hold for cached answers too: a
-/// corrupted device answer must never hide behind a bit-identical
-/// replay.
-pub fn run_service_traffic_recovered(
-    graph: &Csr,
-    source: VertexId,
-    config: ServiceConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    use crate::service::cache::CacheConfig;
-    use crate::service::traffic::{ArrivalProcess, Outcome, Query, SourceMix, TrafficConfig};
-
-    let device_config = config.device.clone();
-    let delta0 = config.delta0;
-    let mut service = SsspService::new(graph, config);
-    let n = graph.num_vertices() as u32;
-    let wrap = |k: u32| (source + k) % n;
-    if n > 1 {
-        let _ = service.query(wrap(1)); // warm the pooled buffers
-    }
-    if let Some(spec) = fault {
-        service.arm_faults(spec);
-    }
-    let generous = 1e12;
-    let queries = [
-        Query { source, arrival_ms: 0.0, deadline_ms: generous },
-        Query { source: wrap(2), arrival_ms: 0.0, deadline_ms: generous },
-        // Deadline already blown at arrival: deterministically shed
-        // (typed), never silently answered late.
-        Query { source: wrap(3), arrival_ms: 0.01, deadline_ms: 0.0 },
-        // Arrives long after the scored answer completes: served from
-        // the cache, bit-identical to the faulted attempt's answer.
-        Query { source, arrival_ms: 1e6, deadline_ms: generous },
-    ];
-    let cfg = TrafficConfig {
-        arrivals: ArrivalProcess::Poisson { qps: 1.0 }, // unused: explicit queries
-        offered: queries.len(),
-        seed: 0,
-        slo_ms: generous,
-        tight_slo_ms: None,
-        tight_every: 0,
-        sources: SourceMix::Uniform,
-        shed_margin: 1.0,
-        cache: Some(CacheConfig::default()),
-        approx_on_shed: false,
-    };
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let report = service.serve_queries(&queries, &cfg);
-        let replayed = report.outcomes.into_iter().nth(3).expect("four outcomes");
-        match replayed {
-            Outcome::Exact { result, .. } => result,
-            other => panic!("the late repeat must be answered exactly, got {other:?}"),
-        }
-    }));
-    let (injections, fault_events) = service.disarm_faults().unwrap_or((0, Vec::new()));
-    let (attempt, panic) = match attempt {
-        Ok(result) => (Some((result, service.last_audit_hits())), None),
-        Err(payload) => (None, Some(panic_text(payload.as_ref()))),
-    };
-    let rerun = move |graph: &Csr, source: VertexId| {
-        let mut fresh = Device::new(device_config.clone());
-        let cfg = RdbsConfig { delta0, ..RdbsConfig::sync_delta() };
-        run_gpu_on(&mut fresh, graph, source, Variant::Rdbs(cfg)).result
-    };
-    finish(
-        graph,
-        source,
-        fault,
-        injections,
-        fault_events,
-        attempt,
-        panic,
-        &rerun,
-        RecoveryBudget::default(),
-    )
-}
-
-/// Run the multi-GPU entry point under `fault` (armed on device 0),
-/// audit, and recover. Rung 2 is a fault-free multi rerun.
-pub fn run_multi_recovered(
-    graph: &Csr,
-    source: VertexId,
-    config: &MultiGpuConfig,
-    fault: Option<FaultSpec>,
-) -> RecoveredRun {
-    let attempt =
-        catch_unwind(AssertUnwindSafe(|| multi_gpu_sssp_faulted(graph, source, config, fault)));
-    let (attempt, injections, fault_events, panic) = match attempt {
-        Ok(run) => (Some((run.result, 0)), run.fault_injections, run.fault_events, None),
-        Err(payload) => (None, 0, Vec::new(), Some(panic_text(payload.as_ref()))),
-    };
-    let rerun = |graph: &Csr, source: VertexId| multi_gpu_sssp(graph, source, config).result;
-    finish(
-        graph,
-        source,
-        fault,
-        injections,
-        fault_events,
-        attempt,
-        panic,
-        &rerun,
-        RecoveryBudget::default(),
-    )
-}
-
-/// Shared detection + ladder. `attempt` is the faulted attempt's
-/// result plus its monotonicity-hit count (`None` if it panicked);
-/// `rerun` is the fault-free rung-2 entry.
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    graph: &Csr,
-    source: VertexId,
-    fault: Option<FaultSpec>,
-    injections: u64,
-    fault_events: Vec<FaultEvent>,
-    attempt: Option<(SsspResult, usize)>,
-    panic: Option<String>,
+    attempt: Attempt,
     rerun: &dyn Fn(&Csr, VertexId) -> SsspResult,
     budget: RecoveryBudget,
 ) -> RecoveredRun {
     let mut report = RecoveryReport {
-        fault,
-        injections,
-        fault_events,
+        fault: attempt.fault,
+        injections: attempt.injections,
+        fault_events: attempt.fault_events,
         monotonicity_hits: 0,
         flagged: 0,
-        panic,
+        panic: attempt.outcome.as_ref().err().cloned(),
         steps: Vec::new(),
         budget,
         outcome: RecoveryOutcome::Clean,
@@ -546,8 +237,8 @@ fn finish(
     let mut rungs_used = 0u32;
 
     // ---- Detection ----
-    let mut best = match attempt {
-        Some((result, mono_hits)) => {
+    let mut best = match attempt.outcome {
+        Ok((result, mono_hits)) => {
             report.monotonicity_hits = mono_hits;
             let audit = audit_sssp(graph, source, &result.dist);
             report.flagged = audit.flagged.len();
@@ -574,10 +265,10 @@ fn finish(
             }
             Some(repaired)
         }
-        None => None, // panicked: no distances to repair
+        Err(_) => None, // panicked: no distances to repair
     };
 
-    // ---- Rung 2: fault-free rerun of a synchronous variant ----
+    // ---- Rung 2: the caller's rerun ----
     if rungs_used >= budget.max_rungs {
         return exhaust(graph, source, best, report);
     }
@@ -666,21 +357,14 @@ fn repair_sweep(
     (rounds, relaxations, clean)
 }
 
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic (non-string payload)".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gpu::{
+        multi_gpu_sssp, run_gpu_on, MultiGpuConfig, MultiGpuState, RdbsConfig, Variant,
+    };
     use crate::validate::check_against_dijkstra;
-    use rdbs_gpu_sim::FaultModel;
+    use rdbs_gpu_sim::{Device, DeviceConfig, FaultModel, FaultPlan};
     use rdbs_graph::builder::build_undirected;
     use rdbs_graph::generate::{erdos_renyi, uniform_weights};
 
@@ -694,10 +378,51 @@ mod tests {
         DeviceConfig::test_tiny()
     }
 
+    /// Full RDBS on a fresh device under `fault`, graded by the ladder.
+    /// The rung-2 rerun is the synchronous variant on another fresh
+    /// device, with the spec re-armed there when `refault` is set.
+    fn run_gpu(
+        g: &Csr,
+        source: VertexId,
+        fault: Option<FaultSpec>,
+        refault: bool,
+        budget: RecoveryBudget,
+    ) -> RecoveredRun {
+        let on = |fault: Option<FaultSpec>| {
+            let mut device = Device::new(tiny());
+            if let Some(spec) = fault {
+                device.arm_faults(FaultPlan::new(spec));
+            }
+            device
+        };
+        let mut device = on(fault);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let run = run_gpu_on(&mut device, g, source, Variant::Rdbs(RdbsConfig::full()));
+            (run.result, run.audit.len())
+        }))
+        .map_err(|_| "attempt panicked".to_string());
+        let plan = device.disarm_faults();
+        let attempt = Attempt {
+            fault,
+            injections: plan.as_ref().map_or(0, FaultPlan::injections),
+            fault_events: plan.map(|p| p.log().to_vec()).unwrap_or_default(),
+            outcome,
+        };
+        let rerun = |g: &Csr, s: VertexId| {
+            let sync = Variant::Rdbs(RdbsConfig::sync_delta());
+            run_gpu_on(&mut on(fault.filter(|_| refault)), g, s, sync).result
+        };
+        recover(g, source, attempt, &rerun, budget)
+    }
+
+    fn run_gpu_recovered(g: &Csr, source: VertexId, fault: Option<FaultSpec>) -> RecoveredRun {
+        run_gpu(g, source, fault, false, RecoveryBudget::default())
+    }
+
     #[test]
     fn fault_free_run_is_clean() {
         let g = graph(1);
-        let run = run_gpu_recovered(&g, 0, Variant::Rdbs(RdbsConfig::full()), tiny(), None);
+        let run = run_gpu_recovered(&g, 0, None);
         assert_eq!(run.report.outcome, RecoveryOutcome::Clean);
         assert!(run.report.steps.is_empty());
         assert!(!run.report.detected());
@@ -709,8 +434,7 @@ mod tests {
         let g = graph(2);
         for seed in 0..4 {
             let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
-            let run =
-                run_gpu_recovered(&g, 0, Variant::Rdbs(RdbsConfig::full()), tiny(), Some(spec));
+            let run = run_gpu_recovered(&g, 0, Some(spec));
             check_against_dijkstra(&g, 0, &run.result.dist)
                 .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
         }
@@ -722,8 +446,7 @@ mod tests {
         let mut detected_any = false;
         for seed in 0..4 {
             let spec = FaultSpec::new(FaultModel::BitFlip, 0.002, seed);
-            let run =
-                run_gpu_recovered(&g, 0, Variant::Rdbs(RdbsConfig::full()), tiny(), Some(spec));
+            let run = run_gpu_recovered(&g, 0, Some(spec));
             check_against_dijkstra(&g, 0, &run.result.dist)
                 .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
             detected_any |= run.report.detected();
@@ -759,53 +482,20 @@ mod tests {
         };
         for seed in 0..3 {
             let spec = FaultSpec::new(FaultModel::LostMessage, 0.5, seed);
-            let run = run_multi_recovered(&g, 0, &config, Some(spec));
+            let mut state = MultiGpuState::new(&g, &config);
+            state.arm_faults(spec);
+            let run = state.run(0);
+            let attempt = Attempt {
+                fault: Some(spec),
+                injections: run.fault_injections,
+                fault_events: run.fault_events,
+                outcome: Ok((run.result, 0)),
+            };
+            let rerun = |g: &Csr, s: VertexId| multi_gpu_sssp(g, s, &config).result;
+            let run = recover(&g, 0, attempt, &rerun, RecoveryBudget::default());
             check_against_dijkstra(&g, 0, &run.result.dist)
                 .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
         }
-    }
-
-    #[test]
-    fn service_pooled_queries_are_never_silently_wrong() {
-        // The faulted query runs on recycled pooled buffers (after a
-        // fault-free warm-up) — reuse must not weaken the guarantee.
-        let g = graph(7);
-        let mut detected_any = false;
-        for seed in 0..4 {
-            let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
-            let run = run_service_recovered(&g, 0, ServiceConfig::rdbs(tiny()), Some(spec));
-            check_against_dijkstra(&g, 0, &run.result.dist)
-                .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
-            detected_any |= run.report.detected();
-        }
-        assert!(detected_any, "no seed tripped a detector on the pooled path");
-    }
-
-    #[test]
-    fn concurrent_batches_are_never_silently_wrong() {
-        // Faults land while three queries are in flight across four
-        // command streams — interleaved bucket execution must not
-        // weaken the zero-silent-wrong guarantee for the scored query.
-        let g = graph(10);
-        let mut detected_any = false;
-        for seed in 0..4 {
-            let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
-            let config = ServiceConfig::rdbs(tiny()).with_streams(4);
-            let run = run_service_concurrent_recovered(&g, 0, config, Some(spec));
-            check_against_dijkstra(&g, 0, &run.result.dist)
-                .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
-            detected_any |= run.report.detected();
-        }
-        assert!(detected_any, "no seed tripped a detector under concurrency");
-    }
-
-    #[test]
-    fn service_fault_free_run_is_clean() {
-        let g = graph(8);
-        let run = run_service_recovered(&g, 3, ServiceConfig::rdbs(tiny()), None);
-        assert_eq!(run.report.outcome, RecoveryOutcome::Clean);
-        assert!(!run.report.detected());
-        check_against_dijkstra(&g, 3, &run.result.dist).unwrap();
     }
 
     #[test]
@@ -825,13 +515,7 @@ mod tests {
         let g = rdbs_graph::builder::build_directed(&el);
         let source = 199;
         let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 1.0, 0);
-        let run = run_gpu_recovered_refault(
-            &g,
-            source,
-            Variant::Rdbs(RdbsConfig::full()),
-            tiny(),
-            Some(spec),
-        );
+        let run = run_gpu(&g, source, Some(spec), true, RecoveryBudget::default());
         check_against_dijkstra(&g, source, &run.result.dist)
             .unwrap_or_else(|m| panic!("{m}\n{}", run.report));
         assert!(
@@ -845,13 +529,7 @@ mod tests {
         let g = graph(9);
         for seed in 0..4 {
             let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
-            let run = run_gpu_recovered_refault(
-                &g,
-                0,
-                Variant::Rdbs(RdbsConfig::full()),
-                tiny(),
-                Some(spec),
-            );
+            let run = run_gpu(&g, 0, Some(spec), true, RecoveryBudget::default());
             check_against_dijkstra(&g, 0, &run.result.dist)
                 .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
         }
@@ -872,14 +550,7 @@ mod tests {
         let source = 199;
         let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 1.0, 0);
         let budget = RecoveryBudget { max_rungs: 1, repair_rounds: REPAIR_ROUNDS };
-        let run = run_gpu_recovered_budgeted(
-            &g,
-            source,
-            Variant::Rdbs(RdbsConfig::full()),
-            tiny(),
-            Some(spec),
-            budget,
-        );
+        let run = run_gpu(&g, source, Some(spec), false, budget);
         assert_eq!(run.report.outcome, RecoveryOutcome::Exhausted, "{}", run.report);
         assert_eq!(run.report.budget, budget);
         assert_eq!(run.report.steps.len(), 1, "{}", run.report);
@@ -891,22 +562,14 @@ mod tests {
         assert!(run.report.to_string().contains("exhausted"), "{}", run.report);
 
         // The default budget reaches a certifying rung on the same input.
-        let full =
-            run_gpu_recovered(&g, source, Variant::Rdbs(RdbsConfig::full()), tiny(), Some(spec));
+        let full = run_gpu_recovered(&g, source, Some(spec));
         check_against_dijkstra(&g, source, &full.result.dist)
             .unwrap_or_else(|m| panic!("{m}\n{}", full.report));
         assert_eq!(full.report.outcome, RecoveryOutcome::Recovered, "{}", full.report);
 
         // And an explicit default budget is behaviourally identical to
         // the unbudgeted entry point.
-        let dflt = run_gpu_recovered_budgeted(
-            &g,
-            source,
-            Variant::Rdbs(RdbsConfig::full()),
-            tiny(),
-            Some(spec),
-            RecoveryBudget::default(),
-        );
+        let dflt = run_gpu(&g, source, Some(spec), false, RecoveryBudget::default());
         assert_eq!(dflt.result.dist, full.result.dist);
         assert_eq!(dflt.report.outcome, full.report.outcome);
         assert_eq!(dflt.report.steps, full.report.steps);
@@ -916,7 +579,7 @@ mod tests {
     fn report_displays_the_ladder() {
         let g = graph(6);
         let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 1.0, 0);
-        let run = run_gpu_recovered(&g, 0, Variant::Rdbs(RdbsConfig::full()), tiny(), Some(spec));
+        let run = run_gpu_recovered(&g, 0, Some(spec));
         let text = run.report.to_string();
         assert!(text.contains("outcome:"), "{text}");
         assert!(text.contains("dropped-atomic"), "{text}");

@@ -539,19 +539,6 @@ impl SsspService {
         }
     }
 
-    /// The sanitizer's accumulated access profile (hot contended words,
-    /// atomic/plain overlap sites, per-kernel wave windows) — the
-    /// adversarial placement search scouts targets through this.
-    /// `None` when the sanitizer was never armed, or for the multi-GPU
-    /// backend (profiles are per-device; the search falls back to
-    /// generic targets there).
-    pub fn san_profile(&self) -> Option<&rdbs_gpu_sim::AccessProfile> {
-        match &self.state {
-            State::Gpu(st) => st.device.san_profile(),
-            State::Multi(_) => None,
-        }
-    }
-
     /// Arm the access-IR recorder on the resident device (every shard
     /// for the multi-GPU backend) — the static verification matrix
     /// drives the pooled entry point through this.

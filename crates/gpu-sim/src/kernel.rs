@@ -24,6 +24,20 @@ use crate::san::SanState;
 use crate::trace::{LaneTrace, Op};
 use crate::{SECTOR_BYTES, WARP_SIZE};
 
+/// The widest launch the simulator executes, in lanes. Execution
+/// allocates per-lane state up front (an order slot and a trace per
+/// lane, 32 bytes), so a corrupted launch width — a bit-flipped
+/// light-edge count makes ADWL queue a child of about 2^31 lanes —
+/// would abort the process on that allocation. Such a launch is
+/// refused with a catchable panic instead, which the recovery ladder
+/// grades as a detection; on hardware it would fault on its first
+/// out-of-bounds lane. The cap is over 100x the widest launch measured
+/// in the test suite (301,056 lanes, `phase2_heavy`) and in the
+/// benchmark workloads (167,296 lanes, `phase2_heavy` on
+/// `kron-traffic`), and above the one-lane-per-vertex waves of the
+/// largest paper-scale stand-in (soc-TW, 21.3M vertices).
+pub const MAX_LAUNCH_LANES: u64 = 1 << 25;
+
 /// A queued dynamic-parallelism child kernel.
 pub struct ChildLaunch {
     pub(crate) name: &'static str,
@@ -575,6 +589,10 @@ impl Device {
         snapshot: bool,
         body: &dyn Fn(&mut Lane<'_>),
     ) {
+        assert!(
+            lanes <= MAX_LAUNCH_LANES,
+            "kernel {name} launched with {lanes} lanes, above the simulator's cap of {MAX_LAUNCH_LANES}"
+        );
         if charge_launch {
             self.counters.kernel_launches += 1;
             self.elapsed_ns += self.config.kernel_launch_us * 1e3;
@@ -1122,6 +1140,14 @@ mod tests {
 
     fn tiny() -> Device {
         Device::new(DeviceConfig::test_tiny())
+    }
+
+    /// A runaway launch width is refused before any per-lane state is
+    /// allocated — a panic the caller can catch, not an abort.
+    #[test]
+    #[should_panic(expected = "above the simulator's")]
+    fn launch_wider_than_the_cap_is_refused() {
+        tiny().launch("runaway", MAX_LAUNCH_LANES + 1, |_| {});
     }
 
     #[test]

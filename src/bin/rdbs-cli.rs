@@ -15,6 +15,7 @@
 
 use rdbs::baselines::{adds, frontier_bf, near_far, pq_delta_stepping};
 use rdbs::baselines::{rho_stepping, sep_graph};
+use rdbs::conformance::SweepOptions;
 use rdbs::graph::builder::{build_directed, build_undirected};
 use rdbs::graph::generate::{
     erdos_renyi, grid_road, kronecker, preferential_attachment, uniform_weights, GridConfig,
@@ -724,23 +725,107 @@ fn serve_main(args: Vec<String>) -> ! {
 }
 
 // ---------------------------------------------------------------------------
-// `rdbs-cli verify` — the differential conformance matrix.
+// The conformance sweeps — verify, chaos, chaos --adversarial,
+// fuzz-schedules, sanitize, analyze — over the one registry: one option
+// set, one parser for the flags they share, one "matched nothing" exit.
 // ---------------------------------------------------------------------------
 
-fn verify_usage() -> ! {
+/// Print a sweep's usage: `about`, the shared flags, the sweep's own
+/// `flags`, and its entries straight from the registry — with the
+/// `--quick` set, for the sweeps whose `--quick` narrows entries.
+fn sweep_usage(mode: &str, about: &str, flags: &str, cap: u16) -> ! {
+    use rdbs::conformance::registry::{DIFFERENTIAL, QUICK};
+    let ids = |extra: u16| {
+        let picked = rdbs::conformance::with_faults().into_iter().filter(|e| e.has(cap | extra));
+        picked.map(|e| e.id).collect::<Vec<_>>().join(" ")
+    };
+    let quick = match cap {
+        DIFFERENTIAL => String::new(),
+        _ => format!("\nquick entries:\n  {}", ids(QUICK)),
+    };
     eprintln!(
-        "usage: rdbs-cli verify [options]
+        "usage: rdbs-cli {mode} [options]
 
-matrix mode (default): run every implementation x graph family x source
-against the Dijkstra oracle; on failure, minimize a witness and localize
-the first divergence. Exits non-zero on any mismatch.
-  --quick             reduced sweep (two families, one source)
-  --impl SUBSTR       only implementations whose id contains SUBSTR
+{about}
+
+  --quick             reduced sweep: quick families, one source, and the
+                      quick entries where listed below
+  --entry SUBSTR      only entries whose id contains SUBSTR (alias --impl)
   --graph SUBSTR      only families whose name contains SUBSTR
   --frontier single|mlmq
-                      run every RDBS-backed implementation on this
-                      device frontier layout
-  --delta0 W          bucket-width override for the whole sweep
+                      force this device frontier layout on every entry
+                      that accepts one (entries with a fixed layout keep
+                      theirs)
+{flags}
+
+entries:
+  {all}{quick}",
+        all = ids(0),
+    );
+    exit(2)
+}
+
+/// Parse a number or bail out through `usage`.
+fn num<T: std::str::FromStr>(s: &str, usage: fn() -> !) -> T {
+    s.parse().unwrap_or_else(|_| usage())
+}
+
+/// Parse a sweep's command line: the shared flags (`--quick --entry
+/// --impl --graph --frontier --seed`) into one `SweepOptions`, anything
+/// else through `extra`, which returns `false` for a flag it does not
+/// know.
+fn parse_sweep(
+    args: Vec<String>,
+    usage: fn() -> !,
+    mut extra: impl FnMut(&str, &mut dyn FnMut() -> String, &mut SweepOptions) -> bool,
+) -> SweepOptions {
+    let mut o = SweepOptions::default();
+    let mut it = args.into_iter();
+    while let Some(flag) = it.next() {
+        let mut val = || it.next().unwrap_or_else(|| usage());
+        match flag.as_str() {
+            "--quick" => o.quick = true,
+            "--entry" | "--impl" => o.entry_filter = Some(val()),
+            "--graph" => o.graph_filter = Some(val()),
+            "--frontier" => {
+                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| usage()));
+            }
+            "--seed" => o.seeds.push(num(&val(), usage)),
+            other => {
+                if !extra(other, &mut val, &mut o) {
+                    usage()
+                }
+            }
+        }
+    }
+    o
+}
+
+/// The one exit for a sweep whose filters selected nothing.
+fn require_cells(cells: usize) {
+    if cells == 0 {
+        eprintln!("error: the filters matched no cells — nothing was run");
+        exit(2);
+    }
+}
+
+/// Run a sweep whose attempts may panic — a graded outcome, not noise —
+/// without the default hook spraying backtraces over the report.
+fn quietly<T>(sweep: impl FnOnce() -> T) -> T {
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = sweep();
+    std::panic::set_hook(prev_hook);
+    out
+}
+
+fn verify_usage() -> ! {
+    sweep_usage(
+        "verify",
+        "matrix mode (default): run every implementation x graph family x source
+against the Dijkstra oracle; on failure, minimize a witness and localize
+the first divergence. Exits non-zero on any mismatch.",
+        "  --delta0 W          bucket-width override for the whole sweep
   --inject-fault      also run the registry's deliberate fault specimen
                       (demonstrates the shrink + localize pipeline)
   --no-shrink         report failures without minimizing
@@ -750,79 +835,38 @@ the first divergence. Exits non-zero on any mismatch.
 replay mode: re-run one implementation on a minimized witness file
   --witness FILE      witness produced by a previous verify run
   --impl ID           exact implementation id to replay (required)
-  --delta0 W          bucket width the witness was minimized under
-
-implementation ids:
-  {ids}",
-        ids = rdbs::conformance::with_faults().iter().map(|i| i.id).collect::<Vec<_>>().join(" ")
-    );
-    exit(2)
-}
-
-struct VerifyOptions {
-    quick: bool,
-    impl_filter: Option<String>,
-    graph_filter: Option<String>,
-    frontier: Option<FrontierKind>,
-    delta0: Option<u32>,
-    inject_fault: bool,
-    shrink: bool,
-    witness_out: String,
-    witness_in: Option<String>,
-}
-
-fn parse_verify_args(args: Vec<String>) -> VerifyOptions {
-    let mut o = VerifyOptions {
-        quick: false,
-        impl_filter: None,
-        graph_filter: None,
-        frontier: None,
-        delta0: None,
-        inject_fault: false,
-        shrink: true,
-        witness_out: "rdbs-witness.txt".into(),
-        witness_in: None,
-    };
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| verify_usage());
-        match flag.as_str() {
-            "--quick" => o.quick = true,
-            "--impl" => o.impl_filter = Some(val()),
-            "--graph" => o.graph_filter = Some(val()),
-            "--frontier" => {
-                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| verify_usage()));
-            }
-            "--delta0" => o.delta0 = Some(val().parse().unwrap_or_else(|_| verify_usage())),
-            "--inject-fault" => o.inject_fault = true,
-            "--no-shrink" => o.shrink = false,
-            "--witness-out" => o.witness_out = val(),
-            "--witness" => o.witness_in = Some(val()),
-            "--help" | "-h" => verify_usage(),
-            _ => verify_usage(),
-        }
-    }
-    o
+  --delta0 W          bucket width the witness was minimized under",
+        rdbs::conformance::registry::DIFFERENTIAL,
+    )
 }
 
 fn verify_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
-    let o = parse_verify_args(args);
+    let (mut shrink, mut witness_out, mut witness_in) =
+        (true, "rdbs-witness.txt".to_string(), None);
+    let o = parse_sweep(args, verify_usage, |flag, val, o| {
+        match flag {
+            "--delta0" => o.delta0 = Some(num(&val(), verify_usage)),
+            "--inject-fault" => o.include_faults = true,
+            "--no-shrink" => shrink = false,
+            "--witness-out" => witness_out = val(),
+            "--witness" => witness_in = Some(val()),
+            _ => return false,
+        }
+        true
+    });
+    let with_frontier = |imp: conf::Entry| o.frontier.map_or(imp, |kind| imp.with_frontier(kind));
 
     // Replay mode: one implementation on one witness file.
-    if let Some(path) = &o.witness_in {
-        let id = o.impl_filter.as_deref().unwrap_or_else(|| {
+    if let Some(path) = &witness_in {
+        let id = o.entry_filter.as_deref().unwrap_or_else(|| {
             eprintln!("error: --witness requires --impl with an exact implementation id\n");
             verify_usage()
         });
-        let imp = conf::by_id(id).unwrap_or_else(|| {
+        let imp = with_frontier(conf::by_id(id).unwrap_or_else(|| {
             eprintln!("error: unknown implementation '{id}'\n");
             verify_usage()
-        });
-        let imp = match o.frontier {
-            Some(kind) => imp.with_frontier(kind),
-            None => imp,
-        };
+        }));
         let file = std::fs::File::open(path).unwrap_or_else(|e| {
             eprintln!("cannot open {path}: {e}");
             exit(1)
@@ -852,18 +896,10 @@ fn verify_main(args: Vec<String>) -> ! {
     }
 
     // Matrix mode.
-    let opts = conf::MatrixOptions {
-        quick: o.quick,
-        impl_filter: o.impl_filter.clone(),
-        graph_filter: o.graph_filter.clone(),
-        include_faults: o.inject_fault,
-        delta0: o.delta0,
-        frontier: o.frontier,
-    };
     let mut current_graph = String::new();
     let mut graph_cases = 0usize;
     let mut graph_failures = 0usize;
-    let report = conf::run_matrix(&opts, |_imp, graph, _source, ok| {
+    let report = conf::run_matrix(&o, |_imp, graph, _source, ok| {
         if graph != current_graph {
             if !current_graph.is_empty() {
                 println!("  {current_graph:<14} {graph_cases:>4} cases, {graph_failures} failures");
@@ -885,12 +921,7 @@ fn verify_main(args: Vec<String>) -> ! {
         report.cases_run,
         report.failures.len()
     );
-    if report.cases_run == 0 {
-        eprintln!(
-            "error: the filters matched no (implementation, graph) pairs — nothing was verified"
-        );
-        exit(2);
-    }
+    require_cells(report.cases_run);
     if report.is_green() {
         println!("verify: OK — every implementation matches the Dijkstra oracle");
         exit(0);
@@ -901,13 +932,10 @@ fn verify_main(args: Vec<String>) -> ! {
     }
 
     // Minimize the first failure into a replayable witness.
-    if o.shrink {
+    if shrink {
         let first = &report.failures[0];
-        let imp = conf::by_id(first.impl_id).expect("failure ids come from the registry");
-        let imp = match o.frontier {
-            Some(kind) => imp.with_frontier(kind),
-            None => imp,
-        };
+        let imp =
+            with_frontier(conf::by_id(first.impl_id).expect("failure ids come from the registry"));
         let family = conf::families().into_iter().find(|g| g.name == first.graph);
         if let Some(family) = family {
             println!(
@@ -924,16 +952,16 @@ fn verify_main(args: Vec<String>) -> ! {
                 shrunk.evals,
                 shrunk.failure
             );
-            let file = std::fs::File::create(&o.witness_out).unwrap_or_else(|e| {
-                eprintln!("cannot write {}: {e}", o.witness_out);
+            let file = std::fs::File::create(&witness_out).unwrap_or_else(|e| {
+                eprintln!("cannot write {witness_out}: {e}");
                 exit(1)
             });
             io::write_witness(w, file).unwrap_or_else(|e| {
-                eprintln!("cannot write {}: {e}", o.witness_out);
+                eprintln!("cannot write {witness_out}: {e}");
                 exit(1)
             });
-            println!("witness written to {}", o.witness_out);
-            println!("repro: {}", shrunk.repro_command(&o.witness_out));
+            println!("witness written to {witness_out}");
+            println!("repro: {}", shrunk.repro_command(&witness_out));
             let g = build_undirected(&w.edges);
             if let Some(d) = conf::localize(&imp, &g, w.source, o.delta0) {
                 println!("\n{d}");
@@ -943,30 +971,19 @@ fn verify_main(args: Vec<String>) -> ! {
     exit(1)
 }
 
-// ---------------------------------------------------------------------------
-// `rdbs-cli chaos` — the fault-injection matrix.
-// ---------------------------------------------------------------------------
-
 fn chaos_usage() -> ! {
-    eprintln!(
-        "usage: rdbs-cli chaos [options]
-
-Sweep fault models x detect-and-recover entry points x graph families,
+    sweep_usage(
+        "chaos",
+        "Sweep fault models x detect-and-recover entry points x graph families,
 grading each cell's final answer against the Dijkstra oracle. A cell may
 be correct (clean or recovered — the ladder is reported) or explicitly
 errored; a silently wrong answer fails the sweep. Exits non-zero on any
 silent wrong answer. The sweep is deterministic: the same flags replay
-the same fault schedules byte for byte.
-
-  --quick             reduced sweep (quick families, two entries, seed 1)
+the same fault schedules byte for byte.",
+        &format!(
+            "  --seed N            fault seed (repeatable; default 1,2 — or 1 with --quick)
   --model SUBSTR      only fault models whose name contains SUBSTR
-  --entry SUBSTR      only entry points whose id contains SUBSTR
-  --graph SUBSTR      only families whose name contains SUBSTR
-  --frontier single|mlmq
-                      run every RDBS-backed entry on this device
-                      frontier layout (service/mlmq-spill keeps its own)
   --rate R            injection rate override (default is per-model)
-  --seed N            fault seed (repeatable; default 1,2 — or 1 with --quick)
   --reports           print the recovery report for every cell, not just
                       the cells where a detector fired
 
@@ -975,20 +992,17 @@ adversarial mode (replaces the uniform sweep with a placement search):
                       search fault placements for the deepest recovery
                       rung at a fixed injection budget, racing an
                       equal-budget uniform baseline
+  --seed N            search seed (default 1)
   --budget N          injections per (entry, graph) per arm (default 64)
   --evals N           candidate evaluations per arm (default 12)
   --corpus-out FILE   write the replayable worst-case corpus to FILE
 
 fault models:
-  {models}
-
-entry points:
-  {entries}",
-        models = rdbs::sim::FaultModel::ALL.map(|m| m.name()).join(" "),
-        entries =
-            rdbs::conformance::chaos_entries().iter().map(|e| e.id).collect::<Vec<_>>().join(" ")
-    );
-    exit(2)
+  {}",
+            rdbs::sim::FaultModel::ALL.map(|m| m.name()).join(" ")
+        ),
+        rdbs::conformance::registry::FAULTS,
+    )
 }
 
 /// A `--model` filter that matches no fault model is a typo, not an
@@ -1010,59 +1024,44 @@ fn chaos_main(args: Vec<String>) -> ! {
     if args.iter().any(|a| a == "--adversarial") {
         adversary_main(args);
     }
-    let mut o = conf::ChaosOptions::default();
     let mut show_all_reports = false;
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| chaos_usage());
-        match flag.as_str() {
-            "--quick" => o.quick = true,
+    let o = parse_sweep(args, chaos_usage, |flag, val, o| {
+        match flag {
             "--model" => o.model_filter = Some(val()),
-            "--entry" => o.entry_filter = Some(val()),
-            "--graph" => o.graph_filter = Some(val()),
-            "--frontier" => {
-                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| chaos_usage()));
-            }
-            "--rate" => o.rate = Some(val().parse().unwrap_or_else(|_| chaos_usage())),
-            "--seed" => o.seeds.push(val().parse().unwrap_or_else(|_| chaos_usage())),
+            "--rate" => o.rate = Some(num(&val(), chaos_usage)),
             "--reports" => show_all_reports = true,
-            "--help" | "-h" => chaos_usage(),
-            _ => chaos_usage(),
+            _ => return false,
         }
-    }
+        true
+    });
     check_model_filter(&o.model_filter);
 
-    // Faulted attempts are allowed to panic (the recovery layer
-    // catches them and that is a graded outcome, not noise) — keep the
-    // default hook from spraying backtraces over the report.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = conf::run_chaos(&o, |cell| {
-        let outcome = match cell.outcome() {
-            Some(oc) => oc.to_string(),
-            None => "-".into(),
-        };
-        println!(
-            "  {:<14} {:<20} {:<14} seed {:<3} {:>5} inj  {:<9} {:<10} {}",
-            cell.entry_id,
-            cell.model.name(),
-            cell.graph,
-            cell.seed,
-            cell.injections(),
-            if cell.detected() { "detected" } else { "quiet" },
-            outcome,
-            cell.verdict
-        );
-        if let Some(r) = &cell.report {
-            if show_all_reports || cell.detected() {
-                for line in r.to_string().lines() {
-                    println!("      {line}");
+    let report = quietly(|| {
+        conf::run_chaos(&o, |cell| {
+            let outcome = match cell.outcome() {
+                Some(oc) => oc.to_string(),
+                None => "-".into(),
+            };
+            println!(
+                "  {:<14} {:<20} {:<14} seed {:<3} {:>5} inj  {:<9} {:<10} {}",
+                cell.entry_id,
+                cell.model.name(),
+                cell.graph,
+                cell.seed,
+                cell.injections(),
+                if cell.detected() { "detected" } else { "quiet" },
+                outcome,
+                cell.verdict
+            );
+            if let Some(r) = &cell.report {
+                if show_all_reports || cell.detected() {
+                    for line in r.to_string().lines() {
+                        println!("      {line}");
+                    }
                 }
             }
-        }
+        })
     });
-
-    std::panic::set_hook(prev_hook);
 
     let (clean, recovered, degraded, errored, silent) = report.tally();
     println!(
@@ -1070,10 +1069,7 @@ fn chaos_main(args: Vec<String>) -> ! {
          {errored} errored, {silent} silently wrong",
         report.cells.len()
     );
-    if report.cells.is_empty() {
-        eprintln!("error: the filters matched no (entry, model, graph) cells — nothing was swept");
-        exit(2);
-    }
+    require_cells(report.cells.len());
     if report.is_green() {
         println!("chaos: OK — no silent wrong answers");
         exit(0);
@@ -1087,64 +1083,46 @@ fn chaos_main(args: Vec<String>) -> ! {
     exit(1)
 }
 
-// ---------------------------------------------------------------------------
-// `rdbs-cli chaos --adversarial` — the budgeted placement search.
-// ---------------------------------------------------------------------------
-
+/// `rdbs-cli chaos --adversarial` — the budgeted placement search.
 fn adversary_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
-    let mut o = conf::AdversaryOptions::default();
-    let mut model_filter: Option<String> = None;
     let mut corpus_out: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| chaos_usage());
-        match flag.as_str() {
+    let o = parse_sweep(args, chaos_usage, |flag, val, o| {
+        match flag {
             "--adversarial" => {}
-            "--quick" => o.quick = true,
-            "--model" => model_filter = Some(val()),
-            "--entry" => o.entry_filter = Some(val()),
-            "--graph" => o.graph_filter = Some(val()),
-            "--frontier" => {
-                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| chaos_usage()));
-            }
-            "--seed" => o.seed = val().parse().unwrap_or_else(|_| chaos_usage()),
-            "--budget" => o.budget = val().parse().unwrap_or_else(|_| chaos_usage()),
-            "--evals" => o.max_evals = val().parse().unwrap_or_else(|_| chaos_usage()),
+            "--model" => o.model_filter = Some(val()),
+            "--budget" => o.budget = num(&val(), chaos_usage),
+            "--evals" => o.max_evals = num(&val(), chaos_usage),
             "--corpus-out" => corpus_out = Some(val()),
-            "--help" | "-h" => chaos_usage(),
-            _ => chaos_usage(),
+            _ => return false,
         }
-    }
+        true
+    });
     // The search picks its own models from the scouted profile; a
     // `--model` filter still gets the typo check so `chaos --model nope
     // --adversarial` fails the same way the uniform sweep does.
-    check_model_filter(&model_filter);
+    check_model_filter(&o.model_filter);
 
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = conf::run_adversary(&o, |run| {
-        println!(
-            "  {:<14} {:<14} source {:<6} {} waves, {} targets — targeted {} ({}), \
-             uniform {} ({}){}",
-            run.entry_id,
-            run.graph,
-            run.source,
-            run.waves,
-            run.pool_size,
-            run.best_targeted,
-            conf::depth_label(run.best_targeted),
-            run.best_uniform,
-            conf::depth_label(run.best_uniform),
-            if run.silent_wrong > 0 { "  SILENT WRONG" } else { "" }
-        );
+    let report = quietly(|| {
+        conf::run_adversary(&o, |run| {
+            println!(
+                "  {:<14} {:<14} source {:<6} {} waves, {} targets — targeted {} ({}), \
+                 uniform {} ({}){}",
+                run.entry_id,
+                run.graph,
+                run.source,
+                run.waves,
+                run.pool_size,
+                run.best_targeted,
+                conf::depth_label(run.best_targeted),
+                run.best_uniform,
+                conf::depth_label(run.best_uniform),
+                if run.silent_wrong > 0 { "  SILENT WRONG" } else { "" }
+            );
+        })
     });
-    std::panic::set_hook(prev_hook);
 
-    if report.runs.is_empty() {
-        eprintln!("error: the filters matched no (entry, graph) cells — nothing was searched");
-        exit(2);
-    }
+    require_cells(report.runs.len());
     let corpus = conf::corpus_lines(&report);
     if let Some(path) = corpus_out {
         if let Some(parent) = std::path::Path::new(&path).parent() {
@@ -1178,73 +1156,49 @@ fn adversary_main(args: Vec<String>) -> ! {
     exit(1)
 }
 
-// ---------------------------------------------------------------------------
-// `rdbs-cli fuzz-schedules` — seeded lane-permutation fuzzing.
-// ---------------------------------------------------------------------------
-
 fn fuzz_usage() -> ! {
-    eprintln!(
-        "usage: rdbs-cli fuzz-schedules [options]
-
-Re-execute every GPU chaos entry under seeded lane/wave interleaving
-permutations with the memory-model sanitizer armed, checking each
-permuted run against the Dijkstra oracle. A planted-race specimen is
-re-checked under every permutation seed to prove the detector stays
-alive when the schedule shifts. Exits non-zero if any permuted run is
-wrong, races, or the specimen goes undetected. Deterministic in
-(--seed, --perms).
-
-  --quick             reduced sweep (quick entries x quick families)
-  --entry SUBSTR      only entry points whose id contains SUBSTR
-  --frontier single|mlmq
-                      fuzz every RDBS-backed entry on this device
-                      frontier layout
-  --perms N           permutation seeds per (entry, graph) (default 32)
+    sweep_usage(
+        "fuzz-schedules",
+        "Re-execute every fuzzable entry's scenario (the service entries through
+the service itself) under seeded lane/wave interleaving permutations with
+the memory-model sanitizer armed, checking each permuted run against the
+Dijkstra oracle. A planted-race specimen is re-checked under every
+permutation seed to prove the detector stays alive when the schedule
+shifts. Exits non-zero if any permuted run is wrong, races, or the
+specimen goes undetected. Deterministic in (--seed, --perms).",
+        "  --perms N           permutation seeds per (entry, graph) (default 32)
   --seed N            base seed the permutations derive from (default 1)",
-    );
-    exit(2)
+        rdbs::conformance::registry::FUZZ,
+    )
 }
 
 fn fuzz_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
-    let mut o = conf::FuzzOptions::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| fuzz_usage());
-        match flag.as_str() {
-            "--quick" => o.quick = true,
-            "--entry" => o.entry_filter = Some(val()),
-            "--frontier" => {
-                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| fuzz_usage()));
-            }
-            "--perms" => o.perms = val().parse().unwrap_or_else(|_| fuzz_usage()),
-            "--seed" => o.seed = val().parse().unwrap_or_else(|_| fuzz_usage()),
-            "--help" | "-h" => fuzz_usage(),
-            _ => fuzz_usage(),
+    let o = parse_sweep(args, fuzz_usage, |flag, val, o| {
+        match flag {
+            "--perms" => o.perms = num(&val(), fuzz_usage),
+            _ => return false,
         }
-    }
-
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let report = conf::fuzz_schedules(&o, |cell| {
-        if !cell.is_clean() {
-            println!(
-                "  {:<14} {:<14} perm {:<20} correct={} violations={} panic={:?}",
-                cell.entry_id,
-                cell.graph,
-                cell.perm_seed,
-                cell.correct,
-                cell.violations,
-                cell.panic
-            );
-        }
+        true
     });
-    std::panic::set_hook(prev_hook);
 
-    if report.cells.is_empty() {
-        eprintln!("error: the filters matched no (entry, graph) cells — nothing was fuzzed");
-        exit(2);
-    }
+    let report = quietly(|| {
+        conf::fuzz_schedules(&o, |cell| {
+            if !cell.is_clean() {
+                println!(
+                    "  {:<14} {:<14} perm {:<20} correct={} violations={} panic={:?}",
+                    cell.entry_id,
+                    cell.graph,
+                    cell.perm_seed,
+                    cell.correct,
+                    cell.violations,
+                    cell.panic
+                );
+            }
+        })
+    });
+
+    require_cells(report.cells.len());
     println!(
         "fuzz-schedules: {} permuted runs, specimen {}",
         report.cells.len(),
@@ -1262,15 +1216,10 @@ fn fuzz_main(args: Vec<String>) -> ! {
     exit(1)
 }
 
-// ---------------------------------------------------------------------------
-// `rdbs-cli sanitize` — the memory-model matrix.
-// ---------------------------------------------------------------------------
-
 fn sanitize_usage() -> ! {
-    eprintln!(
-        "usage: rdbs-cli sanitize [options]
-
-Run every GPU entry point over the graph families with the wave-level
+    sweep_usage(
+        "sanitize",
+        "Run every GPU entry point over the graph families with the wave-level
 memory-model sanitizer armed: races between lanes, snapshot-visibility
 hazards of plain loads, reads of never-written words and gang
 divergence all become typed violations. Each cell's answer is also
@@ -1278,74 +1227,119 @@ checked against the Dijkstra oracle. Before the sweep, a planted-race
 specimen proves the detector fires. Exits non-zero unless the specimen
 is detected AND every cell is correct with zero violations. The sweep
 is deterministic: the same flags reproduce the same reports byte for
-byte.
+byte.",
+        "  --max N             violations to print per dirty cell (default 5)",
+        rdbs::conformance::registry::SANITIZE,
+    )
+}
 
-  --quick             reduced sweep (quick families, four entries, one source)
-  --entry SUBSTR      only entry points whose id contains SUBSTR
-  --graph SUBSTR      only families whose name contains SUBSTR
-  --frontier single|mlmq
-                      sanitize every RDBS-backed entry on this device
-                      frontier layout
-  --max N             violations to print per dirty cell (default 5)
+fn sanitize_main(args: Vec<String>) -> ! {
+    use rdbs::conformance as conf;
+    let mut max_print = 5usize;
+    let o = parse_sweep(args, sanitize_usage, |flag, val, _| {
+        match flag {
+            "--max" => max_print = num(&val(), sanitize_usage),
+            _ => return false,
+        }
+        true
+    });
 
-entry points:
-  {entries}",
-        entries =
-            rdbs::conformance::san_entries().iter().map(|e| e.id).collect::<Vec<_>>().join(" ")
+    // Liveness first: a green matrix from a dead detector is
+    // meaningless.
+    match conf::specimen_detected() {
+        Ok(()) => {
+            let v = conf::planted_race_specimen();
+            println!("specimen: planted race detected ({} violation(s)); first:", v.len());
+            println!("  {}", v[0]);
+        }
+        Err(e) => {
+            eprintln!("FAIL specimen: {e}");
+            exit(1);
+        }
+    }
+
+    let report = conf::run_sanitize(&o, |cell| {
+        println!(
+            "  {:<16} {:<16} source {:<3} {:>6} violation(s)  {}",
+            cell.entry_id,
+            cell.graph,
+            cell.source,
+            cell.total,
+            if cell.is_clean() { "clean" } else { "DIRTY" }
+        );
+        for v in cell.violations.iter().take(max_print) {
+            println!("      {v}");
+        }
+        if let Some(m) = &cell.mismatch {
+            println!("      mismatch: {m}");
+        }
+        if let Some(p) = &cell.panic {
+            println!("      panic: {p}");
+        }
+    });
+
+    println!(
+        "sanitize: {} cells, {} violation(s) total",
+        report.cells.len(),
+        report.total_violations()
     );
-    exit(2)
+    require_cells(report.cells.len());
+    if report.is_green() {
+        println!("sanitize: OK — zero violations, all answers correct");
+        exit(0);
+    }
+    for c in report.dirty_cells() {
+        println!(
+            "FAIL {} on {} (source {}): {} violation(s){}{}",
+            c.entry_id,
+            c.graph,
+            c.source,
+            c.total,
+            c.mismatch.as_deref().map(|m| format!(", mismatch: {m}")).unwrap_or_default(),
+            c.panic.as_deref().map(|p| format!(", panic: {p}")).unwrap_or_default(),
+        );
+    }
+    exit(1)
 }
 
 fn analyze_usage() -> ! {
-    eprintln!(
-        "usage: rdbs-cli analyze [options]
-
-Run every GPU entry point x frontier layout with the access-IR
+    sweep_usage(
+        "analyze",
+        "Run every GPU entry point x frontier layout with the access-IR
 recorder armed and verify the retained IR statically: per-kernel
 race-freedom certificates (race-free | sanctioned-racy | racy) that
 quantify over ALL lane interleavings, per-queue push-bound
 certificates (bounded | spilling | overflowing), a gang-divergence
-lint and a coalescing / atomic-contention report. Before the sweep,
-two specimens prove the verifier fires: the planted write-write race,
-and a schedule-hidden publish race the dynamic sanitizer misses under
-every permutation. Exits non-zero unless both specimens are caught AND
-no kernel is racy, no queue overflows, and every answer is correct.
-Deterministic: the same flags reproduce the same bytes.
-
-  --quick             reduced sweep (quick families, quick entries)
-  --entry SUBSTR      only entry points whose id contains SUBSTR
-  --frontier single|mlmq
-                      analyze only this frontier layout
-  --json              print the full report as JSON
+lint and a coalescing / atomic-contention report. Entries that accept a
+forced frontier run on every layout unless --frontier picks one.
+Before the sweep, two specimens prove the verifier fires: the planted
+write-write race, and a schedule-hidden publish race the dynamic
+sanitizer misses under every permutation. Exits non-zero unless both
+specimens are caught AND no kernel is racy, no queue overflows, and
+every answer is correct. Deterministic: the same flags reproduce the
+same bytes.",
+        "  --json              print the full report as JSON
   --write PATH        write the certificate baseline to PATH
   --check PATH        diff certificates against the baseline at PATH;
-                      fail on lost/downgraded/new-red certificates"
-    );
-    exit(2)
+                      fail on lost/downgraded/new-red certificates",
+        rdbs::conformance::registry::SANITIZE,
+    )
 }
 
 fn analyze_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
-    let mut o = conf::AnalyzeOptions::default();
     let mut json = false;
     let mut write_path: Option<String> = None;
     let mut check_path: Option<String> = None;
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| analyze_usage());
-        match flag.as_str() {
-            "--quick" => o.quick = true,
-            "--entry" => o.entry_filter = Some(val()),
-            "--frontier" => {
-                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| analyze_usage()));
-            }
+    let o = parse_sweep(args, analyze_usage, |flag, val, _| {
+        match flag {
             "--json" => json = true,
             "--write" => write_path = Some(val()),
             "--check" => check_path = Some(val()),
-            "--help" | "-h" => analyze_usage(),
-            _ => analyze_usage(),
+            _ => return false,
         }
-    }
+        true
+    });
 
     // With --json, stdout carries exactly one JSON document; all the
     // human-readable narration moves to stderr so the output pipes
@@ -1402,10 +1396,7 @@ fn analyze_main(args: Vec<String>) -> ! {
         }
     });
 
-    if report.cells.is_empty() {
-        eprintln!("error: the filters matched no entry x frontier cells — nothing was verified");
-        exit(2);
-    }
+    require_cells(report.cells.len());
     if json {
         print!("{}", conf::report_json(&report));
     }
@@ -1449,87 +1440,6 @@ fn analyze_main(args: Vec<String>) -> ! {
             c.key(),
             c.analysis.worst_verdict().name(),
             c.analysis.worst_queue_class().name(),
-            c.mismatch.as_deref().map(|m| format!(", mismatch: {m}")).unwrap_or_default(),
-            c.panic.as_deref().map(|p| format!(", panic: {p}")).unwrap_or_default(),
-        );
-    }
-    exit(1)
-}
-
-fn sanitize_main(args: Vec<String>) -> ! {
-    use rdbs::conformance as conf;
-    let mut o = conf::SanOptions::default();
-    let mut max_print = 5usize;
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| sanitize_usage());
-        match flag.as_str() {
-            "--quick" => o.quick = true,
-            "--entry" => o.entry_filter = Some(val()),
-            "--graph" => o.graph_filter = Some(val()),
-            "--frontier" => {
-                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| sanitize_usage()));
-            }
-            "--max" => max_print = val().parse().unwrap_or_else(|_| sanitize_usage()),
-            "--help" | "-h" => sanitize_usage(),
-            _ => sanitize_usage(),
-        }
-    }
-
-    // Liveness first: a green matrix from a dead detector is
-    // meaningless.
-    match conf::specimen_detected() {
-        Ok(()) => {
-            let v = conf::planted_race_specimen();
-            println!("specimen: planted race detected ({} violation(s)); first:", v.len());
-            println!("  {}", v[0]);
-        }
-        Err(e) => {
-            eprintln!("FAIL specimen: {e}");
-            exit(1);
-        }
-    }
-
-    let report = conf::run_sanitize(&o, |cell| {
-        println!(
-            "  {:<16} {:<16} source {:<3} {:>6} violation(s)  {}",
-            cell.entry_id,
-            cell.graph,
-            cell.source,
-            cell.total,
-            if cell.is_clean() { "clean" } else { "DIRTY" }
-        );
-        for v in cell.violations.iter().take(max_print) {
-            println!("      {v}");
-        }
-        if let Some(m) = &cell.mismatch {
-            println!("      mismatch: {m}");
-        }
-        if let Some(p) = &cell.panic {
-            println!("      panic: {p}");
-        }
-    });
-
-    println!(
-        "sanitize: {} cells, {} violation(s) total",
-        report.cells.len(),
-        report.total_violations()
-    );
-    if report.cells.is_empty() {
-        eprintln!("error: the filters matched no (entry, graph) cells — nothing was swept");
-        exit(2);
-    }
-    if report.is_green() {
-        println!("sanitize: OK — zero violations, all answers correct");
-        exit(0);
-    }
-    for c in report.dirty_cells() {
-        println!(
-            "FAIL {} on {} (source {}): {} violation(s){}{}",
-            c.entry_id,
-            c.graph,
-            c.source,
-            c.total,
             c.mismatch.as_deref().map(|m| format!(", mismatch: {m}")).unwrap_or_default(),
             c.panic.as_deref().map(|p| format!(", panic: {p}")).unwrap_or_default(),
         );

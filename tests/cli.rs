@@ -121,6 +121,26 @@ fn fuzz_schedules_quick_run_is_green() {
     assert!(stdout.contains("specimen alive"), "stdout: {stdout}");
 }
 
+/// `--quick` narrows every sweep, so leaving it off reaches the full
+/// one — here the fuzzer's five families instead of the quick two.
+#[test]
+fn fuzz_schedules_without_quick_runs_the_full_sweep() {
+    let runs = |quick: bool| {
+        let mut args = vec!["fuzz-schedules", "--entry", "gpu/full", "--perms", "1"];
+        if quick {
+            args.push("--quick");
+        }
+        let out = cli().args(&args).output().expect("cli must run");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let runs = stdout.lines().find_map(|l| {
+            l.strip_prefix("fuzz-schedules: ")?.split(' ').next()?.parse::<usize>().ok()
+        });
+        runs.unwrap_or_else(|| panic!("no run count in: {stdout}"))
+    };
+    assert!(runs(false) > runs(true), "the full sweep ran no more cells than --quick");
+}
+
 #[test]
 fn t4_device_and_seed_flags() {
     let out = cli()

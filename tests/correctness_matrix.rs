@@ -6,8 +6,9 @@
 //! `rdbs-cli verify`); these tests drive the same harness so the
 //! in-tree matrix and the CLI can never drift apart.
 
+use rdbs::conformance::registry::DIFFERENTIAL;
 use rdbs::conformance::{
-    all, by_id, run_matrix, shrink, with_faults, MatrixOptions, FAULT_OFF_BY_ONE,
+    all, by_id, run_matrix, shrink, with_faults, SweepOptions, FAULT_OFF_BY_ONE,
 };
 use rdbs::graph::builder::{build_undirected, EdgeList};
 use rdbs::graph::generate::{erdos_renyi, uniform_weights};
@@ -18,8 +19,9 @@ use rdbs::sssp::validate::check_against;
 
 #[test]
 fn every_implementation_matches_dijkstra() {
-    let report = run_matrix(&MatrixOptions::default(), |_, _, _, _| {});
-    assert!(report.impls_run >= all().len(), "registry shrank");
+    let report = run_matrix(&SweepOptions::default(), |_, _, _, _| {});
+    let differential = all().iter().filter(|e| e.has(DIFFERENTIAL)).count();
+    assert!(report.impls_run >= differential, "registry shrank");
     assert!(report.graphs_run >= 5, "family list shrank");
     assert!(
         report.is_green(),
@@ -39,11 +41,11 @@ fn injected_fault_is_caught_and_minimized() {
     // End-to-end acceptance: the deliberate off-by-one specimen must be
     // flagged by the matrix and then shrink to a replayable witness of
     // at most 20 vertices.
-    let opts = MatrixOptions {
+    let opts = SweepOptions {
         quick: true,
-        impl_filter: Some("fault/".into()),
+        entry_filter: Some("fault/".into()),
         include_faults: true,
-        ..MatrixOptions::default()
+        ..SweepOptions::default()
     };
     let report = run_matrix(&opts, |_, _, _, _| {});
     assert!(!report.is_green(), "fault specimen went undetected");
