@@ -4,23 +4,29 @@
 //! interleaving and the schedule fuzzer checks N *sampled* lane
 //! permutations; a race that no sampled schedule exercises ships
 //! silently. This module retains a **bounded per-race-window access
-//! summary** — per touched buffer word: which access classes hit it,
-//! how often, and the first two *distinct threads* per class — and the
+//! summary** — per touched buffer word: which access classes hit it
+//! and the first two *distinct threads* per class — and the
 //! happens-before structure that orders windows (barriers, snapshot
 //! kernel boundaries). Within a window every pair of lanes is treated
 //! as concurrent, so any verdict computed over this IR quantifies over
 //! **all** interleavings, not one.
 //!
 //! Memory stays O(touched words per window), not O(ops): the recorder
-//! keeps two accessors per (word, class) — enough to witness every
-//! pairwise hazard — plus lifetime contention tables folded at window
-//! close. Full traces are never retained (the warp-local
-//! [`crate::trace::LaneTrace`] replay still discards them per warp).
+//! keeps two accessors per (word, class) it saw — enough to witness
+//! every pairwise hazard — in the dense window table it shares with the
+//! sanitizer ([`crate::shadow`]), plus lifetime contention tables
+//! (vectors by label id, lane or word index) folded into the label-keyed
+//! [`AccessIr`] maps at [`IrState`] finish. Full traces are never
+//! retained (the warp-local [`crate::trace::LaneTrace`] replay still
+//! discards them per warp).
 //!
 //! The IR is consumed by the `rdbs-statan` crate, which runs the
 //! hazard matrix over it and emits typed per-kernel certificates.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+
+use crate::shadow::{narrow, slot, Labels, Names, Thread, Window, Word};
 
 /// Identity of one access. `(wave, lane)` is the *thread key*: two
 /// accesses sharing it are program-ordered; any two accesses in the
@@ -64,62 +70,64 @@ pub enum AccessClass {
 }
 
 /// Bounded summary of one access class on one word within a window:
-/// a count plus the first two accessors from distinct threads. Two
-/// witnesses suffice to decide every pairwise hazard, so retention is
-/// O(1) per (word, class) no matter how many lanes pile on.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClassSummary {
-    /// Accesses of this class on this word in the current window.
-    pub count: u64,
-    /// First accessor observed.
-    pub first: Option<IrAccessor>,
-    /// First accessor observed on a *different thread* than `first`.
-    pub second: Option<IrAccessor>,
+/// the first accessor, and the first from a *different thread*
+/// (`second` equals `first` until one arrives). Two witnesses suffice
+/// to decide every pairwise hazard, so retention is O(1) per (word,
+/// class) no matter how many lanes pile on.
+#[derive(Clone, Copy, Debug)]
+struct Witnesses {
+    first: Thread,
+    second: Thread,
 }
 
-impl ClassSummary {
+impl Witnesses {
+    fn new(a: Thread) -> Self {
+        Self { first: a, second: a }
+    }
+
     #[inline]
-    fn note(&mut self, a: IrAccessor) {
-        self.count += 1;
-        match self.first {
-            None => self.first = Some(a),
-            Some(f) if self.second.is_none() && !f.same_thread(&a) => self.second = Some(a),
-            _ => {}
+    fn note(&mut self, a: Thread) {
+        if self.second.same_thread(self.first) && !self.first.same_thread(a) {
+            self.second = a;
         }
+    }
+
+    /// The first accessor from a different thread than `first`.
+    #[inline]
+    fn second(&self) -> Option<Thread> {
+        (!self.second.same_thread(self.first)).then_some(self.second)
     }
 
     /// A pair of distinct-thread accessors within this class, if two
     /// different threads used it.
     #[inline]
-    pub fn self_pair(&self) -> Option<(IrAccessor, IrAccessor)> {
-        Some((self.first?, self.second?))
+    fn self_pair(&self) -> Option<(Thread, Thread)> {
+        Some((self.first, self.second()?))
     }
 
     /// A pair of distinct-thread accessors, one from `self`, one from
     /// `other` (cross-class hazard witness).
     #[inline]
-    pub fn cross_pair(&self, other: &ClassSummary) -> Option<(IrAccessor, IrAccessor)> {
-        let (a, b) = (self.first?, other.first?);
-        if !a.same_thread(&b) {
+    fn cross_pair(&self, other: &Witnesses) -> Option<(Thread, Thread)> {
+        let (a, b) = (self.first, other.first);
+        if !a.same_thread(b) {
             return Some((a, b));
         }
-        if let Some(b2) = other.second {
+        if let Some(b2) = other.second() {
             return Some((a, b2));
         }
-        let a2 = self.second?;
-        Some((a2, b))
+        Some((self.second()?, b))
     }
 }
 
-/// Per-word access summary within one race window.
-#[derive(Clone, Copy, Debug)]
-pub struct WordSummary {
-    /// Buffer label the word belongs to.
-    pub buffer: &'static str,
-    /// Word index within the buffer.
-    pub index: u32,
-    /// One summary per [`AccessClass`], indexed by discriminant.
-    pub classes: [ClassSummary; 5],
+/// [`Witnesses::self_pair`] of a class the word may not have seen.
+fn self_pair(c: Option<Witnesses>) -> Option<(Thread, Thread)> {
+    c?.self_pair()
+}
+
+/// [`Witnesses::cross_pair`] of two classes the word may not have seen.
+fn cross_pair(a: Option<Witnesses>, b: Option<Witnesses>) -> Option<(Thread, Thread)> {
+    a?.cross_pair(&b?)
 }
 
 /// Hazard classes the closure derives from a window. The first four
@@ -315,7 +323,8 @@ pub struct AccessIr {
 
 #[derive(Clone, Copy, Debug, Default)]
 struct LaneSig {
-    gang: u64,
+    present: bool,
+    gang: u32,
     sig: u64,
     children: u64,
 }
@@ -331,30 +340,48 @@ struct QueueTrack {
     drops: u64,
 }
 
+/// The queues whose tail cursor / overflow counter sit at one address.
+#[derive(Clone, Copy, Debug, Default)]
+struct QueueCell {
+    tail_of: Option<u32>,
+    overflow_of: Option<u32>,
+}
+
 /// Armed IR recorder, owned by the device (see [`crate::Device::arm_ir`]).
 /// Purely observational: arming must not perturb results, timing, or
 /// counters.
 pub struct IrState {
-    window: HashMap<u64, WordSummary>,
+    /// The current race window: per touched word, its `(label id,
+    /// index)` and the witnesses of every class it saw.
+    window: Window<(u32, u32), Witnesses>,
     window_snapshot: bool,
-    wave: u64,
-    kernel: &'static str,
+    wave: u32,
+    kernel: u32,
+    kernel_names: Names,
+    labels: Labels,
     stream: u32,
-    /// Dedup map: (kind, buffer, kernel-pair) → index into `hazards`.
-    seen: HashMap<(HazardKind, &'static str, &'static str, &'static str), usize>,
+    /// Dedup index: (kind, label id, kernel-id pair) → index into
+    /// `hazards`. Consulted per hazard at window close, not per access.
+    seen: HashMap<(HazardKind, u32, u32, u32), usize>,
     hazards: Vec<Hazard>,
-    kernels: BTreeMap<&'static str, KernelStats>,
-    /// Current wave's per-lane op-kind signature (FNV) + child counts.
-    wave_lanes: BTreeMap<u64, LaneSig>,
+    /// Per kernel id; `None` until the kernel is first seen.
+    kernels: Vec<Option<KernelStats>>,
+    /// Current wave's per-lane op-kind signature (FNV) + child counts,
+    /// by lane.
+    wave_lanes: Vec<LaneSig>,
     wave_lane_count: u64,
     queues: Vec<QueueTrack>,
-    tail_index: HashMap<u64, usize>,
-    overflow_index: HashMap<u64, usize>,
-    traffic: BTreeMap<&'static str, BufferTraffic>,
-    /// Per-buffer last (lane, index) for adjacent-lane stride pairing;
-    /// cleared each wave.
-    last_touch: HashMap<&'static str, (u64, u32)>,
-    atomic_sites: BTreeMap<(&'static str, u32), u64>,
+    /// Arena word → 1 + index into `cells`; 0 = no declared queue cell
+    /// (4 bytes per arena word up to the highest declared cell).
+    cell_index: Vec<u32>,
+    cells: Vec<QueueCell>,
+    /// Per label id.
+    traffic: Vec<BufferTraffic>,
+    /// Per label id: the wave's last `(lane, index)` for adjacent-lane
+    /// stride pairing; cleared each wave.
+    last_touch: Vec<Option<(u32, u32)>>,
+    /// Per label id, per word index: atomics.
+    atomic_sites: Vec<Vec<u64>>,
     windows: u64,
     peak_window_words: u64,
 }
@@ -365,39 +392,64 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 impl IrState {
     /// Fresh recorder.
     pub fn new() -> Self {
+        let mut kernel_names = Names::default();
+        // Accesses before the first wave run under the empty name.
+        let kernel = kernel_names.intern("");
         Self {
-            window: HashMap::new(),
+            window: Window::default(),
             window_snapshot: false,
             wave: 0,
-            kernel: "",
+            kernel,
+            kernel_names,
+            labels: Labels::default(),
             stream: 0,
             seen: HashMap::new(),
             hazards: Vec::new(),
-            kernels: BTreeMap::new(),
-            wave_lanes: BTreeMap::new(),
+            kernels: Vec::new(),
+            wave_lanes: Vec::new(),
             wave_lane_count: 0,
             queues: Vec::new(),
-            tail_index: HashMap::new(),
-            overflow_index: HashMap::new(),
-            traffic: BTreeMap::new(),
-            last_touch: HashMap::new(),
-            atomic_sites: BTreeMap::new(),
+            cell_index: Vec::new(),
+            cells: Vec::new(),
+            traffic: Vec::new(),
+            last_touch: Vec::new(),
+            atomic_sites: Vec::new(),
             windows: 0,
             peak_window_words: 0,
         }
+    }
+
+    /// The queue roles of the word at `addr`.
+    #[inline]
+    fn cell(&self, addr: u64) -> QueueCell {
+        match self.cell_index.get((addr / 4) as usize) {
+            Some(&c) if c != 0 => self.cells[c as usize - 1],
+            _ => QueueCell::default(),
+        }
+    }
+
+    fn cell_mut(&mut self, addr: u64) -> &mut QueueCell {
+        assert!(addr.is_multiple_of(4), "unaligned queue cell {addr:#x}");
+        let c = slot(&mut self.cell_index, narrow(addr / 4, "arena word"));
+        if *c == 0 {
+            self.cells.push(QueueCell::default());
+            *c = narrow(self.cells.len() as u64, "queue cell");
+        }
+        &mut self.cells[*c as usize - 1]
     }
 
     /// Register a device queue so tail/overflow traffic is certified
     /// against its capacity class. Re-declaring the same tail address
     /// replaces the declaration (pooled queues get re-assembled).
     pub fn declare_queue(&mut self, decl: QueueDecl) {
-        if let Some(&i) = self.tail_index.get(&decl.tail_addr) {
-            self.overflow_index.remove(&self.queues[i].decl.overflow_addr);
-            self.queues[i].decl = decl;
-            self.overflow_index.insert(decl.overflow_addr, i);
+        if let Some(i) = self.cell(decl.tail_addr).tail_of {
+            let old = self.queues[i as usize].decl.overflow_addr;
+            self.cell_mut(old).overflow_of = None;
+            self.queues[i as usize].decl = decl;
+            self.cell_mut(decl.overflow_addr).overflow_of = Some(i);
             return;
         }
-        let i = self.queues.len();
+        let i = narrow(self.queues.len() as u64, "queue");
         self.queues.push(QueueTrack {
             decl,
             epoch: 0,
@@ -407,12 +459,17 @@ impl IrState {
             max_window_pushes: 0,
             drops: 0,
         });
-        self.tail_index.insert(decl.tail_addr, i);
-        self.overflow_index.insert(decl.overflow_addr, i);
+        self.cell_mut(decl.tail_addr).tail_of = Some(i);
+        self.cell_mut(decl.overflow_addr).overflow_of = Some(i);
     }
 
     pub(crate) fn set_stream(&mut self, stream: u32) {
         self.stream = stream;
+    }
+
+    /// This kernel's stats, created on first sight.
+    fn kernel_stats(&mut self) -> &mut KernelStats {
+        slot(&mut self.kernels, self.kernel).get_or_insert_with(KernelStats::default)
     }
 
     pub(crate) fn begin_wave(&mut self, kernel: &'static str, snapshot: bool) {
@@ -422,10 +479,10 @@ impl IrState {
             // the kernel becomes its own window.
             self.close_window();
         }
-        self.wave += 1;
-        self.kernel = kernel;
+        self.wave = narrow(u64::from(self.wave) + 1, "wave");
+        self.kernel = self.kernel_names.intern(kernel);
         self.window_snapshot = snapshot;
-        let st = self.kernels.entry(kernel).or_default();
+        let st = self.kernel_stats();
         st.waves += 1;
         if snapshot {
             st.snapshot = true;
@@ -439,8 +496,9 @@ impl IrState {
 
     pub(crate) fn end_wave(&mut self) {
         self.check_gangs();
-        let st = self.kernels.entry(self.kernel).or_default();
-        st.max_lanes = st.max_lanes.max(self.wave_lane_count);
+        let lanes = self.wave_lane_count;
+        let st = self.kernel_stats();
+        st.max_lanes = st.max_lanes.max(lanes);
         if self.window_snapshot {
             self.close_window();
             self.window_snapshot = false;
@@ -453,41 +511,35 @@ impl IrState {
         self.close_window();
     }
 
-    fn accessor(&self, lane: u64, gang: u64) -> IrAccessor {
-        IrAccessor { wave: self.wave, lane, gang, kernel: self.kernel }
-    }
-
-    fn note_lane(&mut self, lane: u64, gang: u64, kind_tag: u8) {
-        let count = &mut self.wave_lane_count;
-        let e = self.wave_lanes.entry(lane).or_insert_with(|| {
-            *count += 1;
-            LaneSig { gang, sig: FNV_OFFSET, children: 0 }
-        });
+    fn note_lane(&mut self, lane: u32, gang: u32, kind_tag: u8) -> &mut LaneSig {
+        let e = slot(&mut self.wave_lanes, lane);
+        if !e.present {
+            *e = LaneSig { present: true, gang, sig: FNV_OFFSET, children: 0 };
+            self.wave_lane_count += 1;
+        }
         e.sig = (e.sig ^ kind_tag as u64).wrapping_mul(FNV_PRIME);
+        e
     }
 
-    fn note_word(
-        &mut self,
-        addr: u64,
-        class: AccessClass,
-        a: IrAccessor,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        let w = self.window.entry(addr).or_insert(WordSummary {
-            buffer,
-            index,
-            classes: [ClassSummary::default(); 5],
-        });
-        w.classes[class as usize].note(a);
+    /// The bookkeeping every memory hook shares: the window witness,
+    /// the lane signature and the stride pairing. Returns the label id
+    /// for the hook's traffic counter.
+    #[inline]
+    fn access(&mut self, w: Word, lane: u64, gang: u64, class: AccessClass, kind_tag: u8) -> u32 {
+        let a = Thread::new(self.wave, lane, gang, self.kernel);
+        let label = self.labels.id(w.buf, w.label);
+        let pos = self.window.word(w.addr, || (label, w.index));
+        match self.window.class_mut(pos, class as u8) {
+            Some(c) => c.note(a),
+            None => self.window.insert(pos, class as u8, Witnesses::new(a)),
+        }
         self.peak_window_words = self.peak_window_words.max(self.window.len() as u64);
-    }
-
-    fn note_stride(&mut self, buffer: &'static str, lane: u64, index: u32) {
-        if let Some(&(ll, li)) = self.last_touch.get(buffer) {
-            if lane == ll + 1 {
-                let t = self.traffic.entry(buffer).or_default();
-                match (index as i64 - li as i64).unsigned_abs() {
+        self.note_lane(a.lane, a.gang, kind_tag);
+        let last = slot(&mut self.last_touch, label);
+        if let Some((ll, li)) = *last {
+            if u64::from(a.lane) == u64::from(ll) + 1 {
+                let t = slot(&mut self.traffic, label);
+                match (i64::from(w.index) - i64::from(li)).unsigned_abs() {
                     0 => t.same_word += 1,
                     1 => t.unit_stride += 1,
                     2..=32 => t.strided += 1,
@@ -495,83 +547,45 @@ impl IrState {
                 }
             }
         }
-        self.last_touch.insert(buffer, (lane, index));
+        *last = Some((a.lane, w.index));
+        label
     }
 
     /// Plain or volatile load hook.
-    pub(crate) fn on_load(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        volatile: bool,
-    ) {
-        let a = self.accessor(lane, gang);
+    pub(crate) fn on_load(&mut self, w: Word, lane: u64, gang: u64, volatile: bool) {
         let class = if volatile { AccessClass::VolatileLoad } else { AccessClass::PlainLoad };
-        self.note_word(addr, class, a, buffer, index);
-        self.note_lane(lane, gang, 1);
-        self.traffic.entry(buffer).or_default().loads += 1;
-        self.note_stride(buffer, lane, index);
+        let label = self.access(w, lane, gang, class, 1);
+        slot(&mut self.traffic, label).loads += 1;
     }
 
     /// Plain store hook.
-    pub(crate) fn on_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        let a = self.accessor(lane, gang);
-        self.note_word(addr, AccessClass::Store, a, buffer, index);
-        self.note_lane(lane, gang, 2);
-        self.traffic.entry(buffer).or_default().stores += 1;
-        self.note_stride(buffer, lane, index);
+    pub(crate) fn on_store(&mut self, w: Word, lane: u64, gang: u64) {
+        let label = self.access(w, lane, gang, AccessClass::Store, 2);
+        slot(&mut self.traffic, label).stores += 1;
     }
 
     /// Atomic RMW hook (all four flavours).
-    pub(crate) fn on_atomic(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        self.on_atomic_bulk(addr, lane, gang, buffer, index, 1);
+    pub(crate) fn on_atomic(&mut self, w: Word, lane: u64, gang: u64) {
+        self.on_atomic_bulk(w, lane, gang, 1);
     }
 
     /// Atomic RMW hook for a gang-aggregated bump: one instruction
     /// whose operand covers `n` logical pushes (or drops). Queue
     /// accounting stays per-element-exact under aggregation; the
     /// contention tables count the single instruction that ran.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_atomic_bulk(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        n: u64,
-    ) {
-        let a = self.accessor(lane, gang);
-        self.note_word(addr, AccessClass::Atomic, a, buffer, index);
-        self.note_lane(lane, gang, 3);
-        self.traffic.entry(buffer).or_default().atomics += 1;
-        *self.atomic_sites.entry((buffer, index)).or_default() += 1;
-        self.note_stride(buffer, lane, index);
-        if let Some(&i) = self.tail_index.get(&addr) {
-            let q = &mut self.queues[i];
+    pub(crate) fn on_atomic_bulk(&mut self, w: Word, lane: u64, gang: u64, n: u64) {
+        let label = self.access(w, lane, gang, AccessClass::Atomic, 3);
+        slot(&mut self.traffic, label).atomics += 1;
+        *slot(slot(&mut self.atomic_sites, label), w.index) += 1;
+        let cell = self.cell(w.addr);
+        if let Some(i) = cell.tail_of {
+            let q = &mut self.queues[i as usize];
             q.epoch += n;
             q.pushes += n;
             q.window_pushes += n;
             q.high_water = q.high_water.max(q.epoch);
-        } else if let Some(&i) = self.overflow_index.get(&addr) {
-            self.queues[i].drops += n;
+        } else if let Some(i) = cell.overflow_of {
+            self.queues[i as usize].drops += n;
         }
     }
 
@@ -580,117 +594,95 @@ impl IrState {
     /// traffic (it is one at the ISA level), classed separately so the
     /// hazard matrix can sanction it like the atomic-exchange publish
     /// it replaces.
-    pub(crate) fn on_reserved_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        let a = self.accessor(lane, gang);
-        self.note_word(addr, AccessClass::ReservedStore, a, buffer, index);
-        self.note_lane(lane, gang, 5);
-        self.traffic.entry(buffer).or_default().stores += 1;
-        self.note_stride(buffer, lane, index);
+    pub(crate) fn on_reserved_store(&mut self, w: Word, lane: u64, gang: u64) {
+        let label = self.access(w, lane, gang, AccessClass::ReservedStore, 5);
+        slot(&mut self.traffic, label).stores += 1;
     }
 
     /// Dynamic-parallelism child launch hook.
     pub(crate) fn on_child_launch(&mut self, lane: u64, gang: u64) {
-        self.note_lane(lane, gang, 4);
-        if let Some(e) = self.wave_lanes.get_mut(&lane) {
-            e.children += 1;
-        }
+        self.note_lane(narrow(lane, "lane"), narrow(gang, "gang"), 4).children += 1;
     }
 
     /// Host-side word write (e.g. a drain resetting a queue tail):
     /// host writes happen between waves and re-anchor the mirrored
     /// tail epoch.
     pub(crate) fn on_host_write(&mut self, addr: u64, val: u32) {
-        if let Some(&i) = self.tail_index.get(&addr) {
-            self.queues[i].epoch = val as u64;
+        if let Some(i) = self.cell(addr).tail_of {
+            self.queues[i as usize].epoch = val as u64;
         }
     }
 
     fn check_gangs(&mut self) {
-        // Group the wave's lanes by gang (BTreeMap iteration is lane-
-        // ordered; gangs own consecutive phys lanes, so one linear scan
-        // groups them).
+        // Group the wave's lanes by gang: gangs own consecutive phys
+        // lanes, so one lane-ordered scan groups them.
         let mut checked = 0u64;
         let mut divergent = 0u64;
         let mut child_div = 0u64;
-        let mut cur_gang = u64::MAX;
         let mut first: Option<LaneSig> = None;
         let mut members = 0u64;
         let mut sig_mismatch = false;
         let mut child_mismatch = false;
-        let flush = |members: u64,
-                     sig_mismatch: bool,
-                     child_mismatch: bool,
-                     checked: &mut u64,
-                     divergent: &mut u64,
-                     child_div: &mut u64| {
+        let mut flush = |members: u64, sig_mismatch: bool, child_mismatch: bool| {
             if members >= 2 {
-                *checked += 1;
-                if sig_mismatch {
-                    *divergent += 1;
-                }
-                if child_mismatch {
-                    *child_div += 1;
-                }
+                checked += 1;
+                divergent += u64::from(sig_mismatch);
+                child_div += u64::from(child_mismatch);
             }
         };
-        for sig in self.wave_lanes.values() {
-            if sig.gang != cur_gang {
-                flush(
-                    members,
-                    sig_mismatch,
-                    child_mismatch,
-                    &mut checked,
-                    &mut divergent,
-                    &mut child_div,
-                );
-                cur_gang = sig.gang;
-                first = Some(*sig);
-                members = 1;
-                sig_mismatch = false;
-                child_mismatch = false;
-            } else {
-                members += 1;
-                let f = first.expect("first lane of gang recorded");
-                sig_mismatch |= sig.sig != f.sig;
-                child_mismatch |= sig.children != f.children;
+        for sig in self.wave_lanes.iter().filter(|s| s.present) {
+            match first {
+                Some(f) if f.gang == sig.gang => {
+                    members += 1;
+                    sig_mismatch |= sig.sig != f.sig;
+                    child_mismatch |= sig.children != f.children;
+                }
+                _ => {
+                    flush(members, sig_mismatch, child_mismatch);
+                    first = Some(*sig);
+                    members = 1;
+                    sig_mismatch = false;
+                    child_mismatch = false;
+                }
             }
         }
-        flush(members, sig_mismatch, child_mismatch, &mut checked, &mut divergent, &mut child_div);
-        let st = self.kernels.entry(self.kernel).or_default();
+        flush(members, sig_mismatch, child_mismatch);
+        let st = self.kernel_stats();
         st.gangs_checked += checked;
         st.gangs_divergent += divergent;
         st.child_divergent += child_div;
     }
 
+    fn accessor(&self, t: Thread) -> IrAccessor {
+        IrAccessor {
+            wave: u64::from(t.wave),
+            lane: u64::from(t.lane),
+            gang: u64::from(t.gang),
+            kernel: self.kernel_names.name(t.kernel),
+        }
+    }
+
     fn record_hazard(
         &mut self,
         kind: HazardKind,
-        buffer: &'static str,
-        index: u32,
+        (label, index): (u32, u32),
         addr: u64,
-        pair: (IrAccessor, IrAccessor),
+        pair: Option<(Thread, Thread)>,
     ) {
-        let (a, b) = pair;
-        // Symmetric kernel pair: order lexicographically for dedup.
-        let (k1, k2) =
-            if a.kernel <= b.kernel { (a.kernel, b.kernel) } else { (b.kernel, a.kernel) };
-        match self.seen.get(&(kind, buffer, k1, k2)) {
-            Some(&i) => self.hazards[i].words += 1,
-            None => {
-                self.seen.insert((kind, buffer, k1, k2), self.hazards.len());
+        let Some((a, b)) = pair else { return };
+        // Symmetric kernel pair: order the ids for dedup.
+        let key = (kind, label, a.kernel.min(b.kernel), a.kernel.max(b.kernel));
+        match self.seen.entry(key) {
+            Entry::Occupied(e) => self.hazards[*e.get()].words += 1,
+            Entry::Vacant(e) => {
+                e.insert(self.hazards.len());
+                let accessors = [self.accessor(a), self.accessor(b)];
                 self.hazards.push(Hazard {
                     kind,
-                    buffer,
+                    buffer: self.labels.names.name(label),
                     index,
                     addr,
-                    accessors: [a, b],
+                    accessors,
                     snapshot_window: self.window_snapshot,
                     words: 1,
                 });
@@ -701,75 +693,50 @@ impl IrState {
     /// Run the hazard matrix over the closing window and drop it.
     /// Every surviving fact is O(1)-sized; unshared words vanish here.
     fn close_window(&mut self) {
-        if !self.window.is_empty() {
+        if self.window.len() > 0 {
             self.windows += 1;
         }
-        // Deterministic order: sort the touched addresses.
-        let mut addrs: Vec<u64> = self.window.keys().copied().collect();
-        addrs.sort_unstable();
         let snapshot = self.window_snapshot;
-        for addr in addrs {
-            let w = self.window[&addr];
-            let [pl, vl, st, at, rs] = w.classes;
+        let mut window = std::mem::take(&mut self.window);
+        // Deterministic order: ascending address.
+        window.close(|addr, at, classes| {
+            let [pl, vl, st, atomic, rs] = classes;
             use HazardKind::*;
             // Red hazards first, then sanctioned idioms; every
             // applicable kind is recorded (dedup bounds the volume).
-            if let Some(p) = st.self_pair() {
-                self.record_hazard(WriteWrite, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = st.cross_pair(&at) {
-                self.record_hazard(MixedAtomic, w.buffer, w.index, addr, p);
-            }
+            self.record_hazard(WriteWrite, at, addr, self_pair(st));
+            self.record_hazard(MixedAtomic, at, addr, cross_pair(st, atomic));
             // A plain store against a reserved store is still a plain
             // store against concurrent traffic: the reserved side owns
             // its slot, the plain side owns nothing.
-            if let Some(p) = st.cross_pair(&rs) {
-                self.record_hazard(WriteWrite, w.buffer, w.index, addr, p);
-            }
+            self.record_hazard(WriteWrite, at, addr, cross_pair(st, rs));
             if !snapshot {
                 // Plain loads read the kernel-entry snapshot inside a
                 // synchronous kernel, so they only race in live windows.
-                if let Some(p) = pl.cross_pair(&st) {
-                    self.record_hazard(SnapshotRead, w.buffer, w.index, addr, p);
-                }
-                if let Some(p) = pl.cross_pair(&at) {
-                    self.record_hazard(SnapshotRead, w.buffer, w.index, addr, p);
-                }
-                if let Some(p) = pl.cross_pair(&rs) {
-                    self.record_hazard(SnapshotRead, w.buffer, w.index, addr, p);
-                }
+                self.record_hazard(SnapshotRead, at, addr, cross_pair(pl, st));
+                self.record_hazard(SnapshotRead, at, addr, cross_pair(pl, atomic));
+                self.record_hazard(SnapshotRead, at, addr, cross_pair(pl, rs));
             }
-            if let Some(p) = st.cross_pair(&vl) {
-                self.record_hazard(UnsanctionedPublish, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = at.self_pair() {
-                self.record_hazard(AtomicShared, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = vl.cross_pair(&at) {
-                self.record_hazard(VolatileRead, w.buffer, w.index, addr, p);
-            }
+            self.record_hazard(UnsanctionedPublish, at, addr, cross_pair(st, vl));
+            self.record_hazard(AtomicShared, at, addr, self_pair(atomic));
+            self.record_hazard(VolatileRead, at, addr, cross_pair(vl, atomic));
             // Reserved publishes: slot ownership gives them atomic-
             // exchange discipline against each other, against genuine
             // atomics (a recycled slot raced by a scalar exchange), and
             // against live volatile readers (the drain side).
-            if let Some(p) = rs.self_pair() {
-                self.record_hazard(ReservedPublish, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = rs.cross_pair(&at) {
-                self.record_hazard(ReservedPublish, w.buffer, w.index, addr, p);
-            }
-            if let Some(p) = vl.cross_pair(&rs) {
-                self.record_hazard(ReservedPublish, w.buffer, w.index, addr, p);
-            }
-        }
-        self.window.clear();
+            self.record_hazard(ReservedPublish, at, addr, self_pair(rs));
+            self.record_hazard(ReservedPublish, at, addr, cross_pair(rs, atomic));
+            self.record_hazard(ReservedPublish, at, addr, cross_pair(vl, rs));
+        });
+        self.window = window;
         for q in &mut self.queues {
             q.max_window_pushes = q.max_window_pushes.max(q.window_pushes);
             q.window_pushes = 0;
         }
     }
 
-    /// Close the trailing window and hand back the retained IR.
+    /// Close the trailing window and hand back the retained IR, folding
+    /// the dense lifetime tables into its label-keyed maps.
     pub(crate) fn finish(mut self) -> AccessIr {
         self.close_window();
         let mut queues: Vec<QueueUsage> = self
@@ -786,12 +753,25 @@ impl IrState {
         queues.sort_by(|a, b| {
             (a.decl.label, a.decl.tail_addr).cmp(&(b.decl.label, b.decl.tail_addr))
         });
+        let kernel_names = &self.kernel_names;
+        let labels = &self.labels.names;
         AccessIr {
-            kernels: self.kernels,
+            kernels: (self.kernels.iter().enumerate())
+                .filter_map(|(id, st)| st.map(|st| (kernel_names.name(id as u32), st)))
+                .collect(),
             hazards: self.hazards,
             queues,
-            traffic: self.traffic,
-            atomic_sites: self.atomic_sites,
+            traffic: (self.traffic.iter().enumerate())
+                .filter(|(_, t)| t.loads + t.stores + t.atomics > 0)
+                .map(|(id, &t)| (labels.name(id as u32), t))
+                .collect(),
+            atomic_sites: (self.atomic_sites.iter().enumerate())
+                .flat_map(|(id, sites)| {
+                    (sites.iter().enumerate())
+                        .filter(|(_, &n)| n > 0)
+                        .map(move |(i, &n)| ((labels.name(id as u32), i as u32), n))
+                })
+                .collect(),
             windows: self.windows,
             peak_window_words: self.peak_window_words,
         }
@@ -808,46 +788,56 @@ impl Default for IrState {
 mod tests {
     use super::*;
 
-    fn acc(wave: u64, lane: u64) -> IrAccessor {
-        IrAccessor { wave, lane, gang: lane, kernel: "k" }
+    fn th(wave: u32, lane: u64) -> Thread {
+        Thread::new(wave, lane, lane, 0)
+    }
+
+    fn at(addr: u64, label: &'static str, index: u32) -> Word {
+        Word { addr, buf: 0, label, index }
     }
 
     #[test]
     fn class_summary_keeps_two_distinct_threads() {
-        let mut c = ClassSummary::default();
-        c.note(acc(1, 0));
-        c.note(acc(1, 0)); // same thread — not a second witness
+        let mut c = Witnesses::new(th(1, 0));
+        c.note(th(1, 0)); // same thread — not a second witness
         assert!(c.self_pair().is_none());
-        c.note(acc(1, 3));
-        c.note(acc(1, 7)); // third thread — bounded retention ignores it
+        c.note(th(1, 3));
+        c.note(th(1, 7)); // third thread — bounded retention ignores it
         let (a, b) = c.self_pair().expect("two distinct threads seen");
         assert_eq!((a.lane, b.lane), (0, 3));
-        assert_eq!(c.count, 4);
     }
 
     #[test]
     fn cross_pair_skips_shared_thread() {
-        let mut a = ClassSummary::default();
-        let mut b = ClassSummary::default();
-        a.note(acc(1, 5));
-        b.note(acc(1, 5)); // same thread in both classes: no pair yet
+        let a = Witnesses::new(th(1, 5));
+        let mut b = Witnesses::new(th(1, 5)); // same thread in both classes: no pair yet
         assert!(a.cross_pair(&b).is_none());
-        b.note(acc(1, 6));
+        b.note(th(1, 6));
         let (x, y) = a.cross_pair(&b).expect("distinct pair via second");
         assert_eq!((x.lane, y.lane), (5, 6));
+    }
+
+    #[test]
+    fn wave_counter_panics_past_u32_instead_of_wrapping() {
+        let mut ir = IrState::new();
+        ir.wave = u32::MAX;
+        let wrapped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ir.begin_wave("k", false);
+        }));
+        assert!(wrapped.is_err(), "wave u32::MAX + 1 must not alias wave 0");
     }
 
     #[test]
     fn window_hazards_and_barrier_ordering() {
         let mut ir = IrState::new();
         ir.begin_wave("w", false);
-        ir.on_store(0x1000, 0, 0, "buf", 0);
-        ir.on_store(0x1000, 1, 1, "buf", 0);
+        ir.on_store(at(0x1000, "buf", 0), 0, 0);
+        ir.on_store(at(0x1000, "buf", 0), 1, 1);
         ir.end_wave();
         ir.on_barrier();
         // Post-barrier store to the same word: ordered, no new hazard.
         ir.begin_wave("w", false);
-        ir.on_store(0x1000, 2, 2, "buf", 0);
+        ir.on_store(at(0x1000, "buf", 0), 2, 2);
         ir.end_wave();
         let out = ir.finish();
         let ww: Vec<_> = out.hazards.iter().filter(|h| h.kind == HazardKind::WriteWrite).collect();
@@ -859,8 +849,8 @@ mod tests {
     fn snapshot_window_sanctions_plain_loads() {
         let mut ir = IrState::new();
         ir.begin_wave("sync", true);
-        ir.on_load(0x1000, 0, 0, "dist", 0, false);
-        ir.on_atomic(0x1000, 1, 1, "dist", 0);
+        ir.on_load(at(0x1000, "dist", 0), 0, 0, false);
+        ir.on_atomic(at(0x1000, "dist", 0), 1, 1);
         ir.end_wave();
         let out = ir.finish();
         assert!(
@@ -871,8 +861,8 @@ mod tests {
         // The same shape in a live wave is a snapshot-read hazard.
         let mut ir = IrState::new();
         ir.begin_wave("live", false);
-        ir.on_load(0x1000, 0, 0, "dist", 0, false);
-        ir.on_atomic(0x1000, 1, 1, "dist", 0);
+        ir.on_load(at(0x1000, "dist", 0), 0, 0, false);
+        ir.on_atomic(at(0x1000, "dist", 0), 1, 1);
         ir.end_wave();
         let out = ir.finish();
         assert!(out.hazards.iter().any(|h| h.kind == HazardKind::SnapshotRead));
@@ -890,13 +880,13 @@ mod tests {
         });
         ir.begin_wave("push", false);
         for lane in 0..6 {
-            ir.on_atomic(0x2000, lane, lane, "queue_tail", 0);
+            ir.on_atomic(at(0x2000, "queue_tail", 0), lane, lane);
         }
         ir.end_wave();
         ir.on_host_write(0x2000, 0); // drain
         ir.begin_wave("push", false);
-        ir.on_atomic(0x2000, 0, 0, "queue_tail", 0);
-        ir.on_atomic(0x3000, 1, 1, "queue_overflow", 0);
+        ir.on_atomic(at(0x2000, "queue_tail", 0), 0, 0);
+        ir.on_atomic(at(0x3000, "queue_overflow", 0), 1, 1);
         ir.end_wave();
         let out = ir.finish();
         assert_eq!(out.queues.len(), 1);
@@ -913,11 +903,11 @@ mod tests {
         ir.begin_wave("gang", true);
         // Gang 0 (lanes 0,1): same op sequence. Gang 1 (lanes 2,3):
         // lane 3 does an extra atomic.
-        ir.on_load(0x10, 0, 0, "a", 0, false);
-        ir.on_load(0x14, 1, 0, "a", 1, false);
-        ir.on_load(0x18, 2, 1, "a", 2, false);
-        ir.on_load(0x1c, 3, 1, "a", 3, false);
-        ir.on_atomic(0x20, 3, 1, "acc", 0);
+        ir.on_load(at(0x10, "a", 0), 0, 0, false);
+        ir.on_load(at(0x14, "a", 1), 1, 0, false);
+        ir.on_load(at(0x18, "a", 2), 2, 1, false);
+        ir.on_load(at(0x1c, "a", 3), 3, 1, false);
+        ir.on_atomic(at(0x20, "acc", 0), 3, 1);
         ir.end_wave();
         let out = ir.finish();
         let st = out.kernels["gang"];

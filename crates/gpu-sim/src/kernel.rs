@@ -21,6 +21,7 @@ use crate::fault::{AtomicMinFault, FaultModel, FaultPlan};
 use crate::ir::IrState;
 use crate::replay::replay_warp;
 use crate::san::SanState;
+use crate::shadow::Word;
 use crate::trace::{LaneTrace, Op};
 use crate::{SECTOR_BYTES, WARP_SIZE};
 
@@ -37,6 +38,12 @@ use crate::{SECTOR_BYTES, WARP_SIZE};
 /// `kron-traffic`), and above the one-lane-per-vertex waves of the
 /// largest paper-scale stand-in (soc-TW, 21.3M vertices).
 pub const MAX_LAUNCH_LANES: u64 = 1 << 25;
+
+/// The word `buf[idx]` at `addr` as the sanitizer and IR hooks see it.
+#[inline]
+fn word(arena: &Arena, buf: Buf, idx: u32, addr: u64) -> Word {
+    Word { addr, buf: buf.id, label: arena.label(buf), index: idx }
+}
 
 /// A queued dynamic-parallelism child kernel.
 pub struct ChildLaunch {
@@ -170,10 +177,10 @@ impl<'a> Lane<'a> {
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
             let poisoned = self.arena.poisoned_visible(buf, idx);
-            san.on_plain_load(addr, lane, gang, self.arena.label(buf), idx, poisoned);
+            san.on_plain_load(word(self.arena, buf, idx, addr), lane, gang, poisoned);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_load(addr, lane, gang, self.arena.label(buf), idx, false);
+            ir.on_load(word(self.arena, buf, idx, addr), lane, gang, false);
         }
         let val = self.arena.load_visible(buf, idx);
         self.fault_load(buf, idx, val)
@@ -217,10 +224,10 @@ impl<'a> Lane<'a> {
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_volatile_load(addr, lane, gang, self.arena.label(buf), idx, poisoned);
+            san.on_volatile_load(word(self.arena, buf, idx, addr), lane, gang, poisoned);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_load(addr, lane, gang, self.arena.label(buf), idx, true);
+            ir.on_load(word(self.arena, buf, idx, addr), lane, gang, true);
         }
         let val = self.arena.load(buf, idx);
         self.fault_load(buf, idx, val)
@@ -234,10 +241,10 @@ impl<'a> Lane<'a> {
         self.traffic[buf.id as usize][1] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
-            san.on_store(addr, lane, gang, self.arena.label(buf), idx);
+            san.on_store(word(self.arena, buf, idx, addr), lane, gang);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_store(addr, lane, gang, self.arena.label(buf), idx);
+            ir.on_store(word(self.arena, buf, idx, addr), lane, gang);
         }
         self.arena.store(buf, idx, val);
     }
@@ -251,10 +258,10 @@ impl<'a> Lane<'a> {
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
             let poisoned = reads && self.arena.poisoned_live(buf, idx);
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, poisoned);
+            san.on_atomic(word(self.arena, buf, idx, addr), lane, gang, poisoned);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(addr, lane, gang, self.arena.label(buf), idx);
+            ir.on_atomic(word(self.arena, buf, idx, addr), lane, gang);
         }
     }
 
@@ -1007,10 +1014,10 @@ impl Device {
         self.buffer_traffic[buf.id as usize][2] += 1;
         if let Some(san) = self.san.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, poisoned);
+            san.on_atomic(word(&self.arena, buf, idx, addr), lane, gang, poisoned);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic_bulk(addr, lane, gang, self.arena.label(buf), idx, n);
+            ir.on_atomic_bulk(word(&self.arena, buf, idx, addr), lane, gang, n);
         }
         let old = self.arena.load(buf, idx);
         self.arena.store(buf, idx, old.wrapping_add(val));
@@ -1036,10 +1043,10 @@ impl Device {
         placed.push((phase, lane, Op::Store(addr)));
         self.buffer_traffic[buf.id as usize][1] += 1;
         if let Some(san) = self.san.as_deref_mut() {
-            san.on_reserved_store(addr, lane, gang, self.arena.label(buf), idx);
+            san.on_reserved_store(word(&self.arena, buf, idx, addr), lane, gang);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_reserved_store(addr, lane, gang, self.arena.label(buf), idx);
+            ir.on_reserved_store(word(&self.arena, buf, idx, addr), lane, gang);
         }
         self.arena.store(buf, idx, val);
     }
@@ -1059,10 +1066,10 @@ impl Device {
         placed.push((PH_LEADER, lane, Op::Atomic(addr)));
         self.buffer_traffic[buf.id as usize][2] += 1;
         if let Some(san) = self.san.as_deref_mut() {
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, false);
+            san.on_atomic(word(&self.arena, buf, idx, addr), lane, gang, false);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(addr, lane, gang, self.arena.label(buf), idx);
+            ir.on_atomic(word(&self.arena, buf, idx, addr), lane, gang);
         }
         self.arena.store(buf, idx, val);
     }
@@ -1085,10 +1092,10 @@ impl Device {
         self.buffer_traffic[buf.id as usize][2] += 1;
         if let Some(san) = self.san.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_atomic(addr, lane, gang, self.arena.label(buf), idx, poisoned);
+            san.on_atomic(word(&self.arena, buf, idx, addr), lane, gang, poisoned);
         }
         if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(addr, lane, gang, self.arena.label(buf), idx);
+            ir.on_atomic(word(&self.arena, buf, idx, addr), lane, gang);
         }
         let old = self.arena.load(buf, idx);
         if val < old {

@@ -88,6 +88,7 @@ pub mod kernel;
 pub mod replay;
 pub mod san;
 pub mod sched;
+mod shadow;
 pub mod stream;
 pub mod trace;
 

@@ -27,8 +27,10 @@
 //! default) every hook is a single `Option` branch and the device
 //! behaves bit-identically to an uninstrumented build.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
+
+use crate::shadow::{narrow, slot, Labels, Names, Thread, Window, Word};
 
 /// Which checks run. All on by default.
 #[derive(Clone, Copy, Debug)]
@@ -130,36 +132,16 @@ impl fmt::Display for SanViolation {
     }
 }
 
-/// One recorded access for conflict matching.
-#[derive(Clone, Copy, Debug)]
-struct Accessor {
-    wave: u64,
-    lane: u64,
-    gang: u64,
-    kernel: &'static str,
-}
-
-impl Accessor {
-    /// Two accesses conflict only between distinct logical threads:
-    /// the same lane index in a *different* wave is a different thread
-    /// (waves of a session overlap on hardware).
-    fn same_thread(&self, other: &Accessor) -> bool {
-        self.wave == other.wave && self.lane == other.lane
-    }
-}
-
-/// Per-address state within the current race window.
-#[derive(Clone, Copy, Debug, Default)]
-struct AccessRec {
-    plain_store: Option<Accessor>,
-    atomic: Option<Accessor>,
-    /// First plain load under live-memory execution (snapshot-kernel
-    /// plain loads are safe by construction and not recorded).
-    plain_load: Option<Accessor>,
-}
+/// Window record classes: the first plain store, the first atomic (or
+/// reserved store, which carries atomic publish discipline), and the
+/// first plain load under live-memory execution (snapshot-kernel plain
+/// loads are safe by construction and not recorded).
+const STORE: u8 = 0;
+const ATOMIC: u8 = 1;
+const LIVE_LOAD: u8 = 2;
 
 /// Lifetime access statistics for one word, accumulated across the
-/// whole armed session (unlike the race-window map, never cleared at
+/// whole armed session (unlike the race window, never cleared at
 /// window close).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WordStats {
@@ -170,8 +152,8 @@ pub struct WordStats {
     /// Atomic RMWs of the word.
     pub atomics: u64,
     /// First `(wave, lane)` to touch the word, for shared detection.
-    first: Option<(u64, u64)>,
-    shared: bool,
+    pub(crate) first: Option<(u64, u64)>,
+    pub(crate) shared: bool,
 }
 
 impl WordStats {
@@ -185,12 +167,28 @@ impl WordStats {
     pub fn total(&self) -> u64 {
         self.loads + self.stores + self.atomics
     }
+}
 
-    fn touch(&mut self, wave: u64, lane: u64) {
-        match self.first {
-            None => self.first = Some((wave, lane)),
-            Some(f) if f != (wave, lane) => self.shared = true,
-            Some(_) => {}
+/// One word's slot in the dense profile table.
+#[derive(Clone, Copy, Debug, Default)]
+struct WordRec {
+    loads: u64,
+    stores: u64,
+    atomics: u64,
+    /// First `(wave, lane)` to touch the word.
+    first: (u32, u32),
+    touched: bool,
+    shared: bool,
+}
+
+impl WordRec {
+    fn stats(&self) -> WordStats {
+        WordStats {
+            loads: self.loads,
+            stores: self.stores,
+            atomics: self.atomics,
+            first: Some((u64::from(self.first.0), u64::from(self.first.1))),
+            shared: self.shared,
         }
     }
 }
@@ -199,27 +197,55 @@ impl WordStats {
 /// access counts and sharing, plus per-kernel wave windows. This is
 /// the evidence the adversarial placement search scouts for — the
 /// hottest contended words are where a mistimed fault is most likely
-/// to slip past detection. Keyed by `(buffer label, word index)` in a
-/// `BTreeMap` so iteration (and everything derived from it) is
-/// deterministic.
+/// to slip past detection. Words are keyed by `(buffer label, word
+/// index)`: equal labels share their words, and every query answers in
+/// label-then-index order, so everything derived from it is
+/// deterministic. The records live in dense tables (per label id, per
+/// word index) and fold into these shapes only when queried.
 #[derive(Clone, Debug, Default)]
 pub struct AccessProfile {
-    words: BTreeMap<(&'static str, u32), WordStats>,
-    /// Per-kernel `(first wave, last wave)` windows, in wave numbers.
-    kernels: BTreeMap<&'static str, (u64, u64)>,
+    labels: Labels,
+    /// Per label id, per word index.
+    words: Vec<Vec<WordRec>>,
+    words_touched: usize,
+    kernel_names: Names,
+    /// Per kernel id: `(first wave, last wave)`, `None` until it runs.
+    kernels: Vec<Option<(u64, u64)>>,
     waves: u64,
 }
 
 impl AccessProfile {
-    fn begin_wave(&mut self, kernel: &'static str, wave: u64) {
+    /// A wave of `kernel` begins; returns the kernel's id.
+    fn begin_wave(&mut self, kernel: &'static str, wave: u64) -> u32 {
         self.waves = self.waves.max(wave);
-        self.kernels.entry(kernel).and_modify(|(_, last)| *last = wave).or_insert((wave, wave));
+        let id = self.kernel_names.intern(kernel);
+        let w = slot(&mut self.kernels, id);
+        *w = Some(w.map_or((wave, wave), |(first, _)| (first, wave)));
+        id
     }
 
-    fn stats(&mut self, buffer: &'static str, index: u32, wave: u64, lane: u64) -> &mut WordStats {
-        let s = self.words.entry((buffer, index)).or_default();
-        s.touch(wave, lane);
+    #[inline]
+    fn stats(&mut self, w: Word, who: Thread) -> &mut WordRec {
+        let label = self.labels.id(w.buf, w.label);
+        let s = slot(slot(&mut self.words, label), w.index);
+        let key = (who.wave, who.lane);
+        if !s.touched {
+            s.touched = true;
+            s.first = key;
+            self.words_touched += 1;
+        } else if s.first != key {
+            s.shared = true;
+        }
         s
+    }
+
+    /// Every touched word as `(label, index, stats)`, unordered.
+    fn rows(&self) -> impl Iterator<Item = (&'static str, u32, WordStats)> + '_ {
+        self.words.iter().enumerate().flat_map(move |(label, recs)| {
+            (recs.iter().enumerate())
+                .filter(|(_, r)| r.touched)
+                .map(move |(i, r)| (self.labels.names.name(label as u32), i as u32, r.stats()))
+        })
     }
 
     /// Total waves observed.
@@ -229,22 +255,45 @@ impl AccessProfile {
 
     /// Distinct words touched.
     pub fn words_touched(&self) -> usize {
-        self.words.len()
+        self.words_touched
     }
 
     /// The `(first wave, last wave)` window of a kernel, if it ran.
     pub fn kernel_window(&self, kernel: &str) -> Option<(u64, u64)> {
-        self.kernels.get(kernel).copied()
+        let id = self.kernel_names.get(kernel)?;
+        self.kernels.get(id as usize).copied().flatten()
     }
 
     /// Every kernel's wave window, in kernel-name order.
     pub fn kernel_windows(&self) -> Vec<(&'static str, u64, u64)> {
-        self.kernels.iter().map(|(&k, &(a, b))| (k, a, b)).collect()
+        let mut rows: Vec<(&'static str, u64, u64)> = self
+            .kernels
+            .iter()
+            .enumerate()
+            .filter_map(|(id, w)| w.map(|(a, b)| (self.kernel_names.name(id as u32), a, b)))
+            .collect();
+        rows.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        rows
     }
 
     /// Stats for one word, if touched.
     pub fn word(&self, buffer: &'static str, index: u32) -> Option<WordStats> {
-        self.words.get(&(buffer, index)).copied()
+        let label = self.labels.names.get(buffer)?;
+        let r = self.words.get(label as usize)?.get(index as usize)?;
+        r.touched.then(|| r.stats())
+    }
+
+    /// `rows` ranked by `key` descending, ties broken by label then
+    /// index, cut to `k`.
+    fn ranked(
+        rows: impl Iterator<Item = (&'static str, u32, WordStats)>,
+        k: usize,
+        key: impl Fn(&WordStats) -> (u64, u64),
+    ) -> Vec<(&'static str, u32, WordStats)> {
+        let mut rows: Vec<(&'static str, u32, WordStats)> = rows.collect();
+        rows.sort_by(|a, b| key(&b.2).cmp(&key(&a.2)).then(a.0.cmp(b.0)).then(a.1.cmp(&b.1)));
+        rows.truncate(k);
+        rows
     }
 
     /// The top `k` *contended* words — touched by multiple logical
@@ -253,20 +302,9 @@ impl AccessProfile {
     /// deterministic). These are the shared-queue / distance hot words
     /// where the paper's async hot path concentrates.
     pub fn hottest_contended(&self, k: usize) -> Vec<(&'static str, u32, WordStats)> {
-        let mut rows: Vec<(&'static str, u32, WordStats)> = self
-            .words
-            .iter()
-            .filter(|(_, s)| s.shared && s.atomics > 0)
-            .map(|(&(b, i), &s)| (b, i, s))
-            .collect();
-        rows.sort_by(|a, b| {
-            (b.2.atomics, b.2.total())
-                .cmp(&(a.2.atomics, a.2.total()))
-                .then(a.0.cmp(b.0))
-                .then(a.1.cmp(&b.1))
-        });
-        rows.truncate(k);
-        rows
+        Self::ranked(self.rows().filter(|(_, _, s)| s.shared && s.atomics > 0), k, |s| {
+            (s.atomics, s.total())
+        })
     }
 
     /// Words that mix atomic and plain traffic — the atomic-vs-plain
@@ -274,20 +312,11 @@ impl AccessProfile {
     /// snapshot visibility. Ranked like
     /// [`AccessProfile::hottest_contended`].
     pub fn overlap_sites(&self, k: usize) -> Vec<(&'static str, u32, WordStats)> {
-        let mut rows: Vec<(&'static str, u32, WordStats)> = self
-            .words
-            .iter()
-            .filter(|(_, s)| s.atomics > 0 && s.loads + s.stores > 0)
-            .map(|(&(b, i), &s)| (b, i, s))
-            .collect();
-        rows.sort_by(|a, b| {
-            (b.2.atomics, b.2.total())
-                .cmp(&(a.2.atomics, a.2.total()))
-                .then(a.0.cmp(b.0))
-                .then(a.1.cmp(&b.1))
-        });
-        rows.truncate(k);
-        rows
+        Self::ranked(
+            self.rows().filter(|(_, _, s)| s.atomics > 0 && s.loads + s.stores > 0),
+            k,
+            |s| (s.atomics, s.total()),
+        )
     }
 
     /// The top `k` most-*loaded* buffers, load counts summed across
@@ -297,7 +326,7 @@ impl AccessProfile {
     /// contended words; aggregating by buffer surfaces them.
     pub fn hottest_buffers(&self, k: usize) -> Vec<(&'static str, u64)> {
         let mut by_buf: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for (&(b, _), s) in &self.words {
+        for (b, _, s) in self.rows() {
             if s.loads > 0 {
                 *by_buf.entry(b).or_insert(0) += s.loads;
             }
@@ -313,16 +342,7 @@ impl AccessProfile {
     /// every consumer downstream. Ranked by load count, then total
     /// traffic, ties broken by key.
     pub fn hottest_loaded(&self, k: usize) -> Vec<(&'static str, u32, WordStats)> {
-        let mut rows: Vec<(&'static str, u32, WordStats)> =
-            self.words.iter().filter(|(_, s)| s.loads > 0).map(|(&(b, i), &s)| (b, i, s)).collect();
-        rows.sort_by(|a, b| {
-            (b.2.loads, b.2.total())
-                .cmp(&(a.2.loads, a.2.total()))
-                .then(a.0.cmp(b.0))
-                .then(a.1.cmp(&b.1))
-        });
-        rows.truncate(k);
-        rows
+        Self::ranked(self.rows().filter(|(_, _, s)| s.loads > 0), k, |s| (s.loads, s.total()))
     }
 }
 
@@ -331,13 +351,15 @@ pub struct SanState {
     config: SanConfig,
     violations: Vec<SanViolation>,
     total: u64,
-    seen: HashSet<(SanCheck, &'static str, u64)>,
-    access: HashMap<u64, AccessRec>,
-    /// Child-launch counts of the current wave: (gang item, lane) →
-    /// launches. BTreeMap so the end-of-wave sweep is deterministic.
-    gang_launches: BTreeMap<(u64, u64), u64>,
-    wave: u64,
-    kernel: &'static str,
+    /// Reported `(check, kernel id, address)` sites.
+    seen: HashSet<(SanCheck, u32, u64)>,
+    /// The current race window (see [`STORE`], [`ATOMIC`], [`LIVE_LOAD`]).
+    window: Window<(), Thread>,
+    /// Child launches of the current wave, one `(gang item, lane)`
+    /// entry per launch; sorted and counted at wave end.
+    gang_launches: Vec<(u64, u64)>,
+    wave: u32,
+    kernel: u32,
     snapshot: bool,
     /// Command stream the current wave was issued on (attribution).
     stream: u32,
@@ -348,18 +370,21 @@ pub struct SanState {
 impl SanState {
     /// Fresh sanitizer state for a configuration.
     pub fn new(config: SanConfig) -> Self {
+        let mut profile = AccessProfile::default();
+        // Accesses before the first wave run under the empty name.
+        let kernel = profile.kernel_names.intern("");
         Self {
             config,
             violations: Vec::new(),
             total: 0,
             seen: HashSet::new(),
-            access: HashMap::new(),
-            gang_launches: BTreeMap::new(),
+            window: Window::default(),
+            gang_launches: Vec::new(),
             wave: 0,
-            kernel: "",
+            kernel,
             snapshot: false,
             stream: 0,
-            profile: AccessProfile::default(),
+            profile,
         }
     }
 
@@ -395,25 +420,27 @@ impl SanState {
         buffer: &'static str,
         index: u32,
         addr: u64,
-        first: &Accessor,
-        second: &Accessor,
+        first: Thread,
+        second: Thread,
         detail: String,
     ) {
         // One report per (check, site, address): kernels revisit the
         // same conflict every wave and would otherwise flood the log.
-        if !self.seen.insert((check, second.kernel, addr)) {
+        // The second access always belongs to the current wave.
+        if !self.seen.insert((check, self.kernel, addr)) {
             return;
         }
+        let kernel = self.profile.kernel_names.name(self.kernel);
         self.total += 1;
         if self.violations.len() < self.config.max_violations {
             self.violations.push(SanViolation {
                 check,
-                kernel: second.kernel,
+                kernel,
                 buffer,
                 index,
                 addr,
-                lanes: [first.lane, second.lane],
-                waves: [first.wave, second.wave],
+                lanes: [u64::from(first.lane), u64::from(second.lane)],
+                waves: [u64::from(first.wave), u64::from(second.wave)],
                 stream: self.stream,
                 detail,
             });
@@ -423,12 +450,11 @@ impl SanState {
     /// A new wave (one `execute` call) begins. Synchronous (snapshot)
     /// kernels are their own race window.
     pub(crate) fn begin_wave(&mut self, kernel: &'static str, snapshot: bool) {
-        self.wave += 1;
-        self.kernel = kernel;
+        self.wave = narrow(u64::from(self.wave) + 1, "wave");
+        self.kernel = self.profile.begin_wave(kernel, u64::from(self.wave));
         self.snapshot = snapshot;
-        self.profile.begin_wave(kernel, self.wave);
         if snapshot {
-            self.access.clear();
+            self.window.reset();
         }
         self.gang_launches.clear();
     }
@@ -440,27 +466,30 @@ impl SanState {
             self.check_gang_launches();
         }
         if self.snapshot {
-            self.access.clear();
+            self.window.reset();
         }
     }
 
     /// A grid-wide barrier: every pre-barrier access is ordered before
     /// every post-barrier one, so the window closes.
     pub(crate) fn on_barrier(&mut self) {
-        self.access.clear();
+        self.window.reset();
     }
 
     fn check_gang_launches(&mut self) {
-        let per_gang: Vec<(u64, Vec<(u64, u64)>)> = {
-            let mut v: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
-            for (&(gang, lane), &count) in &self.gang_launches {
-                match v.last_mut() {
-                    Some((g, lanes)) if *g == gang => lanes.push((lane, count)),
-                    _ => v.push((gang, vec![(lane, count)])),
-                }
+        self.gang_launches.sort_unstable();
+        // Per gang, each launching lane with its launch count, in
+        // (gang, lane) order.
+        let mut per_gang: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
+        for &(gang, lane) in &self.gang_launches {
+            match per_gang.last_mut() {
+                Some((g, lanes)) if *g == gang => match lanes.last_mut() {
+                    Some((l, count)) if *l == lane => *count += 1,
+                    _ => lanes.push((lane, 1)),
+                },
+                _ => per_gang.push((gang, vec![(lane, 1)])),
             }
-            v
-        };
+        }
         for (gang, lanes) in per_gang {
             // A single launching lane (gang-leader pattern) and
             // uniform counts across launching lanes are both fine;
@@ -471,15 +500,15 @@ impl SanState {
             }
             let first_count = lanes[0].1;
             if let Some(&(lane, count)) = lanes.iter().find(|&&(_, c)| c != first_count) {
-                let a = Accessor { wave: self.wave, lane: lanes[0].0, gang, kernel: self.kernel };
-                let b = Accessor { wave: self.wave, lane, gang, kernel: self.kernel };
+                let a = Thread::new(self.wave, lanes[0].0, gang, self.kernel);
+                let b = Thread::new(self.wave, lane, gang, self.kernel);
                 self.record(
                     SanCheck::GangChildDivergence,
                     "(child launches)",
                     0,
                     gang,
-                    &a,
-                    &b,
+                    a,
+                    b,
                     format!(
                         "gang {gang}: lane {} launched {first_count} child kernel(s), \
                          lane {lane} launched {count}",
@@ -490,37 +519,41 @@ impl SanState {
         }
     }
 
-    fn here(&self, lane: u64, gang: u64) -> Accessor {
-        Accessor { wave: self.wave, lane, gang, kernel: self.kernel }
+    #[inline]
+    fn here(&self, lane: u64, gang: u64) -> Thread {
+        Thread::new(self.wave, lane, gang, self.kernel)
     }
 
-    fn uninit(&mut self, buffer: &'static str, index: u32, addr: u64, who: Accessor, how: &str) {
+    fn uninit(&mut self, w: Word, who: Thread, how: &str) {
         self.record(
             SanCheck::UninitRead,
-            buffer,
-            index,
-            addr,
-            &who,
-            &who,
+            w.label,
+            w.index,
+            w.addr,
+            who,
+            who,
             format!("{how} of a word never written since alloc/recycle"),
         );
     }
 
+    /// The current window's first plain store, first atomic and first
+    /// live plain load on `w` from threads other than `who`, plus the
+    /// word's window position and which of the three it already holds.
+    #[inline]
+    fn priors(&mut self, w: Word, who: Thread) -> (usize, [Option<Thread>; 3], [bool; 3]) {
+        let pos = self.window.word(w.addr, || ());
+        let c = self.window.classes(pos);
+        let held = [c[0].is_some(), c[1].is_some(), c[2].is_some()];
+        let other = |t: Option<Thread>| t.filter(|t| !t.same_thread(who));
+        (pos, [other(c[0]), other(c[1]), other(c[2])], held)
+    }
+
     /// Hook: plain (snapshot-semantics) load.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_plain_load(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        poisoned: bool,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).loads += 1;
+    pub(crate) fn on_plain_load(&mut self, w: Word, lane: u64, gang: u64, poisoned: bool) {
         let who = self.here(lane, gang);
+        self.profile.stats(w, who).loads += 1;
         if self.config.uninit && poisoned {
-            self.uninit(buffer, index, addr, who, "plain load");
+            self.uninit(w, who, "plain load");
         }
         if !self.config.races || self.snapshot {
             // In a synchronous kernel a plain load reads the kernel-
@@ -528,19 +561,15 @@ impl SanState {
             // lanes write, so it participates in no race.
             return;
         }
-        let rec = self.access.entry(addr).or_default();
-        let conflict = rec
-            .plain_store
-            .filter(|w| !w.same_thread(&who))
-            .or_else(|| rec.atomic.filter(|w| !w.same_thread(&who)));
-        if let Some(writer) = conflict {
+        let (pos, [store, atomic, _], held) = self.priors(w, who);
+        if let Some(writer) = store.or(atomic) {
             self.record(
                 SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
-                &writer,
-                &who,
+                w.label,
+                w.index,
+                w.addr,
+                writer,
+                who,
                 format!(
                     "plain load may or may not observe lane {}'s same-window write \
                      (use ld_volatile or order with a barrier)",
@@ -548,50 +577,31 @@ impl SanState {
                 ),
             );
         }
-        let rec = self.access.entry(addr).or_default();
-        if rec.plain_load.is_none() {
-            rec.plain_load = Some(who);
+        if !held[LIVE_LOAD as usize] {
+            self.window.insert(pos, LIVE_LOAD, who);
         }
     }
 
     /// Hook: volatile load. Sanctioned to race with writes (aligned
     /// words cannot tear), so only the uninit check applies.
-    pub(crate) fn on_volatile_load(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        poisoned: bool,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).loads += 1;
+    pub(crate) fn on_volatile_load(&mut self, w: Word, lane: u64, gang: u64, poisoned: bool) {
+        let who = self.here(lane, gang);
+        self.profile.stats(w, who).loads += 1;
         if self.config.uninit && poisoned {
-            let who = self.here(lane, gang);
-            self.uninit(buffer, index, addr, who, "volatile load");
+            self.uninit(w, who, "volatile load");
         }
     }
 
     /// Hook: plain store.
-    pub(crate) fn on_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).stores += 1;
+    pub(crate) fn on_store(&mut self, w: Word, lane: u64, gang: u64) {
+        let who = self.here(lane, gang);
+        self.profile.stats(w, who).stores += 1;
         if !self.config.races {
             return;
         }
-        let who = self.here(lane, gang);
-        let rec = self.access.entry(addr).or_default();
-        let prior_store = rec.plain_store.filter(|w| !w.same_thread(&who));
-        let prior_atomic = rec.atomic.filter(|w| !w.same_thread(&who));
-        let prior_load = rec.plain_load.filter(|w| !w.same_thread(&who));
-        if rec.plain_store.is_none() {
-            rec.plain_store = Some(who);
+        let (pos, [prior_store, prior_atomic, prior_load], held) = self.priors(w, who);
+        if !held[STORE as usize] {
+            self.window.insert(pos, STORE, who);
         }
         if let Some(other) = prior_store {
             let same_gang = self.config.gangs
@@ -617,15 +627,15 @@ impl SanState {
                     ),
                 )
             };
-            self.record(check, buffer, index, addr, &other, &who, detail);
+            self.record(check, w.label, w.index, w.addr, other, who, detail);
         } else if let Some(other) = prior_atomic {
             self.record(
                 SanCheck::MixedAtomicRace,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
+                w.label,
+                w.index,
+                w.addr,
+                other,
+                who,
                 format!(
                     "plain store by lane {} races lane {}'s atomic on the same word",
                     who.lane, other.lane
@@ -634,11 +644,11 @@ impl SanState {
         } else if let Some(other) = prior_load {
             self.record(
                 SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
+                w.label,
+                w.index,
+                w.addr,
+                other,
+                who,
                 format!(
                     "lane {}'s earlier plain load may or may not observe this store \
                      (use ld_volatile or order with a barrier)",
@@ -649,38 +659,27 @@ impl SanState {
     }
 
     /// Hook: atomic read-modify-write.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn on_atomic(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-        poisoned: bool,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).atomics += 1;
+    pub(crate) fn on_atomic(&mut self, w: Word, lane: u64, gang: u64, poisoned: bool) {
         let who = self.here(lane, gang);
+        self.profile.stats(w, who).atomics += 1;
         if self.config.uninit && poisoned {
-            self.uninit(buffer, index, addr, who, "atomic read-modify-write");
+            self.uninit(w, who, "atomic read-modify-write");
         }
         if !self.config.races {
             return;
         }
-        let rec = self.access.entry(addr).or_default();
-        let prior_store = rec.plain_store.filter(|w| !w.same_thread(&who));
-        let prior_load = rec.plain_load.filter(|w| !w.same_thread(&who));
-        if rec.atomic.is_none() {
-            rec.atomic = Some(who);
+        let (pos, [prior_store, _, prior_load], held) = self.priors(w, who);
+        if !held[ATOMIC as usize] {
+            self.window.insert(pos, ATOMIC, who);
         }
         if let Some(other) = prior_store {
             self.record(
                 SanCheck::MixedAtomicRace,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
+                w.label,
+                w.index,
+                w.addr,
+                other,
+                who,
                 format!(
                     "atomic by lane {} races lane {}'s plain store on the same word",
                     who.lane, other.lane
@@ -689,11 +688,11 @@ impl SanState {
         } else if let Some(other) = prior_load {
             self.record(
                 SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
+                w.label,
+                w.index,
+                w.addr,
+                other,
+                who,
                 format!(
                     "lane {}'s earlier plain load may or may not observe this atomic's \
                      result (use ld_volatile or order with a barrier)",
@@ -711,33 +710,24 @@ impl SanState {
     /// (clean against other reserved stores and against atomics, red
     /// against plain stores and live plain loads), and like an
     /// exchange it never reads, so no uninit check applies.
-    pub(crate) fn on_reserved_store(
-        &mut self,
-        addr: u64,
-        lane: u64,
-        gang: u64,
-        buffer: &'static str,
-        index: u32,
-    ) {
-        self.profile.stats(buffer, index, self.wave, lane).stores += 1;
+    pub(crate) fn on_reserved_store(&mut self, w: Word, lane: u64, gang: u64) {
+        let who = self.here(lane, gang);
+        self.profile.stats(w, who).stores += 1;
         if !self.config.races {
             return;
         }
-        let who = self.here(lane, gang);
-        let rec = self.access.entry(addr).or_default();
-        let prior_store = rec.plain_store.filter(|w| !w.same_thread(&who));
-        let prior_load = rec.plain_load.filter(|w| !w.same_thread(&who));
-        if rec.atomic.is_none() {
-            rec.atomic = Some(who);
+        let (pos, [prior_store, _, prior_load], held) = self.priors(w, who);
+        if !held[ATOMIC as usize] {
+            self.window.insert(pos, ATOMIC, who);
         }
         if let Some(other) = prior_store {
             self.record(
                 SanCheck::MixedAtomicRace,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
+                w.label,
+                w.index,
+                w.addr,
+                other,
+                who,
                 format!(
                     "reserved store by lane {} races lane {}'s plain store on the same word",
                     who.lane, other.lane
@@ -746,11 +736,11 @@ impl SanState {
         } else if let Some(other) = prior_load {
             self.record(
                 SanCheck::SnapshotVisibility,
-                buffer,
-                index,
-                addr,
-                &other,
-                &who,
+                w.label,
+                w.index,
+                w.addr,
+                other,
+                who,
                 format!(
                     "lane {}'s earlier plain load may or may not observe this reserved \
                      store (use ld_volatile or order with a barrier)",
@@ -763,7 +753,7 @@ impl SanState {
     /// Hook: one child-kernel launch by `lane` of gang item `gang`.
     pub(crate) fn on_child_launch(&mut self, lane: u64, gang: u64) {
         if self.config.gangs {
-            *self.gang_launches.entry((gang, lane)).or_insert(0) += 1;
+            self.gang_launches.push((gang, lane));
         }
     }
 }
@@ -776,12 +766,16 @@ mod tests {
         SanState::new(SanConfig::default())
     }
 
+    fn at(addr: u64, label: &'static str, index: u32) -> Word {
+        Word { addr, buf: 0, label, index }
+    }
+
     #[test]
     fn write_write_race_between_lanes() {
         let mut s = state();
         s.begin_wave("k", false);
-        s.on_store(64, 0, 0, "buf", 0);
-        s.on_store(64, 5, 5, "buf", 0);
+        s.on_store(at(64, "buf", 0), 0, 0);
+        s.on_store(at(64, "buf", 0), 5, 5);
         s.end_wave();
         assert_eq!(s.total(), 1);
         let v = &s.violations()[0];
@@ -794,9 +788,9 @@ mod tests {
     fn same_lane_never_conflicts_with_itself() {
         let mut s = state();
         s.begin_wave("k", false);
-        s.on_store(64, 3, 3, "buf", 0);
-        s.on_store(64, 3, 3, "buf", 0);
-        s.on_plain_load(64, 3, 3, "buf", 0, false);
+        s.on_store(at(64, "buf", 0), 3, 3);
+        s.on_store(at(64, "buf", 0), 3, 3);
+        s.on_plain_load(at(64, "buf", 0), 3, 3, false);
         s.end_wave();
         assert_eq!(s.total(), 0);
     }
@@ -805,8 +799,8 @@ mod tests {
     fn atomics_on_both_sides_are_clean() {
         let mut s = state();
         s.begin_wave("k", false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
-        s.on_atomic(64, 1, 1, "buf", 0, false);
+        s.on_atomic(at(64, "buf", 0), 0, 0, false);
+        s.on_atomic(at(64, "buf", 0), 1, 1, false);
         s.end_wave();
         assert_eq!(s.total(), 0);
     }
@@ -815,8 +809,8 @@ mod tests {
     fn volatile_load_may_race_with_atomic() {
         let mut s = state();
         s.begin_wave("k", false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
-        s.on_volatile_load(64, 1, 1, "buf", 0, false);
+        s.on_atomic(at(64, "buf", 0), 0, 0, false);
+        s.on_volatile_load(at(64, "buf", 0), 1, 1, false);
         s.end_wave();
         assert_eq!(s.total(), 0);
     }
@@ -825,8 +819,8 @@ mod tests {
     fn plain_load_vs_atomic_is_snapshot_visibility_in_live_window() {
         let mut s = state();
         s.begin_wave("k", false);
-        s.on_plain_load(64, 1, 1, "buf", 0, false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
+        s.on_plain_load(at(64, "buf", 0), 1, 1, false);
+        s.on_atomic(at(64, "buf", 0), 0, 0, false);
         s.end_wave();
         assert_eq!(s.total(), 1);
         assert_eq!(s.violations()[0].check, SanCheck::SnapshotVisibility);
@@ -836,8 +830,8 @@ mod tests {
     fn plain_load_in_snapshot_kernel_is_safe() {
         let mut s = state();
         s.begin_wave("k", true);
-        s.on_plain_load(64, 1, 1, "buf", 0, false);
-        s.on_atomic(64, 0, 0, "buf", 0, false);
+        s.on_plain_load(at(64, "buf", 0), 1, 1, false);
+        s.on_atomic(at(64, "buf", 0), 0, 0, false);
         s.end_wave();
         assert_eq!(s.total(), 0);
     }
@@ -846,22 +840,22 @@ mod tests {
     fn window_spans_waves_until_barrier() {
         let mut s = state();
         s.begin_wave("w1", false);
-        s.on_store(64, 0, 0, "buf", 0);
+        s.on_store(at(64, "buf", 0), 0, 0);
         s.end_wave();
         s.begin_wave("w2", false);
         // Same lane index, later wave: a different logical thread.
-        s.on_store(64, 0, 0, "buf", 0);
+        s.on_store(at(64, "buf", 0), 0, 0);
         s.end_wave();
         assert_eq!(s.total(), 1);
         assert_eq!(s.violations()[0].waves, [1, 2]);
 
         let mut s = state();
         s.begin_wave("w1", false);
-        s.on_store(64, 0, 0, "buf", 0);
+        s.on_store(at(64, "buf", 0), 0, 0);
         s.end_wave();
         s.on_barrier();
         s.begin_wave("w2", false);
-        s.on_store(64, 0, 0, "buf", 0);
+        s.on_store(at(64, "buf", 0), 0, 0);
         s.end_wave();
         assert_eq!(s.total(), 0, "barrier closes the window");
     }
@@ -870,8 +864,8 @@ mod tests {
     fn uninit_read_reported_once_per_site() {
         let mut s = state();
         s.begin_wave("k", false);
-        s.on_plain_load(64, 0, 0, "scratch", 3, true);
-        s.on_plain_load(64, 1, 1, "scratch", 3, true);
+        s.on_plain_load(at(64, "scratch", 3), 0, 0, true);
+        s.on_plain_load(at(64, "scratch", 3), 1, 1, true);
         s.end_wave();
         assert_eq!(s.total(), 1);
         assert_eq!(s.violations()[0].check, SanCheck::UninitRead);
@@ -895,8 +889,8 @@ mod tests {
     fn gang_overlap_classified() {
         let mut s = state();
         s.begin_wave("k", false);
-        s.on_store(64, 4, 2, "out", 0); // gang 2, lane 4
-        s.on_store(64, 5, 2, "out", 0); // gang 2, lane 5 — same gang
+        s.on_store(at(64, "out", 0), 4, 2); // gang 2, lane 4
+        s.on_store(at(64, "out", 0), 5, 2); // gang 2, lane 5 — same gang
         s.end_wave();
         assert_eq!(s.violations()[0].check, SanCheck::GangOverlap);
     }
@@ -910,9 +904,9 @@ mod tests {
             max_violations: 10,
         });
         s.begin_wave("k", false);
-        s.on_store(64, 0, 0, "buf", 0);
-        s.on_store(64, 1, 1, "buf", 0);
-        s.on_plain_load(64, 2, 2, "buf", 0, true);
+        s.on_store(at(64, "buf", 0), 0, 0);
+        s.on_store(at(64, "buf", 0), 1, 1);
+        s.on_plain_load(at(64, "buf", 0), 2, 2, true);
         s.end_wave();
         assert_eq!(s.total(), 0);
     }
@@ -921,10 +915,10 @@ mod tests {
     fn cap_counts_but_stops_storing() {
         let mut s = SanState::new(SanConfig { max_violations: 1, ..SanConfig::default() });
         s.begin_wave("k", false);
-        s.on_store(64, 0, 0, "buf", 0);
-        s.on_store(64, 1, 1, "buf", 0);
-        s.on_store(128, 0, 0, "buf", 1);
-        s.on_store(128, 1, 1, "buf", 1);
+        s.on_store(at(64, "buf", 0), 0, 0);
+        s.on_store(at(64, "buf", 0), 1, 1);
+        s.on_store(at(128, "buf", 1), 0, 0);
+        s.on_store(at(128, "buf", 1), 1, 1);
         s.end_wave();
         assert_eq!(s.total(), 2);
         assert_eq!(s.violations().len(), 1);
@@ -934,14 +928,14 @@ mod tests {
     fn profile_accumulates_across_windows() {
         let mut s = state();
         s.begin_wave("relax", false);
-        s.on_atomic(64, 0, 0, "dist", 0, false);
-        s.on_atomic(64, 1, 1, "dist", 0, false);
-        s.on_plain_load(68, 0, 0, "dist", 1, false);
+        s.on_atomic(at(64, "dist", 0), 0, 0, false);
+        s.on_atomic(at(64, "dist", 0), 1, 1, false);
+        s.on_plain_load(at(68, "dist", 1), 0, 0, false);
         s.end_wave();
         s.on_barrier(); // closes the race window, NOT the profile
         s.begin_wave("relax", false);
-        s.on_atomic(64, 2, 2, "dist", 0, false);
-        s.on_store(128, 0, 0, "pending", 0);
+        s.on_atomic(at(64, "dist", 0), 2, 2, false);
+        s.on_store(at(128, "pending", 0), 0, 0);
         s.end_wave();
         let p = s.profile();
         assert_eq!(p.waves(), 2);
@@ -960,13 +954,13 @@ mod tests {
         s.begin_wave("k", false);
         // dist[0]: 3 atomics from distinct lanes (hot + contended).
         for lane in 0..3 {
-            s.on_atomic(64, lane, lane, "dist", 0, false);
+            s.on_atomic(at(64, "dist", 0), lane, lane, false);
         }
         // dist[1]: 1 atomic + 1 plain load (overlap, less hot).
-        s.on_atomic(68, 0, 0, "dist", 1, false);
-        s.on_plain_load(68, 1, 1, "dist", 1, false);
+        s.on_atomic(at(68, "dist", 1), 0, 0, false);
+        s.on_plain_load(at(68, "dist", 1), 1, 1, false);
         // pending[0]: plain traffic only — in neither ranking.
-        s.on_store(128, 0, 0, "pending", 0);
+        s.on_store(at(128, "pending", 0), 0, 0);
         s.end_wave();
         let p = s.profile();
         let contended = p.hottest_contended(10);
@@ -984,8 +978,8 @@ mod tests {
             let mut s = state();
             s.begin_wave("k", false);
             for w in 0..8u32 {
-                s.on_atomic(64 + u64::from(w) * 4, 0, 0, "dist", w, false);
-                s.on_atomic(64 + u64::from(w) * 4, 1, 1, "dist", w, false);
+                s.on_atomic(at(64 + u64::from(w) * 4, "dist", w), 0, 0, false);
+                s.on_atomic(at(64 + u64::from(w) * 4, "dist", w), 1, 1, false);
             }
             s.end_wave();
             s.profile().hottest_contended(8)
@@ -994,11 +988,21 @@ mod tests {
     }
 
     #[test]
+    fn wave_counter_panics_past_u32_instead_of_wrapping() {
+        let mut s = state();
+        s.wave = u32::MAX;
+        let wrapped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.begin_wave("k", false);
+        }));
+        assert!(wrapped.is_err(), "wave u32::MAX + 1 must not alias wave 0");
+    }
+
+    #[test]
     fn display_carries_site_lane_and_address() {
         let mut s = state();
         s.begin_wave("kern", false);
-        s.on_store(0x2040, 3, 3, "dist", 16);
-        s.on_store(0x2040, 9, 9, "dist", 16);
+        s.on_store(at(0x2040, "dist", 16), 3, 3);
+        s.on_store(at(0x2040, "dist", 16), 9, 9);
         s.end_wave();
         let msg = s.violations()[0].to_string();
         assert!(msg.contains("kern") && msg.contains("dist[16]"), "{msg}");
