@@ -47,11 +47,8 @@ impl HarnessArgs {
                 "--seed" => out.seed = expect_num(&mut it, &flag),
                 "--device" => {
                     let v = it.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
-                    out.device = match v.to_ascii_uppercase().as_str() {
-                        "V100" => DeviceConfig::v100(),
-                        "T4" => DeviceConfig::t4(),
-                        other => usage(&format!("unknown device '{other}'")),
-                    };
+                    out.device = DeviceConfig::by_name(&v)
+                        .unwrap_or_else(|| usage(&format!("unknown device '{v}'")));
                 }
                 "--full" => {
                     out.scale_shift = 0;
@@ -86,7 +83,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: <bin> [--scale-shift N] [--sources K] [--seed S] [--device V100|T4] [--full]"
+        "usage: <bin> [--scale-shift N] [--sources K] [--seed S] [--device V100|T4|TINY] [--full]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }

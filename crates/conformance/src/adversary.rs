@@ -52,7 +52,9 @@ use rdbs_core::gpu::{run_gpu_on, FrontierKind};
 use rdbs_core::recover::{RecoveryOutcome, RecoveryReport, RecoveryStep};
 use rdbs_core::seq::dijkstra;
 use rdbs_core::{Csr, VertexId, INF};
-use rdbs_gpu_sim::{Device, DeviceConfig, FaultModel, FaultSpec, FaultTarget, SanCheck, SanConfig};
+use rdbs_gpu_sim::{
+    splitmix64, Device, DeviceConfig, FaultModel, FaultSpec, FaultTarget, SanCheck, SanConfig,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 // ---------------------------------------------------------------------------
@@ -70,11 +72,7 @@ impl SearchRng {
     }
 
     fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(&mut self.state)
     }
 
     /// Uniform in `0..n` (`n > 0`).

@@ -123,6 +123,8 @@ impl MultiGpuState {
         assert!(config.num_devices >= 1);
         let k = config.num_devices as u32;
         let delta = config.delta0.unwrap_or_else(|| default_delta(graph));
+        // Δ = 0 would pin the next-window search at the current window.
+        assert!(delta >= 1, "delta must be at least 1");
         let chunk = n.div_ceil(k);
         let shards: Vec<Shard> = (0..k)
             .map(|d| {
@@ -577,6 +579,12 @@ mod tests {
             check_against(&oracle.dist, &run.result.dist)
                 .unwrap_or_else(|m| panic!("source {source}: {m}"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "delta must be at least 1")]
+    fn zero_delta_is_rejected_up_front() {
+        MultiGpuState::new(&graph(0), &MultiGpuConfig { delta0: Some(0), ..cfg(2) });
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! comparison helpers.
 
 pub mod adaptive_delta;
-pub mod analysis;
 pub mod cpu;
 pub mod dynamic;
 pub mod gpu;

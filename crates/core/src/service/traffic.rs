@@ -50,7 +50,7 @@ use crate::gpu::rdbs::RdbsDriver;
 use crate::gpu::Variant;
 use crate::stats::{percentile, SsspResult, UpdateStats};
 use crate::{Dist, VertexId};
-use rdbs_gpu_sim::StreamSet;
+use rdbs_gpu_sim::{splitmix64, StreamSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -300,15 +300,6 @@ impl TrafficReport {
         }
         Ok(())
     }
-}
-
-/// splitmix64: the workspace's standard small deterministic generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform draw in `[0, 1)`.

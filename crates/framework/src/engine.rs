@@ -172,30 +172,6 @@ impl Engine {
         });
         self.device.charge_barrier();
     }
-
-    /// Rebuild the frontier host-side from a device predicate scan
-    /// (used by algorithms that activate vertices out-of-band).
-    pub fn gather_frontier(
-        &mut self,
-        name: &'static str,
-        pred: impl Fn(&mut Lane<'_>, VertexId) -> bool,
-    ) -> usize {
-        self.iterations += 1;
-        let n = self.gb.n;
-        let next = self.next;
-        let pending = self.pending;
-        self.device.launch(name, n as u64, move |lane| {
-            let v = lane.tid() as u32;
-            if pred(lane, v) && lane.atomic_exch(pending, v, 1) == 0 {
-                next.push(lane, v);
-            }
-        });
-        self.device.charge_barrier();
-        self.frontier = self.next.drain(&mut self.device);
-        self.device.write_word(self.cur.tail, 0, 0);
-        std::mem::swap(&mut self.cur, &mut self.next);
-        self.frontier.len()
-    }
 }
 
 #[cfg(test)]

@@ -269,6 +269,7 @@ impl Arena {
     }
 
     /// Total allocated words (for memory accounting).
+    #[cfg(test)]
     pub fn total_words(&self) -> usize {
         self.buffers.iter().map(|b| b.words.len()).sum()
     }

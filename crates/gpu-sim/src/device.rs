@@ -141,6 +141,14 @@ impl DeviceConfig {
         self
     }
 
+    /// The config a CLI names, in any case: `V100`, `T4` or `TINY`
+    /// ([`DeviceConfig::test_tiny`]).
+    pub fn by_name(name: &str) -> Option<Self> {
+        [Self::v100(), Self::t4(), Self::test_tiny()]
+            .into_iter()
+            .find(|c| c.name.eq_ignore_ascii_case(name))
+    }
+
     /// A tiny config for unit tests: 2 SMs, minuscule caches, so cache
     /// evictions and SM imbalance are observable on small inputs.
     pub fn test_tiny() -> Self {
@@ -256,11 +264,6 @@ impl Device {
         self.san = Some(Box::new(SanState::new(config)));
     }
 
-    /// Whether the sanitizer is currently armed.
-    pub fn sanitizer_armed(&self) -> bool {
-        self.san.is_some()
-    }
-
     /// Remove the armed sanitizer (if any), returning it with its
     /// violation log. Poison tracking stops.
     pub fn disarm_sanitizer(&mut self) -> Option<Box<SanState>> {
@@ -343,11 +346,6 @@ impl Device {
     /// [`Device::disarm_schedule_fuzz`].
     pub fn arm_schedule_fuzz(&mut self, seed: u64) {
         self.sched = Some(SchedPlan::new(seed));
-    }
-
-    /// Whether schedule fuzzing is currently armed.
-    pub fn schedule_fuzz_armed(&self) -> bool {
-        self.sched.is_some()
     }
 
     /// Remove the armed schedule-fuzz plan (if any), returning it with
@@ -484,16 +482,6 @@ impl Device {
         self.arena.clear_poison(buf);
     }
 
-    /// Label a buffer was allocated with.
-    pub fn buffer_label(&self, buf: Buf) -> &'static str {
-        self.arena.label(buf)
-    }
-
-    /// Total device words allocated (memory accounting).
-    pub fn allocated_words(&self) -> usize {
-        self.arena.total_words()
-    }
-
     /// Per-buffer lane-level traffic: `(label, loads, stores, atomics)`
     /// rows sorted by total descending — answers "which array
     /// dominates memory traffic" for kernel tuning.
@@ -529,11 +517,6 @@ impl Device {
         self.counters = Counters::default();
         self.reports.clear();
         self.elapsed_ns = 0.0;
-    }
-
-    /// Additionally reset cache state (cold-start measurement).
-    pub fn reset_caches(&mut self) {
-        self.caches = CacheHierarchy::new(&self.config);
     }
 
     /// Charge a grid-wide synchronization barrier (the sync-mode

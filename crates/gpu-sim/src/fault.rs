@@ -29,6 +29,7 @@
 //! to a fault-free build.
 
 use crate::buffer::Arena;
+use crate::splitmix64;
 
 /// Fault classes the plan can inject. See the module docs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -303,19 +304,9 @@ impl FaultPlan {
         self.log.len() as u64 + self.dropped_log
     }
 
-    fn next_u64(&mut self) -> u64 {
-        // splitmix64 (Steele et al.) — tiny, dependency-free, and
-        // plenty for fault scheduling.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// One Bernoulli draw at the plan's rate.
     fn fires(&mut self) -> bool {
-        (self.next_u64() >> 11) < self.threshold
+        (splitmix64(&mut self.state) >> 11) < self.threshold
     }
 
     fn record(&mut self, site: &'static str, index: u32, detail: u32) {
@@ -373,7 +364,7 @@ impl FaultPlan {
                 if !self.targeted(site, Some(idx)) || !self.fires() {
                     return None;
                 }
-                let bit = (self.next_u64() % 32) as u32;
+                let bit = (splitmix64(&mut self.state) % 32) as u32;
                 self.record(site, idx, bit);
                 Some(val ^ (1 << bit))
             }
@@ -464,7 +455,7 @@ impl FaultPlan {
             {
                 // Deterministic Fisher–Yates off the plan stream.
                 for i in (1..msgs.len()).rev() {
-                    let j = (self.next_u64() % (i as u64 + 1)) as usize;
+                    let j = (splitmix64(&mut self.state) % (i as u64 + 1)) as usize;
                     msgs.swap(i, j);
                 }
                 self.record("exchange", msgs.len() as u32, 0);

@@ -49,7 +49,6 @@ fn word(arena: &Arena, buf: Buf, idx: u32, addr: u64) -> Word {
 pub struct ChildLaunch {
     pub(crate) name: &'static str,
     pub(crate) threads: u64,
-    pub(crate) gang_size: u32,
     pub(crate) body: Box<dyn Fn(&mut Lane<'_>)>,
 }
 
@@ -480,36 +479,7 @@ impl<'a> Lane<'a> {
                 return;
             }
         }
-        self.children.push(ChildLaunch { name, threads, gang_size: 1, body: Box::new(body) });
-    }
-
-    /// Dynamic parallelism with cooperative gangs.
-    pub fn launch_child_gangs(
-        &mut self,
-        name: &'static str,
-        items: u64,
-        gang_size: u32,
-        body: impl Fn(&mut Lane<'_>) + 'static,
-    ) {
-        self.alu(4);
-        let lane = self.phys_id();
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_child_launch(lane, self.tid);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_child_launch(lane, self.tid);
-        }
-        if let Some(plan) = self.fault.as_deref_mut() {
-            if plan.on_child_launch(name, items * gang_size as u64) {
-                return;
-            }
-        }
-        self.children.push(ChildLaunch {
-            name,
-            threads: items * gang_size as u64,
-            gang_size,
-            body: Box::new(body),
-        });
+        self.children.push(ChildLaunch { name, threads, body: Box::new(body) });
     }
 }
 
@@ -572,15 +542,7 @@ impl Device {
         while !self.pending_children.is_empty() {
             let batch = std::mem::take(&mut self.pending_children);
             for child in batch {
-                self.execute(
-                    child.name,
-                    child.threads,
-                    child.gang_size,
-                    true,
-                    false,
-                    snapshot,
-                    &*child.body,
-                );
+                self.execute(child.name, child.threads, 1, true, false, snapshot, &*child.body);
             }
         }
     }

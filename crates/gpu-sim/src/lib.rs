@@ -102,6 +102,18 @@ pub use san::{AccessProfile, SanCheck, SanConfig, SanViolation, WordStats};
 pub use sched::SchedPlan;
 pub use stream::StreamSet;
 
+/// splitmix64 (Steele et al.): the workspace's small deterministic
+/// generator. Advances `state` and returns the next draw; fault plans,
+/// the lane permuter, traffic arrivals and the adversary's search all
+/// draw from it, so each is a pure function of its seed.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Threads per warp, fixed at 32 like every NVIDIA architecture.
 pub const WARP_SIZE: u32 = 32;
 

@@ -17,6 +17,8 @@
 //! exactly the property the fuzzing harness asserts, with the
 //! memory-model sanitizer armed to catch the schedule-sensitive ones.
 
+use crate::splitmix64;
+
 /// A seeded, deterministic per-wave lane-order permuter.
 #[derive(Clone, Debug)]
 pub struct SchedPlan {
@@ -43,22 +45,13 @@ impl SchedPlan {
         self.waves_permuted
     }
 
-    fn next_u64(&mut self) -> u64 {
-        // splitmix64, same generator the fault plan uses.
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
     /// Draw a fresh permutation of `0..n` (Fisher–Yates off the plan
     /// stream). Called once per executed wave.
     pub(crate) fn permutation(&mut self, n: u64) -> Vec<u64> {
         self.waves_permuted += 1;
         let mut order: Vec<u64> = (0..n).collect();
         for i in (1..order.len()).rev() {
-            let j = (self.next_u64() % (i as u64 + 1)) as usize;
+            let j = (splitmix64(&mut self.state) % (i as u64 + 1)) as usize;
             order.swap(i, j);
         }
         order

@@ -160,12 +160,6 @@ impl Csr {
         self.heavy_delta = Some(delta);
     }
 
-    /// Drop any attached heavy offsets (used when re-sorting edges).
-    pub fn clear_heavy_offsets(&mut self) {
-        self.heavy_offsets = None;
-        self.heavy_delta = None;
-    }
-
     /// Mutable access to the adjacency/weight arrays for in-place
     /// per-vertex reordering. Clears heavy offsets since they may no
     /// longer be valid.

@@ -4,7 +4,7 @@
 //! ```text
 //! rdbs-cli --gen kronecker:14:16 --algo rdbs --source 1
 //! rdbs-cli --load graph.gr --format dimacs --algo adds --profile
-//! rdbs-cli --gen dataset:soc-PK:6 --algo all --sources 4
+//! rdbs-cli --gen dataset:soc-PK:6 --algo all --validate
 //! rdbs-cli verify                 # full differential conformance matrix
 //! rdbs-cli verify --impl gpu/full --graph kronecker
 //! rdbs-cli verify --impl seq/dijkstra --witness witness.txt
@@ -12,6 +12,11 @@
 //! rdbs-cli chaos --model bit-flip --entry gpu/full --seed 3
 //! rdbs-cli serve --sources 64     # resident service: one upload, many queries
 //! ```
+//!
+//! Every mode parses its command line with the one loop in [`parse`]
+//! into one [`Options`]: a mode names the shared flags it reads, takes
+//! its own through a hook, and rejects any other flag with its usage
+//! (exit 2).
 
 use rdbs::baselines::{adds, frontier_bf, near_far, pq_delta_stepping};
 use rdbs::baselines::{rho_stepping, sep_graph};
@@ -21,52 +26,227 @@ use rdbs::graph::generate::{
     erdos_renyi, grid_road, kronecker, preferential_attachment, uniform_weights, GridConfig,
     KroneckerConfig,
 };
-use rdbs::graph::{datasets, io, Csr, Dist, VertexId, INF};
+use rdbs::graph::{datasets, io, Csr, Dist, VertexId, Weight, INF};
 use rdbs::sim::{Device, DeviceConfig};
 use rdbs::sssp::cpu::{async_bucket_sssp, default_threads, parallel_delta_stepping};
 use rdbs::sssp::gpu::{multi_gpu_sssp, MultiGpuConfig};
 use rdbs::sssp::gpu::{run_gpu, FrontierKind, RdbsConfig, Variant};
 use rdbs::sssp::seq::dial;
 use rdbs::sssp::seq::{bellman_ford, delta_stepping, dijkstra};
+use rdbs::sssp::service::Backend;
 use rdbs::sssp::{default_delta, validate};
 use std::io::BufReader;
 use std::process::exit;
 
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = || args[1..].to_vec();
+    match args.first().map_or("", String::as_str) {
+        "serve" => serve_main(rest()),
+        "verify" => verify_main(rest()),
+        "chaos" if args.iter().any(|a| a == "--adversarial") => adversary_main(rest()),
+        "chaos" => chaos_main(rest()),
+        "fuzz-schedules" => fuzz_main(rest()),
+        "sanitize" => sanitize_main(rest()),
+        "analyze" => analyze_main(rest()),
+        _ => run_main(args),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One option set for every mode.
+// ---------------------------------------------------------------------------
+
+/// The flags the modes share, parsed and range-checked once by
+/// [`parse`]. `--quick --entry --graph --frontier --seed --delta0`
+/// land in the [`SweepOptions`] the sweeps take as they are.
+#[derive(Default)]
 struct Options {
     gen_spec: Option<String>,
     load_path: Option<String>,
-    format: String,
-    algo: String,
-    source: VertexId,
-    sources: usize,
-    seed: u64,
-    device: DeviceConfig,
-    profile: bool,
+    format: Option<String>,
+    device: Option<DeviceConfig>,
+    sources: Option<usize>,
     validate: bool,
-    print_dist: usize,
-    delta0: Option<u32>,
+    sweep: SweepOptions,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Self {
-            gen_spec: None,
-            load_path: None,
-            format: "edgelist".into(),
-            algo: "rdbs".into(),
-            source: 0,
-            sources: 1,
-            seed: 42,
-            device: DeviceConfig::v100(),
-            profile: false,
-            validate: false,
-            print_dist: 0,
-            delta0: None,
+impl Options {
+    /// Run and serve use the last `--seed` (default 42); the sweeps
+    /// read every one.
+    fn seed(&self) -> u64 {
+        self.sweep.seeds.last().copied().unwrap_or(42)
+    }
+
+    /// The `--device` config: V100 by default, TINY with `--quick`.
+    fn device(&self) -> DeviceConfig {
+        let default = if self.sweep.quick { DeviceConfig::test_tiny } else { DeviceConfig::v100 };
+        self.device.clone().unwrap_or_else(default)
+    }
+}
+
+// The shared flags a mode reads, one bit per flag (or flag pair).
+const GEN: u16 = 1; // --gen
+const LOAD: u16 = 1 << 1; // --load --format
+const SEED: u16 = 1 << 2; // --seed
+const DEVICE: u16 = 1 << 3; // --device
+const DELTA0: u16 = 1 << 4; // --delta0
+const SOURCES: u16 = 1 << 5; // --sources
+const VALIDATE: u16 = 1 << 6; // --validate
+const QUICK: u16 = 1 << 7; // --quick
+const FRONTIER: u16 = 1 << 8; // --frontier
+const FILTERS: u16 = 1 << 9; // --entry (--impl) --graph
+
+// What each mode reads; `verify` adds DELTA0, `chaos` (adversarial or
+// not) and `fuzz-schedules` add SEED.
+const RUN: u16 = GEN | LOAD | SEED | DEVICE | DELTA0 | VALIDATE;
+const SERVE: u16 = GEN | SEED | DEVICE | DELTA0 | SOURCES | VALIDATE | QUICK | FRONTIER;
+const SWEEP: u16 = QUICK | FRONTIER | FILTERS;
+
+/// Parse a mode's command line: the shared flags in `reads` into one
+/// [`Options`], anything else through `extra`, which returns `false`
+/// for a flag the mode does not read. An unread flag, a missing or
+/// malformed value and `--delta0 0` exit through `usage`.
+fn parse(
+    args: Vec<String>,
+    usage: fn() -> !,
+    reads: u16,
+    mut extra: impl FnMut(&str, &mut dyn FnMut() -> String, &mut SweepOptions) -> bool,
+) -> Options {
+    let mut o = Options::default();
+    let has = |flag: u16| reads & flag != 0;
+    let mut it = args.into_iter();
+    while let Some(flag) = it.next() {
+        let mut val = || it.next().unwrap_or_else(|| usage());
+        match flag.as_str() {
+            "--gen" if has(GEN) => o.gen_spec = Some(val()),
+            "--load" if has(LOAD) => o.load_path = Some(val()),
+            "--format" if has(LOAD) => o.format = Some(val()),
+            "--seed" if has(SEED) => o.sweep.seeds.push(num(&val(), usage)),
+            "--device" if has(DEVICE) => {
+                o.device = Some(DeviceConfig::by_name(&val()).unwrap_or_else(|| usage()));
+            }
+            "--delta0" if has(DELTA0) => match num(&val(), usage) {
+                0 => usage(),
+                w => o.sweep.delta0 = Some(w),
+            },
+            "--sources" if has(SOURCES) => o.sources = Some(num(&val(), usage)),
+            "--validate" if has(VALIDATE) => o.validate = true,
+            "--quick" if has(QUICK) => o.sweep.quick = true,
+            "--frontier" if has(FRONTIER) => {
+                o.sweep.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| usage()));
+            }
+            "--entry" | "--impl" if has(FILTERS) => o.sweep.entry_filter = Some(val()),
+            "--graph" if has(FILTERS) => o.sweep.graph_filter = Some(val()),
+            other => {
+                if !extra(other, &mut val, &mut o.sweep) {
+                    usage()
+                }
+            }
+        }
+    }
+    o
+}
+
+/// Parse a number or bail out through `usage`.
+fn num<T: std::str::FromStr>(s: &str, usage: fn() -> !) -> T {
+    s.parse().unwrap_or_else(|_| usage())
+}
+
+/// The engines `--algo` and `serve --backend` share: full RDBS, its
+/// ablations (BASYN+PRO, BASYN+ADWL, BASYN, sync Δ), BL and the
+/// multi-GPU port over K devices (default 2).
+fn backend_named(name: &str, delta0: Option<Weight>) -> Option<Backend> {
+    let rdbs = |cfg| Some(Backend::Gpu(Variant::Rdbs(RdbsConfig { delta0, ..cfg })));
+    match name {
+        "rdbs" => rdbs(RdbsConfig::full()),
+        "basyn-pro" => rdbs(RdbsConfig::basyn_pro()),
+        "basyn-adwl" => rdbs(RdbsConfig::basyn_adwl()),
+        "basyn" => rdbs(RdbsConfig::basyn_only()),
+        "sync-delta" => rdbs(RdbsConfig::sync_delta()),
+        "bl" => Some(Backend::Gpu(Variant::Baseline)),
+        m if m.starts_with("multi-gpu") => {
+            Some(Backend::MultiGpu(m.split(':').nth(1).and_then(|k| k.parse().ok()).unwrap_or(2)))
+        }
+        _ => None,
+    }
+}
+
+/// The `--validate` check: each `(source, dist)` answer against the
+/// Dijkstra oracle. The first disagreement prints `fail(source,
+/// mismatch)` and exits 1.
+fn validate_or_exit<'a>(
+    g: &Csr,
+    answers: impl IntoIterator<Item = (VertexId, &'a [Dist])>,
+    fail: impl Fn(VertexId, validate::Mismatch) -> String,
+) {
+    for (source, dist) in answers {
+        if let Err(m) = validate::check_against(&dijkstra(g, source).dist, dist) {
+            println!("{}", fail(source, m));
+            exit(1);
         }
     }
 }
 
-fn usage() -> ! {
+fn build_graph(o: &Options) -> Csr {
+    let seed = o.seed();
+    if let Some(spec) = &o.gen_spec {
+        let parts: Vec<&str> = spec.split(':').collect();
+        let num = |i: usize| -> u64 {
+            parts.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| run_usage())
+        };
+        let mut el = match parts[0] {
+            "kronecker" => kronecker(KroneckerConfig::new(num(1) as u32, num(2) as u32), seed),
+            "rmat" => rdbs::graph::generate::rmat(
+                rdbs::graph::generate::RmatConfig::graph500(num(1) as u32, num(2) as u32),
+                seed,
+            ),
+            "grid" => grid_road(GridConfig::road(num(1) as usize, num(2) as usize), seed),
+            "powerlaw" => preferential_attachment(num(1) as usize, num(2) as usize, seed),
+            "erdos" => erdos_renyi(num(1) as usize, num(2) as usize, seed),
+            "dataset" => {
+                let name = parts.get(1).copied().unwrap_or_else(|| run_usage());
+                let shift = num(2) as u32;
+                let spec = if name.starts_with("k-n") {
+                    datasets::kronecker_spec(21, 16)
+                } else {
+                    datasets::by_name(name).unwrap_or_else(|| {
+                        eprintln!("unknown dataset '{name}'");
+                        exit(2)
+                    })
+                };
+                return spec.generate(shift, seed);
+            }
+            _ => run_usage(),
+        };
+        uniform_weights(&mut el, seed);
+        build_undirected(&el)
+    } else {
+        let path = o.load_path.as_ref().unwrap();
+        let file = std::fs::File::open(path).unwrap_or_else(|e| {
+            eprintln!("cannot open {path}: {e}");
+            exit(1)
+        });
+        let reader = BufReader::new(file);
+        let result = match o.format.as_deref().unwrap_or("edgelist") {
+            "edgelist" => io::parse_edge_list(reader).map(|el| build_undirected(&el)),
+            "dimacs" => io::parse_dimacs(reader).map(|el| build_undirected(&el)),
+            "mtx" => io::parse_matrix_market(reader).map(|el| build_undirected(&el)),
+            "binary" => io::read_binary_csr(reader),
+            _ => run_usage(),
+        };
+        result.unwrap_or_else(|e| {
+            eprintln!("failed to parse {path}: {e}");
+            exit(1)
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Run mode: one graph, one or every algorithm, one source.
+// ---------------------------------------------------------------------------
+
+fn run_usage() -> ! {
     eprintln!(
         "usage: rdbs-cli [--gen SPEC | --load FILE] [options]
 
@@ -86,9 +266,8 @@ run options:
          dijkstra|dial|bellman-ford|delta-stepping|
          cpu-parallel|cpu-async|pq-delta|rho-stepping|all
   --source V          starting vertex (default 0)
-  --sources K         average over K random sources instead
   --seed S            rng seed (default 42)
-  --device V100|T4    simulated GPU
+  --device V100|T4|TINY  simulated GPU (default V100)
   --delta0 W          bucket width override
   --profile           print nvprof-style counters (GPU algos)
   --validate          check against Dijkstra
@@ -97,114 +276,30 @@ run options:
     exit(2)
 }
 
-fn parse_args() -> Options {
-    let mut o = Options::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--gen" => o.gen_spec = Some(val()),
-            "--load" => o.load_path = Some(val()),
-            "--format" => o.format = val(),
-            "--algo" => o.algo = val().to_lowercase(),
-            "--source" => o.source = val().parse().unwrap_or_else(|_| usage()),
-            "--sources" => o.sources = val().parse().unwrap_or_else(|_| usage()),
-            "--seed" => o.seed = val().parse().unwrap_or_else(|_| usage()),
-            "--delta0" => o.delta0 = Some(val().parse().unwrap_or_else(|_| usage())),
-            "--device" => {
-                o.device = match val().to_uppercase().as_str() {
-                    "V100" => DeviceConfig::v100(),
-                    "T4" => DeviceConfig::t4(),
-                    _ => usage(),
-                }
-            }
-            "--profile" => o.profile = true,
-            "--validate" => o.validate = true,
-            "--print-dist" => o.print_dist = val().parse().unwrap_or_else(|_| usage()),
-            "--help" | "-h" => usage(),
-            _ => usage(),
+/// Run mode's own flags.
+struct Run {
+    algo: String,
+    source: VertexId,
+    profile: bool,
+    print_dist: usize,
+}
+
+fn run_main(args: Vec<String>) {
+    let mut r = Run { algo: "rdbs".into(), source: 0, profile: false, print_dist: 0 };
+    let o = parse(args, run_usage, RUN, |flag, val, _| {
+        match flag {
+            "--algo" => r.algo = val().to_lowercase(),
+            "--source" => r.source = num(&val(), run_usage),
+            "--profile" => r.profile = true,
+            "--print-dist" => r.print_dist = num(&val(), run_usage),
+            _ => return false,
         }
-    }
+        true
+    });
     if o.gen_spec.is_none() && o.load_path.is_none() {
         eprintln!("error: provide --gen or --load\n");
-        usage();
+        run_usage();
     }
-    o
-}
-
-fn build_graph(o: &Options) -> Csr {
-    if let Some(spec) = &o.gen_spec {
-        let parts: Vec<&str> = spec.split(':').collect();
-        let num = |i: usize| -> u64 {
-            parts.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
-        };
-        let mut el = match parts[0] {
-            "kronecker" => kronecker(KroneckerConfig::new(num(1) as u32, num(2) as u32), o.seed),
-            "rmat" => rdbs::graph::generate::rmat(
-                rdbs::graph::generate::RmatConfig::graph500(num(1) as u32, num(2) as u32),
-                o.seed,
-            ),
-            "grid" => grid_road(GridConfig::road(num(1) as usize, num(2) as usize), o.seed),
-            "powerlaw" => preferential_attachment(num(1) as usize, num(2) as usize, o.seed),
-            "erdos" => erdos_renyi(num(1) as usize, num(2) as usize, o.seed),
-            "dataset" => {
-                let name = parts.get(1).copied().unwrap_or_else(|| usage());
-                let shift = num(2) as u32;
-                let spec = if name.starts_with("k-n") {
-                    datasets::kronecker_spec(21, 16)
-                } else {
-                    datasets::by_name(name).unwrap_or_else(|| {
-                        eprintln!("unknown dataset '{name}'");
-                        exit(2)
-                    })
-                };
-                return spec.generate(shift, o.seed);
-            }
-            _ => usage(),
-        };
-        uniform_weights(&mut el, o.seed);
-        build_undirected(&el)
-    } else {
-        let path = o.load_path.as_ref().unwrap();
-        let file = std::fs::File::open(path).unwrap_or_else(|e| {
-            eprintln!("cannot open {path}: {e}");
-            exit(1)
-        });
-        let reader = BufReader::new(file);
-        let result = match o.format.as_str() {
-            "edgelist" => io::parse_edge_list(reader).map(|el| build_undirected(&el)),
-            "dimacs" => io::parse_dimacs(reader).map(|el| build_undirected(&el)),
-            "mtx" => io::parse_matrix_market(reader).map(|el| build_undirected(&el)),
-            "binary" => io::read_binary_csr(reader),
-            _ => usage(),
-        };
-        result.unwrap_or_else(|e| {
-            eprintln!("failed to parse {path}: {e}");
-            exit(1)
-        })
-    }
-}
-
-fn main() {
-    if std::env::args().nth(1).as_deref() == Some("verify") {
-        verify_main(std::env::args().skip(2).collect());
-    }
-    if std::env::args().nth(1).as_deref() == Some("chaos") {
-        chaos_main(std::env::args().skip(2).collect());
-    }
-    if std::env::args().nth(1).as_deref() == Some("serve") {
-        serve_main(std::env::args().skip(2).collect());
-    }
-    if std::env::args().nth(1).as_deref() == Some("fuzz-schedules") {
-        fuzz_main(std::env::args().skip(2).collect());
-    }
-    if std::env::args().nth(1).as_deref() == Some("sanitize") {
-        sanitize_main(std::env::args().skip(2).collect());
-    }
-    if std::env::args().nth(1).as_deref() == Some("analyze") {
-        analyze_main(std::env::args().skip(2).collect());
-    }
-    let o = parse_args();
     let g = build_graph(&o);
     println!(
         "graph: {} vertices, {} directed edges, max weight {}",
@@ -212,11 +307,11 @@ fn main() {
         g.num_edges(),
         g.max_weight()
     );
-    if (o.source as usize) >= g.num_vertices() {
-        eprintln!("source {} out of range", o.source);
+    if (r.source as usize) >= g.num_vertices() {
+        eprintln!("source {} out of range", r.source);
         exit(2);
     }
-    let algos: Vec<String> = if o.algo == "all" {
+    let algos: Vec<String> = if r.algo == "all" {
         [
             "rdbs",
             "bl",
@@ -234,86 +329,73 @@ fn main() {
         .map(std::string::ToString::to_string)
         .collect()
     } else {
-        vec![o.algo.clone()]
+        vec![r.algo.clone()]
     };
     for algo in algos {
-        run_algo(&o, &g, &algo);
+        run_algo(&o, &r, &g, &algo);
     }
 }
 
-fn run_algo(o: &Options, g: &Csr, algo: &str) {
-    let delta = o.delta0.unwrap_or_else(|| default_delta(g));
+fn run_algo(o: &Options, r: &Run, g: &Csr, algo: &str) {
+    let delta = o.sweep.delta0.unwrap_or_else(|| default_delta(g));
+    let device = o.device();
     let threads = default_threads();
-    let s = o.source;
+    let s = r.source;
     let started = std::time::Instant::now();
-    let gpu_variant = |cfg: RdbsConfig| Some(Variant::Rdbs(cfg));
-    let variant = match algo {
-        "rdbs" => gpu_variant(RdbsConfig { delta0: o.delta0, ..RdbsConfig::full() }),
-        "basyn-pro" => gpu_variant(RdbsConfig { delta0: o.delta0, ..RdbsConfig::basyn_pro() }),
-        "basyn-adwl" => gpu_variant(RdbsConfig { delta0: o.delta0, ..RdbsConfig::basyn_adwl() }),
-        "basyn" => gpu_variant(RdbsConfig { delta0: o.delta0, ..RdbsConfig::basyn_only() }),
-        "sync-delta" => gpu_variant(RdbsConfig { delta0: o.delta0, ..RdbsConfig::sync_delta() }),
-        "bl" => Some(Variant::Baseline),
-        _ => None,
-    };
 
-    let (dist, sim_ms, label): (Vec<Dist>, Option<f64>, String) = if let Some(v) = variant {
-        let run = run_gpu(g, s, v, o.device.clone());
-        if o.profile {
-            let c = &run.counters;
-            println!(
-                "  profile[{}]: insts {} loads {} stores {} atomics {} hit {:.1}% warps-eff {:.1}%",
-                run.label,
-                c.inst_executed,
-                c.inst_executed_global_loads,
-                c.inst_executed_global_stores,
-                c.inst_executed_atomics,
-                c.global_hit_rate(),
-                c.warp_execution_efficiency()
-            );
+    let (dist, sim_ms, label) = match backend_named(algo, o.sweep.delta0) {
+        Some(Backend::Gpu(v)) => {
+            let run = run_gpu(g, s, v, device);
+            if r.profile {
+                let c = &run.counters;
+                println!(
+                    "  profile[{}]: insts {} loads {} stores {} atomics {} hit {:.1}% warps-eff {:.1}%",
+                    run.label,
+                    c.inst_executed,
+                    c.inst_executed_global_loads,
+                    c.inst_executed_global_stores,
+                    c.inst_executed_atomics,
+                    c.global_hit_rate(),
+                    c.warp_execution_efficiency()
+                );
+            }
+            (run.result.dist, Some(run.elapsed_ms), run.label)
         }
-        (run.result.dist, Some(run.elapsed_ms), run.label)
-    } else {
-        match algo {
+        Some(Backend::MultiGpu(k)) => {
+            let cfg = MultiGpuConfig { device, delta0: o.sweep.delta0, ..MultiGpuConfig::v100s(k) };
+            let run = multi_gpu_sssp(g, s, &cfg);
+            if r.profile {
+                println!(
+                    "  multi-gpu: {} devices, {} supersteps, {:.4} ms exchange, {} bytes moved",
+                    k, run.supersteps, run.exchange_ms, run.exchanged_bytes
+                );
+            }
+            (run.result.dist, Some(run.elapsed_ms), format!("multi-GPU x{k}"))
+        }
+        None => match algo {
             "adds" => {
-                let mut d = Device::new(o.device.clone());
-                let r = adds(&mut d, g, s, delta);
-                (r.dist, Some(d.elapsed_ms()), "ADDS".into())
+                let mut d = Device::new(device);
+                (adds(&mut d, g, s, delta).dist, Some(d.elapsed_ms()), "ADDS".into())
             }
             "near-far" => {
-                let mut d = Device::new(o.device.clone());
-                let r = near_far(&mut d, g, s, delta);
-                (r.dist, Some(d.elapsed_ms()), "Near-Far".into())
+                let mut d = Device::new(device);
+                (near_far(&mut d, g, s, delta).dist, Some(d.elapsed_ms()), "Near-Far".into())
             }
             "frontier-bf" => {
-                let mut d = Device::new(o.device.clone());
-                let r = frontier_bf(&mut d, g, s);
-                (r.dist, Some(d.elapsed_ms()), "Frontier-BF".into())
+                let mut d = Device::new(device);
+                (frontier_bf(&mut d, g, s).dist, Some(d.elapsed_ms()), "Frontier-BF".into())
             }
             "sep-graph" => {
-                let mut d = Device::new(o.device.clone());
-                let (r, modes) = sep_graph(&mut d, g, s);
-                if o.profile {
+                let mut d = Device::new(device);
+                let (res, modes) = sep_graph(&mut d, g, s);
+                if r.profile {
                     println!("  modes: {modes:?}");
                 }
-                (r.dist, Some(d.elapsed_ms()), "SEP-Graph hybrid".into())
+                (res.dist, Some(d.elapsed_ms()), "SEP-Graph hybrid".into())
             }
             "framework" => {
-                let (r, engine) = rdbs::framework::algorithms::sssp(o.device.clone(), g, s);
-                (r.dist, Some(engine.elapsed_ms()), "framework (Gunrock-style)".into())
-            }
-            a if a.starts_with("multi-gpu") => {
-                let k: usize = a.split(':').nth(1).and_then(|x| x.parse().ok()).unwrap_or(2);
-                let mut cfg = MultiGpuConfig::v100s(k);
-                cfg.device = o.device.clone();
-                let run = multi_gpu_sssp(g, s, &cfg);
-                if o.profile {
-                    println!(
-                        "  multi-gpu: {} devices, {} supersteps, {:.4} ms exchange, {} bytes moved",
-                        k, run.supersteps, run.exchange_ms, run.exchanged_bytes
-                    );
-                }
-                (run.result.dist, Some(run.elapsed_ms), format!("multi-GPU x{k}"))
+                let (res, engine) = rdbs::framework::algorithms::sssp(device, g, s);
+                (res.dist, Some(engine.elapsed_ms()), "framework (Gunrock-style)".into())
             }
             "dijkstra" => (dijkstra(g, s).dist, None, "Dijkstra".into()),
             "dial" => (dial(g, s).dist, None, "Dial".into()),
@@ -339,7 +421,7 @@ fn run_algo(o: &Options, g: &Csr, algo: &str) {
                 eprintln!("unknown algorithm '{other}'");
                 exit(2);
             }
-        }
+        },
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
     let reached = dist.iter().filter(|&&d| d != INF).count();
@@ -351,18 +433,13 @@ fn run_algo(o: &Options, g: &Csr, algo: &str) {
     println!("  host {wall_ms:>9.2} ms");
 
     if o.validate {
-        match validate::check_against(&dijkstra(g, s).dist, &dist) {
-            Ok(()) => println!("  validation: OK (matches Dijkstra)"),
-            Err(m) => {
-                println!("  validation: FAILED — {m}");
-                exit(1);
-            }
-        }
+        validate_or_exit(g, [(s, &dist[..])], |_, m| format!("  validation: FAILED — {m}"));
+        println!("  validation: OK (matches Dijkstra)");
     }
-    if o.print_dist > 0 {
+    if r.print_dist > 0 {
         let shown: Vec<String> = dist
             .iter()
-            .take(o.print_dist)
+            .take(r.print_dist)
             .map(|&d| if d == INF { "INF".into() } else { d.to_string() })
             .collect();
         println!("  dist[0..{}] = [{}]", shown.len(), shown.join(", "));
@@ -434,52 +511,25 @@ deltas) and exits non-zero on any inconsistency."
 }
 
 fn serve_main(args: Vec<String>) -> ! {
-    use rdbs::sssp::service::{Backend, ServiceConfig, SsspService};
-    let mut o = Options::default();
-    let mut sources = 16usize;
-    let mut streams = 1usize;
-    let mut backend_spec = "rdbs".to_string();
-    let mut frontier: Option<FrontierKind> = None;
-    let mut queue_capacity: Option<u32> = None;
-    let mut quick = false;
-    let mut device_flag: Option<String> = None;
-    let mut arrivals: Option<String> = None;
-    let mut qps: Option<f64> = None;
-    let mut fast_qps: Option<f64> = None;
-    let mut dwell_ms = 50.0f64;
-    let mut slo_ms: Option<f64> = None;
-    let mut shed_margin = 1.25f64;
-    let mut hot: Option<(u32, f64)> = None;
-    let mut use_cache = false;
-    let mut approx_on_shed = false;
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| serve_usage());
-        match flag.as_str() {
-            "--sources" => sources = val().parse().unwrap_or_else(|_| serve_usage()),
-            "--streams" => streams = val().parse().unwrap_or_else(|_| serve_usage()),
-            "--gen" => o.gen_spec = Some(val()),
+    use rdbs::sssp::service::{ServiceConfig, SsspService};
+    let (mut streams, mut backend_spec, mut queue_capacity) = (1usize, "rdbs".to_string(), None);
+    let (mut arrivals, mut qps, mut fast_qps, mut slo_ms) = (None::<String>, None, None, None);
+    let (mut dwell_ms, mut shed_margin, mut hot) = (50.0f64, 1.25f64, None);
+    let (mut use_cache, mut approx_on_shed) = (false, false);
+    let mut o = parse(args, serve_usage, SERVE, |flag, val, _| {
+        match flag {
+            "--streams" => streams = num(&val(), serve_usage),
             "--backend" => backend_spec = val().to_lowercase(),
-            "--frontier" => {
-                frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| serve_usage()));
-            }
-            "--queue-capacity" => {
-                queue_capacity = Some(val().parse().unwrap_or_else(|_| serve_usage()));
-                if queue_capacity == Some(0) {
-                    serve_usage();
-                }
-            }
-            "--seed" => o.seed = val().parse().unwrap_or_else(|_| serve_usage()),
-            "--device" => device_flag = Some(val()),
-            "--delta0" => o.delta0 = Some(val().parse().unwrap_or_else(|_| serve_usage())),
-            "--validate" => o.validate = true,
-            "--quick" => quick = true,
+            "--queue-capacity" => match num(&val(), serve_usage) {
+                0 => serve_usage(),
+                c => queue_capacity = Some(c),
+            },
             "--arrivals" => arrivals = Some(val().to_lowercase()),
-            "--qps" => qps = Some(val().parse().unwrap_or_else(|_| serve_usage())),
-            "--fast-qps" => fast_qps = Some(val().parse().unwrap_or_else(|_| serve_usage())),
-            "--dwell-ms" => dwell_ms = val().parse().unwrap_or_else(|_| serve_usage()),
-            "--slo-ms" => slo_ms = Some(val().parse().unwrap_or_else(|_| serve_usage())),
-            "--shed-margin" => shed_margin = val().parse().unwrap_or_else(|_| serve_usage()),
+            "--qps" => qps = Some(num::<f64>(&val(), serve_usage)),
+            "--fast-qps" => fast_qps = Some(num(&val(), serve_usage)),
+            "--dwell-ms" => dwell_ms = num(&val(), serve_usage),
+            "--slo-ms" => slo_ms = Some(num::<f64>(&val(), serve_usage)),
+            "--shed-margin" => shed_margin = num(&val(), serve_usage),
             "--hot" => {
                 let spec = val();
                 let mut parts = spec.split(':');
@@ -491,51 +541,26 @@ fn serve_main(args: Vec<String>) -> ! {
                 }
             }
             "--cache" => use_cache = true,
-            "--approx-on-shed" => {
-                approx_on_shed = true;
-                use_cache = true;
-            }
-            "--help" | "-h" => serve_usage(),
-            _ => serve_usage(),
+            "--approx-on-shed" => (approx_on_shed, use_cache) = (true, true),
+            _ => return false,
         }
-    }
-    o.device = match device_flag.as_deref().map(str::to_uppercase).as_deref() {
-        Some("V100") => DeviceConfig::v100(),
-        Some("T4") => DeviceConfig::t4(),
-        Some("TINY") => DeviceConfig::test_tiny(),
-        Some(_) => serve_usage(),
-        None if quick => DeviceConfig::test_tiny(),
-        None => DeviceConfig::v100(),
-    };
+        true
+    });
     if o.gen_spec.is_none() {
-        o.gen_spec = Some(if quick { "erdos:1500:6000".into() } else { "kronecker:12:16".into() });
+        let spec = if o.sweep.quick { "erdos:1500:6000" } else { "kronecker:12:16" };
+        o.gen_spec = Some(spec.into());
     }
+    let (seed, sources, delta0) = (o.seed(), o.sources.unwrap_or(16), o.sweep.delta0);
     let g = build_graph(&o);
     let n = g.num_vertices();
     println!("graph: {} vertices, {} directed edges", n, g.num_edges());
 
-    let backend = match backend_spec.as_str() {
-        "rdbs" => {
-            Backend::Gpu(Variant::Rdbs(RdbsConfig { delta0: o.delta0, ..RdbsConfig::full() }))
-        }
-        "bl" => Backend::Gpu(Variant::Baseline),
-        b if b.starts_with("multi-gpu") => {
-            let k: usize = b.split(':').nth(1).and_then(|x| x.parse().ok()).unwrap_or(2);
-            Backend::MultiGpu(k)
-        }
-        _ => serve_usage(),
-    };
+    let backend = backend_named(&backend_spec, delta0).unwrap_or_else(|| serve_usage());
     if streams == 0 {
         serve_usage();
     }
-    let mut config = ServiceConfig {
-        backend,
-        device: o.device.clone(),
-        delta0: o.delta0,
-        streams,
-        queue_capacity,
-    };
-    if let Some(kind) = frontier {
+    let mut config = ServiceConfig { backend, device: o.device(), delta0, streams, queue_capacity };
+    if let Some(kind) = o.sweep.frontier {
         if !matches!(config.backend, Backend::Gpu(Variant::Rdbs(_))) {
             eprintln!("error: --frontier only applies to the rdbs backend\n");
             serve_usage();
@@ -550,6 +575,8 @@ fn serve_main(args: Vec<String>) -> ! {
         "service: backend {backend_spec}, resident in {:.1} ms ({uploads_per_graph} uploads)",
         built.elapsed().as_secs_f64() * 1e3
     );
+    let disagrees =
+        |s: VertexId, m| format!("serve: FAILED — source {s} disagrees with Dijkstra: {m}");
 
     // Open-loop traffic mode: seeded simulated-time arrivals with
     // deadline-aware dispatch and admission control, instead of a
@@ -563,7 +590,7 @@ fn serve_main(args: Vec<String>) -> ! {
         // Calibrate rate/SLO defaults from one probe query's measured
         // service time so the workload stresses admission regardless
         // of graph or device scale.
-        let _ = service.query((o.seed % n as u64) as VertexId);
+        let _ = service.query((seed % n as u64) as VertexId);
         let service_ms = *service
             .stats()
             .per_query_sim_ms
@@ -583,7 +610,7 @@ fn serve_main(args: Vec<String>) -> ! {
         let cfg = TrafficConfig {
             arrivals,
             offered: sources,
-            seed: o.seed,
+            seed,
             slo_ms,
             tight_slo_ms: None,
             tight_every: 0,
@@ -627,19 +654,11 @@ fn serve_main(args: Vec<String>) -> ! {
             println!("cache: hit rate {:.1}% of offered", 100.0 * report.hit_rate());
         }
         if o.validate {
-            for out in &report.outcomes {
-                if let Outcome::Exact { result, .. } = out {
-                    if let Err(m) =
-                        validate::check_against(&dijkstra(&g, result.source).dist, &result.dist)
-                    {
-                        println!(
-                            "serve: FAILED — source {} disagrees with Dijkstra: {m}",
-                            result.source
-                        );
-                        exit(1);
-                    }
-                }
-            }
+            let exact = report.outcomes.iter().filter_map(|out| match out {
+                Outcome::Exact { result, .. } => Some((result.source, &result.dist[..])),
+                _ => None,
+            });
+            validate_or_exit(&g, exact, disagrees);
             println!("validation: OK — all {} exact answers match Dijkstra", report.exact);
         }
         if let Err(msg) = report.check_accounting(&before, &after) {
@@ -657,7 +676,7 @@ fn serve_main(args: Vec<String>) -> ! {
     // Seeded source choice (splitmix64 over the vertex range).
     let picks: Vec<VertexId> = (0..sources as u64)
         .map(|i| {
-            let mut x = o.seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut x = seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
             x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             ((x ^ (x >> 31)) % n as u64) as VertexId
@@ -712,12 +731,7 @@ fn serve_main(args: Vec<String>) -> ! {
         exit(1);
     }
     if o.validate {
-        for r in &results {
-            if let Err(m) = validate::check_against(&dijkstra(&g, r.source).dist, &r.dist) {
-                println!("serve: FAILED — source {} disagrees with Dijkstra: {m}", r.source);
-                exit(1);
-            }
-        }
+        validate_or_exit(&g, results.iter().map(|r| (r.source, &r.dist[..])), disagrees);
         println!("validation: OK — all {} queries match Dijkstra", results.len());
     }
     println!("serve: OK — one upload served {} queries", results.len());
@@ -726,8 +740,8 @@ fn serve_main(args: Vec<String>) -> ! {
 
 // ---------------------------------------------------------------------------
 // The conformance sweeps — verify, chaos, chaos --adversarial,
-// fuzz-schedules, sanitize, analyze — over the one registry: one option
-// set, one parser for the flags they share, one "matched nothing" exit.
+// fuzz-schedules, sanitize, analyze — over the one registry: one
+// `SweepOptions`, one "matched nothing" exit.
 // ---------------------------------------------------------------------------
 
 /// Print a sweep's usage: `about`, the shared flags, the sweep's own
@@ -763,42 +777,6 @@ entries:
         all = ids(0),
     );
     exit(2)
-}
-
-/// Parse a number or bail out through `usage`.
-fn num<T: std::str::FromStr>(s: &str, usage: fn() -> !) -> T {
-    s.parse().unwrap_or_else(|_| usage())
-}
-
-/// Parse a sweep's command line: the shared flags (`--quick --entry
-/// --impl --graph --frontier --seed`) into one `SweepOptions`, anything
-/// else through `extra`, which returns `false` for a flag it does not
-/// know.
-fn parse_sweep(
-    args: Vec<String>,
-    usage: fn() -> !,
-    mut extra: impl FnMut(&str, &mut dyn FnMut() -> String, &mut SweepOptions) -> bool,
-) -> SweepOptions {
-    let mut o = SweepOptions::default();
-    let mut it = args.into_iter();
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--quick" => o.quick = true,
-            "--entry" | "--impl" => o.entry_filter = Some(val()),
-            "--graph" => o.graph_filter = Some(val()),
-            "--frontier" => {
-                o.frontier = Some(FrontierKind::parse(&val()).unwrap_or_else(|| usage()));
-            }
-            "--seed" => o.seeds.push(num(&val(), usage)),
-            other => {
-                if !extra(other, &mut val, &mut o) {
-                    usage()
-                }
-            }
-        }
-    }
-    o
 }
 
 /// The one exit for a sweep whose filters selected nothing.
@@ -844,9 +822,8 @@ fn verify_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
     let (mut shrink, mut witness_out, mut witness_in) =
         (true, "rdbs-witness.txt".to_string(), None);
-    let o = parse_sweep(args, verify_usage, |flag, val, o| {
+    let o = parse(args, verify_usage, SWEEP | DELTA0, |flag, val, o| {
         match flag {
-            "--delta0" => o.delta0 = Some(num(&val(), verify_usage)),
             "--inject-fault" => o.include_faults = true,
             "--no-shrink" => shrink = false,
             "--witness-out" => witness_out = val(),
@@ -854,7 +831,8 @@ fn verify_main(args: Vec<String>) -> ! {
             _ => return false,
         }
         true
-    });
+    })
+    .sweep;
     let with_frontier = |imp: conf::Entry| o.frontier.map_or(imp, |kind| imp.with_frontier(kind));
 
     // Replay mode: one implementation on one witness file.
@@ -1021,11 +999,8 @@ fn check_model_filter(filter: &Option<String>) {
 
 fn chaos_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
-    if args.iter().any(|a| a == "--adversarial") {
-        adversary_main(args);
-    }
     let mut show_all_reports = false;
-    let o = parse_sweep(args, chaos_usage, |flag, val, o| {
+    let o = parse(args, chaos_usage, SWEEP | SEED, |flag, val, o| {
         match flag {
             "--model" => o.model_filter = Some(val()),
             "--rate" => o.rate = Some(num(&val(), chaos_usage)),
@@ -1033,7 +1008,8 @@ fn chaos_main(args: Vec<String>) -> ! {
             _ => return false,
         }
         true
-    });
+    })
+    .sweep;
     check_model_filter(&o.model_filter);
 
     let report = quietly(|| {
@@ -1087,7 +1063,7 @@ fn chaos_main(args: Vec<String>) -> ! {
 fn adversary_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
     let mut corpus_out: Option<String> = None;
-    let o = parse_sweep(args, chaos_usage, |flag, val, o| {
+    let o = parse(args, chaos_usage, SWEEP | SEED, |flag, val, o| {
         match flag {
             "--adversarial" => {}
             "--model" => o.model_filter = Some(val()),
@@ -1097,7 +1073,8 @@ fn adversary_main(args: Vec<String>) -> ! {
             _ => return false,
         }
         true
-    });
+    })
+    .sweep;
     // The search picks its own models from the scouted profile; a
     // `--model` filter still gets the typo check so `chaos --model nope
     // --adversarial` fails the same way the uniform sweep does.
@@ -1174,13 +1151,14 @@ specimen goes undetected. Deterministic in (--seed, --perms).",
 
 fn fuzz_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
-    let o = parse_sweep(args, fuzz_usage, |flag, val, o| {
+    let o = parse(args, fuzz_usage, SWEEP | SEED, |flag, val, o| {
         match flag {
             "--perms" => o.perms = num(&val(), fuzz_usage),
             _ => return false,
         }
         true
-    });
+    })
+    .sweep;
 
     let report = quietly(|| {
         conf::fuzz_schedules(&o, |cell| {
@@ -1236,13 +1214,14 @@ byte.",
 fn sanitize_main(args: Vec<String>) -> ! {
     use rdbs::conformance as conf;
     let mut max_print = 5usize;
-    let o = parse_sweep(args, sanitize_usage, |flag, val, _| {
+    let o = parse(args, sanitize_usage, SWEEP, |flag, val, _| {
         match flag {
             "--max" => max_print = num(&val(), sanitize_usage),
             _ => return false,
         }
         true
-    });
+    })
+    .sweep;
 
     // Liveness first: a green matrix from a dead detector is
     // meaningless.
@@ -1331,7 +1310,7 @@ fn analyze_main(args: Vec<String>) -> ! {
     let mut json = false;
     let mut write_path: Option<String> = None;
     let mut check_path: Option<String> = None;
-    let o = parse_sweep(args, analyze_usage, |flag, val, _| {
+    let o = parse(args, analyze_usage, SWEEP, |flag, val, _| {
         match flag {
             "--json" => json = true,
             "--write" => write_path = Some(val()),
@@ -1339,7 +1318,8 @@ fn analyze_main(args: Vec<String>) -> ! {
             _ => return false,
         }
         true
-    });
+    })
+    .sweep;
 
     // With --json, stdout carries exactly one JSON document; all the
     // human-readable narration moves to stderr so the output pipes

@@ -1,9 +1,29 @@
 //! Integration tests for the `rdbs-cli` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_rdbs-cli"))
+}
+
+/// The CLI's exit code, output discarded. A run still going after 30 s
+/// is killed and fails the test, so a hang cannot stall the suite.
+fn exit_code(args: &[&str]) -> Option<i32> {
+    let mut child =
+        cli().args(args).stdout(Stdio::null()).stderr(Stdio::null()).spawn().expect("cli must run");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        if let Some(status) = child.try_wait().expect("cli must be waitable") {
+            return status.code();
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("rdbs-cli {args:?} still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 #[test]
@@ -149,4 +169,78 @@ fn t4_device_and_seed_flags() {
         .unwrap();
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("ADDS"));
+}
+
+/// Run mode answers one source; `--sources` belongs to `serve`.
+#[test]
+fn run_mode_rejects_sources() {
+    assert_eq!(exit_code(&["--gen", "kronecker:8:4", "--sources", "4"]), Some(2));
+}
+
+/// `verify`, `sanitize` and `analyze` draw no seeded stream, so a
+/// `--seed` there is a usage error rather than a silent no-op.
+#[test]
+fn seedless_sweeps_reject_seed() {
+    for sweep in ["verify", "sanitize", "analyze"] {
+        let args = [sweep, "--quick", "--entry", "gpu/full", "--graph", "erdos", "--seed", "3"];
+        assert_eq!(exit_code(&args), Some(2), "{sweep} accepted --seed");
+    }
+}
+
+#[test]
+fn multi_gpu_algo_honours_delta0() {
+    let profile = |delta: &str| {
+        let args = ["--gen", "kronecker:10:8", "--algo", "multi-gpu:2", "--profile", "--delta0"];
+        let out = cli().args(args).arg(delta).output().expect("cli must run");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout.lines().find(|l| l.contains("supersteps"));
+        line.unwrap_or_else(|| panic!("no multi-gpu profile in: {stdout}")).to_string()
+    };
+    assert_ne!(profile("1"), profile("1000"), "the bucket width never reached the devices");
+}
+
+/// Δ = 0 never advances a bucket window: every mode that reads
+/// `--delta0` rejects it up front instead of panicking or spinning.
+#[test]
+fn delta0_zero_is_a_usage_error_in_every_mode() {
+    let cases: [&[&str]; 5] = [
+        &["--gen", "erdos:300:1500", "--algo", "delta-stepping", "--delta0", "0"],
+        &["--gen", "erdos:300:1500", "--algo", "multi-gpu:2", "--delta0", "0"],
+        &["serve", "--quick", "--backend", "multi-gpu:2", "--delta0", "0"],
+        &["verify", "--quick", "--impl", "multi-gpu/k2", "--delta0", "0"],
+        &["chaos", "--quick", "--delta0", "0"],
+    ];
+    for args in cases {
+        assert_eq!(exit_code(args), Some(2), "rdbs-cli {args:?}");
+    }
+}
+
+#[test]
+fn serve_quick_batch_is_green() {
+    let out = cli()
+        .args(["serve", "--quick", "--sources", "8", "--streams", "2", "--validate"])
+        .output()
+        .expect("cli must run");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("validation: OK — all 8 queries match Dijkstra"), "stdout: {stdout}");
+    assert!(stdout.contains("serve: OK — one upload served 8 queries"), "stdout: {stdout}");
+}
+
+/// Flags a mode does not read, and values it cannot serve, are usage
+/// errors (exit 2).
+#[test]
+fn serve_and_verify_usage_errors() {
+    let cases: [&[&str]; 6] = [
+        &["serve", "--quick", "--streams", "0"],
+        &["serve", "--quick", "--queue-capacity", "0"],
+        &["serve", "--quick", "--backend", "bl", "--frontier", "mlmq"],
+        &["serve", "--quick", "--backend", "multi-gpu:2", "--arrivals", "poisson"],
+        &["serve", "--load", "x"],
+        &["verify", "--device", "T4"],
+    ];
+    for args in cases {
+        assert_eq!(exit_code(args), Some(2), "rdbs-cli {args:?}");
+    }
 }
