@@ -8,6 +8,7 @@ use crate::ir::{AccessIr, IrState, QueueDecl};
 use crate::kernel::{ChildLaunch, ScatterReq};
 use crate::san::{AccessProfile, SanConfig, SanState, SanViolation};
 use crate::sched::SchedPlan;
+use crate::trace::TraceArena;
 use std::collections::HashMap;
 
 /// Hardware parameters of a simulated GPU.
@@ -192,6 +193,15 @@ pub struct Device {
     pub(crate) pending_scatter: Vec<ScatterReq>,
     /// Per-buffer (load, store, atomic) op counts, indexed by buffer id.
     pub(crate) buffer_traffic: Vec<[u64; 3]>,
+    /// Lane traces of the running wave's streamed or held warps,
+    /// reused across waves.
+    pub(crate) traces: TraceArena,
+    /// Cycles per SM of the running wave, reused across waves.
+    pub(crate) sm_cycles: Vec<u64>,
+    /// Run waves through the whole-wave reference executor instead of
+    /// streaming them (the streamed executor's test oracle).
+    #[cfg(test)]
+    pub(crate) whole_wave: bool,
     /// Armed fault-injection plan, if any. `None` (the default) keeps
     /// every hook a single branch and the device bit-identical to a
     /// fault-free build.
@@ -229,6 +239,10 @@ impl Device {
             pending_children: Vec::new(),
             pending_scatter: Vec::new(),
             buffer_traffic: Vec::new(),
+            traces: TraceArena::default(),
+            sm_cycles: Vec::new(),
+            #[cfg(test)]
+            whole_wave: false,
             fault: None,
             san: None,
             ir: None,

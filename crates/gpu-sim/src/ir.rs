@@ -17,8 +17,11 @@
 //! sanitizer ([`crate::shadow`]), plus lifetime contention tables
 //! (vectors by label id, lane or word index) folded into the label-keyed
 //! [`AccessIr`] maps at [`IrState`] finish. Full traces are never
-//! retained (the warp-local [`crate::trace::LaneTrace`] replay still
-//! discards them per warp).
+//! retained: the executor's trace arena ([`crate::trace`]) holds a
+//! wave's op traces only until their warps are replayed — one warp at
+//! a time until a lane records a gang collective, the rest of the wave
+//! (all of a schedule-fuzzed one) until its flush — and reuses the
+//! space for the next wave.
 //!
 //! The IR is consumed by the `rdbs-statan` crate, which runs the
 //! hazard matrix over it and emits typed per-kernel certificates.

@@ -22,21 +22,24 @@ use crate::ir::IrState;
 use crate::replay::replay_warp;
 use crate::san::SanState;
 use crate::shadow::Word;
-use crate::trace::{LaneTrace, Op};
+use crate::trace::{Op, Span, TraceArena};
 use crate::{SECTOR_BYTES, WARP_SIZE};
 
-/// The widest launch the simulator executes, in lanes. Execution
-/// allocates per-lane state up front (an order slot and a trace per
-/// lane, 32 bytes), so a corrupted launch width — a bit-flipped
-/// light-edge count makes ADWL queue a child of about 2^31 lanes —
-/// would abort the process on that allocation. Such a launch is
-/// refused with a catchable panic instead, which the recovery ladder
-/// grades as a detection; on hardware it would fault on its first
-/// out-of-bounds lane. The cap is over 100x the widest launch measured
-/// in the test suite (301,056 lanes, `phase2_heavy`) and in the
-/// benchmark workloads (167,296 lanes, `phase2_heavy` on
-/// `kron-traffic`), and above the one-lane-per-vertex waves of the
-/// largest paper-scale stand-in (soc-TW, 21.3M vertices).
+/// The widest launch the simulator executes, in lanes. A wave without
+/// gang collectives streams its warps through one reusable trace arena
+/// and allocates nothing per lane; only a schedule-fuzzed wave (an
+/// order slot and a span per lane) and the warps held for the wave-end
+/// flush (a span per lane plus their ops) take per-lane memory. A
+/// corrupted launch width — a bit-flipped light-edge count makes ADWL
+/// queue a child of about 2^31 lanes — would abort the process on that
+/// allocation, or, streaming, run for hours. Such a launch is refused
+/// with a catchable panic instead, which the recovery ladder grades as
+/// a detection; on hardware it would fault on its first out-of-bounds
+/// lane. The cap is over 100x the widest launch measured in the test
+/// suite (301,056 lanes, `phase2_heavy`) and in the benchmark workloads
+/// (167,296 lanes, `phase2_heavy` on `kron-traffic`), and above the
+/// one-lane-per-vertex waves of the largest paper-scale stand-in
+/// (soc-TW, 21.3M vertices).
 pub const MAX_LAUNCH_LANES: u64 = 1 << 25;
 
 /// The word `buf[idx]` at `addr` as the sanitizer and IR hooks see it.
@@ -119,6 +122,22 @@ pub(crate) struct ScatterReq {
     pub(crate) op: ScatterOp,
 }
 
+impl ScatterReq {
+    /// The canonical flush order: physical warp, op kind, target word,
+    /// lane. A group is one (warp, kind, word); the stable sort keeps a
+    /// lane's own requests to one word in program order.
+    fn flush_key(&self, arena: &Arena) -> [u64; 4] {
+        let (kind, addr) = match self.op {
+            ScatterOp::Push { scatter, .. } => (0, arena.addr(scatter.target.tail, 0)),
+            ScatterOp::Count { buf, idx, .. } => (1, arena.addr(buf, idx)),
+            ScatterOp::Min { buf, idx, .. } => (2, arena.addr(buf, idx)),
+            ScatterOp::Flag { buf, idx, .. } => (3, arena.addr(buf, idx)),
+            ScatterOp::FlagOnce { buf, idx, .. } => (4, arena.addr(buf, idx)),
+        };
+        [self.warp, kind, addr, self.lane]
+    }
+}
+
 /// Handle a kernel body uses to touch device state. Every method
 /// records the instructions a real GPU thread would execute.
 pub struct Lane<'a> {
@@ -129,7 +148,7 @@ pub struct Lane<'a> {
     fault: Option<&'a mut FaultPlan>,
     san: Option<&'a mut SanState>,
     ir: Option<&'a mut IrState>,
-    trace: LaneTrace,
+    trace: &'a mut TraceArena,
     tid: u64,
     gang_rank: u32,
     gang_size: u32,
@@ -590,70 +609,16 @@ impl Device {
         let dram_before = self.counters.dram_transactions;
         let inst_before = self.counters.inst_executed;
         let atomics_before = self.counters.inst_executed_global_atomics;
-        let num_sms = self.config.num_sms as usize;
-        let mut sm_cycles = vec![0u64; num_sms];
-        let warps = lanes.div_ceil(WARP_SIZE as u64);
-        // Run every lane body first (ascending by default; permuted
-        // under schedule fuzzing — each lane keeps its tid/gang_rank,
-        // so only the interleaving of memory effects changes), then
-        // flush any gang-collective scatters, then replay the timing
-        // model over the original warp grouping. Functional execution
-        // touches only the arena, the replay only caches/counters, so
-        // the two decouple and the split is observationally identical
-        // to the old warp-interleaved loop.
-        let order: Vec<u64> = match self.sched.as_mut().map(|s| s.permutation(lanes)) {
-            Some(order) => order,
-            None => (0..lanes).collect(),
-        };
-        let mut all_traces: Vec<LaneTrace> = (0..lanes).map(|_| LaneTrace::default()).collect();
-        for &lane_idx in &order {
-            let mut lane = Lane {
-                arena: &mut self.arena,
-                children: &mut self.pending_children,
-                traffic: &mut self.buffer_traffic,
-                scatter: &mut self.pending_scatter,
-                fault: self.fault.as_mut(),
-                san: self.san.as_deref_mut(),
-                ir: self.ir.as_deref_mut(),
-                trace: LaneTrace::default(),
-                tid: lane_idx / gang_size as u64,
-                gang_rank: (lane_idx % gang_size as u64) as u32,
-                gang_size,
-            };
-            body(&mut lane);
-            all_traces[lane_idx as usize] = lane.trace;
+        self.sm_cycles.clear();
+        self.sm_cycles.resize(self.config.num_sms as usize, 0);
+        #[cfg(test)]
+        if self.whole_wave {
+            self.run_whole_wave(lanes, gang_size, body);
+        } else {
+            self.run_wave(lanes, gang_size, body);
         }
-        let epilogue = self.flush_scatter(lanes);
-        for w in 0..warps {
-            let base = (w * WARP_SIZE as u64) as usize;
-            let end = ((w + 1) * WARP_SIZE as u64).min(lanes) as usize;
-            let sm = (w % num_sms as u64) as usize;
-            let out = replay_warp(
-                &self.config,
-                &mut self.caches,
-                &mut self.counters,
-                sm,
-                &all_traces[base..end],
-                true,
-            );
-            sm_cycles[sm] += out.cycles;
-            // The gang-collective epilogue replays as a continuation
-            // of the same warp (`register: false` — no second
-            // warp/thread count), converged per flush phase.
-            if let Some(epi) = &epilogue {
-                if epi[base..end].iter().any(|t| !t.is_empty()) {
-                    let out = replay_warp(
-                        &self.config,
-                        &mut self.caches,
-                        &mut self.counters,
-                        sm,
-                        &epi[base..end],
-                        false,
-                    );
-                    sm_cycles[sm] += out.cycles;
-                }
-            }
-        }
+        #[cfg(not(test))]
+        self.run_wave(lanes, gang_size, body);
         if snapshot {
             self.arena.end_snapshot();
         }
@@ -664,7 +629,7 @@ impl Device {
             ir.end_wave();
         }
         let dram_bytes = (self.counters.dram_transactions - dram_before) * SECTOR_BYTES;
-        let max_cycles = sm_cycles.iter().copied().max().unwrap_or(0);
+        let max_cycles = self.sm_cycles.iter().copied().max().unwrap_or(0);
         let time = kernel_time(&self.config, max_cycles, dram_bytes);
         self.elapsed_ns += time.busy_ns();
         self.reports.push(KernelReport {
@@ -679,13 +644,115 @@ impl Device {
             stream: self.current_stream,
         });
     }
+
+    /// Run a wave's lane bodies, flush its gang collectives and replay
+    /// its warps, accumulating per-SM cycles into `sm_cycles`.
+    ///
+    /// Lane bodies touch only device memory and the instruments, the
+    /// replay only the caches and counters, so the two interleave
+    /// freely as long as the cache model sees each warp's body, then
+    /// its flush epilogue, warp by warp in ascending order. Lanes run
+    /// in ascending order, one warp at a time, and a warp *streams* —
+    /// it is replayed at once and its traces dropped — while no lane
+    /// of the wave has recorded a gang-collective request: the flush
+    /// gives an epilogue only to warps that recorded one. From the
+    /// first warp that records one, the warps are *held*: the flush
+    /// that decides their epilogues (leader reservations read tail
+    /// cursors later lanes may still move) runs after the last lane,
+    /// and then each held warp replays its body, then its epilogue.
+    /// Under schedule fuzzing the lanes run in a seeded permutation
+    /// (each keeps its tid/gang_rank, so only the interleaving of
+    /// memory effects changes) and every warp is held.
+    fn run_wave(&mut self, lanes: u64, gang_size: u32, body: &dyn Fn(&mut Lane<'_>)) {
+        let warp = WARP_SIZE as u64;
+        let warps = lanes.div_ceil(warp);
+        self.traces.clear();
+        let held_from = if let Some(order) = self.sched.as_mut().map(|s| s.permutation(lanes)) {
+            self.traces.body.resize(lanes as usize, Span::default());
+            for lane_idx in order {
+                self.traces.body[lane_idx as usize] = self.run_lane(lane_idx, gang_size, body);
+            }
+            0
+        } else {
+            let mut held_from = warps;
+            for w in 0..warps {
+                for lane_idx in w * warp..((w + 1) * warp).min(lanes) {
+                    let span = self.run_lane(lane_idx, gang_size, body);
+                    self.traces.body.push(span);
+                }
+                if held_from == warps {
+                    if self.pending_scatter.is_empty() {
+                        self.replay_arena_warp(w, w, lanes);
+                        self.traces.clear();
+                    } else {
+                        held_from = w;
+                    }
+                }
+            }
+            held_from
+        };
+        if held_from < warps {
+            let placed = self.flush_scatter();
+            lay_out_epilogues(&mut self.traces, &placed, held_from * warp, lanes);
+            for w in held_from..warps {
+                self.replay_arena_warp(w, held_from, lanes);
+            }
+        }
+    }
+
+    /// Run one lane's body, recording its trace into the arena.
+    #[inline]
+    fn run_lane(&mut self, lane_idx: u64, gang_size: u32, body: &dyn Fn(&mut Lane<'_>)) -> Span {
+        self.traces.open_lane();
+        let mut lane = Lane {
+            arena: &mut self.arena,
+            children: &mut self.pending_children,
+            traffic: &mut self.buffer_traffic,
+            scatter: &mut self.pending_scatter,
+            fault: self.fault.as_mut(),
+            san: self.san.as_deref_mut(),
+            ir: self.ir.as_deref_mut(),
+            trace: &mut self.traces,
+            tid: lane_idx / gang_size as u64,
+            gang_rank: (lane_idx % gang_size as u64) as u32,
+            gang_size,
+        };
+        body(&mut lane);
+        self.traces.close_lane()
+    }
+
+    /// Replay warp `w` of a `lanes`-lane wave from the arena, whose
+    /// spans start at warp `first`'s first lane: its body, then its
+    /// flush epilogue if the flush gave it one.
+    fn replay_arena_warp(&mut self, w: u64, first: u64, lanes: u64) {
+        let Self { config, caches, counters, traces, sm_cycles, .. } = self;
+        let warp = WARP_SIZE as u64;
+        let start = ((w - first) * warp) as usize;
+        let width = (((w + 1) * warp).min(lanes) - w * warp) as usize;
+        let sm = (w % config.num_sms as u64) as usize;
+        let mut ops: [&[Op]; WARP_SIZE as usize] = [&[]; WARP_SIZE as usize];
+        traces.warp(&traces.body[start..start + width], &mut ops);
+        sm_cycles[sm] += replay_warp(config, caches, counters, sm, &ops[..width], true).cycles;
+        // The gang-collective epilogue replays as a continuation of the
+        // same warp (`register: false` — no second warp/thread count),
+        // converged per flush phase.
+        if let Some(epilogue) = traces.epilogue.get(start..start + width) {
+            if epilogue.iter().any(|s| !s.is_empty()) {
+                traces.warp(epilogue, &mut ops);
+                sm_cycles[sm] +=
+                    replay_warp(config, caches, counters, sm, &ops[..width], false).cycles;
+            }
+        }
+    }
+
     /// Materialize the wave's gang-collective requests: group them by
     /// (physical warp, op kind, target word) in a canonical order that
     /// no lane schedule perturbs (stable sort keeps each lane's own
-    /// requests in program order), then emit the leader reservations,
-    /// reduced atomics, reserved stores, overflow bumps and spills
-    /// into a separate *epilogue* trace set, returned for replay after
-    /// each warp's body traces.
+    /// requests in program order), then issue the leader reservations,
+    /// reduced atomics, reserved stores, overflow bumps and spills.
+    /// Returns every op issued as `(phase, lane, op)`, warp by warp in
+    /// ascending order, for [`lay_out_epilogues`] to turn into each
+    /// warp's *epilogue* traces, replayed after its body traces.
     ///
     /// The epilogue replays **converged**: real warp-aggregated
     /// multisplit runs its ballot/scan/reserve/store sequence in
@@ -697,170 +764,97 @@ impl Device {
     /// reserved stores → overflow/spill reservations → spill stores →
     /// spill-overflow bumps), separated by [`Op::Conv`] reconvergence
     /// points so the replay aligns same-phase ops across lanes.
-    fn flush_scatter(&mut self, lanes: u64) -> Option<Vec<LaneTrace>> {
-        if self.pending_scatter.is_empty() {
-            return None;
-        }
-        let reqs = std::mem::take(&mut self.pending_scatter);
-        let mut keyed: Vec<((u64, u8, u64, u64), ScatterReq)> = reqs
-            .into_iter()
-            .map(|r| {
-                let (kind, addr) = match &r.op {
-                    ScatterOp::Push { scatter, .. } => {
-                        (0u8, self.arena.addr(scatter.target.tail, 0))
-                    }
-                    ScatterOp::Count { buf, idx, .. } => (1, self.arena.addr(*buf, *idx)),
-                    ScatterOp::Min { buf, idx, .. } => (2, self.arena.addr(*buf, *idx)),
-                    ScatterOp::Flag { buf, idx, .. } => (3, self.arena.addr(*buf, *idx)),
-                    ScatterOp::FlagOnce { buf, idx, .. } => (4, self.arena.addr(*buf, *idx)),
-                };
-                ((r.warp, kind, addr, r.lane), r)
-            })
-            .collect();
-        keyed.sort_by_key(|(k, _)| *k);
-        let mut epi: Vec<LaneTrace> = (0..lanes).map(|_| LaneTrace::default()).collect();
+    fn flush_scatter(&mut self) -> Vec<(u8, u64, Op)> {
         let mut placed: Vec<(u8, u64, Op)> = Vec::new();
-        let mut i = 0;
-        while i < keyed.len() {
-            // One warp's groups, processed together so its epilogue
-            // phases can be laid out as converged segments.
-            let warp = keyed[i].0 .0;
-            placed.clear();
-            while i < keyed.len() && keyed[i].0 .0 == warp {
-                let group_key = (keyed[i].0 .0, keyed[i].0 .1, keyed[i].0 .2);
-                let mut j = i;
-                while j < keyed.len() && (keyed[j].0 .0, keyed[j].0 .1, keyed[j].0 .2) == group_key
-                {
-                    j += 1;
-                }
-                let group = &keyed[i..j];
-                match &group[0].1.op {
-                    ScatterOp::Push { scatter, .. } => {
-                        let members: Vec<(u64, u64, u32)> = group
-                            .iter()
-                            .map(|(_, r)| {
-                                let ScatterOp::Push { value, .. } = r.op else { unreachable!() };
-                                (r.lane, r.gang, value)
-                            })
-                            .collect();
-                        self.flush_push_group(&mut placed, *scatter, &members);
-                    }
-                    ScatterOp::Count { buf, idx, .. } => {
-                        // Warp reduction: one leader add of the summed
-                        // deltas.
-                        let total: u32 = group
-                            .iter()
-                            .map(|(_, r)| {
-                                let ScatterOp::Count { delta, .. } = r.op else { unreachable!() };
-                                delta
-                            })
-                            .sum();
-                        let (_, r0) = &group[0];
-                        self.emit_atomic_add(
-                            &mut placed,
-                            PH_LEADER,
-                            r0.lane,
-                            r0.gang,
-                            *buf,
-                            *idx,
-                            total,
-                            total as u64,
-                        );
-                    }
-                    ScatterOp::Min { buf, idx, .. } => {
-                        // Warp reduction: one leader min of the local
-                        // minimum.
-                        let m = group
-                            .iter()
-                            .map(|(_, r)| {
-                                let ScatterOp::Min { value, .. } = r.op else { unreachable!() };
-                                value
-                            })
-                            .min()
-                            .expect("non-empty group");
-                        let (_, r0) = &group[0];
-                        self.emit_atomic_min(&mut placed, r0.lane, r0.gang, *buf, *idx, m);
-                    }
-                    ScatterOp::Flag { buf, idx, .. } => {
-                        // The warp ballots: one store per distinct
-                        // value, charged to the lowest lane that
-                        // requested it.
-                        let mut done: Vec<u32> = Vec::new();
-                        for (_, r) in group {
-                            let ScatterOp::Flag { buf: _, idx: _, value } = r.op else {
-                                unreachable!()
-                            };
-                            if !done.contains(&value) {
-                                done.push(value);
-                                self.emit_reserved_store(
-                                    &mut placed,
-                                    PH_STORE,
-                                    r.lane,
-                                    r.gang,
-                                    *buf,
-                                    *idx,
-                                    value,
-                                );
-                            }
-                        }
-                    }
-                    ScatterOp::FlagOnce { buf, idx, .. } => {
-                        // Leader-only exchange: the lowest requesting
-                        // lane performs it for the whole warp.
-                        let (_, r) = &group[0];
-                        let ScatterOp::FlagOnce { value, .. } = r.op else { unreachable!() };
-                        self.emit_atomic_exch(&mut placed, r.lane, r.gang, *buf, *idx, value);
-                    }
-                }
-                i = j;
-            }
-            // Lay the warp's epilogue out phase by phase; a Conv
-            // between consecutive non-empty phases re-aligns the
-            // lanes, so each phase's ops group into the few warp
-            // instructions the converged sequence actually issues.
-            //
-            // Leader-elected atomics (reservations, reduced counters,
-            // overflow bumps) are *packed* across the warp's lane
-            // slots: multi-counter leader election hands each of the
-            // k counters to a distinct lane (values broadcast by
-            // shuffle), so k ≤ 32 of them retire as one warp
-            // instruction — not k instructions serialized on
-            // whichever lane happened to lead every group. Reserved
-            // stores keep their owning lane: each lane publishes its
-            // own payload (that is what makes them coalesce).
-            let base = (warp * WARP_SIZE as u64) as usize;
-            let end = (base + WARP_SIZE as usize).min(lanes as usize);
-            let width = end - base;
-            let mut first = true;
-            for phase in 0..PHASES {
-                if !placed.iter().any(|&(p, _, _)| p == phase) {
-                    continue;
-                }
-                if !first {
-                    for t in &mut epi[base..end] {
-                        t.push(Op::Conv);
-                    }
-                }
-                first = false;
-                let packed = matches!(phase, PH_LEADER | PH_OVERFLOW | PH_SPILL_OVERFLOW);
-                if packed {
-                    let mut slot = 0usize;
-                    for &(p, _, op) in &placed {
-                        if p == phase {
-                            epi[base + slot % width].push(op);
-                            slot += 1;
-                        }
-                    }
-                } else {
-                    for &(p, lane, op) in &placed {
-                        if p == phase {
-                            epi[lane as usize].push(op);
-                        }
-                    }
-                }
-            }
+        if self.pending_scatter.is_empty() {
+            return placed;
         }
-        Some(epi)
+        let mut reqs = std::mem::take(&mut self.pending_scatter);
+        let arena = &self.arena;
+        reqs.sort_by_key(|r| r.flush_key(arena));
+        let mut i = 0;
+        while i < reqs.len() {
+            let group_key = reqs[i].flush_key(&self.arena);
+            let mut j = i + 1;
+            while j < reqs.len() && reqs[j].flush_key(&self.arena)[..3] == group_key[..3] {
+                j += 1;
+            }
+            let group = &reqs[i..j];
+            let r0 = &group[0];
+            match r0.op {
+                ScatterOp::Push { scatter, .. } => {
+                    let members: Vec<(u64, u64, u32)> = group
+                        .iter()
+                        .map(|r| {
+                            let ScatterOp::Push { value, .. } = r.op else { unreachable!() };
+                            (r.lane, r.gang, value)
+                        })
+                        .collect();
+                    self.flush_push_group(&mut placed, scatter, &members);
+                }
+                ScatterOp::Count { buf, idx, .. } => {
+                    // Warp reduction: one leader add of the summed
+                    // deltas.
+                    let total: u32 = group
+                        .iter()
+                        .map(|r| {
+                            let ScatterOp::Count { delta, .. } = r.op else { unreachable!() };
+                            delta
+                        })
+                        .sum();
+                    self.emit_atomic_add(
+                        &mut placed,
+                        PH_LEADER,
+                        r0.lane,
+                        r0.gang,
+                        buf,
+                        idx,
+                        total,
+                        total as u64,
+                    );
+                }
+                ScatterOp::Min { buf, idx, .. } => {
+                    // Warp reduction: one leader min of the local
+                    // minimum.
+                    let m = group
+                        .iter()
+                        .map(|r| {
+                            let ScatterOp::Min { value, .. } = r.op else { unreachable!() };
+                            value
+                        })
+                        .min()
+                        .expect("non-empty group");
+                    self.emit_atomic_min(&mut placed, r0.lane, r0.gang, buf, idx, m);
+                }
+                ScatterOp::Flag { buf, idx, .. } => {
+                    // The warp ballots: one store per distinct value,
+                    // charged to the lowest lane that requested it.
+                    let mut done: Vec<u32> = Vec::new();
+                    for r in group {
+                        let ScatterOp::Flag { value, .. } = r.op else { unreachable!() };
+                        if !done.contains(&value) {
+                            done.push(value);
+                            self.emit_reserved_store(
+                                &mut placed,
+                                PH_STORE,
+                                r.lane,
+                                r.gang,
+                                buf,
+                                idx,
+                                value,
+                            );
+                        }
+                    }
+                }
+                ScatterOp::FlagOnce { buf, idx, value } => {
+                    // Leader-only exchange: the lowest requesting lane
+                    // performs it for the whole warp.
+                    self.emit_atomic_exch(&mut placed, r0.lane, r0.gang, buf, idx, value);
+                }
+            }
+            i = j;
+        }
+        placed
     }
 
     /// One (warp, queue) push group: a single leader `atomicAdd`
@@ -1066,6 +1060,66 @@ impl Device {
     }
 }
 
+/// Lay the flush's placed ops (`(phase, lane, op)`, warp by warp) out
+/// as the held lanes' epilogue traces in `traces`, whose spans start at
+/// lane `first` of a `lanes`-lane wave. Each warp's epilogue goes phase
+/// by phase; a Conv between consecutive non-empty phases re-aligns the
+/// lanes, so each phase's ops group into the few warp instructions the
+/// converged sequence actually issues.
+///
+/// Leader-elected atomics (reservations, reduced counters, overflow
+/// bumps) are *packed* across the warp's lane slots: multi-counter
+/// leader election hands each of the k counters to a distinct lane
+/// (values broadcast by shuffle), so k ≤ 32 of them retire as one warp
+/// instruction — not k instructions serialized on whichever lane
+/// happened to lead every group. Reserved stores keep their owning
+/// lane: each lane publishes its own payload (that is what makes them
+/// coalesce). Lanes are written one after another, so each lane's
+/// epilogue is contiguous in the arena.
+fn lay_out_epilogues(traces: &mut TraceArena, placed: &[(u8, u64, Op)], first: u64, lanes: u64) {
+    if placed.is_empty() {
+        return;
+    }
+    let warp_size = WARP_SIZE as u64;
+    traces.epilogue.resize((lanes - first) as usize, Span::default());
+    let mut routed: Vec<(usize, u8, Op)> = Vec::new();
+    for ops in placed.chunk_by(|a, b| a.1 / warp_size == b.1 / warp_size) {
+        let base = ops[0].1 / warp_size * warp_size;
+        let width = ((base + warp_size).min(lanes) - base) as usize;
+        let mut present = [false; PHASES as usize];
+        let mut dealt = [0usize; PHASES as usize];
+        routed.clear();
+        for &(phase, lane, op) in ops {
+            let p = phase as usize;
+            present[p] = true;
+            let slot = if matches!(phase, PH_LEADER | PH_OVERFLOW | PH_SPILL_OVERFLOW) {
+                dealt[p] += 1;
+                (dealt[p] - 1) % width
+            } else {
+                (lane - base) as usize
+            };
+            routed.push((slot, phase, op));
+        }
+        // Stable: a lane's ops of one phase keep their placed order.
+        routed.sort_by_key(|&(slot, phase, _)| (slot, phase));
+        let mut next = routed.iter().peekable();
+        for slot in 0..width {
+            traces.open_lane();
+            let mut first_phase = true;
+            for phase in (0..PHASES).filter(|&p| present[p as usize]) {
+                if !first_phase {
+                    traces.push(Op::Conv);
+                }
+                first_phase = false;
+                while let Some(&(_, _, op)) = next.next_if(|r| (r.0, r.1) == (slot, phase)) {
+                    traces.push(op);
+                }
+            }
+            traces.epilogue[(base - first) as usize + slot] = traces.close_lane();
+        }
+    }
+}
+
 /// A persistent-kernel session (see [`Device::wave_session`]).
 pub struct WaveSession<'d> {
     device: &'d mut Device,
@@ -1101,6 +1155,9 @@ impl<'d> WaveSession<'d> {
         self.device
     }
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,9 @@
 //! Threads execute *functionally* one warp (32 lanes) at a time — every
 //! global load, store and atomic takes effect immediately on device
 //! memory — while each lane records an operation trace. After a warp's
-//! lanes finish, the trace is **replayed in lockstep**:
+//! lanes finish (or, from the first warp whose lanes record a gang
+//! collective, after the wave-end flush that materializes them), the
+//! trace is **replayed in lockstep**:
 //!
 //! * lanes are aligned by operation index, and at every step the active
 //!   lanes are grouped by operation kind — divergent groups serialize,

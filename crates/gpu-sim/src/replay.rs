@@ -11,22 +11,28 @@
 //!   one segment exactly as before;
 //! * at step `s` of a segment, every lane whose segment is at least
 //!   `s + 1` ops long is *active*; active lanes are grouped by
-//!   [`OpKind`] — each group is one warp-level instruction (divergent
-//!   kinds serialize, like SIMT branches taking both paths);
+//!   [`OpKind`] in one pass over the warp — each group is one
+//!   warp-level instruction (divergent kinds serialize, like SIMT
+//!   branches taking both paths), issued in the fixed order ALU, load,
+//!   store, atomic;
 //! * memory groups coalesce their addresses into 32-byte sectors; each
-//!   sector is one transaction probing the SM's cache hierarchy;
+//!   sector is one transaction probing the SM's cache hierarchy, in
+//!   ascending sector order;
 //! * atomic groups additionally count same-address conflicts, which
 //!   serialize within the warp;
 //! * ALU ops carry a repeat count: the group's cost is the maximum
 //!   count among its lanes (lockstep execution).
 //!
-//! The result is the warp's cycle cost plus counter deltas.
+//! The result is the warp's cycle cost plus counter deltas. Replay
+//! keeps its per-step groups in stack arrays and allocates nothing.
 
 use crate::cache::{CacheHierarchy, CacheLevel};
 use crate::counters::Counters;
 use crate::device::DeviceConfig;
-use crate::trace::{LaneTrace, Op, OpKind};
+use crate::trace::{Op, OpKind};
 use crate::{SECTOR_BYTES, WARP_SIZE};
+
+const WARP: usize = WARP_SIZE as usize;
 
 /// Cost and counter outcome of one warp replay.
 #[derive(Clone, Debug, Default)]
@@ -35,42 +41,65 @@ pub struct WarpOutcome {
     pub cycles: u64,
 }
 
-/// Replay one warp's traces on SM `sm`, updating `counters` and the
-/// cache hierarchy, returning the warp's cycle cost. `register`
-/// counts the warp and its threads; pass `false` when replaying a
-/// continuation of an already-counted warp (the gang-collective
-/// flush epilogue).
-pub fn replay_warp(
+/// The addresses one step's lanes issue for one memory kind, in lane
+/// order.
+struct Group {
+    addrs: [u64; WARP],
+    len: usize,
+}
+
+impl Group {
+    const EMPTY: Group = Group { addrs: [0; WARP], len: 0 };
+
+    #[inline]
+    fn push(&mut self, addr: u64) {
+        self.addrs[self.len] = addr;
+        self.len += 1;
+    }
+}
+
+/// Replay one warp's traces (one op slice per lane, at most 32) on SM
+/// `sm`, updating `counters` and the cache hierarchy, returning the
+/// warp's cycle cost. `register` counts the warp and its threads; pass
+/// `false` when replaying a continuation of an already-counted warp
+/// (the gang-collective flush epilogue).
+pub fn replay_warp<L: AsRef<[Op]>>(
     config: &DeviceConfig,
     caches: &mut CacheHierarchy,
     counters: &mut Counters,
     sm: usize,
-    traces: &[LaneTrace],
+    lanes: &[L],
     register: bool,
 ) -> WarpOutcome {
-    debug_assert!(traces.len() <= WARP_SIZE as usize);
+    assert!(lanes.len() <= WARP, "a warp has at most {WARP} lanes");
+    let mut traces: [&[Op]; WARP] = [&[]; WARP];
+    for (slot, lane) in traces.iter_mut().zip(lanes) {
+        *slot = lane.as_ref();
+    }
+    let traces = &traces[..lanes.len()];
     let mut cycles = 0u64;
     if register {
         counters.warps += 1;
         counters.threads += traces.iter().filter(|t| !t.is_empty()).count().max(1) as u64;
     }
 
-    // Scratch reused across steps.
-    let mut sectors: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
-    let mut addrs: Vec<u64> = Vec::with_capacity(WARP_SIZE as usize);
     // Per-lane cursor and current-segment end (exclusive, at the next
     // `Op::Conv` or the trace end).
-    let mut cur = [0usize; WARP_SIZE as usize];
-    let mut seg_end = [0usize; WARP_SIZE as usize];
+    let mut cur = [0usize; WARP];
+    let mut seg_end = [0usize; WARP];
+    // One step's groups, refilled every step.
+    let mut loads = Group::EMPTY;
+    let mut stores = Group::EMPTY;
+    let mut atomics = Group::EMPTY;
 
     loop {
         // Delimit each lane's next segment; stop when all exhausted.
         let mut seg_max = 0usize;
         let mut alive = false;
         for (i, t) in traces.iter().enumerate() {
-            alive |= cur[i] < t.ops.len();
+            alive |= cur[i] < t.len();
             let mut e = cur[i];
-            while e < t.ops.len() && t.ops[e] != Op::Conv {
+            while e < t.len() && t[e] != Op::Conv {
                 e += 1;
             }
             seg_end[i] = e;
@@ -80,124 +109,143 @@ pub fn replay_warp(
             break;
         }
         for step in 0..seg_max {
-            // Kinds present at this step, in fixed order for determinism.
-            for kind in [OpKind::Alu, OpKind::Load, OpKind::Store, OpKind::Atomic] {
-                let mut active = 0u64;
-                let mut alu_max = 0u32;
-                addrs.clear();
-                for (i, t) in traces.iter().enumerate() {
-                    let pos = cur[i] + step;
-                    if pos >= seg_end[i] {
-                        continue;
-                    }
-                    let op = &t.ops[pos];
-                    if op.kind() != kind {
-                        continue;
-                    }
-                    active += 1;
-                    match *op {
-                        Op::Alu(n) => alu_max = alu_max.max(n),
-                        Op::Load(a) | Op::LoadVolatile(a) | Op::Store(a) | Op::Atomic(a) => {
-                            addrs.push(a);
-                        }
-                        Op::Conv => unreachable!("segment boundaries exclude Conv"),
-                    }
-                }
-                if active == 0 {
+            // Group the step's ops by kind in one pass over the lanes.
+            let mut alu_active = 0u64;
+            let mut alu_max = 0u32;
+            loads.len = 0;
+            stores.len = 0;
+            atomics.len = 0;
+            for (i, t) in traces.iter().enumerate() {
+                let pos = cur[i] + step;
+                if pos >= seg_end[i] {
                     continue;
                 }
-                counters.inst_executed += 1;
-                counters.active_lane_sum += active;
-                counters.lane_slot_sum += WARP_SIZE as u64;
-                cycles += 1; // issue
-
-                match kind {
-                    OpKind::Conv => unreachable!("Conv never forms a group"),
-                    OpKind::Alu => {
-                        cycles += alu_max.saturating_sub(1) as u64;
+                match t[pos] {
+                    Op::Alu(n) => {
+                        alu_active += 1;
+                        alu_max = alu_max.max(n);
                     }
-                    OpKind::Load | OpKind::Store | OpKind::Atomic => {
-                        match kind {
-                            OpKind::Load => counters.inst_executed_global_loads += 1,
-                            OpKind::Store => counters.inst_executed_global_stores += 1,
-                            OpKind::Atomic => {
-                                counters.inst_executed_atomics += 1;
-                                // All simulated atomics target global
-                                // memory (there is no shared-memory tier).
-                                counters.inst_executed_global_atomics += 1;
-                            }
-                            OpKind::Alu | OpKind::Conv => unreachable!(),
-                        }
-                        // Coalesce into sectors.
-                        sectors.clear();
-                        sectors.extend(addrs.iter().map(|a| a / SECTOR_BYTES));
-                        sectors.sort_unstable();
-                        sectors.dedup();
-                        let txns = sectors.len() as u64;
-                        match kind {
-                            OpKind::Load => counters.gld_transactions += txns,
-                            OpKind::Store => counters.gst_transactions += txns,
-                            OpKind::Atomic => counters.atom_transactions += txns,
-                            OpKind::Alu | OpKind::Conv => unreachable!(),
-                        }
-                        // A warp memory instruction pays the latency of its
-                        // deepest-level transaction once (the sectors are
-                        // serviced in parallel — memory-level parallelism)
-                        // plus a port-throughput cost per extra sector,
-                        // which is the serialization uncoalesced access
-                        // causes and coalescing removes.
-                        let mut deepest = 0u64;
-                        for &sector in &sectors {
-                            let level = caches.access(sm, sector * SECTOR_BYTES);
-                            counters.l1_accesses += 1;
-                            match level {
-                                CacheLevel::L1 => {
-                                    counters.l1_hits += 1;
-                                    deepest = deepest.max(config.l1_hit_cycles as u64);
-                                }
-                                CacheLevel::L2 => {
-                                    counters.l2_accesses += 1;
-                                    counters.l2_hits += 1;
-                                    deepest = deepest.max(config.l2_hit_cycles as u64);
-                                }
-                                CacheLevel::Dram => {
-                                    counters.l2_accesses += 1;
-                                    counters.dram_transactions += 1;
-                                    deepest = deepest.max(config.dram_cycles as u64);
-                                }
-                            }
-                        }
-                        cycles += deepest + txns.saturating_sub(1) * config.port_cycles as u64;
-                        if kind == OpKind::Atomic {
-                            // Same-address atomics serialize lane by lane.
-                            addrs.sort_unstable();
-                            let distinct = {
-                                let mut d = 1u64;
-                                for w in addrs.windows(2) {
-                                    if w[0] != w[1] {
-                                        d += 1;
-                                    }
-                                }
-                                if addrs.is_empty() {
-                                    0
-                                } else {
-                                    d
-                                }
-                            };
-                            let conflicts = (addrs.len() as u64).saturating_sub(distinct);
-                            counters.atomic_conflicts += conflicts;
-                            cycles += conflicts * config.atomic_conflict_cycles as u64;
-                        }
-                    }
+                    Op::Load(a) | Op::LoadVolatile(a) => loads.push(a),
+                    Op::Store(a) => stores.push(a),
+                    Op::Atomic(a) => atomics.push(a),
+                    Op::Conv => unreachable!("segment boundaries exclude Conv"),
+                }
+            }
+            if alu_active > 0 {
+                issue(counters, alu_active);
+                cycles += 1 + alu_max.saturating_sub(1) as u64;
+            }
+            for (kind, group) in [
+                (OpKind::Load, &mut loads),
+                (OpKind::Store, &mut stores),
+                (OpKind::Atomic, &mut atomics),
+            ] {
+                if group.len > 0 {
+                    cycles += replay_memory(config, caches, counters, sm, kind, group);
                 }
             }
         }
         // Step past each lane's segment and its Conv delimiter.
         for (i, t) in traces.iter().enumerate() {
-            cur[i] = (seg_end[i] + 1).min(t.ops.len());
+            cur[i] = (seg_end[i] + 1).min(t.len());
         }
     }
     WarpOutcome { cycles }
+}
+
+/// Count one warp instruction with `active` lanes.
+#[inline]
+fn issue(counters: &mut Counters, active: u64) {
+    counters.inst_executed += 1;
+    counters.active_lane_sum += active;
+    counters.lane_slot_sum += WARP_SIZE as u64;
+}
+
+/// Issue one memory group as a warp instruction and return its cycles.
+fn replay_memory(
+    config: &DeviceConfig,
+    caches: &mut CacheHierarchy,
+    counters: &mut Counters,
+    sm: usize,
+    kind: OpKind,
+    group: &mut Group,
+) -> u64 {
+    let addrs = &mut group.addrs[..group.len];
+    issue(counters, addrs.len() as u64);
+    match kind {
+        OpKind::Load => counters.inst_executed_global_loads += 1,
+        OpKind::Store => counters.inst_executed_global_stores += 1,
+        OpKind::Atomic => {
+            counters.inst_executed_atomics += 1;
+            // All simulated atomics target global memory (there is no
+            // shared-memory tier).
+            counters.inst_executed_global_atomics += 1;
+        }
+        OpKind::Alu | OpKind::Conv => unreachable!("not a memory kind"),
+    }
+    // Coalesce into sectors.
+    let mut sectors = [0u64; WARP];
+    for (s, a) in sectors.iter_mut().zip(addrs.iter()) {
+        *s = a / SECTOR_BYTES;
+    }
+    let sectors = &mut sectors[..addrs.len()];
+    sectors.sort_unstable();
+    let txns = dedup(sectors);
+    let sectors = &sectors[..txns];
+    let txns = txns as u64;
+    match kind {
+        OpKind::Load => counters.gld_transactions += txns,
+        OpKind::Store => counters.gst_transactions += txns,
+        _ => counters.atom_transactions += txns,
+    }
+    // A warp memory instruction pays the latency of its deepest-level
+    // transaction once (the sectors are serviced in parallel —
+    // memory-level parallelism) plus a port-throughput cost per extra
+    // sector, which is the serialization uncoalesced access causes and
+    // coalescing removes.
+    let mut deepest = 0u64;
+    for &sector in sectors {
+        let level = caches.access(sm, sector * SECTOR_BYTES);
+        counters.l1_accesses += 1;
+        match level {
+            CacheLevel::L1 => {
+                counters.l1_hits += 1;
+                deepest = deepest.max(config.l1_hit_cycles as u64);
+            }
+            CacheLevel::L2 => {
+                counters.l2_accesses += 1;
+                counters.l2_hits += 1;
+                deepest = deepest.max(config.l2_hit_cycles as u64);
+            }
+            CacheLevel::Dram => {
+                counters.l2_accesses += 1;
+                counters.dram_transactions += 1;
+                deepest = deepest.max(config.dram_cycles as u64);
+            }
+        }
+    }
+    let mut cycles = 1 + deepest + txns.saturating_sub(1) * config.port_cycles as u64;
+    if kind == OpKind::Atomic {
+        // Same-address atomics serialize lane by lane.
+        addrs.sort_unstable();
+        let conflicts = (addrs.len() - dedup(addrs)) as u64;
+        counters.atomic_conflicts += conflicts;
+        cycles += conflicts * config.atomic_conflict_cycles as u64;
+    }
+    cycles
+}
+
+/// Move the distinct values of sorted `xs` to its front; return their
+/// count.
+fn dedup(xs: &mut [u64]) -> usize {
+    let mut n = 0;
+    for i in 0..xs.len() {
+        if n == 0 || xs[i] != xs[n - 1] {
+            xs[n] = xs[i];
+            n += 1;
+        }
+    }
+    n
 }
 
 #[cfg(test)]
@@ -211,8 +259,8 @@ mod tests {
         (cfg, caches, Counters::default())
     }
 
-    fn warp_of(ops_per_lane: Vec<Vec<Op>>) -> Vec<LaneTrace> {
-        ops_per_lane.into_iter().map(|ops| LaneTrace { ops }).collect()
+    fn warp_of(ops_per_lane: Vec<Vec<Op>>) -> Vec<Vec<Op>> {
+        ops_per_lane
     }
 
     #[test]
@@ -308,7 +356,7 @@ mod tests {
     #[test]
     fn empty_warp() {
         let (cfg, mut caches, mut ctr) = setup();
-        let out = replay_warp(&cfg, &mut caches, &mut ctr, 0, &[], true);
+        let out = replay_warp(&cfg, &mut caches, &mut ctr, 0, &warp_of(vec![]), true);
         assert_eq!(out.cycles, 0);
         assert_eq!(ctr.inst_executed, 0);
     }

@@ -1,10 +1,18 @@
-//! Per-lane operation traces.
+//! Per-lane operation traces, recorded into one reusable arena.
 //!
 //! While a thread's body runs, every simulated instruction appends an
-//! [`Op`] to its lane trace. Traces are warp-local and short-lived: a
-//! warp's 32 traces are replayed and discarded before the next warp
-//! executes, keeping simulator memory proportional to warp size, not
-//! kernel size.
+//! [`Op`] to its lane's trace. A device keeps the traces of the running
+//! wave in one [`TraceArena`]: a flat op buffer plus a span per lane,
+//! cleared (not freed) between warps and waves, so recording allocates
+//! nothing per lane. A warp's traces live only until the warp is
+//! replayed. Warps stream — each is replayed as soon as its lanes ran
+//! and its ops discarded — until some lane of the wave records a
+//! gang-collective request; from that warp on, and for every lane of a
+//! schedule-fuzzed wave, the traces are held until the wave-end flush
+//! has laid out their epilogues (see `Device::execute`). A wave without
+//! collectives therefore holds one warp's ops, whatever its width.
+
+use crate::WARP_SIZE;
 
 /// One recorded lane operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -72,38 +80,93 @@ pub enum OpKind {
     Conv,
 }
 
-/// The recorded trace of one lane.
-#[derive(Clone, Debug, Default)]
-pub struct LaneTrace {
-    /// The recorded ops, in program order.
-    pub ops: Vec<Op>,
+/// Where one lane's trace sits in the arena: `ops[start..end]`.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
 }
 
-impl LaneTrace {
-    /// Append one op. Consecutive ALU ops collapse into a single
-    /// [`Op::Alu`] to keep traces small: graph kernels interleave long
-    /// arithmetic runs with memory ops.
+impl Span {
+    /// True when the lane recorded nothing.
     #[inline]
-    pub fn push(&mut self, op: Op) {
-        match (self.ops.last_mut(), op) {
-            (Some(Op::Alu(last)), Op::Alu(m)) => *last += m,
-            _ => self.ops.push(op),
-        }
+    pub(crate) fn is_empty(self) -> bool {
+        self.start == self.end
     }
+}
 
-    /// Number of recorded (collapsed) ops.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
+/// The traces of the running wave's held lanes: one op buffer, each
+/// lane's ops contiguous in it, plus the spans that find them. Its
+/// capacity is kept across waves, so after the widest held wave the
+/// unarmed path records without allocating.
+#[derive(Default)]
+pub(crate) struct TraceArena {
+    ops: Vec<Op>,
+    /// Start of the lane being recorded: [`TraceArena::push`] never
+    /// merges an ALU op into the previous lane's trace.
+    open: usize,
+    /// Body trace of each held lane, from the first held lane on.
+    pub(crate) body: Vec<Span>,
+    /// Flush epilogue of each held lane (an empty span when the lane's
+    /// warp recorded no gang collective).
+    pub(crate) epilogue: Vec<Span>,
+    /// Most ops held at once (tests check that streaming bounds it).
+    #[cfg(test)]
+    pub(crate) high_water: usize,
+}
 
-    /// True when no ops have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Discard all recorded ops.
-    pub fn clear(&mut self) {
+impl TraceArena {
+    /// Forget every trace, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
         self.ops.clear();
+        self.open = 0;
+        self.body.clear();
+        self.epilogue.clear();
+    }
+
+    /// Start recording a new lane's trace.
+    #[inline]
+    pub(crate) fn open_lane(&mut self) {
+        self.open = self.ops.len();
+    }
+
+    /// Append one op to the lane being recorded. Consecutive ALU ops
+    /// of one lane collapse into a single [`Op::Alu`] to keep traces
+    /// small: graph kernels interleave long arithmetic runs with
+    /// memory ops.
+    #[inline]
+    pub(crate) fn push(&mut self, op: Op) {
+        if self.ops.len() > self.open {
+            if let (Some(Op::Alu(last)), Op::Alu(m)) = (self.ops.last_mut(), op) {
+                *last += m;
+                return;
+            }
+        }
+        self.ops.push(op);
+    }
+
+    /// Finish the lane being recorded and return its span.
+    #[inline]
+    pub(crate) fn close_lane(&mut self) -> Span {
+        #[cfg(test)]
+        {
+            self.high_water = self.high_water.max(self.ops.len());
+        }
+        let at = |i: usize| u32::try_from(i).expect("a wave's held traces exceed 2^32 ops");
+        Span { start: at(self.open), end: at(self.ops.len()) }
+    }
+
+    /// The ops one lane recorded.
+    #[inline]
+    pub(crate) fn lane(&self, span: Span) -> &[Op] {
+        &self.ops[span.start as usize..span.end as usize]
+    }
+
+    /// The ops of each lane in `spans`, for one warp's replay.
+    pub(crate) fn warp<'a>(&'a self, spans: &[Span], lanes: &mut [&'a [Op]; WARP_SIZE as usize]) {
+        for (slot, &span) in lanes.iter_mut().zip(spans) {
+            *slot = self.lane(span);
+        }
     }
 }
 
@@ -113,13 +176,21 @@ mod tests {
 
     #[test]
     fn alu_ops_collapse() {
-        let mut t = LaneTrace::default();
+        let mut t = TraceArena::default();
+        t.open_lane();
         t.push(Op::Alu(2));
         t.push(Op::Alu(3));
-        assert_eq!(t.ops, vec![Op::Alu(5)]);
         t.push(Op::Load(64));
         t.push(Op::Alu(1));
-        assert_eq!(t.len(), 3);
+        let first = t.close_lane();
+        // A new lane's ALU run never merges into the previous lane's.
+        t.open_lane();
+        t.push(Op::Alu(4));
+        let second = t.close_lane();
+        let mut lanes: [&[Op]; WARP_SIZE as usize] = [&[]; WARP_SIZE as usize];
+        t.warp(&[first, second], &mut lanes);
+        assert_eq!(lanes[0], &[Op::Alu(5), Op::Load(64), Op::Alu(1)]);
+        assert_eq!(lanes[1], &[Op::Alu(4)]);
     }
 
     #[test]
