@@ -911,6 +911,9 @@ fn release_gpu_buffers(pool: &BufferPool, st: &mut GpuState) {
                 }
                 pool.release(device, s.frontier.pending());
                 pool.release(device, s.scan_out);
+                if let Some(prefix) = s.prefix.get() {
+                    pool.release(device, prefix);
+                }
             }
         }
     }
@@ -1041,6 +1044,9 @@ mod tests {
                 }
                 st.device.fill(s.frontier.pending(), 0xDEAD_BEEF);
                 st.device.fill(s.scan_out, 0xDEAD_BEEF);
+                if let Some(prefix) = s.prefix.get() {
+                    st.device.fill(prefix, 0xDEAD_BEEF);
+                }
             }
         }
         assert_eq!(svc.query(7).dist, clean);

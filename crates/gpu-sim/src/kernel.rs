@@ -35,11 +35,12 @@ use crate::{SECTOR_BYTES, WARP_SIZE};
 /// allocation, or, streaming, run for hours. Such a launch is refused
 /// with a catchable panic instead, which the recovery ladder grades as
 /// a detection; on hardware it would fault on its first out-of-bounds
-/// lane. The cap is over 100x the widest launch measured in the test
-/// suite (301,056 lanes, `phase2_heavy`) and in the benchmark workloads
-/// (167,296 lanes, `phase2_heavy` on `kron-traffic`), and above the
-/// one-lane-per-vertex waves of the largest paper-scale stand-in
-/// (soc-TW, 21.3M vertices).
+/// lane. The cap is over 300x the widest launch measured in the test
+/// suite (100,000 lanes, a gpu-sim unit kernel; the widest SSSP wave is
+/// 39,008 lanes, `phase1_medium`) and over 2,000x the widest in the
+/// benchmark workloads (13,856 lanes, `phase1_medium` on
+/// `kron-traffic`), and above the one-lane-per-vertex waves of the
+/// largest paper-scale stand-in (soc-TW, 21.3M vertices).
 pub const MAX_LAUNCH_LANES: u64 = 1 << 25;
 
 /// The word `buf[idx]` at `addr` as the sanitizer and IR hooks see it.

@@ -87,8 +87,63 @@ impl CsrBuilder {
         Self { symmetrize: false, dedup: false, drop_self_loops: false }
     }
 
-    /// Build the CSR.
+    /// Build the CSR by counting sort: count each source's out-degree,
+    /// scatter the `(dst, weight)` pairs into their rows, then sort each
+    /// row by `(dst, weight)` and, with `dedup`, keep the lightest copy
+    /// of each destination. Rows come out exactly as a global sort of
+    /// every `(src, dst, weight)` triple would leave them, but each sort
+    /// only spans one row.
     pub fn build(&self, list: &EdgeList) -> Csr {
+        let n = list.num_vertices;
+        let edges = || list.edges.iter().filter(|&&(u, v, _)| !(self.drop_self_loops && u == v));
+        let mut starts = vec![0u32; n + 1];
+        for &(u, v, _) in edges() {
+            starts[u as usize + 1] += 1;
+            if self.symmetrize && u != v {
+                starts[v as usize + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            starts[i + 1] += starts[i];
+        }
+        let mut cursor = starts.clone();
+        let mut pairs = vec![(0, 0); starts[n] as usize];
+        let mut place = |u: VertexId, v: VertexId, w: Weight| {
+            let slot = &mut cursor[u as usize];
+            pairs[*slot as usize] = (v, w);
+            *slot += 1;
+        };
+        for &(u, v, w) in edges() {
+            place(u, v, w);
+            if self.symmetrize && u != v {
+                place(v, u, w);
+            }
+        }
+
+        let mut row_offsets = vec![0u32; n + 1];
+        let mut adjacency = Vec::with_capacity(pairs.len());
+        let mut weights = Vec::with_capacity(pairs.len());
+        for u in 0..n {
+            let row = &mut pairs[starts[u] as usize..starts[u + 1] as usize];
+            row.sort_unstable();
+            let mut last = None;
+            for &(v, w) in row.iter() {
+                if self.dedup && last == Some(v) {
+                    continue;
+                }
+                last = Some(v);
+                adjacency.push(v);
+                weights.push(w);
+            }
+            row_offsets[u + 1] = adjacency.len() as u32;
+        }
+        Csr::from_raw(row_offsets, adjacency, weights)
+    }
+
+    /// Reference build for the property test: sort every
+    /// `(src, dst, weight)` triple globally, then dedup by `(src, dst)`.
+    #[cfg(test)]
+    fn build_by_global_sort(&self, list: &EdgeList) -> Csr {
         let n = list.num_vertices;
         let mut edges: Vec<(VertexId, VertexId, Weight)> =
             Vec::with_capacity(list.edges.len() * if self.symmetrize { 2 } else { 1 });
@@ -190,6 +245,42 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_rejected() {
         let _ = EdgeList::from_edges(2, vec![(0, 5, 1)]);
+    }
+
+    #[test]
+    fn counting_sort_build_matches_the_global_sort() {
+        use rand::{Rng, SeedableRng};
+        // Random lists with self-loops, parallel edges of different
+        // weights in both directions and isolated vertices, under every
+        // combination of the three flags.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC5A);
+        for case in 0..64 {
+            let n = rng.gen_range(1..40u32);
+            let mut el = EdgeList::new(n as usize);
+            for _ in 0..rng.gen_range(0..6 * n) {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                let w = rng.gen_range(0..20);
+                el.push(u, v, w);
+                match rng.gen_range(0..4) {
+                    0 => el.push(u, v, rng.gen_range(0..20)),
+                    1 => el.push(v, u, rng.gen_range(0..20)),
+                    2 => el.push(u, u, w),
+                    _ => {}
+                }
+            }
+            for flags in 0..8 {
+                let builder = CsrBuilder {
+                    symmetrize: flags & 1 != 0,
+                    dedup: flags & 2 != 0,
+                    drop_self_loops: flags & 4 != 0,
+                };
+                assert_eq!(
+                    builder.build(&el),
+                    builder.build_by_global_sort(&el),
+                    "case {case}, {builder:?}"
+                );
+            }
+        }
     }
 
     #[test]
