@@ -23,6 +23,8 @@ When a change means to move the model, run the pinned workloads at seed
         kron-batch.out road-batch.out kron-verify.out
 
 then commit the new file together with the reason the numbers moved.
+`write` prints every simulated metric it changes as old -> new (xratio),
+so the moves a regeneration declares are on record.
 """
 
 import json
@@ -51,6 +53,21 @@ def workload_of(path):
 
 def bits(value):
     return struct.pack("<d", float(value))
+
+
+def moves(pinned, fresh):
+    """The simulated metrics that differ, as `name: old -> new (xratio)`."""
+    old, new = pinned["metrics"], fresh["metrics"]
+    lines = []
+    for name in sorted((set(old) | set(new)) - HOST_METRICS):
+        a = old.get(name, {}).get("value")
+        b = new.get(name, {}).get("value")
+        if a is None or b is None:
+            lines.append(f"{name}: {a!r} -> {b!r}")
+        elif bits(a) != bits(b):
+            ratio = f"x{b / a:.4f}" if a else "no ratio, old is 0"
+            lines.append(f"{name}: {a!r} -> {b!r} ({ratio})")
+    return lines
 
 
 def differences(pinned, fresh):
@@ -83,6 +100,13 @@ def main(argv):
     for out in outs:
         workload, fresh = workload_of(out), result_line(out)
         if mode == "write":
+            if workload in pinned:
+                changed = moves(pinned[workload]["result"], fresh)
+                for line in changed:
+                    print(f"{workload}: {line}")
+                print(f"{workload}: {len(changed)} simulated metric(s) changed")
+            else:
+                print(f"{workload}: new pinned line")
             pinned[workload] = {"workload": workload, "seed": 7, "result": fresh}
             continue
         if workload not in pinned:

@@ -5,8 +5,9 @@
 //! Per bucket:
 //!
 //! * **Phase 1** processes light edges of active vertices from the
-//!   small/medium/large workload lists. With BASYN it runs inside one
-//!   persistent-kernel session — no per-layer launch, no barrier,
+//!   small/medium/large workload lists, one wave per layer that serves
+//!   all three lists (`phase1_layer`). With BASYN the wave runs inside
+//!   one persistent-kernel session — no per-layer launch, no barrier,
 //!   updates immediately visible (§4.3); without, every layer is a
 //!   fresh kernel launch plus a grid barrier. With ADWL, small
 //!   vertices are handled by their parent thread, medium ones by a
@@ -39,8 +40,9 @@ use super::buffers::{DeviceQueue, GraphBuffers, QueueOverflow};
 use super::frontier::{AnyFrontier, Frontier, FrontierKind, FrontierView, ScatterMode};
 use crate::adaptive_delta::DeltaController;
 use crate::stats::{trace as relax_trace, SsspResult, UpdateStats};
+use crate::workload::WorkloadClass;
 use crate::{default_delta, Csr, Dist, VertexId, Weight, INF};
-use rdbs_gpu_sim::{Buf, Device, Lane};
+use rdbs_gpu_sim::{Buf, Device, Lane, Segment, WARP_SIZE};
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -409,6 +411,18 @@ impl RdbsDriver {
         graph: &Csr,
         controller: &mut DeltaController,
     ) -> Result<bool, QueueOverflow> {
+        self.step_with(device, graph, controller, phase1_layer)
+    }
+
+    /// [`RdbsDriver::step`] with each phase-1 layer laid out as waves
+    /// by `layout`.
+    fn step_with(
+        &mut self,
+        device: &mut Device,
+        graph: &Csr,
+        controller: &mut DeltaController,
+        layout: Phase1Layout,
+    ) -> Result<bool, QueueOverflow> {
         let (gb, frontier, scan_out, config) = (self.gb, self.frontier, self.scan_out, self.config);
         // A spilling frontier hands phase 1 activations whose
         // distances settled below the window one bucket ago; accept
@@ -427,23 +441,21 @@ impl RdbsDriver {
         loop {
             let layer = frontier.drain_layer(device, graph);
             bucket_members.extend(layer.new_members);
-            let mut any = false;
             if relax_trace::armed() {
                 relax_trace::set_context(lo, relax_trace::Phase::Light, trace.layers);
             }
+            if layer.lists.iter().all(Vec::is_empty) {
+                break;
+            }
             for (c, items) in layer.lists.iter().enumerate() {
-                if items.is_empty() {
-                    continue;
-                }
-                any = true;
                 trace.threads += phase1_wave_threads(graph, c, items, width, config.pro);
-                let gang = phase1_gang(graph, c, items, width, config, device.config().num_sms);
-                run_phase1_list(
+            }
+            let num_sms = device.config().num_sms;
+            for wave in layout(graph, &layer.lists, width, config, num_sms) {
+                run_phase1_wave(
                     device,
                     config.basyn,
-                    c,
-                    gang,
-                    items,
+                    &wave,
                     gb,
                     frontier.relax_view(),
                     lo,
@@ -452,9 +464,6 @@ impl RdbsDriver {
                     accept_below,
                     inst,
                 );
-            }
-            if !any {
-                break;
             }
             trace.layers += 1;
             if !config.basyn {
@@ -499,6 +508,7 @@ impl RdbsDriver {
             pro: config.pro,
             accept_below,
             scatter: config.scatter,
+            defer: frontier.collect_view(),
         };
         if config.adwl {
             heavy_relax_balanced(device, &pass, &self.prefix, inst);
@@ -644,7 +654,7 @@ fn phase1_wave_threads(
     }
 }
 
-/// Lanes per vertex of a phase-1 wave: a warp per medium vertex, one
+/// Lanes per vertex of a phase-1 list: a warp per medium vertex, one
 /// parent thread per large vertex (it spawns children), and for the
 /// small list the work-sized gang of [`small_gang`], picked by the
 /// manager from the drained list and the resident CSR.
@@ -662,14 +672,14 @@ fn phase1_gang(
                 items.iter().map(|&v| phase1_walk(graph, v, width, config.pro)).max().unwrap_or(0);
             small_gang(items.len(), longest, config.adwl, num_sms)
         }
-        1 => 32,
+        1 => WARP_SIZE,
         _ => 1,
     }
 }
 
-/// Gang size for a small-list wave under ADWL (DESIGN "Modeling
+/// Gang size for the small list under ADWL (DESIGN "Modeling
 /// decisions" item 10): the smallest power of two covering the
-/// longest walk, capped at a warp, then halved until the wave fits one
+/// longest walk, capped at a warp, then halved until the list fits one
 /// warp per SM. Without ADWL every vertex keeps its single lane.
 fn small_gang(items: usize, longest_walk: u32, adwl: bool, num_sms: u32) -> u32 {
     if !adwl {
@@ -683,13 +693,57 @@ fn small_gang(items: usize, longest_walk: u32, adwl: bool, num_sms: u32) -> u32 
     gang
 }
 
+/// One vertex of a phase-1 wave: its list and its slot there (the lane
+/// charges the fetch against that slot).
+#[derive(Clone, Copy)]
+struct Phase1Item {
+    v: VertexId,
+    class: u8,
+    slot: u32,
+}
+
+/// A phase-1 wave as the manager lays it out: its vertices in lane
+/// order and the gang segments that cover them.
+struct Phase1Wave {
+    segments: Vec<Segment>,
+    items: Vec<Phase1Item>,
+}
+
+/// How a bucket's phase 1 lays out each layer's drained lists as waves.
+type Phase1Layout =
+    fn(&Csr, &[Vec<VertexId>; WorkloadClass::COUNT], Weight, RdbsConfig, u32) -> Vec<Phase1Wave>;
+
+/// One phase-1 layer as one wave (DESIGN "Modeling decisions" item
+/// 10): the drained lists in order, each one segment of its
+/// [`phase1_gang`]. The persistent kernel's workers serve the three
+/// lists with no barrier between them (§4.2–4.3).
+fn phase1_layer(
+    graph: &Csr,
+    lists: &[Vec<VertexId>; WorkloadClass::COUNT],
+    width: Weight,
+    config: RdbsConfig,
+    num_sms: u32,
+) -> Vec<Phase1Wave> {
+    let mut wave = Phase1Wave { segments: Vec::new(), items: Vec::new() };
+    for (class, list) in lists.iter().enumerate().filter(|(_, l)| !l.is_empty()) {
+        let gang = phase1_gang(graph, class, list, width, config, num_sms);
+        wave.segments.push(Segment { items: list.len() as u64, gang });
+        wave.items.extend(list.iter().enumerate().map(|(slot, &v)| Phase1Item {
+            v,
+            class: class as u8,
+            slot: slot as u32,
+        }));
+    }
+    vec![wave]
+}
+
+/// Run one phase-1 wave, `phase1_layer`: a wave of the persistent
+/// kernel under BASYN, a kernel launch without.
 #[allow(clippy::too_many_arguments)]
-fn run_phase1_list(
+fn run_phase1_wave(
     device: &mut Device,
     basyn: bool,
-    class: usize,
-    gang: u32,
-    items: &[VertexId],
+    wave: &Phase1Wave,
     gb: GraphBuffers,
     view: FrontierView,
     lo: u64,
@@ -698,15 +752,15 @@ fn run_phase1_list(
     accept_below: bool,
     inst: &Rc<Inst>,
 ) {
-    let large = class == 2;
+    let items = &wave.items;
     let inst_outer = Rc::clone(inst);
     let body = move |lane: &mut Lane<'_>| {
-        let i = lane.tid() as usize;
+        let item = items[lane.tid() as usize];
         let rank = lane.gang_rank();
         let stride = lane.gang_size();
         // Fetch the work item (charged against the queue buffer).
-        view.charge_slot(lane, class, i as u32);
-        let v = items[i];
+        view.charge_slot(lane, item.class as usize, item.slot);
+        let v = item.v;
         // EVERY lane of the gang test-and-clears the pending mark
         // before its own dist read — not just rank 0. The dequeue
         // handshake is only sound if clearing the mark happens before
@@ -738,7 +792,7 @@ fn run_phase1_list(
             Some(h) => lane.ld(h, v),
             None => lane.ld(gb.row, v + 1),
         };
-        if large {
+        if item.class as usize == WorkloadClass::Large.index() {
             // Dynamic parallelism: one thread per light edge.
             let count = light_end.saturating_sub(start) as u64;
             if count == 0 {
@@ -759,17 +813,12 @@ fn run_phase1_list(
             e += stride;
         }
     };
-    let name = match class {
-        0 => "phase1_small",
-        1 => "phase1_medium",
-        _ => "phase1_large",
-    };
     if basyn {
         // Work dispatched inside the persistent phase-1 kernel.
-        device.wave(name, items.len() as u64, gang, body);
+        device.wave_segments("phase1_layer", &wave.segments, body);
     } else {
-        // Synchronous mode: a fresh launch per layer and list.
-        device.launch_gangs(name, items.len() as u64, gang, body);
+        // Synchronous mode: a fresh launch per layer.
+        device.launch_segments("phase1_layer", &wave.segments, body);
     }
 }
 
@@ -850,6 +899,9 @@ struct HeavyPass<'a> {
     pro: bool,
     accept_below: bool,
     scatter: ScatterMode,
+    /// Where a vertex lowered below `hi` goes: the next bucket's
+    /// frontier (see [`HeavyPass::relax`]).
+    defer: FrontierView,
 }
 
 impl HeavyPass<'_> {
@@ -918,6 +970,15 @@ impl HeavyPass<'_> {
                     relax_trace::record(v, v2, old, nd);
                 }
                 inst.updates.set(inst.updates.get() + 1);
+                // Only a below-window member (an accepted spill) can
+                // land `v2` below `hi`, where phase 3, which collects
+                // from `hi` up, would never reach it: defer `v2` to the
+                // next bucket, whose phase 1 accepts it below its
+                // window (a heavy edge of an in-window member lands at
+                // `hi` or above).
+                if self.accept_below && (nd as u64) < self.hi {
+                    self.defer.enqueue(lane, gb, v2);
+                }
             }
         }
     }
@@ -1303,6 +1364,76 @@ mod tests {
         check_against(&oracle.dist, &run.result.dist).unwrap();
     }
 
+    /// Run `cfg` from original vertex 0 on the tiny device with each
+    /// phase-1 layer laid out by `layout` and, for an MLMQ variant, the
+    /// active level's sub-queues capped at `caps`. Distances come back
+    /// in the original labelling.
+    fn run_from_0(
+        g: &Csr,
+        cfg: RdbsConfig,
+        layout: Phase1Layout,
+        caps: Option<[u32; 4]>,
+    ) -> Result<RdbsRun, QueueOverflow> {
+        let width0 = cfg.delta0.unwrap_or_else(|| default_delta(g));
+        let (graph, perm) = match cfg.pro {
+            true => {
+                let (pg, perm) = reorder::pro(g, width0);
+                (pg, Some(perm))
+            }
+            false => (g.clone(), None),
+        };
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let lanes = d.config().num_sms as u64 * 32 * 2;
+        let mut controller = DeltaController::new(width0).with_target_parallelism(lanes);
+        let gb = GraphBuffers::upload(&mut d, &graph);
+        let mut scratch = RdbsScratch::new(&mut d, graph.num_vertices() as u32, cfg);
+        if let (AnyFrontier::Mlmq(m), Some(caps)) = (&mut scratch.frontier, caps) {
+            for (lane, cap) in m.levels[0].iter_mut().zip(caps) {
+                lane.capacity = cap;
+            }
+        }
+        let source = perm.as_ref().map_or(0, |p| p.new_id(0));
+        let mut driver =
+            RdbsDriver::start(&mut d, gb, &scratch, &graph, source, cfg, &mut controller);
+        while !driver.step_with(&mut d, &graph, &mut controller, layout)? {}
+        let mut run = driver.finish(&mut d);
+        if let Some(p) = perm {
+            run.result.dist = p.unapply_to_array(&run.result.dist);
+        }
+        Ok(run)
+    }
+
+    #[test]
+    fn mlmq_with_starved_active_lanes_matches_dijkstra() {
+        // Every active-level lane capped at 1–3 entries: publish storms
+        // spill into the deferred level, so phase 2 relaxes the heavy
+        // edges of members that arrive below their bucket's window,
+        // and those can land a vertex below the window too. Each such
+        // vertex must still have its edges relaxed at the new distance.
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0922);
+        let (mut ok, mut wrong) = (0, Vec::new());
+        for seed in 0..60u64 {
+            let n = rng.gen_range(60..220usize);
+            let g = random_graph(seed + 500, n, rng.gen_range(2 * n..6 * n));
+            let delta0 = rng.gen_range(50..500);
+            let caps = std::array::from_fn(|_| rng.gen_range(1..=3));
+            let oracle = dijkstra(&g, 0);
+            for base in [RdbsConfig::basyn_only(), RdbsConfig::basyn_pro(), RdbsConfig::full()] {
+                let cfg =
+                    RdbsConfig { delta0: Some(delta0), ..base }.with_frontier(FrontierKind::Mlmq);
+                // A spill level that overflows too is reported, not wrong.
+                if let Ok(run) = run_from_0(&g, cfg, phase1_layer, Some(caps)) {
+                    ok += 1;
+                    if check_against(&oracle.dist, &run.result.dist).is_err() {
+                        wrong.push((seed, cfg.label()));
+                    }
+                }
+            }
+        }
+        assert!(wrong.is_empty(), "{} of {ok} runs wrong: {wrong:?}", wrong.len());
+        assert!(ok >= 150, "only {ok} of 180 runs completed");
+    }
+
     #[test]
     fn powerlaw_graph_uses_gangs() {
         // A hub-heavy graph must exercise the medium (warp-gang) path.
@@ -1355,6 +1486,78 @@ mod tests {
         }
     }
 
+    thread_local! {
+        /// Vertices per list the per-list layout saw.
+        static LISTED: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    /// [`phase1_layer`]'s segments as one wave each: the three per-list
+    /// waves phase 1 ran before the fused wave.
+    fn list_waves(
+        graph: &Csr,
+        lists: &[Vec<VertexId>; WorkloadClass::COUNT],
+        width: Weight,
+        config: RdbsConfig,
+        num_sms: u32,
+    ) -> Vec<Phase1Wave> {
+        let fused = phase1_layer(graph, lists, width, config, num_sms).remove(0);
+        let mut items = fused.items.into_iter();
+        let waves = fused.segments.into_iter().map(|seg| Phase1Wave {
+            segments: vec![seg],
+            items: items.by_ref().take(seg.items as usize).collect(),
+        });
+        let waves: Vec<Phase1Wave> = waves.collect();
+        LISTED.with(|c| {
+            let mut seen = c.get();
+            for w in &waves {
+                seen[w.items[0].class as usize] += w.items.len() as u64;
+            }
+            c.set(seen);
+        });
+        waves
+    }
+
+    #[test]
+    fn fused_list_order_wave_reproduces_the_per_list_waves() {
+        // One wave per layer whose segments are the lists in order,
+        // each with its list's gang, runs the lanes in the order the
+        // three per-list waves ran them: the same relaxations, so the
+        // same distances, checks, buckets, layers and T_i. (On the single
+        // frontier: the MLMQ picks a sub-queue by hashing the physical
+        // lane, which the fused wave numbers on from the small list's
+        // warps, so its queue order, and with it the relaxation order,
+        // may differ.)
+        LISTED.with(|c| c.set([0; 3]));
+        for seed in 0..4 {
+            let mut el = preferential_attachment(700, 6, seed);
+            for k in 1..400 {
+                el.push(0, k, 0); // a hub past α light edges: a large vertex
+            }
+            uniform_weights(&mut el, seed + 1);
+            let g = build_undirected(&el);
+            for base in [RdbsConfig::full(), RdbsConfig::basyn_adwl()] {
+                let cfg = RdbsConfig { delta0: Some(2000 + 600 * seed as u32), ..base };
+                let fused = run_from_0(&g, cfg, phase1_layer, None).expect("no overflow");
+                let waves = run_from_0(&g, cfg, list_waves, None).expect("no overflow");
+                let label = cfg.label();
+                assert_eq!(fused.result.dist, waves.result.dist, "{label} seed {seed}");
+                assert_eq!(fused.result.stats.checks, waves.result.stats.checks, "{label}");
+                assert_eq!(fused.result.stats.total_updates, waves.result.stats.total_updates);
+                let key = |t: &GpuBucketTrace| {
+                    (t.lo, t.width, t.layers, t.active, t.converged, t.threads)
+                };
+                assert_eq!(
+                    fused.buckets.iter().map(key).collect::<Vec<_>>(),
+                    waves.buckets.iter().map(key).collect::<Vec<_>>(),
+                    "{label} seed {seed}"
+                );
+                check_against(&dijkstra(&g, 0).dist, &fused.result.dist).unwrap();
+            }
+        }
+        let [small, medium, large] = LISTED.with(Cell::get);
+        assert!(small > 0 && medium > 0 && large > 0, "{small} {medium} {large}");
+    }
+
     #[test]
     fn small_list_gangs_shorten_road_waves_and_change_nothing_else() {
         // The Table 2 road-crossover graph and device of the shape
@@ -1370,7 +1573,7 @@ mod tests {
             );
             let run = rdbs(&mut d, &pg, perm.new_id(0), cfg);
             let small_lanes: u64 =
-                d.reports().iter().filter(|r| r.name == "phase1_small").map(|r| r.threads).sum();
+                d.reports().iter().filter(|r| r.name == "phase1_layer").map(|r| r.threads).sum();
             (run, small_lanes, d.elapsed_ms())
         };
         let (full, full_lanes, full_ms) = run(RdbsConfig::full());
@@ -1383,7 +1586,7 @@ mod tests {
         );
         assert_eq!(full.result.stats.checks, pro.result.stats.checks);
         assert_eq!(full.result.stats.total_updates, pro.result.stats.total_updates);
-        assert!(full_lanes > pro_lanes, "phase1_small lanes: full {full_lanes} vs pro {pro_lanes}");
+        assert!(full_lanes > pro_lanes, "phase1_layer lanes: full {full_lanes} vs pro {pro_lanes}");
         assert!(full_ms < pro_ms, "full {full_ms} ms vs pro {pro_ms} ms");
     }
 
@@ -1494,6 +1697,7 @@ mod tests {
             pro: g.heavy_offsets().is_some(),
             accept_below: case.accept_below,
             scatter: ScatterMode::Multisplit,
+            defer: scratch.frontier.collect_view(),
         };
         let before = d.elapsed_ns();
         if balanced {

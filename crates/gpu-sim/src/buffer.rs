@@ -147,6 +147,12 @@ impl Arena {
         let id = self.buffers.len() as u32;
         let bytes = (len as u64) * 4;
         let base = self.next_addr;
+        // Trace ops record 32-bit word addresses (`trace::Op`).
+        assert!(
+            (base + bytes) / 4 <= u32::MAX as u64,
+            "device arena exhausted: buffer '{label}' of {len} words would end past word \
+             address u32::MAX, the limit of the simulator's 32-bit word addresses"
+        );
         self.next_addr = (base + bytes).div_ceil(ALIGN) * ALIGN;
         self.buffers.push(Buffer {
             label,
@@ -371,6 +377,14 @@ impl HostStaging {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The check runs before the words are allocated: this request
+    /// would need 16 GiB.
+    #[test]
+    #[should_panic(expected = "past word address u32::MAX")]
+    fn alloc_past_the_word_address_range_is_refused() {
+        Arena::new().alloc("huge", u32::MAX as usize);
+    }
 
     #[test]
     fn disjoint_aligned_addresses() {

@@ -7,6 +7,10 @@
 //!   processed by `gang_size` lanes in consecutive positions (gang of
 //!   32 = the paper's Warp-granularity processing, 256 = Block
 //!   granularity, §4.2).
+//! * [`Device::launch_segments`] / [`Device::wave_segments`] — one
+//!   kernel or wave whose items come in [`Segment`]s, each with its own
+//!   gang size and starting on a warp boundary. Every other entry point
+//!   is a one-segment call of the same executor.
 //! * [`Lane::launch_child`] — dynamic parallelism: enqueue a child
 //!   kernel that runs after the current wave at device-launch cost.
 //! * [`Device::wave_session`] — a persistent kernel: pay one launch,
@@ -22,12 +26,13 @@ use crate::ir::IrState;
 use crate::replay::replay_warp;
 use crate::san::SanState;
 use crate::shadow::Word;
-use crate::trace::{Op, Span, TraceArena};
+use crate::trace::{word_addr, Op, Span, TraceArena};
 use crate::{SECTOR_BYTES, WARP_SIZE};
 
-/// The widest launch the simulator executes, in lanes. A wave without
-/// gang collectives streams its warps through one reusable trace arena
-/// and allocates nothing per lane; only a schedule-fuzzed wave (an
+/// The widest launch the simulator executes, in physical lanes (a
+/// segment's padding lanes count). A wave without gang collectives
+/// streams its warps through one reusable trace arena and allocates
+/// nothing per lane; only a schedule-fuzzed wave (an
 /// order slot and a span per lane) and the warps held for the wave-end
 /// flush (a span per lane plus their ops) take per-lane memory. A
 /// corrupted launch width — a bit-flipped light-edge count makes ADWL
@@ -37,16 +42,145 @@ use crate::{SECTOR_BYTES, WARP_SIZE};
 /// a detection; on hardware it would fault on its first out-of-bounds
 /// lane. The cap is over 300x the widest launch measured in the test
 /// suite (100,000 lanes, a gpu-sim unit kernel; the widest SSSP wave is
-/// 39,008 lanes, `phase1_medium`) and over 2,000x the widest in the
-/// benchmark workloads (13,856 lanes, `phase1_medium` on
-/// `kron-traffic`), and above the one-lane-per-vertex waves of the
-/// largest paper-scale stand-in (soc-TW, 21.3M vertices).
+/// 42,080 lanes, `phase1_layer`) and over 2,000x the widest in the
+/// benchmark workloads (16,320 lanes, `phase1_layer` on
+/// `kron-traffic`), and above the
+/// one-lane-per-vertex waves of the largest paper-scale stand-in
+/// (soc-TW, 21.3M vertices).
 pub const MAX_LAUNCH_LANES: u64 = 1 << 25;
 
 /// The word `buf[idx]` at `addr` as the sanitizer and IR hooks see it.
 #[inline]
 fn word(arena: &Arena, buf: Buf, idx: u32, addr: u64) -> Word {
     Word { addr, buf: buf.id, label: arena.label(buf), index: idx }
+}
+
+/// One gang segment of a wave: `items` work items, each run by `gang`
+/// consecutive lanes. A wave is a list of segments laid out in order;
+/// each starts on a warp boundary, and the lanes that pad a segment's
+/// last warp do not run. [`Lane::tid`] numbers the items across all
+/// segments, [`Lane::phys_id`] the physical lanes, padding included.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Segment {
+    /// Work items in the segment.
+    pub items: u64,
+    /// Lanes per item, 1 to the device's `max_block`.
+    pub gang: u32,
+}
+
+/// Where one non-empty segment sits in its wave.
+#[derive(Clone, Copy, Debug)]
+struct Placed {
+    /// Wave-wide index of the segment's first item.
+    item: u64,
+    /// The segment's first physical lane, a warp multiple.
+    lane: u64,
+    /// Index of the segment's first lane among the wave's running lanes.
+    run: u64,
+    /// Running lanes: `items * gang`.
+    lanes: u64,
+    gang: u32,
+    /// Index of the segment's first block in the wave (see
+    /// [`WarpSlot::sm`]).
+    block: u64,
+}
+
+/// One physical warp of a wave and the running lanes it holds.
+#[derive(Clone, Copy, Debug)]
+struct WarpSlot {
+    /// Physical warp index.
+    w: u64,
+    /// The warp's segment.
+    seg: Placed,
+    /// Offset of the warp's first lane in its segment.
+    off: u64,
+    /// Index of the warp's first lane among the wave's running lanes.
+    run: u64,
+    /// Running lanes in the warp (1 to 32).
+    width: usize,
+}
+
+impl WarpSlot {
+    /// The SM the warp runs on. The wave's blocks go round-robin over
+    /// the SMs: a gang wider than a warp is one block, whose warps
+    /// share its SM as a CUDA block's do, and any other warp is a block
+    /// of its own (so a wave of gangs up to a warp wide puts warp `w`
+    /// on SM `w % num_sms`). A wide gang's warps thus add their cycles
+    /// to one SM instead of spreading them.
+    fn sm(&self, num_sms: u32) -> usize {
+        let gang = self.seg.gang as u64;
+        let per_block = if gang > WARP_SIZE as u64 { gang } else { WARP_SIZE as u64 };
+        ((self.seg.block + self.off / per_block) % num_sms as u64) as usize
+    }
+}
+
+/// A wave's segment table: the one description of its lanes that the
+/// executor, the schedule fuzzer, the flush layout and the whole-wave
+/// reference all read. Traces and spans are indexed by running lane;
+/// warps, SMs and the instruments' lane ids by physical lane.
+struct Layout {
+    segs: Vec<Placed>,
+    /// Lanes that run.
+    lanes: u64,
+    /// Physical lanes, each segment padded to whole warps.
+    phys: u64,
+}
+
+impl Layout {
+    fn new(segments: &[Segment]) -> Self {
+        let warp = WARP_SIZE as u64;
+        let (mut item, mut lane, mut run, mut block) = (0u64, 0u64, 0u64, 0u64);
+        let mut segs = Vec::with_capacity(segments.len());
+        for s in segments {
+            let lanes = s.items.saturating_mul(s.gang as u64);
+            if lanes > 0 {
+                segs.push(Placed { item, lane, run, lanes, gang: s.gang, block });
+            }
+            item += s.items;
+            lane = lane.saturating_add(lanes.div_ceil(warp) * warp);
+            run = run.saturating_add(lanes);
+            block = block.saturating_add(if s.gang > WARP_SIZE {
+                s.items
+            } else {
+                lanes.div_ceil(warp)
+            });
+        }
+        Self { segs, lanes: run, phys: lane }
+    }
+
+    /// The segment holding running lane `r`, and `r`'s offset in it.
+    fn locate_run(&self, r: u64) -> (&Placed, u64) {
+        let seg = &self.segs[self.segs.partition_point(|s| s.run <= r) - 1];
+        (seg, r - seg.run)
+    }
+
+    /// The wave's warps in ascending physical order.
+    fn warps(&self) -> impl Iterator<Item = WarpSlot> + '_ {
+        let warp = WARP_SIZE as u64;
+        self.segs.iter().flat_map(move |&seg| {
+            (0..seg.lanes.div_ceil(warp)).map(move |k| WarpSlot {
+                w: seg.lane / warp + k,
+                seg,
+                off: k * warp,
+                run: seg.run + k * warp,
+                width: (seg.lanes - k * warp).min(warp) as usize,
+            })
+        })
+    }
+
+    /// The warp holding physical lane `lane` (a running one).
+    fn warp_of(&self, lane: u64) -> WarpSlot {
+        let warp = WARP_SIZE as u64;
+        let seg = self.segs[self.segs.partition_point(|s| s.lane <= lane) - 1];
+        let off = (lane - seg.lane) / warp * warp;
+        WarpSlot {
+            w: lane / warp,
+            seg,
+            off,
+            run: seg.run + off,
+            width: (seg.lanes - off).min(warp) as usize,
+        }
+    }
 }
 
 /// A queued dynamic-parallelism child kernel.
@@ -151,13 +285,15 @@ pub struct Lane<'a> {
     ir: Option<&'a mut IrState>,
     trace: &'a mut TraceArena,
     tid: u64,
+    phys: u64,
     gang_rank: u32,
     gang_size: u32,
 }
 
 impl<'a> Lane<'a> {
     /// Item/thread id: for [`Device::launch`] the global thread id;
-    /// for gang launches the *item index*.
+    /// for gang launches the *item index*, numbered across all of the
+    /// wave's segments.
     #[inline]
     pub fn tid(&self) -> u64 {
         self.tid
@@ -175,13 +311,15 @@ impl<'a> Lane<'a> {
         self.gang_size
     }
 
-    /// Physical lane id: the flattened SIMT lane index
-    /// (`tid * gang_size + gang_rank`). This is the identity the
-    /// sanitizer and the IR recorder key races on — two accesses with
-    /// the same `(wave, phys_id)` are program-ordered.
+    /// Physical lane id: the flattened SIMT lane index — the
+    /// segment's first lane, plus `gang_size` per earlier item of the
+    /// segment, plus `gang_rank` (`tid * gang_size + gang_rank` in a
+    /// one-segment wave). `phys_id / 32` is the lane's warp. This is
+    /// the identity the sanitizer and the IR recorder key races on —
+    /// two accesses with the same `(wave, phys_id)` are program-ordered.
     #[inline]
     pub fn phys_id(&self) -> u64 {
-        self.tid * self.gang_size as u64 + self.gang_rank as u64
+        self.phys
     }
 
     /// Global load of one word. Inside a synchronous kernel this
@@ -191,7 +329,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn ld(&mut self, buf: Buf, idx: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Load(addr));
+        self.trace.push(Op::Load(word_addr(addr)));
         self.traffic[buf.id as usize][0] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
@@ -238,7 +376,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn ld_volatile(&mut self, buf: Buf, idx: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::LoadVolatile(addr));
+        self.trace.push(Op::LoadVolatile(word_addr(addr)));
         self.traffic[buf.id as usize][0] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
@@ -256,7 +394,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn st(&mut self, buf: Buf, idx: u32, val: u32) {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Store(addr));
+        self.trace.push(Op::Store(word_addr(addr)));
         self.traffic[buf.id as usize][1] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
@@ -289,7 +427,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_min(&mut self, buf: Buf, idx: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
         self.san_atomic(buf, idx, addr, true);
         let old = self.arena.load(buf, idx);
@@ -320,7 +458,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_add(&mut self, buf: Buf, idx: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
         self.san_atomic(buf, idx, addr, true);
         let old = self.arena.load(buf, idx);
@@ -332,7 +470,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_cas(&mut self, buf: Buf, idx: u32, expected: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
         self.san_atomic(buf, idx, addr, true);
         let old = self.arena.load(buf, idx);
@@ -346,7 +484,7 @@ impl<'a> Lane<'a> {
     #[inline]
     pub fn atomic_exch(&mut self, buf: Buf, idx: u32, val: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        self.trace.push(Op::Atomic(addr));
+        self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
         self.san_atomic(buf, idx, addr, false);
         let old = self.arena.load(buf, idx);
@@ -508,8 +646,7 @@ impl Device {
     /// memory effects are immediate; timing/counters follow the SIMT
     /// replay model. Queued children run afterwards.
     pub fn launch(&mut self, name: &'static str, threads: u64, body: impl Fn(&mut Lane<'_>)) {
-        self.execute(name, threads, 1, false, true, true, &body);
-        self.drain_children(true);
+        self.launch_segments(name, &[Segment { items: threads, gang: 1 }], body);
     }
 
     /// Launch with cooperative gangs: `items * gang_size` lanes;
@@ -521,8 +658,18 @@ impl Device {
         gang_size: u32,
         body: impl Fn(&mut Lane<'_>),
     ) {
-        assert!(gang_size >= 1 && gang_size <= self.config.max_block);
-        self.execute(name, items * gang_size as u64, gang_size, false, true, true, &body);
+        self.launch_segments(name, &[Segment { items, gang: gang_size }], body);
+    }
+
+    /// Launch a kernel whose lanes are `segments` laid out in order
+    /// (see [`Segment`]); `lane.tid()` is the item index across them.
+    pub fn launch_segments(
+        &mut self,
+        name: &'static str,
+        segments: &[Segment],
+        body: impl Fn(&mut Lane<'_>),
+    ) {
+        self.execute(name, segments, false, true, true, &body);
         self.drain_children(true);
     }
 
@@ -551,7 +698,18 @@ impl Device {
         gang_size: u32,
         body: impl Fn(&mut Lane<'_>),
     ) {
-        self.execute(name, items * gang_size as u64, gang_size, false, false, false, &body);
+        self.wave_segments(name, &[Segment { items, gang: gang_size }], body);
+    }
+
+    /// [`Device::wave`] over `segments` laid out in order (see
+    /// [`Segment`]).
+    pub fn wave_segments(
+        &mut self,
+        name: &'static str,
+        segments: &[Segment],
+        body: impl Fn(&mut Lane<'_>),
+    ) {
+        self.execute(name, segments, false, false, false, &body);
         self.drain_children(false);
     }
 
@@ -562,25 +720,34 @@ impl Device {
         while !self.pending_children.is_empty() {
             let batch = std::mem::take(&mut self.pending_children);
             for child in batch {
-                self.execute(child.name, child.threads, 1, true, false, snapshot, &*child.body);
+                let lanes = [Segment { items: child.threads, gang: 1 }];
+                self.execute(child.name, &lanes, true, false, snapshot, &*child.body);
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn execute(
         &mut self,
         name: &'static str,
-        lanes: u64,
-        gang_size: u32,
+        segments: &[Segment],
         child: bool,
         charge_launch: bool,
         snapshot: bool,
         body: &dyn Fn(&mut Lane<'_>),
     ) {
+        for s in segments {
+            assert!(
+                s.gang >= 1 && s.gang <= self.config.max_block,
+                "kernel {name}: gang of {} lanes outside 1..={}",
+                s.gang,
+                self.config.max_block
+            );
+        }
+        let layout = Layout::new(segments);
         assert!(
-            lanes <= MAX_LAUNCH_LANES,
-            "kernel {name} launched with {lanes} lanes, above the simulator's cap of {MAX_LAUNCH_LANES}"
+            layout.phys <= MAX_LAUNCH_LANES,
+            "kernel {name} launched with {} lanes, above the simulator's cap of {MAX_LAUNCH_LANES}",
+            layout.phys
         );
         if charge_launch {
             self.counters.kernel_launches += 1;
@@ -590,7 +757,7 @@ impl Device {
             self.counters.child_kernel_launches += 1;
             self.elapsed_ns += self.config.child_launch_us * 1e3;
         }
-        if lanes == 0 {
+        if layout.lanes == 0 {
             return;
         }
         if let Some(plan) = self.fault.as_mut() {
@@ -614,12 +781,12 @@ impl Device {
         self.sm_cycles.resize(self.config.num_sms as usize, 0);
         #[cfg(test)]
         if self.whole_wave {
-            self.run_whole_wave(lanes, gang_size, body);
+            self.run_whole_wave(&layout, body);
         } else {
-            self.run_wave(lanes, gang_size, body);
+            self.run_wave(&layout, body);
         }
         #[cfg(not(test))]
-        self.run_wave(lanes, gang_size, body);
+        self.run_wave(&layout, body);
         if snapshot {
             self.arena.end_snapshot();
         }
@@ -635,7 +802,7 @@ impl Device {
         self.elapsed_ns += time.busy_ns();
         self.reports.push(KernelReport {
             name,
-            threads: lanes,
+            threads: layout.lanes,
             warp_instructions: self.counters.inst_executed - inst_before,
             atomics: self.counters.inst_executed_global_atomics - atomics_before,
             compute_ns: time.compute_ns,
@@ -661,50 +828,54 @@ impl Device {
     /// that decides their epilogues (leader reservations read tail
     /// cursors later lanes may still move) runs after the last lane,
     /// and then each held warp replays its body, then its epilogue.
-    /// Under schedule fuzzing the lanes run in a seeded permutation
-    /// (each keeps its tid/gang_rank, so only the interleaving of
-    /// memory effects changes) and every warp is held.
-    fn run_wave(&mut self, lanes: u64, gang_size: u32, body: &dyn Fn(&mut Lane<'_>)) {
-        let warp = WARP_SIZE as u64;
-        let warps = lanes.div_ceil(warp);
+    /// Under schedule fuzzing the running lanes of all segments run in
+    /// one seeded permutation (each keeps its tid/gang_rank/phys_id, so
+    /// only the interleaving of memory effects changes) and every warp
+    /// is held.
+    fn run_wave(&mut self, layout: &Layout, body: &dyn Fn(&mut Lane<'_>)) {
         self.traces.clear();
-        let held_from = if let Some(order) = self.sched.as_mut().map(|s| s.permutation(lanes)) {
-            self.traces.body.resize(lanes as usize, Span::default());
-            for lane_idx in order {
-                self.traces.body[lane_idx as usize] = self.run_lane(lane_idx, gang_size, body);
-            }
-            0
-        } else {
-            let mut held_from = warps;
-            for w in 0..warps {
-                for lane_idx in w * warp..((w + 1) * warp).min(lanes) {
-                    let span = self.run_lane(lane_idx, gang_size, body);
-                    self.traces.body.push(span);
+        // The first held lane, as a running-lane index.
+        let held_from =
+            if let Some(order) = self.sched.as_mut().map(|s| s.permutation(layout.lanes)) {
+                self.traces.body.resize(layout.lanes as usize, Span::default());
+                for r in order {
+                    let (seg, off) = layout.locate_run(r);
+                    self.traces.body[r as usize] = self.run_lane(seg, off, body);
                 }
-                if held_from == warps {
-                    if self.pending_scatter.is_empty() {
-                        self.replay_arena_warp(w, w, lanes);
-                        self.traces.clear();
-                    } else {
-                        held_from = w;
+                Some(0)
+            } else {
+                let mut held_from = None;
+                for slot in layout.warps() {
+                    for i in 0..slot.width as u64 {
+                        let span = self.run_lane(&slot.seg, slot.off + i, body);
+                        self.traces.body.push(span);
+                    }
+                    if held_from.is_none() {
+                        if self.pending_scatter.is_empty() {
+                            self.replay_arena_warp(slot, slot.run);
+                            self.traces.clear();
+                        } else {
+                            held_from = Some(slot.run);
+                        }
                     }
                 }
-            }
-            held_from
-        };
-        if held_from < warps {
+                held_from
+            };
+        if let Some(first) = held_from {
             let placed = self.flush_scatter();
-            lay_out_epilogues(&mut self.traces, &placed, held_from * warp, lanes);
-            for w in held_from..warps {
-                self.replay_arena_warp(w, held_from, lanes);
+            lay_out_epilogues(&mut self.traces, &placed, layout, first);
+            for slot in layout.warps().filter(|s| s.run >= first) {
+                self.replay_arena_warp(slot, first);
             }
         }
     }
 
-    /// Run one lane's body, recording its trace into the arena.
+    /// Run the lane at offset `off` of segment `seg`, recording its
+    /// trace into the arena.
     #[inline]
-    fn run_lane(&mut self, lane_idx: u64, gang_size: u32, body: &dyn Fn(&mut Lane<'_>)) -> Span {
+    fn run_lane(&mut self, seg: &Placed, off: u64, body: &dyn Fn(&mut Lane<'_>)) -> Span {
         self.traces.open_lane();
+        let gang = seg.gang as u64;
         let mut lane = Lane {
             arena: &mut self.arena,
             children: &mut self.pending_children,
@@ -714,23 +885,23 @@ impl Device {
             san: self.san.as_deref_mut(),
             ir: self.ir.as_deref_mut(),
             trace: &mut self.traces,
-            tid: lane_idx / gang_size as u64,
-            gang_rank: (lane_idx % gang_size as u64) as u32,
-            gang_size,
+            tid: seg.item + off / gang,
+            phys: seg.lane + off,
+            gang_rank: (off % gang) as u32,
+            gang_size: seg.gang,
         };
         body(&mut lane);
         self.traces.close_lane()
     }
 
-    /// Replay warp `w` of a `lanes`-lane wave from the arena, whose
-    /// spans start at warp `first`'s first lane: its body, then its
-    /// flush epilogue if the flush gave it one.
-    fn replay_arena_warp(&mut self, w: u64, first: u64, lanes: u64) {
+    /// Replay warp `slot` from the arena, whose spans start at running
+    /// lane `first`: its body, then its flush epilogue if the flush
+    /// gave it one.
+    fn replay_arena_warp(&mut self, slot: WarpSlot, first: u64) {
         let Self { config, caches, counters, traces, sm_cycles, .. } = self;
-        let warp = WARP_SIZE as u64;
-        let start = ((w - first) * warp) as usize;
-        let width = (((w + 1) * warp).min(lanes) - w * warp) as usize;
-        let sm = (w % config.num_sms as u64) as usize;
+        let start = (slot.run - first) as usize;
+        let width = slot.width;
+        let sm = slot.sm(config.num_sms);
         let mut ops: [&[Op]; WARP_SIZE as usize] = [&[]; WARP_SIZE as usize];
         traces.warp(&traces.body[start..start + width], &mut ops);
         sm_cycles[sm] += replay_warp(config, caches, counters, sm, &ops[..width], true).cycles;
@@ -967,7 +1138,7 @@ impl Device {
         n: u64,
     ) -> u32 {
         let addr = self.arena.addr(buf, idx);
-        placed.push((phase, lane, Op::Atomic(addr)));
+        placed.push((phase, lane, Op::Atomic(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][2] += 1;
         if let Some(san) = self.san.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
@@ -997,7 +1168,7 @@ impl Device {
         val: u32,
     ) {
         let addr = self.arena.addr(buf, idx);
-        placed.push((phase, lane, Op::Store(addr)));
+        placed.push((phase, lane, Op::Store(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][1] += 1;
         if let Some(san) = self.san.as_deref_mut() {
             san.on_reserved_store(word(&self.arena, buf, idx, addr), lane, gang);
@@ -1020,7 +1191,7 @@ impl Device {
         val: u32,
     ) {
         let addr = self.arena.addr(buf, idx);
-        placed.push((PH_LEADER, lane, Op::Atomic(addr)));
+        placed.push((PH_LEADER, lane, Op::Atomic(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][2] += 1;
         if let Some(san) = self.san.as_deref_mut() {
             san.on_atomic(word(&self.arena, buf, idx, addr), lane, gang, false);
@@ -1045,7 +1216,7 @@ impl Device {
         val: u32,
     ) {
         let addr = self.arena.addr(buf, idx);
-        placed.push((PH_LEADER, lane, Op::Atomic(addr)));
+        placed.push((PH_LEADER, lane, Op::Atomic(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][2] += 1;
         if let Some(san) = self.san.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
@@ -1063,13 +1234,13 @@ impl Device {
 
 /// Lay the flush's placed ops (`(phase, lane, op)`, warp by warp) out
 /// as the held lanes' epilogue traces in `traces`, whose spans start at
-/// lane `first` of a `lanes`-lane wave. Each warp's epilogue goes phase
-/// by phase; a Conv between consecutive non-empty phases re-aligns the
-/// lanes, so each phase's ops group into the few warp instructions the
-/// converged sequence actually issues.
+/// running lane `first` of the wave `layout` describes. Each warp's
+/// epilogue goes phase by phase; a Conv between consecutive non-empty
+/// phases re-aligns the lanes, so each phase's ops group into the few
+/// warp instructions the converged sequence actually issues.
 ///
 /// Leader-elected atomics (reservations, reduced counters, overflow
-/// bumps) are *packed* across the warp's lane slots: multi-counter
+/// bumps) are *packed* across the warp's running lanes: multi-counter
 /// leader election hands each of the k counters to a distinct lane
 /// (values broadcast by shuffle), so k ≤ 32 of them retire as one warp
 /// instruction — not k instructions serialized on whichever lane
@@ -1077,16 +1248,22 @@ impl Device {
 /// lane: each lane publishes its own payload (that is what makes them
 /// coalesce). Lanes are written one after another, so each lane's
 /// epilogue is contiguous in the arena.
-fn lay_out_epilogues(traces: &mut TraceArena, placed: &[(u8, u64, Op)], first: u64, lanes: u64) {
+fn lay_out_epilogues(
+    traces: &mut TraceArena,
+    placed: &[(u8, u64, Op)],
+    layout: &Layout,
+    first: u64,
+) {
     if placed.is_empty() {
         return;
     }
     let warp_size = WARP_SIZE as u64;
-    traces.epilogue.resize((lanes - first) as usize, Span::default());
+    traces.epilogue.resize((layout.lanes - first) as usize, Span::default());
     let mut routed: Vec<(usize, u8, Op)> = Vec::new();
     for ops in placed.chunk_by(|a, b| a.1 / warp_size == b.1 / warp_size) {
-        let base = ops[0].1 / warp_size * warp_size;
-        let width = ((base + warp_size).min(lanes) - base) as usize;
+        let warp = layout.warp_of(ops[0].1);
+        let base = warp.w * warp_size;
+        let width = warp.width;
         let mut present = [false; PHASES as usize];
         let mut dealt = [0usize; PHASES as usize];
         routed.clear();
@@ -1116,7 +1293,7 @@ fn lay_out_epilogues(traces: &mut TraceArena, placed: &[(u8, u64, Op)], first: u
                     traces.push(op);
                 }
             }
-            traces.epilogue[(base - first) as usize + slot] = traces.close_lane();
+            traces.epilogue[(warp.run - first) as usize + slot] = traces.close_lane();
         }
     }
 }
@@ -1133,16 +1310,7 @@ impl<'d> WaveSession<'d> {
     /// overhead. Children queued by the wave run before this returns.
     pub fn wave(&mut self, items: u64, gang_size: u32, body: impl Fn(&mut Lane<'_>)) {
         self.waves += 1;
-        self.device.execute(
-            self.name,
-            items * gang_size as u64,
-            gang_size,
-            false,
-            false,
-            false,
-            &body,
-        );
-        self.device.drain_children(false);
+        self.device.wave(self.name, items, gang_size, body);
     }
 
     /// Number of waves run so far.
@@ -1234,6 +1402,69 @@ mod tests {
             lane.st(out, slot, lane.tid() as u32 * 100 + lane.gang_rank());
         });
         assert_eq!(d.read(out), &[0, 1, 2, 3, 100, 101, 102, 103]);
+    }
+
+    #[test]
+    fn segments_start_on_warp_boundaries_and_padding_does_not_run() {
+        let mut d = tiny();
+        let out = d.alloc("out", 160);
+        let segments = [Segment { items: 3, gang: 4 }, Segment { items: 2, gang: 64 }];
+        let seen = std::cell::RefCell::new(Vec::new());
+        d.wave_segments("seg", &segments, |lane| {
+            seen.borrow_mut().push((
+                lane.tid(),
+                lane.gang_rank(),
+                lane.gang_size(),
+                lane.phys_id(),
+            ));
+            lane.st(out, lane.phys_id() as u32, 1);
+        });
+        let seen = seen.into_inner();
+        assert_eq!(seen.len(), 12 + 128, "padding lanes 12..32 do not run");
+        assert_eq!(seen[0], (0, 0, 4, 0));
+        assert_eq!(seen[11], (2, 3, 4, 11));
+        // The second segment starts on the next warp boundary.
+        assert_eq!(seen[12], (3, 0, 64, 32));
+        assert_eq!(seen[139], (4, 63, 64, 159));
+        assert_eq!(d.counters().warps, 1 + 4);
+        assert_eq!(d.counters().threads, 12 + 128);
+        assert_eq!(d.reports()[0].threads, 12 + 128);
+        assert_eq!(d.read(out).iter().sum::<u32>(), 12 + 128);
+        assert!(d.read(out)[12..32].iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    fn a_gang_wider_than_a_warp_runs_its_warps_on_one_sm() {
+        let seg = |items, gang| Segment { items, gang };
+        // Two 64-lane gangs are two blocks of two warps each, one SM
+        // per block; the warps after them continue the round-robin from
+        // the next block, and a 48-lane gang's straddling warp stays
+        // with the gang its first lane belongs to.
+        let layout = Layout::new(&[seg(2, 64), seg(40, 1), seg(1, 48)]);
+        let sms: Vec<usize> = layout.warps().map(|w| w.sm(2)).collect();
+        assert_eq!(sms, [0, 0, 1, 1, 0, 1, 0, 0]);
+        // Without a gang wider than a warp, warp w runs on SM w % SMs.
+        let layout = Layout::new(&[seg(3, 4), seg(70, 1), seg(5, 32)]);
+        for slot in layout.warps() {
+            assert_eq!(slot.sm(3), (slot.w % 3) as usize);
+        }
+        // On the device: a lone 64-lane gang charges one SM only.
+        let mut d = tiny();
+        d.launch_gangs("wide", 1, 64, |lane| lane.alu(10));
+        assert!(d.sm_cycles[0] > 0);
+        assert_eq!(d.sm_cycles[1], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=")]
+    fn a_gang_wider_than_a_block_is_refused() {
+        let mut d = tiny();
+        let block = d.config().max_block;
+        d.wave_segments(
+            "wide",
+            &[Segment { items: 1, gang: 1 }, Segment { items: 1, gang: block * 2 }],
+            |_| {},
+        );
     }
 
     #[test]

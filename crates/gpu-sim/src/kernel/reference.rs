@@ -5,7 +5,7 @@
 //! property test runs random kernels through both executors and
 //! compares everything a caller can observe.
 
-use super::{Lane, PHASES, PH_LEADER, PH_OVERFLOW, PH_SPILL_OVERFLOW};
+use super::{Lane, Layout, PHASES, PH_LEADER, PH_OVERFLOW, PH_SPILL_OVERFLOW};
 use crate::cache::{CacheHierarchy, CacheLevel};
 use crate::counters::Counters;
 use crate::device::{Device, DeviceConfig};
@@ -16,30 +16,25 @@ impl Device {
     /// Run every lane body (ascending, or permuted under schedule
     /// fuzzing), flush the gang collectives, then replay every warp's
     /// body and epilogue in warp order.
-    pub(super) fn run_whole_wave(
-        &mut self,
-        lanes: u64,
-        gang_size: u32,
-        body: &dyn Fn(&mut Lane<'_>),
-    ) {
-        let order: Vec<u64> = match self.sched.as_mut().map(|s| s.permutation(lanes)) {
+    pub(super) fn run_whole_wave(&mut self, layout: &Layout, body: &dyn Fn(&mut Lane<'_>)) {
+        let order: Vec<u64> = match self.sched.as_mut().map(|s| s.permutation(layout.lanes)) {
             Some(order) => order,
-            None => (0..lanes).collect(),
+            None => (0..layout.lanes).collect(),
         };
-        let mut all_traces: Vec<Vec<Op>> = vec![Vec::new(); lanes as usize];
-        for &lane_idx in &order {
+        let mut all_traces: Vec<Vec<Op>> = vec![Vec::new(); layout.lanes as usize];
+        for &r in &order {
             self.traces.clear();
-            let span = self.run_lane(lane_idx, gang_size, body);
-            all_traces[lane_idx as usize] = self.traces.lane(span).to_vec();
+            let (seg, off) = layout.locate_run(r);
+            let span = self.run_lane(seg, off, body);
+            all_traces[r as usize] = self.traces.lane(span).to_vec();
         }
         self.traces.clear();
         let placed = self.flush_scatter();
-        let epilogue = (!placed.is_empty()).then(|| lay_out_per_lane(&placed, lanes));
-        let num_sms = self.config.num_sms as u64;
-        for w in 0..lanes.div_ceil(WARP_SIZE as u64) {
-            let base = (w * WARP_SIZE as u64) as usize;
-            let end = ((w + 1) * WARP_SIZE as u64).min(lanes) as usize;
-            let sm = (w % num_sms) as usize;
+        let epilogue = (!placed.is_empty()).then(|| lay_out_per_lane(&placed, layout));
+        for slot in layout.warps() {
+            let base = slot.run as usize;
+            let end = base + slot.width;
+            let sm = slot.sm(self.config.num_sms);
             let cycles = replay_four_pass(
                 &self.config,
                 &mut self.caches,
@@ -66,23 +61,24 @@ impl Device {
     }
 }
 
-/// The flush's placed ops as one epilogue trace per lane of the wave:
-/// per warp, phase by phase, a Conv on every lane between non-empty
-/// phases, packed phases dealt round-robin over the warp's lanes.
-fn lay_out_per_lane(placed: &[(u8, u64, Op)], lanes: u64) -> Vec<Vec<Op>> {
-    let mut epi: Vec<Vec<Op>> = vec![Vec::new(); lanes as usize];
+/// The flush's placed ops as one epilogue trace per running lane of
+/// the wave: per warp, phase by phase, a Conv on every lane between
+/// non-empty phases, packed phases dealt round-robin over the warp's
+/// running lanes.
+fn lay_out_per_lane(placed: &[(u8, u64, Op)], layout: &Layout) -> Vec<Vec<Op>> {
+    let mut epi: Vec<Vec<Op>> = vec![Vec::new(); layout.lanes as usize];
     let warp_size = WARP_SIZE as u64;
     for ops in placed.chunk_by(|a, b| a.1 / warp_size == b.1 / warp_size) {
-        let base = (ops[0].1 / warp_size * warp_size) as usize;
-        let end = (base + WARP_SIZE as usize).min(lanes as usize);
-        let width = end - base;
+        let warp = layout.warp_of(ops[0].1);
+        let (base, width) = (warp.run as usize, warp.width);
+        let phys_base = warp.w * warp_size;
         let mut first = true;
         for phase in 0..PHASES {
             if !ops.iter().any(|&(p, _, _)| p == phase) {
                 continue;
             }
             if !first {
-                for t in &mut epi[base..end] {
+                for t in &mut epi[base..base + width] {
                     t.push(Op::Conv);
                 }
             }
@@ -98,7 +94,7 @@ fn lay_out_per_lane(placed: &[(u8, u64, Op)], lanes: u64) -> Vec<Vec<Op>> {
             } else {
                 for &(p, lane, op) in ops {
                     if p == phase {
-                        epi[lane as usize].push(op);
+                        epi[base + (lane - phys_base) as usize].push(op);
                     }
                 }
             }
@@ -233,30 +229,32 @@ mod tests {
     use crate::buffer::Buf;
     use crate::device::{Device, DeviceConfig};
     use crate::fault::{FaultModel, FaultPlan, FaultSpec};
-    use crate::kernel::{GangScatter, Lane, ScatterTarget};
+    use crate::kernel::{GangScatter, Lane, ScatterTarget, Segment};
     use crate::san::SanConfig;
     use crate::{splitmix64, WARP_SIZE};
 
     /// How a case's kernels are issued.
     #[derive(Clone, Copy, Debug)]
     enum Issue {
-        /// `launch` (gang 1) or `launch_gangs`: snapshot coherence.
+        /// `launch` (gang 1), `launch_gangs` or `launch_segments`:
+        /// snapshot coherence.
         Launch,
-        /// `wave`: live coherence, no launch charge.
+        /// `wave` or `wave_segments`: live coherence, no launch charge.
         Wave,
         /// Two waves of one `wave_session`.
         Session,
     }
 
     /// One random case: the shape of its kernels and what is armed.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Debug)]
     struct Case {
         seed: u64,
-        items: u64,
-        gang: u32,
+        /// The kernels' gang segments (1–4).
+        segments: Vec<Segment>,
         issue: Issue,
         /// First physical lane that may record gang collectives
-        /// (`u64::MAX`: none does). That lane always records one.
+        /// (`u64::MAX`: none does). That lane, a running one, always
+        /// records one.
         collectives_from: u64,
         fuzz: Option<u64>,
         sanitize: bool,
@@ -283,21 +281,39 @@ mod tests {
     impl Case {
         fn draw(seed: u64) -> Case {
             let mut r = seed;
-            let gang = [1, 4, 32][draw(&mut r, 3) as usize];
-            // Lane counts around warp boundaries, partial last warps
-            // included, up to a few warps.
-            let lanes = match draw(&mut r, 4) {
-                0 => [1, 31, 32, 33, 63, 64, 65, 96][draw(&mut r, 8) as usize],
-                _ => 1 + draw(&mut r, 200),
-            };
-            let items = lanes.div_ceil(gang as u64);
-            let lanes = items * gang as u64;
-            let last_warp = (lanes - 1) / WARP_SIZE as u64 * WARP_SIZE as u64;
+            let warp = WARP_SIZE as u64;
+            // Half the cases run one segment, the rest two to four.
+            let count = if draw(&mut r, 2) == 0 { 1 } else { 2 + draw(&mut r, 3) };
+            let segments: Vec<Segment> = (0..count)
+                .map(|_| {
+                    let gang = [1, 2, 3, 4, 8, 32, 64, 128, 256][draw(&mut r, 9) as usize];
+                    // Lane counts around warp boundaries, partial last
+                    // warps (padding, when a segment follows) included,
+                    // up to a few warps.
+                    let lanes = match draw(&mut r, 4) {
+                        0 => [1, 31, 32, 33, 63, 64, 65, 96][draw(&mut r, 8) as usize],
+                        _ => 1 + draw(&mut r, 200),
+                    };
+                    Segment { items: lanes.div_ceil(gang as u64), gang }
+                })
+                .collect();
+            // One segment's physical lanes: its first, and its lanes.
+            let mut first = 0;
+            let placed: Vec<(u64, u64)> = segments
+                .iter()
+                .map(|s| {
+                    let lanes = s.items * s.gang as u64;
+                    first += lanes.div_ceil(warp) * warp;
+                    (first - lanes.div_ceil(warp) * warp, lanes)
+                })
+                .collect();
+            let (base, lanes) = placed[draw(&mut r, count) as usize];
+            let last_warp = (lanes - 1) / warp * warp;
             let collectives_from = match draw(&mut r, 4) {
                 0 => u64::MAX,
-                1 => draw(&mut r, lanes.min(WARP_SIZE as u64)),
-                2 => (last_warp / 2 + draw(&mut r, WARP_SIZE as u64)).min(lanes - 1),
-                _ => last_warp + draw(&mut r, lanes - last_warp),
+                1 => base + draw(&mut r, lanes.min(warp)),
+                2 => base + (last_warp / 2 + draw(&mut r, warp)).min(lanes - 1),
+                _ => base + last_warp + draw(&mut r, lanes - last_warp),
             };
             let issue = [Issue::Launch, Issue::Wave, Issue::Session][draw(&mut r, 3) as usize];
             let fault = match draw(&mut r, 8) {
@@ -310,8 +326,7 @@ mod tests {
             };
             Case {
                 seed,
-                items,
-                gang,
+                segments,
                 issue,
                 collectives_from,
                 fuzz: (draw(&mut r, 3) == 0).then(|| splitmix64(&mut r)),
@@ -404,7 +419,7 @@ mod tests {
         ir: String,
     }
 
-    fn run(case: Case, whole_wave: bool) -> Observed {
+    fn run(case: &Case, whole_wave: bool) -> Observed {
         let mut d = Device::new(DeviceConfig::test_tiny());
         d.whole_wave = whole_wave;
         if case.sanitize {
@@ -434,15 +449,23 @@ mod tests {
             let seed = case.seed ^ k.wrapping_mul(0xD1B5_4A32_D192_ED03);
             let from = case.collectives_from;
             let body = move |lane: &mut Lane<'_>| program(lane, b, seed, from, 1);
-            match case.issue {
-                Issue::Launch if case.gang == 1 => d.launch("kernel", case.items, body),
-                Issue::Launch => d.launch_gangs("kernel", case.items, case.gang, body),
-                Issue::Wave => d.wave("kernel", case.items, case.gang, body),
-                Issue::Session => {
-                    let mut s = d.wave_session("session");
-                    s.wave(case.items, case.gang, body);
-                    s.device().charge_barrier();
-                    s.wave(case.items, case.gang, body);
+            match (case.issue, &case.segments[..]) {
+                (Issue::Launch, &[s]) if s.gang == 1 => d.launch("kernel", s.items, body),
+                (Issue::Launch, &[s]) => d.launch_gangs("kernel", s.items, s.gang, body),
+                (Issue::Launch, segments) => d.launch_segments("kernel", segments, body),
+                (Issue::Wave, &[s]) => d.wave("kernel", s.items, s.gang, body),
+                (Issue::Wave, segments) => d.wave_segments("kernel", segments, body),
+                (Issue::Session, &[s]) => {
+                    let mut session = d.wave_session("session");
+                    session.wave(s.items, s.gang, body);
+                    session.device().charge_barrier();
+                    session.wave(s.items, s.gang, body);
+                }
+                (Issue::Session, segments) => {
+                    let mut session = d.wave_session("session");
+                    session.device().wave_segments("session", segments, body);
+                    session.device().charge_barrier();
+                    session.device().wave_segments("session", segments, body);
                 }
             }
         }
@@ -472,21 +495,36 @@ mod tests {
     fn streamed_waves_match_the_whole_wave_reference() {
         let mut seeds = 0x5EED_u64;
         let (mut held, mut fuzzed, mut dropped, mut spill_dropped) = (0, 0, 0, 0);
-        for _ in 0..200 {
+        let (mut multi, mut padded, mut held_late, mut wide) = (0, 0, 0, 0);
+        for _ in 0..300 {
             let case = Case::draw(splitmix64(&mut seeds));
-            let streamed = run(case, false);
+            let streamed = run(&case, false);
             assert!(streamed.counters.inst_executed > 0, "{case:?} ran nothing");
             held += usize::from(case.collectives_from != u64::MAX);
             fuzzed += usize::from(case.fuzz.is_some());
             // Overflow cells: the plain queue's, then the spill queue's.
             dropped += usize::from(streamed.words[5][0] > 0);
             spill_dropped += usize::from(streamed.words[11][0] > 0);
-            assert_eq!(streamed, run(case, true), "{case:?}");
+            let segs = &case.segments;
+            let lanes = |s: &Segment| s.items * s.gang as u64;
+            multi += usize::from(segs.len() > 1);
+            padded += usize::from(segs[..segs.len() - 1].iter().any(|s| lanes(s) % 32 != 0));
+            held_late += usize::from(
+                segs.len() > 1
+                    && case.collectives_from != u64::MAX
+                    && case.collectives_from >= lanes(&segs[0]).div_ceil(32) * 32,
+            );
+            wide += usize::from(segs.iter().any(|s| s.gang > WARP_SIZE));
+            assert_eq!(streamed, run(&case, true), "{case:?}");
         }
-        // The draw covers held and fuzzed waves and both overshoot
-        // paths of the aggregated push.
-        assert!(held > 100 && fuzzed > 40, "held {held}, fuzzed {fuzzed}");
-        assert!(dropped > 10 && spill_dropped > 10, "{dropped} {spill_dropped}");
+        // The draw covers held and fuzzed waves, both overshoot paths
+        // of the aggregated push, and multi-segment waves with padding,
+        // gangs wider than a warp and a first collective after the
+        // first segment.
+        assert!(held > 150 && fuzzed > 60, "held {held}, fuzzed {fuzzed}");
+        assert!(dropped > 15 && spill_dropped > 15, "{dropped} {spill_dropped}");
+        assert!(multi > 100 && padded > 60, "multi {multi}, padded {padded}");
+        assert!(held_late > 30 && wide > 60, "held late {held_late}, wide {wide}");
     }
 
     /// A wide launch without collectives holds one warp's ops at a time.

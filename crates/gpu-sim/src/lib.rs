@@ -99,7 +99,7 @@ pub use counters::{Counters, KernelReport};
 pub use device::{Device, DeviceConfig};
 pub use fault::{FaultEvent, FaultModel, FaultPlan, FaultSpec, FaultTarget};
 pub use ir::{AccessIr, Hazard, HazardKind, IrAccessor, KernelStats, QueueDecl, QueueUsage};
-pub use kernel::{GangScatter, Lane, ScatterTarget, WaveSession};
+pub use kernel::{GangScatter, Lane, ScatterTarget, Segment, WaveSession};
 pub use san::{AccessProfile, SanCheck, SanConfig, SanViolation, WordStats};
 pub use sched::SchedPlan;
 pub use stream::StreamSet;

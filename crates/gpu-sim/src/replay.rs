@@ -41,10 +41,10 @@ pub struct WarpOutcome {
     pub cycles: u64,
 }
 
-/// The addresses one step's lanes issue for one memory kind, in lane
-/// order.
+/// The word addresses one step's lanes issue for one memory kind, in
+/// lane order.
 struct Group {
-    addrs: [u64; WARP],
+    addrs: [u32; WARP],
     len: usize,
 }
 
@@ -52,7 +52,7 @@ impl Group {
     const EMPTY: Group = Group { addrs: [0; WARP], len: 0 };
 
     #[inline]
-    fn push(&mut self, addr: u64) {
+    fn push(&mut self, addr: u32) {
         self.addrs[self.len] = addr;
         self.len += 1;
     }
@@ -183,10 +183,10 @@ fn replay_memory(
         }
         OpKind::Alu | OpKind::Conv => unreachable!("not a memory kind"),
     }
-    // Coalesce into sectors.
+    // Coalesce into sectors (byte address = word address * 4).
     let mut sectors = [0u64; WARP];
-    for (s, a) in sectors.iter_mut().zip(addrs.iter()) {
-        *s = a / SECTOR_BYTES;
+    for (s, &a) in sectors.iter_mut().zip(addrs.iter()) {
+        *s = a as u64 * 4 / SECTOR_BYTES;
     }
     let sectors = &mut sectors[..addrs.len()];
     sectors.sort_unstable();
@@ -237,7 +237,7 @@ fn replay_memory(
 
 /// Move the distinct values of sorted `xs` to its front; return their
 /// count.
-fn dedup(xs: &mut [u64]) -> usize {
+fn dedup<T: Copy + PartialEq>(xs: &mut [T]) -> usize {
     let mut n = 0;
     for i in 0..xs.len() {
         if n == 0 || xs[i] != xs[n - 1] {
@@ -267,7 +267,7 @@ mod tests {
     fn coalesced_load_is_few_transactions() {
         let (cfg, mut caches, mut ctr) = setup();
         // 32 lanes load consecutive words: 128 bytes = 4 sectors.
-        let traces = warp_of((0..32).map(|i| vec![Op::Load(i * 4)]).collect());
+        let traces = warp_of((0..32).map(|i| vec![Op::Load(i)]).collect());
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         assert_eq!(ctr.inst_executed_global_loads, 1);
         assert_eq!(ctr.gld_transactions, 4);
@@ -278,7 +278,7 @@ mod tests {
     fn scattered_load_is_many_transactions() {
         let (cfg, mut caches, mut ctr) = setup();
         // 32 lanes load words 1 KiB apart: 32 sectors.
-        let traces = warp_of((0..32).map(|i| vec![Op::Load(i * 1024)]).collect());
+        let traces = warp_of((0..32).map(|i| vec![Op::Load(i * 256)]).collect());
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         assert_eq!(ctr.inst_executed_global_loads, 1);
         assert_eq!(ctr.gld_transactions, 32);
@@ -289,9 +289,7 @@ mod tests {
         let (cfg, mut caches, mut ctr) = setup();
         // Half the warp loads, half stores at step 0 → 2 instructions.
         let traces = warp_of(
-            (0..32u64)
-                .map(|i| vec![if i % 2 == 0 { Op::Load(i * 4) } else { Op::Store(i * 4) }])
-                .collect(),
+            (0..32u32).map(|i| vec![if i % 2 == 0 { Op::Load(i) } else { Op::Store(i) }]).collect(),
         );
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         assert_eq!(ctr.inst_executed, 2);
@@ -306,7 +304,7 @@ mod tests {
         // Lane 0 does 10 loads, others do 1: warp executes 10 load
         // instructions (the paper's load-imbalance pathology).
         let mut lanes: Vec<Vec<Op>> = vec![vec![Op::Load(0)]; 32];
-        lanes[0] = (0..10).map(|i| Op::Load(i * 4096)).collect();
+        lanes[0] = (0..10).map(|i| Op::Load(i * 1024)).collect();
         let traces = warp_of(lanes);
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         assert_eq!(ctr.inst_executed_global_loads, 10);
@@ -317,7 +315,7 @@ mod tests {
     fn atomic_conflicts_counted() {
         let (cfg, mut caches, mut ctr) = setup();
         // All 32 lanes atomically hit the same address.
-        let traces = warp_of((0..32).map(|_| vec![Op::Atomic(64)]).collect());
+        let traces = warp_of((0..32).map(|_| vec![Op::Atomic(16)]).collect());
         let out = replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         assert_eq!(ctr.inst_executed_atomics, 1);
         assert_eq!(ctr.atomic_conflicts, 31);
@@ -328,7 +326,7 @@ mod tests {
     #[test]
     fn distinct_atomics_do_not_conflict() {
         let (cfg, mut caches, mut ctr) = setup();
-        let traces = warp_of((0..32).map(|i| vec![Op::Atomic(i * 256)]).collect());
+        let traces = warp_of((0..32).map(|i| vec![Op::Atomic(i * 64)]).collect());
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         assert_eq!(ctr.atomic_conflicts, 0);
     }
@@ -368,8 +366,8 @@ mod tests {
         // stay skewed and the two atomics replay as two instructions.
         let (cfg, mut caches, mut ctr) = setup();
         let divergent = warp_of(vec![
-            vec![Op::Load(0), Op::Load(64), Op::Atomic(128)],
-            vec![Op::Load(0), Op::Atomic(128)],
+            vec![Op::Load(0), Op::Load(16), Op::Atomic(32)],
+            vec![Op::Load(0), Op::Atomic(32)],
         ]);
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &divergent, true);
         assert_eq!(ctr.inst_executed_atomics, 2, "skewed steps must not merge");
@@ -379,8 +377,8 @@ mod tests {
         // the barrier itself retires nothing.
         let (_, mut caches, mut ctr) = setup();
         let converged = warp_of(vec![
-            vec![Op::Load(0), Op::Load(64), Op::Conv, Op::Atomic(128)],
-            vec![Op::Load(0), Op::Conv, Op::Atomic(128)],
+            vec![Op::Load(0), Op::Load(16), Op::Conv, Op::Atomic(32)],
+            vec![Op::Load(0), Op::Conv, Op::Atomic(32)],
         ]);
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &converged, true);
         assert_eq!(ctr.inst_executed_atomics, 1, "converged atomics are one instruction");
@@ -397,7 +395,7 @@ mod tests {
         let (cfg, mut caches, mut ctr) = setup();
         let traces = warp_of(vec![
             vec![Op::Conv, Op::Atomic(0), Op::Conv, Op::Atomic(0), Op::Conv, Op::Atomic(0)],
-            vec![Op::Conv, Op::Atomic(4)],
+            vec![Op::Conv, Op::Atomic(1)],
         ]);
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         // Segment 1 merges both lanes' atomics; lane 0's remaining two
@@ -411,7 +409,7 @@ mod tests {
         // already-counted warp: instructions and cycles accrue, but the
         // launch's warp/thread occupancy must not double.
         let (cfg, mut caches, mut ctr) = setup();
-        let traces = warp_of(vec![vec![Op::Atomic(0)], vec![Op::Atomic(4)]]);
+        let traces = warp_of(vec![vec![Op::Atomic(0)], vec![Op::Atomic(1)]]);
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, true);
         assert_eq!((ctr.warps, ctr.threads), (1, 2));
         replay_warp(&cfg, &mut caches, &mut ctr, 0, &traces, false);

@@ -86,9 +86,12 @@ impl SanCheck {
     }
 }
 
-/// One reported violation. Lane ids are global lane indexes within
-/// their wave (`tid * gang_size + gang_rank`); for unary checks both
-/// entries name the same lane.
+/// One reported violation. Lane ids are the lanes' [`Lane::phys_id`]s:
+/// physical lane indexes within their wave, the lanes that pad a
+/// segment's last warp counted; for unary checks both entries name the
+/// same lane.
+///
+/// [`Lane::phys_id`]: crate::kernel::Lane::phys_id
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SanViolation {
     /// The violated discipline rule.

@@ -14,20 +14,22 @@
 
 use crate::WARP_SIZE;
 
-/// One recorded lane operation.
+/// One recorded lane operation: a tag and a 32-bit payload, 8 bytes.
+/// Memory ops carry the word address (byte address / 4); the arena
+/// refuses an allocation that would put a word past `u32::MAX`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Global memory load of a 4-byte word at a byte address.
-    Load(u64),
+    /// Global memory load of a 4-byte word at a word address.
+    Load(u32),
     /// Volatile/L2-coherent load ([`crate::Lane::ld_volatile`]). Costs
     /// and coalesces exactly like [`Op::Load`] — the distinction exists
     /// so the sanitizer can tell a snapshot-semantics read from an
     /// intentionally racy live read.
-    LoadVolatile(u64),
+    LoadVolatile(u32),
     /// Global memory store.
-    Store(u64),
+    Store(u32),
     /// Atomic read-modify-write (min/add/cas/exch all cost alike).
-    Atomic(u64),
+    Atomic(u32),
     /// `n` arithmetic/control instructions (collapsed).
     Alu(u32),
     /// Explicit warp reconvergence point (`__syncwarp`). Free at
@@ -40,6 +42,15 @@ pub enum Op {
     /// warp-synchronous multisplit kernels emit one per aggregation
     /// point; the scalar baseline kernels never do.
     Conv,
+}
+
+/// The word address an [`Op`] records for the byte address `addr`.
+/// Every arena byte address is a word multiple whose word index fits in
+/// a `u32` (`Arena::alloc` checks), so the cast loses nothing.
+#[inline]
+pub(crate) fn word_addr(addr: u64) -> u32 {
+    debug_assert!(addr.is_multiple_of(4) && addr / 4 <= u32::MAX as u64, "byte address {addr:#x}");
+    (addr / 4) as u32
 }
 
 impl Op {
@@ -59,7 +70,7 @@ impl Op {
     #[inline]
     pub fn addr(&self) -> Option<u64> {
         match *self {
-            Op::Load(a) | Op::LoadVolatile(a) | Op::Store(a) | Op::Atomic(a) => Some(a),
+            Op::Load(w) | Op::LoadVolatile(w) | Op::Store(w) | Op::Atomic(w) => Some(w as u64 * 4),
             Op::Alu(_) | Op::Conv => None,
         }
     }
@@ -195,11 +206,17 @@ mod tests {
 
     #[test]
     fn kinds_and_addrs() {
-        assert_eq!(Op::Load(8).kind(), OpKind::Load);
-        assert_eq!(Op::LoadVolatile(8).kind(), OpKind::Load, "replay must group them together");
-        assert_eq!(Op::LoadVolatile(12).addr(), Some(12));
-        assert_eq!(Op::Store(8).addr(), Some(8));
+        assert_eq!(Op::Load(2).kind(), OpKind::Load);
+        assert_eq!(Op::LoadVolatile(2).kind(), OpKind::Load, "replay must group them together");
+        assert_eq!(Op::LoadVolatile(3).addr(), Some(12));
+        assert_eq!(Op::Store(2).addr(), Some(8));
         assert_eq!(Op::Alu(1).addr(), None);
-        assert_eq!(Op::Atomic(4).kind(), OpKind::Atomic);
+        assert_eq!(Op::Atomic(1).kind(), OpKind::Atomic);
+        assert_eq!(Op::Atomic(word_addr(0x1_0000_0004)).addr(), Some(0x1_0000_0004));
+    }
+
+    #[test]
+    fn ops_pack_into_eight_bytes() {
+        assert_eq!(std::mem::size_of::<Op>(), 8);
     }
 }
