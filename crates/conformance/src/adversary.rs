@@ -597,7 +597,7 @@ fn intern_site(name: &str) -> &'static str {
         "row_offsets",
         "adjacency",
         "weights",
-        "heavy_offsets",
+        "light_ranges",
         "dist",
         "pending",
         "queue_tail",

@@ -487,19 +487,26 @@ mod tests {
         check_against(&dijkstra(&g, 3).dist, &run.result.dist).unwrap();
     }
 
-    /// Regression: a bit flip pinned to `heavy_offsets` inflates a
-    /// light-edge count until ADWL queues a child of about 2^31 lanes.
-    /// The simulator refuses that launch with a catchable panic, so the
-    /// cell is graded — a detection the ladder recovers from — instead
-    /// of aborting the process on the per-lane allocation.
+    /// Regression: bit flips pinned to one vertex's `light_ranges` pair
+    /// (words 972 and 973, vertex 486 after PRO's relabelling) inflate
+    /// its light-edge count until ADWL queues a child of about 2^31
+    /// lanes. The simulator refuses that launch with a catchable panic,
+    /// so the cell is graded — a detection the ladder recovers from —
+    /// instead of aborting the process on the per-lane allocation. (The
+    /// first flips of an unpinned plan land on row words, whose light
+    /// range then ends before it starts.)
     #[test]
     fn runaway_child_launch_is_graded_not_fatal() {
         use rdbs_gpu_sim::FaultTarget;
         let family = graphs::families().into_iter().find(|f| f.name == "grid").unwrap();
         let g = family.build();
         let oracle = dijkstra(&g, 0);
-        let target =
-            FaultTarget { site: Some("heavy_offsets"), index: None, wave: None, stream: None };
+        let target = FaultTarget {
+            site: Some("light_ranges"),
+            index: Some((972, 973)),
+            wave: None,
+            stream: None,
+        };
         let spec = FaultSpec::new(FaultModel::BitFlip, 1.0, 48).with_target(target).with_cap(4);
         for id in ["gpu/full", "service/pooled"] {
             let (report, verdict) = run_cell(&by_id(id).unwrap(), &g, &oracle.dist, 0, spec);

@@ -1,6 +1,6 @@
 //! Device-resident graph state shared by every GPU kernel.
 
-use crate::{Csr, Dist, VertexId, INF};
+use crate::{Csr, Dist, VertexId, Weight, INF};
 use rdbs_gpu_sim::{Buf, Device, Lane, ScatterTarget};
 
 /// The immutable CSR arrays on the device — everything that is a
@@ -21,21 +21,38 @@ pub struct GraphArrays {
     pub adj: Buf,
     /// Edge weights, `m` words.
     pub wt: Buf,
-    /// Heavy-edge offsets (`n` words) when the graph was preprocessed
-    /// with property-driven reordering.
-    pub heavy: Option<Buf>,
+    /// Under property-driven reordering, each vertex's light range as
+    /// the pair `(row[v], heavy[v])` at words `2v` and `2v + 1`: PRO
+    /// appends the heavy-edge offset to the CSR row list, so a kernel
+    /// reads both ends with one aligned 8-byte load (see
+    /// [`GraphBuffers::light_range`]).
+    pub light_ranges: Option<Buf>,
+    /// The heaviest edge weight (0 without edges): a bucket wider than
+    /// it has no heavy edge, so its phase 2 has nothing to relax.
+    pub max_weight: Weight,
 }
 
 impl GraphArrays {
-    /// Upload the CSR arrays (3 uploads, plus heavy offsets with PRO).
+    /// Upload the CSR arrays (3 uploads, plus the light ranges with
+    /// PRO).
     pub fn upload(device: &mut Device, graph: &Csr) -> Self {
         let n = graph.num_vertices() as u32;
         let m = graph.num_edges() as u32;
         let row = device.alloc_upload("row_offsets", graph.row_offsets());
         let adj = device.alloc_upload("adjacency", graph.adjacency());
         let wt = device.alloc_upload("weights", graph.weights());
-        let heavy = graph.heavy_offsets().map(|h| device.alloc_upload("heavy_offsets", h));
-        Self { n, m, row, adj, wt, heavy }
+        let light_ranges = graph.heavy_offsets().map(|heavy| {
+            let pairs: Vec<u32> =
+                graph.row_offsets().iter().zip(heavy).flat_map(|(&r, &h)| [r, h]).collect();
+            device.alloc_upload("light_ranges", &pairs)
+        });
+        let max_weight = graph.max_weight();
+        Self { n, m, row, adj, wt, light_ranges, max_weight }
+    }
+
+    /// Words of the light-range buffer: a pair per vertex.
+    pub(crate) fn light_ranges_len(&self) -> usize {
+        2 * self.n as usize
     }
 
     /// Pair the resident arrays with a per-query distance buffer (at
@@ -47,8 +64,11 @@ impl GraphArrays {
             row: self.row,
             adj: self.adj,
             wt: self.wt,
-            heavy: self.heavy,
+            light_ranges: self.light_ranges,
+            max_weight: self.max_weight,
             dist,
+            #[cfg(test)]
+            two_loads: false,
         }
     }
 }
@@ -67,12 +87,20 @@ pub struct GraphBuffers {
     pub adj: Buf,
     /// Edge weights, `m` words.
     pub wt: Buf,
-    /// Heavy-edge offsets (`n` words) when the graph was preprocessed
-    /// with property-driven reordering.
-    pub heavy: Option<Buf>,
+    /// PRO's `(row[v], heavy[v])` pairs, `2n` words (see
+    /// [`GraphArrays::light_ranges`]). Kernels read them only through
+    /// [`GraphBuffers::light_range`] and [`GraphBuffers::heavy_start`].
+    pub light_ranges: Option<Buf>,
+    /// The heaviest edge weight ([`GraphArrays::max_weight`]).
+    pub max_weight: Weight,
     /// Tentative distances, `n` words (pooled buffers may hold more;
     /// only the first `n` are meaningful).
     pub dist: Buf,
+    /// Read a PRO light range with the two loads the layout replaced,
+    /// `row[v]` then the heavy word: the reference the one-load
+    /// accessor must relax exactly like.
+    #[cfg(test)]
+    pub(crate) two_loads: bool,
 }
 
 impl GraphBuffers {
@@ -82,6 +110,56 @@ impl GraphBuffers {
         let dist = device.alloc("dist", arrays.n as usize);
         device.fill(dist, INF);
         arrays.with_dist(dist)
+    }
+
+    /// `v`'s light range `[start, end)` (kernel context). Under PRO its
+    /// first light and first heavy edge: one aligned 8-byte load of its
+    /// pair. Without PRO its whole row, whose edges the caller
+    /// weight-checks: two loads, since `(row[v], row[v + 1])` is not
+    /// 8-byte aligned for odd `v`.
+    #[inline]
+    pub(crate) fn light_range(&self, lane: &mut Lane<'_>, v: VertexId) -> (u32, u32) {
+        match self.light_ranges {
+            #[cfg(test)]
+            Some(pairs) if self.two_loads => (lane.ld(self.row, v), lane.ld(pairs, 2 * v + 1)),
+            Some(pairs) => lane.ld2(pairs, 2 * v),
+            None => (lane.ld(self.row, v), lane.ld(self.row, v + 1)),
+        }
+    }
+
+    /// `v`'s first heavy edge (kernel context): the second word of its
+    /// pair under PRO, its row start without (phase 2 then
+    /// weight-checks the whole row).
+    #[inline]
+    pub(crate) fn heavy_start(&self, lane: &mut Lane<'_>, v: VertexId) -> u32 {
+        match self.light_ranges {
+            Some(pairs) => lane.ld(pairs, 2 * v + 1),
+            None => lane.ld(self.row, v),
+        }
+    }
+
+    /// Store `v`'s first heavy edge `heavy` into its pair (kernel
+    /// context, PRO only), and with `row` its first edge too.
+    #[inline]
+    pub(crate) fn store_light_range(
+        &self,
+        lane: &mut Lane<'_>,
+        v: VertexId,
+        row: Option<u32>,
+        heavy: u32,
+    ) {
+        let pairs = self.light_ranges.expect("PRO graphs carry light ranges");
+        if let Some(start) = row {
+            lane.st(pairs, 2 * v, start);
+        }
+        lane.st(pairs, 2 * v + 1, heavy);
+    }
+
+    /// Whether an edge can be heavy in a bucket of `width` (an edge is
+    /// heavy at `w >= width`).
+    #[inline]
+    pub(crate) fn has_heavy(&self, width: Weight) -> bool {
+        self.max_weight >= width
     }
 
     /// Reset the distance vector for a fresh query: all `INF`, source
@@ -365,17 +443,32 @@ mod tests {
         gb.init_source(&mut d, 1);
         let dist = gb.download_dist(&d);
         assert_eq!(dist, vec![INF, 0, INF]);
-        assert!(gb.heavy.is_none());
+        assert!(gb.light_ranges.is_none());
+        assert_eq!(gb.max_weight, 6);
     }
 
+    /// PRO's heavy offsets go up beside their row offsets, as the
+    /// light-range pairs the accessors read.
     #[test]
     fn heavy_offsets_uploaded_when_present() {
-        let g = build_undirected(&EdgeList::from_edges(2, vec![(0, 1, 4)]));
-        let (g, _) = rdbs_graph::reorder::pro(&g, 5);
+        let el = EdgeList::from_edges(3, vec![(0, 1, 4), (0, 2, 9), (1, 2, 6)]);
+        let (g, _) = rdbs_graph::reorder::pro(&build_undirected(&el), 5);
         let mut d = Device::new(DeviceConfig::test_tiny());
         let gb = GraphBuffers::upload(&mut d, &g);
-        assert!(gb.heavy.is_some());
-        assert_eq!(d.read(gb.heavy.unwrap()), g.heavy_offsets().unwrap());
+        let (row, heavy) = (g.row_offsets(), g.heavy_offsets().unwrap());
+        let pairs: Vec<u32> = (0..3).flat_map(|v| [row[v], heavy[v]]).collect();
+        assert_eq!(d.read(gb.light_ranges.unwrap()), pairs);
+        // One 8-byte load per vertex reads what the two loads read.
+        let seen = std::cell::RefCell::new(Vec::new());
+        d.launch("ranges", 3, |lane| {
+            let v = lane.tid() as u32;
+            let range = gb.light_range(lane, v);
+            seen.borrow_mut().push((range, gb.heavy_start(lane, v)));
+        });
+        let expect: Vec<_> = (0..3).map(|v| ((row[v], heavy[v]), heavy[v])).collect();
+        assert_eq!(seen.into_inner(), expect);
+        assert_eq!(d.counters().inst_executed_global_loads, 2);
+        assert!(gb.has_heavy(9) && !gb.has_heavy(10));
     }
 
     #[test]

@@ -180,10 +180,13 @@ pub(crate) trait Frontier {
     fn drain_layer(&self, device: &mut Device, graph: &Csr) -> DrainedLayer;
 
     /// Kernel-side view for phase-1/phase-2 enqueues (current bucket).
-    fn relax_view(&self) -> FrontierView;
+    /// `members`: whether the bucket's phase 2 reads its membership,
+    /// i.e. whether the bucket can have a heavy edge.
+    fn relax_view(&self, members: bool) -> FrontierView;
 
-    /// Kernel-side view for phase-3 collection (next bucket).
-    fn collect_view(&self) -> FrontierView;
+    /// Kernel-side view for phase-3 collection (next bucket), with
+    /// `members` for the next bucket.
+    fn collect_view(&self, members: bool) -> FrontierView;
 
     /// Queue whose data buffer backs phase 2's republished membership
     /// list (read charges and live-slot stores).
@@ -210,7 +213,9 @@ pub(crate) struct WorkloadQueues {
     pub(crate) q: [DeviceQueue; WorkloadClass::COUNT],
     /// Every enqueued vertex is also recorded here: the union over a
     /// bucket is exactly the bucket's membership, which phase 2 needs
-    /// — tracking it at enqueue time replaces a full vertex scan.
+    /// — tracking it at enqueue time replaces a full vertex scan. A
+    /// bucket wider than the heaviest edge has no phase 2, and its
+    /// publishes skip this push.
     pub(crate) members: DeviceQueue,
     pub(crate) pending: Buf,
     pub(crate) adwl: bool,
@@ -236,26 +241,30 @@ impl WorkloadQueues {
     }
 
     /// Device-side light-degree probe used for classification. Under
-    /// PRO this is two row loads (the paper: "with property-driven
-    /// reordering, we can quickly calculate the number of light
-    /// edges"); without it the total degree serves as the proxy.
+    /// PRO this is one load of the vertex's light range (the paper:
+    /// "with property-driven reordering, we can quickly calculate the
+    /// number of light edges"); without it the total degree serves as
+    /// the proxy.
     #[inline]
     fn light_degree(lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId) -> u32 {
-        let s = lane.ld(gb.row, v);
-        let e = match gb.heavy {
-            Some(h) => lane.ld(h, v),
-            None => lane.ld(gb.row, v + 1),
-        };
+        let (s, e) = gb.light_range(lane, v);
         e - s
     }
 
-    /// Device-side enqueue with pending dedup and ADWL classification.
+    /// Device-side enqueue with pending dedup and ADWL classification;
+    /// `members` as in [`Frontier::relax_view`].
     #[inline]
-    pub(crate) fn enqueue(&self, lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId) {
+    pub(crate) fn enqueue(
+        &self,
+        lane: &mut Lane<'_>,
+        gb: GraphBuffers,
+        v: VertexId,
+        members: bool,
+    ) {
         if pending_is_set(lane, self.scatter, self.pending, v) {
             return; // already queued
         }
-        self.publish(lane, gb, v);
+        self.publish(lane, gb, v, members);
     }
 
     /// Enqueue for callers that guarantee at most one attempt per
@@ -267,23 +276,30 @@ impl WorkloadQueues {
     /// mark only transitions 0→1 between enqueue and host drain, and
     /// no other lane of this wave touches `v`.
     #[inline]
-    pub(crate) fn enqueue_distinct(&self, lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId) {
+    pub(crate) fn enqueue_distinct(
+        &self,
+        lane: &mut Lane<'_>,
+        gb: GraphBuffers,
+        v: VertexId,
+        members: bool,
+    ) {
         match self.scatter {
-            ScatterMode::Scalar => self.enqueue(lane, gb, v),
+            ScatterMode::Scalar => self.enqueue(lane, gb, v, members),
             ScatterMode::Multisplit => {
                 if lane.ld_volatile(self.pending, v) != 0 {
                     return; // deferred from an earlier wave
                 }
                 lane.gang_flag(self.pending, v, 1);
-                self.publish(lane, gb, v);
+                self.publish(lane, gb, v, members);
             }
         }
     }
 
     /// The post-dedup publish: ADWL classification, then the scalar
-    /// per-push or gang-aggregated scatter.
+    /// per-push or gang-aggregated scatter, into the class list and,
+    /// when `members`, the membership queue.
     #[inline]
-    fn publish(&self, lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId) {
+    fn publish(&self, lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId, members: bool) {
         let class = if self.adwl {
             classify(Self::light_degree(lane, gb, v))
         } else {
@@ -292,7 +308,9 @@ impl WorkloadQueues {
         match self.scatter {
             ScatterMode::Scalar => {
                 self.q[class.index()].push(lane, v);
-                self.members.push(lane, v);
+                if members {
+                    self.members.push(lane, v);
+                }
             }
             ScatterMode::Multisplit => {
                 // The warp's publishers split by workload class (the
@@ -302,8 +320,10 @@ impl WorkloadQueues {
                 let class_q =
                     GangScatter { target: self.q[class.index()].scatter_target(), spill: None };
                 lane.gang_push(&class_q, v);
-                let members = GangScatter { target: self.members.scatter_target(), spill: None };
-                lane.gang_push(&members, v);
+                if members {
+                    let target = self.members.scatter_target();
+                    lane.gang_push(&GangScatter { target, spill: None }, v);
+                }
             }
         }
     }
@@ -331,14 +351,14 @@ impl Frontier for WorkloadQueues {
         DrainedLayer { lists, new_members }
     }
 
-    fn relax_view(&self) -> FrontierView {
-        FrontierView::Workload(*self)
+    fn relax_view(&self, members: bool) -> FrontierView {
+        FrontierView::Workload { queues: *self, members }
     }
 
-    fn collect_view(&self) -> FrontierView {
+    fn collect_view(&self, members: bool) -> FrontierView {
         // Phase 3 collects into the same set phase 1 will drain next
         // bucket — the single layout has nowhere else to put it.
-        FrontierView::Workload(*self)
+        FrontierView::Workload { queues: *self, members }
     }
 
     fn membership_backing(&self) -> DeviceQueue {
@@ -507,11 +527,13 @@ impl Frontier for MlmqFrontier {
         DrainedLayer { lists, new_members }
     }
 
-    fn relax_view(&self) -> FrontierView {
+    // A level's drained entries are its bucket's membership: there is
+    // no membership push to skip.
+    fn relax_view(&self, _members: bool) -> FrontierView {
         FrontierView::Mlmq { frontier: *self, target: self.active }
     }
 
-    fn collect_view(&self) -> FrontierView {
+    fn collect_view(&self, _members: bool) -> FrontierView {
         FrontierView::Mlmq { frontier: *self, target: (self.active + 1) % MLMQ_LEVELS }
     }
 
@@ -620,12 +642,12 @@ impl Frontier for AnyFrontier {
         dispatch!(self, drain_layer, device, graph)
     }
 
-    fn relax_view(&self) -> FrontierView {
-        dispatch!(self, relax_view)
+    fn relax_view(&self, members: bool) -> FrontierView {
+        dispatch!(self, relax_view, members)
     }
 
-    fn collect_view(&self) -> FrontierView {
-        dispatch!(self, collect_view)
+    fn collect_view(&self, members: bool) -> FrontierView {
+        dispatch!(self, collect_view, members)
     }
 
     fn membership_backing(&self) -> DeviceQueue {
@@ -654,8 +676,9 @@ impl Frontier for AnyFrontier {
 /// target (the MLMQ's level) before launch.
 #[derive(Clone, Copy)]
 pub(crate) enum FrontierView {
-    /// The single layout's workload-queue set.
-    Workload(WorkloadQueues),
+    /// The single layout's workload-queue set, and whether publishes
+    /// also push the membership queue.
+    Workload { queues: WorkloadQueues, members: bool },
     /// The MLMQ with the level this wave's enqueues land in.
     Mlmq { frontier: MlmqFrontier, target: usize },
 }
@@ -667,7 +690,7 @@ impl FrontierView {
     #[inline]
     pub(crate) fn scatter(&self) -> ScatterMode {
         match *self {
-            FrontierView::Workload(wq) => wq.scatter,
+            FrontierView::Workload { queues, .. } => queues.scatter,
             FrontierView::Mlmq { frontier, .. } => frontier.scatter,
         }
     }
@@ -676,7 +699,7 @@ impl FrontierView {
     #[inline]
     pub(crate) fn enqueue(&self, lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId) {
         match *self {
-            FrontierView::Workload(wq) => wq.enqueue(lane, gb, v),
+            FrontierView::Workload { queues, members } => queues.enqueue(lane, gb, v, members),
             FrontierView::Mlmq { frontier, target } => frontier.enqueue(lane, target, v),
         }
     }
@@ -688,7 +711,9 @@ impl FrontierView {
     #[inline]
     pub(crate) fn enqueue_distinct(&self, lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId) {
         match *self {
-            FrontierView::Workload(wq) => wq.enqueue_distinct(lane, gb, v),
+            FrontierView::Workload { queues, members } => {
+                queues.enqueue_distinct(lane, gb, v, members);
+            }
             FrontierView::Mlmq { frontier, target } => frontier.enqueue_distinct(lane, target, v),
         }
     }
@@ -704,7 +729,7 @@ impl FrontierView {
     #[inline]
     pub(crate) fn clear_pending(&self, lane: &mut Lane<'_>, v: VertexId) {
         let pending = match *self {
-            FrontierView::Workload(wq) => wq.pending,
+            FrontierView::Workload { queues, .. } => queues.pending,
             FrontierView::Mlmq { frontier, .. } => frontier.pending,
         };
         if lane.ld_volatile(pending, v) != 0 {
@@ -717,8 +742,8 @@ impl FrontierView {
     #[inline]
     pub(crate) fn charge_slot(&self, lane: &mut Lane<'_>, class: usize, i: u32) {
         match *self {
-            FrontierView::Workload(wq) => {
-                let _ = wq.q[class].read_slot(lane, i);
+            FrontierView::Workload { queues, .. } => {
+                let _ = queues.q[class].read_slot(lane, i);
             }
             FrontierView::Mlmq { frontier, target } => {
                 // Host-side classing concatenated the sub-queues; the
@@ -765,7 +790,7 @@ mod tests {
             // adwl is off, so classification never touches gb).
             match view {
                 FrontierView::Mlmq { frontier, target } => frontier.enqueue(lane, target, v),
-                FrontierView::Workload(_) => unreachable!(),
+                FrontierView::Workload { .. } => unreachable!(),
             }
         });
         assert!(f.check(&d).is_ok(), "spilled pushes are not overflow");
@@ -832,7 +857,7 @@ mod tests {
             let gb = empty_gb(&mut d, 32);
             d.launch("fill", 32, move |lane| {
                 let v = lane.tid() as u32;
-                f.enqueue(lane, gb, v);
+                f.enqueue(lane, gb, v, true);
             });
             assert!(f.check(&d).is_ok(), "{scatter}: at-capacity fill must stay clean");
             assert_eq!(f.members.len(&d), 32, "{scatter}: tail must land exactly on capacity");
@@ -857,7 +882,7 @@ mod tests {
             let gb = empty_gb(&mut d, 32);
             d.launch("storm", 32, move |lane| {
                 let v = lane.tid() as u32;
-                f.enqueue(lane, gb, v);
+                f.enqueue(lane, gb, v, true);
             });
             let err = f.check(&d).expect_err("one push past capacity must raise overflow");
             errors.push((err.queue, err.capacity, err.attempted));

@@ -20,11 +20,15 @@
 //!   current bucket — under ADWL spread evenly over warps by heavy
 //!   edge, not by vertex (`heavy_relax_balanced`) — then collect the
 //!   next bucket's active vertices into the workload lists, jumping
-//!   over empty distance windows via an `atomicMin` reduction.
+//!   over empty distance windows via an `atomicMin` reduction. A bucket
+//!   wider than the graph's heaviest edge has no heavy edge: it skips
+//!   phase 2 and records no membership for it.
 //! * Between buckets the width Δᵢ is readjusted by Eq. 1–2
-//!   ([`crate::adaptive_delta`]), and the heavy-edge offsets are
-//!   recomputed on-device when the width changed (§4.1: "the offset of
-//!   heavy edges can be changed immediately").
+//!   ([`crate::adaptive_delta`]), and the heavy-edge offsets, stored
+//!   beside their row offsets as each vertex's light range
+//!   ([`GraphBuffers::light_range`]), are recomputed on-device when the
+//!   width changed (§4.1: "the offset of heavy edges can be changed
+//!   immediately").
 //!
 //! The worklists themselves live behind the pluggable [`Frontier`]
 //! seam ([`super::frontier`]): the classic single queue set, or the
@@ -435,6 +439,15 @@ impl RdbsDriver {
         let inst = &self.inst;
         let mut trace = GpuBucketTrace { lo, width, ..Default::default() };
 
+        // A bucket wider than the heaviest edge has no heavy edge: its
+        // phase 2 would relax nothing, so it neither runs nor needs the
+        // bucket's membership. A spilling frontier keeps phase 2: under
+        // PRO a deferred vertex arrives with the light/heavy split of
+        // the last width its offsets were updated at (the update skips
+        // vertices settled below the window), so its heavy range may
+        // hold edges phase 1 did not walk.
+        let heavy = accept_below || gb.has_heavy(width);
+
         // ---------------- Phase 1: light edges ----------------
         let active_before = inst.active.get();
         let mut bucket_members: Vec<VertexId> = Vec::new();
@@ -457,7 +470,7 @@ impl RdbsDriver {
                     config.basyn,
                     &wave,
                     gb,
-                    frontier.relax_view(),
+                    frontier.relax_view(heavy),
                     lo,
                     hi,
                     width,
@@ -491,29 +504,34 @@ impl RdbsDriver {
         // One launch per bucket (kernel fusion, §4.2); its internal
         // sub-phases are waves separated by a grid barrier.
         device.charge_kernel_launch();
-        // Dedup re-activations: the membership *set* is what phase 2
-        // relaxes (a vertex improved twice in phase 1 is one member).
-        bucket_members.sort_unstable();
-        bucket_members.dedup();
-        if relax_trace::armed() {
-            relax_trace::set_context(lo, relax_trace::Phase::Heavy, 0);
-        }
-        let pass = HeavyPass {
-            gb,
-            members: frontier.membership_backing(),
-            items: &bucket_members,
-            lo,
-            hi,
-            width,
-            pro: config.pro,
-            accept_below,
-            scatter: config.scatter,
-            defer: frontier.collect_view(),
-        };
-        if config.adwl {
-            heavy_relax_balanced(device, &pass, &self.prefix, inst);
-        } else {
-            heavy_relax_per_member(device, &pass, graph, inst);
+        // Phase 3 collects the next bucket, whose phase 2 reads the
+        // membership only if its width leaves an edge heavy.
+        let collect = frontier.collect_view(gb.has_heavy(new_width));
+        if heavy {
+            // Dedup re-activations: the membership *set* is what phase 2
+            // relaxes (a vertex improved twice in phase 1 is one member).
+            bucket_members.sort_unstable();
+            bucket_members.dedup();
+            if relax_trace::armed() {
+                relax_trace::set_context(lo, relax_trace::Phase::Heavy, 0);
+            }
+            let pass = HeavyPass {
+                gb,
+                members: frontier.membership_backing(),
+                items: &bucket_members,
+                lo,
+                hi,
+                width,
+                pro: config.pro,
+                accept_below,
+                scatter: config.scatter,
+                defer: collect,
+            };
+            if config.adwl {
+                heavy_relax_balanced(device, &pass, &self.prefix, inst);
+            } else {
+                heavy_relax_per_member(device, &pass, graph, inst);
+            }
         }
         device.charge_barrier();
 
@@ -523,7 +541,7 @@ impl RdbsDriver {
         loop {
             device.write_word(scan_out, 0, 0);
             device.write_word(scan_out, 1, INF);
-            collect_wave(device, gb, frontier.collect_view(), scan_out, next_lo, next_hi, inst);
+            collect_wave(device, gb, collect, scan_out, next_lo, next_hi, inst);
             let active = device.read_word(scan_out, 0);
             let min_beyond = device.read_word(scan_out, 1);
             if active > 0 {
@@ -552,7 +570,7 @@ impl RdbsDriver {
             // enqueue-side classification reads the heavy offsets this
             // wave is about to overwrite.
             device.charge_barrier();
-            update_heavy_offsets_wave(device, gb, new_width, next_lo);
+            update_heavy_offsets_wave(device, gb, new_width, next_lo, false);
         }
         if config.basyn && !done {
             // The fused kernel retires with a grid barrier before the
@@ -787,11 +805,8 @@ fn run_phase1_wave(
         if rank == 0 {
             inst_outer.active.set(inst_outer.active.get() + 1);
         }
-        let start = lane.ld(gb.row, v);
-        let light_end = match gb.heavy {
-            Some(h) => lane.ld(h, v),
-            None => lane.ld(gb.row, v + 1),
-        };
+        let (start, light_end) = gb.light_range(lane, v);
+        let check_light = gb.light_ranges.is_none();
         if item.class as usize == WorkloadClass::Large.index() {
             // Dynamic parallelism: one thread per light edge.
             let count = light_end.saturating_sub(start) as u64;
@@ -799,14 +814,12 @@ fn run_phase1_wave(
                 return;
             }
             let inst_child = Rc::clone(&inst_outer);
-            let check_light = gb.heavy.is_none();
             lane.launch_child("phase1_child", count, move |cl| {
                 let e = start + cl.tid() as u32;
                 relax_light_edge(cl, gb, view, v, e, dv, hi, width, check_light, &inst_child);
             });
             return;
         }
-        let check_light = gb.heavy.is_none();
         let mut e = start + rank;
         while e < light_end {
             relax_light_edge(lane, gb, view, v, e, dv, hi, width, check_light, &inst_outer);
@@ -932,11 +945,9 @@ impl HeavyPass<'_> {
         if dvu >= self.hi || (!self.accept_below && dvu < self.lo) {
             return None; // stale membership entry
         }
+        // Two loads: `(heavy[v], row[v + 1])` straddles two pairs.
         let end = lane.ld(gb.row, v + 1);
-        let hstart = match gb.heavy {
-            Some(h) => lane.ld(h, v),
-            None => lane.ld(gb.row, v),
-        };
+        let hstart = gb.heavy_start(lane, v);
         Some((dv, hstart, end))
     }
 
@@ -1087,11 +1098,7 @@ fn heavy_relax_balanced(
         let _ = pass.members.read_slot(lane, j as u32 % pass.members.capacity);
         let v = items[j];
         let dv = lane.ld_volatile(gb.dist, v);
-        let hstart = match gb.heavy {
-            Some(hv) => lane.ld(hv, v),
-            None => lane.ld(gb.row, v),
-        };
-        (v, dv, hstart)
+        (v, dv, gb.heavy_start(lane, v))
     };
     device.wave("phase2_heavy", h.div_ceil(block), warp as u32, |lane| {
         let h = lane.ld(buf, m as u32) as u64;
@@ -1187,16 +1194,17 @@ fn collect_wave(
 }
 
 /// Recompute heavy offsets on-device for a new Δ (binary search over
-/// the weight-sorted row — §4.1's "changed immediately"). Vertices
-/// already settled (`dist < settled_below`, reached) are skipped:
-/// their edge ranges are never consulted again.
+/// the weight-sorted row — §4.1's "changed immediately") into the
+/// light-range pairs; with `rows`, store each pair's row word too.
+/// Vertices already settled (`dist < settled_below`, reached) are
+/// skipped: their edge ranges are never consulted again.
 fn update_heavy_offsets_wave(
     device: &mut Device,
     gb: GraphBuffers,
     new_width: Weight,
     settled_below: u64,
+    rows: bool,
 ) {
-    let heavy = gb.heavy.expect("PRO graphs carry heavy offsets");
     device.wave("update_heavy_offsets", gb.n as u64, 1, move |lane| {
         let v = lane.tid() as u32;
         let dv = lane.ld(gb.dist, v);
@@ -1204,7 +1212,8 @@ fn update_heavy_offsets_wave(
         if dv != INF && (dv as u64) < settled_below {
             return;
         }
-        let mut lo = lane.ld(gb.row, v);
+        let start = lane.ld(gb.row, v);
+        let mut lo = start;
         let mut hi = lane.ld(gb.row, v + 1);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -1216,17 +1225,19 @@ fn update_heavy_offsets_wave(
                 hi = mid;
             }
         }
-        lane.st(heavy, v, lo);
+        gb.store_light_range(lane, v, rows.then_some(start), lo);
     });
 }
 
-/// Recompute every vertex's heavy offset for `width` — the resident
-/// service's query-reset path. A finished query leaves per-vertex
-/// offsets split at whatever width each vertex last saw before it
-/// settled; a fresh query must start from a uniform split matching
-/// its Δ₀, recomputed on-device with no H2D re-upload.
+/// Recompute every vertex's light-range pair for `width` — the
+/// resident service's query-reset path. A finished query leaves
+/// per-vertex offsets split at whatever width each vertex last saw
+/// before it settled; a fresh query must start from a uniform split
+/// matching its Δ₀, recomputed on-device with no H2D re-upload. The
+/// row words are stored too: a service lane's pooled buffer holds
+/// stale words until its first refresh, and no run writes them.
 pub(crate) fn refresh_heavy_offsets(device: &mut Device, gb: GraphBuffers, width: Weight) {
-    update_heavy_offsets_wave(device, gb, width, 0);
+    update_heavy_offsets_wave(device, gb, width, 0, true);
     // The next query's kernels are only launched after this wave
     // retires (stream order + the query's own launch): order the
     // refreshed offsets before their readers.
@@ -1365,15 +1376,18 @@ mod tests {
     }
 
     /// Run `cfg` from original vertex 0 on the tiny device with each
-    /// phase-1 layer laid out by `layout` and, for an MLMQ variant, the
-    /// active level's sub-queues capped at `caps`. Distances come back
-    /// in the original labelling.
+    /// phase-1 layer laid out by `layout`, for an MLMQ variant the
+    /// active level's sub-queues capped at `caps`, and PRO's light
+    /// ranges read by the two-load reference when `two_loads`. Returns
+    /// the run, its distances in the original labelling, and the
+    /// device.
     fn run_from_0(
         g: &Csr,
         cfg: RdbsConfig,
         layout: Phase1Layout,
         caps: Option<[u32; 4]>,
-    ) -> Result<RdbsRun, QueueOverflow> {
+        two_loads: bool,
+    ) -> Result<(RdbsRun, Device), QueueOverflow> {
         let width0 = cfg.delta0.unwrap_or_else(|| default_delta(g));
         let (graph, perm) = match cfg.pro {
             true => {
@@ -1385,7 +1399,7 @@ mod tests {
         let mut d = Device::new(DeviceConfig::test_tiny());
         let lanes = d.config().num_sms as u64 * 32 * 2;
         let mut controller = DeltaController::new(width0).with_target_parallelism(lanes);
-        let gb = GraphBuffers::upload(&mut d, &graph);
+        let gb = GraphBuffers { two_loads, ..GraphBuffers::upload(&mut d, &graph) };
         let mut scratch = RdbsScratch::new(&mut d, graph.num_vertices() as u32, cfg);
         if let (AnyFrontier::Mlmq(m), Some(caps)) = (&mut scratch.frontier, caps) {
             for (lane, cap) in m.levels[0].iter_mut().zip(caps) {
@@ -1400,7 +1414,7 @@ mod tests {
         if let Some(p) = perm {
             run.result.dist = p.unapply_to_array(&run.result.dist);
         }
-        Ok(run)
+        Ok((run, d))
     }
 
     #[test]
@@ -1422,7 +1436,7 @@ mod tests {
                 let cfg =
                     RdbsConfig { delta0: Some(delta0), ..base }.with_frontier(FrontierKind::Mlmq);
                 // A spill level that overflows too is reported, not wrong.
-                if let Ok(run) = run_from_0(&g, cfg, phase1_layer, Some(caps)) {
+                if let Ok((run, _)) = run_from_0(&g, cfg, phase1_layer, Some(caps), false) {
                     ok += 1;
                     if check_against(&oracle.dist, &run.result.dist).is_err() {
                         wrong.push((seed, cfg.label()));
@@ -1432,6 +1446,124 @@ mod tests {
         }
         assert!(wrong.is_empty(), "{} of {ok} runs wrong: {wrong:?}", wrong.len());
         assert!(ok >= 150, "only {ok} of 180 runs completed");
+    }
+
+    /// The five variants the paper's ablation and its baseline run.
+    fn variants() -> [RdbsConfig; 5] {
+        [
+            RdbsConfig::full(),
+            RdbsConfig::basyn_pro(),
+            RdbsConfig::basyn_adwl(),
+            RdbsConfig::basyn_only(),
+            RdbsConfig::sync_delta(),
+        ]
+    }
+
+    #[test]
+    fn deltas_around_the_heaviest_edge_match_dijkstra() {
+        // Δ₀ just below, at, just above and far above the heaviest edge:
+        // buckets that have heavy edges, buckets that have none (which
+        // skip phase 2 and the membership pushes), and runs whose
+        // controller widens Δ past the heaviest edge between the two.
+        let (mut with_heavy, mut without, mut widened) = (0, 0, 0);
+        for seed in 0..2 {
+            let g = random_graph(seed + 60, 90, 360);
+            let oracle = dijkstra(&g, 0);
+            let max_w = g.max_weight();
+            for delta0 in [max_w - 1, max_w, max_w + 1, 4 * max_w] {
+                for base in variants() {
+                    for kind in FrontierKind::ALL {
+                        let cfg = RdbsConfig { delta0: Some(delta0), ..base }.with_frontier(kind);
+                        let (run, _) =
+                            run_from_0(&g, cfg, phase1_layer, None, false).expect("no overflow");
+                        check_against(&oracle.dist, &run.result.dist)
+                            .unwrap_or_else(|m| panic!("Δ₀ {delta0} {}: {m}", cfg.label()));
+                        let heavy: Vec<bool> =
+                            run.buckets.iter().map(|t| t.width <= max_w).collect();
+                        with_heavy += heavy.iter().filter(|&&h| h).count();
+                        without += heavy.iter().filter(|&&h| !h).count();
+                        widened += usize::from(heavy.windows(2).any(|p| p[0] && !p[1]));
+                    }
+                }
+            }
+        }
+        assert!(
+            with_heavy > 0 && without > 0 && widened > 0,
+            "{with_heavy} buckets with heavy edges, {without} without, {widened} runs widened"
+        );
+    }
+
+    #[test]
+    fn road_buckets_wider_than_every_edge_skip_membership_and_phase_2() {
+        // Δ₀ = 4·max_w on the road strip (DESIGN item 6): no bucket has a
+        // heavy edge, so no publish touches the membership queue and no
+        // phase-2 wave runs, on either publish path.
+        let g = rdbs_graph::datasets::by_name("road-TX").unwrap().generate(10, 42);
+        let (pg, perm) = reorder::pro(&g, default_delta(&g));
+        let oracle = dijkstra(&g, 0);
+        for scatter in ScatterMode::ALL {
+            let mut d = Device::new(DeviceConfig::test_tiny());
+            let cfg = RdbsConfig::full().with_scatter(scatter);
+            let mut run = rdbs(&mut d, &pg, perm.new_id(0), cfg);
+            run.result.dist = perm.unapply_to_array(&run.result.dist);
+            check_against(&oracle.dist, &run.result.dist).unwrap();
+            assert!(run.buckets.iter().all(|t| t.width > g.max_weight()), "{scatter}");
+            let members: Vec<_> =
+                d.buffer_traffic().into_iter().filter(|r| r.0 == "bucket_members").collect();
+            assert_eq!(members, [("bucket_members", 0, 0, 0)], "{scatter}");
+            assert!(d.reports().iter().all(|r| r.name != "phase2_heavy"), "{scatter}");
+            assert!(d.reports().iter().any(|r| r.name == "phase3_collect"));
+        }
+    }
+
+    #[test]
+    fn light_range_pairs_relax_like_the_two_load_reference() {
+        // One 8-byte load of PRO's (row[v], heavy[v]) pair in place of the
+        // two loads it replaces: every variant on both frontiers relaxes
+        // the same edges in the same order, so distances, checks, updates
+        // and bucket traces are identical, and PRO variants issue fewer
+        // global-load warp instructions (the others never read a pair).
+        let road = rdbs_graph::datasets::by_name("road-TX").unwrap().generate(10, 42);
+        let mut el = preferential_attachment(500, 5, 7);
+        for k in 1..320 {
+            el.push(0, k, 0); // a hub past α light edges: a large vertex
+        }
+        uniform_weights(&mut el, 8);
+        let powerlaw = build_undirected(&el);
+        let graphs = [road, powerlaw, random_graph(70, 120, 700), random_graph(71, 200, 500)];
+        for (i, g) in graphs.iter().enumerate() {
+            for base in variants() {
+                for kind in FrontierKind::ALL {
+                    let cfg = base.with_frontier(kind);
+                    let label = format!("graph {i} {}", cfg.label());
+                    let (one, d1) = run_from_0(g, cfg, phase1_layer, None, false).expect("fits");
+                    let (two, d2) = run_from_0(g, cfg, phase1_layer, None, true).expect("fits");
+                    assert_eq!(one.result.dist, two.result.dist, "{label}");
+                    let stats = |r: &RdbsRun| (r.result.stats.checks, r.result.stats.total_updates);
+                    assert_eq!(stats(&one), stats(&two), "{label}");
+                    let key = |t: &GpuBucketTrace| {
+                        (t.lo, t.width, t.layers, t.active, t.converged, t.threads)
+                    };
+                    assert_eq!(
+                        one.buckets.iter().map(key).collect::<Vec<_>>(),
+                        two.buckets.iter().map(key).collect::<Vec<_>>(),
+                        "{label}"
+                    );
+                    check_against(&dijkstra(g, 0).dist, &one.result.dist).unwrap();
+                    let loads = |d: &Device| d.counters().inst_executed_global_loads;
+                    if cfg.pro {
+                        assert!(
+                            loads(&d1) < loads(&d2),
+                            "{label}: {} vs {}",
+                            loads(&d1),
+                            loads(&d2)
+                        );
+                    } else {
+                        assert_eq!(loads(&d1), loads(&d2), "{label}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1537,8 +1669,9 @@ mod tests {
             let g = build_undirected(&el);
             for base in [RdbsConfig::full(), RdbsConfig::basyn_adwl()] {
                 let cfg = RdbsConfig { delta0: Some(2000 + 600 * seed as u32), ..base };
-                let fused = run_from_0(&g, cfg, phase1_layer, None).expect("no overflow");
-                let waves = run_from_0(&g, cfg, list_waves, None).expect("no overflow");
+                let (fused, _) =
+                    run_from_0(&g, cfg, phase1_layer, None, false).expect("no overflow");
+                let (waves, _) = run_from_0(&g, cfg, list_waves, None, false).expect("no overflow");
                 let label = cfg.label();
                 assert_eq!(fused.result.dist, waves.result.dist, "{label} seed {seed}");
                 assert_eq!(fused.result.stats.checks, waves.result.stats.checks, "{label}");
@@ -1697,7 +1830,7 @@ mod tests {
             pro: g.heavy_offsets().is_some(),
             accept_below: case.accept_below,
             scatter: ScatterMode::Multisplit,
-            defer: scratch.frontier.collect_view(),
+            defer: scratch.frontier.collect_view(true),
         };
         let before = d.elapsed_ns();
         if balanced {

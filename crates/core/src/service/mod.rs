@@ -21,8 +21,9 @@
 //!   warm-starts each query's Δ₀ from the previous query's converged
 //!   width (Δ-stepping with `atomicMin` relaxations is exact under
 //!   any Δ schedule, so distances stay bit-identical to one-shot);
-//! * with PRO, the heavy-edge offsets are refreshed on-device at
-//!   query start — a finished run leaves them at per-vertex widths.
+//! * with PRO, the light ranges (row and heavy-edge offset pairs) are
+//!   refreshed on-device at query start — a finished run leaves them
+//!   at per-vertex widths.
 //!
 //! [`SsspService::batch`] answers a slice of sources and accounts the
 //! amortization in [`BatchStats`]. The single-GPU backend has one
@@ -30,7 +31,7 @@
 //! across [`ServiceConfig::streams`] simulated command streams
 //! ([`rdbs_gpu_sim::StreamSet`]), where every in-flight query owns a
 //! pool-leased *lane* (distance vector, queue set, Δ controller, and
-//! its own heavy-offset copy under PRO) while sharing the single
+//! its own light-range copy under PRO) while sharing the single
 //! resident graph upload, and steps whichever stream is furthest behind
 //! on the shared wall clock — at bucket granularity for RDBS variants —
 //! so answers stay bit-identical to a one-stream run. A closed-loop
@@ -220,12 +221,13 @@ struct QueryLane {
     dist: Buf,
     scratch: Scratch,
     controller: DeltaController,
-    /// Private heavy-offset buffer (PRO variants, lanes ≥ 1 only).
-    /// The uploaded [`GraphArrays::heavy`] is per-query *mutable*
-    /// state — runs re-split it as buckets settle — so concurrent
-    /// lanes each own a copy; lane 0 keeps the uploaded buffer.
-    heavy: Option<Buf>,
-    /// Whether the lane's heavy offsets must be recomputed on-device
+    /// Private light-range buffer (PRO variants, lanes ≥ 1 only).
+    /// The uploaded [`GraphArrays::light_ranges`] are per-query
+    /// *mutable* state — runs re-split them as buckets settle — so
+    /// concurrent lanes each own a copy; lane 0 keeps the uploaded
+    /// buffer.
+    light_ranges: Option<Buf>,
+    /// Whether the lane's light ranges must be recomputed on-device
     /// before its next run (fresh lanes, and every lane after a run
     /// has re-split them).
     heavy_dirty: bool,
@@ -291,7 +293,7 @@ impl SsspService {
                     build_scratch(&mut pool, &mut device, n, variant, config.queue_capacity);
                 let controller = fresh_controller(&device, &run_graph, variant);
                 let lane0 =
-                    QueryLane { dist, scratch, controller, heavy: None, heavy_dirty: false };
+                    QueryLane { dist, scratch, controller, light_ranges: None, heavy_dirty: false };
                 let st = GpuState { device, variant, perm, arrays, lanes: vec![lane0] };
                 (State::Gpu(Box::new(st)), run_graph, uploads)
             }
@@ -342,7 +344,7 @@ impl SsspService {
                     dist,
                     scratch,
                     controller,
-                    heavy: None,
+                    light_ranges: None,
                     heavy_dirty: false,
                 });
                 st.perm = perm;
@@ -592,7 +594,7 @@ impl SsspService {
         let n = self.graph.num_vertices() as u32;
         while st.lanes.len() < count {
             let dist = self.pool.acquire(&mut st.device, "dist", n as usize);
-            // The lane's first heavy-offset refresh reads dist before
+            // The lane's first light-range refresh reads dist before
             // the query resets it — clear recycled (or poison-armed)
             // contents up front.
             st.device.fill(dist, INF);
@@ -604,11 +606,11 @@ impl SsspService {
                 self.config.queue_capacity,
             );
             let controller = fresh_controller(&st.device, &self.graph, st.variant);
-            let heavy = st
-                .arrays
-                .heavy
-                .map(|_| self.pool.acquire(&mut st.device, "heavy_offsets", n as usize));
-            st.lanes.push(QueryLane { dist, scratch, controller, heavy, heavy_dirty: true });
+            // Stale until that refresh writes both words of every pair.
+            let light_ranges = st.arrays.light_ranges.map(|_| {
+                self.pool.acquire(&mut st.device, "light_ranges", st.arrays.light_ranges_len())
+            });
+            st.lanes.push(QueryLane { dist, scratch, controller, light_ranges, heavy_dirty: true });
         }
     }
 
@@ -662,15 +664,15 @@ fn note_query_parts(
 }
 
 /// Pair the resident arrays with a lane's distance buffer — and its
-/// private heavy-offset buffer when the lane owns one.
+/// private light-range buffer when the lane owns one.
 fn lane_buffers(mut arrays: GraphArrays, lane: &QueryLane) -> GraphBuffers {
-    if let Some(heavy) = lane.heavy {
-        arrays.heavy = Some(heavy);
+    if let Some(pairs) = lane.light_ranges {
+        arrays.light_ranges = Some(pairs);
     }
     arrays.with_dist(lane.dist)
 }
 
-/// Dispatch one RDBS query on a lane: refresh its heavy offsets when
+/// Dispatch one RDBS query on a lane: refresh its light ranges when
 /// stale, then seed a resumable driver. Runs inside the lane's stream.
 fn start_rdbs_driver(
     device: &mut Device,
@@ -895,8 +897,8 @@ fn release_gpu_buffers(pool: &BufferPool, st: &mut GpuState) {
     let device = &mut st.device;
     for lane in st.lanes.drain(..) {
         pool.release(device, lane.dist);
-        if let Some(heavy) = lane.heavy {
-            pool.release(device, heavy);
+        if let Some(pairs) = lane.light_ranges {
+            pool.release(device, pairs);
         }
         match &lane.scratch {
             Scratch::Bl(s) => {
@@ -920,8 +922,8 @@ fn release_gpu_buffers(pool: &BufferPool, st: &mut GpuState) {
     pool.release(device, st.arrays.row);
     pool.release(device, st.arrays.adj);
     pool.release(device, st.arrays.wt);
-    if let Some(heavy) = st.arrays.heavy {
-        pool.release(device, heavy);
+    if let Some(pairs) = st.arrays.light_ranges {
+        pool.release(device, pairs);
     }
 }
 
@@ -986,7 +988,7 @@ mod tests {
         let g = graph(2);
         let mut svc = SsspService::new(&g, ServiceConfig::rdbs(tiny()));
         let after_build = svc.device_uploads();
-        assert_eq!(after_build, 4, "row+adj+wt+heavy, exactly once");
+        assert_eq!(after_build, 4, "row+adj+wt+light ranges, exactly once");
         let sources: Vec<VertexId> = (0..16).collect();
         let results = svc.batch(&sources);
         assert_eq!(results.len(), 16);

@@ -330,6 +330,35 @@ impl<'a> Lane<'a> {
     pub fn ld(&mut self, buf: Buf, idx: u32) -> u32 {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Load(word_addr(addr)));
+        self.load_word(buf, idx, addr)
+    }
+
+    /// Aligned 8-byte global load of the pair `buf[idx]`, `buf[idx + 1]`
+    /// (CUDA's `ld.global.v2.u32`); `idx` must be even. One warp
+    /// instruction, recorded as one [`Op::Load`] at the first word:
+    /// buffers start on 256-byte boundaries, so an aligned pair never
+    /// leaves its 32-byte sector and replay's coalescing and cache
+    /// probes stay exact. The sanitizer, the IR recorder, the fault
+    /// plan and the per-buffer traffic see each of the two words
+    /// exactly as two [`Lane::ld`] calls would show it.
+    #[inline]
+    pub fn ld2(&mut self, buf: Buf, idx: u32) -> (u32, u32) {
+        assert!(
+            idx.is_multiple_of(2),
+            "8-byte load of '{}' at odd word {idx}: a pair must be aligned",
+            self.arena.label(buf)
+        );
+        let addr = self.arena.addr(buf, idx);
+        self.trace.push(Op::Load(word_addr(addr)));
+        let first = self.load_word(buf, idx, addr);
+        (first, self.load_word(buf, idx + 1, addr + 4))
+    }
+
+    /// One word of a plain load, past its trace op: traffic, the
+    /// sanitizer and IR hooks, the snapshot-visible value and the
+    /// fault plan.
+    #[inline]
+    fn load_word(&mut self, buf: Buf, idx: u32, addr: u64) -> u32 {
         self.traffic[buf.id as usize][0] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
         if let Some(san) = self.san.as_deref_mut() {
@@ -1389,6 +1418,84 @@ mod tests {
             assert_eq!(lane.atomic_exch(x, 1, 42), 7);
         });
         assert_eq!(d.read(x), &[9, 42]);
+    }
+
+    #[test]
+    fn contiguous_pair_loads_are_one_instruction_of_eight_sectors() {
+        let mut d = tiny();
+        let words: Vec<u32> = (0..64).collect();
+        let a = d.alloc_upload("pairs", &words);
+        d.launch("pairs", 32, |lane| {
+            let i = lane.tid() as u32;
+            assert_eq!(lane.ld2(a, 2 * i), (2 * i, 2 * i + 1));
+        });
+        let ctr = d.counters();
+        assert_eq!(ctr.inst_executed_global_loads, 1);
+        assert_eq!(ctr.gld_transactions, 8, "32 lanes x 8 bytes = 256 bytes");
+        assert_eq!(d.buffer_traffic()[0], ("pairs", 64, 0, 0), "each word counts as a load");
+    }
+
+    #[test]
+    fn scattered_pair_loads_are_one_instruction_of_one_sector_each() {
+        let mut d = tiny();
+        let a = d.alloc("pairs", 8 * 64);
+        d.fill(a, 3);
+        d.launch("pairs", 8, |lane| {
+            lane.ld2(a, lane.tid() as u32 * 64);
+        });
+        assert_eq!(d.counters().inst_executed_global_loads, 1);
+        assert_eq!(d.counters().gld_transactions, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at odd word 3")]
+    fn an_odd_pair_load_is_refused() {
+        let mut d = tiny();
+        let a = d.alloc("pairs", 8);
+        d.launch("odd", 1, |lane| {
+            lane.ld2(a, 3);
+        });
+    }
+
+    #[test]
+    fn sanitizer_sees_the_second_word_of_a_pair_load() {
+        // Lane 0 loads the pair (0, 1) while lane 1 atomically improves
+        // word 1 in the same live window: the race is on the second word
+        // alone.
+        let mut d = tiny();
+        d.arm_sanitizer(crate::san::SanConfig::default());
+        let x = d.alloc_upload("pairs", &[100, 100]);
+        let mut s = d.wave_session("async");
+        s.wave(2, 1, |lane| {
+            if lane.tid() == 0 {
+                lane.ld2(x, 0);
+            } else {
+                lane.atomic_min(x, 1, 5);
+            }
+        });
+        let v = d.san_violations();
+        assert!(!v.is_empty());
+        assert!(v.iter().all(|v| v.check == crate::san::SanCheck::SnapshotVisibility
+            && v.buffer == "pairs"
+            && v.index == 1));
+    }
+
+    #[test]
+    fn a_bit_flip_pinned_to_the_second_word_reaches_the_lane() {
+        use crate::fault::{FaultPlan, FaultSpec, FaultTarget};
+        let mut d = tiny();
+        let b = d.alloc_upload("pairs", &[10, 20]);
+        let target =
+            FaultTarget { site: Some("pairs"), index: Some((1, 1)), wave: None, stream: None };
+        d.arm_faults(FaultPlan::new(
+            FaultSpec::new(FaultModel::BitFlip, 1.0, 5).with_target(target).with_cap(1),
+        ));
+        let seen = std::cell::Cell::new((0, 0));
+        d.launch("reader", 1, |lane| seen.set(lane.ld2(b, 0)));
+        let (first, second) = seen.get();
+        assert_eq!(first, 10, "the first word is not targeted");
+        assert_eq!((second ^ 20).count_ones(), 1);
+        assert_eq!(d.fault_injections(), 1);
     }
 
     #[test]

@@ -337,10 +337,11 @@ mod tests {
         }
     }
 
-    /// A random lane program: loads (whose values steer divergence),
-    /// stores, the four atomics, ALU runs, reconvergence points, every
-    /// gang collective from `collectives_from` on, and child launches
-    /// (only while `depth` allows) that run programs of their own.
+    /// A random lane program: loads and aligned pair loads (whose
+    /// values steer divergence), stores, the four atomics, ALU runs,
+    /// reconvergence points, every gang collective from
+    /// `collectives_from` on, and child launches (only while `depth`
+    /// allows) that run programs of their own.
     fn program(lane: &mut Lane<'_>, b: Bufs, seed: u64, collectives_from: u64, depth: u32) {
         let me = lane.phys_id();
         let mut r = seed ^ me.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -390,6 +391,12 @@ mod tests {
                     lane.launch_child("child", threads, move |cl| {
                         program(cl, b, child_seed, from, depth - 1);
                     });
+                }
+                16 => {
+                    let (x, y) = lane.ld2(b.data, idx & !1);
+                    if (x ^ y).is_multiple_of(3) {
+                        lane.alu(1);
+                    }
                 }
                 _ => lane.alu(1),
             }
