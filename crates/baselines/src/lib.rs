@@ -3,24 +3,16 @@
 //! * [`adds()`] — an ADDS-style asynchronous Δ-stepping on the simulated
 //!   GPU (Wang, Fussell & Lin, PPoPP'21): the paper's state-of-the-art
 //!   GPU comparator in Table 2 / Figs. 9–11.
-//! * [`near_far()`] — Davidson et al.'s Near-Far worklist method
-//!   (IPDPS'14), the classic two-bucket GPU Δ-stepping.
 //! * [`pq_delta_stepping`] — a PQ-Δ*-style lazy-batched priority-queue stepping
 //!   algorithm on native CPU threads (Dong et al., SPAA'21): the
 //!   paper's CPU comparator in Table 2.
 //!
-//! All of them are validated against the Dijkstra oracle in
-//! `rdbs-core`, and the GPU ones run on the same simulator as RDBS so
-//! counter comparisons (Fig. 10) are apples-to-apples.
+//! Both are validated against the Dijkstra oracle in `rdbs-core`, and
+//! ADDS runs on the same simulator as RDBS so counter comparisons
+//! (Fig. 10) are apples-to-apples.
 
 pub mod adds;
-pub mod frontier_bf;
-pub mod near_far;
 pub mod pq_delta;
-pub mod sep_graph;
 
 pub use adds::{adds, run_adds};
-pub use frontier_bf::frontier_bf;
-pub use near_far::near_far;
-pub use pq_delta::{pq_delta_stepping, rho_stepping};
-pub use sep_graph::sep_graph;
+pub use pq_delta::pq_delta_stepping;

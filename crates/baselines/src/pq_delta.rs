@@ -115,86 +115,6 @@ pub fn pq_delta_stepping(
     SsspResult { source, dist, stats }
 }
 
-/// ρ-stepping (the third algorithm of Dong et al., SPAA'21): instead
-/// of a fixed batch size, each step extracts *all* entries whose key
-/// is within the ρ-quantile of the current queue — the batch adapts to
-/// the frontier's distance profile. `rho` is the quantile (0 → one
-/// vertex ≈ Dijkstra; 1 → whole queue ≈ Bellman-Ford).
-pub fn rho_stepping(graph: &Csr, source: VertexId, threads: usize, rho: f64) -> SsspResult {
-    assert!((0.0..=1.0).contains(&rho), "rho is a quantile");
-    let n = graph.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(INF)).collect();
-    dist[source as usize].store(0, Ordering::Relaxed);
-    let updates = AtomicU64::new(0);
-    let checks = AtomicU64::new(0);
-
-    let mut queue: Vec<(u32, VertexId)> = vec![(0, source)];
-    let mut stats = UpdateStats::default();
-    let mut steps = 0u32;
-
-    while !queue.is_empty() {
-        // Drop stale entries, then split at the rho-quantile key.
-        queue.retain(|&(d, v)| dist[v as usize].load(Ordering::Relaxed) == d);
-        if queue.is_empty() {
-            break;
-        }
-        let idx = ((queue.len() as f64 * rho) as usize).min(queue.len() - 1);
-        let threshold = {
-            let mut keys: Vec<u32> = queue.iter().map(|&(d, _)| d).collect();
-            let (_, kth, _) = keys.select_nth_unstable(idx);
-            *kth
-        };
-        let (batch, rest): (Vec<_>, Vec<_>) = queue.into_iter().partition(|&(d, _)| d <= threshold);
-        queue = rest;
-        steps += 1;
-        stats.bucket_active.push(batch.len() as u64);
-
-        let chunk = batch.len().div_ceil(threads);
-        let outputs = Mutex::new(Vec::<(VertexId, u32)>::new());
-        crossbeam::scope(|scope| {
-            for part in batch.chunks(chunk) {
-                let outputs = &outputs;
-                let dist = &dist;
-                let updates = &updates;
-                let checks = &checks;
-                scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    for &(_, v) in part {
-                        let dv = dist[v as usize].load(Ordering::Relaxed);
-                        for (u, w) in graph.edges(v) {
-                            checks.fetch_add(1, Ordering::Relaxed);
-                            let nd = dv.saturating_add(w);
-                            if nd < dist[u as usize].load(Ordering::Relaxed) {
-                                let old = fetch_min(&dist[u as usize], nd);
-                                if nd < old {
-                                    updates.fetch_add(1, Ordering::Relaxed);
-                                    local.push((u, nd));
-                                }
-                            }
-                        }
-                    }
-                    if !local.is_empty() {
-                        outputs.lock().extend(local);
-                    }
-                });
-            }
-        })
-        .expect("rho-stepping scope failed");
-        for (v, d) in outputs.into_inner() {
-            if dist[v as usize].load(Ordering::Relaxed) == d {
-                queue.push((d, v));
-            }
-        }
-    }
-
-    stats.phase1_layers.push(steps);
-    stats.total_updates = updates.load(Ordering::Relaxed);
-    stats.checks = checks.load(Ordering::Relaxed);
-    let dist = dist.into_iter().map(std::sync::atomic::AtomicU32::into_inner).collect();
-    SsspResult { source, dist, stats }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,32 +157,5 @@ mod tests {
         let oracle = dijkstra(&g, 0);
         let r = pq_delta_stepping(&g, 0, 2, Some(1_000_000));
         assert_eq!(r.dist, oracle.dist);
-    }
-
-    #[test]
-    fn rho_stepping_matches_dijkstra_across_quantiles() {
-        for seed in 0..2 {
-            let g = graph(seed + 20);
-            let oracle = dijkstra(&g, 0);
-            for rho in [0.0, 0.1, 0.5, 1.0] {
-                let r = rho_stepping(&g, 0, 2, rho);
-                assert_eq!(r.dist, oracle.dist, "seed {seed} rho {rho}");
-            }
-        }
-    }
-
-    #[test]
-    fn rho_controls_step_count() {
-        let g = graph(9);
-        let tight = rho_stepping(&g, 0, 2, 0.05);
-        let loose = rho_stepping(&g, 0, 2, 1.0);
-        assert!(
-            tight.stats.phase1_layers[0] > loose.stats.phase1_layers[0],
-            "small rho → more, smaller steps ({} vs {})",
-            tight.stats.phase1_layers[0],
-            loose.stats.phase1_layers[0]
-        );
-        // ...and better work efficiency.
-        assert!(tight.stats.total_updates <= loose.stats.total_updates);
     }
 }

@@ -3,11 +3,13 @@
 //! `atomicAdd` plus one slot `atomicExch` per push) versus the
 //! warp-aggregated multisplit scatter (one tail `atomicAdd` per
 //! (warp × bucket), coalesced reserved stores into the won range), on
-//! every frontier layout and in both provisioning regimes of the
-//! frontier bench. The claim graded here: the aggregated path cuts
-//! `inst_executed_global_atomics` at least 2x in the stress regime on
-//! at least one frontier, with bit-identical distances and no change
-//! in escalations or fallbacks.
+//! every frontier layout and in two provisioning regimes: *ample*
+//! (each lane's queues hold the vertex count, so nothing overflows)
+//! and *stress* (a quarter of the vertex count, so the single layout
+//! escalates and the MLMQ spills). The claim graded here: the
+//! aggregated path cuts `inst_executed_global_atomics` at least 2x in
+//! the stress regime on at least one frontier, with bit-identical
+//! distances and no change in escalations or fallbacks.
 //!
 //! Writes the machine-readable record to `results/BENCH_pr10.json`.
 
@@ -23,8 +25,9 @@ use std::time::Instant;
 
 const BATCH: usize = 16;
 const REPS: usize = 5;
-/// Same stress provisioning as the frontier bench, so the scalar rows
-/// reproduce the `BENCH_pr8.json` counters exactly.
+/// Stress-regime queue capacity: the vertex count over this divisor
+/// (the provisioning `BENCH_pr8.json` recorded, so the scalar rows
+/// reproduce its counters exactly).
 const STRESS_DIVISOR: u32 = 4;
 
 fn graph() -> Csr {

@@ -8,14 +8,11 @@
 //! 2. **Δ₀ sensitivity** — the Dijkstra ↔ Bellman-Ford spectrum.
 //! 3. **Weight-distribution sensitivity** — uniform vs log-normal vs
 //!    exponential vs bimodal weights.
-//! 4. **GPU comparator lineup** — every GPU SSSP in the workspace on
-//!    one graph.
 
-use rdbs_baselines::{adds, frontier_bf, near_far, sep_graph};
 use rdbs_bench::{pick_sources, HarnessArgs, Table};
 use rdbs_core::default_delta;
 use rdbs_core::gpu::rdbs::{rdbs, RdbsConfig};
-use rdbs_core::gpu::{bl, run_gpu, Variant};
+use rdbs_core::gpu::{run_gpu, Variant};
 use rdbs_gpu_sim::Device;
 use rdbs_graph::builder::build_undirected;
 use rdbs_graph::datasets::kronecker_spec;
@@ -36,7 +33,6 @@ fn main() {
     ordering_ablation(&args);
     delta_sensitivity(&args);
     weight_distribution(&args);
-    comparator_lineup(&args);
 }
 
 fn ordering_ablation(args: &HarnessArgs) {
@@ -117,44 +113,4 @@ fn weight_distribution(args: &HarnessArgs) {
     }
     t.print();
     println!();
-}
-
-fn comparator_lineup(args: &HarnessArgs) {
-    println!("## 4. Full GPU comparator lineup (k-n21-16 stand-in)\n");
-    let g = kronecker_spec(21, 16).generate(args.scale_shift, args.seed);
-    let source = pick_sources(&g, 1, args.seed)[0];
-    let delta0 = default_delta(&g);
-    let mut t = Table::new(&["implementation", "sim ms", "total updates", "launches"]);
-
-    let rdbs_run = run_gpu(&g, source, Variant::Rdbs(RdbsConfig::full()), args.device.clone());
-    t.row(vec![
-        "RDBS (full)".into(),
-        format!("{:.4}", rdbs_run.elapsed_ms),
-        rdbs_run.result.stats.total_updates.to_string(),
-        rdbs_run.counters.kernel_launches.to_string(),
-    ]);
-    let mut row = |name: &str, f: &mut dyn FnMut(&mut Device) -> rdbs_core::SsspResult| {
-        let mut dev = Device::new(args.device.clone());
-        let r = f(&mut dev);
-        t.row(vec![
-            name.into(),
-            format!("{:.4}", dev.elapsed_ms()),
-            r.stats.total_updates.to_string(),
-            dev.counters().kernel_launches.to_string(),
-        ]);
-    };
-    row("BL (topology sync)", &mut |d| bl(d, &g, source));
-    row("Frontier-BF", &mut |d| frontier_bf(d, &g, source));
-    row("Near-Far", &mut |d| near_far(d, &g, source, delta0));
-    row("ADDS", &mut |d| adds(d, &g, source, delta0));
-    row("SEP-Graph hybrid", &mut |d| sep_graph(d, &g, source).0);
-    // The Gunrock-style framework SSSP (generality penalty, §1/§6.2).
-    let (fw, engine) = rdbs_framework::algorithms::sssp(args.device.clone(), &g, source);
-    t.row(vec![
-        "framework (Gunrock-style)".into(),
-        format!("{:.4}", engine.elapsed_ms()),
-        fw.stats.total_updates.to_string(),
-        (engine.iterations() as u64 + 1).to_string(),
-    ]);
-    t.print();
 }

@@ -152,10 +152,9 @@ pub struct ScoutIntel {
 const SCOUT_KEEP: usize = 6;
 
 /// Run the entry's kernel variant fault-free under the sanitizer and
-/// harvest targeting intel. Entries without a kernel variant (the
-/// multi-GPU exchange) still get the oracle-derived deep frontier;
-/// their profile-derived pools stay empty and the search falls back to
-/// generic exchange/site targets.
+/// harvest targeting intel. Entries without a kernel variant still get
+/// the oracle-derived deep frontier; their profile-derived pools stay
+/// empty and the search falls back to the unconstrained target.
 pub fn scout(entry: &Entry, graph: &Csr, source: VertexId, oracle_dist: &[u32]) -> ScoutIntel {
     let mut intel = ScoutIntel::default();
     if let Some(variant) = entry.variant {
@@ -200,7 +199,7 @@ pub fn scout(entry: &Entry, graph: &Csr, source: VertexId, oracle_dist: &[u32]) 
 /// at an atomic/plain overlap site resurrects dead snapshots; a failed
 /// child launch inside a kernel's own wave window severs dynamic
 /// parallelism where it actually fires.
-fn playbook(entry: &Entry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, FaultTarget)> {
+fn playbook(intel: &ScoutIntel) -> Vec<(FaultModel, f64, FaultTarget)> {
     let mut book: Vec<(FaultModel, f64, FaultTarget)> = Vec::new();
     let site_pin = |site| FaultTarget { site: Some(site), index: None, wave: None, stream: None };
     for &site in &intel.hot_read_buffers {
@@ -239,18 +238,11 @@ fn playbook(entry: &Entry, intel: &ScoutIntel) -> Vec<(FaultModel, f64, FaultTar
             FaultTarget { site: Some("dist"), index: Some(window), wave: None, stream: None },
         ));
     }
-    if entry.carries_messages() {
-        for model in
-            [FaultModel::LostMessage, FaultModel::DuplicatedMessage, FaultModel::ReorderedMessage]
-        {
-            book.push((model, 1.0, site_pin("exchange")));
-        }
-    }
     book
 }
 
 /// Build the pool of candidate [`FaultTarget`]s the search draws from.
-fn target_pool(entry: &Entry, intel: &ScoutIntel) -> Vec<FaultTarget> {
+fn target_pool(intel: &ScoutIntel) -> Vec<FaultTarget> {
     let mut pool: Vec<FaultTarget> = Vec::new();
     let mut push = |t: FaultTarget| {
         if !pool.contains(&t) {
@@ -276,21 +268,10 @@ fn target_pool(entry: &Entry, intel: &ScoutIntel) -> Vec<FaultTarget> {
         push(FaultTarget { site: Some("dist"), index: Some(window), wave: None, stream: None });
         push(FaultTarget { site: Some("pending"), index: Some(window), wave: None, stream: None });
     }
-    if entry.carries_messages() {
-        push(FaultTarget { site: Some("exchange"), index: None, wave: None, stream: None });
-        push(FaultTarget { site: Some("exchange"), index: Some((0, 3)), wave: None, stream: None });
-    }
     if pool.is_empty() {
         pool.push(FaultTarget::ANY);
     }
     pool
-}
-
-fn models_for(entry: &Entry) -> Vec<FaultModel> {
-    FaultModel::ALL
-        .into_iter()
-        .filter(|m| !m.is_message_model() || entry.carries_messages())
-        .collect()
 }
 
 /// The rate ladder the search climbs; mutation bumps toward 1.0.
@@ -354,12 +335,6 @@ impl AdversaryReport {
     pub fn is_green(&self) -> bool {
         self.runs.iter().all(|r| r.silent_wrong == 0)
     }
-
-    /// Whether any run's targeted search strictly beat its equal-budget
-    /// uniform baseline.
-    pub fn targeted_beats_uniform(&self) -> bool {
-        self.runs.iter().any(|r| r.best_targeted > r.best_uniform)
-    }
 }
 
 fn sample_target(rng: &mut SearchRng, pool: &[FaultTarget]) -> FaultTarget {
@@ -408,9 +383,9 @@ pub fn attack(entry: &Entry, family: &GraphCase, opts: &SweepOptions) -> AttackR
     let source = family.sources(graph.num_vertices())[0];
     let oracle = dijkstra(&graph, source);
     let intel = scout(entry, &graph, source, &oracle.dist);
-    let pool = target_pool(entry, &intel);
-    let book = playbook(entry, &intel);
-    let models = models_for(entry);
+    let pool = target_pool(&intel);
+    let book = playbook(&intel);
+    let models = FaultModel::ALL;
 
     // Independent deterministic streams for the targeted search and the
     // uniform baseline, both derived from (seed, entry, graph).
@@ -593,7 +568,7 @@ pub struct CorpusCase {
 /// almost always matches one of the known labels; an unknown name is
 /// leaked once (corpus files are small and bounded).
 fn intern_site(name: &str) -> &'static str {
-    const KNOWN: [&str; 14] = [
+    const KNOWN: [&str; 11] = [
         "row_offsets",
         "adjacency",
         "weights",
@@ -603,9 +578,6 @@ fn intern_site(name: &str) -> &'static str {
         "queue_tail",
         "queue_overflow",
         "bl_mask",
-        "mg_dirty",
-        "mg_pending",
-        "exchange",
         "relax",
         "drain",
     ];
@@ -802,7 +774,7 @@ mod tests {
         assert!(!intel.deep_vertices.is_empty(), "no deep frontier derived");
         // The distance array is the contended heart of the algorithm —
         // the profile must surface it as a target.
-        let pool = target_pool(&entry, &intel);
+        let pool = target_pool(&intel);
         assert!(
             pool.iter().any(|t| t.site == Some("dist")),
             "target pool never pins the distance array: {pool:?}"

@@ -610,7 +610,6 @@ mod tests {
     fn frontier_axis_matches_sensitivity() {
         let axis_of = |id: &str| frontier_axis(&crate::registry::by_id(id).unwrap(), None).len();
         assert_eq!(axis_of("gpu/bl"), 1);
-        assert_eq!(axis_of("multi-gpu/k2"), 1);
         assert_eq!(axis_of("gpu/full"), 2);
         assert_eq!(axis_of("service/pooled"), 2);
     }

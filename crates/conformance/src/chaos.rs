@@ -15,10 +15,6 @@
 //!   invariant violation the matrix exists to rule out, and the only
 //!   verdict that makes a sweep red.
 //!
-//! Message-channel fault models only apply to entries that carry
-//! messages (the multi-GPU exchange); elsewhere they have no injection
-//! sites and are skipped rather than swept as trivially-clean cells.
-//!
 //! The `gpu/refault` entry re-arms the same fault spec on the rung-2
 //! recovery rerun (persistent-fault semantics), so the recovery path
 //! itself executes under fire: the ladder's audit gate on the rerun's
@@ -44,9 +40,6 @@ pub fn default_rate(model: FaultModel) -> f64 {
         FaultModel::DuplicatedAtomicMin => 0.25,
         FaultModel::FailedChildLaunch => 0.25,
         FaultModel::StaleRead => 0.1,
-        FaultModel::LostMessage => 0.4,
-        FaultModel::DuplicatedMessage => 0.4,
-        FaultModel::ReorderedMessage => 0.4,
     }
 }
 
@@ -203,9 +196,6 @@ pub fn run_chaos(opts: &SweepOptions, mut progress: impl FnMut(&ChaosCell)) -> C
         let oracle = dijkstra(&graph, source);
         for entry in &entries {
             for &model in &models {
-                if model.is_message_model() && !entry.carries_messages() {
-                    continue;
-                }
                 let rate = opts.rate.unwrap_or_else(|| default_rate(model));
                 for &seed in &seeds {
                     let spec = FaultSpec::new(model, rate, seed);
@@ -386,7 +376,7 @@ mod tests {
             let graph = family.build();
             let source = family.sources(graph.num_vertices())[0];
             let oracle = dijkstra(&graph, source);
-            let mut svc = SsspService::new(&graph, Shape::Spill.config(&graph, variant, None));
+            let mut svc = SsspService::new(&graph, Shape::Spill.config(&graph, variant));
             let results = svc.batch(&[source, (source + 1) % graph.num_vertices() as u32]);
             check_against(&oracle.dist, &results[0].dist).unwrap();
             let stats = svc.stats();

@@ -5,9 +5,8 @@
 //!
 //! * [`registry`] — one table of every public SSSP entry point
 //!   (sequential references, CPU-parallel, the simulated-GPU RDBS with
-//!   all ablation toggles, the multi-GPU port at k ∈ {1, 2, 4}, the
-//!   resident service's shapes, every baseline comparator, and the
-//!   framework integration). Each entry names one scenario, its
+//!   all ablation toggles, the resident service's shapes, and the
+//!   ADDS and PQ-Δ* comparators). Each entry names one scenario, its
 //!   kernel variant and the capability flags that decide which sweeps
 //!   select it; the instruments below are armed on whatever backend
 //!   the scenario builds.

@@ -2,27 +2,25 @@
 //! workspace, in one table, addressable by a stable string id.
 //!
 //! Each [`Entry`] names one `Scenario` — host code, a one-shot device
-//! run, the resident multi-GPU state, or one shape of the resident
-//! service — the kernel variant that scenario runs, and capability
-//! flags that decide which sweeps select it. A cell is entry ×
-//! frontier × family × source × seed. The `Instruments` (fault plan,
-//! sanitizer, IR recorder, lane permuter) are armed on whichever
-//! backend the scenario builds, and `Entry::observe` hands back what
-//! they saw; the sweeps (`runner`, `chaos`, `sanitize`, `analyze`,
-//! `adversary`) differ only in what they arm and how they grade.
+//! run, or one shape of the resident service — the kernel variant that
+//! scenario runs, and capability flags that decide which sweeps select
+//! it. A cell is entry × frontier × family × source × seed. The
+//! `Instruments` (fault plan, sanitizer, IR recorder, lane permuter)
+//! are armed on whichever device the scenario builds, and
+//! `Entry::observe` hands back what they saw; the sweeps (`runner`,
+//! `chaos`, `sanitize`, `analyze`, `adversary`) differ only in what
+//! they arm and how they grade.
 //!
 //! A deliberately broken implementation ([`FAULT_OFF_BY_ONE`]) is kept
 //! out of [`all()`] and exists to demonstrate (and regression-test) the
 //! shrinker and localizer end to end.
 
 use crate::graphs::{self, GraphCase};
-use rdbs_core::gpu::{
-    run_gpu_on, FrontierKind, MultiGpuConfig, MultiGpuState, RdbsConfig, Variant,
-};
+use rdbs_core::gpu::{run_gpu_on, FrontierKind, RdbsConfig, Variant};
 use rdbs_core::recover::Attempt;
 use rdbs_core::service::cache::CacheConfig;
 use rdbs_core::service::traffic::{ArrivalProcess, Outcome, Query, SourceMix, TrafficConfig};
-use rdbs_core::service::{Backend, ServiceConfig, SsspService};
+use rdbs_core::service::{ServiceConfig, SsspService};
 use rdbs_core::stats::{SsspResult, UpdateStats};
 use rdbs_core::{cpu, default_delta, saturating_relax, seq, Csr, VertexId, Weight, INF};
 use rdbs_gpu_sim::{AccessIr, Device, DeviceConfig, FaultPlan, FaultSpec, SanConfig, SanViolation};
@@ -68,8 +66,6 @@ pub(crate) enum Scenario {
     /// `refault`, the recovery ladder's rerun runs under the same fault
     /// plan (persistent faults), so recovery itself is under fire.
     Device { refault: bool },
-    /// The resident multi-GPU state over `k` shards.
-    MultiGpu(usize),
     /// The resident service running the entry's variant.
     Service(Shape),
 }
@@ -98,12 +94,7 @@ pub(crate) enum Shape {
 }
 
 impl Shape {
-    pub(crate) fn config(
-        self,
-        graph: &Csr,
-        variant: Variant,
-        delta0: Option<Weight>,
-    ) -> ServiceConfig {
+    pub(crate) fn config(self, graph: &Csr, variant: Variant) -> ServiceConfig {
         let streams = match self {
             Shape::Pooled => 1,
             Shape::Concurrent => 4,
@@ -111,9 +102,8 @@ impl Shape {
         };
         let capacity = (graph.num_vertices() as u32 / 3).max(8);
         ServiceConfig {
-            backend: Backend::Gpu(variant),
+            variant,
             device: DeviceConfig::test_tiny(),
-            delta0,
             streams,
             queue_capacity: (self == Shape::Spill).then_some(capacity),
         }
@@ -171,17 +161,6 @@ fn tiny() -> Device {
 /// `source + k`, wrapped into an `n`-vertex graph.
 fn offset(source: VertexId, k: u32, n: usize) -> VertexId {
     ((source as usize + k as usize) % n.max(1)) as VertexId
-}
-
-/// The multi-GPU configuration every `multi-gpu/k*` entry runs.
-fn multi_config(k: usize, delta0: Option<Weight>) -> MultiGpuConfig {
-    MultiGpuConfig {
-        num_devices: k,
-        device: DeviceConfig::test_tiny(),
-        interconnect_gbps: 50.0,
-        exchange_latency_us: 5.0,
-        delta0,
-    }
 }
 
 /// What to arm on the backend a scenario builds.
@@ -244,8 +223,7 @@ pub struct Entry {
     pub id: &'static str,
     pub(crate) scenario: Scenario,
     /// The kernel variant the device or service scenario runs — what
-    /// the adversary's scout profiles. `None` for host code and the
-    /// multi-GPU state.
+    /// the adversary's scout profiles. `None` for host code.
     pub(crate) variant: Option<Variant>,
     caps: u16,
 }
@@ -254,11 +232,6 @@ impl Entry {
     /// Whether the entry has every capability in `caps`.
     pub fn has(&self, caps: u16) -> bool {
         self.caps & caps == caps
-    }
-
-    /// Whether message-channel fault models have injection sites here.
-    pub(crate) fn carries_messages(&self) -> bool {
-        matches!(self.scenario, Scenario::MultiGpu(k) if k > 1)
     }
 
     /// The frontier layout the entry runs on (`single` when it has
@@ -323,29 +296,9 @@ impl Entry {
                     device.take_ir().into_iter().collect(),
                 )
             }
-            Scenario::MultiGpu(k) => {
-                let mut state = MultiGpuState::new(graph, &multi_config(k, delta0));
-                if arm.sanitizer {
-                    state.arm_sanitizer(SanConfig::default());
-                }
-                if arm.ir {
-                    state.arm_ir();
-                }
-                if let Some(spec) = arm.fault {
-                    state.arm_faults(spec);
-                }
-                // The injection log travels with the run; a panicked
-                // attempt reports none.
-                let (outcome, injections, fault_events) = match attempt(|| state.run(source)) {
-                    Ok(run) => (Ok((run.result, 0)), run.fault_injections, run.fault_events),
-                    Err(msg) => (Err(msg), 0, Vec::new()),
-                };
-                let violations = state.san_violations().into_iter().map(|(_, v)| v).collect();
-                (outcome, injections, fault_events, violations, state.san_total(), state.take_irs())
-            }
             Scenario::Service(shape) => {
                 let variant = variant.expect("service entries carry a variant");
-                let mut svc = SsspService::new(graph, shape.config(graph, variant, delta0));
+                let mut svc = SsspService::new(graph, shape.config(graph, variant));
                 if arm.sanitizer {
                     svc.arm_sanitizer(SanConfig::default());
                 }
@@ -393,18 +346,14 @@ impl Entry {
     }
 
     /// The recovery ladder's rung-2 rerun for a faulted attempt of this
-    /// entry: a fault-free multi-GPU rerun, or the synchronous variant
-    /// on a fresh device — under the same `fault` for a refaulting
-    /// entry.
+    /// entry: the synchronous variant on a fresh device — under the
+    /// same `fault` for a refaulting entry.
     pub(crate) fn rerun(
         &self,
         graph: &Csr,
         source: VertexId,
         fault: Option<FaultSpec>,
     ) -> SsspResult {
-        if let Scenario::MultiGpu(k) = self.scenario {
-            return MultiGpuState::new(graph, &multi_config(k, None)).run(source).result;
-        }
         let mut device = tiny();
         if let (Scenario::Device { refault: true }, Some(spec)) = (self.scenario, fault) {
             device.arm_faults(FaultPlan::new(spec));
@@ -416,7 +365,7 @@ impl Entry {
 /// Every entry point, in registry order. The Dijkstra oracle itself is
 /// included as a self-check of the harness.
 pub fn all() -> Vec<Entry> {
-    use Scenario::{Device as Dev, Host, MultiGpu, Service};
+    use Scenario::{Device as Dev, Host, Service};
     let rdbs = |cfg: RdbsConfig| Some(Variant::Rdbs(cfg));
     let mlmq = || rdbs(RdbsConfig::full().with_frontier(FrontierKind::Mlmq));
     let dev = Dev { refault: false };
@@ -452,9 +401,6 @@ pub fn all() -> Vec<Entry> {
             rdbs(RdbsConfig::full()),
             FAULTS | FUZZ | FRONTIER | QUICK,
         ),
-        entry("multi-gpu/k1", MultiGpu(1), None, DIFFERENTIAL | SANITIZE),
-        entry("multi-gpu/k2", MultiGpu(2), None, DIFFERENTIAL | FAULTS | SANITIZE | QUICK),
-        entry("multi-gpu/k4", MultiGpu(4), None, DIFFERENTIAL | SANITIZE),
         entry(
             "service/pooled",
             Service(Shape::Pooled),
@@ -470,14 +416,7 @@ pub fn all() -> Vec<Entry> {
         entry("service/traffic", Service(Shape::Traffic), rdbs(RdbsConfig::full()), service),
         entry("service/mlmq-spill", Service(Shape::Spill), mlmq(), FAULTS | FUZZ | QUICK),
         host("baseline/adds", |g, s, d| rdbs_baselines::adds(&mut tiny(), g, s, d)),
-        host("baseline/near-far", |g, s, d| rdbs_baselines::near_far(&mut tiny(), g, s, d)),
-        host("baseline/frontier-bf", |g, s, _| rdbs_baselines::frontier_bf(&mut tiny(), g, s)),
         host("baseline/pq-delta", |g, s, _| rdbs_baselines::pq_delta_stepping(g, s, THREADS, None)),
-        host("baseline/rho-stepping", |g, s, _| rdbs_baselines::rho_stepping(g, s, THREADS, 0.3)),
-        host("baseline/sep-graph", |g, s, _| rdbs_baselines::sep_graph(&mut tiny(), g, s).0),
-        host("framework/sssp", |g, s, _| {
-            rdbs_framework::algorithms::sssp(DeviceConfig::test_tiny(), g, s).0
-        }),
     ]
 }
 

@@ -1,21 +1,17 @@
-//! Cross-family properties of the pluggable frontier and the dynamic
-//! structure's input contract. The MLMQ reorders relaxations far more
-//! aggressively than the single workload-queue layout (lane-hashed
-//! sub-queues, spill to the deferred level), so the property worth
-//! pinning is end-to-end: on every graph family, driven through the
-//! concurrent service with real stream overlap, its final distances
-//! are exactly Dijkstra's.
+//! Cross-family properties of the pluggable frontier. The MLMQ reorders
+//! relaxations far more aggressively than the single workload-queue
+//! layout (lane-hashed sub-queues, spill to the deferred level), so the
+//! property worth pinning is end-to-end: on every graph family, driven
+//! through the concurrent service with real stream overlap, its final
+//! distances are exactly Dijkstra's.
 
 use proptest::prelude::*;
 use rdbs_conformance::families;
-use rdbs_core::dynamic::DynamicSssp;
 use rdbs_core::gpu::FrontierKind;
 use rdbs_core::seq::dijkstra;
 use rdbs_core::service::{ServiceConfig, SsspService};
 use rdbs_core::VertexId;
 use rdbs_gpu_sim::DeviceConfig;
-use rdbs_graph::builder::build_directed;
-use std::collections::HashMap;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
@@ -65,54 +61,4 @@ proptest! {
         );
         prop_assert_eq!(stats.fallbacks, 0, "spill must absorb pressure on-device");
     }
-}
-
-/// Collapse parallel edges to the per-direction minimum — the same
-/// normalization `DynamicSssp` applies — so the test can decide
-/// symmetry independently of the code under test.
-fn min_adjacency(graph: &rdbs_core::Csr) -> Vec<HashMap<VertexId, u32>> {
-    let mut adj: Vec<HashMap<VertexId, u32>> = vec![HashMap::new(); graph.num_vertices()];
-    for (u, v, w) in graph.all_edges() {
-        let e = adj[u as usize].entry(v).or_insert(w);
-        *e = (*e).min(w);
-    }
-    adj
-}
-
-/// Rebuilding any family's raw (pre-symmetrization) edge list as a
-/// directed CSR must be rejected by `DynamicSssp::try_new` with a
-/// typed error naming a genuinely asymmetric edge, while the
-/// undirected build of the same list is always accepted.
-#[test]
-fn directed_rebuild_is_rejected_with_typed_error_per_family() {
-    let mut rejected = 0;
-    for family in families() {
-        let directed = build_directed(&family.edge_list());
-        let adj = min_adjacency(&directed);
-        let symmetric = adj.iter().enumerate().all(|(u, nbrs)| {
-            nbrs.iter().all(|(&v, &w)| adj[v as usize].get(&(u as VertexId)) == Some(&w))
-        });
-
-        match DynamicSssp::try_new(&directed, 0) {
-            Err(e) => {
-                assert!(!symmetric, "{}: symmetric input must not be rejected", family.name);
-                assert_ne!(
-                    adj[e.v as usize].get(&e.u),
-                    Some(&e.weight),
-                    "{}: reported edge {} -> {} (weight {}) has an equal-weight reverse",
-                    family.name,
-                    e.u,
-                    e.v,
-                    e.weight
-                );
-                rejected += 1;
-            }
-            Ok(_) => assert!(symmetric, "{}: asymmetric input must be rejected", family.name),
-        }
-
-        let undirected = DynamicSssp::try_new(&family.build(), 0)
-            .unwrap_or_else(|e| panic!("{}: undirected build rejected: {e}", family.name));
-        assert_eq!(undirected.dist(), &dijkstra(&family.build(), 0).dist[..]);
-    }
-    assert!(rejected >= 1, "no family exercised the rejection path");
 }

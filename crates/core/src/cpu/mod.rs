@@ -1,8 +1,8 @@
 //! Native multithreaded CPU implementations (crossbeam-based).
 //!
-//! These serve two roles: they are real, wall-clock-benchmarkable
-//! SSSP implementations (used by the criterion benches), and they are
-//! the "CPU port" of the paper's ideas — [`async_bucket`] runs phase 1
+//! These serve two roles: they are real, wall-clock-measurable SSSP
+//! implementations (the `cpu-parallel` and `cpu-async` engines of
+//! `rdbs-cli`), and they are the "CPU port" of the paper's ideas — [`async_bucket`] runs phase 1
 //! asynchronously over a shared work pool exactly like §4.3's
 //! manager/worker scheme, while [`parallel_delta`] is the conventional
 //! layer-synchronous Δ-stepping.

@@ -4,8 +4,8 @@
 //! style): each phase-1 layer splits the current bucket across
 //! `threads` crossbeam scoped threads; relaxations use an atomic
 //! `fetch_min`; newly activated vertices are collected per-thread and
-//! merged. Used as the realistic CPU counterpart in the criterion
-//! benches.
+//! merged. The realistic CPU counterpart to the GPU kernels (`rdbs-cli
+//! --algo cpu-parallel`).
 
 use super::fetch_min;
 use crate::stats::trace::{self, Phase, TraceShard};

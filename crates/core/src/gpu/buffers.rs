@@ -610,4 +610,16 @@ mod tests {
         assert_eq!(items, vec![0, 1, 2, 3, 7]);
         assert!(q.is_empty(&d));
     }
+
+    /// Every seeding path host-pushes one source, so only a test pushes
+    /// one queue twice: each push must land in its own slot, in order.
+    #[test]
+    fn host_pushes_append_in_order() {
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let q = DeviceQueue::new(&mut d, "q", 4);
+        for v in [3, 5, 7] {
+            q.host_push(&mut d, v);
+        }
+        assert_eq!(q.drain_checked(&mut d), Ok(vec![3, 5, 7]));
+    }
 }

@@ -244,11 +244,13 @@ impl WorkloadQueues {
     /// PRO this is one load of the vertex's light range (the paper:
     /// "with property-driven reordering, we can quickly calculate the
     /// number of light edges"); without it the total degree serves as
-    /// the proxy.
+    /// the proxy. The subtraction wraps like the device's: a corrupted
+    /// pair with its end below its start classifies as a huge range in
+    /// debug and release builds alike.
     #[inline]
     fn light_degree(lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId) -> u32 {
         let (s, e) = gb.light_range(lane, v);
-        e - s
+        e.wrapping_sub(s)
     }
 
     /// Device-side enqueue with pending dedup and ADWL classification;
@@ -844,6 +846,26 @@ mod tests {
     }
 
     use super::super::buffers::GraphBuffers;
+
+    #[test]
+    fn inverted_light_range_wraps_to_large() {
+        // A faulted pair whose end sits below its start: the probe
+        // wraps like the device's u32 arithmetic instead of panicking
+        // in a debug build, and the vertex classifies as Large.
+        use rdbs_graph::builder::{build_undirected, EdgeList};
+        let el = EdgeList::from_edges(3, vec![(0, 1, 4), (0, 2, 9), (1, 2, 6)]);
+        let (g, _) = rdbs_graph::reorder::pro(&build_undirected(&el), 5);
+        let mut d = Device::new(DeviceConfig::test_tiny());
+        let gb = GraphBuffers::upload(&mut d, &g);
+        let pairs = gb.light_ranges.expect("PRO graphs carry light ranges");
+        d.write_word(pairs, 0, 5);
+        d.write_word(pairs, 1, 2);
+        let f = WorkloadQueues::new(&mut d, 3, true, ScatterMode::Scalar);
+        d.launch("classify", 1, move |lane| f.enqueue(lane, gb, 0, false));
+        let large = f.q[WorkloadClass::Large.index()];
+        assert_eq!(large.len(&d), 1, "an inverted range must classify as Large");
+        assert!(f.check(&d).is_ok());
+    }
 
     #[test]
     fn gang_reservation_landing_exactly_at_capacity_stays_clean() {

@@ -10,15 +10,11 @@
 pub mod bl;
 pub mod buffers;
 pub mod frontier;
-pub mod multi;
 pub mod rdbs;
 
 pub use bl::{bl, bl_on, BlScratch};
 pub use buffers::{DeviceQueue, GraphArrays, GraphBuffers, QueueOverflow};
 pub use frontier::{FrontierKind, ScatterMode};
-pub use multi::{
-    multi_gpu_sssp, multi_gpu_sssp_faulted, MultiGpuConfig, MultiGpuRun, MultiGpuState,
-};
 pub use rdbs::{rdbs_on, GpuBucketTrace, MonotonicityViolation, RdbsConfig, RdbsRun, RdbsScratch};
 
 use crate::stats::SsspResult;

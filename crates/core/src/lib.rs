@@ -19,9 +19,7 @@
 
 pub mod adaptive_delta;
 pub mod cpu;
-pub mod dynamic;
 pub mod gpu;
-pub mod paths;
 pub mod recover;
 pub mod seq;
 pub mod service;

@@ -2,8 +2,8 @@
 //! armed fault plan) without an oracle, and climb a recovery ladder
 //! until the answer is certified — so RDBS never returns a silently
 //! wrong answer. [`recover`] is the one entry point; the conformance
-//! registry builds the attempts (one-shot device runs, the multi-GPU
-//! state, the resident service's shapes) and hands them in.
+//! registry builds the attempts (one-shot device runs, the resident
+//! service's shapes) and hands them in.
 //!
 //! Detection is cheap and oracle-free:
 //!
@@ -22,7 +22,7 @@
 //!    bounded host-side re-relaxation seeded from the intact ones;
 //! 2. **Rerun** — the caller's rung-2 entry, typically the barrier-per-
 //!    layer [`crate::gpu::RdbsConfig::sync_delta`] variant on a fresh
-//!    device (for multi-GPU, a fault-free multi rerun);
+//!    device;
 //! 3. **Graceful degradation** — sequential Dijkstra.
 //!
 //! A rerun that is itself faulted (persistent-fault semantics: the
@@ -213,7 +213,7 @@ pub struct Attempt {
 /// the ladder until an answer is certified or `budget` runs out.
 /// `rerun` is the rung-2 entry — a synchronous rerun on a fresh device
 /// (with the fault re-armed for persistent-fault semantics, if the
-/// caller wants recovery under fire) or a fault-free multi-GPU rerun.
+/// caller wants recovery under fire).
 /// Unless the outcome is [`RecoveryOutcome::Exhausted`], the returned
 /// distances are audit-certified.
 pub fn recover(
@@ -360,9 +360,7 @@ fn repair_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{
-        multi_gpu_sssp, run_gpu_on, MultiGpuConfig, MultiGpuState, RdbsConfig, Variant,
-    };
+    use crate::gpu::{run_gpu_on, RdbsConfig, Variant};
     use crate::validate::check_against_dijkstra;
     use rdbs_gpu_sim::{Device, DeviceConfig, FaultModel, FaultPlan};
     use rdbs_graph::builder::build_undirected;
@@ -468,34 +466,6 @@ mod tests {
         let (_, _, clean) = repair_sweep(&g, 0, &mut dist, &audit.flagged, REPAIR_ROUNDS);
         assert!(clean);
         assert_eq!(dist, oracle.dist);
-    }
-
-    #[test]
-    fn multi_gpu_message_loss_recovers() {
-        let g = graph(5);
-        let config = MultiGpuConfig {
-            num_devices: 2,
-            device: tiny(),
-            interconnect_gbps: 50.0,
-            exchange_latency_us: 5.0,
-            delta0: None,
-        };
-        for seed in 0..3 {
-            let spec = FaultSpec::new(FaultModel::LostMessage, 0.5, seed);
-            let mut state = MultiGpuState::new(&g, &config);
-            state.arm_faults(spec);
-            let run = state.run(0);
-            let attempt = Attempt {
-                fault: Some(spec),
-                injections: run.fault_injections,
-                fault_events: run.fault_events,
-                outcome: Ok((run.result, 0)),
-            };
-            let rerun = |g: &Csr, s: VertexId| multi_gpu_sssp(g, s, &config).result;
-            let run = recover(&g, 0, attempt, &rerun, RecoveryBudget::default());
-            check_against_dijkstra(&g, 0, &run.result.dist)
-                .unwrap_or_else(|m| panic!("seed {seed}: {m}\n{}", run.report));
-        }
     }
 
     #[test]

@@ -40,10 +40,7 @@
 //! deterministic simulator the rest of the workspace uses.
 
 use super::cache::{AnswerCache, CacheConfig};
-use super::{
-    escalate_queues, lane_buffers, note_query_parts, peak_overlap, GpuState, Scratch, SsspService,
-    State,
-};
+use super::{escalate_queues, lane_buffers, note_query_parts, peak_overlap, Scratch, SsspService};
 use crate::gpu::bl::bl_on;
 use crate::gpu::buffers::QueueOverflow;
 use crate::gpu::rdbs::RdbsDriver;
@@ -416,8 +413,6 @@ impl Predictor {
 
 impl SsspService {
     /// Serve a seeded open-loop workload — see the module docs.
-    /// Requires a single-GPU backend (the multi-GPU port has no shared
-    /// simulated clock to schedule on).
     pub fn serve_open_loop(&mut self, cfg: &TrafficConfig) -> TrafficReport {
         let n = self.num_vertices() as u32;
         let queries = generate_arrivals(cfg, n);
@@ -500,10 +495,6 @@ impl SsspService {
     /// the queries that die at the escalation ceiling to the caller.
     pub(super) fn schedule(&mut self, queries: &[Query], cfg: &TrafficConfig) -> Scheduled {
         assert!(
-            matches!(self.state, State::Gpu(_)),
-            "the traffic tier requires a single-GPU backend"
-        );
-        assert!(
             queries.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
             "queries must arrive in order"
         );
@@ -535,12 +526,9 @@ impl SsspService {
         let base_ns;
 
         {
-            let State::Gpu(st) = &mut self.state else { unreachable!("gated above") };
-            let GpuState { device, variant, perm, arrays, lanes } = &mut **st;
-            let lanes = &mut lanes[..streams];
-            let graph = &self.graph;
-            let cache = &mut self.traffic_cache;
-            let rdbs_cfg = match *variant {
+            let Self { device, perm, arrays, graph, traffic_cache: cache, .. } = self;
+            let lanes = &mut self.lanes[..streams];
+            let rdbs_cfg = match self.config.variant {
                 Variant::Rdbs(c) => Some(c),
                 Variant::Baseline => None,
             };

@@ -112,9 +112,8 @@ pub struct BatchStats {
     pub inflight_peak: u64,
     /// Per-query *simulated device service* latencies, milliseconds,
     /// in completion order: dispatch → completion on the query's
-    /// stream. Covers device-answered queries on the single-GPU
-    /// backend (host fallbacks and the multi-GPU backend contribute
-    /// nothing); includes escalation replays. When
+    /// stream. Covers device-answered queries (host fallbacks
+    /// contribute nothing); includes escalation replays. When
     /// [`BatchStats::fallbacks`] > 0, `per_query_sim_ms.len()` is
     /// *smaller* than [`BatchStats::queries`] — the slowest queries
     /// are exactly the missing ones, so tail claims must use
@@ -128,9 +127,8 @@ pub struct BatchStats {
     /// ceiling-hit queries re-answered by the host fallback (their
     /// sojourn ends at the device attempt's death; the host recompute
     /// runs off the simulated timeline, after the run's device
-    /// answers, so they come last), so on the single-GPU backend
-    /// `per_query_sojourn_ms.len() == queries`. The multi-GPU backend
-    /// has no shared simulated clock and contributes nothing.
+    /// answers, so they come last), so
+    /// `per_query_sojourn_ms.len() == queries`.
     pub per_query_sojourn_ms: Vec<f64>,
     /// Queries refused by the traffic tier's admission control with a
     /// typed rejection ([`crate::service::traffic`]) — never counted

@@ -179,22 +179,6 @@ fn generations_recycle_and_stay_correct() {
     assert_eq!(stats.graph_uploads, 4 * 4, "four generations x four graph arrays");
 }
 
-/// The multi-GPU backend behind the same service front answers a
-/// batch correctly and uploads each shard's arrays exactly once.
-#[test]
-fn multi_gpu_backend_serves_batches() {
-    let g = graph(160, 800, 77);
-    let mut svc = SsspService::new(&g, ServiceConfig::multi(2, tiny()));
-    let uploads = svc.device_uploads();
-    assert!(uploads > 0);
-    let sources: Vec<VertexId> = vec![0, 40, 80, 120];
-    for r in svc.batch(&sources) {
-        let oracle = dijkstra(&g, r.source);
-        assert!(check_against(&oracle.dist, &r.dist).is_ok(), "source {}", r.source);
-    }
-    assert_eq!(svc.device_uploads(), uploads, "batch must not re-upload shards");
-}
-
 /// A graph with a single vertex and no edges is the degenerate corner
 /// every pool size-class computation has to survive.
 #[test]

@@ -301,8 +301,8 @@ impl Arena {
 
 /// A host-side staging buffer with per-word shadow-poison tracking.
 ///
-/// Host code that assembles an upload incrementally (CSR arrays,
-/// boundary-exchange batches…) historically lost the sanitizer's
+/// Host code that assembles an upload incrementally (CSR arrays…)
+/// historically lost the sanitizer's
 /// uninitialized-read check at the host→device seam: `alloc_upload`
 /// cleared poison wholesale, so a word the host *never actually wrote*
 /// arrived on device looking initialized (as a silent zero). Staging

@@ -389,20 +389,6 @@ impl Device {
         self.fault.as_ref().map_or(&[], super::fault::FaultPlan::log)
     }
 
-    /// Total injections so far, including any beyond the log cap.
-    pub fn fault_injections(&self) -> u64 {
-        self.fault.as_ref().map_or(0, super::fault::FaultPlan::injections)
-    }
-
-    /// Apply the armed plan's message-fault models to an outgoing
-    /// boundary-exchange batch (no-op when nothing is armed — the
-    /// multi-device exchange calls this unconditionally).
-    pub fn fault_filter_messages(&mut self, msgs: &mut Vec<(u32, u32)>) {
-        if let Some(plan) = self.fault.as_mut() {
-            plan.filter_messages(msgs);
-        }
-    }
-
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.config

@@ -14,11 +14,7 @@
 //!   silently discarded, as when the device launch pool is exhausted;
 //! * **StaleRead** — a plain load is served from a snapshot of device
 //!   memory several kernels old, widening the asynchronous visibility
-//!   window far beyond what [`crate::buffer::Arena`] snapshots model;
-//! * **LostMessage** / **DuplicatedMessage** / **ReorderedMessage** —
-//!   update-queue messages in a multi-device boundary exchange are
-//!   dropped, repeated or shuffled (hooked by the host-side exchange
-//!   via [`crate::Device::fault_filter_messages`]).
+//!   window far beyond what [`crate::buffer::Arena`] snapshots model.
 //!
 //! Everything is driven by one splitmix64 stream seeded from
 //! [`FaultSpec::seed`]: the same spec replays the same faults
@@ -45,25 +41,16 @@ pub enum FaultModel {
     FailedChildLaunch,
     /// A load observes a stale snapshot of the word.
     StaleRead,
-    /// A boundary-exchange message is dropped.
-    LostMessage,
-    /// A boundary-exchange message is delivered twice.
-    DuplicatedMessage,
-    /// Boundary-exchange messages are reordered.
-    ReorderedMessage,
 }
 
 impl FaultModel {
     /// Every fault model, for matrix-style sweeps.
-    pub const ALL: [FaultModel; 8] = [
+    pub const ALL: [FaultModel; 5] = [
         FaultModel::BitFlip,
         FaultModel::DroppedAtomicMin,
         FaultModel::DuplicatedAtomicMin,
         FaultModel::FailedChildLaunch,
         FaultModel::StaleRead,
-        FaultModel::LostMessage,
-        FaultModel::DuplicatedMessage,
-        FaultModel::ReorderedMessage,
     ];
 
     /// Stable CLI-friendly name.
@@ -74,24 +61,12 @@ impl FaultModel {
             FaultModel::DuplicatedAtomicMin => "duplicated-atomic",
             FaultModel::FailedChildLaunch => "failed-child-launch",
             FaultModel::StaleRead => "stale-read",
-            FaultModel::LostMessage => "lost-message",
-            FaultModel::DuplicatedMessage => "duplicated-message",
-            FaultModel::ReorderedMessage => "reordered-message",
         }
     }
 
     /// Inverse of [`FaultModel::name`].
     pub fn from_name(name: &str) -> Option<FaultModel> {
         FaultModel::ALL.iter().copied().find(|m| m.name() == name)
-    }
-
-    /// Whether this model only fires in the multi-device boundary
-    /// exchange (and is a no-op on single-device kernels).
-    pub fn is_message_model(&self) -> bool {
-        matches!(
-            self,
-            FaultModel::LostMessage | FaultModel::DuplicatedMessage | FaultModel::ReorderedMessage
-        )
     }
 }
 
@@ -108,7 +83,7 @@ pub struct FaultSpec {
     /// Which fault class to inject.
     pub model: FaultModel,
     /// Probability in `[0, 1]` that each opportunity (load, atomic,
-    /// child launch, message…) fires.
+    /// child launch) fires.
     pub rate: f64,
     /// PRNG seed making the injection sequence replayable.
     pub seed: u64,
@@ -154,9 +129,9 @@ impl FaultSpec {
 /// the historical uniform behaviour bit-for-bit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FaultTarget {
-    /// Buffer label / kernel name / `"exchange"` the fault must hit.
+    /// Buffer label or kernel name the fault must hit.
     pub site: Option<&'static str>,
-    /// Inclusive word-index (or message-slot) window. Ignored at
+    /// Inclusive word-index window. Ignored at
     /// opportunities that carry no index (e.g. child launches).
     pub index: Option<(u32, u32)>,
     /// Inclusive wave-number window (waves count from 1, across the
@@ -223,9 +198,9 @@ impl std::fmt::Display for FaultTarget {
 pub struct FaultEvent {
     /// The fault class that fired.
     pub model: FaultModel,
-    /// Buffer label, kernel name, or `"exchange"` for message models.
+    /// Buffer label or kernel name.
     pub site: &'static str,
-    /// Word index, message slot, or 0 when not meaningful.
+    /// Word index, or 0 when not meaningful.
     pub index: u32,
     /// Model-specific detail: flipped bit, stale age in kernels,
     /// duplicated value… 0 when not meaningful.
@@ -419,50 +394,6 @@ impl FaultPlan {
         }
         false
     }
-
-    /// Host-side boundary-exchange hook: mutate the outgoing
-    /// `(vertex, distance)` message batch in place.
-    pub fn filter_messages(&mut self, msgs: &mut Vec<(u32, u32)>) {
-        // Matching on a copy keeps `self` free for the guard below.
-        let model = self.spec.model;
-        match model {
-            FaultModel::LostMessage => {
-                let mut slot = 0u32;
-                let mut plan = std::mem::take(msgs);
-                plan.retain(|&(v, _)| {
-                    let keep = !(self.targeted("exchange", Some(slot)) && self.fires());
-                    if !keep {
-                        self.record("exchange", slot, v);
-                    }
-                    slot += 1;
-                    keep
-                });
-                *msgs = plan;
-            }
-            FaultModel::DuplicatedMessage => {
-                let mut out = Vec::with_capacity(msgs.len());
-                for (slot, &(v, d)) in msgs.iter().enumerate() {
-                    out.push((v, d));
-                    if self.targeted("exchange", Some(slot as u32)) && self.fires() {
-                        self.record("exchange", slot as u32, v);
-                        out.push((v, d));
-                    }
-                }
-                *msgs = out;
-            }
-            FaultModel::ReorderedMessage
-                if msgs.len() >= 2 && self.targeted("exchange", None) && self.fires() =>
-            {
-                // Deterministic Fisher–Yates off the plan stream.
-                for i in (1..msgs.len()).rev() {
-                    let j = (splitmix64(&mut self.state) % (i as u64 + 1)) as usize;
-                    msgs.swap(i, j);
-                }
-                self.record("exchange", msgs.len() as u32, 0);
-            }
-            _ => {}
-        }
-    }
 }
 
 /// Outcome of the `atomicMin` hook.
@@ -523,26 +454,6 @@ mod tests {
         };
         assert_eq!(run(11), run(11));
         assert_ne!(run(11).0, run(12).0);
-    }
-
-    #[test]
-    fn message_models_mutate_batches() {
-        let batch: Vec<(u32, u32)> = (0..20).map(|i| (i, i * 10)).collect();
-
-        let mut lost = batch.clone();
-        plan(FaultModel::LostMessage, 1.0, 1).filter_messages(&mut lost);
-        assert!(lost.is_empty());
-
-        let mut dup = batch.clone();
-        plan(FaultModel::DuplicatedMessage, 1.0, 1).filter_messages(&mut dup);
-        assert_eq!(dup.len(), 40);
-
-        let mut shuffled = batch.clone();
-        plan(FaultModel::ReorderedMessage, 1.0, 1).filter_messages(&mut shuffled);
-        assert_ne!(shuffled, batch);
-        let mut sorted = shuffled.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, batch, "reordering must not lose or invent messages");
     }
 
     #[test]

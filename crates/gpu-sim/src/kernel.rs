@@ -1495,7 +1495,7 @@ mod tests {
         let (first, second) = seen.get();
         assert_eq!(first, 10, "the first word is not targeted");
         assert_eq!((second ^ 20).count_ones(), 1);
-        assert_eq!(d.fault_injections(), 1);
+        assert_eq!(d.fault_log().len(), 1);
     }
 
     #[test]
@@ -1912,7 +1912,7 @@ mod tests {
             let v = lane.ld(victim, 0);
             lane.st(out, 0, v);
         });
-        assert_eq!(d.fault_injections(), 1);
+        assert_eq!(d.fault_log().len(), 1);
         // The flip landed on the stale value 7 and persisted.
         assert_eq!((d.read_word(victim, 0) ^ 7).count_ones(), 1);
         // The word now holds a defined value: a later kernel's read

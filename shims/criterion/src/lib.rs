@@ -1,134 +1,10 @@
 //! Offline shim for `criterion`.
 //!
-//! A small wall-clock benchmarking harness exposing the criterion API
-//! this workspace's benches use (`benchmark_group`, `bench_function`,
-//! `bench_with_input`, `Throughput`, `BenchmarkId`). Like real
-//! criterion it reports robust statistics — the median and the median
-//! absolute deviation over samples surviving a 1.5×IQR outlier fence —
+//! Only the robust statistics survive: the median and the median
+//! absolute deviation over samples surviving a 1.5×IQR outlier fence,
 //! rather than a wall-clock mean, which a single scheduler hiccup can
-//! drag arbitrarily far. Plain-text output only; no HTML reports.
-
-use std::fmt::Display;
-use std::time::{Duration, Instant};
-
-/// Opaque value sink preventing the optimizer from deleting benchmark
-/// bodies.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-#[derive(Clone, Debug)]
-pub struct BenchmarkId {
-    name: String,
-}
-
-impl BenchmarkId {
-    pub fn new(name: impl Into<String>, param: impl Display) -> Self {
-        BenchmarkId { name: format!("{}/{}", name.into(), param) }
-    }
-}
-
-impl From<&str> for BenchmarkId {
-    fn from(s: &str) -> Self {
-        BenchmarkId { name: s.to_string() }
-    }
-}
-
-impl From<String> for BenchmarkId {
-    fn from(s: String) -> Self {
-        BenchmarkId { name: s }
-    }
-}
-
-#[derive(Clone, Copy, Debug)]
-pub enum Throughput {
-    Elements(u64),
-    Bytes(u64),
-}
-
-pub struct Criterion {
-    sample_size: usize,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion { sample_size: 10 }
-    }
-}
-
-impl Criterion {
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let name = name.into();
-        println!("\nbench group: {name}");
-        BenchmarkGroup { _parent: self, name, sample_size: 10, throughput: None }
-    }
-
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F)
-    where
-        F: FnMut(&mut Bencher),
-    {
-        run_one(&id.into().name, self.sample_size, None, f);
-    }
-}
-
-pub struct BenchmarkGroup<'a> {
-    _parent: &'a mut Criterion,
-    name: String,
-    sample_size: usize,
-    throughput: Option<Throughput>,
-}
-
-impl BenchmarkGroup<'_> {
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n;
-        self
-    }
-
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
-        self
-    }
-
-    pub fn bench_function<F>(&mut self, id: impl Into<BenchmarkId>, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let id = format!("{}/{}", self.name, id.into().name);
-        run_one(&id, self.sample_size, self.throughput, f);
-        self
-    }
-
-    pub fn bench_with_input<I: ?Sized, F>(
-        &mut self,
-        id: impl Into<BenchmarkId>,
-        input: &I,
-        mut f: F,
-    ) -> &mut Self
-    where
-        F: FnMut(&mut Bencher, &I),
-    {
-        self.bench_function(id, |b| f(b, input))
-    }
-
-    pub fn finish(&mut self) {}
-}
-
-pub struct Bencher {
-    samples: Vec<Duration>,
-    iters_per_sample: u64,
-}
-
-impl Bencher {
-    pub fn iter<R, F: FnMut() -> R>(&mut self, mut body: F) {
-        for _ in 0..self.samples.capacity() {
-            let start = Instant::now();
-            for _ in 0..self.iters_per_sample {
-                black_box(body());
-            }
-            self.samples.push(start.elapsed() / self.iters_per_sample as u32);
-        }
-    }
-}
+//! drag arbitrarily far. The `multisplit` bench times its own runs and
+//! summarizes them here.
 
 /// Robust summary of a sample set: median and median absolute
 /// deviation after rejecting points outside the 1.5×IQR fences.
@@ -177,57 +53,6 @@ pub fn robust_stats(samples: &[f64]) -> RobustStats {
     dev.sort_by(|a, b| a.partial_cmp(b).expect("deviations are finite"));
     let mad = sorted_median(&dev);
     RobustStats { median, mad, kept: kept.len(), rejected: samples.len() - kept.len() }
-}
-
-fn run_one<F>(id: &str, sample_size: usize, throughput: Option<Throughput>, mut f: F)
-where
-    F: FnMut(&mut Bencher),
-{
-    let mut b = Bencher { samples: Vec::with_capacity(sample_size.max(1)), iters_per_sample: 1 };
-    f(&mut b);
-    if b.samples.is_empty() {
-        println!("  {id:<40} (no samples)");
-        return;
-    }
-    let secs: Vec<f64> = b.samples.iter().map(Duration::as_secs_f64).collect();
-    let stats = robust_stats(&secs);
-    let median = Duration::from_secs_f64(stats.median);
-    let mad = Duration::from_secs_f64(stats.mad);
-    let rate = throughput
-        .map(|t| match t {
-            Throughput::Elements(n) => {
-                format!("  {:>12.0} elem/s", n as f64 / stats.median)
-            }
-            Throughput::Bytes(n) => {
-                format!("  {:>12.0} B/s", n as f64 / stats.median)
-            }
-        })
-        .unwrap_or_default();
-    let fence = if stats.rejected > 0 {
-        format!("  ({} outlier(s) fenced)", stats.rejected)
-    } else {
-        String::new()
-    };
-    println!("  {id:<40} median {median:>10.3?}  mad {mad:>10.3?}{rate}{fence}");
-}
-
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        pub fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
 }
 
 #[cfg(test)]

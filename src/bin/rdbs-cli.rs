@@ -18,8 +18,7 @@
 //! its own through a hook, and rejects any other flag with its usage
 //! (exit 2).
 
-use rdbs::baselines::{adds, frontier_bf, near_far, pq_delta_stepping};
-use rdbs::baselines::{rho_stepping, sep_graph};
+use rdbs::baselines::{adds, pq_delta_stepping};
 use rdbs::conformance::SweepOptions;
 use rdbs::graph::builder::{build_directed, build_undirected};
 use rdbs::graph::generate::{
@@ -29,11 +28,9 @@ use rdbs::graph::generate::{
 use rdbs::graph::{datasets, io, Csr, Dist, VertexId, Weight, INF};
 use rdbs::sim::{Device, DeviceConfig};
 use rdbs::sssp::cpu::{async_bucket_sssp, default_threads, parallel_delta_stepping};
-use rdbs::sssp::gpu::{multi_gpu_sssp, MultiGpuConfig};
 use rdbs::sssp::gpu::{run_gpu, FrontierKind, RdbsConfig, Variant};
 use rdbs::sssp::seq::dial;
 use rdbs::sssp::seq::{bellman_ford, delta_stepping, dijkstra};
-use rdbs::sssp::service::Backend;
 use rdbs::sssp::{default_delta, validate};
 use std::io::BufReader;
 use std::process::exit;
@@ -153,21 +150,17 @@ fn num<T: std::str::FromStr>(s: &str, usage: fn() -> !) -> T {
     s.parse().unwrap_or_else(|_| usage())
 }
 
-/// The engines `--algo` and `serve --backend` share: full RDBS, its
-/// ablations (BASYN+PRO, BASYN+ADWL, BASYN, sync Δ), BL and the
-/// multi-GPU port over K devices (default 2).
-fn backend_named(name: &str, delta0: Option<Weight>) -> Option<Backend> {
-    let rdbs = |cfg| Some(Backend::Gpu(Variant::Rdbs(RdbsConfig { delta0, ..cfg })));
+/// The device variants `--algo` and `serve --backend` share: full
+/// RDBS, its ablations (BASYN+PRO, BASYN+ADWL, BASYN, sync Δ) and BL.
+fn variant_named(name: &str, delta0: Option<Weight>) -> Option<Variant> {
+    let rdbs = |cfg| Some(Variant::Rdbs(RdbsConfig { delta0, ..cfg }));
     match name {
         "rdbs" => rdbs(RdbsConfig::full()),
         "basyn-pro" => rdbs(RdbsConfig::basyn_pro()),
         "basyn-adwl" => rdbs(RdbsConfig::basyn_adwl()),
         "basyn" => rdbs(RdbsConfig::basyn_only()),
         "sync-delta" => rdbs(RdbsConfig::sync_delta()),
-        "bl" => Some(Backend::Gpu(Variant::Baseline)),
-        m if m.starts_with("multi-gpu") => {
-            Some(Backend::MultiGpu(m.split(':').nth(1).and_then(|k| k.parse().ok()).unwrap_or(2)))
-        }
+        "bl" => Some(Variant::Baseline),
         _ => None,
     }
 }
@@ -261,10 +254,9 @@ graph input (one of):
   --format edgelist|dimacs|mtx|binary
 
 run options:
-  --algo rdbs|basyn-pro|basyn-adwl|basyn|sync-delta|bl|frontier-bf|
-         adds|near-far|sep-graph|framework|multi-gpu:K|
+  --algo rdbs|basyn-pro|basyn-adwl|basyn|sync-delta|bl|adds|
          dijkstra|dial|bellman-ford|delta-stepping|
-         cpu-parallel|cpu-async|pq-delta|rho-stepping|all
+         cpu-parallel|cpu-async|pq-delta|all
   --source V          starting vertex (default 0)
   --seed S            rng seed (default 42)
   --device V100|T4|TINY  simulated GPU (default V100)
@@ -312,22 +304,10 @@ fn run_main(args: Vec<String>) {
         exit(2);
     }
     let algos: Vec<String> = if r.algo == "all" {
-        [
-            "rdbs",
-            "bl",
-            "adds",
-            "near-far",
-            "frontier-bf",
-            "sep-graph",
-            "framework",
-            "dijkstra",
-            "dial",
-            "cpu-parallel",
-            "pq-delta",
-        ]
-        .iter()
-        .map(std::string::ToString::to_string)
-        .collect()
+        ["rdbs", "bl", "adds", "dijkstra", "dial", "cpu-parallel", "pq-delta"]
+            .iter()
+            .map(std::string::ToString::to_string)
+            .collect()
     } else {
         vec![r.algo.clone()]
     };
@@ -343,8 +323,8 @@ fn run_algo(o: &Options, r: &Run, g: &Csr, algo: &str) {
     let s = r.source;
     let started = std::time::Instant::now();
 
-    let (dist, sim_ms, label) = match backend_named(algo, o.sweep.delta0) {
-        Some(Backend::Gpu(v)) => {
+    let (dist, sim_ms, label) = match variant_named(algo, o.sweep.delta0) {
+        Some(v) => {
             let run = run_gpu(g, s, v, device);
             if r.profile {
                 let c = &run.counters;
@@ -361,41 +341,10 @@ fn run_algo(o: &Options, r: &Run, g: &Csr, algo: &str) {
             }
             (run.result.dist, Some(run.elapsed_ms), run.label)
         }
-        Some(Backend::MultiGpu(k)) => {
-            let cfg = MultiGpuConfig { device, delta0: o.sweep.delta0, ..MultiGpuConfig::v100s(k) };
-            let run = multi_gpu_sssp(g, s, &cfg);
-            if r.profile {
-                println!(
-                    "  multi-gpu: {} devices, {} supersteps, {:.4} ms exchange, {} bytes moved",
-                    k, run.supersteps, run.exchange_ms, run.exchanged_bytes
-                );
-            }
-            (run.result.dist, Some(run.elapsed_ms), format!("multi-GPU x{k}"))
-        }
         None => match algo {
             "adds" => {
                 let mut d = Device::new(device);
                 (adds(&mut d, g, s, delta).dist, Some(d.elapsed_ms()), "ADDS".into())
-            }
-            "near-far" => {
-                let mut d = Device::new(device);
-                (near_far(&mut d, g, s, delta).dist, Some(d.elapsed_ms()), "Near-Far".into())
-            }
-            "frontier-bf" => {
-                let mut d = Device::new(device);
-                (frontier_bf(&mut d, g, s).dist, Some(d.elapsed_ms()), "Frontier-BF".into())
-            }
-            "sep-graph" => {
-                let mut d = Device::new(device);
-                let (res, modes) = sep_graph(&mut d, g, s);
-                if r.profile {
-                    println!("  modes: {modes:?}");
-                }
-                (res.dist, Some(d.elapsed_ms()), "SEP-Graph hybrid".into())
-            }
-            "framework" => {
-                let (res, engine) = rdbs::framework::algorithms::sssp(device, g, s);
-                (res.dist, Some(engine.elapsed_ms()), "framework (Gunrock-style)".into())
             }
             "dijkstra" => (dijkstra(g, s).dist, None, "Dijkstra".into()),
             "dial" => (dial(g, s).dist, None, "Dial".into()),
@@ -413,9 +362,6 @@ fn run_algo(o: &Options, r: &Run, g: &Csr, algo: &str) {
             ),
             "pq-delta" => {
                 (pq_delta_stepping(g, s, threads, None).dist, None, format!("PQ-Δ* ({threads}t)"))
-            }
-            "rho-stepping" => {
-                (rho_stepping(g, s, threads, 0.1).dist, None, format!("ρ-stepping ({threads}t)"))
             }
             other => {
                 eprintln!("unknown algorithm '{other}'");
@@ -466,11 +412,11 @@ with --validate, if any query disagrees with Dijkstra).
   --sources K         sources in the batch (default 16, seeded-random;
                       with --arrivals, the number of offered queries)
   --streams N         concurrent command streams for the batch
-                      (default 1 = sequential; rdbs/bl backends only)
+                      (default 1 = sequential)
   --gen SPEC          graph spec, as in the run mode (default
                       kronecker:12:16; erdos:1500:6000 with --quick)
-  --backend rdbs|bl|multi-gpu:K
-                      execution engine (default rdbs = BASYN+PRO+ADWL)
+  --backend rdbs|basyn-pro|basyn-adwl|basyn|sync-delta|bl
+                      device variant (default rdbs = BASYN+PRO+ADWL)
   --frontier single|mlmq
                       device frontier layout for the rdbs backend
                       (default single; mlmq spills overflow to the next
@@ -486,7 +432,7 @@ with --validate, if any query disagrees with Dijkstra).
 
 open-loop traffic mode (simulated-time arrivals instead of a batch;
 deadline-aware EDF dispatch, admission control with typed shedding,
-optional answer cache; single-GPU backends only):
+optional answer cache):
   --arrivals poisson|mmpp
                       offered as a seeded arrival process over
                       simulated time
@@ -555,13 +501,13 @@ fn serve_main(args: Vec<String>) -> ! {
     let n = g.num_vertices();
     println!("graph: {} vertices, {} directed edges", n, g.num_edges());
 
-    let backend = backend_named(&backend_spec, delta0).unwrap_or_else(|| serve_usage());
+    let variant = variant_named(&backend_spec, delta0).unwrap_or_else(|| serve_usage());
     if streams == 0 {
         serve_usage();
     }
-    let mut config = ServiceConfig { backend, device: o.device(), delta0, streams, queue_capacity };
+    let mut config = ServiceConfig { variant, device: o.device(), streams, queue_capacity };
     if let Some(kind) = o.sweep.frontier {
-        if !matches!(config.backend, Backend::Gpu(Variant::Rdbs(_))) {
+        if !matches!(variant, Variant::Rdbs(_)) {
             eprintln!("error: --frontier only applies to the rdbs backend\n");
             serve_usage();
         }
@@ -583,10 +529,6 @@ fn serve_main(args: Vec<String>) -> ! {
     // closed-loop batch.
     if let Some(kind) = arrivals {
         use rdbs::sssp::service::traffic::{ArrivalProcess, Outcome, SourceMix, TrafficConfig};
-        if matches!(backend, Backend::MultiGpu(_)) {
-            eprintln!("error: --arrivals requires a single-GPU backend (rdbs or bl)\n");
-            serve_usage();
-        }
         // Calibrate rate/SLO defaults from one probe query's measured
         // service time so the workload stresses admission regardless
         // of graph or device scale.

@@ -8,8 +8,8 @@
 //!   dynamic parallelism, nvprof-style counters, V100/T4 presets).
 //! * [`sssp`] — the SSSP algorithms: the paper's RDBS plus the ablations
 //!   (BL, BASYN, +PRO, +ADWL) and sequential/CPU-parallel references.
-//! * [`baselines`] — comparators: ADDS (GPU, async Δ-stepping), PQ-Δ*
-//!   (CPU, lazy-batched priority queue), Near-Far, GPU Bellman-Ford.
+//! * [`baselines`] — comparators: ADDS (GPU, async Δ-stepping) and PQ-Δ*
+//!   (CPU, lazy-batched priority queue).
 //! * [`conformance`] — the differential correctness harness: every
 //!   implementation vs the Dijkstra oracle, with delta-debugging
 //!   witness minimization and first-divergence localization
@@ -20,6 +20,5 @@
 pub use rdbs_baselines as baselines;
 pub use rdbs_conformance as conformance;
 pub use rdbs_core as sssp;
-pub use rdbs_framework as framework;
 pub use rdbs_gpu_sim as sim;
 pub use rdbs_graph as graph;

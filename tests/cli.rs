@@ -188,16 +188,16 @@ fn seedless_sweeps_reject_seed() {
 }
 
 #[test]
-fn multi_gpu_algo_honours_delta0() {
+fn rdbs_algo_honours_delta0() {
     let profile = |delta: &str| {
-        let args = ["--gen", "kronecker:10:8", "--algo", "multi-gpu:2", "--profile", "--delta0"];
+        let args = ["--gen", "kronecker:10:8", "--algo", "rdbs", "--profile", "--delta0"];
         let out = cli().args(args).arg(delta).output().expect("cli must run");
         assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
         let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        let line = stdout.lines().find(|l| l.contains("supersteps"));
-        line.unwrap_or_else(|| panic!("no multi-gpu profile in: {stdout}")).to_string()
+        let line = stdout.lines().find(|l| l.contains("profile["));
+        line.unwrap_or_else(|| panic!("no rdbs profile in: {stdout}")).to_string()
     };
-    assert_ne!(profile("1"), profile("1000"), "the bucket width never reached the devices");
+    assert_ne!(profile("1"), profile("1000"), "the bucket width never reached the device");
 }
 
 /// Δ = 0 never advances a bucket window: every mode that reads
@@ -206,9 +206,9 @@ fn multi_gpu_algo_honours_delta0() {
 fn delta0_zero_is_a_usage_error_in_every_mode() {
     let cases: [&[&str]; 5] = [
         &["--gen", "erdos:300:1500", "--algo", "delta-stepping", "--delta0", "0"],
-        &["--gen", "erdos:300:1500", "--algo", "multi-gpu:2", "--delta0", "0"],
-        &["serve", "--quick", "--backend", "multi-gpu:2", "--delta0", "0"],
-        &["verify", "--quick", "--impl", "multi-gpu/k2", "--delta0", "0"],
+        &["--gen", "erdos:300:1500", "--algo", "rdbs", "--delta0", "0"],
+        &["serve", "--quick", "--backend", "rdbs", "--delta0", "0"],
+        &["verify", "--quick", "--impl", "gpu/full", "--delta0", "0"],
         &["chaos", "--quick", "--delta0", "0"],
     ];
     for args in cases {
@@ -228,15 +228,17 @@ fn serve_quick_batch_is_green() {
     assert!(stdout.contains("serve: OK — one upload served 8 queries"), "stdout: {stdout}");
 }
 
-/// Flags a mode does not read, and values it cannot serve, are usage
-/// errors (exit 2).
+/// Flags a mode does not read, values it cannot serve, and retired
+/// engine names are usage errors (exit 2).
 #[test]
 fn serve_and_verify_usage_errors() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 8] = [
         &["serve", "--quick", "--streams", "0"],
         &["serve", "--quick", "--queue-capacity", "0"],
         &["serve", "--quick", "--backend", "bl", "--frontier", "mlmq"],
-        &["serve", "--quick", "--backend", "multi-gpu:2", "--arrivals", "poisson"],
+        &["serve", "--quick", "--backend", "multi-gpu:2"],
+        &["--gen", "erdos:300:1500", "--algo", "multi-gpu:2"],
+        &["--gen", "erdos:300:1500", "--algo", "near-far"],
         &["serve", "--load", "x"],
         &["verify", "--device", "T4"],
     ];

@@ -96,61 +96,3 @@ proptest! {
         prop_assert!((a.elapsed_ms - b.elapsed_ms).abs() < 1e-12);
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
-
-    #[test]
-    fn multi_gpu_matches_dijkstra(g in arb_graph(40, 120), k in 1usize..5, src in 0u32..40) {
-        use rdbs::sssp::gpu::{multi_gpu_sssp, MultiGpuConfig};
-        let src = src % g.num_vertices() as u32;
-        let cfg = MultiGpuConfig {
-            num_devices: k,
-            device: DeviceConfig::test_tiny(),
-            interconnect_gbps: 50.0,
-            exchange_latency_us: 5.0,
-            delta0: None,
-        };
-        let run = multi_gpu_sssp(&g, src, &cfg);
-        let oracle = dijkstra(&g, src);
-        prop_assert_eq!(&run.result.dist, &oracle.dist);
-    }
-
-    #[test]
-    fn parent_tree_paths_are_shortest(g in arb_graph(40, 120), src in 0u32..40) {
-        use rdbs::sssp::paths::{build_parent_tree, extract_path, verify_path};
-        let src = src % g.num_vertices() as u32;
-        let r = dijkstra(&g, src);
-        let parents = build_parent_tree(&g, src, &r.dist);
-        for v in 0..g.num_vertices() as u32 {
-            if r.dist[v as usize] == rdbs::sssp::INF {
-                continue;
-            }
-            let path = extract_path(&parents, src, v).expect("path must exist");
-            verify_path(&g, &path, r.dist[v as usize]).map_err(TestCaseError::fail)?;
-        }
-    }
-
-    #[test]
-    fn bidirectional_equals_full_sssp(g in arb_graph(40, 120), src in 0u32..40, dst in 0u32..40) {
-        use rdbs::sssp::paths::bidirectional_dijkstra;
-        let n = g.num_vertices() as u32;
-        let (src, dst) = (src % n, dst % n);
-        let full = dijkstra(&g, src);
-        let bd = bidirectional_dijkstra(&g, src, dst);
-        let expect = if full.dist[dst as usize] == rdbs::sssp::INF {
-            None
-        } else {
-            Some(full.dist[dst as usize])
-        };
-        prop_assert_eq!(bd, expect);
-    }
-
-    #[test]
-    fn framework_sssp_matches_dijkstra(g in arb_graph(40, 120), src in 0u32..40) {
-        let src = src % g.num_vertices() as u32;
-        let (r, _) = rdbs::framework::algorithms::sssp(DeviceConfig::test_tiny(), &g, src);
-        let oracle = dijkstra(&g, src);
-        prop_assert_eq!(&r.dist, &oracle.dist);
-    }
-}
