@@ -26,8 +26,10 @@ fn main() {
         for &v in &variants[1..] {
             let (ms, _, run) = average_gpu(&g, &sources, v, args.device.clone());
             // Sanity: every variant must produce correct distances.
-            rdbs_core::validate::check_relaxed(&g, run.result.source, &run.result.dist)
-                .expect("variant produced wrong distances");
+            assert!(
+                rdbs_core::validate::audit_sssp(&g, run.result.source, &run.result.dist).is_clean(),
+                "variant produced wrong distances"
+            );
             cells.push(format!("{:.2}x", bl_ms / ms));
         }
         t.row(cells);

@@ -19,8 +19,9 @@
 //!    target pool, then mutating the best candidate found so far
 //!    (rate bumps, seed redraws, target swaps, window widening).
 //! 3. **Score** — each candidate is graded by how deep it drove the
-//!    recovery ladder: `clean(0) < repair-sweep(1) < sync-rerun(2) <
-//!    degraded / explicit error(3) < silent-wrong(4 — jackpot)`. A
+//!    recovery ladder, read off the rung that certified its answer:
+//!    `clean(0) < repair-sweep(1) < rerun(2) < host / explicit
+//!    error(3) < silent-wrong(4 — jackpot)`. A
 //!    silent wrong answer is the invariant violation the whole
 //!    robustness layer exists to rule out, so finding one is the
 //!    search's jackpot *and* a red build.
@@ -49,7 +50,7 @@ use crate::graphs::{self, GraphCase};
 use crate::registry::{self, Entry, Instruments, SweepOptions, FAULTS, FRONTIER, FUZZ};
 use crate::sanitize;
 use rdbs_core::gpu::{run_gpu_on, FrontierKind};
-use rdbs_core::recover::{RecoveryOutcome, RecoveryReport, RecoveryStep};
+use rdbs_core::recover::AnswerSource;
 use rdbs_core::seq::dijkstra;
 use rdbs_core::{Csr, VertexId, INF};
 use rdbs_gpu_sim::{
@@ -88,27 +89,17 @@ impl SearchRng {
 /// Jackpot score: a silently wrong answer.
 pub const SCORE_SILENT_WRONG: u32 = 4;
 
-/// How deep a graded cell drove the recovery ladder. Monotone in
-/// damage: `0` clean, `1` repair sweep sufficed, `2` needed the
-/// synchronous rerun, `3` degraded to sequential / errored loudly /
-/// exhausted its budget, `4` silent wrong answer (the jackpot — and a
-/// red build).
-pub fn ladder_depth(report: Option<&RecoveryReport>, verdict: &CellVerdict) -> u32 {
-    match verdict {
-        CellVerdict::SilentWrong(_) => SCORE_SILENT_WRONG,
-        CellVerdict::Error(_) => 3,
-        CellVerdict::Correct => match report.map(|r| r.outcome) {
-            Some(RecoveryOutcome::Degraded | RecoveryOutcome::Exhausted) => 3,
-            Some(RecoveryOutcome::Recovered) => {
-                let steps = report.map_or(&[][..], |r| r.steps.as_slice());
-                if steps.iter().any(|s| matches!(s, RecoveryStep::SyncRerun { .. })) {
-                    2
-                } else {
-                    1
-                }
-            }
-            Some(RecoveryOutcome::Clean) | None => 0,
-        },
+/// How deep a graded cell drove the recovery ladder, read off the rung
+/// that certified its answer. Monotone in damage: `0` clean, `1` the
+/// repair sweep, `2` the device rerun, `3` host Dijkstra or a loud
+/// error, `4` silent wrong answer (the jackpot — and a red build).
+pub fn ladder_depth(via: Option<AnswerSource>, verdict: &CellVerdict) -> u32 {
+    match (verdict, via) {
+        (CellVerdict::SilentWrong(_), _) => SCORE_SILENT_WRONG,
+        (CellVerdict::Error(_), _) | (_, Some(AnswerSource::Host)) => 3,
+        (_, Some(AnswerSource::Rerun)) => 2,
+        (_, Some(AnswerSource::Repair)) => 1,
+        (_, Some(AnswerSource::Cache | AnswerSource::Device) | None) => 0,
     }
 }
 
@@ -117,8 +108,8 @@ pub fn depth_label(score: u32) -> &'static str {
     match score {
         0 => "clean",
         1 => "repair-sweep",
-        2 => "sync-rerun",
-        3 => "degraded/error",
+        2 => "rerun",
+        3 => "host/error",
         _ => "SILENT-WRONG",
     }
 }
@@ -289,7 +280,6 @@ pub struct Candidate {
     pub score: u32,
     /// `"correct"`, `"error"` or `"silent-wrong"`.
     pub verdict: &'static str,
-    pub outcome: Option<RecoveryOutcome>,
     pub injections: u64,
 }
 
@@ -425,17 +415,15 @@ pub fn attack(entry: &Entry, family: &GraphCase, opts: &SweepOptions) -> AttackR
             }
         }
         .with_cap(allowance.min(opts.budget - spent));
-        let (report, verdict) = chaos::run_cell(entry, &graph, &oracle.dist, source, spec);
-        let score = ladder_depth(report.as_ref(), &verdict);
+        let cell = chaos::run_cell(entry, family.name, &graph, &oracle.dist, source, spec);
         let cand = Candidate {
             spec,
-            score,
-            verdict: verdict_name(&verdict),
-            outcome: report.as_ref().map(|r| r.outcome),
-            injections: report.as_ref().map_or(0, |r| r.injections),
+            score: ladder_depth(cell.via, &cell.verdict),
+            verdict: verdict_name(&cell.verdict),
+            injections: cell.injections,
         };
         spent += cand.injections;
-        if matches!(verdict, CellVerdict::SilentWrong(_)) {
+        if matches!(cell.verdict, CellVerdict::SilentWrong(_)) {
             silent_wrong += 1;
         }
         if best.as_ref().is_none_or(|b| cand.score > b.score) {
@@ -457,12 +445,12 @@ pub fn attack(entry: &Entry, family: &GraphCase, opts: &SweepOptions) -> AttackR
         let model = models[urng.below(models.len())];
         let spec = FaultSpec::new(model, default_rate(model), urng.next_u64() % 1024)
             .with_cap(allowance.min(opts.budget - uspent));
-        let (report, verdict) = chaos::run_cell(entry, &graph, &oracle.dist, source, spec);
-        uspent += report.as_ref().map_or(0, |r| r.injections);
-        if matches!(verdict, CellVerdict::SilentWrong(_)) {
+        let cell = chaos::run_cell(entry, family.name, &graph, &oracle.dist, source, spec);
+        uspent += cell.injections;
+        if matches!(cell.verdict, CellVerdict::SilentWrong(_)) {
             silent_wrong += 1;
         }
-        best_uniform = best_uniform.max(ladder_depth(report.as_ref(), &verdict));
+        best_uniform = best_uniform.max(ladder_depth(cell.via, &cell.verdict));
         uevals += 1;
     }
 
@@ -651,8 +639,8 @@ pub fn replay_case(case: &CorpusCase) -> Option<(u32, &'static str)> {
     let family = graphs::families().into_iter().find(|f| f.name == case.graph)?;
     let graph = family.build();
     let oracle = dijkstra(&graph, case.source);
-    let (report, verdict) = chaos::run_cell(&entry, &graph, &oracle.dist, case.source, case.spec);
-    Some((ladder_depth(report.as_ref(), &verdict), verdict_name(&verdict)))
+    let cell = chaos::run_cell(&entry, family.name, &graph, &oracle.dist, case.source, case.spec);
+    Some((ladder_depth(cell.via, &cell.verdict), verdict_name(&cell.verdict)))
 }
 
 // ---------------------------------------------------------------------------
@@ -896,35 +884,15 @@ mod tests {
 
     #[test]
     fn ladder_depth_orders_outcomes() {
-        use rdbs_core::recover::RecoveryBudget;
-        let mk = |outcome, steps: Vec<RecoveryStep>| RecoveryReport {
-            fault: None,
-            injections: 0,
-            fault_events: Vec::new(),
-            monotonicity_hits: 0,
-            flagged: 0,
-            panic: None,
-            steps,
-            budget: RecoveryBudget::default(),
-            outcome,
-        };
-        let clean = mk(RecoveryOutcome::Clean, vec![]);
-        assert_eq!(ladder_depth(Some(&clean), &CellVerdict::Correct), 0);
-        let swept = mk(
-            RecoveryOutcome::Recovered,
-            vec![RecoveryStep::RepairSweep { rounds: 1, relaxations: 5, clean: true }],
-        );
-        assert_eq!(ladder_depth(Some(&swept), &CellVerdict::Correct), 1);
-        let rerun = mk(
-            RecoveryOutcome::Recovered,
-            vec![
-                RecoveryStep::RepairSweep { rounds: 32, relaxations: 5, clean: false },
-                RecoveryStep::SyncRerun { clean: true },
-            ],
-        );
-        assert_eq!(ladder_depth(Some(&rerun), &CellVerdict::Correct), 2);
-        let degraded = mk(RecoveryOutcome::Degraded, vec![RecoveryStep::SequentialFallback]);
-        assert_eq!(ladder_depth(Some(&degraded), &CellVerdict::Correct), 3);
+        use AnswerSource::{Cache, Device, Host, Repair, Rerun};
+        let depth = |via| ladder_depth(Some(via), &CellVerdict::Correct);
+        assert_eq!([Cache, Device, Repair, Rerun, Host].map(depth), [0, 0, 1, 2, 3]);
         assert_eq!(ladder_depth(None, &CellVerdict::Error("boom".into())), 3);
+        let wrong = CellVerdict::SilentWrong(rdbs_core::validate::Mismatch {
+            vertex: 1,
+            expected: 2,
+            actual: 3,
+        });
+        assert_eq!(ladder_depth(Some(Device), &wrong), SCORE_SILENT_WRONG);
     }
 }

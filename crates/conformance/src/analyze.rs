@@ -23,10 +23,10 @@
 //!   half-published state. Only the static verifier catches it.
 
 use crate::registry::{Entry, Instruments, SweepOptions, FRONTIER, SANITIZE};
+use crate::runner::{grade, FailureKind};
 use crate::sanitize::planted_race;
 use rdbs_core::gpu::FrontierKind;
 use rdbs_core::seq::dijkstra;
-use rdbs_core::validate::check_against;
 use rdbs_core::{Csr, VertexId};
 use rdbs_gpu_sim::{AccessIr, Device, DeviceConfig, HazardKind, SanConfig};
 use rdbs_statan::{Analysis, QueueClass, Verdict};
@@ -110,8 +110,11 @@ fn run_verified(
     let arm = Instruments { ir: true, ..Instruments::default() };
     let seen = catch_unwind(AssertUnwindSafe(|| entry.observe(graph, source, None, &arm)))
         .map_err(|payload| crate::registry::panic_message(payload.as_ref()))?;
-    let (result, _) = seen.attempt.outcome?;
-    let mismatch = check_against(oracle_dist, &result.dist).err().map(|m| m.to_string());
+    let mismatch = match grade(&seen, oracle_dist) {
+        Ok(()) => None,
+        Err(FailureKind::Panic(msg)) => return Err(msg),
+        Err(failure) => Some(failure.to_string()),
+    };
     let mut analysis = Analysis::default();
     for ir in &seen.irs {
         analysis.merge(rdbs_statan::verify(ir));

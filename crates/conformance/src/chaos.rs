@@ -1,13 +1,17 @@
-//! The chaos matrix: every device fault model × recovered entry point
-//! × graph family, with one invariant — **no silent wrong answer**.
+//! The chaos matrix: every device fault model × fault-swept entry
+//! point × graph family, with one invariant — **no silent wrong
+//! answer**.
 //!
-//! Each cell runs an SSSP entry point through the detect-and-recover
-//! layer ([`rdbs_core::recover`]) with a seeded [`FaultSpec`] armed,
-//! then grades the *final* distances against the Dijkstra oracle:
+//! Each cell runs an SSSP entry point with a seeded [`FaultSpec`]
+//! armed, through `Entry::observe`, which hands back an answer
+//! certified by the one recovery ladder ([`rdbs_core::recover`]): the
+//! service certifies its own, and a one-shot device run climbs the
+//! ladder there. The cell grades that answer against the Dijkstra
+//! oracle, with no recovery wrapped around it:
 //!
 //! * **Correct** — the answer matches, either because the run was
-//!   clean, the faults happened to be benign, or a recovery-ladder
-//!   rung repaired them (the cell records which);
+//!   clean, the faults happened to be benign, or a ladder rung
+//!   repaired them (the cell records which);
 //! * **Error** — the cell raised an explicit error instead of
 //!   answering (a panic that escaped the harness). Loud failure is an
 //!   acceptable outcome; lying is not;
@@ -15,13 +19,14 @@
 //!   invariant violation the matrix exists to rule out, and the only
 //!   verdict that makes a sweep red.
 //!
-//! The `gpu/refault` entry re-arms the same fault spec on the rung-2
-//! recovery rerun (persistent-fault semantics), so the recovery path
-//! itself executes under fire: the ladder's audit gate on the rerun's
-//! output — not fault-free luck — is what keeps that cell honest.
+//! The `gpu/refault` entry re-arms the same fault spec on the ladder's
+//! rerun (persistent-fault semantics), and the service reruns on its
+//! own device with the plan still armed, so the recovery path itself
+//! executes under fire: the ladder's audit of the rerun's output — not
+//! fault-free luck — is what keeps those cells honest.
 
 use crate::registry::{Entry, Instruments, SweepOptions, FAULTS};
-use rdbs_core::recover::{recover, RecoveredRun, RecoveryBudget, RecoveryOutcome, RecoveryReport};
+use rdbs_core::recover::{AnswerSource, Detection};
 use rdbs_core::seq::dijkstra;
 use rdbs_core::validate::{check_against, Mismatch};
 use rdbs_core::{Csr, VertexId};
@@ -73,24 +78,20 @@ pub struct ChaosCell {
     pub source: VertexId,
     pub seed: u64,
     pub rate: f64,
-    /// The recovery evidence (`None` only when the cell errored before
-    /// the recovery layer could report).
-    pub report: Option<RecoveryReport>,
+    /// Faults the plan injected.
+    pub injections: u64,
+    /// What the detectors saw on the faulted attempt.
+    pub detection: Detection,
+    /// The rung that certified the final answer (`None` when the cell
+    /// errored before answering).
+    pub via: Option<AnswerSource>,
     pub verdict: CellVerdict,
 }
 
 impl ChaosCell {
     /// Whether any detector fired on the faulted attempt.
     pub fn detected(&self) -> bool {
-        self.report.as_ref().is_some_and(rdbs_core::recover::RecoveryReport::detected)
-    }
-
-    pub fn outcome(&self) -> Option<RecoveryOutcome> {
-        self.report.as_ref().map(|r| r.outcome)
-    }
-
-    pub fn injections(&self) -> u64 {
-        self.report.as_ref().map_or(0, |r| r.injections)
+        self.detection.any()
     }
 }
 
@@ -113,67 +114,61 @@ impl ChaosReport {
         self.cells.iter().filter(|c| matches!(c.verdict, CellVerdict::SilentWrong(_)))
     }
 
-    /// Cell counts: `(clean, recovered, degraded, errored, silent_wrong)`.
+    /// Cell counts: `(clean, recovered, degraded, errored,
+    /// silent_wrong)` — clean at the device rung, recovered by the
+    /// repair sweep or a rerun, degraded to host Dijkstra.
     pub fn tally(&self) -> (usize, usize, usize, usize, usize) {
         let mut t = (0, 0, 0, 0, 0);
         for c in &self.cells {
-            match (&c.verdict, c.outcome()) {
+            match (&c.verdict, c.via) {
                 (CellVerdict::SilentWrong(_), _) => t.4 += 1,
-                (CellVerdict::Error(_), _) => t.3 += 1,
-                (_, Some(RecoveryOutcome::Clean)) => t.0 += 1,
-                (_, Some(RecoveryOutcome::Recovered)) => t.1 += 1,
-                (_, Some(RecoveryOutcome::Degraded)) => t.2 += 1,
-                // Exhausted cells are always graded `Error` by
-                // `run_cell`, so this arm is unreachable in practice —
-                // kept exhaustive so a new outcome can't slip through.
-                (_, Some(RecoveryOutcome::Exhausted)) | (_, None) => t.3 += 1,
+                (CellVerdict::Error(_), _) | (_, None) => t.3 += 1,
+                (_, Some(AnswerSource::Cache | AnswerSource::Device)) => t.0 += 1,
+                (_, Some(AnswerSource::Repair | AnswerSource::Rerun)) => t.1 += 1,
+                (_, Some(AnswerSource::Host)) => t.2 += 1,
             }
         }
         t
     }
 }
 
-/// Run one chaos cell — the entry's scenario with `spec` armed, graded
-/// by the recovery ladder — and grade the final answer.
+/// Run one chaos cell — the entry's scenario with `spec` armed — and
+/// grade its certified answer.
 pub fn run_cell(
     entry: &Entry,
+    graph_name: &'static str,
     graph: &Csr,
     oracle_dist: &[u32],
     source: VertexId,
     spec: FaultSpec,
-) -> (Option<RecoveryReport>, CellVerdict) {
+) -> ChaosCell {
     let arm = Instruments { fault: Some(spec), ..Instruments::default() };
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        let observed = entry.observe(graph, source, None, &arm);
-        let rerun = |g: &Csr, s: VertexId| entry.rerun(g, s, Some(spec));
-        recover(graph, source, observed.attempt, &rerun, RecoveryBudget::default())
-    }));
-    match attempt {
-        Ok(run) => grade_run(oracle_dist, run),
+    let mut cell = ChaosCell {
+        entry_id: entry.id,
+        model: spec.model,
+        graph: graph_name,
+        source,
+        seed: spec.seed,
+        rate: spec.rate,
+        injections: 0,
+        detection: Detection::default(),
+        via: None,
+        verdict: CellVerdict::Correct,
+    };
+    match catch_unwind(AssertUnwindSafe(|| entry.observe(graph, source, None, &arm))) {
+        Ok(seen) => {
+            if let Err(m) = check_against(oracle_dist, &seen.result.dist) {
+                cell.verdict = CellVerdict::SilentWrong(m);
+            }
+            cell.injections = seen.injections;
+            cell.detection = seen.detection;
+            cell.via = seen.via;
+        }
         Err(payload) => {
-            (None, CellVerdict::Error(crate::registry::panic_message(payload.as_ref())))
+            cell.verdict = CellVerdict::Error(crate::registry::panic_message(payload.as_ref()));
         }
     }
-}
-
-/// Grade a completed recovered run against the oracle. An
-/// [`RecoveryOutcome::Exhausted`] run carries best-effort,
-/// *uncertified* distances — it is graded as a loud error before any
-/// oracle comparison, so an exhausted ladder can never be mistaken for
-/// (or graded as) a silent wrong answer.
-pub(crate) fn grade_run(
-    oracle_dist: &[u32],
-    run: RecoveredRun,
-) -> (Option<RecoveryReport>, CellVerdict) {
-    let verdict = if run.report.outcome == RecoveryOutcome::Exhausted {
-        CellVerdict::Error(format!("recovery budget exhausted ({})", run.report.budget))
-    } else {
-        match check_against(oracle_dist, &run.result.dist) {
-            Ok(()) => CellVerdict::Correct,
-            Err(m) => CellVerdict::SilentWrong(m),
-        }
-    };
-    (Some(run.report), verdict)
+    cell
 }
 
 /// Sweep the chaos matrix over the [`FAULTS`] entries. `progress` is
@@ -199,18 +194,7 @@ pub fn run_chaos(opts: &SweepOptions, mut progress: impl FnMut(&ChaosCell)) -> C
                 let rate = opts.rate.unwrap_or_else(|| default_rate(model));
                 for &seed in &seeds {
                     let spec = FaultSpec::new(model, rate, seed);
-                    let (cell_report, verdict) =
-                        run_cell(entry, &graph, &oracle.dist, source, spec);
-                    let cell = ChaosCell {
-                        entry_id: entry.id,
-                        model,
-                        graph: family.name,
-                        source,
-                        seed,
-                        rate,
-                        report: cell_report,
-                        verdict,
-                    };
+                    let cell = run_cell(entry, family.name, &graph, &oracle.dist, source, spec);
                     progress(&cell);
                     report.cells.push(cell);
                 }
@@ -249,7 +233,7 @@ mod tests {
     #[test]
     fn quick_chaos_matrix_exercises_recovery() {
         let report = run_chaos(&SweepOptions { quick: true, ..Default::default() }, |_| {});
-        assert!(report.cells.iter().any(|c| c.injections() > 0), "no cell injected anything");
+        assert!(report.cells.iter().any(|c| c.injections > 0), "no cell injected anything");
         assert!(
             report.cells.iter().any(super::ChaosCell::detected),
             "no cell detected a fault — rates too low to mean anything"
@@ -286,57 +270,10 @@ mod tests {
         let b = run_chaos(&opts, |_| {});
         assert_eq!(a.cells.len(), b.cells.len());
         for (x, y) in a.cells.iter().zip(&b.cells) {
-            assert_eq!(x.injections(), y.injections());
-            assert_eq!(x.detected(), y.detected());
-            assert_eq!(x.outcome(), y.outcome());
+            assert_eq!(x.injections, y.injections);
+            assert_eq!(x.detection, y.detection);
+            assert_eq!(x.via, y.via);
         }
-    }
-
-    /// Regression: an exhausted recovery budget surfaces as a loud
-    /// `Error` cell verdict — never compared against the oracle, never
-    /// `SilentWrong`, even when the carried best-effort distances are
-    /// wrong.
-    #[test]
-    fn exhausted_budget_grades_as_error_not_silent_wrong() {
-        // The adversarial 199-hop path from the recover tests: rung 1
-        // cannot certify inside its round budget, so one rung exhausts.
-        let mut el = rdbs_graph::builder::EdgeList::new(200);
-        for i in 0..199u32 {
-            el.push(i + 1, i, 1);
-        }
-        let g = rdbs_graph::builder::build_directed(&el);
-        let source = 199;
-        let oracle = dijkstra(&g, source);
-        let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 1.0, 0);
-        let entry = by_id("gpu/full").unwrap();
-        let arm = Instruments { fault: Some(spec), ..Instruments::default() };
-        let attempt = entry.observe(&g, source, None, &arm).attempt;
-        let rerun = |g: &Csr, s: VertexId| entry.rerun(g, s, Some(spec));
-        let budget = RecoveryBudget { max_rungs: 1, repair_rounds: 32 };
-        let run = recover(&g, source, attempt, &rerun, budget);
-        assert_eq!(run.report.outcome, RecoveryOutcome::Exhausted, "{}", run.report);
-        assert_ne!(run.result.dist, oracle.dist, "exhausted run accidentally correct");
-        let (report, verdict) = grade_run(&oracle.dist, run);
-        assert!(
-            matches!(&verdict, CellVerdict::Error(msg) if msg.contains("budget exhausted")),
-            "expected a loud budget-exhausted error, got: {verdict}"
-        );
-        assert_eq!(report.unwrap().outcome, RecoveryOutcome::Exhausted);
-
-        // And the tally counts it as an errored cell.
-        let cell = ChaosCell {
-            entry_id: "gpu/full",
-            model: FaultModel::DroppedAtomicMin,
-            graph: "path-199",
-            source,
-            seed: 0,
-            rate: 1.0,
-            report: None,
-            verdict,
-        };
-        let report = ChaosReport { cells: vec![cell] };
-        assert!(report.is_green());
-        assert_eq!(report.tally(), (0, 0, 0, 1, 0));
     }
 
     /// The spill-path invariant: with faults landing while the
@@ -353,7 +290,7 @@ mod tests {
         let report = run_chaos(&opts, |_| {});
         assert!(!report.cells.is_empty(), "the spill entry swept nothing");
         assert!(
-            report.cells.iter().any(|c| c.injections() > 0),
+            report.cells.iter().any(|c| c.injections > 0),
             "no fault ever landed on the spill path"
         );
         let wrong: Vec<String> = report
@@ -443,9 +380,9 @@ mod tests {
         let mut detected_any = false;
         for seed in 0..4 {
             let spec = FaultSpec::new(FaultModel::DroppedAtomicMin, 0.3, seed);
-            let (report, verdict) = run_cell(&entry, &g, &oracle.dist, 0, spec);
-            assert!(matches!(verdict, CellVerdict::Correct), "{id} seed {seed}: {verdict}");
-            detected_any |= report.unwrap().detected();
+            let cell = run_cell(&entry, "erdos", &g, &oracle.dist, 0, spec);
+            assert!(matches!(cell.verdict, CellVerdict::Correct), "{id} seed {seed}: {cell:?}");
+            detected_any |= cell.detected();
         }
         assert!(detected_any, "no seed tripped a detector on {id}");
     }
@@ -469,12 +406,11 @@ mod tests {
     fn service_fault_free_run_is_clean() {
         let g = erdos(8);
         let entry = by_id("service/pooled").unwrap();
-        let attempt = entry.observe(&g, 3, None, &Instruments::default()).attempt;
-        let run =
-            recover(&g, 3, attempt, &|g, s| entry.rerun(g, s, None), RecoveryBudget::default());
-        assert_eq!(run.report.outcome, RecoveryOutcome::Clean);
-        assert!(!run.report.detected());
-        check_against(&dijkstra(&g, 3).dist, &run.result.dist).unwrap();
+        let seen = entry.observe(&g, 3, None, &Instruments::default());
+        assert_eq!(seen.via, Some(AnswerSource::Device));
+        assert!(!seen.detection.any());
+        assert_eq!(seen.audit_failures, 0);
+        check_against(&dijkstra(&g, 3).dist, &seen.result.dist).unwrap();
     }
 
     /// Regression: bit flips pinned to one vertex's `light_ranges` pair
@@ -499,9 +435,9 @@ mod tests {
         };
         let spec = FaultSpec::new(FaultModel::BitFlip, 1.0, 48).with_target(target).with_cap(4);
         for id in ["gpu/full", "service/pooled"] {
-            let (report, verdict) = run_cell(&by_id(id).unwrap(), &g, &oracle.dist, 0, spec);
-            assert!(matches!(verdict, CellVerdict::Correct), "{id}: {verdict}");
-            let panic = report.and_then(|r| r.panic).unwrap_or_default();
+            let cell = run_cell(&by_id(id).unwrap(), "grid", &g, &oracle.dist, 0, spec);
+            assert!(matches!(cell.verdict, CellVerdict::Correct), "{id}: {}", cell.verdict);
+            let panic = cell.detection.error.unwrap_or_default();
             assert!(panic.contains("above the simulator's"), "{id}: attempt ended with {panic:?}");
         }
     }

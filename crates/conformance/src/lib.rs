@@ -22,9 +22,9 @@
 //!   reports the first bucket/phase/edge where settled distances
 //!   depart from the oracle.
 //! * [`chaos`] — the fault-injection matrix: every device fault model
-//!   × detect-and-recover entry point × graph family, each cell graded
-//!   correct / explicitly-errored / silently-wrong; the sweep is green
-//!   only when no cell lies.
+//!   × fault-swept entry point × graph family, each cell's certified
+//!   answer graded correct / explicitly-errored / silently-wrong; the
+//!   sweep is green only when no cell lies.
 //! * [`sanitize`] — the memory-model matrix: every GPU entry point run
 //!   with the wave-level sanitizer armed; green only when every cell
 //!   is correct *and* produced zero violations, with a planted-race
@@ -67,7 +67,7 @@ pub use chaos::{run_chaos, CellVerdict, ChaosCell, ChaosReport};
 pub use graphs::{families, GraphCase};
 pub use localize::{localize, Divergence};
 pub use registry::{all, by_id, with_faults, Entry, SweepOptions, FAULT_OFF_BY_ONE};
-pub use runner::{run_matrix, CaseFailure, FailureKind, MatrixReport};
+pub use runner::{run_case, run_matrix, CaseFailure, FailureKind, MatrixReport};
 pub use sanitize::{
     planted_race_specimen, run_sanitize, specimen_detected, SanCell, SanMatrixReport,
 };

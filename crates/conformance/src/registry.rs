@@ -7,9 +7,11 @@
 //! it. A cell is entry × frontier × family × source × seed. The
 //! `Instruments` (fault plan, sanitizer, IR recorder, lane permuter)
 //! are armed on whichever device the scenario builds, and
-//! `Entry::observe` hands back what they saw; the sweeps (`runner`,
-//! `chaos`, `sanitize`, `analyze`, `adversary`) differ only in what
-//! they arm and how they grade.
+//! `Entry::observe` hands back what they saw with an answer certified
+//! by the one recovery ladder (`rdbs_core::recover`) — the service
+//! certifies its own, and a one-shot device run climbs the ladder
+//! here. The sweeps (`runner`, `chaos`, `sanitize`, `analyze`,
+//! `adversary`) differ only in what they arm and how they grade.
 //!
 //! A deliberately broken implementation ([`FAULT_OFF_BY_ONE`]) is kept
 //! out of [`all()`] and exists to demonstrate (and regression-test) the
@@ -17,9 +19,11 @@
 
 use crate::graphs::{self, GraphCase};
 use rdbs_core::gpu::{run_gpu_on, FrontierKind, RdbsConfig, Variant};
-use rdbs_core::recover::Attempt;
+use rdbs_core::recover::{recover, AnswerSource, Detection};
 use rdbs_core::service::cache::CacheConfig;
-use rdbs_core::service::traffic::{ArrivalProcess, Outcome, Query, SourceMix, TrafficConfig};
+use rdbs_core::service::traffic::{
+    closed_loop, ArrivalProcess, Outcome, Query, SourceMix, TrafficConfig,
+};
 use rdbs_core::service::{ServiceConfig, SsspService};
 use rdbs_core::stats::{SsspResult, UpdateStats};
 use rdbs_core::{cpu, default_delta, saturating_relax, seq, Csr, VertexId, Weight, INF};
@@ -38,8 +42,8 @@ pub const FAULT_OFF_BY_ONE: &str = "fault/off-by-one";
 
 /// Capability: compared against the oracle by `verify`.
 pub const DIFFERENTIAL: u16 = 1;
-/// Capability: swept under fault plans + the recovery ladder (`chaos`,
-/// `chaos --adversarial`).
+/// Capability: swept under fault plans (`chaos`, `chaos
+/// --adversarial`).
 pub const FAULTS: u16 = 1 << 1;
 /// Capability: swept with the sanitizer (`sanitize`) and the IR
 /// recorder (`analyze`).
@@ -62,9 +66,10 @@ pub(crate) enum Scenario {
     /// Host code, or a comparator that builds its own device: oracle
     /// differential only. Takes the resolved Δ₀.
     Host(fn(&Csr, VertexId, Weight) -> SsspResult),
-    /// One run of the entry's variant on a fresh device. With
-    /// `refault`, the recovery ladder's rerun runs under the same fault
-    /// plan (persistent faults), so recovery itself is under fire.
+    /// One run of the entry's variant on a fresh device, certified by
+    /// the recovery ladder. With `refault`, the ladder's rerun runs
+    /// under the same fault plan (persistent faults), so recovery
+    /// itself is under fire.
     Device { refault: bool },
     /// The resident service running the entry's variant.
     Service(Shape),
@@ -88,8 +93,8 @@ pub(crate) enum Shape {
     /// The concurrent batch on two streams over an under-provisioned
     /// MLMQ frontier (a third of the vertex count in slots per lane),
     /// so hot levels spill into the deferred level; a fault-free run
-    /// never drops work, and real loss under fire must surface as a
-    /// counted host fallback.
+    /// never drops work, and real loss under fire must climb to the
+    /// host rung.
     Spill,
 }
 
@@ -109,14 +114,24 @@ impl Shape {
         }
     }
 
-    /// The scored part of the shape (after the warm-up).
-    fn serve(self, svc: &mut SsspService, source: VertexId) -> Result<SsspResult, String> {
+    /// The scored part of the shape (after the warm-up): the scored
+    /// answer, the rung that certified it and what the service's
+    /// detectors saw on it.
+    fn serve(
+        self,
+        svc: &mut SsspService,
+        source: VertexId,
+    ) -> (SsspResult, AnswerSource, Detection) {
         let n = svc.num_vertices();
         let at = |k| offset(source, k, n);
+        let closed = |svc: &mut SsspService, sources: &[VertexId]| {
+            let (queries, cfg) = closed_loop(sources);
+            svc.serve_queries(&queries, &cfg).outcomes
+        };
         match self {
-            Shape::Pooled => svc.try_query(source).map_err(|e| e.to_string()),
+            Shape::Pooled => exact(closed(svc, &[source]).swap_remove(0)),
             Shape::Concurrent | Shape::Spill => {
-                Ok(svc.batch(&[at(2), source, at(3)]).swap_remove(1))
+                exact(closed(svc, &[at(2), source, at(3)]).swap_remove(1))
             }
             Shape::Traffic => {
                 let generous = 1e12;
@@ -142,14 +157,22 @@ impl Shape {
                     cache: Some(CacheConfig::default()),
                     approx_on_shed: false,
                 };
-                match svc.serve_queries(&queries, &cfg).outcomes.into_iter().nth(3).expect("four") {
-                    Outcome::Exact { result, .. } => Ok(result),
-                    other => {
-                        Err(format!("the late repeat must be answered exactly, got {other:?}"))
-                    }
-                }
+                let mut outcomes = svc.serve_queries(&queries, &cfg).outcomes;
+                // The repeat replays the scored answer; the rung that
+                // certified it is the first answer's.
+                let (result, _, _) = exact(outcomes.swap_remove(3));
+                let (_, via, detection) = exact(outcomes.swap_remove(0));
+                (result, via, detection)
             }
         }
+    }
+}
+
+/// The parts of an exact outcome the registry grades.
+fn exact(outcome: Outcome) -> (SsspResult, AnswerSource, Detection) {
+    match outcome {
+        Outcome::Exact { result, via, detection, .. } => (result, via, detection),
+        other => panic!("a scored query must be answered exactly, got {other:?}"),
     }
 }
 
@@ -193,8 +216,19 @@ impl Instruments {
 
 /// What one scenario run produced and what the instruments saw.
 pub(crate) struct Observation {
-    /// The scored attempt, ready for the recovery ladder.
-    pub attempt: Attempt,
+    /// The scored answer: certified by the recovery ladder for device
+    /// and service scenarios, as computed for host code.
+    pub result: SsspResult,
+    /// The rung that certified it (`None` for host code).
+    pub via: Option<AnswerSource>,
+    /// What the detectors saw on the scored attempt.
+    pub detection: Detection,
+    /// Answers of the scenario whose audit failed, the scored one
+    /// included. With no fault armed each is a protocol bug, which the
+    /// certified answer must not hide from a sweep.
+    pub audit_failures: u64,
+    /// Faults the armed plan injected.
+    pub injections: u64,
     /// Sanitizer violations (capped; `san_total` has the true count).
     pub violations: Vec<SanViolation>,
     pub san_total: u64,
@@ -253,10 +287,24 @@ impl Entry {
         self
     }
 
-    /// Run the scenario with `arm`ed instruments. `delta0` overrides
-    /// the bucket width where the entry has one; `None` keeps each
-    /// entry's own default. A panic in the scored attempt is caught
-    /// into [`Attempt::outcome`]; the instruments are read either way.
+    /// The entry's variant with `delta0` overriding its bucket width;
+    /// `None` keeps the entry's own.
+    fn variant_with(&self, delta0: Option<Weight>) -> Option<Variant> {
+        self.variant.map(|v| match v {
+            Variant::Rdbs(cfg) => {
+                Variant::Rdbs(RdbsConfig { delta0: delta0.or(cfg.delta0), ..cfg })
+            }
+            v => v,
+        })
+    }
+
+    /// Run the scenario with `arm`ed instruments and certify the scored
+    /// answer. `delta0` overrides the bucket width where the entry has
+    /// one; `None` keeps each entry's own default. A one-shot device
+    /// attempt climbs `recover`'s ladder here, and so does a service
+    /// call that panicked and left no answer; the service certifies
+    /// the answers it gives itself. The instruments are read either
+    /// way.
     pub(crate) fn observe(
         &self,
         graph: &Csr,
@@ -264,16 +312,21 @@ impl Entry {
         delta0: Option<Weight>,
         arm: &Instruments,
     ) -> Observation {
-        let variant = self.variant.map(|v| match v {
-            Variant::Rdbs(cfg) => {
-                Variant::Rdbs(RdbsConfig { delta0: delta0.or(cfg.delta0), ..cfg })
-            }
-            v => v,
-        });
-        let (outcome, injections, fault_events, violations, san_total, irs) = match self.scenario {
+        let variant = self.variant_with(delta0);
+        let mut rerun = || Ok(self.rerun(graph, source, arm.fault));
+        match self.scenario {
             Scenario::Host(run) => {
                 let delta = delta0.unwrap_or_else(|| default_delta(graph)).max(1);
-                (Ok((run(graph, source, delta), 0)), 0, Vec::new(), Vec::new(), 0, Vec::new())
+                Observation {
+                    result: run(graph, source, delta),
+                    via: None,
+                    detection: Detection::default(),
+                    audit_failures: 0,
+                    injections: 0,
+                    violations: Vec::new(),
+                    san_total: 0,
+                    irs: Vec::new(),
+                }
             }
             Scenario::Device { .. } => {
                 let mut device = tiny();
@@ -282,19 +335,22 @@ impl Entry {
                     device.arm_faults(FaultPlan::new(spec));
                 }
                 let variant = variant.expect("device entries carry a variant");
-                let outcome = attempt(|| {
+                let attempted = attempt(|| {
                     let run = run_gpu_on(&mut device, graph, source, variant);
                     (run.result, run.audit.len())
                 });
-                let plan = device.disarm_faults();
-                (
-                    outcome,
-                    plan.as_ref().map_or(0, FaultPlan::injections),
-                    plan.map(|p| p.log().to_vec()).unwrap_or_default(),
-                    device.san_violations().to_vec(),
-                    device.san_total(),
-                    device.take_ir().into_iter().collect(),
-                )
+                let injections = device.disarm_faults().map_or(0, |p| p.injections());
+                let run = recover(graph, source, attempted, Some(&mut rerun));
+                Observation {
+                    result: run.result,
+                    via: Some(run.via),
+                    audit_failures: u64::from(run.detection.audit_failed()),
+                    detection: run.detection,
+                    injections,
+                    violations: device.san_violations().to_vec(),
+                    san_total: device.san_total(),
+                    irs: device.take_ir().into_iter().collect(),
+                }
             }
             Scenario::Service(shape) => {
                 let variant = variant.expect("service entries carry a variant");
@@ -314,46 +370,45 @@ impl Entry {
                 if let Some(spec) = arm.fault {
                     svc.arm_faults(spec);
                 }
-                let outcome = attempt(|| shape.serve(&mut svc, source))
-                    .and_then(|served| served)
-                    .map(|result| (result, svc.last_audit_hits()));
-                let (injections, fault_events) = svc.disarm_faults().unwrap_or_default();
-                (
-                    outcome,
+                let served = attempt(|| shape.serve(&mut svc, source));
+                let injections = svc.disarm_faults();
+                let (result, via, detection) = served.unwrap_or_else(|error| {
+                    let run = recover(graph, source, Err(error), Some(&mut rerun));
+                    (run.result, run.via, run.detection)
+                });
+                Observation {
+                    result,
+                    via: Some(via),
+                    detection,
+                    audit_failures: svc.stats().audit_failures,
                     injections,
-                    fault_events,
-                    svc.san_violations(),
-                    svc.san_total(),
-                    svc.take_irs(),
-                )
+                    violations: svc.san_violations(),
+                    san_total: svc.san_total(),
+                    irs: svc.take_irs(),
+                }
             }
-        };
-        Observation {
-            attempt: Attempt { fault: arm.fault, injections, fault_events, outcome },
-            violations,
-            san_total,
-            irs,
         }
     }
 
-    /// Run uninstrumented and return the answer; a panic in the run
-    /// propagates.
+    /// Run with nothing armed and return the entry's own answer; a
+    /// panic in host code or a one-shot run propagates. A one-shot
+    /// device run's answer is returned as the kernel computed it,
+    /// before any recovery rung, so the differential localizer sees a
+    /// wrong answer as it was; the service certifies its answers
+    /// itself.
     pub fn run(&self, graph: &Csr, source: VertexId, delta0: Option<Weight>) -> SsspResult {
-        match self.observe(graph, source, delta0, &Instruments::default()).attempt.outcome {
-            Ok((result, _)) => result,
-            Err(msg) => panic!("{msg}"),
+        match (self.scenario, self.variant_with(delta0)) {
+            (Scenario::Device { .. }, Some(variant)) => {
+                run_gpu_on(&mut tiny(), graph, source, variant).result
+            }
+            _ => self.observe(graph, source, delta0, &Instruments::default()).result,
         }
     }
 
-    /// The recovery ladder's rung-2 rerun for a faulted attempt of this
-    /// entry: the synchronous variant on a fresh device — under the
-    /// same `fault` for a refaulting entry.
-    pub(crate) fn rerun(
-        &self,
-        graph: &Csr,
-        source: VertexId,
-        fault: Option<FaultSpec>,
-    ) -> SsspResult {
+    /// The recovery ladder's rerun rung for this entry: the
+    /// synchronous variant on a fresh device — under the same `fault`
+    /// for a refaulting entry.
+    fn rerun(&self, graph: &Csr, source: VertexId, fault: Option<FaultSpec>) -> SsspResult {
         let mut device = tiny();
         if let (Scenario::Device { refault: true }, Some(spec)) = (self.scenario, fault) {
             device.arm_faults(FaultPlan::new(spec));

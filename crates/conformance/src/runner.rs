@@ -1,12 +1,14 @@
 //! The differential runner: every [`DIFFERENTIAL`] registry entry ×
 //! every graph family × every seeded source, each compared exactly
 //! against the Dijkstra oracle. Panics inside an implementation are
-//! caught and reported as failures rather than aborting the sweep.
+//! caught and reported as failures rather than aborting the sweep, and
+//! so is any answer whose audit failed on the way to a certified one
+//! (`grade`).
 
-use crate::registry::{Entry, SweepOptions, DIFFERENTIAL};
+use crate::registry::{Entry, Instruments, Observation, SweepOptions, DIFFERENTIAL};
 use rdbs_core::seq::dijkstra;
 use rdbs_core::validate::{check_against, Mismatch};
-use rdbs_core::{Csr, VertexId, Weight};
+use rdbs_core::{Csr, Dist, VertexId, Weight};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// How one case failed.
@@ -16,6 +18,9 @@ pub enum FailureKind {
     Mismatch(Mismatch),
     /// The implementation panicked.
     Panic(String),
+    /// Answers failed their audit before the recovery ladder certified
+    /// one: with no fault armed, a protocol bug.
+    Audit(u64),
 }
 
 impl std::fmt::Display for FailureKind {
@@ -23,6 +28,9 @@ impl std::fmt::Display for FailureKind {
         match self {
             FailureKind::Mismatch(m) => write!(f, "{m}"),
             FailureKind::Panic(msg) => write!(f, "panicked: {msg}"),
+            FailureKind::Audit(n) => {
+                write!(f, "{n} answer(s) failed the audit before the recovery ladder certified one")
+            }
         }
     }
 }
@@ -56,7 +64,21 @@ impl MatrixReport {
     }
 }
 
-/// Run one entry on one instance and compare against the oracle's
+/// Grade a run with no fault armed: the attempt must not have panicked
+/// or failed its audit — either is a bug, whichever rung of the
+/// recovery ladder then certified the answer — and the answer must
+/// match the oracle.
+pub(crate) fn grade(seen: &Observation, oracle_dist: &[Dist]) -> Result<(), FailureKind> {
+    if let Some(msg) = &seen.detection.error {
+        return Err(FailureKind::Panic(msg.clone()));
+    }
+    if seen.audit_failures > 0 {
+        return Err(FailureKind::Audit(seen.audit_failures));
+    }
+    check_against(oracle_dist, &seen.result.dist).map_err(FailureKind::Mismatch)
+}
+
+/// Run one entry on one instance and `grade` it against the oracle's
 /// distances.
 pub fn run_case(
     imp: &Entry,
@@ -65,8 +87,9 @@ pub fn run_case(
     source: VertexId,
     delta0: Option<Weight>,
 ) -> Result<(), FailureKind> {
-    match catch_unwind(AssertUnwindSafe(|| imp.run(graph, source, delta0))) {
-        Ok(r) => check_against(oracle_dist, &r.dist).map_err(FailureKind::Mismatch),
+    let arm = Instruments::default();
+    match catch_unwind(AssertUnwindSafe(|| imp.observe(graph, source, delta0, &arm))) {
+        Ok(seen) => grade(&seen, oracle_dist),
         Err(payload) => Err(FailureKind::Panic(crate::registry::panic_message(payload.as_ref()))),
     }
 }
@@ -134,6 +157,34 @@ mod tests {
         let report = run_matrix(&opts, |_, _, _, _| {});
         assert!(!report.is_green(), "the fault specimen must fail");
         assert!(report.failures.iter().all(|f| f.impl_id == crate::registry::FAULT_OFF_BY_ONE));
+    }
+
+    /// A fault-free cell whose audit failed is dirty even though the
+    /// ladder certified its answer: the certified answer must not hide
+    /// a protocol bug from the sweeps.
+    #[test]
+    fn audit_failure_grades_dirty_though_the_answer_is_certified() {
+        use rdbs_core::recover::{AnswerSource, Detection};
+        let family = crate::graphs::quick_families().remove(0);
+        let graph = family.build();
+        let oracle = dijkstra(&graph, 0);
+        let mut seen = Observation {
+            result: oracle.clone(),
+            via: Some(AnswerSource::Device),
+            detection: Detection::default(),
+            audit_failures: 0,
+            injections: 0,
+            violations: Vec::new(),
+            san_total: 0,
+            irs: Vec::new(),
+        };
+        assert!(grade(&seen, &oracle.dist).is_ok());
+        // The same answer, certified by the repair sweep after the
+        // audit flagged the device's.
+        seen.via = Some(AnswerSource::Repair);
+        seen.detection.flagged = 3;
+        seen.audit_failures = 1;
+        assert!(matches!(grade(&seen, &oracle.dist), Err(FailureKind::Audit(1))));
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! so "zero violations" can never mean "detector asleep".
 
 use crate::registry::{Entry, Instruments, SweepOptions, SANITIZE};
+use crate::runner::{grade, FailureKind};
 use rdbs_core::seq::dijkstra;
-use rdbs_core::validate::check_against;
 use rdbs_core::{Csr, VertexId};
 use rdbs_gpu_sim::{Device, DeviceConfig, SanCheck, SanViolation};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,7 +32,8 @@ pub struct SanCell {
     /// Recorded violations (capped; `total` has the true count).
     pub violations: Vec<SanViolation>,
     pub total: u64,
-    /// Oracle mismatch, if the answer was wrong.
+    /// Oracle mismatch, if the answer was wrong, or the answers whose
+    /// audit failed on the way to a certified one.
     pub mismatch: Option<String>,
     /// Panic message, if the cell crashed.
     pub panic: Option<String>,
@@ -87,12 +88,10 @@ pub fn run_cell(
     };
     match catch_unwind(AssertUnwindSafe(|| entry.observe(graph, source, None, &arm))) {
         Ok(seen) => {
-            match seen.attempt.outcome {
-                Ok((result, _)) => {
-                    cell.mismatch =
-                        check_against(oracle_dist, &result.dist).err().map(|m| m.to_string());
-                }
-                Err(msg) => cell.panic = Some(msg),
+            match grade(&seen, oracle_dist) {
+                Ok(()) => {}
+                Err(FailureKind::Panic(msg)) => cell.panic = Some(msg),
+                Err(failure) => cell.mismatch = Some(failure.to_string()),
             }
             cell.violations = seen.violations;
             cell.total = seen.san_total;

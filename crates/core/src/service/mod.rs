@@ -41,31 +41,36 @@
 //! dispatch is first-come. [`SsspService::try_query`] is the same run
 //! on one query.
 //!
-//! A query whose device attempt reports a [`QueueOverflow`] is
+//! A query whose device attempt reports a
+//! [`QueueOverflow`](crate::gpu::QueueOverflow) is
 //! replayed **on the device** with its queue set re-acquired from the
-//! pool one size class larger ([`BatchStats::escalations`]); only past
-//! the escalation ceiling — one class above the vertex count, which no
-//! fault-free frontier exceeds — is it re-answered by host Dijkstra
-//! and counted in [`BatchStats::fallbacks`]. The service never returns
-//! a silently truncated answer.
+//! pool one size class larger ([`BatchStats::escalations`]). Every
+//! answer is then certified by the one recovery ladder,
+//! [`crate::recover`], before the service returns or caches it: the
+//! host audits the device answer, and one that fails climbs from the
+//! repair sweep to a rerun on the query's own lane and then to host
+//! Dijkstra; a query that overflows past the escalation ceiling — one
+//! class above the vertex count, which no fault-free frontier exceeds —
+//! goes straight to host Dijkstra. Each answer records the rung that
+//! certified it ([`traffic::AnswerSource`]), and [`BatchStats`] counts
+//! the rungs ([`BatchStats::fallbacks`] is the host rung) and the
+//! answers whose audit failed. The service never returns a silently
+//! wrong or truncated answer.
 
 pub mod cache;
 pub mod pool;
 pub mod traffic;
 
 use crate::adaptive_delta::DeltaController;
-use crate::gpu::bl::BlScratch;
-use crate::gpu::buffers::{DeviceQueue, GraphArrays, GraphBuffers, QueueOverflow};
+use crate::gpu::bl::{bl_on, BlScratch};
+use crate::gpu::buffers::{DeviceQueue, GraphArrays, GraphBuffers};
 use crate::gpu::frontier::{AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode, WorkloadQueues};
 use crate::gpu::rdbs::{self, RdbsDriver, RdbsScratch};
 use crate::gpu::{RdbsConfig, Variant};
-use crate::seq::dijkstra;
 use crate::stats::{BatchStats, SsspResult};
 use crate::{default_delta, Csr, VertexId, INF};
 use pool::BufferPool;
-use rdbs_gpu_sim::{
-    Buf, Device, DeviceConfig, FaultEvent, FaultPlan, FaultSpec, SanConfig, SanViolation,
-};
+use rdbs_gpu_sim::{Buf, Device, DeviceConfig, FaultPlan, FaultSpec, SanConfig, SanViolation};
 use rdbs_graph::reorder::Permutation;
 use std::time::Instant;
 
@@ -141,13 +146,9 @@ impl ServiceConfig {
     }
 }
 
-/// Why a query could not be answered by the device path.
+/// Why a query was refused.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ServiceError {
-    /// A device queue's sticky overflow cell was raised — the device
-    /// attempt may have dropped work and its output is untrusted.
-    /// Surfaced only once queue-set escalation has hit its ceiling.
-    Overflow(QueueOverflow),
     /// The source is not a vertex of the resident graph.
     SourceOutOfRange { source: VertexId, n: u32 },
 }
@@ -155,7 +156,6 @@ pub enum ServiceError {
 impl std::fmt::Display for ServiceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServiceError::Overflow(e) => write!(f, "{e}"),
             ServiceError::SourceOutOfRange { source, n } => {
                 write!(f, "source {source} out of range for a {n}-vertex graph")
             }
@@ -164,12 +164,6 @@ impl std::fmt::Display for ServiceError {
 }
 
 impl std::error::Error for ServiceError {}
-
-impl From<QueueOverflow> for ServiceError {
-    fn from(e: QueueOverflow) -> Self {
-        ServiceError::Overflow(e)
-    }
-}
 
 /// Per-query device scratch, shaped by the variant.
 // The RDBS variant is a few hundred bytes of queue handles (the MLMQ
@@ -225,9 +219,6 @@ pub struct SsspService {
     /// keyed by `(generation, source)`, so stale answers can never
     /// survive a graph swap.
     generation: u64,
-    /// Monotonicity-audit hits of the most recent device attempt
-    /// (only populated while faults are armed).
-    last_audit_hits: usize,
     /// The traffic tier's answer cache, lazily created on the first
     /// [`SsspService::serve_queries`] call that enables caching.
     traffic_cache: Option<cache::AnswerCache>,
@@ -286,7 +277,6 @@ impl SsspService {
             uploads_per_graph: g.uploads,
             queries_on_graph: 0,
             generation: 0,
-            last_audit_hits: 0,
             traffic_cache: None,
         }
     }
@@ -314,30 +304,21 @@ impl SsspService {
         self.generation
     }
 
-    /// Answer one query against the resident graph; `Err` on an
-    /// out-of-range source or a device-queue overflow that escalation
-    /// could not recover. This is the scheduler's run on one query,
-    /// with the ceiling overflow handed back instead of answered by the
-    /// host oracle — the recovery ladder ([`crate::recover`]) counts it
-    /// as a detection.
+    /// Answer one query against the resident graph — the scheduler's
+    /// run on one query, certified like every answer; `Err` on an
+    /// out-of-range source.
     pub fn try_query(&mut self, source: VertexId) -> Result<SsspResult, ServiceError> {
         let n = self.graph.num_vertices() as u32;
         if source >= n {
             return Err(ServiceError::SourceOutOfRange { source, n });
         }
         let (queries, cfg) = traffic::closed_loop(&[source]);
-        let mut run = self.schedule(&queries, &cfg);
-        match run.ceiling.pop() {
-            Some((_, _, overflow)) => Err(overflow.into()),
-            None => {
-                Ok(run.outcomes.pop().flatten().expect("a live query is answered").into_exact())
-            }
-        }
+        let mut report = self.serve_queries(&queries, &cfg);
+        Ok(report.outcomes.pop().expect("one query, one outcome").into_exact())
     }
 
-    /// Like [`SsspService::try_query`] but panicking on error — the
-    /// recovery ladder ([`crate::recover`]) treats the panic as a
-    /// detection.
+    /// Like [`SsspService::try_query`] but panicking on an
+    /// out-of-range source.
     pub fn query(&mut self, source: VertexId) -> SsspResult {
         self.try_query(source).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -345,11 +326,9 @@ impl SsspService {
     /// Answer many sources against one upload: a closed-loop
     /// [`SsspService::serve_queries`] run — every query arrives at
     /// t = 0 — spread across [`ServiceConfig::streams`] command
-    /// streams, one leased lane per in-flight query. A query whose
-    /// device attempt overflows is replayed with an escalated queue
-    /// set; only past the escalation ceiling is it re-answered by host
-    /// Dijkstra (counted in [`BatchStats::fallbacks`]). An out-of-range
-    /// source panics — the batch's shape is the caller's contract.
+    /// streams, one leased lane per in-flight query, every answer
+    /// certified by the recovery ladder. An out-of-range source panics
+    /// — the batch's shape is the caller's contract.
     pub fn batch(&mut self, sources: &[VertexId]) -> Vec<SsspResult> {
         let before = self.device.elapsed_ns();
         let (queries, cfg) = traffic::closed_loop(sources);
@@ -410,10 +389,10 @@ impl SsspService {
         self.device.arm_faults(FaultPlan::new(spec));
     }
 
-    /// Disarm any armed fault plan, returning its injection count and
-    /// event log for the recovery report.
-    pub fn disarm_faults(&mut self) -> Option<(u64, Vec<FaultEvent>)> {
-        self.device.disarm_faults().map(|p| (p.injections(), p.log().to_vec()))
+    /// Disarm any armed fault plan, returning how many faults it
+    /// injected.
+    pub fn disarm_faults(&mut self) -> u64 {
+        self.device.disarm_faults().map_or(0, |p| p.injections())
     }
 
     /// Arm the memory-model sanitizer on the resident device — the
@@ -453,12 +432,6 @@ impl SsspService {
         self.device.arm_schedule_fuzz(seed);
     }
 
-    /// Monotonicity-audit hits of the most recent device attempt
-    /// (non-zero only while faults are armed).
-    pub fn last_audit_hits(&self) -> usize {
-        self.last_audit_hits
-    }
-
     /// Grow the lane set to `count` leases. Extra lanes (runs on more
     /// than one stream) pull their buffers from the pool, so a later
     /// generation recycles them like any per-query buffer.
@@ -488,26 +461,6 @@ impl SsspService {
                 heavy_dirty: true,
             });
         }
-    }
-
-    /// Answer from the host oracle after a detected device error —
-    /// never a silently truncated device answer.
-    fn host_fallback(&mut self, source: VertexId) -> SsspResult {
-        let started = Instant::now();
-        self.stats.fallbacks += 1;
-        let mapped = self.perm.as_ref().map_or(source, |p| p.new_id(source));
-        let mut result = dijkstra(&self.graph, mapped);
-        if let Some(perm) = &self.perm {
-            result.dist = perm.unapply_to_array(&result.dist);
-            result.source = source;
-        }
-        note_query_parts(
-            &mut self.stats,
-            &mut self.queries_on_graph,
-            self.uploads_per_graph,
-            started,
-        );
-        result
     }
 
     /// Return one generation's per-query and graph buffers to the pool.
@@ -596,14 +549,36 @@ fn start_rdbs_driver(
     RdbsDriver::start(device, gb, scratch, graph, mapped, cfg, &mut lane.controller)
 }
 
+/// Run a whole query on a lane without yielding: how the scheduler
+/// dispatches BL, which has no resumable driver, and the recovery
+/// ladder's rerun rung for either variant. `Err` on a queue overflow.
+fn run_on_lane(
+    device: &mut Device,
+    lane: &mut QueryLane,
+    arrays: GraphArrays,
+    graph: &Csr,
+    mapped: VertexId,
+    rdbs_cfg: Option<RdbsConfig>,
+) -> Result<SsspResult, String> {
+    let Some(cfg) = rdbs_cfg else {
+        let Scratch::Bl(scratch) = &lane.scratch else {
+            unreachable!("scratch kind always matches the variant")
+        };
+        return Ok(bl_on(device, lane_buffers(arrays, lane), scratch, graph, mapped));
+    };
+    let mut driver = start_rdbs_driver(device, lane, arrays, graph, mapped, cfg);
+    while !driver.step(device, graph, &mut lane.controller).map_err(|e| e.to_string())? {}
+    Ok(driver.finish(device).result)
+}
+
 /// Escalate a lane's queue set one size class: release the four
 /// queues to the pool and re-acquire them — all at the same class, so
 /// the set stays in one size class by construction — at the next
 /// class above the largest current capacity. Returns `false` once the
 /// next class would exceed the ceiling — one class above the vertex
 /// count (`2 * size_class(n)`), which no fault-free frontier outgrows
-/// (pending marks deduplicate enqueues) — leaving the caller to the
-/// existing recovery ladder.
+/// (pending marks deduplicate enqueues) — leaving the query to the
+/// recovery ladder's host rung.
 ///
 /// "Next class" is exact, not `2 * size_class(cap)`: a capacity
 /// sitting below its class boundary (e.g. `n = 120`, class 128) first
@@ -1249,14 +1224,77 @@ mod tests {
         assert_eq!(stats.escalations, 0);
         assert!(stats.fallbacks >= 1, "spill-of-spill loss must be detected and re-answered");
 
-        // A single query hands the same loss back as a typed error
-        // instead of falling back — on any stream count.
+        // A single query climbs the same ladder to the host rung — on
+        // any stream count. The overflow is not an audit failure.
         let mut svc = SsspService::new(&g, config.with_streams(4));
-        let err = svc.try_query(0).unwrap_err();
-        assert!(matches!(err, ServiceError::Overflow(_)), "{err:?}");
+        check_against_dijkstra(&g, 0, &svc.try_query(0).unwrap().dist).unwrap();
         let stats = svc.stats();
-        assert_eq!(stats.fallbacks, 0);
-        assert_eq!(stats.queries, 0);
+        assert_eq!((stats.queries, stats.fallbacks, stats.audit_failures), (1, 1, 0));
+        assert!(stats.per_query_sim_ms.is_empty(), "a host answer has no device service time");
+    }
+
+    #[test]
+    fn faulted_queries_are_certified_by_the_service_itself() {
+        // Dropped atomic-min updates on the pooled shape (a fault-free
+        // warm-up, then the faulted query on recycled buffers): the
+        // service audits its own answer and climbs the ladder past the
+        // device rung — no caller-side recovery wraps it.
+        use super::traffic::{AnswerSource, Outcome};
+        let g = graph(7);
+        let mut climbed = 0;
+        for seed in 0..4 {
+            let mut svc = SsspService::new(&g, ServiceConfig::rdbs(tiny()));
+            svc.query(1);
+            svc.arm_faults(FaultSpec::new(rdbs_gpu_sim::FaultModel::DroppedAtomicMin, 0.3, seed));
+            let (queries, cfg) = traffic::closed_loop(&[0]);
+            let outcome = svc.serve_queries(&queries, &cfg).outcomes.remove(0);
+            let Outcome::Exact { result, via, detection, .. } = outcome else {
+                panic!("a closed-loop query is answered exactly")
+            };
+            check_against_dijkstra(&g, 0, &result.dist)
+                .unwrap_or_else(|m| panic!("seed {seed}: {m} (via {via}, {detection})"));
+            assert_eq!(via > AnswerSource::Device, detection.any(), "seed {seed}: {detection}");
+            climbed += usize::from(via > AnswerSource::Device);
+            let stats = svc.stats();
+            assert_eq!(stats.audit_failures, u64::from(detection.audit_failed()));
+        }
+        assert!(climbed > 0, "no seed's dropped updates reached the ladder");
+    }
+
+    #[test]
+    fn the_rerun_rung_runs_on_the_querys_own_lane() {
+        // A directed path against CSR order under dropped atomic-min
+        // updates: the repair sweep gains one vertex per round, so a
+        // path this long defeats it. Capped at one drop, the plan is
+        // spent by the rerun on the query's own lane, which certifies;
+        // uncapped, the rerun is as corrupt as the attempt and the host
+        // rung answers.
+        use super::traffic::{AnswerSource, Outcome};
+        let n = 200u32;
+        let edges = (0..n - 1).map(|i| (i + 1, i, 1)).collect();
+        let g = rdbs_graph::builder::build_directed(&EdgeList::from_edges(n as usize, edges));
+        let drop = FaultSpec::new(rdbs_gpu_sim::FaultModel::DroppedAtomicMin, 1.0, 0);
+        for (spec, rung) in [(drop.with_cap(1), AnswerSource::Rerun), (drop, AnswerSource::Host)] {
+            let mut svc = SsspService::new(&g, ServiceConfig::rdbs(tiny()));
+            svc.arm_faults(spec);
+            let (queries, cfg) = traffic::closed_loop(&[n - 1]);
+            let Outcome::Exact { result, via, detection, .. } =
+                svc.serve_queries(&queries, &cfg).outcomes.remove(0)
+            else {
+                panic!("a closed-loop query is answered exactly")
+            };
+            check_against_dijkstra(&g, n - 1, &result.dist).unwrap();
+            assert_eq!(via, rung, "{detection}");
+            assert!(detection.audit_failed(), "{detection}");
+            let stats = svc.stats();
+            assert_eq!(
+                (stats.reruns, stats.fallbacks, stats.audit_failures),
+                match rung {
+                    AnswerSource::Rerun => (1, 0, 1),
+                    _ => (0, 1, 1),
+                }
+            );
+        }
     }
 
     #[test]

@@ -40,11 +40,11 @@
 //! deterministic simulator the rest of the workspace uses.
 
 use super::cache::{AnswerCache, CacheConfig};
-use super::{escalate_queues, lane_buffers, note_query_parts, peak_overlap, Scratch, SsspService};
-use crate::gpu::bl::bl_on;
-use crate::gpu::buffers::QueueOverflow;
+use super::{escalate_queues, note_query_parts, peak_overlap, run_on_lane, SsspService};
 use crate::gpu::rdbs::RdbsDriver;
 use crate::gpu::Variant;
+pub use crate::recover::AnswerSource;
+use crate::recover::{recover, Detection, RecoveredRun, Rerun};
 use crate::stats::{percentile, SsspResult, UpdateStats};
 use crate::{Dist, VertexId};
 use rdbs_gpu_sim::{splitmix64, StreamSet};
@@ -147,24 +147,18 @@ pub struct Rejected {
     pub predicted_completion_ms: f64,
 }
 
-/// Which path produced an exact answer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AnswerSource {
-    /// Fresh device run.
-    Device,
-    /// Host-oracle recovery after the escalation ceiling.
-    HostFallback,
-    /// Bit-identical replay from the answer cache.
-    Cache,
-}
-
 /// Per-query outcome, in arrival order.
 #[derive(Clone, Debug)]
 pub enum Outcome {
-    /// An exact answer (bit-identical to a fresh device run).
+    /// An exact answer, certified by the recovery ladder (or replayed
+    /// from the cache, which holds only certified answers).
     Exact {
         result: SsspResult,
+        /// The rung that certified the answer, or the cache.
         via: AnswerSource,
+        /// What the detectors saw on the device attempt (nothing for a
+        /// cache replay).
+        detection: Detection,
         arrival_ms: f64,
         /// Arrival → completion on the wall timeline.
         sojourn_ms: f64,
@@ -190,7 +184,10 @@ pub struct TrafficReport {
     pub approx: usize,
     /// Typed rejections.
     pub shed: usize,
+    /// Exact answers the device produced: certified as they stood, by
+    /// the repair sweep or by a rerun.
     pub device_answered: usize,
+    /// Exact answers certified by host Dijkstra.
     pub fallbacks: usize,
     pub cache_hits: usize,
     /// The workload's base SLO, for reporting.
@@ -363,26 +360,13 @@ pub fn generate_arrivals(cfg: &TrafficConfig, n: u32) -> Vec<Query> {
 
 /// The closed-loop workload over `sources`: every query arrives at
 /// t = 0 with an infinite deadline, and the answer cache is off.
-pub(super) fn closed_loop(sources: &[VertexId]) -> (Vec<Query>, TrafficConfig) {
+pub fn closed_loop(sources: &[VertexId]) -> (Vec<Query>, TrafficConfig) {
     let queries = sources
         .iter()
         .map(|&source| Query { source, arrival_ms: 0.0, deadline_ms: f64::INFINITY })
         .collect();
     // The arrival process is never drawn from: the queries are explicit.
     (queries, TrafficConfig::poisson(1.0, sources.len(), f64::INFINITY, 0))
-}
-
-/// One scheduler run, before the host oracle answers its ceiling hits.
-pub(super) struct Scheduled {
-    /// Per-query outcomes in arrival order; `None` for ceiling hits.
-    pub(super) outcomes: Vec<Option<Outcome>>,
-    /// Queries that overflowed past the escalation ceiling, in death
-    /// order: index, sojourn at death (ms), and the overflow.
-    pub(super) ceiling: Vec<(usize, f64, QueueOverflow)>,
-    device_answered: usize,
-    makespan_ms: f64,
-    /// Device clock at the run's start, ns.
-    base_ns: f64,
 }
 
 /// EWMA service-time predictor for the admission test. Before the
@@ -419,81 +403,16 @@ impl SsspService {
         self.serve_queries(&queries, cfg)
     }
 
-    /// Serve an explicit query list (the open-loop entry point
-    /// generates one; [`SsspService::batch`] passes a closed loop;
-    /// tests hand-construct them to pin scheduler behaviour). Queries
-    /// must be in arrival order.
+    /// The scheduler: serve an explicit query list (the open-loop
+    /// entry point generates one; [`SsspService::batch`] and
+    /// [`SsspService::try_query`] pass a closed loop; tests
+    /// hand-construct them to pin scheduler behaviour) across
+    /// `min(streams, queries)` leased lanes. Queries must be in arrival
+    /// order. An overflowed queue set escalates on the device; every
+    /// answer — and every query that overflows past the escalation
+    /// ceiling — is certified by [`recover`]'s ladder before it is
+    /// returned or cached.
     pub fn serve_queries(&mut self, queries: &[Query], cfg: &TrafficConfig) -> TrafficReport {
-        let Scheduled { mut outcomes, ceiling, device_answered, makespan_ms, base_ns } =
-            self.schedule(queries, cfg);
-        let generation = self.generation;
-        let cache_enabled = cfg.cache.is_some();
-        let fallbacks = ceiling.len();
-        for (qi, sojourn_ms, _overflow) in ceiling {
-            let q = queries[qi];
-            let result = self.host_fallback(q.source);
-            // The fallback's sojourn ends where its device attempt
-            // died; the host recompute runs off the simulated timeline.
-            self.stats.per_query_sojourn_ms.push(sojourn_ms);
-            if let Some(c) = self.traffic_cache.as_mut().filter(|_| cache_enabled) {
-                c.insert(
-                    generation,
-                    q.source,
-                    Arc::new(result.dist.clone()),
-                    base_ns / 1e6 + q.arrival_ms + sojourn_ms,
-                );
-            }
-            outcomes[qi] = Some(Outcome::Exact {
-                result,
-                via: AnswerSource::HostFallback,
-                arrival_ms: q.arrival_ms,
-                sojourn_ms,
-                queue_ms: 0.0,
-            });
-        }
-
-        let outcomes: Vec<Outcome> =
-            outcomes.into_iter().map(|o| o.expect("every offered query has an outcome")).collect();
-        let mut exact = 0;
-        let mut approx = 0;
-        let mut shed = 0;
-        let mut cache_hits = 0;
-        let mut deadline_violations = 0;
-        for (o, q) in outcomes.iter().zip(queries) {
-            match o {
-                Outcome::Exact { via, sojourn_ms, .. } => {
-                    exact += 1;
-                    if *via == AnswerSource::Cache {
-                        cache_hits += 1;
-                    }
-                    if q.arrival_ms + *sojourn_ms > q.deadline_ms + 1e-9 {
-                        deadline_violations += 1;
-                    }
-                }
-                Outcome::Approx { .. } => approx += 1,
-                Outcome::Rejected(_) => shed += 1,
-            }
-        }
-        TrafficReport {
-            outcomes,
-            offered: queries.len(),
-            exact,
-            approx,
-            shed,
-            device_answered,
-            fallbacks,
-            cache_hits,
-            slo_ms: cfg.slo_ms,
-            makespan_ms,
-            deadline_violations,
-        }
-    }
-
-    /// The scheduler: run `queries` (in arrival order) across
-    /// `min(streams, queries)` leased lanes, recording every device
-    /// answer, escalating overflowed queue sets on-device, and leaving
-    /// the queries that die at the escalation ceiling to the caller.
-    pub(super) fn schedule(&mut self, queries: &[Query], cfg: &TrafficConfig) -> Scheduled {
         assert!(
             queries.windows(2).all(|w| w[0].arrival_ms <= w[1].arrival_ms),
             "queries must arrive in order"
@@ -504,7 +423,6 @@ impl SsspService {
         }
         let streams = self.config.streams.min(queries.len()).max(1);
         self.ensure_lanes(streams);
-        self.last_audit_hits = 0;
         let generation = self.generation;
         if let (Some(sizing), slot @ None) = (&cfg.cache, &mut self.traffic_cache) {
             *slot = Some(AnswerCache::new(*sizing));
@@ -515,15 +433,12 @@ impl SsspService {
         }
 
         let mut outcomes: Vec<Option<Outcome>> = vec![None; queries.len()];
-        let mut ceiling = Vec::new();
         // Per-query (dispatch, completion or death) *wall* times for
         // the overlap sweep. Wall coordinates are comparable across
         // streams; per-stream busy clocks are not.
         let mut intervals: Vec<(f64, f64)> = Vec::new();
         let mut predictor = Predictor::new();
-        let mut device_answered = 0usize;
         let makespan_ms;
-        let base_ns;
 
         {
             let Self { device, perm, arrays, graph, traffic_cache: cache, .. } = self;
@@ -596,6 +511,7 @@ impl SsspService {
                                 stats: UpdateStats::default(),
                             },
                             via: AnswerSource::Cache,
+                            detection: Detection::default(),
                             arrival_ms: q.arrival_ms,
                             sojourn_ms,
                             queue_ms: sojourn_ms,
@@ -605,8 +521,10 @@ impl SsspService {
                     }
                 }
 
-                // A query that completed on stream `s` this iteration:
-                // (index, result, dispatch wall time, host start).
+                // A query whose device attempt ended on stream `s` this
+                // iteration: (index, the answer with its monotonicity
+                // hits or the overflow that ended it, dispatch wall
+                // time, host start).
                 let mut finished = None;
                 if let Some(inflight) = running[s].as_mut() {
                     // Step the in-flight query one bucket.
@@ -619,9 +537,8 @@ impl SsspService {
                         Ok(true) => {
                             let done = running[s].take().expect("stream was running");
                             let run = set.run(device, sid, |dev| done.driver.finish(dev));
-                            self.last_audit_hits = self.last_audit_hits.max(run.audit.len());
-                            finished =
-                                Some((done.qi, run.result, done.dispatched_wall, done.started));
+                            let answer = Ok((run.result, run.audit.len()));
+                            finished = Some((done.qi, answer, done.dispatched_wall, done.started));
                         }
                         Err(overflow) => {
                             let escalated = escalate_queues(
@@ -642,10 +559,9 @@ impl SsspService {
                                 });
                             } else {
                                 let dead = running[s].take().expect("stream was running");
-                                let end = set.wall_ns(sid);
-                                let q = queries[dead.qi];
-                                intervals.push((dead.dispatched_wall, end));
-                                ceiling.push((dead.qi, (end - arrival_ns(&q)) / 1e6, overflow));
+                                let answer = Err(overflow.to_string());
+                                finished =
+                                    Some((dead.qi, answer, dead.dispatched_wall, dead.started));
                             }
                         }
                     }
@@ -716,29 +632,55 @@ impl SsspService {
                         } else {
                             // BL has no resumable driver: the whole
                             // query is the scheduling grain.
-                            let Scratch::Bl(scratch) = &lane.scratch else {
-                                unreachable!("scratch kind always matches the variant")
-                            };
-                            let gb = lane_buffers(*arrays, lane);
-                            let result =
-                                set.run(device, sid, |dev| bl_on(dev, gb, scratch, graph, mapped));
-                            finished = Some((qi, result, dispatched_wall, started));
+                            let answer = set
+                                .run(device, sid, |dev| {
+                                    run_on_lane(dev, lane, *arrays, graph, mapped, None)
+                                })
+                                .map(|result| (result, 0));
+                            finished = Some((qi, answer, dispatched_wall, started));
                         }
                         break;
                     }
                 }
 
-                let Some((qi, mut result, dispatched_wall, started)) = finished else { continue };
+                let Some((qi, answer, dispatched_wall, started)) = finished else { continue };
                 let q = queries[qi];
+                let mapped = perm.as_ref().map_or(q.source, |p| p.new_id(q.source));
+                // Certify the answer before it is returned or cached. The
+                // rerun rung reruns the query on its own lane and stream;
+                // a query that overflowed at the escalation ceiling would
+                // overflow again, so it climbs straight to the host.
+                let lane = &mut lanes[s];
+                let overflowed = answer.is_err();
+                let mut rerun = || {
+                    set.run(device, sid, |dev| {
+                        run_on_lane(dev, lane, *arrays, graph, mapped, rdbs_cfg)
+                    })
+                };
+                let RecoveredRun { mut result, via, detection } =
+                    recover(graph, mapped, answer, (!overflowed).then_some(&mut rerun as Rerun));
                 if let Some(perm) = perm.as_ref() {
                     result.dist = perm.unapply_to_array(&result.dist);
                     result.source = q.source;
                 }
                 let end = set.wall_ns(sid);
-                let service_ns = end - dispatched_wall;
                 let sojourn_ms = (end - arrival_ns(&q)) / 1e6;
                 intervals.push((dispatched_wall, end));
-                self.stats.per_query_sim_ms.push(service_ns / 1e6);
+                match via {
+                    AnswerSource::Repair => self.stats.repairs += 1,
+                    AnswerSource::Rerun => self.stats.reruns += 1,
+                    AnswerSource::Host => self.stats.fallbacks += 1,
+                    AnswerSource::Device | AnswerSource::Cache => {}
+                }
+                self.stats.audit_failures += u64::from(detection.audit_failed());
+                // Only answers the device produced have a service time:
+                // a host answer's sojourn ends where its device attempt
+                // did, and the host rung runs off the simulated clock.
+                if via != AnswerSource::Host {
+                    let service_ns = end - dispatched_wall;
+                    self.stats.per_query_sim_ms.push(service_ns / 1e6);
+                    predictor.observe(service_ns);
+                }
                 self.stats.per_query_sojourn_ms.push(sojourn_ms);
                 note_query_parts(
                     &mut self.stats,
@@ -746,24 +688,56 @@ impl SsspService {
                     self.uploads_per_graph,
                     started,
                 );
-                predictor.observe(service_ns);
                 if let Some(c) = cache.as_mut().filter(|_| cache_enabled) {
                     c.insert(generation, q.source, Arc::new(result.dist.clone()), end / 1e6);
                 }
-                device_answered += 1;
                 outcomes[qi] = Some(Outcome::Exact {
                     result,
-                    via: AnswerSource::Device,
+                    via,
+                    detection,
                     arrival_ms: q.arrival_ms,
                     sojourn_ms,
                     queue_ms: (dispatched_wall - arrival_ns(&q)) / 1e6,
                 });
             }
             makespan_ms = set.makespan_ns() / 1e6;
-            base_ns = set.base_ns();
         }
         self.stats.inflight_peak = self.stats.inflight_peak.max(peak_overlap(&intervals));
-        Scheduled { outcomes, ceiling, device_answered, makespan_ms, base_ns }
+
+        let outcomes: Vec<Outcome> =
+            outcomes.into_iter().map(|o| o.expect("every offered query has an outcome")).collect();
+        let mut report = TrafficReport {
+            outcomes: Vec::new(),
+            offered: queries.len(),
+            exact: 0,
+            approx: 0,
+            shed: 0,
+            device_answered: 0,
+            fallbacks: 0,
+            cache_hits: 0,
+            slo_ms: cfg.slo_ms,
+            makespan_ms,
+            deadline_violations: 0,
+        };
+        for (o, q) in outcomes.iter().zip(queries) {
+            match o {
+                Outcome::Exact { via, sojourn_ms, .. } => {
+                    report.exact += 1;
+                    match via {
+                        AnswerSource::Cache => report.cache_hits += 1,
+                        AnswerSource::Host => report.fallbacks += 1,
+                        _ => report.device_answered += 1,
+                    }
+                    if q.arrival_ms + *sojourn_ms > q.deadline_ms + 1e-9 {
+                        report.deadline_violations += 1;
+                    }
+                }
+                Outcome::Approx { .. } => report.approx += 1,
+                Outcome::Rejected(_) => report.shed += 1,
+            }
+        }
+        report.outcomes = outcomes;
+        report
     }
 }
 

@@ -98,9 +98,20 @@ pub struct BatchStats {
     pub pool_reuses: u64,
     /// Per-query host wall-clock times, milliseconds, in query order.
     pub per_query_ms: Vec<f64>,
-    /// Queries recovered through the host fallback after a detected
-    /// device error (e.g. a queue overflow) — never silently wrong.
+    /// Queries answered by the recovery ladder's host rung: Dijkstra
+    /// after a queue overflow past the escalation ceiling, or after a
+    /// failed audit that neither the repair sweep nor a device rerun
+    /// could fix ([`crate::recover`]).
     pub fallbacks: u64,
+    /// Queries whose device answer failed its audit and was fixed by
+    /// the ladder's repair sweep.
+    pub repairs: u64,
+    /// Queries certified by the ladder's device rerun on their own
+    /// lane.
+    pub reruns: u64,
+    /// Device answers that failed their audit, whichever rung then
+    /// certified them. With no fault armed every one is a protocol bug.
+    pub audit_failures: u64,
     /// Queue overflows recovered **on the device** by re-acquiring the
     /// query's queue set one size class larger and replaying — each
     /// size-class step counts once. Only overflows past the escalation
@@ -124,11 +135,9 @@ pub struct BatchStats {
     /// query's arrival, for closed-loop batches) → completion,
     /// including time spent queued behind other queries. Unlike
     /// [`BatchStats::per_query_sim_ms`] this series also records
-    /// ceiling-hit queries re-answered by the host fallback (their
-    /// sojourn ends at the device attempt's death; the host recompute
-    /// runs off the simulated timeline, after the run's device
-    /// answers, so they come last), so
-    /// `per_query_sojourn_ms.len() == queries`.
+    /// queries answered by the host rung (their sojourn ends where the
+    /// device attempt did; the host recompute runs off the simulated
+    /// timeline), so `per_query_sojourn_ms.len() == queries`.
     pub per_query_sojourn_ms: Vec<f64>,
     /// Queries refused by the traffic tier's admission control with a
     /// typed rejection ([`crate::service::traffic`]) — never counted

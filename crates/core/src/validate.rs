@@ -52,42 +52,6 @@ pub fn check_against(expected: &[Dist], actual: &[Dist]) -> Result<(), Mismatch>
     Ok(())
 }
 
-/// Check internal consistency without an oracle: `dist[source] == 0`,
-/// every finite distance is realizable along some edge, and no edge is
-/// left relaxable. A correct SSSP output always satisfies this.
-pub fn check_relaxed(graph: &Csr, source: VertexId, dist: &[Dist]) -> Result<(), String> {
-    if dist[source as usize] != 0 {
-        return Err(format!("dist[source] = {}, expected 0", dist[source as usize]));
-    }
-    for (u, v, w) in graph.all_edges() {
-        let (du, dv) = (dist[u as usize], dist[v as usize]);
-        if du != INF && (dv == INF || dv as u64 > du as u64 + w as u64) {
-            return Err(format!(
-                "edge ({u} -> {v}, w {w}) still relaxable: dist[{u}]={}, dist[{v}]={}",
-                fmt_dist(du),
-                fmt_dist(dv)
-            ));
-        }
-    }
-    // Every reached non-source vertex must have a tight predecessor.
-    let mut tight = vec![false; dist.len()];
-    tight[source as usize] = true;
-    for (u, v, w) in graph.all_edges() {
-        if dist[u as usize] != INF
-            && dist[v as usize] != INF
-            && dist[u as usize] as u64 + w as u64 == dist[v as usize] as u64
-        {
-            tight[v as usize] = true;
-        }
-    }
-    for (v, (&d, &t)) in dist.iter().zip(&tight).enumerate() {
-        if d != INF && !t {
-            return Err(format!("vertex {v} at distance {d} has no tight predecessor"));
-        }
-    }
-    Ok(())
-}
-
 /// Everything the oracle-free audit found wrong with a distance array.
 #[derive(Clone, Debug, Default)]
 pub struct SsspAudit {
@@ -112,18 +76,18 @@ impl SsspAudit {
     }
 }
 
-/// Oracle-free audit of an SSSP output, O(V+E): the checks of
-/// [`check_relaxed`] plus a *certification pass* — every reached
-/// vertex must be reachable from the source along tight edges
-/// (`dist[v] == dist[u] + w`), which closes the hole where a
-/// consistent-looking island of too-low distances certifies itself in
-/// the per-vertex tight-predecessor check. (With zero-weight cycles a
-/// mutually-tight island at exactly consistent wrong values can still
-/// pass `check_relaxed`; the certification pass rejects it because no
-/// tight path connects it to the source.)
+/// Oracle-free audit of an SSSP output, O(V+E): `dist[source] == 0`,
+/// no edge is left relaxable, and every reached vertex is reachable
+/// from the source along tight edges (`dist[v] == dist[u] + w`). With
+/// non-negative weights that certifies the answer exactly: no
+/// relaxable edge bounds every distance from above by the true one,
+/// and a tight path from the source bounds it from below. The
+/// tight-path walk is what rejects a consistent-looking island of
+/// too-low distances, which a per-vertex tight-predecessor test lets
+/// certify itself (a zero-weight cycle at a wrong value, say).
 ///
-/// Unlike [`check_relaxed`] this collects *all* suspect vertices, so a
-/// recovery layer can seed a bounded repair from them.
+/// Collects *all* suspect vertices, so a recovery layer can seed a
+/// bounded repair from them.
 pub fn audit_sssp(graph: &Csr, source: VertexId, dist: &[Dist]) -> SsspAudit {
     let mut audit = SsspAudit::default();
     if dist[source as usize] != 0 {
@@ -131,35 +95,37 @@ pub fn audit_sssp(graph: &Csr, source: VertexId, dist: &[Dist]) -> SsspAudit {
         audit.flagged.push(source);
     }
     // Too-high side: any still-relaxable edge flags its head.
-    for (u, v, w) in graph.all_edges() {
-        let (du, dv) = (dist[u as usize], dist[v as usize]);
-        if du != INF && (dv == INF || dv as u64 > du as u64 + w as u64) {
-            audit.note(format!(
-                "edge ({u} -> {v}, w {w}) still relaxable: dist[{u}]={}, dist[{v}]={}",
-                fmt_dist(du),
-                fmt_dist(dv)
-            ));
-            audit.flagged.push(v);
+    for u in 0..dist.len() as VertexId {
+        let du = dist[u as usize];
+        if du == INF {
+            continue;
+        }
+        for (v, w) in graph.edges(u) {
+            let dv = dist[v as usize];
+            if dv == INF || dv as u64 > du as u64 + w as u64 {
+                audit.note(format!(
+                    "edge ({u} -> {v}, w {w}) still relaxable: dist[{u}]={}, dist[{v}]={}",
+                    fmt_dist(du),
+                    fmt_dist(dv)
+                ));
+                audit.flagged.push(v);
+            }
         }
     }
-    // Too-low side: certify reached vertices by BFS over tight edges
-    // from the source; anything reached but uncertified is corrupt (or
+    // Too-low side: certify reached vertices by a walk over tight
+    // edges from the source, read straight off each popped vertex's
+    // CSR row; anything reached but uncertified is corrupt (or
     // downstream of a corrupt value).
-    let n = dist.len();
-    let mut tight_adj: Vec<Vec<VertexId>> = vec![Vec::new(); n];
-    for (u, v, w) in graph.all_edges() {
-        let (du, dv) = (dist[u as usize], dist[v as usize]);
-        if du != INF && dv != INF && du as u64 + w as u64 == dv as u64 {
-            tight_adj[u as usize].push(v);
-        }
-    }
-    let mut certified = vec![false; n];
+    let mut certified = vec![false; dist.len()];
     if dist[source as usize] == 0 {
         certified[source as usize] = true;
         let mut stack = vec![source];
         while let Some(u) = stack.pop() {
-            for &v in &tight_adj[u as usize] {
-                if !certified[v as usize] {
+            // Certified vertices have finite distances.
+            let du = dist[u as usize] as u64;
+            for (v, w) in graph.edges(u) {
+                let dv = dist[v as usize];
+                if !certified[v as usize] && dv != INF && du + w as u64 == dv as u64 {
                     certified[v as usize] = true;
                     stack.push(v);
                 }
@@ -190,7 +156,7 @@ mod tests {
     fn accepts_correct_result() {
         let g = line();
         assert!(check_against_dijkstra(&g, 0, &[0, 2, 5]).is_ok());
-        assert!(check_relaxed(&g, 0, &[0, 2, 5]).is_ok());
+        assert!(audit_sssp(&g, 0, &[0, 2, 5]).is_clean());
     }
 
     #[test]
@@ -199,20 +165,7 @@ mod tests {
         let err = check_against_dijkstra(&g, 0, &[0, 2, 6]).unwrap_err();
         assert_eq!(err.vertex, 2);
         assert_eq!(err.expected, 5);
-        assert!(check_relaxed(&g, 0, &[0, 2, 6]).is_err());
-    }
-
-    #[test]
-    fn relaxed_check_rejects_too_small() {
-        // 4 < true distance but no tight predecessor.
-        let g = line();
-        assert!(check_relaxed(&g, 0, &[0, 2, 4]).is_err());
-    }
-
-    #[test]
-    fn relaxed_check_rejects_unreached_reachable() {
-        let g = line();
-        assert!(check_relaxed(&g, 0, &[0, 2, INF]).is_err());
+        assert!(!audit_sssp(&g, 0, &[0, 2, 6]).is_clean());
     }
 
     #[test]
@@ -233,10 +186,10 @@ mod tests {
     #[test]
     fn audit_rejects_self_certifying_zero_cycle() {
         // a <-> b with weight 0, true distance 5 via the source edge;
-        // both claiming 3 passes check_relaxed's per-vertex test but
-        // not the tight-path certification.
+        // both claiming 3 leaves no edge relaxable and gives each a
+        // tight predecessor (the other), but no tight path from the
+        // source reaches them.
         let g = build_undirected(&EdgeList::from_edges(3, vec![(0, 1, 5), (1, 2, 0)]));
-        assert!(check_relaxed(&g, 0, &[0, 3, 3]).is_ok(), "the hole audit_sssp closes");
         let audit = audit_sssp(&g, 0, &[0, 3, 3]);
         assert_eq!(audit.flagged, vec![1, 2]);
     }

@@ -150,6 +150,20 @@ fn num<T: std::str::FromStr>(s: &str, usage: fn() -> !) -> T {
     s.parse().unwrap_or_else(|_| usage())
 }
 
+/// The engines with no bucket width: `--delta0` for one of them is a
+/// usage error, not a silent no-op. (`--algo all` still passes the
+/// width to the engines that read it.)
+const WIDTHLESS: [&str; 5] = ["bl", "dijkstra", "dial", "bellman-ford", "pq-delta"];
+
+/// Exit 2, naming the engine, when `--delta0` was given for one that
+/// takes no bucket width.
+fn reject_widthless(engine: &str, flag: &str) {
+    if WIDTHLESS.contains(&engine) {
+        eprintln!("error: {flag} {engine} takes no bucket width; drop --delta0");
+        exit(2);
+    }
+}
+
 /// The device variants `--algo` and `serve --backend` share: full
 /// RDBS, its ablations (BASYN+PRO, BASYN+ADWL, BASYN, sync Δ) and BL.
 fn variant_named(name: &str, delta0: Option<Weight>) -> Option<Variant> {
@@ -260,7 +274,8 @@ run options:
   --source V          starting vertex (default 0)
   --seed S            rng seed (default 42)
   --device V100|T4|TINY  simulated GPU (default V100)
-  --delta0 W          bucket width override
+  --delta0 W          bucket width override (an error for bl, dijkstra,
+                      dial, bellman-ford and pq-delta, which take none)
   --profile           print nvprof-style counters (GPU algos)
   --validate          check against Dijkstra
   --print-dist N      print the first N distances"
@@ -291,6 +306,9 @@ fn run_main(args: Vec<String>) {
     if o.gen_spec.is_none() && o.load_path.is_none() {
         eprintln!("error: provide --gen or --load\n");
         run_usage();
+    }
+    if o.sweep.delta0.is_some() {
+        reject_widthless(&r.algo, "--algo");
     }
     let g = build_graph(&o);
     println!(
@@ -405,9 +423,13 @@ batched service (rdbs-core::service): graph arrays H2D once, per-query
 buffers recycled from a size-class pool, Δ controller warm-started
 across queries. With --streams N the batch is scheduled concurrently
 across N simulated command streams (least-busy dispatch, on-device
-queue escalation on overflow). Prints per-batch amortization stats and
-exits non-zero if the batch needed more than one graph upload (or,
-with --validate, if any query disagrees with Dijkstra).
+queue escalation on overflow). The service audits every answer and
+certifies it through the recovery ladder (device, repair sweep, rerun,
+host Dijkstra). Prints per-batch amortization stats and how many
+answers each rung certified, and exits non-zero if any answer failed
+its audit (with no fault armed, a protocol bug), if the batch needed
+more than one graph upload, or, with --validate, if any query disagrees
+with Dijkstra.
 
   --sources K         sources in the batch (default 16, seeded-random;
                       with --arrivals, the number of offered queries)
@@ -426,7 +448,7 @@ with --validate, if any query disagrees with Dijkstra).
                       count (stresses escalation / the MLMQ spill path)
   --seed S            rng seed for graph and source choice (default 42)
   --device V100|T4|TINY  simulated GPU (default V100; TINY with --quick)
-  --delta0 W          bucket width override
+  --delta0 W          bucket width override (not for --backend bl)
   --validate          check every query against Dijkstra
   --quick             small graph + tiny device (CI smoke job)
 
@@ -497,6 +519,9 @@ fn serve_main(args: Vec<String>) -> ! {
         o.gen_spec = Some(spec.into());
     }
     let (seed, sources, delta0) = (o.seed(), o.sources.unwrap_or(16), o.sweep.delta0);
+    if delta0.is_some() {
+        reject_widthless(&backend_spec, "--backend");
+    }
     let g = build_graph(&o);
     let n = g.num_vertices();
     println!("graph: {} vertices, {} directed edges", n, g.num_edges());
@@ -595,6 +620,7 @@ fn serve_main(args: Vec<String>) -> ! {
         if use_cache {
             println!("cache: hit rate {:.1}% of offered", 100.0 * report.hit_rate());
         }
+        report_rungs(&after);
         if o.validate {
             let exact = report.outcomes.iter().filter_map(|out| match out {
                 Outcome::Exact { result, .. } => Some((result.source, &result.dist[..])),
@@ -664,6 +690,7 @@ fn serve_main(args: Vec<String>) -> ! {
         );
     }
 
+    report_rungs(&stats);
     if service.device_uploads() != uploads_per_graph {
         println!(
             "serve: FAILED — the batch re-uploaded the graph ({} uploads, expected {})",
@@ -678,6 +705,25 @@ fn serve_main(args: Vec<String>) -> ! {
     }
     println!("serve: OK — one upload served {} queries", results.len());
     exit(0)
+}
+
+/// Print how many answers each recovery rung certified, and exit 1 if
+/// any answer failed its audit: with no fault armed that is a protocol
+/// bug, which the certified answer must not hide.
+fn report_rungs(stats: &rdbs::sssp::stats::BatchStats) {
+    let device = stats.queries - stats.repairs - stats.reruns - stats.fallbacks;
+    println!(
+        "certified: {device} device, {} repair, {} rerun, {} host, {} cache; {} failed audit(s)",
+        stats.repairs, stats.reruns, stats.fallbacks, stats.cache_exact_hits, stats.audit_failures
+    );
+    if stats.audit_failures > 0 {
+        println!(
+            "serve: FAILED — {} answer(s) failed the audit; the recovery ladder certified them, \
+             but with no fault armed a failed audit is a protocol bug",
+            stats.audit_failures
+        );
+        exit(1);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -744,7 +790,9 @@ fn verify_usage() -> ! {
         "verify",
         "matrix mode (default): run every implementation x graph family x source
 against the Dijkstra oracle; on failure, minimize a witness and localize
-the first divergence. Exits non-zero on any mismatch.",
+the first divergence. Exits non-zero on any mismatch, panic, or answer
+that failed its audit before the recovery ladder certified it (with no
+fault armed, a protocol bug).",
         "  --delta0 W          bucket-width override for the whole sweep
   --inject-fault      also run the registry's deliberate fault specimen
                       (demonstrates the shrink + localize pipeline)
@@ -803,16 +851,16 @@ fn verify_main(args: Vec<String>) -> ! {
             w.source,
             if w.directed { ", directed" } else { "" }
         );
-        match conf::localize(&imp, &g, w.source, o.delta0) {
-            None => {
-                println!("{id}: OK (matches Dijkstra on the witness)");
-                exit(0)
-            }
-            Some(d) => {
+        let oracle = dijkstra(&g, w.source);
+        if let Err(failure) = conf::run_case(&imp, &g, &oracle.dist, w.source, o.delta0) {
+            println!("{id}: FAIL — {failure}");
+            if let Some(d) = conf::localize(&imp, &g, w.source, o.delta0) {
                 println!("{d}");
-                exit(1)
             }
+            exit(1)
         }
+        println!("{id}: OK (matches Dijkstra on the witness)");
+        exit(0)
     }
 
     // Matrix mode.
@@ -894,18 +942,18 @@ fn verify_main(args: Vec<String>) -> ! {
 fn chaos_usage() -> ! {
     sweep_usage(
         "chaos",
-        "Sweep fault models x detect-and-recover entry points x graph families,
-grading each cell's final answer against the Dijkstra oracle. A cell may
-be correct (clean or recovered — the ladder is reported) or explicitly
-errored; a silently wrong answer fails the sweep. Exits non-zero on any
-silent wrong answer. The sweep is deterministic: the same flags replay
-the same fault schedules byte for byte.",
+        "Sweep fault models x fault-swept entry points x graph families, grading
+each cell's certified answer against the Dijkstra oracle. Each line names
+the recovery rung that certified the answer (device, repair, rerun or
+host); a cell may also error out loudly. A silently wrong answer fails
+the sweep: exits non-zero on any. The sweep is deterministic: the same
+flags replay the same fault schedules byte for byte.",
         &format!(
             "  --seed N            fault seed (repeatable; default 1,2 — or 1 with --quick)
   --model SUBSTR      only fault models whose name contains SUBSTR
   --rate R            injection rate override (default is per-model)
-  --reports           print the recovery report for every cell, not just
-                      the cells where a detector fired
+  --reports           print what the detectors saw for every cell, not
+                      just the cells where a detector fired
 
 adversarial mode (replaces the uniform sweep with a placement search):
   --adversarial       scout each entry's sanitizer access profile, then
@@ -956,27 +1004,19 @@ fn chaos_main(args: Vec<String>) -> ! {
 
     let report = quietly(|| {
         conf::run_chaos(&o, |cell| {
-            let outcome = match cell.outcome() {
-                Some(oc) => oc.to_string(),
-                None => "-".into(),
-            };
             println!(
-                "  {:<14} {:<20} {:<14} seed {:<3} {:>5} inj  {:<9} {:<10} {}",
+                "  {:<14} {:<20} {:<14} seed {:<3} {:>5} inj  {:<9} {:<7} {}",
                 cell.entry_id,
                 cell.model.name(),
                 cell.graph,
                 cell.seed,
-                cell.injections(),
+                cell.injections,
                 if cell.detected() { "detected" } else { "quiet" },
-                outcome,
+                cell.via.map_or_else(|| "-".to_string(), |via| via.to_string()),
                 cell.verdict
             );
-            if let Some(r) = &cell.report {
-                if show_all_reports || cell.detected() {
-                    for line in r.to_string().lines() {
-                        println!("      {line}");
-                    }
-                }
+            if show_all_reports || cell.detected() {
+                println!("      detection: {}", cell.detection);
             }
         })
     });
@@ -1083,7 +1123,8 @@ the service itself) under seeded lane/wave interleaving permutations with
 the memory-model sanitizer armed, checking each permuted run against the
 Dijkstra oracle. A planted-race specimen is re-checked under every
 permutation seed to prove the detector stays alive when the schedule
-shifts. Exits non-zero if any permuted run is wrong, races, or the
+shifts. Exits non-zero if any permuted run is wrong, fails its audit
+(even when the recovery ladder then certified the answer), races, or the
 specimen goes undetected. Deterministic in (--seed, --perms).",
         "  --perms N           permutation seeds per (entry, graph) (default 32)
   --seed N            base seed the permutations derive from (default 1)",
@@ -1143,11 +1184,12 @@ fn sanitize_usage() -> ! {
 memory-model sanitizer armed: races between lanes, snapshot-visibility
 hazards of plain loads, reads of never-written words and gang
 divergence all become typed violations. Each cell's answer is also
-checked against the Dijkstra oracle. Before the sweep, a planted-race
-specimen proves the detector fires. Exits non-zero unless the specimen
-is detected AND every cell is correct with zero violations. The sweep
-is deterministic: the same flags reproduce the same reports byte for
-byte.",
+checked against the Dijkstra oracle, and an answer that failed its
+audit before the recovery ladder certified it fails the cell. Before
+the sweep, a planted-race specimen proves the detector fires. Exits
+non-zero unless the specimen is detected AND every cell is correct with
+zero violations. The sweep is deterministic: the same flags reproduce
+the same reports byte for byte.",
         "  --max N             violations to print per dirty cell (default 5)",
         rdbs::conformance::registry::SANITIZE,
     )

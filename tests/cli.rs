@@ -226,6 +226,8 @@ fn serve_quick_batch_is_green() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("validation: OK — all 8 queries match Dijkstra"), "stdout: {stdout}");
     assert!(stdout.contains("serve: OK — one upload served 8 queries"), "stdout: {stdout}");
+    let rungs = "certified: 8 device, 0 repair, 0 rerun, 0 host, 0 cache; 0 failed audit(s)";
+    assert!(stdout.contains(rungs), "stdout: {stdout}");
 }
 
 /// Flags a mode does not read, values it cannot serve, and retired
@@ -245,4 +247,24 @@ fn serve_and_verify_usage_errors() {
     for args in cases {
         assert_eq!(exit_code(args), Some(2), "rdbs-cli {args:?}");
     }
+    // A bucket width for an engine that takes none is refused, and the
+    // error names the engine.
+    let widthless: [&[&str]; 6] = [
+        &["--gen", "erdos:300:1500", "--algo", "bl", "--delta0", "5"],
+        &["--gen", "erdos:300:1500", "--algo", "dijkstra", "--delta0", "5"],
+        &["--gen", "erdos:300:1500", "--algo", "dial", "--delta0", "5"],
+        &["--gen", "erdos:300:1500", "--algo", "bellman-ford", "--delta0", "5"],
+        &["--gen", "erdos:300:1500", "--algo", "pq-delta", "--delta0", "5"],
+        &["serve", "--quick", "--backend", "bl", "--delta0", "5"],
+    ];
+    for args in widthless {
+        let out = cli().args(args).output().expect("cli must run");
+        assert_eq!(out.status.code(), Some(2), "rdbs-cli {args:?}");
+        let engine = args[args.len() - 3];
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(engine), "rdbs-cli {args:?} did not name {engine}: {stderr}");
+    }
+    // `--algo all` still hands the width to the engines that read it.
+    let all = ["--gen", "erdos:300:1500", "--algo", "all", "--device", "TINY", "--delta0", "5"];
+    assert_eq!(exit_code(&all), Some(0));
 }

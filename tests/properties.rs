@@ -8,7 +8,7 @@ use rdbs::sim::DeviceConfig;
 use rdbs::sssp::cpu::parallel_delta_stepping;
 use rdbs::sssp::gpu::{run_gpu, RdbsConfig, Variant};
 use rdbs::sssp::seq::{delta_stepping, dijkstra};
-use rdbs::sssp::validate::{check_against, check_relaxed};
+use rdbs::sssp::validate::{audit_sssp, check_against};
 
 /// Strategy: a random weighted undirected graph of up to `n` vertices.
 fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Csr> {
@@ -28,7 +28,7 @@ proptest! {
         let oracle = dijkstra(&g, src);
         let r = delta_stepping(&g, src, delta);
         prop_assert_eq!(&r.dist, &oracle.dist);
-        check_relaxed(&g, src, &r.dist).map_err(TestCaseError::fail)?;
+        prop_assert!(audit_sssp(&g, src, &r.dist).is_clean());
     }
 
     #[test]
