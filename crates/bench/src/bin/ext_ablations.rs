@@ -4,7 +4,8 @@
 //! 1. **Vertex-ordering ablation** — PRO's descending-degree relabel
 //!    vs random, BFS and ascending-degree orderings (all with
 //!    weight-sorted rows and heavy offsets, isolating the *ordering*
-//!    choice).
+//!    choice), and on the road stand-in PRO's equal-degree ties by id
+//!    (the one-shot path) vs in BFS order (the resident service).
 //! 2. **Δ₀ sensitivity** — the Dijkstra ↔ Bellman-Ford spectrum.
 //! 3. **Weight-distribution sensitivity** — uniform vs log-normal vs
 //!    exponential vs bimodal weights.
@@ -15,14 +16,15 @@ use rdbs_core::gpu::rdbs::{rdbs, RdbsConfig};
 use rdbs_core::gpu::{run_gpu, Variant};
 use rdbs_gpu_sim::Device;
 use rdbs_graph::builder::build_undirected;
-use rdbs_graph::datasets::kronecker_spec;
+use rdbs_graph::datasets::{by_name, kronecker_spec};
 use rdbs_graph::generate::{
     assign_distributed_weights, kronecker, KroneckerConfig, WeightDistribution,
 };
 use rdbs_graph::reorder::{
-    attach_heavy_offsets, bfs_order, degree_ascending, degree_descending, random_order,
-    sort_edges_by_weight, Permutation,
+    bfs_order, bfs_visit, degree_ascending, degree_descending, degree_descending_ties,
+    random_order, relabel_sorted, Permutation,
 };
+use rdbs_graph::{Csr, VertexId};
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -36,30 +38,57 @@ fn main() {
 }
 
 fn ordering_ablation(args: &HarnessArgs) {
-    println!("## 1. Vertex-ordering ablation (k-n21-16 stand-in, BASYN+ADWL fixed, rows weight-sorted)\n");
+    println!("## 1. Vertex-ordering ablation (BASYN+ADWL fixed, every graph relabelled, weight-sorted and split by the fused sweep)\n");
+    println!("### k-n21-16 stand-in\n");
     let g = kronecker_spec(21, 16).generate(args.scale_shift, args.seed);
     let source = pick_sources(&g, 1, args.seed)[0];
-    let delta0 = default_delta(&g);
-    let orderings: Vec<(&str, Permutation)> = vec![
+    let orderings = vec![
         ("degree-desc (PRO)", degree_descending(&g)),
         ("degree-asc", degree_ascending(&g)),
         ("bfs", bfs_order(&g, source)),
         ("random", random_order(&g, args.seed)),
         ("input order", Permutation::identity(g.num_vertices())),
     ];
-    let mut t = Table::new(&["ordering", "sim ms", "hit %", "warp insts"]);
+    ordering_table(args, &g, source, orderings);
+    println!(
+        "### road-TX stand-in (shuffled ids): PRO's equal-degree ties by id or in BFS order\n"
+    );
+    let g = by_name("road-TX").expect("a Table 1 dataset").generate(args.scale_shift, args.seed);
+    let source = pick_sources(&g, 1, args.seed)[0];
+    let orderings = vec![
+        ("PRO, id ties (one-shot)", degree_descending(&g)),
+        ("PRO, BFS ties (service)", degree_descending_ties(&g, bfs_visit(&g, 0))),
+        ("bfs", bfs_order(&g, source)),
+        ("random", random_order(&g, args.seed)),
+    ];
+    ordering_table(args, &g, source, orderings);
+}
+
+/// One full-RDBS run from `source` per ordering, each graph built by
+/// the fused sweep; `8-block %` is the share of edges whose ends share
+/// an 8-vertex block, one 32-byte `dist` sector.
+fn ordering_table(
+    args: &HarnessArgs,
+    g: &Csr,
+    source: VertexId,
+    orderings: Vec<(&str, Permutation)>,
+) {
+    let delta0 = default_delta(g);
+    let mut t = Table::new(&["ordering", "sim ms", "hit %", "warp insts", "8-block %"]);
+    let mut reached = None;
     for (name, perm) in orderings {
-        let mut pg = perm.apply_to_graph(&g);
-        sort_edges_by_weight(&mut pg);
-        attach_heavy_offsets(&mut pg, delta0);
+        let pg = relabel_sorted(g, &perm, delta0);
+        let in_block = pg.all_edges().filter(|&(u, v, _)| u / 8 == v / 8).count();
         let mut dev = Device::new(args.device.clone());
         let run = rdbs(&mut dev, &pg, perm.new_id(source), RdbsConfig::full());
-        assert_eq!(run.result.reached(), run.result.reached());
+        // A relabelling moves no vertex in or out of the source's reach.
+        assert_eq!(*reached.get_or_insert(run.result.reached()), run.result.reached(), "{name}");
         t.row(vec![
             name.into(),
             format!("{:.4}", dev.elapsed_ms()),
             format!("{:.2}", dev.counters().global_hit_rate()),
             dev.counters().inst_executed.to_string(),
+            format!("{:.2}", 100.0 * in_block as f64 / pg.num_edges() as f64),
         ]);
     }
     t.print();

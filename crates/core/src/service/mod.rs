@@ -12,7 +12,10 @@
 //! [`pool::BufferPool`]:
 //!
 //! * the CSR arrays ([`GraphArrays`]) are uploaded once per
-//!   [`SsspService::load_graph`] generation;
+//!   [`SsspService::load_graph`] generation; with PRO they are
+//!   relabelled by descending degree with equal-degree vertices in BFS
+//!   discovery order, so a mesh's neighbours share `dist` sectors
+//!   (distances map back through the one permutation);
 //! * distance vector, workload lists, bucket membership queue,
 //!   pending marks and scan cells are acquired from the pool and
 //!   **reset** (an explicit, cheap cursor/fill step) per query —
@@ -71,7 +74,7 @@ use crate::stats::{BatchStats, SsspResult};
 use crate::{default_delta, Csr, VertexId, INF};
 use pool::BufferPool;
 use rdbs_gpu_sim::{Buf, Device, DeviceConfig, FaultPlan, FaultSpec, SanConfig, SanViolation};
-use rdbs_graph::reorder::Permutation;
+use rdbs_graph::reorder::{self, Permutation};
 use std::time::Instant;
 
 /// Service construction parameters.
@@ -639,12 +642,18 @@ fn peak_overlap(intervals: &[(f64, f64)]) -> u64 {
     peak.max(0) as u64
 }
 
-/// PRO-preprocess when the variant asks for it.
+/// PRO-preprocess when the variant asks for it. The resident upload
+/// numbers equal-degree vertices in BFS discovery order from vertex 0
+/// (each further component from its lowest id), so a mesh's
+/// neighbours share `dist` sectors; degrees still descend, and answers
+/// map back through the one permutation (DESIGN.md modelling decision
+/// 12). The one-shot path keeps `pro`'s id ties.
 fn prepare(graph: &Csr, variant: Variant) -> (Csr, Option<Permutation>) {
     match variant {
         Variant::Rdbs(cfg) if cfg.pro => {
             let delta0 = cfg.delta0.unwrap_or_else(|| default_delta(graph));
-            let (pg, perm) = rdbs_graph::reorder::pro(graph, delta0);
+            let ties = reorder::bfs_visit(graph, 0);
+            let (pg, perm) = reorder::pro_with_ties(graph, delta0, ties);
             (pg, Some(perm))
         }
         _ => (graph.clone(), None),
@@ -781,6 +790,49 @@ mod tests {
     fn star(leaves: usize) -> Csr {
         let edges: Vec<(u32, u32, Weight)> = (0..leaves).map(|i| (0u32, i as u32 + 1, 1)).collect();
         build_undirected(&EdgeList::from_edges(leaves + 1, edges))
+    }
+
+    /// The resident upload numbers vertices by descending degree and
+    /// equal degrees in BFS discovery order: from vertex 0 through
+    /// component {0, 3, 5, 7, 8}, then from the lowest unvisited id
+    /// through {1, 2, 4, 6}, then the isolated vertex 9. The one-shot
+    /// `pro` numbers the same ties by id.
+    #[test]
+    fn prepare_numbers_equal_degrees_in_bfs_order() {
+        let edges = [(0, 3), (0, 5), (0, 8), (3, 7), (1, 6), (6, 2), (2, 4)];
+        let el = EdgeList::from_edges(10, edges.iter().map(|&(u, v)| (u, v, 1)).collect());
+        let g = build_undirected(&el);
+        assert_eq!(reorder::bfs_visit(&g, 0), [0, 3, 5, 8, 7, 1, 6, 2, 4, 9]);
+        // Old ids in new-id order.
+        let order = |p: &Permutation| {
+            let inv = p.inverse();
+            (0..10).map(|v| inv.new_id(v)).collect::<Vec<VertexId>>()
+        };
+        let (pg, perm) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
+        // Degree 3: {0}; degree 2: 3, 6, 2; degree 1: 5, 8, 7, 1, 4; 0: {9}.
+        assert_eq!(order(&perm.expect("full RDBS runs PRO")), [0, 3, 6, 2, 5, 8, 7, 1, 4, 9]);
+        let degrees: Vec<u32> = (0..10).map(|v| pg.degree(v)).collect();
+        assert_eq!(degrees, [3, 2, 2, 2, 1, 1, 1, 1, 1, 0]);
+        let (_, id_ties) = reorder::pro(&g, default_delta(&g));
+        assert_eq!(order(&id_ties), [0, 2, 3, 6, 1, 4, 5, 7, 8, 9]);
+    }
+
+    /// The mechanism of the service's tie order, as a count: the road-TX
+    /// stand-in's ids are shuffled, so `pro`'s id ties scatter a mesh's
+    /// equal-degree neighbours, and BFS ties put at least 10× as many
+    /// edges inside one 8-vertex block (one 32-byte `dist` sector).
+    #[test]
+    fn bfs_ties_put_road_neighbours_in_one_dist_sector() {
+        let g = rdbs_graph::datasets::by_name("road-TX").unwrap().generate(7, 7);
+        let in_block = |g: &Csr| {
+            let inside = g.all_edges().filter(|&(u, v, _)| u / 8 == v / 8).count();
+            inside as f64 / g.num_edges() as f64
+        };
+        let (one_shot, _) = reorder::pro(&g, default_delta(&g));
+        let (resident, _) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
+        let (ids, bfs) = (in_block(&one_shot), in_block(&resident));
+        assert!(in_block(&g) < 0.01, "the stand-in's ids are shuffled");
+        assert!(bfs >= 10.0 * ids, "BFS ties {bfs:.4} vs id ties {ids:.4}");
     }
 
     /// Lane 0's single-layout workload set, for capacity rigs.

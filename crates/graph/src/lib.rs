@@ -14,7 +14,8 @@
 //!   (the paper draws weights uniformly from 1..=1000, §5.1.2).
 //! * [`reorder`] — vertex permutations, descending-degree relabeling,
 //!   per-vertex ascending-weight edge sorting, heavy-edge offsets and
-//!   the combined [`reorder::pro`] pipeline.
+//!   the combined [`reorder::pro`] pipeline (built in one sweep over the
+//!   rows, with the order among equal-degree vertices selectable).
 //! * [`io`] — plain edge-list, DIMACS `.gr`, MatrixMarket and a compact
 //!   binary format.
 //! * [`datasets`] — deterministic stand-ins for the paper's Table 1

@@ -6,7 +6,9 @@
 //!   structure in the input labelling is destroyed);
 //! * [`bfs_order`] — breadth-first discovery order from a seed vertex:
 //!   the classic locality-oriented relabeling (neighbours end up close
-//!   in memory), degree-agnostic;
+//!   in memory), degree-agnostic. Its visit, [`bfs_visit`], is also
+//!   the order in which the resident service numbers PRO's
+//!   equal-degree vertices;
 //! * [`degree_ascending`] — the deliberate inverse of PRO's step 1.
 
 use super::permutation::Permutation;
@@ -14,49 +16,55 @@ use crate::{Csr, VertexId};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::VecDeque;
 
 /// A seeded random relabeling.
 pub fn random_order(g: &Csr, seed: u64) -> Permutation {
     let n = g.num_vertices();
     let mut order: Vec<VertexId> = (0..n as VertexId).collect();
     order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed ^ 0x04D3_04D3));
-    // `order[new] = old`; invert to old → new.
-    let mut old_to_new = vec![0 as VertexId; n];
-    for (new, &old) in order.iter().enumerate() {
-        old_to_new[old as usize] = new as VertexId;
-    }
-    Permutation::from_old_to_new(old_to_new)
+    // `order[new] = old`: its inverse maps old → new.
+    Permutation::from_old_to_new(order).inverse()
 }
 
-/// BFS discovery order from `seed_vertex`, unreached vertices appended
-/// in id order.
-pub fn bfs_order(g: &Csr, seed_vertex: VertexId) -> Permutation {
+/// Every vertex in breadth-first discovery order: a BFS along
+/// out-edges from `first`, then one from the lowest unvisited id for
+/// each further component, so unreached components are BFS-ordered
+/// too. The visit list doubles as the BFS queue.
+pub fn bfs_visit(g: &Csr, first: VertexId) -> Vec<VertexId> {
     let n = g.num_vertices();
-    let mut old_to_new = vec![u32::MAX; n];
-    let mut next = 0u32;
-    let mut queue = VecDeque::new();
-    if (seed_vertex as usize) < n {
-        old_to_new[seed_vertex as usize] = next;
-        next += 1;
-        queue.push_back(seed_vertex);
-    }
-    while let Some(u) = queue.pop_front() {
-        for &v in g.neighbors(u) {
-            if old_to_new[v as usize] == u32::MAX {
-                old_to_new[v as usize] = next;
-                next += 1;
-                queue.push_back(v);
+    let mut seen = vec![false; n];
+    // One slot of slack: every neighbour is written at `len` and kept
+    // only if it was unseen, which spares the scan a mispredicted
+    // branch per edge.
+    let mut visit = vec![0; n + 1];
+    let (mut len, mut head) = (0, 0);
+    for root in std::iter::once(first).filter(|&v| (v as usize) < n).chain(0..n as VertexId) {
+        if seen[root as usize] {
+            continue;
+        }
+        seen[root as usize] = true;
+        visit[len] = root;
+        len += 1;
+        while head < len {
+            let u = visit[head];
+            head += 1;
+            for &v in g.neighbors(u) {
+                let fresh = !seen[v as usize];
+                seen[v as usize] = true;
+                visit[len] = v;
+                len += usize::from(fresh);
             }
         }
     }
-    for slot in &mut old_to_new {
-        if *slot == u32::MAX {
-            *slot = next;
-            next += 1;
-        }
-    }
-    Permutation::from_old_to_new(old_to_new)
+    visit.truncate(n);
+    visit
+}
+
+/// BFS discovery order from `seed_vertex`: the inverse of
+/// [`bfs_visit`], so each component left unreached is numbered in BFS
+/// order from its lowest id, after the seed's.
+pub fn bfs_order(g: &Csr, seed_vertex: VertexId) -> Permutation {
+    Permutation::from_old_to_new(bfs_visit(g, seed_vertex)).inverse()
 }
 
 /// Ascending-degree relabeling (PRO's inverse).
@@ -64,11 +72,7 @@ pub fn degree_ascending(g: &Csr) -> Permutation {
     let n = g.num_vertices();
     let mut ids: Vec<VertexId> = (0..n as VertexId).collect();
     ids.sort_by_key(|&v| (g.degree(v), v));
-    let mut old_to_new = vec![0 as VertexId; n];
-    for (new, &old) in ids.iter().enumerate() {
-        old_to_new[old as usize] = new as VertexId;
-    }
-    Permutation::from_old_to_new(old_to_new)
+    Permutation::from_old_to_new(ids).inverse()
 }
 
 #[cfg(test)]
@@ -100,6 +104,17 @@ mod tests {
         assert!(p.new_id(1) <= 2 && p.new_id(2) <= 2);
         // Unreached vertex 5 goes last.
         assert_eq!(p.new_id(5), 5);
+    }
+
+    #[test]
+    fn bfs_visit_restarts_at_the_lowest_unvisited_id() {
+        // Components {3, 4, 0} (path 3 - 4 - 0) and {1, 2}, seed 1.
+        let el = EdgeList::from_edges(5, vec![(3, 4, 1), (4, 0, 1), (1, 2, 1)]);
+        let g = build_undirected(&el);
+        assert_eq!(bfs_visit(&g, 1), vec![1, 2, 0, 4, 3]);
+        assert_eq!(bfs_order(&g, 1), Permutation::from_old_to_new(vec![2, 0, 1, 4, 3]));
+        // A seed out of range starts at vertex 0.
+        assert_eq!(bfs_visit(&g, 9), vec![0, 4, 3, 1, 2]);
     }
 
     #[test]

@@ -11,25 +11,32 @@
 //!    first heavy-edge index for a given Δ in the row list.
 //!
 //! [`pro`] runs all three and returns the permutation used, so results
-//! can be mapped back to original vertex ids.
+//! can be mapped back to original vertex ids. It computes the
+//! permutation, then builds the relabelled, weight-sorted CSR and its
+//! heavy offsets in one sweep over the rows
+//! ([`relabel::relabel_sorted`]); the output is that of the three steps
+//! run one after another. [`pro_with_ties`] is the same pipeline with
+//! the order among equal-degree vertices as an argument.
 
 pub mod alternatives;
 pub mod degree;
 pub mod heavy_offset;
 pub mod permutation;
+pub mod relabel;
 pub mod weight_sort;
 
-pub use alternatives::{bfs_order, degree_ascending, random_order};
-pub use degree::degree_descending;
+pub use alternatives::{bfs_order, bfs_visit, degree_ascending, random_order};
+pub use degree::{degree_descending, degree_descending_ties};
 pub use heavy_offset::attach_heavy_offsets;
 pub use permutation::Permutation;
+pub use relabel::relabel_sorted;
 pub use weight_sort::sort_edges_by_weight;
 
-use crate::{Csr, Weight};
+use crate::{Csr, VertexId, Weight};
 
 /// The full property-driven reordering pipeline of §4.1: relabel by
-/// descending degree, sort each adjacency by ascending weight, attach
-/// heavy offsets for `delta`.
+/// descending degree (ties by original id), sort each adjacency by
+/// ascending weight, attach heavy offsets for `delta`.
 ///
 /// Returns the reordered CSR and the [`Permutation`] mapping
 /// **old vertex id → new vertex id**.
@@ -49,18 +56,29 @@ use crate::{Csr, Weight};
 /// assert_eq!(reordered.light_range(0, 100), Some(0..1));
 /// ```
 pub fn pro(graph: &Csr, delta: Weight) -> (Csr, Permutation) {
-    let perm = degree_descending(graph);
-    let mut g = perm.apply_to_graph(graph);
-    sort_edges_by_weight(&mut g);
-    attach_heavy_offsets(&mut g, delta);
-    (g, perm)
+    pro_with_ties(graph, delta, 0..graph.num_vertices() as VertexId)
+}
+
+/// [`pro`] with vertices of equal degree numbered in the order `ties`
+/// lists them ([`degree_descending_ties`]): degrees still descend, and
+/// a locality order such as [`bfs_visit`] places the equal-degree
+/// neighbours of a mesh side by side.
+///
+/// # Panics
+/// Panics unless `ties` lists every vertex exactly once.
+pub fn pro_with_ties(
+    graph: &Csr,
+    delta: Weight,
+    ties: impl IntoIterator<Item = VertexId>,
+) -> (Csr, Permutation) {
+    let perm = degree_descending_ties(graph, ties);
+    (relabel_sorted(graph, &perm, delta), perm)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{build_undirected, EdgeList};
-    use crate::VertexId;
 
     /// The exact graph of the paper's Fig. 4 (a): 5 vertices.
     /// Edges (undirected, weighted):

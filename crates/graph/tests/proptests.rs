@@ -15,8 +15,76 @@ fn arb_edges(max_n: usize, max_m: usize) -> impl Strategy<Value = EdgeList> {
     })
 }
 
+/// A graph with one hub row longer than the fused PRO sweep's
+/// short-row sort limit, short rows among the random edges, and a
+/// reserved triangle whose rows hold two edges each. Hub weights come
+/// from a small range, so equal weights fall back on the destination
+/// tie-break; built directed, the random edges also repeat
+/// `(weight, destination)` pairs.
+fn arb_hub_graph() -> impl Strategy<Value = EdgeList> {
+    let short = reorder::relabel::SHORT_ROW;
+    ((short + 6)..64usize).prop_flat_map(move |n| {
+        let (a, b, c) = (n as VertexId - 3, n as VertexId - 2, n as VertexId - 1);
+        let edge = (0..a, 0..a, 1..1000 as Weight);
+        let hub = proptest::collection::vec(1..12 as Weight, (short + 1)..(n - 3));
+        (proptest::collection::vec(edge, 0..64), hub).prop_map(move |(mut edges, hub)| {
+            edges.extend(hub.iter().enumerate().map(|(i, &w)| (0, i as VertexId + 1, w)));
+            edges.extend([(a, b, 7), (a, c, 3), (b, c, 7)]);
+            EdgeList::from_edges(n, edges)
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+    /// `bfs_visit` (one slack slot, no branch per edge) visits in the
+    /// order of a plain queue BFS that restarts at the lowest unvisited
+    /// id, directed and undirected, from any first vertex.
+    #[test]
+    fn bfs_visit_matches_a_queue_bfs(el in arb_edges(48, 160), first in 0u32..60) {
+        for g in [build_undirected(&el), build_directed(&el)] {
+            let n = g.num_vertices();
+            let mut seen = vec![false; n];
+            let mut expect = Vec::new();
+            let roots = std::iter::once(first).filter(|&v| (v as usize) < n);
+            for root in roots.chain(0..n as VertexId) {
+                if std::mem::replace(&mut seen[root as usize], true) {
+                    continue;
+                }
+                let mut queue = std::collections::VecDeque::from([root]);
+                while let Some(u) = queue.pop_front() {
+                    expect.push(u);
+                    for &v in g.neighbors(u) {
+                        if !std::mem::replace(&mut seen[v as usize], true) {
+                            queue.push_back(v);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(reorder::bfs_visit(&g, first), expect);
+        }
+    }
+
+    /// `pro`'s one-sweep build is bit-identical to the three-step
+    /// reference: relabel, sort every row, attach the heavy offsets.
+    #[test]
+    fn fused_pro_matches_the_three_step_reference(el in arb_hub_graph(), delta in 1u32..1000) {
+        let short = reorder::relabel::SHORT_ROW;
+        for g in [build_undirected(&el), build_directed(&el)] {
+            let degrees: Vec<usize> =
+                (0..g.num_vertices() as VertexId).map(|v| g.degree(v) as usize).collect();
+            prop_assert!(degrees.iter().any(|&d| d > short));
+            prop_assert!(degrees.iter().any(|&d| (2..=short).contains(&d)));
+            let perm = reorder::degree_descending(&g);
+            let mut reference = perm.apply_to_graph(&g);
+            reorder::sort_edges_by_weight(&mut reference);
+            reorder::attach_heavy_offsets(&mut reference, delta);
+            let (fused, fused_perm) = reorder::pro(&g, delta);
+            prop_assert_eq!(&fused_perm, &perm);
+            prop_assert_eq!(&fused, &reference);
+        }
+    }
 
     #[test]
     fn builder_invariants(el in arb_edges(64, 256)) {
