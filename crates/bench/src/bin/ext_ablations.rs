@@ -2,10 +2,10 @@
 //! calls out, beyond the paper's own Fig. 8 study.
 //!
 //! 1. **Vertex-ordering ablation** — PRO's descending-degree relabel
-//!    vs random, BFS and ascending-degree orderings (all with
-//!    weight-sorted rows and heavy offsets, isolating the *ordering*
-//!    choice), and on the road stand-in PRO's equal-degree ties by id
-//!    (the one-shot path) vs in BFS order (the resident service).
+//!    vs the resident service's ADWL-class order (BFS order inside
+//!    each class), random, BFS and ascending-degree orderings (all
+//!    with weight-sorted rows and heavy offsets, isolating the
+//!    *ordering* choice), on the k-n21-16 and road stand-ins.
 //! 2. **Δ₀ sensitivity** — the Dijkstra ↔ Bellman-Ford spectrum.
 //! 3. **Weight-distribution sensitivity** — uniform vs log-normal vs
 //!    exponential vs bimodal weights.
@@ -14,6 +14,7 @@ use rdbs_bench::{pick_sources, HarnessArgs, Table};
 use rdbs_core::default_delta;
 use rdbs_core::gpu::rdbs::{rdbs, RdbsConfig};
 use rdbs_core::gpu::{run_gpu, Variant};
+use rdbs_core::service::class_order;
 use rdbs_gpu_sim::Device;
 use rdbs_graph::builder::build_undirected;
 use rdbs_graph::datasets::{by_name, kronecker_spec};
@@ -21,8 +22,7 @@ use rdbs_graph::generate::{
     assign_distributed_weights, kronecker, KroneckerConfig, WeightDistribution,
 };
 use rdbs_graph::reorder::{
-    bfs_order, bfs_visit, degree_ascending, degree_descending, degree_descending_ties,
-    random_order, relabel_sorted, Permutation,
+    bfs_order, degree_ascending, degree_descending, random_order, relabel_sorted, Permutation,
 };
 use rdbs_graph::{Csr, VertexId};
 
@@ -44,6 +44,7 @@ fn ordering_ablation(args: &HarnessArgs) {
     let source = pick_sources(&g, 1, args.seed)[0];
     let orderings = vec![
         ("degree-desc (PRO)", degree_descending(&g)),
+        ("service (classes)", class_order(&g)),
         ("degree-asc", degree_ascending(&g)),
         ("bfs", bfs_order(&g, source)),
         ("random", random_order(&g, args.seed)),
@@ -51,13 +52,13 @@ fn ordering_ablation(args: &HarnessArgs) {
     ];
     ordering_table(args, &g, source, orderings);
     println!(
-        "### road-TX stand-in (shuffled ids): PRO's equal-degree ties by id or in BFS order\n"
+        "### road-TX stand-in (shuffled ids): PRO's degree order or the service's class order\n"
     );
     let g = by_name("road-TX").expect("a Table 1 dataset").generate(args.scale_shift, args.seed);
     let source = pick_sources(&g, 1, args.seed)[0];
     let orderings = vec![
         ("PRO, id ties (one-shot)", degree_descending(&g)),
-        ("PRO, BFS ties (service)", degree_descending_ties(&g, bfs_visit(&g, 0))),
+        ("service (classes)", class_order(&g)),
         ("bfs", bfs_order(&g, source)),
         ("random", random_order(&g, args.seed)),
     ];

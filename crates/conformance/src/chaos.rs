@@ -414,28 +414,32 @@ mod tests {
     }
 
     /// Regression: bit flips pinned to one vertex's `light_ranges` pair
-    /// (words 972 and 973, vertex 486 after PRO's relabelling) inflate
-    /// its light-edge count until ADWL queues a child of about 2^31
-    /// lanes. The simulator refuses that launch with a catchable panic,
-    /// so the cell is graded — a detection the ladder recovers from —
-    /// instead of aborting the process on the per-lane allocation. (The
-    /// first flips of an unpinned plan land on row words, whose light
-    /// range then ends before it starts.)
+    /// inflate its light-edge count until ADWL queues a child of about
+    /// 2^31 lanes. The simulator refuses that launch with a catchable
+    /// panic, so the cell is graded — a detection the ladder recovers
+    /// from — instead of aborting the process on the per-lane
+    /// allocation. (The first flips of an unpinned plan land on row
+    /// words, whose light range then ends before it starts.) The
+    /// one-shot entry pins words 972 and 973 of the grid, vertex 486
+    /// after PRO's relabelling. The service files every small-class
+    /// vertex by its id and reads no grid pair at publish, so its case
+    /// pins words 2 and 3 of the power-law graph: vertex 1 of the
+    /// service's class order, degree 42, a medium-class vertex.
     #[test]
     fn runaway_child_launch_is_graded_not_fatal() {
         use rdbs_gpu_sim::FaultTarget;
-        let family = graphs::families().into_iter().find(|f| f.name == "grid").unwrap();
-        let g = family.build();
-        let oracle = dijkstra(&g, 0);
-        let target = FaultTarget {
-            site: Some("light_ranges"),
-            index: Some((972, 973)),
-            wave: None,
-            stream: None,
-        };
-        let spec = FaultSpec::new(FaultModel::BitFlip, 1.0, 48).with_target(target).with_cap(4);
-        for id in ["gpu/full", "service/pooled"] {
-            let cell = run_cell(&by_id(id).unwrap(), "grid", &g, &oracle.dist, 0, spec);
+        let cases = [("gpu/full", "grid", (972, 973)), ("service/pooled", "powerlaw", (2, 3))];
+        for (id, family, pair) in cases {
+            let g = graphs::families().into_iter().find(|f| f.name == family).unwrap().build();
+            let oracle = dijkstra(&g, 0);
+            let target = FaultTarget {
+                site: Some("light_ranges"),
+                index: Some(pair),
+                wave: None,
+                stream: None,
+            };
+            let spec = FaultSpec::new(FaultModel::BitFlip, 1.0, 48).with_target(target).with_cap(4);
+            let cell = run_cell(&by_id(id).unwrap(), family, &g, &oracle.dist, 0, spec);
             assert!(matches!(cell.verdict, CellVerdict::Correct), "{id}: {}", cell.verdict);
             let panic = cell.detection.error.unwrap_or_default();
             assert!(panic.contains("above the simulator's"), "{id}: attempt ended with {panic:?}");

@@ -30,12 +30,17 @@ pub struct GraphArrays {
     /// The heaviest edge weight (0 without edges): a bucket wider than
     /// it has no heavy edge, so its phase 2 has nothing to relax.
     pub max_weight: Weight,
+    /// The first small-class id: every vertex at or past it has degree
+    /// below β, so ADWL files it as small without reading its light
+    /// range. `n` when the labelling carries no class order.
+    pub small_from: VertexId,
 }
 
 impl GraphArrays {
     /// Upload the CSR arrays (3 uploads, plus the light ranges with
-    /// PRO).
-    pub fn upload(device: &mut Device, graph: &Csr) -> Self {
+    /// PRO), recording `small_from` ([`GraphArrays::small_from`]; the
+    /// caller vouches that every vertex from it on has degree < β).
+    pub fn upload(device: &mut Device, graph: &Csr, small_from: VertexId) -> Self {
         let n = graph.num_vertices() as u32;
         let m = graph.num_edges() as u32;
         let row = device.alloc_upload("row_offsets", graph.row_offsets());
@@ -47,7 +52,7 @@ impl GraphArrays {
             device.alloc_upload("light_ranges", &pairs)
         });
         let max_weight = graph.max_weight();
-        Self { n, m, row, adj, wt, light_ranges, max_weight }
+        Self { n, m, row, adj, wt, light_ranges, max_weight, small_from }
     }
 
     /// Words of the light-range buffer: a pair per vertex.
@@ -66,6 +71,7 @@ impl GraphArrays {
             wt: self.wt,
             light_ranges: self.light_ranges,
             max_weight: self.max_weight,
+            small_from: self.small_from,
             dist,
             #[cfg(test)]
             two_loads: false,
@@ -93,6 +99,8 @@ pub struct GraphBuffers {
     pub light_ranges: Option<Buf>,
     /// The heaviest edge weight ([`GraphArrays::max_weight`]).
     pub max_weight: Weight,
+    /// The first small-class id ([`GraphArrays::small_from`]).
+    pub small_from: VertexId,
     /// Tentative distances, `n` words (pooled buffers may hold more;
     /// only the first `n` are meaningful).
     pub dist: Buf,
@@ -104,9 +112,11 @@ pub struct GraphBuffers {
 }
 
 impl GraphBuffers {
-    /// Upload a graph and an all-`INF` distance vector.
+    /// Upload a graph and an all-`INF` distance vector. The one-shot
+    /// upload knows no class order: `small_from` is `n`, so ADWL
+    /// classifies every vertex by its light range (§4.2).
     pub fn upload(device: &mut Device, graph: &Csr) -> Self {
-        let arrays = GraphArrays::upload(device, graph);
+        let arrays = GraphArrays::upload(device, graph, graph.num_vertices() as VertexId);
         let dist = device.alloc("dist", arrays.n as usize);
         device.fill(dist, INF);
         arrays.with_dist(dist)
@@ -587,7 +597,7 @@ mod tests {
         // download must slice to n.
         let g = build_undirected(&EdgeList::from_edges(3, vec![(0, 1, 4), (1, 2, 6)]));
         let mut d = Device::new(DeviceConfig::test_tiny());
-        let arrays = GraphArrays::upload(&mut d, &g);
+        let arrays = GraphArrays::upload(&mut d, &g, 3);
         let dist = d.alloc("dist_pooled", 8); // size-class rounded past n=3
         let gb = arrays.with_dist(dist);
         gb.reset_dist(&mut d, 1);

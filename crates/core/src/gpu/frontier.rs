@@ -299,10 +299,13 @@ impl WorkloadQueues {
 
     /// The post-dedup publish: ADWL classification, then the scalar
     /// per-push or gang-aggregated scatter, into the class list and,
-    /// when `members`, the membership queue.
+    /// when `members`, the membership queue. A vertex at or past
+    /// [`GraphBuffers::small_from`] is small by its id alone: its
+    /// degree, and so its light degree at every width, is below β.
+    /// The id compare is uncharged, like `classify`'s own.
     #[inline]
     fn publish(&self, lane: &mut Lane<'_>, gb: GraphBuffers, v: VertexId, members: bool) {
-        let class = if self.adwl {
+        let class = if self.adwl && v < gb.small_from {
             classify(Self::light_degree(lane, gb, v))
         } else {
             WorkloadClass::Small

@@ -13,9 +13,11 @@
 //!
 //! * the CSR arrays ([`GraphArrays`]) are uploaded once per
 //!   [`SsspService::load_graph`] generation; with PRO they are
-//!   relabelled by descending degree with equal-degree vertices in BFS
-//!   discovery order, so a mesh's neighbours share `dist` sectors
-//!   (distances map back through the one permutation);
+//!   numbered by ADWL class ([`class_order`]: degree ≥ α, ≥ β, the
+//!   rest), each class in BFS discovery order, so a mesh's neighbours
+//!   share `dist` sectors and a publish files every vertex of the
+//!   small class by its id alone (distances map back through the one
+//!   permutation);
 //! * distance vector, workload lists, bucket membership queue,
 //!   pending marks and scan cells are acquired from the pool and
 //!   **reset** (an explicit, cheap cursor/fill step) per query —
@@ -71,6 +73,7 @@ use crate::gpu::frontier::{AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode,
 use crate::gpu::rdbs::{self, RdbsDriver, RdbsScratch};
 use crate::gpu::{RdbsConfig, Variant};
 use crate::stats::{BatchStats, SsspResult};
+use crate::workload::{classify, BETA};
 use crate::{default_delta, Csr, VertexId, INF};
 use pool::BufferPool;
 use rdbs_gpu_sim::{Buf, Device, DeviceConfig, FaultPlan, FaultSpec, SanConfig, SanViolation};
@@ -248,10 +251,11 @@ impl Generation {
         config: &ServiceConfig,
     ) -> Self {
         let variant = config.variant;
-        let (graph, perm) = prepare(graph, variant);
+        let (graph, relabel) = prepare(graph, variant);
         let n = graph.num_vertices() as u32;
+        let (perm, small_from) = relabel.map_or((None, n), |(perm, b)| (Some(perm), b));
         let before = device.counters().h2d_uploads;
-        let arrays = GraphArrays::upload(device, &graph);
+        let arrays = GraphArrays::upload(device, &graph, small_from);
         let uploads = device.counters().h2d_uploads - before;
         let dist = pool.acquire(device, "dist", n as usize);
         let scratch = build_scratch(pool, device, n, variant, config.queue_capacity);
@@ -642,22 +646,37 @@ fn peak_overlap(intervals: &[(f64, f64)]) -> u64 {
     peak.max(0) as u64
 }
 
-/// PRO-preprocess when the variant asks for it. The resident upload
-/// numbers equal-degree vertices in BFS discovery order from vertex 0
-/// (each further component from its lowest id), so a mesh's
-/// neighbours share `dist` sectors; degrees still descend, and answers
-/// map back through the one permutation (DESIGN.md modelling decision
-/// 12). The one-shot path keeps `pro`'s id ties.
-fn prepare(graph: &Csr, variant: Variant) -> (Csr, Option<Permutation>) {
+/// PRO-preprocess when the variant asks for it: number the graph in
+/// [`class_order`], then weight-sort and split it in PRO's one sweep.
+/// Returns the graph queries run on and, with PRO, the permutation and
+/// the first small-class id the upload records
+/// ([`GraphArrays::small_from`]). The one-shot path keeps `pro`'s
+/// degree order and classifies every vertex by its light range
+/// (DESIGN.md modelling decision 12).
+fn prepare(graph: &Csr, variant: Variant) -> (Csr, Option<(Permutation, VertexId)>) {
     match variant {
         Variant::Rdbs(cfg) if cfg.pro => {
             let delta0 = cfg.delta0.unwrap_or_else(|| default_delta(graph));
-            let ties = reorder::bfs_visit(graph, 0);
-            let (pg, perm) = reorder::pro_with_ties(graph, delta0, ties);
-            (pg, Some(perm))
+            let perm = class_order(graph);
+            let pg = reorder::relabel_sorted(graph, &perm, delta0);
+            // The small class comes last: count the classes before it.
+            let n = pg.num_vertices() as VertexId;
+            let small_from = (0..n).take_while(|&v| pg.degree(v) >= BETA).count() as VertexId;
+            (pg, Some((perm, small_from)))
         }
         _ => (graph.clone(), None),
     }
+}
+
+/// The resident service's numbering (old → new id): vertices by the
+/// ADWL class of their degree — at least α, at least β, the rest —
+/// each class in [`reorder::bfs_visit`] discovery order from vertex 0
+/// (each further component from its lowest unvisited id). A vertex's
+/// light degree never exceeds its degree, so every vertex of the last
+/// class is small at every bucket width.
+pub fn class_order(graph: &Csr) -> Permutation {
+    let class = |v| classify(graph.degree(v)).index() as u32;
+    reorder::descending_ties(graph.num_vertices(), class, reorder::bfs_visit(graph, 0))
 }
 
 /// Fresh Δ controller matching the one-shot entry point's seeding.
@@ -771,7 +790,10 @@ mod tests {
     use super::*;
     use crate::gpu::{run_gpu, RdbsConfig};
     use crate::validate::check_against_dijkstra;
+    use crate::workload::WorkloadClass;
     use crate::Weight;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rdbs_graph::builder::{build_undirected, EdgeList};
     use rdbs_graph::generate::{erdos_renyi, uniform_weights};
 
@@ -792,29 +814,151 @@ mod tests {
         build_undirected(&EdgeList::from_edges(leaves + 1, edges))
     }
 
-    /// The resident upload numbers vertices by descending degree and
-    /// equal degrees in BFS discovery order: from vertex 0 through
-    /// component {0, 3, 5, 7, 8}, then from the lowest unvisited id
-    /// through {1, 2, 4, 6}, then the isolated vertex 9. The one-shot
-    /// `pro` numbers the same ties by id.
+    /// The resident upload numbers vertices by ADWL class of degree —
+    /// hub 4 (261 ≥ α), then vertex 3 (42 ≥ β), then every small vertex
+    /// — each class in BFS discovery order: from vertex 0 through
+    /// component {0, 5, 4, hub leaves}, from the lowest unvisited id
+    /// through {1, 3, 6, 3's leaves}, then the isolated vertex 2. The
+    /// one-shot `pro` orders by degree, ties by id.
     #[test]
-    fn prepare_numbers_equal_degrees_in_bfs_order() {
-        let edges = [(0, 3), (0, 5), (0, 8), (3, 7), (1, 6), (6, 2), (2, 4)];
-        let el = EdgeList::from_edges(10, edges.iter().map(|&(u, v)| (u, v, 1)).collect());
+    fn prepare_numbers_adwl_classes_in_bfs_order() {
+        let mut edges = vec![(0, 5), (5, 4), (1, 3), (3, 6), (6, 1)];
+        edges.extend((7..267).map(|leaf| (4, leaf)));
+        edges.extend((267..307).map(|leaf| (3, leaf)));
+        let el = EdgeList::from_edges(307, edges.iter().map(|&(u, v)| (u, v, 1)).collect());
         let g = build_undirected(&el);
-        assert_eq!(reorder::bfs_visit(&g, 0), [0, 3, 5, 8, 7, 1, 6, 2, 4, 9]);
+        assert_eq!((g.degree(4), g.degree(3), g.degree(2)), (261, 42, 0));
+        let visit: Vec<VertexId> = [0, 5, 4]
+            .into_iter()
+            .chain(7..267)
+            .chain([1, 3, 6])
+            .chain(267..307)
+            .chain([2])
+            .collect();
+        assert_eq!(reorder::bfs_visit(&g, 0), visit);
         // Old ids in new-id order.
         let order = |p: &Permutation| {
             let inv = p.inverse();
-            (0..10).map(|v| inv.new_id(v)).collect::<Vec<VertexId>>()
+            (0..307).map(|v| inv.new_id(v)).collect::<Vec<VertexId>>()
         };
-        let (pg, perm) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
-        // Degree 3: {0}; degree 2: 3, 6, 2; degree 1: 5, 8, 7, 1, 4; 0: {9}.
-        assert_eq!(order(&perm.expect("full RDBS runs PRO")), [0, 3, 6, 2, 5, 8, 7, 1, 4, 9]);
-        let degrees: Vec<u32> = (0..10).map(|v| pg.degree(v)).collect();
-        assert_eq!(degrees, [3, 2, 2, 2, 1, 1, 1, 1, 1, 0]);
-        let (_, id_ties) = reorder::pro(&g, default_delta(&g));
-        assert_eq!(order(&id_ties), [0, 2, 3, 6, 1, 4, 5, 7, 8, 9]);
+        let (pg, relabel) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
+        let (perm, small_from) = relabel.expect("full RDBS runs PRO");
+        let small = visit.iter().copied().filter(|&v| g.degree(v) < BETA);
+        let expect: Vec<VertexId> = [4, 3].into_iter().chain(small).collect();
+        assert_eq!(order(&perm), expect);
+        assert_eq!(small_from, 2);
+        assert_eq!((pg.degree(0), pg.degree(1), pg.degree(2)), (261, 42, 1));
+        let (_, degree_order) = reorder::pro(&g, default_delta(&g));
+        assert_eq!(order(&degree_order)[..5], [4, 3, 1, 5, 6]);
+    }
+
+    /// Random graphs whose rows straddle β (a few centres joined to
+    /// β − 2 ..= β + 2 others, plus random edges), some with a hub of
+    /// degree ≥ α.
+    fn arb_class_graph() -> impl Strategy<Value = EdgeList> {
+        (40usize..300).prop_flat_map(|n| {
+            let edge = (0..n as VertexId, 0..n as VertexId, 1..1000 as Weight);
+            let centre = (0..n as VertexId, (BETA - 2)..(BETA + 3), 0..n as VertexId);
+            let parts = (vec(edge, 0..2 * n), vec(centre, 1..6), any::<bool>());
+            parts.prop_map(move |(mut edges, centres, hub)| {
+                for (c, degree, first) in centres {
+                    let others = (first..).map(|u| u % n as VertexId).filter(|&u| u != c);
+                    edges.extend(others.take(degree as usize).map(|u| (c, u, 1 + u % 900)));
+                }
+                if hub {
+                    edges.extend((1..n as VertexId).map(|u| (0, u, 1 + u % 700)));
+                }
+                EdgeList::from_edges(n, edges)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+
+        /// The recorded boundary splits the resident graph exactly at
+        /// β: every vertex before it has degree ≥ β, every vertex from
+        /// it on is small at every bucket width, so a publish may file
+        /// it without reading its light range. Each class keeps BFS
+        /// discovery order.
+        #[test]
+        fn small_class_boundary_is_exact(el in arb_class_graph()) {
+            let g = build_undirected(&el);
+            let n = g.num_vertices() as VertexId;
+            let (pg, relabel) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
+            let (perm, small_from) = relabel.expect("full RDBS runs PRO");
+            prop_assert_eq!(small_from as usize, (0..n).filter(|&v| g.degree(v) >= BETA).count());
+            let widths = [1, 2, 500, pg.max_weight(), pg.max_weight() + 1, Weight::MAX];
+            for v in 0..n {
+                if v < small_from {
+                    prop_assert!(pg.degree(v) >= BETA, "vertex {} before the boundary", v);
+                } else {
+                    prop_assert!(pg.degree(v) < BETA, "vertex {} past the boundary", v);
+                    for w in widths {
+                        let light = pg.light_degree(v, w);
+                        prop_assert_eq!(classify(light), WorkloadClass::Small);
+                    }
+                }
+            }
+            let mut rank = vec![0; n as usize];
+            for (i, v) in reorder::bfs_visit(&g, 0).into_iter().enumerate() {
+                rank[v as usize] = i;
+            }
+            let inv = perm.inverse();
+            let class = |v: VertexId| classify(pg.degree(v));
+            for v in 1..n {
+                let (a, b) = (inv.new_id(v - 1), inv.new_id(v));
+                if class(v - 1) == class(v) {
+                    prop_assert!(rank[a as usize] < rank[b as usize], "BFS order at {}", v);
+                } else {
+                    prop_assert!(class(v - 1).index() > class(v).index(), "class order at {}", v);
+                }
+            }
+        }
+    }
+
+    /// Classifying the small class by id moves no relaxation: on the
+    /// service's own layout, a batch with the recorded boundary and one
+    /// with it at `n` (every vertex classified by its light range) give
+    /// identical distances, checks, updates, bucket traces and queue
+    /// atomics, and the boundary saves global load instructions.
+    #[test]
+    fn small_class_by_id_moves_no_relaxation() {
+        let road = rdbs_graph::datasets::by_name("road-TX").unwrap().generate(10, 7);
+        let kron = rdbs_graph::datasets::kronecker_spec(21, 16).generate(12, 7);
+        for (name, g) in [("road", road), ("kron", kron)] {
+            let n = g.num_vertices() as VertexId;
+            let sources: Vec<VertexId> = (0..n).filter(|&v| g.degree(v) > 0).step_by(97).collect();
+            let run = |by_id: bool| {
+                let mut svc = SsspService::new(&g, ServiceConfig::rdbs(tiny()).with_streams(2));
+                let small_from = svc.arrays.small_from;
+                if !by_id {
+                    svc.arrays.small_from = n;
+                }
+                let answers = svc.batch(&sources);
+                let queue_atomics: u64 = svc
+                    .device
+                    .buffer_traffic()
+                    .into_iter()
+                    .filter(|r| {
+                        let label = r.0;
+                        label.starts_with("workload_")
+                            || label.starts_with("queue_")
+                            || label == "bucket_members"
+                    })
+                    .map(|r| r.3)
+                    .sum();
+                let loads = svc.device.counters().inst_executed_global_loads;
+                let traces: Vec<_> = answers.into_iter().map(|a| (a.dist, a.stats)).collect();
+                (traces, queue_atomics, loads, small_from)
+            };
+            let (by_id, by_load) = (run(true), run(false));
+            assert_eq!(by_id.0, by_load.0, "{name}: distances, checks, updates, bucket traces");
+            assert_eq!(by_id.1, by_load.1, "{name}: queue atomics");
+            assert!(by_id.2 < by_load.2, "{name}: loads {} vs {}", by_id.2, by_load.2);
+            // Road degrees are all below β; kron has hubs on both sides.
+            assert_eq!((by_id.3 > 0, by_id.3 < n), (name == "kron", true), "{name}: {}", by_id.3);
+        }
     }
 
     /// The mechanism of the service's tie order, as a count: the road-TX

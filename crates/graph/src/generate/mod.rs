@@ -9,7 +9,6 @@ pub mod grid;
 pub mod kronecker;
 pub mod powerlaw;
 pub mod rmat;
-pub mod watts_strogatz;
 pub mod weights;
 
 pub use erdos_renyi::erdos_renyi;
@@ -17,7 +16,6 @@ pub use grid::{grid_road, GridConfig};
 pub use kronecker::{kronecker, KroneckerConfig};
 pub use powerlaw::preferential_attachment;
 pub use rmat::{rmat, RmatConfig};
-pub use watts_strogatz::watts_strogatz;
 pub use weights::{
     assign_distributed_weights, assign_uniform_weights, uniform_weights, WeightDistribution,
 };

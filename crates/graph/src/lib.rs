@@ -15,7 +15,7 @@
 //! * [`reorder`] — vertex permutations, descending-degree relabeling,
 //!   per-vertex ascending-weight edge sorting, heavy-edge offsets and
 //!   the combined [`reorder::pro`] pipeline (built in one sweep over the
-//!   rows, with the order among equal-degree vertices selectable).
+//!   rows, which any other numbering can reuse).
 //! * [`io`] — plain edge-list, DIMACS `.gr`, MatrixMarket and a compact
 //!   binary format.
 //! * [`datasets`] — deterministic stand-ins for the paper's Table 1

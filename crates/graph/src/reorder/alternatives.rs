@@ -7,8 +7,8 @@
 //! * [`bfs_order`] — breadth-first discovery order from a seed vertex:
 //!   the classic locality-oriented relabeling (neighbours end up close
 //!   in memory), degree-agnostic. Its visit, [`bfs_visit`], is also
-//!   the order in which the resident service numbers PRO's
-//!   equal-degree vertices;
+//!   the order in which the resident service numbers the vertices of
+//!   each ADWL class;
 //! * [`degree_ascending`] — the deliberate inverse of PRO's step 1.
 
 use super::permutation::Permutation;

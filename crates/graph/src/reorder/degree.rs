@@ -5,9 +5,10 @@
 //! them. In this way, vertices with high degrees are assigned low vertex
 //! id and stored together."* The paper leaves the order among vertices
 //! of equal degree open. [`degree_descending`] numbers them by original
-//! id, making the permutation deterministic; [`degree_descending_ties`]
-//! numbers them in any given order (the resident service passes BFS
-//! discovery order, DESIGN.md modelling decision 12).
+//! id, making the permutation deterministic. It is one call of the
+//! counting sort [`descending_ties`], which takes the sort key and the
+//! tie order as arguments (the resident service sorts by ADWL class
+//! with ties in BFS discovery order, DESIGN.md modelling decision 12).
 
 use super::permutation::Permutation;
 use crate::{Csr, VertexId};
@@ -15,39 +16,48 @@ use crate::{Csr, VertexId};
 /// Compute the descending-degree permutation (old → new id), ties by
 /// original id.
 pub fn degree_descending(g: &Csr) -> Permutation {
-    degree_descending_ties(g, 0..g.num_vertices() as VertexId)
+    let n = g.num_vertices();
+    descending_ties(n, |v| g.degree(v), 0..n as VertexId)
 }
 
-/// The descending-degree permutation (old → new id) with vertices of
-/// equal degree numbered in the order `ties` lists them.
+/// The permutation (old → new id) that numbers the `n` vertices by
+/// descending `key`, vertices of equal key in the order `ties` lists
+/// them. A counting sort over the key values keeps this O(n + max
+/// key), so `key` should be small: a degree, a class index. `key` is
+/// called twice per vertex.
 ///
 /// # Panics
 /// Panics unless `ties` lists every vertex exactly once.
-pub fn degree_descending_ties(g: &Csr, ties: impl IntoIterator<Item = VertexId>) -> Permutation {
-    let n = g.num_vertices();
-    // Sort vertex ids by (degree desc, tie rank asc) — a counting sort
-    // over degrees keeps this O(n + m) even for huge graphs.
-    let max_deg = (0..n as VertexId).map(|v| g.degree(v)).max().unwrap_or(0) as usize;
-    let mut buckets = vec![0u32; max_deg + 2];
+pub fn descending_ties(
+    n: usize,
+    key: impl Fn(VertexId) -> u32,
+    ties: impl IntoIterator<Item = VertexId>,
+) -> Permutation {
+    // One counting pass, the histogram growing to the largest key seen.
+    let mut start: Vec<u32> = Vec::new();
     for v in 0..n as VertexId {
-        buckets[g.degree(v) as usize + 1] += 1;
+        let k = key(v) as usize;
+        if k >= start.len() {
+            start.resize(k + 1, 0);
+        }
+        start[k] += 1;
     }
-    // Prefix sums over descending degree: position of first vertex with
-    // degree d = count of vertices with degree > d.
-    let mut start = vec![0u32; max_deg + 1];
+    // Prefix sums over descending key, in place: position of the first
+    // vertex with key k = count of vertices with key > k.
     let mut acc = 0u32;
-    for d in (0..=max_deg).rev() {
-        start[d] = acc;
-        acc += buckets[d + 1];
+    for slot in start.iter_mut().rev() {
+        let count = *slot;
+        *slot = acc;
+        acc += count;
     }
     // A vertex `ties` leaves out keeps the out-of-range sentinel, which
     // `from_old_to_new` rejects, as it rejects the repeat that took its
     // slot.
     let mut old_to_new = vec![VertexId::MAX; n];
     for v in ties {
-        let d = g.degree(v) as usize;
-        old_to_new[v as usize] = start[d];
-        start[d] += 1;
+        let k = key(v) as usize;
+        old_to_new[v as usize] = start[k];
+        start[k] += 1;
     }
     Permutation::from_old_to_new(old_to_new)
 }
@@ -76,17 +86,22 @@ mod tests {
         // Same graph: v1 (3) and v3 (2) lead; v4, v0, v2 tie at 1.
         let el = EdgeList::from_edges(5, vec![(1, 0, 1), (1, 2, 1), (1, 3, 1), (3, 4, 1)]);
         let g = build_undirected(&el);
-        let p = degree_descending_ties(&g, [4, 3, 0, 1, 2]);
+        let degree = |v| g.degree(v);
+        let p = descending_ties(5, degree, [4, 3, 0, 1, 2]);
         assert_eq!((p.new_id(1), p.new_id(3)), (0, 1));
         assert_eq!((p.new_id(4), p.new_id(0), p.new_id(2)), (2, 3, 4));
-        assert_eq!(degree_descending_ties(&g, 0..5), degree_descending(&g));
+        assert_eq!(descending_ties(5, degree, 0..5), degree_descending(&g));
+        // A coarser key merges degrees: 2 or more (v1, v3) leads, then
+        // every degree-1 vertex, each group in the tie order.
+        let p = descending_ties(5, |v| u32::from(g.degree(v) >= 2), [4, 3, 0, 1, 2]);
+        assert_eq!((p.new_id(3), p.new_id(1)), (0, 1));
+        assert_eq!((p.new_id(4), p.new_id(0), p.new_id(2)), (2, 3, 4));
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn ties_must_list_every_vertex() {
-        let g = Csr::empty(3);
-        let _ = degree_descending_ties(&g, [0, 0, 1]);
+        let _ = descending_ties(3, |_| 0, [0, 0, 1]);
     }
 
     #[test]

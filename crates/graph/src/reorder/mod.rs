@@ -15,8 +15,9 @@
 //! permutation, then builds the relabelled, weight-sorted CSR and its
 //! heavy offsets in one sweep over the rows
 //! ([`relabel::relabel_sorted`]); the output is that of the three steps
-//! run one after another. [`pro_with_ties`] is the same pipeline with
-//! the order among equal-degree vertices as an argument.
+//! run one after another. [`relabel_sorted`] takes any permutation, so
+//! another numbering — such as the resident service's, a
+//! [`descending_ties`] sort by ADWL class — gets the same sweep.
 
 pub mod alternatives;
 pub mod degree;
@@ -26,13 +27,13 @@ pub mod relabel;
 pub mod weight_sort;
 
 pub use alternatives::{bfs_order, bfs_visit, degree_ascending, random_order};
-pub use degree::{degree_descending, degree_descending_ties};
+pub use degree::{degree_descending, descending_ties};
 pub use heavy_offset::attach_heavy_offsets;
 pub use permutation::Permutation;
 pub use relabel::relabel_sorted;
 pub use weight_sort::sort_edges_by_weight;
 
-use crate::{Csr, VertexId, Weight};
+use crate::{Csr, Weight};
 
 /// The full property-driven reordering pipeline of §4.1: relabel by
 /// descending degree (ties by original id), sort each adjacency by
@@ -56,22 +57,7 @@ use crate::{Csr, VertexId, Weight};
 /// assert_eq!(reordered.light_range(0, 100), Some(0..1));
 /// ```
 pub fn pro(graph: &Csr, delta: Weight) -> (Csr, Permutation) {
-    pro_with_ties(graph, delta, 0..graph.num_vertices() as VertexId)
-}
-
-/// [`pro`] with vertices of equal degree numbered in the order `ties`
-/// lists them ([`degree_descending_ties`]): degrees still descend, and
-/// a locality order such as [`bfs_visit`] places the equal-degree
-/// neighbours of a mesh side by side.
-///
-/// # Panics
-/// Panics unless `ties` lists every vertex exactly once.
-pub fn pro_with_ties(
-    graph: &Csr,
-    delta: Weight,
-    ties: impl IntoIterator<Item = VertexId>,
-) -> (Csr, Permutation) {
-    let perm = degree_descending_ties(graph, ties);
+    let perm = degree_descending(graph);
     (relabel_sorted(graph, &perm, delta), perm)
 }
 
@@ -79,6 +65,7 @@ pub fn pro_with_ties(
 mod tests {
     use super::*;
     use crate::builder::{build_undirected, EdgeList};
+    use crate::VertexId;
 
     /// The exact graph of the paper's Fig. 4 (a): 5 vertices.
     /// Edges (undirected, weighted):

@@ -13,11 +13,14 @@
 use super::permutation::Permutation;
 use crate::{Csr, VertexId, Weight};
 
-/// Rows up to this many edges are sorted by a branch-free sorting
-/// network; longer ones by `sort_unstable`. Both sort the same packed
-/// keys, so the limit moves time, never the output. Most rows of a road
-/// mesh are this short, and a network spares them the mispredicted
-/// branches of a comparison sort.
+/// Rows of one to this many edges are padded to it, sorted by a
+/// branch-free sorting network and written whole; longer ones are
+/// sorted by `sort_unstable`. Both sort the same packed keys, so the
+/// limit moves time, never the output. Most rows of a road mesh are
+/// this short: the network spares them the mispredicted branches of a
+/// comparison sort, and the fixed width those of a per-length dispatch
+/// where consecutive rows differ in length (the resident service's
+/// BFS-ordered classes).
 pub const SHORT_ROW: usize = 4;
 
 /// Relabel `g` by `perm` (old id → new id), sort every row by
@@ -31,81 +34,100 @@ pub const SHORT_ROW: usize = 4;
 /// Panics if `perm` does not cover `g`'s vertices.
 pub fn relabel_sorted(g: &Csr, perm: &Permutation, delta: Weight) -> Csr {
     let n = g.num_vertices();
+    let m = g.num_edges();
     assert_eq!(n, perm.len(), "permutation length != vertex count");
     let new_to_old = perm.inverse();
     let mut rows = Vec::with_capacity(n + 1);
     let mut heavy = Vec::with_capacity(n);
-    let mut adjacency = Vec::with_capacity(g.num_edges());
-    let mut weights = Vec::with_capacity(g.num_edges());
-    // One row's edges as `weight << 32 | new destination`: the packed
-    // order is the reference's `(weight, destination)` tuple order.
-    let mut keys: Vec<u64> = Vec::new();
+    // A short row is written whole, padding included: `SHORT_ROW` slots
+    // of slack, cut off at the end.
+    let mut adjacency = vec![0; m + SHORT_ROW];
+    let mut weights = vec![0; m + SHORT_ROW];
+    let mut long: Vec<u64> = Vec::new();
+    let mut end = 0;
     rows.push(0);
     for new_v in 0..n as VertexId {
-        let old = new_to_old.new_id(new_v);
-        keys.clear();
-        keys.extend(g.edges(old).map(|(d, w)| u64::from(w) << 32 | u64::from(perm.new_id(d))));
-        sort_row(&mut keys);
-        let mut light = 0;
-        for &k in &keys {
-            let w = (k >> 32) as Weight;
-            light += u32::from(w < delta);
-            weights.push(w);
-            adjacency.push(k as VertexId);
-        }
+        let edges = g.edge_range(new_to_old.new_id(new_v));
+        let (adj, wt) = (&g.adjacency()[edges.clone()], &g.weights()[edges]);
+        let len = adj.len();
+        // An edge as `weight << 32 | new destination`: the packed order
+        // is the reference's `(weight, destination)` tuple order.
+        let key = |j: usize| u64::from(wt[j]) << 32 | u64::from(perm.new_id(adj[j]));
+        let light = if (1..=SHORT_ROW).contains(&len) {
+            // `u64::MAX` pads: no destination is `VertexId::MAX`, so it
+            // sorts after every edge, and its weight is never light.
+            let mut row = [u64::MAX; SHORT_ROW];
+            for (i, slot) in row.iter_mut().enumerate() {
+                let k = key(i.min(len - 1));
+                *slot = if i < len { k } else { u64::MAX };
+            }
+            sort_short(&mut row);
+            let span = end..end + SHORT_ROW;
+            emit(&row, &mut adjacency[span.clone()], &mut weights[span], delta)
+        } else {
+            long.clear();
+            long.extend((0..len).map(key));
+            long.sort_unstable();
+            emit(&long, &mut adjacency[end..end + len], &mut weights[end..end + len], delta)
+        };
+        end += len;
         heavy.push(rows[new_v as usize] + light);
-        rows.push(adjacency.len() as u32);
+        rows.push(end as u32);
     }
+    adjacency.truncate(m);
+    weights.truncate(m);
     let mut out = Csr::from_raw(rows, adjacency, weights);
     out.set_heavy_offsets(heavy, delta);
     out
 }
 
-/// Sort one row's packed keys: a sorting network up to [`SHORT_ROW`]
-/// keys, `sort_unstable` above.
-fn sort_row(keys: &mut [u64]) {
+/// Unpack sorted keys into a row's destinations and weights; returns
+/// how many weigh less than `delta`.
+#[inline]
+fn emit(keys: &[u64], adjacency: &mut [VertexId], weights: &mut [Weight], delta: Weight) -> u32 {
+    let mut light = 0;
+    for ((a, w), &k) in adjacency.iter_mut().zip(weights.iter_mut()).zip(keys) {
+        *w = (k >> 32) as Weight;
+        *a = k as VertexId;
+        light += u32::from(*w < delta);
+    }
+    light
+}
+
+/// Sort [`SHORT_ROW`] keys by a sorting network.
+fn sort_short(k: &mut [u64; SHORT_ROW]) {
     // Compare-exchange: min and max compile to conditional moves.
-    fn cx(k: &mut [u64], i: usize, j: usize) {
+    fn cx(k: &mut [u64; SHORT_ROW], i: usize, j: usize) {
         let (a, b) = (k[i], k[j]);
         k[i] = a.min(b);
         k[j] = a.max(b);
     }
-    match keys.len() {
-        0 | 1 => {}
-        2 => cx(keys, 0, 1),
-        3 => {
-            cx(keys, 0, 2);
-            cx(keys, 0, 1);
-            cx(keys, 1, 2);
-        }
-        4 => {
-            cx(keys, 0, 1);
-            cx(keys, 2, 3);
-            cx(keys, 0, 2);
-            cx(keys, 1, 3);
-            cx(keys, 1, 2);
-        }
-        _ => keys.sort_unstable(),
-    }
+    cx(k, 0, 1);
+    cx(k, 2, 3);
+    cx(k, 0, 2);
+    cx(k, 1, 3);
+    cx(k, 1, 2);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Every row of up to `SHORT_ROW + 1` keys drawn from four values
-    /// (repeats included) sorts as `sort_unstable` sorts it.
+    /// Every row of one to `SHORT_ROW` keys drawn from four values
+    /// (repeats included), padded with `u64::MAX`, sorts as
+    /// `sort_unstable` sorts it, the padding last.
     #[test]
     fn networks_sort_every_short_row() {
-        for len in 0..=SHORT_ROW + 1 {
+        for len in 1..=SHORT_ROW {
             for code in 0..4usize.pow(len as u32) {
-                let row: Vec<u64> =
-                    (0..len).map(|i| (code / 4usize.pow(i as u32) % 4) as u64).collect();
-                let mut expect = row.clone();
+                let mut row = [u64::MAX; SHORT_ROW];
+                for (i, slot) in row.iter_mut().take(len).enumerate() {
+                    *slot = (code / 4usize.pow(i as u32) % 4) as u64;
+                }
+                let mut expect = row;
                 expect.sort_unstable();
-                let mut got = row;
-                sort_row(&mut got);
-                assert_eq!(got, expect);
+                sort_short(&mut row);
+                assert_eq!(row, expect);
             }
         }
     }

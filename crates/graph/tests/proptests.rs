@@ -86,6 +86,24 @@ proptest! {
         }
     }
 
+    /// The sweep under any numbering, rows of every length in any
+    /// order (as the resident service's BFS-ordered classes give it), is
+    /// bit-identical to the three-step reference.
+    #[test]
+    fn relabel_sweep_matches_the_reference_in_any_order(
+        el in arb_hub_graph(),
+        delta in 1u32..1000,
+        seed in any::<u64>(),
+    ) {
+        for g in [build_undirected(&el), build_directed(&el)] {
+            let perm = reorder::random_order(&g, seed);
+            let mut reference = perm.apply_to_graph(&g);
+            reorder::sort_edges_by_weight(&mut reference);
+            reorder::attach_heavy_offsets(&mut reference, delta);
+            prop_assert_eq!(&reorder::relabel_sorted(&g, &perm, delta), &reference);
+        }
+    }
+
     #[test]
     fn builder_invariants(el in arb_edges(64, 256)) {
         let g = build_undirected(&el);
