@@ -272,12 +272,25 @@ impl RdbsScratch {
 /// scratch and a fresh Δ controller, and delegates to [`rdbs_on`].
 ///
 /// If `config.pro` the graph must already be preprocessed (weight
-/// sorted, heavy offsets attached — see `rdbs_graph::reorder::pro`);
-/// the distances returned are in the graph's labelling
-/// ([`super::run_gpu`] maps them back to original ids).
+/// sorted, heavy offsets attached — see `rdbs_graph::reorder::pro`) at
+/// a Δ that files every edge as the run's Δ₀ does: the first bucket
+/// reads the uploaded split, and a Δ change between two widths that
+/// leave no edge heavy re-splits nothing. The distances returned are in
+/// the graph's labelling ([`super::run_gpu`] maps them back to original
+/// ids).
+///
+/// # Panics
+/// Panics if the graph's PRO split files an edge differently from Δ₀.
 pub fn rdbs(device: &mut Device, graph: &Csr, source: VertexId, config: RdbsConfig) -> RdbsRun {
     let n = graph.num_vertices() as u32;
     let width0 = config.delta0.unwrap_or_else(|| default_delta(graph));
+    if let (true, Some(split)) = (config.pro, graph.heavy_delta()) {
+        let (lo, hi) = (split.min(width0), split.max(width0));
+        assert!(
+            graph.weights().iter().all(|&w| w < lo || w >= hi),
+            "graph split light/heavy at Δ {split}, but the run starts at Δ₀ {width0}"
+        );
+    }
     // Utilization floor: a bucket that cannot fill a quarter of the
     // device's lanes doubles Δ (§4.3's utilization driver).
     let lanes = device.config().num_sms as u64 * 32 * 2;
@@ -564,8 +577,14 @@ impl RdbsDriver {
         }
         // Re-split light/heavy for the adjusted Δ (§4.1: the offset
         // "can be changed immediately"). Settled vertices are skipped —
-        // their edge ranges are never consulted again.
-        if config.pro && new_width != width && !done {
+        // their edge ranges are never consulted again. Between two
+        // widths that leave no edge heavy (every road bucket) the wave
+        // would rewrite each unsettled pair with the whole row it
+        // already reads, so it does not run.
+        let moves_pairs = gb.has_heavy(width) || gb.has_heavy(new_width);
+        #[cfg(test)]
+        let moves_pairs = moves_pairs || FORCE_RESPLIT.with(Cell::get);
+        if config.pro && new_width != width && !done && moves_pairs {
             // Sub-phase grid barrier of the fused kernel: phase 3's
             // enqueue-side classification reads the heavy offsets this
             // wave is about to overwrite.
@@ -1193,6 +1212,12 @@ fn collect_wave(
     });
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test seam: run every Δ re-split, even one that moves no pair.
+    static FORCE_RESPLIT: Cell<bool> = const { Cell::new(false) };
+}
+
 /// Recompute heavy offsets on-device for a new Δ (binary search over
 /// the weight-sorted row — §4.1's "changed immediately") into the
 /// light-range pairs; with `rows`, store each pair's row word too.
@@ -1514,6 +1539,69 @@ mod tests {
             assert!(d.reports().iter().all(|r| r.name != "phase2_heavy"), "{scatter}");
             assert!(d.reports().iter().any(|r| r.name == "phase3_collect"));
         }
+    }
+
+    #[test]
+    fn resplits_that_move_no_pair_are_skipped() {
+        // Every road width leaves no edge heavy, so a Δ change rewrites
+        // each unsettled pair with the whole row it already reads: the
+        // forced wave and the skip give the same answers, relaxations
+        // and bucket traces, and the skipping run (one-shot or resident)
+        // issues no re-split beyond the service's query-start refresh.
+        let g = rdbs_graph::datasets::by_name("road-TX").unwrap().generate(10, 42);
+        let (pg, perm) = reorder::pro(&g, default_delta(&g));
+        let run = |force: bool| {
+            FORCE_RESPLIT.with(|f| f.set(force));
+            let mut d = Device::new(DeviceConfig::test_tiny());
+            let run = rdbs(&mut d, &pg, perm.new_id(0), RdbsConfig::full());
+            FORCE_RESPLIT.with(|f| f.set(false));
+            let resplits = d.reports().iter().filter(|r| r.name == "update_heavy_offsets").count();
+            (run, resplits)
+        };
+        let ((forced, forced_resplits), (skipped, skipped_resplits)) = (run(true), run(false));
+        assert_eq!(forced.result.dist, skipped.result.dist);
+        assert_eq!(forced.result.stats, skipped.result.stats);
+        let key = |t: &GpuBucketTrace| (t.lo, t.width, t.layers, t.active, t.converged, t.threads);
+        assert_eq!(
+            forced.buckets.iter().map(key).collect::<Vec<_>>(),
+            skipped.buckets.iter().map(key).collect::<Vec<_>>()
+        );
+        assert!(forced_resplits > 0, "the road run changes Δ");
+        assert_eq!(skipped_resplits, 0);
+
+        // The resident service refreshes each lane's pairs at a
+        // query's start, except on the lane's first query (the upload
+        // split them at Δ₀), and re-splits nothing after.
+        let sources = [0, 500, 900];
+        let serve = |force: bool| {
+            FORCE_RESPLIT.with(|f| f.set(force));
+            let config = crate::service::ServiceConfig::rdbs(DeviceConfig::test_tiny());
+            let mut svc = crate::service::SsspService::new(&g, config.with_streams(1));
+            let answers: Vec<_> =
+                svc.batch(&sources).into_iter().map(|a| (a.dist, a.stats)).collect();
+            FORCE_RESPLIT.with(|f| f.set(false));
+            let reports = svc.kernel_reports().unwrap();
+            (answers, reports.iter().filter(|r| r.name == "update_heavy_offsets").count())
+        };
+        let ((forced, forced_resplits), (skipped, skipped_resplits)) = (serve(true), serve(false));
+        assert_eq!(forced, skipped);
+        for (answer, &s) in skipped.iter().zip(&sources) {
+            check_against(&dijkstra(&g, s).dist, &answer.0).unwrap();
+        }
+        assert!(forced_resplits > sources.len());
+        assert_eq!(skipped_resplits, sources.len() - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "split light/heavy at Δ 100, but the run starts at Δ₀ 4000")]
+    fn a_split_unlike_the_runs_delta0_is_refused() {
+        // Run at Δ₀ = 4000 on road-TX pairs split at 100, the one bucket
+        // would relax only the edges below 100 (1,500 of 1,512 distances
+        // came out wrong).
+        let g = rdbs_graph::datasets::by_name("road-TX").unwrap().generate(10, 42);
+        let (pg, perm) = reorder::pro(&g, 100);
+        let cfg = RdbsConfig { delta0: Some(4000), ..RdbsConfig::full() };
+        rdbs(&mut Device::new(DeviceConfig::test_tiny()), &pg, perm.new_id(0), cfg);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! minimum weight, which is the only one that can matter for shortest
 //! paths) and dropping self-loops (which never improve any distance).
 
-use crate::{Csr, VertexId, Weight};
+use crate::{par, Csr, VertexId, Weight};
 
 /// A list of weighted directed edges plus a vertex count.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -92,8 +92,16 @@ impl CsrBuilder {
     /// row by `(dst, weight)` and, with `dedup`, keep the lightest copy
     /// of each destination. Rows come out exactly as a global sort of
     /// every `(src, dst, weight)` triple would leave them, but each sort
-    /// only spans one row.
+    /// only spans one row, and the row sorts split over the cores.
     pub fn build(&self, list: &EdgeList) -> Csr {
+        self.build_sorting_in(list, par::ranges_for)
+    }
+
+    /// [`CsrBuilder::build`] with its row sorts split into
+    /// `ranges(pairs)` contiguous row ranges, each starting at the first
+    /// row at or past its share of the pairs, so the ranges sort about
+    /// as many pairs each and no row is split.
+    fn build_sorting_in(&self, list: &EdgeList, ranges: fn(usize) -> usize) -> Csr {
         let n = list.num_vertices;
         let edges = || list.edges.iter().filter(|&&(u, v, _)| !(self.drop_self_loops && u == v));
         let mut starts = vec![0u32; n + 1];
@@ -120,14 +128,31 @@ impl CsrBuilder {
             }
         }
 
+        let total = pairs.len();
+        let k = ranges(total);
+        let first_row_past = |c: usize| starts.partition_point(|&s| (s as usize) < c * total / k);
+        let mut rest = pairs.as_mut_slice();
+        let mut tasks = Vec::with_capacity(k);
+        for c in 0..k {
+            let bounds = &starts[first_row_past(c)..=first_row_past(c + 1)];
+            let len = (bounds[bounds.len() - 1] - bounds[0]) as usize;
+            let (range, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            tasks.push((range, bounds));
+            rest = tail;
+        }
+        par::run_each(tasks, |(range, bounds)| {
+            let base = bounds[0];
+            for row in bounds.windows(2) {
+                range[(row[0] - base) as usize..(row[1] - base) as usize].sort_unstable();
+            }
+        });
+
         let mut row_offsets = vec![0u32; n + 1];
         let mut adjacency = Vec::with_capacity(pairs.len());
         let mut weights = Vec::with_capacity(pairs.len());
         for u in 0..n {
-            let row = &mut pairs[starts[u] as usize..starts[u + 1] as usize];
-            row.sort_unstable();
             let mut last = None;
-            for &(v, w) in row.iter() {
+            for &(v, w) in &pairs[starts[u] as usize..starts[u + 1] as usize] {
                 if self.dedup && last == Some(v) {
                     continue;
                 }
@@ -252,12 +277,11 @@ mod tests {
         use rand::{Rng, SeedableRng};
         // Random lists with self-loops, parallel edges of different
         // weights in both directions and isolated vertices, under every
-        // combination of the three flags.
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC5A);
-        for case in 0..64 {
-            let n = rng.gen_range(1..40u32);
+        // combination of the three flags, with the row sorts on one to
+        // five ranges.
+        let random_list = |rng: &mut rand_chacha::ChaCha8Rng, n: u32, edges: u32| {
             let mut el = EdgeList::new(n as usize);
-            for _ in 0..rng.gen_range(0..6 * n) {
+            for _ in 0..edges {
                 let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
                 let w = rng.gen_range(0..20);
                 el.push(u, v, w);
@@ -268,19 +292,33 @@ mod tests {
                     _ => {}
                 }
             }
+            el
+        };
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC5A);
+        for case in 0..64 {
+            let n = rng.gen_range(1..40u32);
+            let edges = rng.gen_range(0..6 * n);
+            let el = random_list(&mut rng, n, edges);
             for flags in 0..8 {
                 let builder = CsrBuilder {
                     symmetrize: flags & 1 != 0,
                     dedup: flags & 2 != 0,
                     drop_self_loops: flags & 4 != 0,
                 };
-                assert_eq!(
-                    builder.build(&el),
-                    builder.build_by_global_sort(&el),
-                    "case {case}, {builder:?}"
-                );
+                let reference = builder.build_by_global_sort(&el);
+                assert_eq!(builder.build(&el), reference, "case {case}, {builder:?}");
+                let forced: [fn(usize) -> usize; 4] = [|_| 2, |_| 3, |_| 4, |_| 5];
+                for (k, ranges) in forced.into_iter().enumerate() {
+                    let got = builder.build_sorting_in(&el, ranges);
+                    assert_eq!(got, reference, "case {case}, {} ranges, {builder:?}", k + 2);
+                }
             }
         }
+        // Past twice the split size: the sorts take one range per core.
+        let el = random_list(&mut rng, 4096, par::MIN_UNITS_PER_RANGE as u32 * 2);
+        assert!(el.len() >= 2 * par::MIN_UNITS_PER_RANGE);
+        let builder = CsrBuilder::default();
+        assert_eq!(builder.build(&el), builder.build_by_global_sort(&el));
     }
 
     #[test]

@@ -305,6 +305,35 @@ mod tests {
         assert_eq!(g.num_vertices(), 1 << 14);
     }
 
+    /// FNV-1a (64-bit) over the little-endian bytes of the CSR's row
+    /// offsets, adjacency and weights, in that order: a fixed function,
+    /// unlike `DefaultHasher`, so its values can be recorded.
+    fn csr_fingerprint(g: &Csr) -> u64 {
+        let arrays = [g.row_offsets(), g.adjacency(), g.weights()];
+        let bytes = arrays.into_iter().flatten().flat_map(|w| w.to_le_bytes());
+        bytes.fold(0xCBF2_9CE4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01B3))
+    }
+
+    /// The benchmark's graphs (`perfbench`: the kron workloads at shift
+    /// 8, road-batch's road-TX at shift 7) and Table 2's road crossover
+    /// graph, pinned bit for bit: a generator or builder change that
+    /// moved an input would move every benchmark comparison with it.
+    #[test]
+    fn benchmark_inputs_are_pinned() {
+        let kron = kronecker_spec(21, 16);
+        let road = by_name("road-TX").unwrap();
+        let pins = [
+            (kron.generate(8, 7), 0x009C_C8EE_909D_4F2F),
+            (kron.generate(8, 41), 0x62D2_E529_6773_6A1B),
+            (road.generate(7, 7), 0xBEC8_4EA3_53C1_89FB),
+            (road.generate(7, 41), 0xDF13_15F5_85E0_0E5F),
+            (road.generate(9, 42), 0x1D08_73B3_4669_B102),
+        ];
+        for (i, (g, pin)) in pins.iter().enumerate() {
+            assert_eq!(csr_fingerprint(g), *pin, "input {i}: {:016x}", csr_fingerprint(g));
+        }
+    }
+
     #[test]
     fn fig8_suite_order() {
         let names: Vec<_> = fig8_suite().iter().map(|d| d.name).collect();

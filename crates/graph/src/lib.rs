@@ -28,6 +28,7 @@ pub mod csr;
 pub mod datasets;
 pub mod generate;
 pub mod io;
+mod par;
 pub mod reorder;
 pub mod stats;
 pub mod transform;

@@ -1,7 +1,9 @@
 //! Offline shim for `rand_chacha`: a real ChaCha8 block cipher in
 //! counter mode, seeded via splitmix64 key expansion. Deterministic
 //! and high-quality; the stream differs from upstream's (which nothing
-//! in this workspace depends on).
+//! in this workspace depends on). Counter mode makes the stream
+//! seekable: [`ChaCha8Rng::set_word_pos`] jumps to any word, so
+//! threads can each draw their own stretch of one stream.
 
 use rand::{RngCore, SeedableRng};
 
@@ -72,6 +74,16 @@ impl ChaCha8Rng {
         self.counter = self.counter.wrapping_add(1);
         self.index = 0;
     }
+
+    /// Seek to 32-bit keystream word `word_offset`: the next
+    /// `next_u32` returns the word that many draws from a fresh
+    /// generator would reach (upstream's name; offsets wrap at 2^68
+    /// words, the 64-bit block counter's range).
+    pub fn set_word_pos(&mut self, word_offset: u128) {
+        self.counter = (word_offset >> 4) as u64;
+        self.refill();
+        self.index = (word_offset & 15) as usize;
+    }
 }
 
 impl SeedableRng for ChaCha8Rng {
@@ -133,6 +145,32 @@ mod tests {
             (0..8).map(|_| a.next_u64()).collect::<Vec<_>>(),
             (0..8).map(|_| b.next_u64()).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn set_word_pos_lands_where_stepping_does() {
+        let mut stepped = ChaCha8Rng::seed_from_u64(99);
+        let words: Vec<u32> = (0..128).map(|_| stepped.next_u32()).collect();
+        for k in 0..64 {
+            let mut r = ChaCha8Rng::seed_from_u64(99);
+            r.set_word_pos(k as u128);
+            let got: Vec<u32> = (0..64).map(|_| r.next_u32()).collect();
+            assert_eq!(got, words[k..k + 64], "k = {k}");
+        }
+        // Past 2^32 blocks, where the counter's high word starts to
+        // count: stepping across the carry from block 2^32 - 1 reads
+        // what seeking to each word reads, and not the low blocks'.
+        let start = ((1u128 << 32) - 1) * 16 + 3;
+        let mut r = ChaCha8Rng::seed_from_u64(99);
+        r.set_word_pos(start);
+        for j in 0..64 {
+            let mut seek = ChaCha8Rng::seed_from_u64(99);
+            seek.set_word_pos(start + j);
+            assert_eq!(r.next_u32(), seek.next_u32(), "word {}", start + j);
+        }
+        let mut high = ChaCha8Rng::seed_from_u64(99);
+        high.set_word_pos(1 << 36);
+        assert_ne!((0..16).map(|_| high.next_u32()).collect::<Vec<_>>(), words[..16]);
     }
 
     #[test]
