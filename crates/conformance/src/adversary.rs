@@ -1,4 +1,4 @@
-//! Adversarial chaos: sanitizer-guided fault placement search and
+//! Adversarial chaos: access-profile-guided fault placement search and
 //! seeded schedule fuzzing.
 //!
 //! The plain chaos matrix ([`crate::chaos`]) sprays faults uniformly
@@ -6,8 +6,8 @@
 //! **budgeted placement search** that actively hunts for the fault
 //! placements that hurt the most:
 //!
-//! 1. **Scout** — run the entry fault-free with the memory-model
-//!    sanitizer armed and harvest an access profile
+//! 1. **Scout** — run the entry fault-free with the access IR armed
+//!    and read the access profile off the taken IR
 //!    ([`rdbs_gpu_sim::AccessProfile`]): the hottest contended words,
 //!    the atomic-vs-plain overlap sites, and every kernel's wave
 //!    window. The Dijkstra oracle contributes the *deep frontier* —
@@ -54,7 +54,7 @@ use rdbs_core::recover::AnswerSource;
 use rdbs_core::seq::dijkstra;
 use rdbs_core::{Csr, VertexId, INF};
 use rdbs_gpu_sim::{
-    splitmix64, Device, DeviceConfig, FaultModel, FaultSpec, FaultTarget, SanCheck, SanConfig,
+    splitmix64, Device, DeviceConfig, FaultModel, FaultSpec, FaultTarget, SanCheck,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -118,8 +118,8 @@ pub fn depth_label(score: u32) -> &'static str {
 // Scouting: access profile + deep frontier → target pool.
 // ---------------------------------------------------------------------------
 
-/// What the fault-free sanitized scouting pass learned about an entry
-/// on one graph.
+/// What the fault-free scouting pass learned about an entry on one
+/// graph.
 #[derive(Clone, Debug, Default)]
 pub struct ScoutIntel {
     /// Hottest contended words: shared between lanes *and* hit by
@@ -142,21 +142,23 @@ pub struct ScoutIntel {
 /// How many top sites / deep vertices the scout keeps per category.
 const SCOUT_KEEP: usize = 6;
 
-/// Run the entry's kernel variant fault-free under the sanitizer and
-/// harvest targeting intel. Entries without a kernel variant still get
-/// the oracle-derived deep frontier; their profile-derived pools stay
-/// empty and the search falls back to the unconstrained target.
+/// Run the entry's kernel variant fault-free with the access IR armed
+/// and harvest targeting intel from its profile. Entries without a
+/// kernel variant still get the oracle-derived deep frontier; their
+/// profile-derived pools stay empty and the search falls back to the
+/// unconstrained target.
 pub fn scout(entry: &Entry, graph: &Csr, source: VertexId, oracle_dist: &[u32]) -> ScoutIntel {
     let mut intel = ScoutIntel::default();
     if let Some(variant) = entry.variant {
         let mut device = Device::new(DeviceConfig::test_tiny());
-        device.arm_sanitizer(SanConfig::default());
+        device.arm_ir();
         let ran = catch_unwind(AssertUnwindSafe(|| {
             let _ = run_gpu_on(&mut device, graph, source, variant);
         }))
         .is_ok();
         if ran {
-            if let Some(profile) = device.san_profile() {
+            if let Some(ir) = device.take_ir() {
+                let profile = &ir.profile;
                 intel.hot_words = profile
                     .hottest_contended(SCOUT_KEEP)
                     .into_iter()

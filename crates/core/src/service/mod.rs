@@ -1217,6 +1217,43 @@ mod tests {
         );
     }
 
+    /// Arming the memory-model recorder — no view, the sanitizer, the
+    /// IR, or both — changes no number of a 12-source batch on 4
+    /// streams: not its distances, device counters, kernel reports or
+    /// simulated times. The gpu-sim kernel tests pin the same for a
+    /// raw kernel.
+    #[test]
+    fn arming_the_recorder_changes_no_number() {
+        use rdbs_graph::generate::{kronecker, KroneckerConfig};
+        let mut el = kronecker(KroneckerConfig::new(8, 8), 7);
+        uniform_weights(&mut el, 8);
+        let g = build_undirected(&el);
+        let sources: Vec<VertexId> = (0..12).map(|i| i * 19 % 256).collect();
+        let batch = |(san, ir): (bool, bool)| {
+            let mut svc = SsspService::new(&g, ServiceConfig::rdbs(tiny()).with_streams(4));
+            if san {
+                svc.arm_sanitizer(SanConfig::default());
+            }
+            if ir {
+                svc.arm_ir();
+            }
+            let dist: Vec<Vec<u32>> = svc.batch(&sources).into_iter().map(|r| r.dist).collect();
+            let stats = svc.stats();
+            let sim: Vec<u64> = stats.per_query_sim_ms.iter().map(|t| t.to_bits()).collect();
+            (
+                dist,
+                svc.device_counters().cloned(),
+                format!("{:?}", svc.kernel_reports()),
+                sim,
+                stats.sim_batch_ms.to_bits(),
+            )
+        };
+        let bare = batch((false, false));
+        for arms in [(true, false), (false, true), (true, true)] {
+            assert_eq!(batch(arms), bare, "armed {arms:?}");
+        }
+    }
+
     #[test]
     fn four_streams_overlap_and_match_sequential_bit_identical() {
         let g = graph(9);

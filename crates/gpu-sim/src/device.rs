@@ -4,10 +4,11 @@ use crate::buffer::{Arena, Buf, HostStaging};
 use crate::cache::CacheHierarchy;
 use crate::counters::{Counters, KernelReport};
 use crate::fault::{FaultEvent, FaultPlan};
-use crate::ir::{AccessIr, IrState, QueueDecl};
+use crate::ir::{AccessIr, QueueDecl};
 use crate::kernel::{ChildLaunch, ScatterReq};
-use crate::san::{AccessProfile, SanConfig, SanState, SanViolation};
+use crate::san::{SanConfig, SanViolation};
 use crate::sched::SchedPlan;
+use crate::shadow::Recorder;
 use crate::trace::TraceArena;
 use std::collections::HashMap;
 
@@ -206,15 +207,13 @@ pub struct Device {
     /// every hook a single branch and the device bit-identical to a
     /// fault-free build.
     pub(crate) fault: Option<FaultPlan>,
-    /// Armed memory-model sanitizer, if any. Like `fault`, `None` (the
-    /// default) keeps every hook a single branch.
-    pub(crate) san: Option<Box<SanState>>,
-    /// Armed access-IR recorder, if any (the static verifier's input).
-    /// Like `san`, `None` keeps every hook a single branch.
-    pub(crate) ir: Option<Box<IrState>>,
+    /// The memory-model recorder while the sanitizer or the IR view is
+    /// armed. Like `fault`, `None` (the default) keeps every hook a
+    /// single branch.
+    pub(crate) rec: Option<Box<Recorder>>,
     /// Device queues declared so far, keyed by tail-cursor address.
     /// Always recorded (declaration is cheap and queues are created
-    /// before arming); seeded into the IR recorder at arm time.
+    /// before arming); seeded into the IR view at arm time.
     pub(crate) queue_decls: HashMap<u64, QueueDecl>,
     /// Armed schedule-fuzzing plan, if any: waves execute their lanes
     /// in a seeded permuted order instead of ascending lane order.
@@ -244,8 +243,7 @@ impl Device {
             #[cfg(test)]
             whole_wave: false,
             fault: None,
-            san: None,
-            ir: None,
+            rec: None,
             queue_decls: HashMap::new(),
             sched: None,
             current_stream: 0,
@@ -269,63 +267,54 @@ impl Device {
         self.elapsed_ns
     }
 
-    /// Arm the memory-model sanitizer. Subsequent kernels run under
-    /// it; buffers allocated (or recycled from the pool) from now on
-    /// carry uninitialized-read poison. Violations accumulate until
-    /// [`Device::disarm_sanitizer`].
-    pub fn arm_sanitizer(&mut self, config: SanConfig) {
-        self.arena.set_poison_mode(config.uninit);
-        self.san = Some(Box::new(SanState::new(config)));
-    }
-
-    /// Remove the armed sanitizer (if any), returning it with its
-    /// violation log. Poison tracking stops.
-    pub fn disarm_sanitizer(&mut self) -> Option<Box<SanState>> {
-        self.arena.set_poison_mode(false);
-        self.san.take()
+    /// Arm (or re-arm, with an empty log) the memory-model sanitizer
+    /// (the [`crate::san`] view of the recorder). Subsequent kernels run
+    /// under it for the device's life; buffers allocated (or recycled
+    /// from the pool) from now on carry uninitialized-read poison. With
+    /// the IR armed, the race window closes here for both views.
+    pub fn arm_sanitizer(&mut self, _config: SanConfig) {
+        self.arena.set_poison_mode(true);
+        self.rec.get_or_insert_default().arm_sanitizer();
     }
 
     /// Violations recorded so far (empty when nothing is armed).
     pub fn san_violations(&self) -> &[SanViolation] {
-        self.san.as_ref().map_or(&[], |s| s.violations())
+        self.rec.as_ref().map_or(&[], |r| r.violations())
     }
 
     /// Total violations so far, including any beyond the report cap.
     pub fn san_total(&self) -> u64 {
-        self.san.as_ref().map_or(0, |s| s.total())
+        self.rec.as_ref().map_or(0, |r| r.total())
     }
 
-    /// The access profile the armed sanitizer has accumulated so far
-    /// (`None` when nothing is armed) — the adversarial placement
-    /// search's evidence source.
-    pub fn san_profile(&self) -> Option<&AccessProfile> {
-        self.san.as_deref().map(SanState::profile)
-    }
-
-    /// Arm the access-IR recorder: subsequent kernels contribute to a
-    /// bounded per-race-window access summary (see [`crate::ir`]) that
-    /// the static verifier consumes. Purely observational — results,
-    /// timing and counters are bit-identical to an unarmed run. Queues
-    /// declared before arming are carried over.
+    /// Arm the access-IR view of the recorder: subsequent kernels
+    /// contribute to a bounded per-race-window access summary (see
+    /// [`crate::ir`]) that the static verifier consumes. Purely
+    /// observational — results, timing and counters are bit-identical
+    /// to an unarmed run. Queues declared before arming are carried
+    /// over. With the sanitizer armed, the race window closes here for
+    /// both views.
     pub fn arm_ir(&mut self) {
-        let mut ir = Box::new(IrState::new());
-        let mut decls: Vec<&QueueDecl> = self.queue_decls.values().collect();
+        let mut decls: Vec<QueueDecl> = self.queue_decls.values().copied().collect();
         decls.sort_by_key(|d| d.tail_addr);
-        for d in decls {
-            ir.declare_queue(*d);
-        }
-        self.ir = Some(ir);
+        self.rec.get_or_insert_default().arm_ir(&decls);
     }
 
-    /// Whether the IR recorder is currently armed.
+    /// Whether the IR view is currently armed.
     pub fn ir_armed(&self) -> bool {
-        self.ir.is_some()
+        self.rec.as_ref().is_some_and(|r| r.ir_armed())
     }
 
-    /// Remove the armed IR recorder (if any), closing its trailing
-    /// race window and returning the retained IR.
+    /// Disarm the IR view (if armed), closing its trailing race window
+    /// and returning the retained IR — with its access profile, the
+    /// adversarial placement search's evidence source.
     pub fn take_ir(&mut self) -> Option<AccessIr> {
-        self.ir.take().map(|ir| ir.finish())
+        let rec = self.rec.as_mut()?;
+        let ir = rec.take_ir();
+        if !rec.san_armed() {
+            self.rec = None;
+        }
+        ir
     }
 
     /// Declare a device queue (tail cursor, overflow cell, capacity,
@@ -349,8 +338,8 @@ impl Device {
             spill,
         };
         self.queue_decls.insert(decl.tail_addr, decl);
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.declare_queue(decl);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.declare_queue(decl);
         }
     }
 
@@ -471,8 +460,8 @@ impl Device {
     pub fn write_word(&mut self, buf: Buf, idx: usize, val: u32) {
         self.arena.slice_mut(buf)[idx] = val;
         self.arena.clear_poison_at(buf, idx as u32);
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_host_write(self.arena.addr(buf, idx as u32), val);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.on_host_write(self.arena.addr(buf, idx as u32), val);
         }
     }
 
@@ -521,16 +510,13 @@ impl Device {
 
     /// Charge a grid-wide synchronization barrier (the sync-mode
     /// iteration barrier the paper's §4.3 eliminates in phase 1).
-    /// Also closes the sanitizer's race window: accesses before the
+    /// Also closes the recorder's race window: accesses before the
     /// barrier are ordered before everything after it.
     pub fn charge_barrier(&mut self) {
         self.counters.barriers += 1;
         self.elapsed_ns += self.config.barrier_us * 1e3;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_barrier();
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_barrier();
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.on_barrier();
         }
     }
 

@@ -1,27 +1,29 @@
-//! Retained access IR for schedule-universal static verification.
+//! Retained access IR for schedule-universal static verification — the
+//! second view of the device's memory-model recorder
+//! ([`crate::shadow`]).
 //!
 //! The dynamic sanitizer ([`crate::san`]) checks the *observed*
 //! interleaving and the schedule fuzzer checks N *sampled* lane
 //! permutations; a race that no sampled schedule exercises ships
-//! silently. This module retains a **bounded per-race-window access
-//! summary** — per touched buffer word: which access classes hit it
-//! and the first two *distinct threads* per class — and the
-//! happens-before structure that orders windows (barriers, snapshot
-//! kernel boundaries). Within a window every pair of lanes is treated
-//! as concurrent, so any verdict computed over this IR quantifies over
+//! silently. This view retains a **bounded per-race-window access
+//! summary** — per touched buffer word: which access classes hit it and
+//! the first two *distinct threads* per class — and the happens-before
+//! structure that orders windows (barriers, snapshot kernel
+//! boundaries). Within a window every pair of lanes is treated as
+//! concurrent, so any verdict computed over this IR quantifies over
 //! **all** interleavings, not one.
 //!
-//! Memory stays O(touched words per window), not O(ops): the recorder
-//! keeps two accessors per (word, class) it saw — enough to witness
-//! every pairwise hazard — in the dense window table it shares with the
-//! sanitizer ([`crate::shadow`]), plus lifetime contention tables
-//! (vectors by label id, lane or word index) folded into the label-keyed
-//! [`AccessIr`] maps at [`IrState`] finish. Full traces are never
-//! retained: the executor's trace arena ([`crate::trace`]) holds a
-//! wave's op traces only until their warps are replayed — one warp at
-//! a time until a lane records a gang collective, the rest of the wave
-//! (all of a schedule-fuzzed one) until its flush — and reuses the
-//! space for the next wave.
+//! Memory stays O(touched words per window), not O(ops): the summary is
+//! the recorder's window table, and the view adds its lifetime table
+//! (per word: loads, stores, atomics, first thread, shared flag), the
+//! per-label coalescing shape and the queue and kernel tables. At
+//! [`crate::Device::take_ir`] they fold into an [`AccessIr`], whose
+//! per-label counts, atomic sites and [`AccessProfile`] are views of the
+//! lifetime table. Full traces are never retained: the executor's trace
+//! arena ([`crate::trace`]) holds a wave's op traces only until their
+//! warps are replayed — one warp at a time until a lane records a gang
+//! collective, the rest of the wave (all of a schedule-fuzzed one) until
+//! its flush — and reuses the space for the next wave.
 //!
 //! The IR is consumed by the `rdbs-statan` crate, which runs the
 //! hazard matrix over it and emits typed per-kernel certificates.
@@ -29,14 +31,14 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
-use crate::shadow::{narrow, slot, Labels, Names, Thread, Window, Word};
+use crate::shadow::{narrow, slot, LaneSig, Names, Thread, Window, Witnesses, Word};
 
 /// Identity of one access. `(wave, lane)` is the *thread key*: two
 /// accesses sharing it are program-ordered; any two accesses in the
 /// same window with different keys are concurrent under some schedule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct IrAccessor {
-    /// Wave counter at access time (monotonic across the device).
+    /// Wave counter at access time, counted from `arm_ir`.
     pub wave: u64,
     /// Physical lane id ([`crate::Lane::phys_id`]).
     pub lane: u64,
@@ -72,74 +74,13 @@ pub enum AccessClass {
     ReservedStore = 4,
 }
 
-/// Bounded summary of one access class on one word within a window:
-/// the first accessor, and the first from a *different thread*
-/// (`second` equals `first` until one arrives). Two witnesses suffice
-/// to decide every pairwise hazard, so retention is O(1) per (word,
-/// class) no matter how many lanes pile on.
-#[derive(Clone, Copy, Debug)]
-struct Witnesses {
-    first: Thread,
-    second: Thread,
-}
-
-impl Witnesses {
-    fn new(a: Thread) -> Self {
-        Self { first: a, second: a }
-    }
-
-    #[inline]
-    fn note(&mut self, a: Thread) {
-        if self.second.same_thread(self.first) && !self.first.same_thread(a) {
-            self.second = a;
-        }
-    }
-
-    /// The first accessor from a different thread than `first`.
-    #[inline]
-    fn second(&self) -> Option<Thread> {
-        (!self.second.same_thread(self.first)).then_some(self.second)
-    }
-
-    /// A pair of distinct-thread accessors within this class, if two
-    /// different threads used it.
-    #[inline]
-    fn self_pair(&self) -> Option<(Thread, Thread)> {
-        Some((self.first, self.second()?))
-    }
-
-    /// A pair of distinct-thread accessors, one from `self`, one from
-    /// `other` (cross-class hazard witness).
-    #[inline]
-    fn cross_pair(&self, other: &Witnesses) -> Option<(Thread, Thread)> {
-        let (a, b) = (self.first, other.first);
-        if !a.same_thread(b) {
-            return Some((a, b));
-        }
-        if let Some(b2) = other.second() {
-            return Some((a, b2));
-        }
-        Some((self.second()?, b))
-    }
-}
-
-/// [`Witnesses::self_pair`] of a class the word may not have seen.
-fn self_pair(c: Option<Witnesses>) -> Option<(Thread, Thread)> {
-    c?.self_pair()
-}
-
-/// [`Witnesses::cross_pair`] of two classes the word may not have seen.
-fn cross_pair(a: Option<Witnesses>, b: Option<Witnesses>) -> Option<(Thread, Thread)> {
-    a?.cross_pair(&b?)
-}
-
 /// Hazard classes the closure derives from a window. The first four
 /// are red (unsanctioned); the last three are the memory-model idioms
 /// the kernel discipline explicitly sanctions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HazardKind {
-    /// Two plain stores to one word from distinct threads: the final
-    /// value is schedule-chosen.
+    /// Two stores to one word from distinct threads, at least one of
+    /// them plain: the final value is schedule-chosen.
     WriteWrite,
     /// Plain store and atomic RMW on one word: the store is unordered
     /// against the atomic and can be lost or torn across it.
@@ -186,6 +127,54 @@ impl HazardKind {
         }
     }
 }
+
+/// The rule table both views classify races by: the hazard of two
+/// accesses of classes `a` and `b` (either order) from distinct threads
+/// on one word in one window; `live` is false inside a synchronous
+/// kernel, whose plain loads read its entry snapshot and race nothing.
+pub(crate) fn race_kind(a: AccessClass, b: AccessClass, live: bool) -> Option<HazardKind> {
+    use AccessClass::*;
+    use HazardKind::*;
+    Some(match (a.min(b), a.max(b)) {
+        // A plain store against a reserved store is still a plain store
+        // against concurrent traffic: the reserved side owns its slot,
+        // the plain side owns nothing.
+        (Store, Store | ReservedStore) => WriteWrite,
+        (Store, Atomic) => MixedAtomic,
+        (PlainLoad, Store | Atomic | ReservedStore) if live => SnapshotRead,
+        (VolatileLoad, Store) => UnsanctionedPublish,
+        (Atomic, Atomic) => AtomicShared,
+        (VolatileLoad, Atomic) => VolatileRead,
+        // Slot ownership gives reserved publishes atomic-exchange
+        // discipline against each other, against genuine atomics (a
+        // recycled slot raced by a scalar exchange), and against live
+        // volatile readers (the drain side).
+        (VolatileLoad | Atomic | ReservedStore, ReservedStore) => ReservedPublish,
+        _ => return None,
+    })
+}
+
+/// The class pairs a closing window is checked for, in recording order
+/// (red hazards first, then sanctioned idioms; every applicable kind is
+/// recorded, dedup bounds the volume). A pair's witnesses come first
+/// from its first class.
+const PAIRS: [(AccessClass, AccessClass); 12] = {
+    use AccessClass::*;
+    [
+        (Store, Store),
+        (Store, Atomic),
+        (Store, ReservedStore),
+        (PlainLoad, Store),
+        (PlainLoad, Atomic),
+        (PlainLoad, ReservedStore),
+        (Store, VolatileLoad),
+        (Atomic, Atomic),
+        (VolatileLoad, Atomic),
+        (ReservedStore, ReservedStore),
+        (ReservedStore, Atomic),
+        (VolatileLoad, ReservedStore),
+    ]
+};
 
 /// One deduplicated hazard: a kind, the buffer it lives in, the kernel
 /// pair it spans, a representative word and accessor pair, and how
@@ -287,7 +276,7 @@ pub struct KernelStats {
 pub struct BufferTraffic {
     /// Plain + volatile loads.
     pub loads: u64,
-    /// Plain stores.
+    /// Plain and reserved stores.
     pub stores: u64,
     /// Atomic RMWs.
     pub atomics: u64,
@@ -322,25 +311,17 @@ pub struct AccessIr {
     /// Peak number of word summaries retained in any single window —
     /// the recorder's actual memory bound.
     pub peak_window_words: u64,
+    /// The lifetime table and every kernel's wave window.
+    pub profile: AccessProfile,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct LaneSig {
-    present: bool,
-    gang: u32,
-    sig: u64,
-    children: u64,
-}
-
+/// One declared queue's usage, its mirrored tail and this window's
+/// pushes.
 #[derive(Clone, Debug)]
 struct QueueTrack {
-    decl: QueueDecl,
+    usage: QueueUsage,
     epoch: u64,
-    high_water: u64,
-    pushes: u64,
     window_pushes: u64,
-    max_window_pushes: u64,
-    drops: u64,
 }
 
 /// The queues whose tail cursor / overflow counter sit at one address.
@@ -350,76 +331,45 @@ struct QueueCell {
     overflow_of: Option<u32>,
 }
 
-/// Armed IR recorder, owned by the device (see [`crate::Device::arm_ir`]).
-/// Purely observational: arming must not perturb results, timing, or
-/// counters.
-pub struct IrState {
-    /// The current race window: per touched word, its `(label id,
-    /// index)` and the witnesses of every class it saw.
-    window: Window<(u32, u32), Witnesses>,
-    window_snapshot: bool,
-    wave: u32,
-    kernel: u32,
-    kernel_names: Names,
-    labels: Labels,
-    stream: u32,
+/// One kernel's stats and its `(first, last)` wave.
+#[derive(Clone, Copy, Debug, Default)]
+struct KernelRec {
+    stats: KernelStats,
+    first: u64,
+    last: u64,
+}
+
+/// The armed IR view (see [`crate::Device::arm_ir`]): everything the
+/// IR keeps besides the recorder's window table.
+#[derive(Default)]
+pub(crate) struct IrView {
+    /// The recorder's wave counter at `arm_ir`.
+    base: u32,
     /// Dedup index: (kind, label id, kernel-id pair) → index into
     /// `hazards`. Consulted per hazard at window close, not per access.
     seen: HashMap<(HazardKind, u32, u32, u32), usize>,
     hazards: Vec<Hazard>,
     /// Per kernel id; `None` until the kernel is first seen.
-    kernels: Vec<Option<KernelStats>>,
-    /// Current wave's per-lane op-kind signature (FNV) + child counts,
-    /// by lane.
-    wave_lanes: Vec<LaneSig>,
-    wave_lane_count: u64,
+    kernels: Vec<Option<KernelRec>>,
     queues: Vec<QueueTrack>,
     /// Arena word → 1 + index into `cells`; 0 = no declared queue cell
     /// (4 bytes per arena word up to the highest declared cell).
     cell_index: Vec<u32>,
     cells: Vec<QueueCell>,
-    /// Per label id.
-    traffic: Vec<BufferTraffic>,
+    /// Per label id: the coalescing shape (counts come from `words`).
+    shape: Vec<BufferTraffic>,
     /// Per label id: the wave's last `(lane, index)` for adjacent-lane
     /// stride pairing; cleared each wave.
     last_touch: Vec<Option<(u32, u32)>>,
-    /// Per label id, per word index: atomics.
-    atomic_sites: Vec<Vec<u64>>,
+    /// The lifetime table: per label id, per word index.
+    words: Vec<Vec<WordRec>>,
     windows: u64,
-    peak_window_words: u64,
+    pub(crate) peak_window_words: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl IrState {
-    /// Fresh recorder.
-    pub fn new() -> Self {
-        let mut kernel_names = Names::default();
-        // Accesses before the first wave run under the empty name.
-        let kernel = kernel_names.intern("");
-        Self {
-            window: Window::default(),
-            window_snapshot: false,
-            wave: 0,
-            kernel,
-            kernel_names,
-            labels: Labels::default(),
-            stream: 0,
-            seen: HashMap::new(),
-            hazards: Vec::new(),
-            kernels: Vec::new(),
-            wave_lanes: Vec::new(),
-            wave_lane_count: 0,
-            queues: Vec::new(),
-            cell_index: Vec::new(),
-            cells: Vec::new(),
-            traffic: Vec::new(),
-            last_touch: Vec::new(),
-            atomic_sites: Vec::new(),
-            windows: 0,
-            peak_window_words: 0,
-        }
+impl IrView {
+    pub(crate) fn new(base: u32) -> Self {
+        Self { base, ..Self::default() }
     }
 
     /// The queue roles of the word at `addr`.
@@ -444,104 +394,60 @@ impl IrState {
     /// Register a device queue so tail/overflow traffic is certified
     /// against its capacity class. Re-declaring the same tail address
     /// replaces the declaration (pooled queues get re-assembled).
-    pub fn declare_queue(&mut self, decl: QueueDecl) {
+    pub(crate) fn declare_queue(&mut self, decl: QueueDecl) {
         if let Some(i) = self.cell(decl.tail_addr).tail_of {
-            let old = self.queues[i as usize].decl.overflow_addr;
+            let old = self.queues[i as usize].usage.decl.overflow_addr;
             self.cell_mut(old).overflow_of = None;
-            self.queues[i as usize].decl = decl;
+            self.queues[i as usize].usage.decl = decl;
             self.cell_mut(decl.overflow_addr).overflow_of = Some(i);
             return;
         }
         let i = narrow(self.queues.len() as u64, "queue");
-        self.queues.push(QueueTrack {
-            decl,
-            epoch: 0,
-            high_water: 0,
-            pushes: 0,
-            window_pushes: 0,
-            max_window_pushes: 0,
-            drops: 0,
-        });
+        let usage = QueueUsage { decl, pushes: 0, high_water: 0, max_window_pushes: 0, drops: 0 };
+        self.queues.push(QueueTrack { usage, epoch: 0, window_pushes: 0 });
         self.cell_mut(decl.tail_addr).tail_of = Some(i);
         self.cell_mut(decl.overflow_addr).overflow_of = Some(i);
     }
 
-    pub(crate) fn set_stream(&mut self, stream: u32) {
-        self.stream = stream;
-    }
-
-    /// This kernel's stats, created on first sight.
-    fn kernel_stats(&mut self) -> &mut KernelStats {
-        slot(&mut self.kernels, self.kernel).get_or_insert_with(KernelStats::default)
-    }
-
-    pub(crate) fn begin_wave(&mut self, kernel: &'static str, snapshot: bool) {
+    pub(crate) fn begin_wave(&mut self, kernel: u32, wave: u32, snapshot: bool) {
+        let wave = u64::from(wave - self.base);
+        let k = slot(&mut self.kernels, kernel)
+            .get_or_insert(KernelRec { first: wave, ..KernelRec::default() });
+        k.last = wave;
+        k.stats.waves += 1;
         if snapshot {
-            // A synchronous kernel launch orders memory on its stream:
-            // whatever live window was accumulating closes here, and
-            // the kernel becomes its own window.
-            self.close_window();
-        }
-        self.wave = narrow(u64::from(self.wave) + 1, "wave");
-        self.kernel = self.kernel_names.intern(kernel);
-        self.window_snapshot = snapshot;
-        let st = self.kernel_stats();
-        st.waves += 1;
-        if snapshot {
-            st.snapshot = true;
+            k.stats.snapshot = true;
         } else {
-            st.live = true;
+            k.stats.live = true;
         }
-        self.wave_lanes.clear();
-        self.wave_lane_count = 0;
         self.last_touch.clear();
     }
 
-    pub(crate) fn end_wave(&mut self) {
-        self.check_gangs();
-        let lanes = self.wave_lane_count;
-        let st = self.kernel_stats();
-        st.max_lanes = st.max_lanes.max(lanes);
-        if self.window_snapshot {
-            self.close_window();
-            self.window_snapshot = false;
+    /// Gang agreement over the finished wave's lanes (`present`, in
+    /// lane order; a gang owns consecutive lanes).
+    pub(crate) fn end_wave(&mut self, present: &[(u32, LaneSig)], kernel: u32) {
+        let st = &mut slot(&mut self.kernels, kernel).get_or_insert_with(KernelRec::default).stats;
+        for run in present.chunk_by(|a, b| a.1.gang == b.1.gang).filter(|r| r.len() >= 2) {
+            let first = run[0].1;
+            st.gangs_checked += 1;
+            st.gangs_divergent += u64::from(run.iter().any(|(_, s)| s.sig != first.sig));
+            st.child_divergent += u64::from(run.iter().any(|(_, s)| s.children != first.children));
         }
+        st.max_lanes = st.max_lanes.max(present.len() as u64);
     }
 
-    /// Grid-wide barrier: orders every pre-barrier access before every
-    /// post-barrier one — the live window closes.
-    pub(crate) fn on_barrier(&mut self) {
-        self.close_window();
-    }
-
-    fn note_lane(&mut self, lane: u32, gang: u32, kind_tag: u8) -> &mut LaneSig {
-        let e = slot(&mut self.wave_lanes, lane);
-        if !e.present {
-            *e = LaneSig { present: true, gang, sig: FNV_OFFSET, children: 0 };
-            self.wave_lane_count += 1;
-        }
-        e.sig = (e.sig ^ kind_tag as u64).wrapping_mul(FNV_PRIME);
-        e
-    }
-
-    /// The bookkeeping every memory hook shares: the window witness,
-    /// the lane signature and the stride pairing. Returns the label id
-    /// for the hook's traffic counter.
+    /// One `class` access by `who` to `w` (label id `label`): the
+    /// lifetime table, the stride pairing and the queue accounting. A
+    /// gang-aggregated atomic covers `n` logical pushes (or drops):
+    /// queue accounting stays per-element-exact under aggregation; the
+    /// lifetime table counts the single instruction that ran.
     #[inline]
-    fn access(&mut self, w: Word, lane: u64, gang: u64, class: AccessClass, kind_tag: u8) -> u32 {
-        let a = Thread::new(self.wave, lane, gang, self.kernel);
-        let label = self.labels.id(w.buf, w.label);
-        let pos = self.window.word(w.addr, || (label, w.index));
-        match self.window.class_mut(pos, class as u8) {
-            Some(c) => c.note(a),
-            None => self.window.insert(pos, class as u8, Witnesses::new(a)),
-        }
-        self.peak_window_words = self.peak_window_words.max(self.window.len() as u64);
-        self.note_lane(a.lane, a.gang, kind_tag);
+    pub(crate) fn access(&mut self, w: Word, label: u32, who: Thread, class: AccessClass, n: u64) {
+        slot(slot(&mut self.words, label), w.index).note((who.wave - self.base, who.lane), class);
         let last = slot(&mut self.last_touch, label);
         if let Some((ll, li)) = *last {
-            if u64::from(a.lane) == u64::from(ll) + 1 {
-                let t = slot(&mut self.traffic, label);
+            if u64::from(who.lane) == u64::from(ll) + 1 {
+                let t = slot(&mut self.shape, label);
                 match (i64::from(w.index) - i64::from(li)).unsigned_abs() {
                     0 => t.same_word += 1,
                     1 => t.unit_stride += 1,
@@ -550,127 +456,48 @@ impl IrState {
                 }
             }
         }
-        *last = Some((a.lane, w.index));
-        label
-    }
-
-    /// Plain or volatile load hook.
-    pub(crate) fn on_load(&mut self, w: Word, lane: u64, gang: u64, volatile: bool) {
-        let class = if volatile { AccessClass::VolatileLoad } else { AccessClass::PlainLoad };
-        let label = self.access(w, lane, gang, class, 1);
-        slot(&mut self.traffic, label).loads += 1;
-    }
-
-    /// Plain store hook.
-    pub(crate) fn on_store(&mut self, w: Word, lane: u64, gang: u64) {
-        let label = self.access(w, lane, gang, AccessClass::Store, 2);
-        slot(&mut self.traffic, label).stores += 1;
-    }
-
-    /// Atomic RMW hook (all four flavours).
-    pub(crate) fn on_atomic(&mut self, w: Word, lane: u64, gang: u64) {
-        self.on_atomic_bulk(w, lane, gang, 1);
-    }
-
-    /// Atomic RMW hook for a gang-aggregated bump: one instruction
-    /// whose operand covers `n` logical pushes (or drops). Queue
-    /// accounting stays per-element-exact under aggregation; the
-    /// contention tables count the single instruction that ran.
-    pub(crate) fn on_atomic_bulk(&mut self, w: Word, lane: u64, gang: u64, n: u64) {
-        let label = self.access(w, lane, gang, AccessClass::Atomic, 3);
-        slot(&mut self.traffic, label).atomics += 1;
-        *slot(slot(&mut self.atomic_sites, label), w.index) += 1;
+        *last = Some((who.lane, w.index));
+        if class != AccessClass::Atomic {
+            return;
+        }
         let cell = self.cell(w.addr);
         if let Some(i) = cell.tail_of {
             let q = &mut self.queues[i as usize];
             q.epoch += n;
-            q.pushes += n;
+            q.usage.pushes += n;
             q.window_pushes += n;
-            q.high_water = q.high_water.max(q.epoch);
+            q.usage.high_water = q.usage.high_water.max(q.epoch);
         } else if let Some(i) = cell.overflow_of {
-            self.queues[i as usize].drops += n;
+            self.queues[i as usize].usage.drops += n;
         }
     }
 
-    /// Reserved-store hook: a plain store into a slot the storing lane
-    /// owns via a gang-collective tail reservation. Counted as store
-    /// traffic (it is one at the ISA level), classed separately so the
-    /// hazard matrix can sanction it like the atomic-exchange publish
-    /// it replaces.
-    pub(crate) fn on_reserved_store(&mut self, w: Word, lane: u64, gang: u64) {
-        let label = self.access(w, lane, gang, AccessClass::ReservedStore, 5);
-        slot(&mut self.traffic, label).stores += 1;
-    }
-
-    /// Dynamic-parallelism child launch hook.
-    pub(crate) fn on_child_launch(&mut self, lane: u64, gang: u64) {
-        self.note_lane(narrow(lane, "lane"), narrow(gang, "gang"), 4).children += 1;
-    }
-
-    /// Host-side word write (e.g. a drain resetting a queue tail):
-    /// host writes happen between waves and re-anchor the mirrored
-    /// tail epoch.
+    /// Host-side word write: host writes happen between waves and
+    /// re-anchor the mirrored tail epoch.
     pub(crate) fn on_host_write(&mut self, addr: u64, val: u32) {
         if let Some(i) = self.cell(addr).tail_of {
-            self.queues[i as usize].epoch = val as u64;
+            self.queues[i as usize].epoch = u64::from(val);
         }
     }
 
-    fn check_gangs(&mut self) {
-        // Group the wave's lanes by gang: gangs own consecutive phys
-        // lanes, so one lane-ordered scan groups them.
-        let mut checked = 0u64;
-        let mut divergent = 0u64;
-        let mut child_div = 0u64;
-        let mut first: Option<LaneSig> = None;
-        let mut members = 0u64;
-        let mut sig_mismatch = false;
-        let mut child_mismatch = false;
-        let mut flush = |members: u64, sig_mismatch: bool, child_mismatch: bool| {
-            if members >= 2 {
-                checked += 1;
-                divergent += u64::from(sig_mismatch);
-                child_div += u64::from(child_mismatch);
-            }
-        };
-        for sig in self.wave_lanes.iter().filter(|s| s.present) {
-            match first {
-                Some(f) if f.gang == sig.gang => {
-                    members += 1;
-                    sig_mismatch |= sig.sig != f.sig;
-                    child_mismatch |= sig.children != f.children;
-                }
-                _ => {
-                    flush(members, sig_mismatch, child_mismatch);
-                    first = Some(*sig);
-                    members = 1;
-                    sig_mismatch = false;
-                    child_mismatch = false;
-                }
-            }
-        }
-        flush(members, sig_mismatch, child_mismatch);
-        let st = self.kernel_stats();
-        st.gangs_checked += checked;
-        st.gangs_divergent += divergent;
-        st.child_divergent += child_div;
-    }
-
-    fn accessor(&self, t: Thread) -> IrAccessor {
+    fn accessor(&self, t: Thread, kernels: &Names) -> IrAccessor {
         IrAccessor {
-            wave: u64::from(t.wave),
+            wave: u64::from(t.wave - self.base),
             lane: u64::from(t.lane),
             gang: u64::from(t.gang),
-            kernel: self.kernel_names.name(t.kernel),
+            kernel: kernels.name(t.kernel),
         }
     }
 
+    /// Record `kind` at `(label id, index, addr)` if `pair` witnessed
+    /// it; `names` are the recorder's kernel and label names.
     fn record_hazard(
         &mut self,
         kind: HazardKind,
-        (label, index): (u32, u32),
-        addr: u64,
+        (label, index, addr): (u32, u32, u64),
         pair: Option<(Thread, Thread)>,
+        snapshot_window: bool,
+        (kernels, labels): (&Names, &Names),
     ) {
         let Some((a, b)) = pair else { return };
         // Symmetric kernel pair: order the ids for dedup.
@@ -679,117 +506,263 @@ impl IrState {
             Entry::Occupied(e) => self.hazards[*e.get()].words += 1,
             Entry::Vacant(e) => {
                 e.insert(self.hazards.len());
-                let accessors = [self.accessor(a), self.accessor(b)];
+                let accessors = [self.accessor(a, kernels), self.accessor(b, kernels)];
                 self.hazards.push(Hazard {
                     kind,
-                    buffer: self.labels.names.name(label),
+                    buffer: labels.name(label),
                     index,
                     addr,
                     accessors,
-                    snapshot_window: self.window_snapshot,
+                    snapshot_window,
                     words: 1,
                 });
             }
         }
     }
 
-    /// Run the hazard matrix over the closing window and drop it.
-    /// Every surviving fact is O(1)-sized; unshared words vanish here.
-    fn close_window(&mut self) {
-        if self.window.len() > 0 {
+    /// Run the hazard matrix over this view's closing window, in
+    /// ascending address order. Every surviving fact is O(1)-sized;
+    /// unshared words vanish here.
+    pub(crate) fn close(&mut self, window: &mut Window, snapshot: bool, names: (&Names, &Names)) {
+        if window.len() > 0 {
             self.windows += 1;
         }
-        let snapshot = self.window_snapshot;
-        let mut window = std::mem::take(&mut self.window);
-        // Deterministic order: ascending address.
-        window.close(|addr, at, classes| {
-            let [pl, vl, st, atomic, rs] = classes;
-            use HazardKind::*;
-            // Red hazards first, then sanctioned idioms; every
-            // applicable kind is recorded (dedup bounds the volume).
-            self.record_hazard(WriteWrite, at, addr, self_pair(st));
-            self.record_hazard(MixedAtomic, at, addr, cross_pair(st, atomic));
-            // A plain store against a reserved store is still a plain
-            // store against concurrent traffic: the reserved side owns
-            // its slot, the plain side owns nothing.
-            self.record_hazard(WriteWrite, at, addr, cross_pair(st, rs));
-            if !snapshot {
-                // Plain loads read the kernel-entry snapshot inside a
-                // synchronous kernel, so they only race in live windows.
-                self.record_hazard(SnapshotRead, at, addr, cross_pair(pl, st));
-                self.record_hazard(SnapshotRead, at, addr, cross_pair(pl, atomic));
-                self.record_hazard(SnapshotRead, at, addr, cross_pair(pl, rs));
+        window.visit_sorted(|addr, (label, index), classes| {
+            for (a, b) in PAIRS {
+                let Some(kind) = race_kind(a, b, !snapshot) else { continue };
+                let (x, y) = (classes[a as usize], classes[b as usize]);
+                let pair = if a == b { x.and_then(|c| c.self_pair()) } else { cross_pair(x, y) };
+                self.record_hazard(kind, (label, index, addr), pair, snapshot, names);
             }
-            self.record_hazard(UnsanctionedPublish, at, addr, cross_pair(st, vl));
-            self.record_hazard(AtomicShared, at, addr, self_pair(atomic));
-            self.record_hazard(VolatileRead, at, addr, cross_pair(vl, atomic));
-            // Reserved publishes: slot ownership gives them atomic-
-            // exchange discipline against each other, against genuine
-            // atomics (a recycled slot raced by a scalar exchange), and
-            // against live volatile readers (the drain side).
-            self.record_hazard(ReservedPublish, at, addr, self_pair(rs));
-            self.record_hazard(ReservedPublish, at, addr, cross_pair(rs, atomic));
-            self.record_hazard(ReservedPublish, at, addr, cross_pair(vl, rs));
         });
-        self.window = window;
         for q in &mut self.queues {
-            q.max_window_pushes = q.max_window_pushes.max(q.window_pushes);
+            q.usage.max_window_pushes = q.usage.max_window_pushes.max(q.window_pushes);
             q.window_pushes = 0;
         }
     }
 
-    /// Close the trailing window and hand back the retained IR, folding
-    /// the dense lifetime tables into its label-keyed maps.
-    pub(crate) fn finish(mut self) -> AccessIr {
-        self.close_window();
-        let mut queues: Vec<QueueUsage> = self
-            .queues
-            .into_iter()
-            .map(|q| QueueUsage {
-                decl: q.decl,
-                pushes: q.pushes,
-                high_water: q.high_water,
-                max_window_pushes: q.max_window_pushes,
-                drops: q.drops,
-            })
-            .collect();
+    /// Hand back the retained IR, folding the dense tables into its
+    /// label-keyed maps; the lifetime table moves into the profile.
+    pub(crate) fn finish(self, kernels: &Names, labels: &Names) -> AccessIr {
+        let mut queues: Vec<QueueUsage> = self.queues.into_iter().map(|q| q.usage).collect();
         queues.sort_by(|a, b| {
             (a.decl.label, a.decl.tail_addr).cmp(&(b.decl.label, b.decl.tail_addr))
         });
-        let kernel_names = &self.kernel_names;
-        let labels = &self.labels.names;
+        let mut traffic = BTreeMap::new();
+        let mut atomic_sites = BTreeMap::new();
+        for (id, words) in self.words.iter().enumerate() {
+            // Past the last label the dense table holds only growth slack.
+            let name = || labels.name(id as u32);
+            let mut t = self.shape.get(id).copied().unwrap_or_default();
+            for (i, r) in words.iter().enumerate() {
+                t.loads += u64::from(r.loads);
+                t.stores += u64::from(r.stores);
+                t.atomics += u64::from(r.atomics);
+                if r.atomics > 0 {
+                    atomic_sites.insert((name(), i as u32), r.atomics.into());
+                }
+            }
+            if t.loads + t.stores + t.atomics > 0 {
+                traffic.insert(name(), t);
+            }
+        }
+        let named = (self.kernels.iter().enumerate())
+            .filter_map(|(id, k)| k.map(|k| (kernels.name(id as u32), k)))
+            .collect::<BTreeMap<_, _>>();
         AccessIr {
-            kernels: (self.kernels.iter().enumerate())
-                .filter_map(|(id, st)| st.map(|st| (kernel_names.name(id as u32), st)))
-                .collect(),
+            kernels: named.iter().map(|(&name, k)| (name, k.stats)).collect(),
             hazards: self.hazards,
             queues,
-            traffic: (self.traffic.iter().enumerate())
-                .filter(|(_, t)| t.loads + t.stores + t.atomics > 0)
-                .map(|(id, &t)| (labels.name(id as u32), t))
-                .collect(),
-            atomic_sites: (self.atomic_sites.iter().enumerate())
-                .flat_map(|(id, sites)| {
-                    (sites.iter().enumerate())
-                        .filter(|(_, &n)| n > 0)
-                        .map(move |(i, &n)| ((labels.name(id as u32), i as u32), n))
-                })
-                .collect(),
+            traffic,
+            atomic_sites,
             windows: self.windows,
             peak_window_words: self.peak_window_words,
+            profile: AccessProfile {
+                labels: labels.names.clone(),
+                words: self.words,
+                kernels: named.iter().map(|(&name, k)| (name, k.first, k.last)).collect(),
+            },
         }
     }
 }
 
-impl Default for IrState {
-    fn default() -> Self {
-        Self::new()
+/// Lifetime access statistics for one word, accumulated from `arm_ir`
+/// to `take_ir` (unlike the race window, never cleared at window
+/// close).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WordStats {
+    /// Plain + volatile loads of the word.
+    pub loads: u64,
+    /// Plain and reserved stores of the word.
+    pub stores: u64,
+    /// Atomic RMWs of the word.
+    pub atomics: u64,
+    /// First `(wave, lane)` to touch the word, for shared detection.
+    pub(crate) first: Option<(u64, u64)>,
+    pub(crate) shared: bool,
+}
+
+impl WordStats {
+    /// Whether more than one logical thread (distinct `(wave, lane)`)
+    /// touched the word.
+    pub fn shared(&self) -> bool {
+        self.shared
     }
+
+    /// All accesses to the word.
+    pub fn total(&self) -> u64 {
+        self.loads + self.stores + self.atomics
+    }
+}
+
+/// One word's record in the IR's lifetime table. A count past
+/// `u32::MAX` within one IR lifetime panics rather than wraps, like the
+/// wave counter ([`crate::shadow::narrow`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct WordRec {
+    pub(crate) loads: u32,
+    pub(crate) stores: u32,
+    pub(crate) atomics: u32,
+    /// First `(wave, lane)` to touch the word.
+    first: (u32, u32),
+    touched: bool,
+    shared: bool,
+}
+
+impl WordRec {
+    /// Count one `class` access by thread `key` (`(wave, lane)`).
+    #[inline]
+    pub(crate) fn note(&mut self, key: (u32, u32), class: AccessClass) {
+        if !self.touched {
+            self.touched = true;
+            self.first = key;
+        } else if self.first != key {
+            self.shared = true;
+        }
+        let count = match class {
+            AccessClass::PlainLoad | AccessClass::VolatileLoad => &mut self.loads,
+            AccessClass::Store | AccessClass::ReservedStore => &mut self.stores,
+            AccessClass::Atomic => &mut self.atomics,
+        };
+        *count = count.checked_add(1).expect("a word's access count passed u32::MAX");
+    }
+
+    fn stats(&self) -> WordStats {
+        WordStats {
+            loads: self.loads.into(),
+            stores: self.stores.into(),
+            atomics: self.atomics.into(),
+            first: Some((u64::from(self.first.0), u64::from(self.first.1))),
+            shared: self.shared,
+        }
+    }
+}
+
+/// What a run taught about its memory behaviour: per-word access counts
+/// and sharing, plus per-kernel wave windows — a view of the IR's
+/// lifetime table, read from a taken [`crate::AccessIr`]. This is the
+/// evidence the adversarial placement search scouts for — the hottest
+/// contended words are where a mistimed fault is most likely to slip
+/// past detection. Words are keyed by `(buffer label, word index)`:
+/// equal labels share their words, and every query answers in
+/// label-then-index order, so everything derived from it is
+/// deterministic. The records stay in the dense table (per label id,
+/// per word index) and fold into these shapes only when queried.
+#[derive(Clone, Debug, Default)]
+pub struct AccessProfile {
+    /// Label names, by label id.
+    pub(crate) labels: Vec<&'static str>,
+    /// Per label id, per word index.
+    pub(crate) words: Vec<Vec<WordRec>>,
+    /// Every kernel's `(name, first wave, last wave)`, in name order.
+    pub(crate) kernels: Vec<(&'static str, u64, u64)>,
+}
+
+impl AccessProfile {
+    /// Every touched word as `(label, index, stats)`, unordered.
+    pub(crate) fn rows(&self) -> impl Iterator<Item = (&'static str, u32, WordStats)> + '_ {
+        self.words.iter().enumerate().flat_map(move |(label, recs)| {
+            (recs.iter().enumerate())
+                .filter(|(_, r)| r.touched)
+                .map(move |(i, r)| (self.labels[label], i as u32, r.stats()))
+        })
+    }
+
+    /// Total waves observed.
+    pub fn waves(&self) -> u64 {
+        self.kernels.iter().map(|k| k.2).max().unwrap_or(0)
+    }
+
+    /// Every kernel's wave window, in kernel-name order.
+    pub fn kernel_windows(&self) -> Vec<(&'static str, u64, u64)> {
+        self.kernels.clone()
+    }
+
+    /// `rows` ranked by `key` descending, ties broken by label then
+    /// index, cut to `k`.
+    fn ranked(
+        rows: impl Iterator<Item = (&'static str, u32, WordStats)>,
+        k: usize,
+        key: impl Fn(&WordStats) -> (u64, u64),
+    ) -> Vec<(&'static str, u32, WordStats)> {
+        let mut rows: Vec<(&'static str, u32, WordStats)> = rows.collect();
+        rows.sort_by(|a, b| key(&b.2).cmp(&key(&a.2)).then(a.0.cmp(b.0)).then(a.1.cmp(&b.1)));
+        rows.truncate(k);
+        rows
+    }
+
+    /// The top `k` *contended* words — touched by multiple logical
+    /// threads with at least one atomic — ranked by atomic count, then
+    /// total traffic (ties broken by key, so the ranking is
+    /// deterministic). These are the shared-queue / distance hot words
+    /// where the paper's async hot path concentrates.
+    pub fn hottest_contended(&self, k: usize) -> Vec<(&'static str, u32, WordStats)> {
+        Self::ranked(self.rows().filter(|(_, _, s)| s.shared && s.atomics > 0), k, |s| {
+            (s.atomics, s.total())
+        })
+    }
+
+    /// Words that mix atomic and plain traffic — the atomic-vs-plain
+    /// overlap sites where dropped or duplicated atomics interact with
+    /// snapshot visibility. Ranked like
+    /// [`AccessProfile::hottest_contended`].
+    pub fn overlap_sites(&self, k: usize) -> Vec<(&'static str, u32, WordStats)> {
+        Self::ranked(
+            self.rows().filter(|(_, _, s)| s.atomics > 0 && s.loads + s.stores > 0),
+            k,
+            |s| (s.atomics, s.total()),
+        )
+    }
+
+    /// The top `k` most-*loaded* buffers, load counts summed across
+    /// all their words — the read-hot data (e.g. CSR topology arrays)
+    /// whose corruption hits every consumer downstream. Per-word
+    /// rankings drown wide read-mostly arrays behind a few hot
+    /// contended words; aggregating by buffer surfaces them.
+    pub fn hottest_buffers(&self, k: usize) -> Vec<(&'static str, u64)> {
+        let mut by_buf: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for (b, _, s) in self.rows() {
+            if s.loads > 0 {
+                *by_buf.entry(b).or_insert(0) += s.loads;
+            }
+        }
+        let mut rows: Vec<(&'static str, u64)> = by_buf.into_iter().collect();
+        rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        rows.truncate(k);
+        rows
+    }
+}
+
+/// [`Witnesses::cross_pair`] of two classes the word may not have seen.
+fn cross_pair(a: Option<Witnesses>, b: Option<Witnesses>) -> Option<(Thread, Thread)> {
+    a?.cross_pair(&b?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shadow::Recorder;
+    use AccessClass::*;
 
     fn th(wave: u32, lane: u64) -> Thread {
         Thread::new(wave, lane, lane, 0)
@@ -797,6 +770,12 @@ mod tests {
 
     fn at(addr: u64, label: &'static str, index: u32) -> Word {
         Word { addr, buf: 0, label, index }
+    }
+
+    fn recorder() -> Recorder {
+        let mut r = Recorder::default();
+        r.arm_ir(&[]);
+        r
     }
 
     #[test]
@@ -821,28 +800,43 @@ mod tests {
     }
 
     #[test]
+    fn rule_table_is_symmetric_and_names_store_vs_reserved_write_write() {
+        let classes = [PlainLoad, VolatileLoad, Store, Atomic, ReservedStore];
+        for a in classes {
+            for b in classes {
+                for live in [false, true] {
+                    assert_eq!(race_kind(a, b, live), race_kind(b, a, live), "{a:?} {b:?}");
+                }
+            }
+        }
+        assert_eq!(race_kind(ReservedStore, Store, true), Some(HazardKind::WriteWrite));
+        assert_eq!(race_kind(PlainLoad, Atomic, false), None, "snapshot loads race nothing");
+        assert!(PAIRS.iter().all(|&(a, b)| race_kind(a, b, true).is_some()));
+    }
+
+    #[test]
     fn wave_counter_panics_past_u32_instead_of_wrapping() {
-        let mut ir = IrState::new();
+        let mut ir = recorder();
         ir.wave = u32::MAX;
         let wrapped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ir.begin_wave("k", false);
+            ir.begin_wave("k", false, 0);
         }));
         assert!(wrapped.is_err(), "wave u32::MAX + 1 must not alias wave 0");
     }
 
     #[test]
     fn window_hazards_and_barrier_ordering() {
-        let mut ir = IrState::new();
-        ir.begin_wave("w", false);
-        ir.on_store(at(0x1000, "buf", 0), 0, 0);
-        ir.on_store(at(0x1000, "buf", 0), 1, 1);
+        let mut ir = recorder();
+        ir.begin_wave("w", false, 0);
+        ir.access(at(0x1000, "buf", 0), 0, 0, Store, false, 1);
+        ir.access(at(0x1000, "buf", 0), 1, 1, Store, false, 1);
         ir.end_wave();
         ir.on_barrier();
         // Post-barrier store to the same word: ordered, no new hazard.
-        ir.begin_wave("w", false);
-        ir.on_store(at(0x1000, "buf", 0), 2, 2);
+        ir.begin_wave("w", false, 0);
+        ir.access(at(0x1000, "buf", 0), 2, 2, Store, false, 1);
         ir.end_wave();
-        let out = ir.finish();
+        let out = ir.take_ir().unwrap();
         let ww: Vec<_> = out.hazards.iter().filter(|h| h.kind == HazardKind::WriteWrite).collect();
         assert_eq!(ww.len(), 1, "{:?}", out.hazards);
         assert_eq!(ww[0].words, 1);
@@ -850,48 +844,48 @@ mod tests {
 
     #[test]
     fn snapshot_window_sanctions_plain_loads() {
-        let mut ir = IrState::new();
-        ir.begin_wave("sync", true);
-        ir.on_load(at(0x1000, "dist", 0), 0, 0, false);
-        ir.on_atomic(at(0x1000, "dist", 0), 1, 1);
+        let mut ir = recorder();
+        ir.begin_wave("sync", true, 0);
+        ir.access(at(0x1000, "dist", 0), 0, 0, PlainLoad, false, 1);
+        ir.access(at(0x1000, "dist", 0), 1, 1, Atomic, false, 1);
         ir.end_wave();
-        let out = ir.finish();
+        let out = ir.take_ir().unwrap();
         assert!(
             out.hazards.iter().all(|h| h.kind != HazardKind::SnapshotRead),
             "{:?}",
             out.hazards
         );
         // The same shape in a live wave is a snapshot-read hazard.
-        let mut ir = IrState::new();
-        ir.begin_wave("live", false);
-        ir.on_load(at(0x1000, "dist", 0), 0, 0, false);
-        ir.on_atomic(at(0x1000, "dist", 0), 1, 1);
+        let mut ir = recorder();
+        ir.begin_wave("live", false, 0);
+        ir.access(at(0x1000, "dist", 0), 0, 0, PlainLoad, false, 1);
+        ir.access(at(0x1000, "dist", 0), 1, 1, Atomic, false, 1);
         ir.end_wave();
-        let out = ir.finish();
+        let out = ir.take_ir().unwrap();
         assert!(out.hazards.iter().any(|h| h.kind == HazardKind::SnapshotRead));
     }
 
     #[test]
     fn queue_epochs_follow_device_and_host() {
-        let mut ir = IrState::new();
-        ir.declare_queue(QueueDecl {
+        let mut ir = Recorder::default();
+        ir.arm_ir(&[QueueDecl {
             label: "q",
             tail_addr: 0x2000,
             overflow_addr: 0x3000,
             capacity: 4,
             spill: false,
-        });
-        ir.begin_wave("push", false);
+        }]);
+        ir.begin_wave("push", false, 0);
         for lane in 0..6 {
-            ir.on_atomic(at(0x2000, "queue_tail", 0), lane, lane);
+            ir.access(at(0x2000, "queue_tail", 0), lane, lane, Atomic, false, 1);
         }
         ir.end_wave();
         ir.on_host_write(0x2000, 0); // drain
-        ir.begin_wave("push", false);
-        ir.on_atomic(at(0x2000, "queue_tail", 0), 0, 0);
-        ir.on_atomic(at(0x3000, "queue_overflow", 0), 1, 1);
+        ir.begin_wave("push", false, 0);
+        ir.access(at(0x2000, "queue_tail", 0), 0, 0, Atomic, false, 1);
+        ir.access(at(0x3000, "queue_overflow", 0), 1, 1, Atomic, false, 1);
         ir.end_wave();
-        let out = ir.finish();
+        let out = ir.take_ir().unwrap();
         assert_eq!(out.queues.len(), 1);
         let q = &out.queues[0];
         assert_eq!(q.pushes, 7);
@@ -902,17 +896,17 @@ mod tests {
 
     #[test]
     fn gang_signature_divergence_counted() {
-        let mut ir = IrState::new();
-        ir.begin_wave("gang", true);
+        let mut ir = recorder();
+        ir.begin_wave("gang", true, 0);
         // Gang 0 (lanes 0,1): same op sequence. Gang 1 (lanes 2,3):
         // lane 3 does an extra atomic.
-        ir.on_load(at(0x10, "a", 0), 0, 0, false);
-        ir.on_load(at(0x14, "a", 1), 1, 0, false);
-        ir.on_load(at(0x18, "a", 2), 2, 1, false);
-        ir.on_load(at(0x1c, "a", 3), 3, 1, false);
-        ir.on_atomic(at(0x20, "acc", 0), 3, 1);
+        ir.access(at(0x10, "a", 0), 0, 0, PlainLoad, false, 1);
+        ir.access(at(0x14, "a", 1), 1, 0, PlainLoad, false, 1);
+        ir.access(at(0x18, "a", 2), 2, 1, PlainLoad, false, 1);
+        ir.access(at(0x1c, "a", 3), 3, 1, PlainLoad, false, 1);
+        ir.access(at(0x20, "acc", 0), 3, 1, Atomic, false, 1);
         ir.end_wave();
-        let out = ir.finish();
+        let out = ir.take_ir().unwrap();
         let st = out.kernels["gang"];
         assert_eq!(st.gangs_checked, 2);
         assert_eq!(st.gangs_divergent, 1);

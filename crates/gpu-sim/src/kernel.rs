@@ -22,10 +22,9 @@ use crate::cost::kernel_time;
 use crate::counters::KernelReport;
 use crate::device::Device;
 use crate::fault::{AtomicMinFault, FaultModel, FaultPlan};
-use crate::ir::IrState;
+use crate::ir::AccessClass;
 use crate::replay::replay_warp;
-use crate::san::SanState;
-use crate::shadow::Word;
+use crate::shadow::{Recorder, Word};
 use crate::trace::{word_addr, Op, Span, TraceArena};
 use crate::{SECTOR_BYTES, WARP_SIZE};
 
@@ -49,7 +48,7 @@ use crate::{SECTOR_BYTES, WARP_SIZE};
 /// (soc-TW, 21.3M vertices).
 pub const MAX_LAUNCH_LANES: u64 = 1 << 25;
 
-/// The word `buf[idx]` at `addr` as the sanitizer and IR hooks see it.
+/// The word `buf[idx]` at `addr` as the recorder's hooks see it.
 #[inline]
 fn word(arena: &Arena, buf: Buf, idx: u32, addr: u64) -> Word {
     Word { addr, buf: buf.id, label: arena.label(buf), index: idx }
@@ -281,8 +280,7 @@ pub struct Lane<'a> {
     traffic: &'a mut Vec<[u64; 3]>,
     scatter: &'a mut Vec<ScatterReq>,
     fault: Option<&'a mut FaultPlan>,
-    san: Option<&'a mut SanState>,
-    ir: Option<&'a mut IrState>,
+    rec: Option<&'a mut Recorder>,
     trace: &'a mut TraceArena,
     tid: u64,
     phys: u64,
@@ -361,12 +359,10 @@ impl<'a> Lane<'a> {
     fn load_word(&mut self, buf: Buf, idx: u32, addr: u64) -> u32 {
         self.traffic[buf.id as usize][0] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
+        if let Some(rec) = self.rec.as_deref_mut() {
             let poisoned = self.arena.poisoned_visible(buf, idx);
-            san.on_plain_load(word(self.arena, buf, idx, addr), lane, gang, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_load(word(self.arena, buf, idx, addr), lane, gang, false);
+            let w = word(self.arena, buf, idx, addr);
+            rec.access(w, lane, gang, AccessClass::PlainLoad, poisoned, 1);
         }
         let val = self.arena.load_visible(buf, idx);
         self.fault_load(buf, idx, val)
@@ -408,12 +404,10 @@ impl<'a> Lane<'a> {
         self.trace.push(Op::LoadVolatile(word_addr(addr)));
         self.traffic[buf.id as usize][0] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
+        if let Some(rec) = self.rec.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_volatile_load(word(self.arena, buf, idx, addr), lane, gang, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_load(word(self.arena, buf, idx, addr), lane, gang, true);
+            let w = word(self.arena, buf, idx, addr);
+            rec.access(w, lane, gang, AccessClass::VolatileLoad, poisoned, 1);
         }
         let val = self.arena.load(buf, idx);
         self.fault_load(buf, idx, val)
@@ -426,28 +420,23 @@ impl<'a> Lane<'a> {
         self.trace.push(Op::Store(word_addr(addr)));
         self.traffic[buf.id as usize][1] += 1;
         let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_store(word(self.arena, buf, idx, addr), lane, gang);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_store(word(self.arena, buf, idx, addr), lane, gang);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.access(word(self.arena, buf, idx, addr), lane, gang, AccessClass::Store, false, 1);
         }
         self.arena.store(buf, idx, val);
     }
 
-    /// Sanitizer + IR entry shared by all four atomic flavours.
-    /// `reads` is false for `atomicExch` — the only atomic whose
-    /// effect does not depend on the old value, so exchanging into a
-    /// never-written word is an initialization, not an uninit read.
+    /// Recorder entry shared by all four atomic flavours. `reads` is
+    /// false for `atomicExch` — the only atomic whose effect does not
+    /// depend on the old value, so exchanging into a never-written word
+    /// is an initialization, not an uninit read.
     #[inline]
-    fn san_atomic(&mut self, buf: Buf, idx: u32, addr: u64, reads: bool) {
+    fn record_atomic(&mut self, buf: Buf, idx: u32, addr: u64, reads: bool) {
         let (lane, gang) = (self.phys_id(), self.tid);
-        if let Some(san) = self.san.as_deref_mut() {
+        if let Some(rec) = self.rec.as_deref_mut() {
             let poisoned = reads && self.arena.poisoned_live(buf, idx);
-            san.on_atomic(word(self.arena, buf, idx, addr), lane, gang, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(word(self.arena, buf, idx, addr), lane, gang);
+            let w = word(self.arena, buf, idx, addr);
+            rec.access(w, lane, gang, AccessClass::Atomic, poisoned, 1);
         }
     }
 
@@ -458,7 +447,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, true);
+        self.record_atomic(buf, idx, addr, true);
         let old = self.arena.load(buf, idx);
         if let Some(plan) = self.fault.as_deref_mut() {
             match plan.on_atomic_min(self.arena.label(buf), idx) {
@@ -489,7 +478,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, true);
+        self.record_atomic(buf, idx, addr, true);
         let old = self.arena.load(buf, idx);
         self.arena.store(buf, idx, old.wrapping_add(val));
         old
@@ -501,7 +490,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, true);
+        self.record_atomic(buf, idx, addr, true);
         let old = self.arena.load(buf, idx);
         if old == expected {
             self.arena.store(buf, idx, val);
@@ -515,7 +504,7 @@ impl<'a> Lane<'a> {
         let addr = self.arena.addr(buf, idx);
         self.trace.push(Op::Atomic(word_addr(addr)));
         self.traffic[buf.id as usize][2] += 1;
-        self.san_atomic(buf, idx, addr, false);
+        self.record_atomic(buf, idx, addr, false);
         let old = self.arena.load(buf, idx);
         self.arena.store(buf, idx, val);
         old
@@ -655,11 +644,8 @@ impl<'a> Lane<'a> {
         // The launch itself costs a few instructions on the parent.
         self.alu(4);
         let lane = self.phys_id();
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_child_launch(lane, self.tid);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_child_launch(lane, self.tid);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.on_child_launch(lane, self.tid);
         }
         if let Some(plan) = self.fault.as_deref_mut() {
             if plan.on_child_launch(name, threads) {
@@ -792,13 +778,8 @@ impl Device {
         if let Some(plan) = self.fault.as_mut() {
             plan.on_kernel_start(&self.arena, self.current_stream);
         }
-        if let Some(san) = self.san.as_deref_mut() {
-            san.set_stream(self.current_stream);
-            san.begin_wave(name, snapshot);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.set_stream(self.current_stream);
-            ir.begin_wave(name, snapshot);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.begin_wave(name, snapshot, self.current_stream);
         }
         if snapshot {
             self.arena.begin_snapshot();
@@ -819,11 +800,8 @@ impl Device {
         if snapshot {
             self.arena.end_snapshot();
         }
-        if let Some(san) = self.san.as_deref_mut() {
-            san.end_wave();
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.end_wave();
+        if let Some(rec) = self.rec.as_deref_mut() {
+            rec.end_wave();
         }
         let dram_bytes = (self.counters.dram_transactions - dram_before) * SECTOR_BYTES;
         let max_cycles = self.sm_cycles.iter().copied().max().unwrap_or(0);
@@ -911,8 +889,7 @@ impl Device {
             traffic: &mut self.buffer_traffic,
             scatter: &mut self.pending_scatter,
             fault: self.fault.as_mut(),
-            san: self.san.as_deref_mut(),
-            ir: self.ir.as_deref_mut(),
+            rec: self.rec.as_deref_mut(),
             trace: &mut self.traces,
             tid: seg.item + off / gang,
             phys: seg.lane + off,
@@ -1169,12 +1146,10 @@ impl Device {
         let addr = self.arena.addr(buf, idx);
         placed.push((phase, lane, Op::Atomic(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][2] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
+        if let Some(rec) = self.rec.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_atomic(word(&self.arena, buf, idx, addr), lane, gang, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic_bulk(word(&self.arena, buf, idx, addr), lane, gang, n);
+            let w = word(&self.arena, buf, idx, addr);
+            rec.access(w, lane, gang, AccessClass::Atomic, poisoned, n);
         }
         let old = self.arena.load(buf, idx);
         self.arena.store(buf, idx, old.wrapping_add(val));
@@ -1199,11 +1174,9 @@ impl Device {
         let addr = self.arena.addr(buf, idx);
         placed.push((phase, lane, Op::Store(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][1] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_reserved_store(word(&self.arena, buf, idx, addr), lane, gang);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_reserved_store(word(&self.arena, buf, idx, addr), lane, gang);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            let w = word(&self.arena, buf, idx, addr);
+            rec.access(w, lane, gang, AccessClass::ReservedStore, false, 1);
         }
         self.arena.store(buf, idx, val);
     }
@@ -1222,11 +1195,9 @@ impl Device {
         let addr = self.arena.addr(buf, idx);
         placed.push((PH_LEADER, lane, Op::Atomic(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][2] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
-            san.on_atomic(word(&self.arena, buf, idx, addr), lane, gang, false);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(word(&self.arena, buf, idx, addr), lane, gang);
+        if let Some(rec) = self.rec.as_deref_mut() {
+            let w = word(&self.arena, buf, idx, addr);
+            rec.access(w, lane, gang, AccessClass::Atomic, false, 1);
         }
         self.arena.store(buf, idx, val);
     }
@@ -1247,12 +1218,10 @@ impl Device {
         let addr = self.arena.addr(buf, idx);
         placed.push((PH_LEADER, lane, Op::Atomic(word_addr(addr))));
         self.buffer_traffic[buf.id as usize][2] += 1;
-        if let Some(san) = self.san.as_deref_mut() {
+        if let Some(rec) = self.rec.as_deref_mut() {
             let poisoned = self.arena.poisoned_live(buf, idx);
-            san.on_atomic(word(&self.arena, buf, idx, addr), lane, gang, poisoned);
-        }
-        if let Some(ir) = self.ir.as_deref_mut() {
-            ir.on_atomic(word(&self.arena, buf, idx, addr), lane, gang);
+            let w = word(&self.arena, buf, idx, addr);
+            rec.access(w, lane, gang, AccessClass::Atomic, poisoned, 1);
         }
         let old = self.arena.load(buf, idx);
         if val < old {
@@ -1773,23 +1742,48 @@ mod tests {
             .any(|v| v.check == crate::san::SanCheck::GangChildDivergence));
     }
 
+    /// One raw kernel's counters, clock and output with the given
+    /// recorder views armed.
+    fn armed_run(san: bool, ir: bool) -> (crate::counters::Counters, u64, Vec<u32>) {
+        let mut d = tiny();
+        if san {
+            d.arm_sanitizer(crate::san::SanConfig::default());
+        }
+        if ir {
+            d.arm_ir();
+        }
+        let a = d.alloc_upload("a", &[5; 64]);
+        let out = d.alloc("out", 64);
+        d.launch("k", 64, |lane| {
+            let i = lane.tid() as u32;
+            let v = lane.ld(a, i);
+            lane.st(out, i, v * 2);
+        });
+        (d.counters().clone(), d.elapsed_ms().to_bits(), d.read(out).to_vec())
+    }
+
     #[test]
     fn sanitizer_disarmed_device_is_bit_identical() {
-        let run = |armed: bool| {
-            let mut d = tiny();
-            if armed {
-                d.arm_sanitizer(crate::san::SanConfig::default());
-            }
-            let a = d.alloc_upload("a", &[5; 64]);
-            let out = d.alloc("out", 64);
-            d.launch("k", 64, |lane| {
-                let i = lane.tid() as u32;
-                let v = lane.ld(a, i);
-                lane.st(out, i, v * 2);
-            });
-            (d.counters().clone(), d.elapsed_ms(), d.read(out).to_vec())
-        };
-        assert_eq!(run(false), run(true), "arming must not perturb timing or results");
+        assert_eq!(
+            armed_run(false, false),
+            armed_run(true, false),
+            "arming the sanitizer must not perturb timing or results"
+        );
+    }
+
+    #[test]
+    fn ir_armed_device_is_bit_identical() {
+        let bare = armed_run(false, false);
+        assert_eq!(
+            armed_run(false, true),
+            bare,
+            "arming the IR must not perturb timing or results"
+        );
+        assert_eq!(
+            armed_run(true, true),
+            bare,
+            "arming both views must not perturb timing or results"
+        );
     }
 
     #[test]
@@ -1929,25 +1923,6 @@ mod tests {
             .count();
         assert_eq!(uninit, 1, "only the pre-flip read is uninit: {:?}", d.san_violations());
         assert_eq!(d.read_word(out, 1), d.read_word(victim, 0));
-    }
-
-    #[test]
-    fn ir_armed_device_is_bit_identical() {
-        let run = |armed: bool| {
-            let mut d = tiny();
-            if armed {
-                d.arm_ir();
-            }
-            let a = d.alloc_upload("a", &[5; 64]);
-            let out = d.alloc("out", 64);
-            d.launch("k", 64, |lane| {
-                let i = lane.tid() as u32;
-                let v = lane.ld(a, i);
-                lane.st(out, i, v * 2);
-            });
-            (d.counters().clone(), d.elapsed_ms(), d.read(out).to_vec())
-        };
-        assert_eq!(run(false), run(true), "arming the IR must not perturb timing or results");
     }
 
     #[test]

@@ -46,16 +46,19 @@
 //! the device clock advances by their makespan, so a concurrent
 //! scheduler overlaps queries without threads — deterministically.
 //!
-//! An opt-in memory-model sanitizer ([`Device::arm_sanitizer`], the
-//! [`san`] module) checks every lane access against the snapshot /
-//! volatile / atomic discipline the kernels rely on — races, reads of
-//! never-written words, gang divergence — reporting typed
-//! [`SanViolation`]s; disarmed, it costs one branch per access.
+//! One opt-in memory-model recorder watches every lane access, in one
+//! race-window table, one lifetime table and one call per hook, and
+//! serves two views; with neither armed it costs one branch per access:
 //!
-//! An opt-in access-IR recorder ([`Device::arm_ir`], the [`ir`]
-//! module) retains a bounded per-race-window access summary that the
-//! `rdbs-statan` crate verifies *statically* — its verdicts quantify
-//! over every lane interleaving, not the one that happened to run.
+//! * the sanitizer ([`Device::arm_sanitizer`], the [`san`] module)
+//!   checks each access against the snapshot / volatile / atomic
+//!   discipline the kernels rely on — races, reads of never-written
+//!   words, gang divergence — reporting typed [`SanViolation`]s;
+//! * the access IR ([`Device::arm_ir`], the [`ir`] module) retains a
+//!   bounded per-race-window access summary that the `rdbs-statan`
+//!   crate verifies *statically* — its verdicts quantify over every
+//!   lane interleaving, not the one that happened to run — and the
+//!   [`AccessProfile`] the adversarial placement search scouts with.
 //!
 //! Everything is deterministic: the same kernel sequence yields the
 //! same counters, byte-for-byte.
@@ -98,9 +101,12 @@ pub use buffer::{Buf, HostStaging};
 pub use counters::{Counters, KernelReport};
 pub use device::{Device, DeviceConfig};
 pub use fault::{FaultEvent, FaultModel, FaultPlan, FaultSpec, FaultTarget};
-pub use ir::{AccessIr, Hazard, HazardKind, IrAccessor, KernelStats, QueueDecl, QueueUsage};
+pub use ir::{
+    AccessIr, AccessProfile, Hazard, HazardKind, IrAccessor, KernelStats, QueueDecl, QueueUsage,
+    WordStats,
+};
 pub use kernel::{GangScatter, Lane, ScatterTarget, Segment, WaveSession};
-pub use san::{AccessProfile, SanCheck, SanConfig, SanViolation, WordStats};
+pub use san::{SanCheck, SanConfig, SanViolation};
 pub use sched::SchedPlan;
 pub use stream::StreamSet;
 

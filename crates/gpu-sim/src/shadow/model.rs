@@ -1,10 +1,11 @@
-//! Test-only reference model of the two instruments' per-access state,
-//! kept in hashed and ordered maps: a race window keyed by byte
-//! address, lifetime tables keyed by label strings. Random hook scripts
-//! run through the model and through the real [`SanState`] and
-//! [`IrState`]; every violation, hazard witness, IR table and profile
-//! ranking must come out equal. The model is the oracle the dense
-//! tables are checked against, not a second production path.
+//! Test-only reference model of the recorder's two views, kept in
+//! hashed and ordered maps: a race window keyed by byte address,
+//! lifetime tables keyed by label strings. Random hook scripts run
+//! through the model and through the real [`Recorder`], armed with
+//! either view alone and with both; every violation, hazard witness, IR
+//! table and profile ranking must come out equal.
+//! The model is the oracle the dense tables are checked against, not a
+//! second production path.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
@@ -12,27 +13,27 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::ir::{
-    AccessIr, BufferTraffic, Hazard, HazardKind, IrAccessor, IrState, KernelStats, QueueDecl,
-    QueueUsage,
+    AccessClass, AccessIr, AccessProfile, BufferTraffic, Hazard, HazardKind, IrAccessor,
+    KernelStats, QueueDecl, QueueUsage, WordStats,
 };
-use crate::san::{AccessProfile, SanCheck, SanConfig, SanState, SanViolation, WordStats};
-use crate::shadow::Word;
+use crate::san::{SanCheck, SanViolation, MAX_VIOLATIONS};
+use crate::shadow::{Recorder, Word};
 
 fn acc(wave: u64, lane: u64, gang: u64, kernel: &'static str) -> IrAccessor {
     IrAccessor { wave, lane, gang, kernel }
 }
 
 /// Per-address sanitizer state: the first plain store, the first
-/// atomic (or reserved store) and the first live plain load.
+/// atomic or reserved store (`true` for a reserved store) and the first
+/// live plain load.
 #[derive(Clone, Copy, Default)]
 struct SanRec {
     store: Option<IrAccessor>,
-    atomic: Option<IrAccessor>,
+    atomic: Option<(IrAccessor, bool)>,
     load: Option<IrAccessor>,
 }
 
 struct SanModel {
-    config: SanConfig,
     violations: Vec<SanViolation>,
     total: u64,
     seen: HashSet<(SanCheck, &'static str, u64)>,
@@ -42,14 +43,11 @@ struct SanModel {
     kernel: &'static str,
     snapshot: bool,
     stream: u32,
-    words: BTreeMap<(&'static str, u32), WordStats>,
-    kernels: BTreeMap<&'static str, (u64, u64)>,
 }
 
 impl SanModel {
-    fn new(config: SanConfig) -> Self {
+    fn new() -> Self {
         Self {
-            config,
             violations: Vec::new(),
             total: 0,
             seen: HashSet::new(),
@@ -59,19 +57,7 @@ impl SanModel {
             kernel: "",
             snapshot: false,
             stream: 0,
-            words: BTreeMap::new(),
-            kernels: BTreeMap::new(),
         }
-    }
-
-    fn profile(&mut self, w: Word, lane: u64) -> &mut WordStats {
-        let s = self.words.entry((w.label, w.index)).or_default();
-        match s.first {
-            None => s.first = Some((self.wave, lane)),
-            Some(f) if f != (self.wave, lane) => s.shared = true,
-            Some(_) => {}
-        }
-        s
     }
 
     fn record(&mut self, check: SanCheck, w: Word, a: IrAccessor, b: IrAccessor, detail: String) {
@@ -79,7 +65,7 @@ impl SanModel {
             return;
         }
         self.total += 1;
-        if self.violations.len() < self.config.max_violations {
+        if self.violations.len() < MAX_VIOLATIONS {
             self.violations.push(SanViolation {
                 check,
                 kernel: b.kernel,
@@ -98,8 +84,6 @@ impl SanModel {
         self.wave += 1;
         self.kernel = kernel;
         self.snapshot = snapshot;
-        let wave = self.wave;
-        self.kernels.entry(kernel).and_modify(|(_, last)| *last = wave).or_insert((wave, wave));
         if snapshot {
             self.access.clear();
         }
@@ -107,29 +91,27 @@ impl SanModel {
     }
 
     fn end_wave(&mut self) {
-        if self.config.gangs {
-            let mut per_gang: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
-            for (&(gang, lane), &count) in &self.gang_launches {
-                match per_gang.last_mut() {
-                    Some((g, lanes)) if *g == gang => lanes.push((lane, count)),
-                    _ => per_gang.push((gang, vec![(lane, count)])),
-                }
+        let mut per_gang: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
+        for (&(gang, lane), &count) in &self.gang_launches {
+            match per_gang.last_mut() {
+                Some((g, lanes)) if *g == gang => lanes.push((lane, count)),
+                _ => per_gang.push((gang, vec![(lane, count)])),
             }
-            for (gang, lanes) in per_gang {
-                let first_count = lanes[0].1;
-                let Some(&(lane, count)) = lanes.iter().find(|&&(_, c)| c != first_count) else {
-                    continue;
-                };
-                let a = acc(self.wave, lanes[0].0, gang, self.kernel);
-                let b = acc(self.wave, lane, gang, self.kernel);
-                let w = Word { addr: gang, buf: 0, label: "(child launches)", index: 0 };
-                let detail = format!(
-                    "gang {gang}: lane {} launched {first_count} child kernel(s), \
-                     lane {lane} launched {count}",
-                    lanes[0].0
-                );
-                self.record(SanCheck::GangChildDivergence, w, a, b, detail);
-            }
+        }
+        for (gang, lanes) in per_gang {
+            let first_count = lanes[0].1;
+            let Some(&(lane, count)) = lanes.iter().find(|&&(_, c)| c != first_count) else {
+                continue;
+            };
+            let a = acc(self.wave, lanes[0].0, gang, self.kernel);
+            let b = acc(self.wave, lane, gang, self.kernel);
+            let w = Word { addr: gang, buf: 0, label: "(child launches)", index: 0 };
+            let detail = format!(
+                "gang {gang}: lane {} launched {first_count} child kernel(s), \
+                 lane {lane} launched {count}",
+                lanes[0].0
+            );
+            self.record(SanCheck::GangChildDivergence, w, a, b, detail);
         }
         if self.snapshot {
             self.access.clear();
@@ -142,17 +124,16 @@ impl SanModel {
     }
 
     fn plain_load(&mut self, w: Word, lane: u64, gang: u64, poisoned: bool) {
-        self.profile(w, lane).loads += 1;
         let who = acc(self.wave, lane, gang, self.kernel);
-        if self.config.uninit && poisoned {
+        if poisoned {
             self.uninit(w, who, "plain load");
         }
-        if !self.config.races || self.snapshot {
+        if self.snapshot {
             return;
         }
         let rec = self.access.entry(w.addr).or_default();
         let other = |a: Option<IrAccessor>| a.filter(|a| !a.same_thread(&who));
-        let conflict = other(rec.store).or_else(|| other(rec.atomic));
+        let conflict = other(rec.store).or_else(|| other(rec.atomic.map(|(a, _)| a)));
         if rec.load.is_none() {
             rec.load = Some(who);
         }
@@ -167,29 +148,22 @@ impl SanModel {
     }
 
     fn volatile_load(&mut self, w: Word, lane: u64, gang: u64, poisoned: bool) {
-        self.profile(w, lane).loads += 1;
-        if self.config.uninit && poisoned {
+        if poisoned {
             self.uninit(w, acc(self.wave, lane, gang, self.kernel), "volatile load");
         }
     }
 
     fn store(&mut self, w: Word, lane: u64, gang: u64) {
-        self.profile(w, lane).stores += 1;
-        if !self.config.races {
-            return;
-        }
         let who = acc(self.wave, lane, gang, self.kernel);
         let rec = self.access.entry(w.addr).or_default();
         let other = |a: Option<IrAccessor>| a.filter(|a| !a.same_thread(&who));
-        let (store, atomic, load) = (other(rec.store), other(rec.atomic), other(rec.load));
+        let (store, load) = (other(rec.store), other(rec.load));
+        let atomic = rec.atomic.filter(|(a, _)| !a.same_thread(&who));
         if rec.store.is_none() {
             rec.store = Some(who);
         }
         if let Some(o) = store {
-            let same_gang = self.config.gangs
-                && o.wave == who.wave
-                && o.gang == who.gang
-                && o.kernel == who.kernel;
+            let same_gang = o.wave == who.wave && o.gang == who.gang && o.kernel == who.kernel;
             let (check, detail) = if same_gang {
                 (
                     SanCheck::GangOverlap,
@@ -210,12 +184,19 @@ impl SanModel {
                 )
             };
             self.record(check, w, o, who, detail);
-        } else if let Some(o) = atomic {
+        } else if let Some((o, reserved)) = atomic {
+            // A plain store against a reserved store is a write-write
+            // race; against an atomic, a mixed-atomic one.
+            let (check, what) = if reserved {
+                (SanCheck::WriteWriteRace, "reserved store")
+            } else {
+                (SanCheck::MixedAtomicRace, "atomic")
+            };
             let detail = format!(
-                "plain store by lane {} races lane {}'s atomic on the same word",
+                "plain store by lane {} races lane {}'s {what} on the same word",
                 who.lane, o.lane
             );
-            self.record(SanCheck::MixedAtomicRace, w, o, who, detail);
+            self.record(check, w, o, who, detail);
         } else if let Some(o) = load {
             let detail = format!(
                 "lane {}'s earlier plain load may or may not observe this store \
@@ -229,31 +210,27 @@ impl SanModel {
     /// An atomic (`reserved: false`) or a reserved store: both register
     /// in the atomic slot and conflict with plain stores and loads.
     fn atomic_slot(&mut self, w: Word, lane: u64, gang: u64, poisoned: bool, reserved: bool) {
-        if reserved {
-            self.profile(w, lane).stores += 1;
-        } else {
-            self.profile(w, lane).atomics += 1;
-        }
         let who = acc(self.wave, lane, gang, self.kernel);
-        if !reserved && self.config.uninit && poisoned {
+        if !reserved && poisoned {
             self.uninit(w, who, "atomic read-modify-write");
-        }
-        if !self.config.races {
-            return;
         }
         let rec = self.access.entry(w.addr).or_default();
         let other = |a: Option<IrAccessor>| a.filter(|a| !a.same_thread(&who));
         let (store, load) = (other(rec.store), other(rec.load));
         if rec.atomic.is_none() {
-            rec.atomic = Some(who);
+            rec.atomic = Some((who, reserved));
         }
-        let what = if reserved { "reserved store" } else { "atomic" };
+        let (check, what) = if reserved {
+            (SanCheck::WriteWriteRace, "reserved store")
+        } else {
+            (SanCheck::MixedAtomicRace, "atomic")
+        };
         if let Some(o) = store {
             let detail = format!(
                 "{what} by lane {} races lane {}'s plain store on the same word",
                 who.lane, o.lane
             );
-            self.record(SanCheck::MixedAtomicRace, w, o, who, detail);
+            self.record(check, w, o, who, detail);
         } else if let Some(o) = load {
             let detail = if reserved {
                 format!(
@@ -273,79 +250,36 @@ impl SanModel {
     }
 
     fn child_launch(&mut self, lane: u64, gang: u64) {
-        if self.config.gangs {
-            *self.gang_launches.entry((gang, lane)).or_insert(0) += 1;
-        }
-    }
-
-    /// The profile queries every caller uses, as one comparable value.
-    fn rankings(&self, k: usize) -> Rankings {
-        let rank = |keep: &dyn Fn(&WordStats) -> bool, key: &dyn Fn(&WordStats) -> (u64, u64)| {
-            let mut rows: Vec<(&'static str, u32, WordStats)> = (self.words.iter())
-                .filter(|(_, s)| keep(s))
-                .map(|(&(b, i), &s)| (b, i, s))
-                .collect();
-            rows.sort_by(|a, b| key(&b.2).cmp(&key(&a.2)).then(a.0.cmp(b.0)).then(a.1.cmp(&b.1)));
-            rows.truncate(k);
-            rows
-        };
-        let mut by_buf: BTreeMap<&'static str, u64> = BTreeMap::new();
-        for (&(b, _), s) in &self.words {
-            if s.loads > 0 {
-                *by_buf.entry(b).or_insert(0) += s.loads;
-            }
-        }
-        let mut buffers: Vec<(&'static str, u64)> = by_buf.into_iter().collect();
-        buffers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        buffers.truncate(k);
-        Rankings {
-            waves: self.wave,
-            words_touched: self.words.len(),
-            kernel_windows: self.kernels.iter().map(|(&k, &(a, b))| (k, a, b)).collect(),
-            by_name: PROBES.iter().map(|k| self.kernels.get(k).copied()).collect(),
-            words: self.words.iter().map(|(&(b, i), &s)| (b, i, Some(s))).collect(),
-            contended: rank(&|s| s.shared && s.atomics > 0, &|s| (s.atomics, s.total())),
-            overlap: rank(&|s| s.atomics > 0 && s.loads + s.stores > 0, &|s| {
-                (s.atomics, s.total())
-            }),
-            buffers,
-            loaded: rank(&|s| s.loads > 0, &|s| (s.loads, s.total())),
-        }
+        *self.gang_launches.entry((gang, lane)).or_insert(0) += 1;
     }
 }
 
 type Rows = Vec<(&'static str, u32, WordStats)>;
 
-const PROBES: [&str; 6] = ["relax", "drain", "push", "k11", "", "absent"];
-
+/// The profile queries the adversary uses, plus every word's stats, as
+/// one comparable value.
 #[derive(Debug, PartialEq)]
 struct Rankings {
     waves: u64,
-    words_touched: usize,
     kernel_windows: Vec<(&'static str, u64, u64)>,
-    /// `kernel_window` of every script kernel, the empty name and an
-    /// unknown one.
-    by_name: Vec<Option<(u64, u64)>>,
-    words: Vec<(&'static str, u32, Option<WordStats>)>,
+    words: Rows,
     contended: Rows,
     overlap: Rows,
     buffers: Vec<(&'static str, u64)>,
-    loaded: Rows,
 }
 
 impl Rankings {
-    /// The real profile's answers, probing the words the model saw.
-    fn of(p: &AccessProfile, model: &SanModel, k: usize) -> Self {
+    /// The real profile's answers.
+    fn of(p: &AccessProfile, k: usize) -> Self {
+        let mut words: Rows = p.rows().collect();
+        words.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
         Rankings {
             waves: p.waves(),
-            words_touched: p.words_touched(),
             kernel_windows: p.kernel_windows(),
-            by_name: PROBES.iter().map(|k| p.kernel_window(k)).collect(),
-            words: model.words.keys().map(|&(b, i)| (b, i, p.word(b, i))).collect(),
+            words,
             contended: p.hottest_contended(k),
             overlap: p.overlap_sites(k),
             buffers: p.hottest_buffers(k),
-            loaded: p.hottest_loaded(k),
         }
     }
 }
@@ -409,6 +343,9 @@ struct IrModel {
     atomic_sites: BTreeMap<(&'static str, u32), u64>,
     windows: u64,
     peak_window_words: u64,
+    /// The lifetime profile: per word, and each kernel's wave window.
+    words: BTreeMap<(&'static str, u32), WordStats>,
+    kernel_windows: BTreeMap<&'static str, (u64, u64)>,
 }
 
 impl IrModel {
@@ -432,6 +369,50 @@ impl IrModel {
             atomic_sites: BTreeMap::new(),
             windows: 0,
             peak_window_words: 0,
+            words: BTreeMap::new(),
+            kernel_windows: BTreeMap::new(),
+        }
+    }
+
+    fn profile(&mut self, w: Word, lane: u64) -> &mut WordStats {
+        let s = self.words.entry((w.label, w.index)).or_default();
+        match s.first {
+            None => s.first = Some((self.wave, lane)),
+            Some(f) if f != (self.wave, lane) => s.shared = true,
+            Some(_) => {}
+        }
+        s
+    }
+
+    /// The profile queries every caller uses, as one comparable value.
+    fn rankings(&self, k: usize) -> Rankings {
+        let rank = |keep: &dyn Fn(&WordStats) -> bool, key: &dyn Fn(&WordStats) -> (u64, u64)| {
+            let mut rows: Vec<(&'static str, u32, WordStats)> = (self.words.iter())
+                .filter(|(_, s)| keep(s))
+                .map(|(&(b, i), &s)| (b, i, s))
+                .collect();
+            rows.sort_by(|a, b| key(&b.2).cmp(&key(&a.2)).then(a.0.cmp(b.0)).then(a.1.cmp(&b.1)));
+            rows.truncate(k);
+            rows
+        };
+        let mut by_buf: BTreeMap<&'static str, u64> = BTreeMap::new();
+        for (&(b, _), s) in &self.words {
+            if s.loads > 0 {
+                *by_buf.entry(b).or_insert(0) += s.loads;
+            }
+        }
+        let mut buffers: Vec<(&'static str, u64)> = by_buf.into_iter().collect();
+        buffers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        buffers.truncate(k);
+        Rankings {
+            waves: self.wave,
+            kernel_windows: self.kernel_windows.iter().map(|(&k, &(a, b))| (k, a, b)).collect(),
+            words: self.words.iter().map(|(&(b, i), &s)| (b, i, s)).collect(),
+            contended: rank(&|s| s.shared && s.atomics > 0, &|s| (s.atomics, s.total())),
+            overlap: rank(&|s| s.atomics > 0 && s.loads + s.stores > 0, &|s| {
+                (s.atomics, s.total())
+            }),
+            buffers,
         }
     }
 
@@ -463,6 +444,10 @@ impl IrModel {
         self.wave += 1;
         self.kernel = kernel;
         self.snapshot = snapshot;
+        let wave = self.wave;
+        (self.kernel_windows.entry(kernel))
+            .and_modify(|(_, last)| *last = wave)
+            .or_insert((wave, wave));
         let st = self.kernels.entry(kernel).or_default();
         st.waves += 1;
         if snapshot {
@@ -540,6 +525,7 @@ impl IrModel {
 
     fn atomic(&mut self, w: Word, lane: u64, gang: u64, n: u64) {
         self.access(w, lane, gang, 3, 3).atomics += 1;
+        self.profile(w, lane).atomics += 1;
         *self.atomic_sites.entry((w.label, w.index)).or_default() += 1;
         if let Some(&i) = self.tail_index.get(&w.addr) {
             self.epochs[i] += n;
@@ -635,6 +621,7 @@ impl IrModel {
             atomic_sites: self.atomic_sites,
             windows: self.windows,
             peak_window_words: self.peak_window_words,
+            profile: AccessProfile::default(),
         }
     }
 }
@@ -756,15 +743,12 @@ fn script(rng: &mut ChaCha8Rng) -> Vec<Op> {
     ops
 }
 
-fn config(rng: &mut ChaCha8Rng) -> SanConfig {
-    if rng.gen_bool(0.7) {
-        return SanConfig::default();
-    }
-    SanConfig {
-        races: rng.gen_bool(0.8),
-        uninit: rng.gen_bool(0.8),
-        gangs: rng.gen_bool(0.8),
-        max_violations: rng.gen_range(0..6usize),
+/// Each seed's stream opens with the draws that once picked per-script
+/// sanitizer options (the sanitizer has none now); skipping them keeps
+/// every seed naming the same script.
+fn skip_option_draws(rng: &mut ChaCha8Rng) {
+    if !rng.gen_bool(0.7) {
+        let _ = (rng.gen_bool(0.8), rng.gen_bool(0.8), rng.gen_bool(0.8), rng.gen_range(0..6usize));
     }
 }
 
@@ -777,116 +761,158 @@ struct Coverage {
     drops: u64,
 }
 
-/// Drive one script through both the real instruments and the model;
-/// panics on the first difference.
+/// The views a run arms.
+#[derive(Clone, Copy, Debug)]
+struct Arming {
+    san: bool,
+    ir: bool,
+}
+
+/// Every script runs with the sanitizer alone, the IR alone and both:
+/// each arming takes its own path through the recorder.
+const ARMINGS: [Arming; 3] = [
+    Arming { san: true, ir: false },
+    Arming { san: false, ir: true },
+    Arming { san: true, ir: true },
+];
+
+/// Drive one script through the real recorder and the model under each
+/// arming; panics on the first difference.
 fn check(seed: u64, seen: &mut Coverage) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let cfg = config(&mut rng);
+    skip_option_draws(&mut rng);
     let ops = script(&mut rng);
+    for arm in ARMINGS {
+        run(seed, &ops, arm, seen);
+    }
+}
+
+/// One script under one arming. Both models see every hook; only the
+/// armed views are compared.
+fn run(seed: u64, ops: &[Op], arm: Arming, seen: &mut Coverage) {
     let kernels = kernels();
-    let (mut san, mut san_model) = (SanState::new(cfg), SanModel::new(cfg));
-    let (mut ir, mut ir_model) = (IrState::new(), IrModel::new());
+    let mut rec = Recorder::default();
+    if arm.san {
+        rec.arm_sanitizer();
+    }
+    if arm.ir {
+        rec.arm_ir(&[]);
+    }
+    let (mut san_model, mut ir_model) = (SanModel::new(), IrModel::new());
     let mut decls: Vec<QueueDecl> = Vec::new();
     let mut irs = 0;
-    for &op in &ops {
+    for &op in ops {
         match op {
             Op::Begin { kernel, snapshot, stream } => {
-                san.set_stream(stream);
-                san.begin_wave(kernels[kernel], snapshot);
+                rec.begin_wave(kernels[kernel], snapshot, stream);
                 san_model.stream = stream;
                 san_model.begin_wave(kernels[kernel], snapshot);
-                ir.set_stream(stream);
-                ir.begin_wave(kernels[kernel], snapshot);
                 ir_model.begin_wave(kernels[kernel], snapshot);
             }
             Op::End => {
-                san.end_wave();
+                rec.end_wave();
                 san_model.end_wave();
-                ir.end_wave();
                 ir_model.end_wave();
             }
             Op::Barrier => {
-                san.on_barrier();
+                rec.on_barrier();
                 san_model.access.clear();
-                ir.on_barrier();
                 ir_model.close_window();
             }
             Op::PlainLoad { w, lane, gang, poisoned } => {
-                san.on_plain_load(w, lane, gang, poisoned);
+                rec.access(w, lane, gang, AccessClass::PlainLoad, poisoned, 1);
                 san_model.plain_load(w, lane, gang, poisoned);
-                ir.on_load(w, lane, gang, false);
                 ir_model.access(w, lane, gang, 0, 1).loads += 1;
+                ir_model.profile(w, lane).loads += 1;
             }
             Op::VolatileLoad { w, lane, gang, poisoned } => {
-                san.on_volatile_load(w, lane, gang, poisoned);
+                rec.access(w, lane, gang, AccessClass::VolatileLoad, poisoned, 1);
                 san_model.volatile_load(w, lane, gang, poisoned);
-                ir.on_load(w, lane, gang, true);
                 ir_model.access(w, lane, gang, 1, 1).loads += 1;
+                ir_model.profile(w, lane).loads += 1;
             }
             Op::Store { w, lane, gang } => {
-                san.on_store(w, lane, gang);
+                rec.access(w, lane, gang, AccessClass::Store, false, 1);
                 san_model.store(w, lane, gang);
-                ir.on_store(w, lane, gang);
                 ir_model.access(w, lane, gang, 2, 2).stores += 1;
+                ir_model.profile(w, lane).stores += 1;
             }
             Op::Atomic { w, lane, gang, poisoned, n } => {
-                san.on_atomic(w, lane, gang, poisoned);
+                rec.access(w, lane, gang, AccessClass::Atomic, poisoned, n);
                 san_model.atomic_slot(w, lane, gang, poisoned, false);
-                ir.on_atomic_bulk(w, lane, gang, n);
                 ir_model.atomic(w, lane, gang, n);
             }
             Op::Reserved { w, lane, gang } => {
-                san.on_reserved_store(w, lane, gang);
+                rec.access(w, lane, gang, AccessClass::ReservedStore, false, 1);
                 san_model.atomic_slot(w, lane, gang, false, true);
-                ir.on_reserved_store(w, lane, gang);
                 ir_model.access(w, lane, gang, 4, 5).stores += 1;
+                ir_model.profile(w, lane).stores += 1;
             }
             Op::Child { lane, gang } => {
-                san.on_child_launch(lane, gang);
+                rec.on_child_launch(lane, gang);
                 san_model.child_launch(lane, gang);
-                ir.on_child_launch(lane, gang);
                 ir_model.child_launch(lane, gang);
             }
             Op::HostWrite { addr, val } => {
-                ir.on_host_write(addr, val);
+                rec.on_host_write(addr, val);
                 ir_model.host_write(addr, val);
             }
             Op::Declare(decl) => {
                 decls.retain(|d| d.tail_addr != decl.tail_addr);
                 decls.push(decl);
-                ir.declare_queue(decl);
+                rec.declare_queue(decl);
                 ir_model.declare_queue(decl);
             }
             Op::TakeIr => {
-                // `take_ir` closes the IR's window; the device re-arms
-                // a fresh recorder with the declared queues.
-                let fresh = (IrState::new(), IrModel::new());
-                let (old, old_model) = (
-                    std::mem::replace(&mut ir, fresh.0),
-                    std::mem::replace(&mut ir_model, fresh.1),
-                );
-                compare_irs(seed, old, old_model, &mut irs, seen);
+                // With the sanitizer alone there is nothing to take, and
+                // its window runs on.
+                let Some(got) = rec.take_ir() else {
+                    assert!(!arm.ir, "seed {seed}: the IR is armed");
+                    continue;
+                };
+                let old_model = std::mem::replace(&mut ir_model, IrModel::new());
+                compare_irs(seed, got, old_model, &mut irs, seen);
+                // The device re-arms the IR with the declared queues;
+                // arming it beside the sanitizer closes the window for
+                // both views.
                 decls.sort_by_key(|d| d.tail_addr);
+                rec.arm_ir(&decls);
                 for &d in &decls {
-                    ir.declare_queue(d);
                     ir_model.declare_queue(d);
                 }
+                san_model.access.clear();
             }
         }
     }
-    assert_eq!(san.violations(), &san_model.violations[..], "seed {seed}: violations");
-    seen.checks.extend(san.violations().iter().map(|v| v.check));
-    assert_eq!(san.total(), san_model.total, "seed {seed}: violation total");
-    for k in [2, usize::MAX] {
-        let want = san_model.rankings(k);
-        assert_eq!(Rankings::of(san.profile(), &san_model, k), want, "seed {seed}: profile");
+    if arm.san {
+        assert_eq!(rec.violations(), &san_model.violations[..], "seed {seed}: violations");
+        assert_eq!(rec.total(), san_model.total, "seed {seed}: violation total");
+        seen.checks.extend(rec.violations().iter().map(|v| v.check));
+    } else {
+        assert_eq!(rec.total(), 0, "seed {seed}: the sanitizer is disarmed");
     }
-    compare_irs(seed, ir, ir_model, &mut irs, seen);
+    match rec.take_ir() {
+        Some(got) => compare_irs(seed, got, ir_model, &mut irs, seen),
+        None => assert!(!arm.ir, "seed {seed}: the IR is armed"),
+    }
 }
 
-fn compare_irs(seed: u64, ir: IrState, model: IrModel, irs: &mut usize, seen: &mut Coverage) {
-    let (got, want) = (ir.finish(), model.finish());
-    assert_eq!(format!("{got:?}"), format!("{want:?}"), "seed {seed}: AccessIr #{irs}");
+/// The IR's tables (everything but the profile), as comparable text.
+fn tables(ir: &AccessIr) -> String {
+    let AccessIr { kernels, hazards, queues, traffic, atomic_sites, windows, .. } = ir;
+    format!(
+        "{:?}",
+        (kernels, hazards, queues, traffic, atomic_sites, windows, ir.peak_window_words)
+    )
+}
+
+fn compare_irs(seed: u64, got: AccessIr, model: IrModel, irs: &mut usize, seen: &mut Coverage) {
+    for k in [2, usize::MAX] {
+        let want = model.rankings(k);
+        assert_eq!(Rankings::of(&got.profile, k), want, "seed {seed}: profile #{irs}");
+    }
+    let want = model.finish();
+    assert_eq!(tables(&got), tables(&want), "seed {seed}: AccessIr #{irs}");
     *irs += 1;
     seen.hazards.extend(got.hazards.iter().map(|h| h.kind));
     seen.pushes += got.queues.iter().map(|q| q.pushes).sum::<u64>();
