@@ -15,4 +15,4 @@ pub mod adds;
 pub mod pq_delta;
 
 pub use adds::{adds, run_adds};
-pub use pq_delta::pq_delta_stepping;
+pub use pq_delta::{default_threads, pq_delta_stepping};

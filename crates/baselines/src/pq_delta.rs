@@ -13,12 +13,30 @@
 //! crossbeam) is what Table 2's CPU column reports.
 
 use parking_lot::Mutex;
-use rdbs_core::cpu::fetch_min;
 use rdbs_core::stats::{SsspResult, UpdateStats};
 use rdbs_core::{Csr, VertexId, INF};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+/// Default worker count: the machine's available parallelism.
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
+/// Lock-free `fetch_min` on an atomic distance; returns the previous
+/// value (like CUDA's `atomicMin`).
+#[inline]
+fn fetch_min(cell: &AtomicU32, val: u32) -> u32 {
+    let mut cur = cell.load(Ordering::Relaxed);
+    while val < cur {
+        match cell.compare_exchange_weak(cur, val, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(prev) => return prev,
+            Err(next) => cur = next,
+        }
+    }
+    cur
+}
 
 /// Lazy-batched priority-queue stepping with `threads` workers.
 ///
@@ -126,6 +144,20 @@ mod tests {
         let mut el = erdos_renyi(150, 900, seed);
         uniform_weights(&mut el, seed + 6);
         build_undirected(&el)
+    }
+
+    #[test]
+    fn fetch_min_returns_previous() {
+        let a = AtomicU32::new(10);
+        assert_eq!(fetch_min(&a, 7), 10);
+        assert_eq!(a.load(Ordering::Relaxed), 7);
+        assert_eq!(fetch_min(&a, 9), 7);
+        assert_eq!(a.load(Ordering::Relaxed), 7);
+    }
+
+    #[test]
+    fn default_threads_positive() {
+        assert!(default_threads() >= 1);
     }
 
     #[test]

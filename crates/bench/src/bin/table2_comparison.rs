@@ -5,9 +5,8 @@
 //! speedups relative to RDBS in parentheses. Paper: RDBS beats PQ-Δ*
 //! by 4.5–17.4× and ADDS by 0.91–21× (ADDS wins only on road-TX).
 
-use rdbs_baselines::{pq_delta_stepping, run_adds};
+use rdbs_baselines::{default_threads, pq_delta_stepping, run_adds};
 use rdbs_bench::{average_gpu, average_ms, pick_sources, time_ms, HarnessArgs, Table};
-use rdbs_core::cpu::default_threads;
 use rdbs_core::gpu::{RdbsConfig, Variant};
 use rdbs_graph::datasets::fig8_suite;
 

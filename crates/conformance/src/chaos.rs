@@ -306,14 +306,17 @@ mod tests {
     /// cell can only ever be the fault's doing.
     #[test]
     fn spill_entry_config_is_clean_without_faults() {
+        use rdbs_core::gpu::Variant;
         use rdbs_core::service::SsspService;
 
-        let variant = by_id("service/mlmq-spill").unwrap().variant.unwrap();
+        let Some(Variant::Rdbs(cfg)) = by_id("service/mlmq-spill").unwrap().variant else {
+            unreachable!("the spill entry runs RDBS")
+        };
         for family in graphs::quick_families() {
             let graph = family.build();
             let source = family.sources(graph.num_vertices())[0];
             let oracle = dijkstra(&graph, source);
-            let mut svc = SsspService::new(&graph, Shape::Spill.config(&graph, variant));
+            let mut svc = SsspService::new(&graph, Shape::Spill.config(&graph, cfg));
             let results = svc.batch(&[source, (source + 1) % graph.num_vertices() as u32]);
             check_against(&oracle.dist, &results[0].dist).unwrap();
             let stats = svc.stats();

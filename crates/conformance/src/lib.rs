@@ -4,8 +4,8 @@
 //! and turns any disagreement into a minimal, replayable artifact:
 //!
 //! * [`registry`] — one table of every public SSSP entry point
-//!   (sequential references, CPU-parallel, the simulated-GPU RDBS with
-//!   all ablation toggles, the resident service's shapes, and the
+//!   (sequential references, BL and the simulated-GPU RDBS with all
+//!   ablation toggles, the resident service's shapes, and the
 //!   ADDS and PQ-Δ* comparators). Each entry names one scenario, its
 //!   kernel variant and the capability flags that decide which sweeps
 //!   select it; the instruments below are armed on whatever backend

@@ -226,28 +226,42 @@ mod tests {
     }
 
     #[test]
-    fn cpu_kernels_record_events_through_worker_shards() {
-        // The multi-threaded CPU kernels run their relaxations on
-        // worker threads; the sharded sink must still capture them on
-        // the armed host thread, so the localizer no longer falls back
-        // to oracle-side analysis for these implementations.
-        let g = matrix_graph();
-        let oracle = dijkstra(&g, 0);
-        for id in ["cpu/parallel-delta", "cpu/async-bucket"] {
-            let imp = by_id(id).unwrap();
-            assert!(imp.has(TRACED), "{id} must be marked traced");
-            trace::start(1 << 20);
-            let r = imp.run(&g, 0, None);
-            let (events, _) = trace::take();
-            assert!(!events.is_empty(), "{id} recorded no events");
-            assert_eq!(r.dist, oracle.dist, "{id}");
-            // Merged stream is in (bucket, phase, layer) order.
-            let key =
-                |e: &RelaxEvent| (e.bucket, matches!(e.phase, trace::Phase::Heavy) as u8, e.layer);
-            assert!(events.windows(2).all(|w| key(&w[0]) <= key(&w[1])), "{id} out of order");
-            // No correct run writes below the oracle distance.
-            for e in &events {
-                assert!(e.new >= oracle.dist[e.dst as usize], "{id} write below oracle: {e:?}");
+    fn traced_entries_record_events_in_context_order() {
+        // Every traced kernel records on the armed thread, bucket by
+        // bucket and layer by layer, so the buffer needs no sort: the
+        // events come back in (bucket, phase, layer) order as recorded,
+        // on every family and source of the matrix.
+        let traced: Vec<_> = crate::registry::all().into_iter().filter(|e| e.has(TRACED)).collect();
+        assert_eq!(traced.len(), 7, "seq/delta-stepping and the six RDBS kernels");
+        let key = |e: &RelaxEvent| (e.bucket, matches!(e.phase, trace::Phase::Heavy), e.layer);
+        for family in crate::graphs::families() {
+            let g = family.build();
+            for source in family.sources(g.num_vertices()) {
+                let oracle = dijkstra(&g, source);
+                for imp in &traced {
+                    let at = format!("{} on {} from {source}", imp.id, family.name);
+                    trace::start(1 << 20);
+                    let r = imp.run(&g, source, None);
+                    let (events, dropped) = trace::take();
+                    assert_eq!(r.dist, oracle.dist, "{at}");
+                    assert_eq!(dropped, 0, "{at}");
+                    assert_eq!(
+                        events.is_empty(),
+                        oracle.dist.iter().filter(|&&d| d != INF).count() == 1,
+                        "{at}"
+                    );
+                    assert!(
+                        events.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+                        "{at} out of order"
+                    );
+                    // No correct run writes below the oracle distance.
+                    for e in &events {
+                        assert!(
+                            e.new >= oracle.dist[e.dst as usize],
+                            "{at} write below oracle: {e:?}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -26,14 +26,14 @@ use rdbs_core::service::traffic::{
 };
 use rdbs_core::service::{ServiceConfig, SsspService};
 use rdbs_core::stats::{SsspResult, UpdateStats};
-use rdbs_core::{cpu, default_delta, saturating_relax, seq, Csr, VertexId, Weight, INF};
+use rdbs_core::{default_delta, saturating_relax, seq, Csr, VertexId, Weight, INF};
 use rdbs_gpu_sim::{AccessIr, Device, DeviceConfig, FaultPlan, FaultSpec, SanConfig, SanViolation};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Worker count for the CPU-parallel implementations (kept small so
-/// the full matrix stays fast and deterministic to schedule).
+/// Worker count for the CPU comparator PQ-Δ* (kept small so the full
+/// matrix stays fast).
 const THREADS: usize = 2;
 
 /// Id of the deliberately broken implementation (an off-by-one loop
@@ -99,7 +99,7 @@ pub(crate) enum Shape {
 }
 
 impl Shape {
-    pub(crate) fn config(self, graph: &Csr, variant: Variant) -> ServiceConfig {
+    pub(crate) fn config(self, graph: &Csr, rdbs: RdbsConfig) -> ServiceConfig {
         let streams = match self {
             Shape::Pooled => 1,
             Shape::Concurrent => 4,
@@ -107,7 +107,7 @@ impl Shape {
         };
         let capacity = (graph.num_vertices() as u32 / 3).max(8);
         ServiceConfig {
-            variant,
+            rdbs,
             device: DeviceConfig::test_tiny(),
             streams,
             queue_capacity: (self == Shape::Spill).then_some(capacity),
@@ -150,8 +150,6 @@ impl Shape {
                     offered: queries.len(),
                     seed: 0,
                     slo_ms: generous,
-                    tight_slo_ms: None,
-                    tight_every: 0,
                     sources: SourceMix::Uniform,
                     shed_margin: 1.0,
                     cache: Some(CacheConfig::default()),
@@ -353,8 +351,10 @@ impl Entry {
                 }
             }
             Scenario::Service(shape) => {
-                let variant = variant.expect("service entries carry a variant");
-                let mut svc = SsspService::new(graph, shape.config(graph, variant));
+                let Some(Variant::Rdbs(cfg)) = variant else {
+                    panic!("service entries run an RDBS kernel")
+                };
+                let mut svc = SsspService::new(graph, shape.config(graph, cfg));
                 if arm.sanitizer {
                     svc.arm_sanitizer(SanConfig::default());
                 }
@@ -433,16 +433,7 @@ pub fn all() -> Vec<Entry> {
     vec![
         host("seq/dijkstra", |g, s, _| seq::dijkstra(g, s)),
         host("seq/bellman-ford", |g, s, _| seq::bellman_ford(g, s)),
-        host("seq/dial", |g, s, _| seq::dial(g, s)),
         Entry { caps: DIFFERENTIAL | TRACED, ..host("seq/delta-stepping", seq::delta_stepping) },
-        Entry {
-            caps: DIFFERENTIAL | TRACED,
-            ..host("cpu/parallel-delta", |g, s, d| cpu::parallel_delta_stepping(g, s, d, THREADS))
-        },
-        Entry {
-            caps: DIFFERENTIAL | TRACED,
-            ..host("cpu/async-bucket", |g, s, d| cpu::async_bucket_sssp(g, s, d, THREADS))
-        },
         entry("gpu/bl", dev, Some(Variant::Baseline), DIFFERENTIAL | SANITIZE | QUICK),
         entry("gpu/sync-delta", dev, rdbs(RdbsConfig::sync_delta()), swept),
         entry("gpu/basyn", dev, rdbs(RdbsConfig::basyn_only()), swept),

@@ -15,63 +15,23 @@
 use super::buffers::GraphBuffers;
 use crate::stats::{SsspResult, UpdateStats};
 use crate::{Csr, VertexId};
-use rdbs_gpu_sim::{Buf, Device};
+use rdbs_gpu_sim::Device;
 use std::cell::Cell;
 
-/// Per-query device scratch for [`bl_on`]: the frontier mask and the
-/// progress flag, recyclable across queries of the same graph.
-pub struct BlScratch {
-    pub(crate) mask: Buf,
-    /// `progress[0] != 0` ⇔ some vertex was improved this iteration.
-    pub(crate) progress: Buf,
-}
-
-impl BlScratch {
-    /// Allocate fresh scratch for an `n`-vertex graph.
-    pub fn new(device: &mut Device, n: u32) -> Self {
-        let mask = device.alloc("bl_mask", n as usize);
-        let progress = device.alloc("bl_progress", 1);
-        Self { mask, progress }
-    }
-
-    /// Assemble scratch from caller-provided (e.g. pooled) parts.
-    pub(crate) fn from_parts(mask: Buf, progress: Buf) -> Self {
-        Self { mask, progress }
-    }
-
-    /// Reset for a fresh query: all mask bits cleared.
-    pub fn reset(&self, device: &mut Device) {
-        device.fill(self.mask, 0);
-        device.write_word(self.progress, 0, 0);
-    }
-}
-
-/// Run the baseline on an already-constructed device. Returns the
-/// result; simulated time/counters accumulate on `device`.
-///
-/// The one-shot entry point: uploads the graph, allocates fresh
-/// scratch, delegates to [`bl_on`].
+/// Run the baseline on an already-constructed device: upload the
+/// graph, allocate the frontier mask and the progress flag, and iterate
+/// to a fixed point. Returns the result; simulated time/counters
+/// accumulate on `device`.
 pub fn bl(device: &mut Device, graph: &Csr, source: VertexId) -> SsspResult {
-    let gb = GraphBuffers::upload(device, graph);
-    let scratch = BlScratch::new(device, graph.num_vertices() as u32);
-    bl_on(device, gb, &scratch, graph, source)
-}
-
-/// Run the baseline against caller-resident device state (see
-/// [`crate::service`]); resets `scratch` and the distance vector.
-pub fn bl_on(
-    device: &mut Device,
-    gb: GraphBuffers,
-    scratch: &BlScratch,
-    graph: &Csr,
-    source: VertexId,
-) -> SsspResult {
     let n = graph.num_vertices() as u32;
     assert!(source < n, "source out of range");
-    scratch.reset(device);
+    let gb = GraphBuffers::upload(device, graph);
+    let mask = device.alloc("bl_mask", n as usize);
+    // `progress[0] != 0` ⇔ some vertex was improved this iteration.
+    let progress = device.alloc("bl_progress", 1);
+    device.fill(mask, 0);
+    device.write_word(progress, 0, 0);
     gb.reset_dist(device, source);
-    let mask = scratch.mask;
-    let progress = scratch.progress;
 
     let mut stats = UpdateStats::default();
     let total_updates = Cell::new(0u64);

@@ -12,7 +12,7 @@ pub mod buffers;
 pub mod frontier;
 pub mod rdbs;
 
-pub use bl::{bl, bl_on, BlScratch};
+pub use bl::bl;
 pub use buffers::{DeviceQueue, GraphArrays, GraphBuffers, QueueOverflow};
 pub use frontier::{FrontierKind, ScatterMode};
 pub use rdbs::{rdbs_on, GpuBucketTrace, MonotonicityViolation, RdbsConfig, RdbsRun, RdbsScratch};

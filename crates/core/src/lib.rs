@@ -11,14 +11,15 @@
 //!
 //! [`gpu::rdbs`] implements the full algorithm and every ablation the
 //! paper evaluates in Fig. 8; [`gpu::bl()`](fn@gpu::bl) is the paper's synchronous
-//! push-mode baseline. [`seq`] holds the sequential references
-//! (Dijkstra is the correctness oracle for everything else), [`cpu`]
-//! the native multithreaded implementation, [`stats`] the valid/total
-//! update accounting of §3.3/Fig. 9, and [`validate`] the oracle
-//! comparison helpers.
+//! push-mode baseline. [`service`] keeps one graph resident and answers
+//! many sources with RDBS. [`seq`] holds the sequential references
+//! (Dijkstra is the correctness oracle for everything else), [`stats`]
+//! the valid/total update accounting of §3.3/Fig. 9 and the
+//! localizer's relaxation trace, and [`validate`] the oracle comparison
+//! helpers. The comparators of Table 2 (ADDS, PQ-Δ*) live in
+//! `rdbs-baselines`.
 
 pub mod adaptive_delta;
-pub mod cpu;
 pub mod gpu;
 pub mod recover;
 pub mod seq;

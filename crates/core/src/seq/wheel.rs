@@ -1,10 +1,10 @@
-//! A bounded circular bucket wheel (Dial's trick) shared by
-//! [`crate::seq::dial`] and [`crate::seq::delta_stepping`].
+//! A bounded circular bucket wheel (Dial's trick) for
+//! [`crate::seq::delta_stepping`].
 //!
 //! The classic implementations index an array by bucket id, which is
 //! fine for the workspace's usual weights (≤ 1000) but allocates
-//! billions of slots when distances approach `u32::MAX` (tiny Δ, or
-//! Dial — whose bucket id *is* the distance). The wheel caps the
+//! billions of slots when distances approach `u32::MAX` and Δ is tiny
+//! (with Δ = 1 the bucket id *is* the distance). The wheel caps the
 //! resident window at [`WHEEL_SLOTS`] slots covering bucket ids
 //! `[base, base + W)`; anything pushed beyond the window waits in an
 //! overflow list. Because at most one bucket id of the window maps to

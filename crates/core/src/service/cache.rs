@@ -60,11 +60,6 @@ pub struct AnswerCache {
     order: VecDeque<VertexId>,
     /// Pinned landmark answers: `(source, available_ms, dist)`.
     landmarks: Vec<(VertexId, f64, Arc<Vec<Dist>>)>,
-    exact_hits: u64,
-    approx_hits: u64,
-    misses: u64,
-    insertions: u64,
-    evictions: u64,
 }
 
 impl AnswerCache {
@@ -75,11 +70,6 @@ impl AnswerCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
             landmarks: Vec::new(),
-            exact_hits: 0,
-            approx_hits: 0,
-            misses: 0,
-            insertions: 0,
-            evictions: 0,
         }
     }
 
@@ -97,41 +87,20 @@ impl AnswerCache {
 
     /// Exact lookup at simulated wall time `now_ms`: the stored vector
     /// for `(generation, source)`, if its producing query completed by
-    /// `now_ms`. Counts a hit or miss.
-    pub fn lookup(
-        &mut self,
-        generation: u64,
-        source: VertexId,
-        now_ms: f64,
-    ) -> Option<Arc<Vec<Dist>>> {
+    /// `now_ms`.
+    pub fn lookup(&self, generation: u64, source: VertexId, now_ms: f64) -> Option<Arc<Vec<Dist>>> {
         if generation != self.generation {
-            self.misses += 1;
             return None;
         }
-        match self.entries.get(&source) {
-            Some(e) if e.available_ms <= now_ms => {
-                self.exact_hits += 1;
-                Some(Arc::clone(&e.dist))
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.entries.get(&source).filter(|e| e.available_ms <= now_ms).map(|e| Arc::clone(&e.dist))
     }
 
     /// Landmark triangle-inequality upper bound for `source` at wall
     /// time `now_ms`: `ub[v] = min over landmarks l of
     /// dist(l, source) + dist(l, v)` (saturating at [`INF`]), with
     /// `ub[source] = 0`. `None` unless some already-available landmark
-    /// reaches `source` — an all-[`INF`] bound claims nothing. Counts
-    /// an approx hit when it serves.
-    pub fn upper_bound(
-        &mut self,
-        generation: u64,
-        source: VertexId,
-        now_ms: f64,
-    ) -> Option<Vec<Dist>> {
+    /// reaches `source` — an all-[`INF`] bound claims nothing.
+    pub fn upper_bound(&self, generation: u64, source: VertexId, now_ms: f64) -> Option<Vec<Dist>> {
         if generation != self.generation {
             return None;
         }
@@ -151,7 +120,6 @@ impl AnswerCache {
         }
         let mut ub = best?;
         ub[source as usize] = 0;
-        self.approx_hits += 1;
         Some(ub)
     }
 
@@ -174,56 +142,9 @@ impl AnswerCache {
             self.order.push_back(source);
         }
         self.entries.insert(source, Entry { dist, available_ms: now_ms });
-        self.insertions += 1;
         while self.entries.len() > self.config.capacity {
             let Some(old) = self.order.pop_front() else { break };
             self.entries.remove(&old);
-            self.evictions += 1;
-        }
-    }
-
-    /// Exact hits served so far.
-    pub fn exact_hits(&self) -> u64 {
-        self.exact_hits
-    }
-
-    /// Approximate (landmark upper-bound) answers served so far.
-    pub fn approx_hits(&self) -> u64 {
-        self.approx_hits
-    }
-
-    /// Exact lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Vectors inserted since the last generation change.
-    pub fn insertions(&self) -> u64 {
-        self.insertions
-    }
-
-    /// Entries dropped by FIFO eviction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Live cached vectors.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Exact hit rate over exact lookups; 0 before any lookup.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.exact_hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.exact_hits as f64 / total as f64
         }
     }
 }
@@ -256,8 +177,6 @@ mod tests {
         c.insert(0, 1, v(&[0, 1]), 10.0);
         assert!(c.lookup(0, 1, 5.0).is_none(), "the producing query has not completed yet");
         assert!(c.lookup(0, 1, 10.0).is_some());
-        assert_eq!(c.exact_hits(), 1);
-        assert_eq!(c.misses(), 2, "cold + too-early lookups both count");
     }
 
     #[test]
@@ -270,7 +189,6 @@ mod tests {
         // Via l0: 9 + [0,2,9,INF]; via l1: 3 + [2,0,3,INF]; min, and
         // ub[source] clamps to 0.
         assert_eq!(ub, vec![5, 3, 0, INF]);
-        assert_eq!(c.approx_hits(), 1);
         // A source no landmark reaches gets no bound.
         assert!(c.upper_bound(0, 3, 0.0).is_none());
     }
@@ -281,8 +199,6 @@ mod tests {
         c.insert(0, 0, v(&[0]), 0.0); // landmark, pinned
         c.insert(0, 1, v(&[1]), 0.0);
         c.insert(0, 2, v(&[2]), 0.0); // over capacity: evicts source 1
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.evictions(), 1);
         assert!(c.lookup(0, 0, 0.0).is_some(), "landmark survives");
         assert!(c.lookup(0, 1, 0.0).is_none(), "oldest non-landmark evicted");
         assert!(c.lookup(0, 2, 0.0).is_some());

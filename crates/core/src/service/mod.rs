@@ -1,8 +1,7 @@
 //! Resident SSSP service: upload the graph once, answer many sources.
 //!
-//! The one-shot entry points ([`crate::gpu::rdbs::rdbs`],
-//! [`crate::gpu::bl()`](fn@crate::gpu::bl)) pay the full setup price
-//! per query: graph H2D upload, buffer allocation, Δ
+//! The one-shot entry point ([`crate::gpu::rdbs::rdbs`]) pays the full
+//! setup price per query: graph H2D upload, buffer allocation, Δ
 //! controller warm-up, and (with PRO) the host-side reorder. A
 //! workload that asks many sources of the same graph — betweenness
 //! sampling, reachability sweeps, all-pairs seeds — re-pays all of it
@@ -38,8 +37,8 @@
 //! pool-leased *lane* (distance vector, queue set, Δ controller, and
 //! its own light-range copy under PRO) while sharing the single
 //! resident graph upload, and steps whichever stream is furthest behind
-//! on the shared wall clock — at bucket granularity for RDBS variants —
-//! so answers stay bit-identical to a one-stream run. A closed-loop
+//! on the shared wall clock, one bucket at a time, so answers stay
+//! bit-identical to a one-stream run. A closed-loop
 //! batch is the degenerate open-loop workload: every query arrives at
 //! t = 0 with an infinite deadline and the answer cache off, so the
 //! earliest-wall pick is the least-busy stream and earliest-deadline
@@ -67,11 +66,10 @@ pub mod pool;
 pub mod traffic;
 
 use crate::adaptive_delta::DeltaController;
-use crate::gpu::bl::{bl_on, BlScratch};
 use crate::gpu::buffers::{DeviceQueue, GraphArrays, GraphBuffers};
 use crate::gpu::frontier::{AnyFrontier, FrontierKind, MlmqFrontier, ScatterMode, WorkloadQueues};
 use crate::gpu::rdbs::{self, RdbsDriver, RdbsScratch};
-use crate::gpu::{RdbsConfig, Variant};
+use crate::gpu::RdbsConfig;
 use crate::stats::{BatchStats, SsspResult};
 use crate::workload::{classify, BETA};
 use crate::{default_delta, Csr, VertexId, INF};
@@ -83,9 +81,9 @@ use std::time::Instant;
 /// Service construction parameters.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// The kernel every query runs: BL or any RDBS ablation (which
-    /// carries its own Δ₀ override in [`crate::gpu::RdbsConfig`]).
-    pub variant: Variant,
+    /// The kernel every query runs: full RDBS or one of its ablations,
+    /// with its own Δ₀ override, frontier layout and scatter mode.
+    pub rdbs: RdbsConfig,
     /// The simulated device's hardware model.
     pub device: DeviceConfig,
     /// Command streams queries may be spread across (1 = sequential;
@@ -102,20 +100,10 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// Full RDBS (BASYN+PRO+ADWL) on one device.
+    /// Full RDBS (BASYN+PRO+ADWL) on one device and one stream, queues
+    /// sized to the vertex count.
     pub fn rdbs(device: DeviceConfig) -> Self {
-        Self::new(Variant::Rdbs(RdbsConfig::full()), device)
-    }
-
-    /// The synchronous push baseline on one device.
-    pub fn baseline(device: DeviceConfig) -> Self {
-        Self::new(Variant::Baseline, device)
-    }
-
-    /// `variant` on one device and one stream, queues sized to the
-    /// vertex count.
-    fn new(variant: Variant, device: DeviceConfig) -> Self {
-        Self { variant, device, streams: 1, queue_capacity: None }
+        Self { rdbs: RdbsConfig::full(), device, streams: 1, queue_capacity: None }
     }
 
     /// Spread batches across `streams` command streams.
@@ -125,21 +113,15 @@ impl ServiceConfig {
         self
     }
 
-    /// Run the RDBS variant on the given frontier layout (no effect on
-    /// the baseline, which has no frontier).
+    /// Run on the given frontier layout.
     pub fn with_frontier(mut self, frontier: FrontierKind) -> Self {
-        if let Variant::Rdbs(cfg) = &mut self.variant {
-            cfg.frontier = frontier;
-        }
+        self.rdbs.frontier = frontier;
         self
     }
 
-    /// Run the RDBS variant with the given frontier scatter mode (no
-    /// effect on the baseline).
+    /// Run with the given frontier scatter mode.
     pub fn with_scatter(mut self, scatter: ScatterMode) -> Self {
-        if let Variant::Rdbs(cfg) = &mut self.variant {
-            cfg.scatter = scatter;
-        }
+        self.rdbs.scatter = scatter;
         self
     }
 
@@ -171,23 +153,13 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Per-query device scratch, shaped by the variant.
-// The RDBS variant is a few hundred bytes of queue handles (the MLMQ
-// frontier holds eight sub-queues); it lives in a per-lane slot, not a
-// hot collection, so the size skew is harmless.
-#[allow(clippy::large_enum_variant)]
-enum Scratch {
-    Rdbs(RdbsScratch),
-    Bl(BlScratch),
-}
-
 /// One query's exclusive device lease: everything the scheduler must
 /// keep disjoint between in-flight queries. Lane 0 always exists and
 /// serves one-stream runs; extra lanes are created on demand by runs
 /// spread across more streams and recycled with the graph generation.
 struct QueryLane {
     dist: Buf,
-    scratch: Scratch,
+    scratch: RdbsScratch,
     controller: DeltaController,
     /// Private light-range buffer (PRO variants, lanes ≥ 1 only).
     /// The uploaded [`GraphArrays::light_ranges`] are per-query
@@ -205,13 +177,13 @@ struct QueryLane {
 pub struct SsspService {
     config: ServiceConfig,
     device: Device,
-    /// PRO relabelling of the current graph, when the variant
+    /// PRO relabelling of the current graph, when the kernel
     /// preprocesses.
     perm: Option<Permutation>,
     arrays: GraphArrays,
     lanes: Vec<QueryLane>,
     /// The graph queries actually run on (PRO-relabelled when the
-    /// variant preprocesses; the original otherwise).
+    /// kernel preprocesses; the original otherwise).
     graph: Csr,
     pool: BufferPool,
     stats: BatchStats,
@@ -250,16 +222,16 @@ impl Generation {
         graph: &Csr,
         config: &ServiceConfig,
     ) -> Self {
-        let variant = config.variant;
-        let (graph, relabel) = prepare(graph, variant);
+        let cfg = config.rdbs;
+        let (graph, relabel) = prepare(graph, cfg);
         let n = graph.num_vertices() as u32;
         let (perm, small_from) = relabel.map_or((None, n), |(perm, b)| (Some(perm), b));
         let before = device.counters().h2d_uploads;
         let arrays = GraphArrays::upload(device, &graph, small_from);
         let uploads = device.counters().h2d_uploads - before;
         let dist = pool.acquire(device, "dist", n as usize);
-        let scratch = build_scratch(pool, device, n, variant, config.queue_capacity);
-        let controller = fresh_controller(device, &graph, variant);
+        let scratch = build_scratch(pool, device, n, cfg, config.queue_capacity);
+        let controller = fresh_controller(device, &graph, cfg);
         let lane0 = QueryLane { dist, scratch, controller, light_ranges: None, heavy_dirty: false };
         Self { graph, perm, arrays, uploads, lane0 }
     }
@@ -303,12 +275,6 @@ impl SsspService {
         self.stats.graph_uploads += self.uploads_per_graph;
         self.queries_on_graph = 0;
         self.generation += 1;
-    }
-
-    /// The current graph generation (0 for the construction graph,
-    /// +1 per [`SsspService::load_graph`]).
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     /// Answer one query against the resident graph — the scheduler's
@@ -444,7 +410,7 @@ impl SsspService {
     /// generation recycles them like any per-query buffer.
     fn ensure_lanes(&mut self, count: usize) {
         let n = self.graph.num_vertices() as u32;
-        let variant = self.config.variant;
+        let cfg = self.config.rdbs;
         let device = &mut self.device;
         while self.lanes.len() < count {
             let dist = self.pool.acquire(device, "dist", n as usize);
@@ -452,9 +418,8 @@ impl SsspService {
             // the query resets it — clear recycled (or poison-armed)
             // contents up front.
             device.fill(dist, INF);
-            let scratch =
-                build_scratch(&mut self.pool, device, n, variant, self.config.queue_capacity);
-            let controller = fresh_controller(device, &self.graph, variant);
+            let scratch = build_scratch(&mut self.pool, device, n, cfg, self.config.queue_capacity);
+            let controller = fresh_controller(device, &self.graph, cfg);
             // Stale until that refresh writes both words of every pair.
             let light_ranges = self
                 .arrays
@@ -478,23 +443,16 @@ impl SsspService {
             if let Some(pairs) = lane.light_ranges {
                 pool.release(device, pairs);
             }
-            match &lane.scratch {
-                Scratch::Bl(s) => {
-                    pool.release(device, s.mask);
-                    pool.release(device, s.progress);
-                }
-                Scratch::Rdbs(s) => {
-                    for q in s.frontier.device_queues() {
-                        pool.release(device, q.data);
-                        pool.release(device, q.tail);
-                        pool.release(device, q.overflow);
-                    }
-                    pool.release(device, s.frontier.pending());
-                    pool.release(device, s.scan_out);
-                    if let Some(prefix) = s.prefix.get() {
-                        pool.release(device, prefix);
-                    }
-                }
+            let s = &lane.scratch;
+            for q in s.frontier.device_queues() {
+                pool.release(device, q.data);
+                pool.release(device, q.tail);
+                pool.release(device, q.overflow);
+            }
+            pool.release(device, s.frontier.pending());
+            pool.release(device, s.scan_out);
+            if let Some(prefix) = s.prefix.get() {
+                pool.release(device, prefix);
             }
         }
         pool.release(device, self.arrays.row);
@@ -550,29 +508,19 @@ fn start_rdbs_driver(
     if cfg.pro {
         lane.heavy_dirty = true; // the run re-splits the offsets
     }
-    let Scratch::Rdbs(scratch) = &lane.scratch else {
-        unreachable!("scratch kind always matches the variant")
-    };
-    RdbsDriver::start(device, gb, scratch, graph, mapped, cfg, &mut lane.controller)
+    RdbsDriver::start(device, gb, &lane.scratch, graph, mapped, cfg, &mut lane.controller)
 }
 
-/// Run a whole query on a lane without yielding: how the scheduler
-/// dispatches BL, which has no resumable driver, and the recovery
-/// ladder's rerun rung for either variant. `Err` on a queue overflow.
+/// Run a whole query on a lane without yielding: the recovery ladder's
+/// rerun rung. `Err` on a queue overflow.
 fn run_on_lane(
     device: &mut Device,
     lane: &mut QueryLane,
     arrays: GraphArrays,
     graph: &Csr,
     mapped: VertexId,
-    rdbs_cfg: Option<RdbsConfig>,
+    cfg: RdbsConfig,
 ) -> Result<SsspResult, String> {
-    let Some(cfg) = rdbs_cfg else {
-        let Scratch::Bl(scratch) = &lane.scratch else {
-            unreachable!("scratch kind always matches the variant")
-        };
-        return Ok(bl_on(device, lane_buffers(arrays, lane), scratch, graph, mapped));
-    };
     let mut driver = start_rdbs_driver(device, lane, arrays, graph, mapped, cfg);
     while !driver.step(device, graph, &mut lane.controller).map_err(|e| e.to_string())? {}
     Ok(driver.finish(device).result)
@@ -599,14 +547,13 @@ fn run_on_lane(
 fn escalate_queues(
     pool: &mut BufferPool,
     device: &mut Device,
-    scratch: &mut Scratch,
+    scratch: &mut RdbsScratch,
     n: usize,
 ) -> bool {
-    // Only the single layout grows. The BL scratch has no queues, and
-    // the MLMQ never escalates: a full sub-queue spills to the deferred
-    // level by design, so a raised overflow there is genuine loss the
-    // host oracle answers.
-    let Scratch::Rdbs(RdbsScratch { frontier: AnyFrontier::Single(wq), .. }) = scratch else {
+    // Only the single layout grows. The MLMQ never escalates: a full
+    // sub-queue spills to the deferred level by design, so a raised
+    // overflow there is genuine loss the host oracle answers.
+    let AnyFrontier::Single(wq) = &mut scratch.frontier else {
         return false;
     };
     let old_cap =
@@ -646,26 +593,24 @@ fn peak_overlap(intervals: &[(f64, f64)]) -> u64 {
     peak.max(0) as u64
 }
 
-/// PRO-preprocess when the variant asks for it: number the graph in
+/// PRO-preprocess when the kernel asks for it: number the graph in
 /// [`class_order`], then weight-sort and split it in PRO's one sweep.
 /// Returns the graph queries run on and, with PRO, the permutation and
 /// the first small-class id the upload records
 /// ([`GraphArrays::small_from`]). The one-shot path keeps `pro`'s
 /// degree order and classifies every vertex by its light range
 /// (DESIGN.md modelling decision 12).
-fn prepare(graph: &Csr, variant: Variant) -> (Csr, Option<(Permutation, VertexId)>) {
-    match variant {
-        Variant::Rdbs(cfg) if cfg.pro => {
-            let delta0 = cfg.delta0.unwrap_or_else(|| default_delta(graph));
-            let perm = class_order(graph);
-            let pg = reorder::relabel_sorted(graph, &perm, delta0);
-            // The small class comes last: count the classes before it.
-            let n = pg.num_vertices() as VertexId;
-            let small_from = (0..n).take_while(|&v| pg.degree(v) >= BETA).count() as VertexId;
-            (pg, Some((perm, small_from)))
-        }
-        _ => (graph.clone(), None),
+fn prepare(graph: &Csr, cfg: RdbsConfig) -> (Csr, Option<(Permutation, VertexId)>) {
+    if !cfg.pro {
+        return (graph.clone(), None);
     }
+    let delta0 = cfg.delta0.unwrap_or_else(|| default_delta(graph));
+    let perm = class_order(graph);
+    let pg = reorder::relabel_sorted(graph, &perm, delta0);
+    // The small class comes last: count the classes before it.
+    let n = pg.num_vertices() as VertexId;
+    let small_from = (0..n).take_while(|&v| pg.degree(v) >= BETA).count() as VertexId;
+    (pg, Some((perm, small_from)))
 }
 
 /// The resident service's numbering (old → new id): vertices by the
@@ -680,68 +625,51 @@ pub fn class_order(graph: &Csr) -> Permutation {
 }
 
 /// Fresh Δ controller matching the one-shot entry point's seeding.
-fn fresh_controller(device: &Device, graph: &Csr, variant: Variant) -> DeltaController {
-    let width0 = match variant {
-        Variant::Rdbs(cfg) => cfg.delta0.unwrap_or_else(|| default_delta(graph)),
-        Variant::Baseline => default_delta(graph),
-    };
+fn fresh_controller(device: &Device, graph: &Csr, cfg: RdbsConfig) -> DeltaController {
+    let width0 = cfg.delta0.unwrap_or_else(|| default_delta(graph));
     let lanes = device.config().num_sms as u64 * 32 * 2;
     DeltaController::new(width0).with_target_parallelism(lanes)
 }
 
 /// Acquire the per-query scratch from the pool, shaped by the
-/// variant's frontier layout. The pending-marks buffer is always
+/// kernel's frontier layout. The pending-marks buffer is always
 /// vertex-indexed (capacity under-provisioning shrinks the queues,
 /// never the dedup marks).
 fn build_scratch(
     pool: &mut BufferPool,
     device: &mut Device,
     n: u32,
-    variant: Variant,
+    cfg: RdbsConfig,
     queue_capacity: Option<u32>,
-) -> Scratch {
-    match variant {
-        Variant::Baseline => {
-            let mask = pool.acquire(device, "bl_mask", n as usize);
-            let progress = pool.acquire(device, "bl_progress", 1);
-            Scratch::Bl(BlScratch::from_parts(mask, progress))
+) -> RdbsScratch {
+    let cap = queue_capacity.unwrap_or(n);
+    // One vertex-indexed pending buffer per lane, shared by every level
+    // of the frontier.
+    let pending = pool.acquire(device, "pending", n as usize);
+    let frontier = match cfg.frontier {
+        FrontierKind::Single => {
+            AnyFrontier::Single(pooled_workload(pool, device, cap, pending, cfg.adwl, cfg.scatter))
         }
-        Variant::Rdbs(cfg) => {
-            let cap = queue_capacity.unwrap_or(n);
-            // One vertex-indexed pending buffer per lane, shared by
-            // every level of the frontier.
-            let pending = pool.acquire(device, "pending", n as usize);
-            let frontier = match cfg.frontier {
-                FrontierKind::Single => AnyFrontier::Single(pooled_workload(
-                    pool,
-                    device,
-                    cap,
-                    pending,
-                    cfg.adwl,
-                    cfg.scatter,
-                )),
-                FrontierKind::Mlmq => {
-                    let sub = MlmqFrontier::sub_capacity(cap);
-                    let levels = std::array::from_fn(|_| {
-                        std::array::from_fn(|_| {
-                            let q = pooled_queue(pool, device, "mlmq_lane", sub);
-                            q.declare_spill(device); // spill-class, like one-shot MLMQ queues
-                            q
-                        })
-                    });
-                    AnyFrontier::Mlmq(MlmqFrontier {
-                        levels,
-                        pending,
-                        adwl: cfg.adwl,
-                        scatter: cfg.scatter,
-                        active: 0,
-                    })
-                }
-            };
-            let scan_out = pool.acquire(device, "scan_out", 2);
-            Scratch::Rdbs(RdbsScratch::from_parts(frontier, scan_out))
+        FrontierKind::Mlmq => {
+            let sub = MlmqFrontier::sub_capacity(cap);
+            let levels = std::array::from_fn(|_| {
+                std::array::from_fn(|_| {
+                    let q = pooled_queue(pool, device, "mlmq_lane", sub);
+                    q.declare_spill(device); // spill-class, like one-shot MLMQ queues
+                    q
+                })
+            });
+            AnyFrontier::Mlmq(MlmqFrontier {
+                levels,
+                pending,
+                adwl: cfg.adwl,
+                scatter: cfg.scatter,
+                active: 0,
+            })
         }
-    }
+    };
+    let scan_out = pool.acquire(device, "scan_out", 2);
+    RdbsScratch::from_parts(frontier, scan_out)
 }
 
 /// One pooled workload-queue set around a caller-owned pending buffer
@@ -788,7 +716,7 @@ fn pooled_queue(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gpu::{run_gpu, RdbsConfig};
+    use crate::gpu::{run_gpu, RdbsConfig, Variant};
     use crate::validate::check_against_dijkstra;
     use crate::workload::WorkloadClass;
     use crate::Weight;
@@ -841,7 +769,7 @@ mod tests {
             let inv = p.inverse();
             (0..307).map(|v| inv.new_id(v)).collect::<Vec<VertexId>>()
         };
-        let (pg, relabel) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
+        let (pg, relabel) = prepare(&g, RdbsConfig::full());
         let (perm, small_from) = relabel.expect("full RDBS runs PRO");
         let small = visit.iter().copied().filter(|&v| g.degree(v) < BETA);
         let expect: Vec<VertexId> = [4, 3].into_iter().chain(small).collect();
@@ -885,7 +813,7 @@ mod tests {
         fn small_class_boundary_is_exact(el in arb_class_graph()) {
             let g = build_undirected(&el);
             let n = g.num_vertices() as VertexId;
-            let (pg, relabel) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
+            let (pg, relabel) = prepare(&g, RdbsConfig::full());
             let (perm, small_from) = relabel.expect("full RDBS runs PRO");
             prop_assert_eq!(small_from as usize, (0..n).filter(|&v| g.degree(v) >= BETA).count());
             let widths = [1, 2, 500, pg.max_weight(), pg.max_weight() + 1, Weight::MAX];
@@ -973,7 +901,7 @@ mod tests {
             inside as f64 / g.num_edges() as f64
         };
         let (one_shot, _) = reorder::pro(&g, default_delta(&g));
-        let (resident, _) = prepare(&g, Variant::Rdbs(RdbsConfig::full()));
+        let (resident, _) = prepare(&g, RdbsConfig::full());
         let (ids, bfs) = (in_block(&one_shot), in_block(&resident));
         assert!(in_block(&g) < 0.01, "the stand-in's ids are shuffled");
         assert!(bfs >= 10.0 * ids, "BFS ties {bfs:.4} vs id ties {ids:.4}");
@@ -981,8 +909,7 @@ mod tests {
 
     /// Lane 0's single-layout workload set, for capacity rigs.
     fn lane0_workload(svc: &mut SsspService) -> &mut WorkloadQueues {
-        let Scratch::Rdbs(s) = &mut svc.lanes[0].scratch else { unreachable!() };
-        let AnyFrontier::Single(wq) = &mut s.frontier else { unreachable!() };
+        let AnyFrontier::Single(wq) = &mut svc.lanes[0].scratch.frontier else { unreachable!() };
         wq
     }
 
@@ -1062,17 +989,16 @@ mod tests {
         let clean = svc.query(7).dist;
         let lane = &svc.lanes[0];
         svc.device.fill(lane.dist, 0xDEAD_BEEF);
-        if let Scratch::Rdbs(s) = &lane.scratch {
-            for q in s.frontier.device_queues() {
-                svc.device.fill(q.data, 0xDEAD_BEEF);
-                svc.device.fill(q.tail, 0);
-                svc.device.fill(q.overflow, 0);
-            }
-            svc.device.fill(s.frontier.pending(), 0xDEAD_BEEF);
-            svc.device.fill(s.scan_out, 0xDEAD_BEEF);
-            if let Some(prefix) = s.prefix.get() {
-                svc.device.fill(prefix, 0xDEAD_BEEF);
-            }
+        let s = &lane.scratch;
+        for q in s.frontier.device_queues() {
+            svc.device.fill(q.data, 0xDEAD_BEEF);
+            svc.device.fill(q.tail, 0);
+            svc.device.fill(q.overflow, 0);
+        }
+        svc.device.fill(s.frontier.pending(), 0xDEAD_BEEF);
+        svc.device.fill(s.scan_out, 0xDEAD_BEEF);
+        if let Some(prefix) = s.prefix.get() {
+            svc.device.fill(prefix, 0xDEAD_BEEF);
         }
         assert_eq!(svc.query(7).dist, clean);
         check_against_dijkstra(&g, 7, &clean).unwrap();
@@ -1108,8 +1034,7 @@ mod tests {
             steps += 1;
             assert!(steps < 16, "the ladder must terminate");
         }
-        let Scratch::Rdbs(s) = &svc.lanes[0].scratch else { unreachable!() };
-        let AnyFrontier::Single(wq) = &s.frontier else { unreachable!() };
+        let AnyFrontier::Single(wq) = &svc.lanes[0].scratch.frontier else { unreachable!() };
         assert_eq!(wq.q[0].capacity as usize, 2 * pool::size_class(n));
         assert_eq!(wq.members.capacity as usize, 2 * pool::size_class(n));
         assert_eq!(
@@ -1143,8 +1068,7 @@ mod tests {
             "a step landing exactly on the ceiling must escalate"
         );
         {
-            let Scratch::Rdbs(s) = &svc.lanes[0].scratch else { unreachable!() };
-            let AnyFrontier::Single(wq) = &s.frontier else { unreachable!() };
+            let AnyFrontier::Single(wq) = &svc.lanes[0].scratch.frontier else { unreachable!() };
             for q in wq.queues() {
                 assert_eq!(q.capacity as usize, ceiling, "all four queues in one size class");
             }
@@ -1156,8 +1080,9 @@ mod tests {
         // A mid-class capacity below the ceiling (the old doubling
         // refused here) steps to the ceiling, not past it.
         {
-            let Scratch::Rdbs(s) = &mut svc.lanes[0].scratch else { unreachable!() };
-            let AnyFrontier::Single(wq) = &mut s.frontier else { unreachable!() };
+            let AnyFrontier::Single(wq) = &mut svc.lanes[0].scratch.frontier else {
+                unreachable!()
+            };
             for q in wq.q.iter_mut().chain(std::iter::once(&mut wq.members)) {
                 q.capacity = (ceiling - 1) as u32;
             }
@@ -1166,8 +1091,7 @@ mod tests {
             escalate_queues(&mut svc.pool, &mut svc.device, &mut svc.lanes[0].scratch, n),
             "a mid-class capacity below the ceiling may still take its last step"
         );
-        let Scratch::Rdbs(s) = &svc.lanes[0].scratch else { unreachable!() };
-        let AnyFrontier::Single(wq) = &s.frontier else { unreachable!() };
+        let AnyFrontier::Single(wq) = &svc.lanes[0].scratch.frontier else { unreachable!() };
         assert_eq!(wq.q[0].capacity as usize, ceiling);
     }
 
@@ -1209,8 +1133,7 @@ mod tests {
         let stats = svc.stats();
         assert!(stats.escalations >= 1, "capacity-1 below the mark must escalate");
         assert_eq!(stats.fallbacks, 0);
-        let Scratch::Rdbs(s) = &svc.lanes[0].scratch else { unreachable!() };
-        let AnyFrontier::Single(wq) = &s.frontier else { unreachable!() };
+        let AnyFrontier::Single(wq) = &svc.lanes[0].scratch.frontier else { unreachable!() };
         assert!(
             wq.q[0].capacity > exact - 1,
             "the ladder must hand back a strictly larger queue set"
@@ -1331,8 +1254,9 @@ mod tests {
         let mut svc = SsspService::new(&g, ServiceConfig::rdbs(tiny()).with_streams(2));
         svc.ensure_lanes(2);
         {
-            let Scratch::Rdbs(s) = &mut svc.lanes[1].scratch else { unreachable!() };
-            let AnyFrontier::Single(wq) = &mut s.frontier else { unreachable!() };
+            let AnyFrontier::Single(wq) = &mut svc.lanes[1].scratch.frontier else {
+                unreachable!()
+            };
             // The members queue pins the set's max capacity at the
             // ceiling (so escalation refuses to grow it further) while
             // the workload queues still overflow on the first push
@@ -1368,32 +1292,6 @@ mod tests {
             stats.sojourn_percentile_ms(99.0).unwrap()
                 >= stats.sojourn_percentile_ms(50.0).unwrap()
         );
-    }
-
-    #[test]
-    fn concurrent_baseline_matches_sequential() {
-        let g = graph(10);
-        let sources: Vec<VertexId> = (0..8).map(|i| i * 11 % 120).collect();
-        let mut seq = SsspService::new(&g, ServiceConfig::baseline(tiny()));
-        let seq_results = seq.batch(&sources);
-        let mut conc = SsspService::new(&g, ServiceConfig::baseline(tiny()).with_streams(2));
-        let conc_results = conc.batch(&sources);
-        for (a, b) in seq_results.iter().zip(&conc_results) {
-            assert_eq!(a.dist, b.dist, "source {}", a.source);
-        }
-        assert!(conc.stats().inflight_peak > 1);
-        assert!(seq.stats().sim_batch_ms > conc.stats().sim_batch_ms);
-    }
-
-    #[test]
-    fn baseline_backend_answers_correctly() {
-        let g = graph(7);
-        let mut svc = SsspService::new(&g, ServiceConfig::baseline(tiny()));
-        let uploads = svc.device_uploads();
-        for s in [0u32, 40, 119] {
-            check_against_dijkstra(&g, s, &svc.query(s).dist).unwrap();
-        }
-        assert_eq!(svc.device_uploads(), uploads);
     }
 
     #[test]

@@ -72,23 +72,6 @@ impl BufferPool {
     pub fn words_recycled(&self) -> u64 {
         self.words_recycled
     }
-
-    /// Trim the device free lists down to at most `max_bytes` of idle
-    /// memory, evicting the largest size classes first (a few big
-    /// scratch buffers dominate the high-water mark, so evicting them
-    /// reclaims the most per free-list entry). Returns bytes evicted.
-    /// Held buffers are untouched; only idle free-list capacity is
-    /// released, so the pool keeps serving smaller acquisitions from
-    /// what remains.
-    pub fn trim_to(&self, device: &mut Device, max_bytes: usize) -> usize {
-        device.trim_pool_to(max_bytes)
-    }
-
-    /// Bytes currently idle on the device free lists (what
-    /// [`BufferPool::trim_to`] trims against).
-    pub fn idle_bytes(&self, device: &Device) -> usize {
-        device.pooled_free_words() * 4
-    }
 }
 
 #[cfg(test)]
@@ -122,36 +105,6 @@ mod tests {
         assert_eq!(d.counters().buffer_reuses, 1);
         pool.release(&mut d, b);
         pool.release(&mut d, c);
-    }
-
-    #[test]
-    fn trim_evicts_largest_classes_first() {
-        let mut d = Device::new(DeviceConfig::test_tiny());
-        let mut pool = BufferPool::new();
-        let small = pool.acquire(&mut d, "small", 64); // class 64
-        let mid = pool.acquire(&mut d, "mid", 256); // class 256
-        let big = pool.acquire(&mut d, "big", 1024); // class 1024
-        pool.release(&mut d, small);
-        pool.release(&mut d, mid);
-        pool.release(&mut d, big);
-        assert_eq!(pool.idle_bytes(&d), (64 + 256 + 1024) * 4);
-
-        // Trim to the two smaller classes: only the largest goes.
-        let evicted = pool.trim_to(&mut d, (64 + 256) * 4);
-        assert_eq!(evicted, 1024 * 4);
-        assert_eq!(pool.idle_bytes(&d), (64 + 256) * 4);
-
-        // The evicted class misses (fresh alloc); the survivors hit.
-        let (allocs0, reuses0) = (pool.allocs(), pool.reuses());
-        pool.acquire(&mut d, "big2", 1024);
-        assert_eq!((pool.allocs(), pool.reuses()), (allocs0 + 1, reuses0));
-        pool.acquire(&mut d, "mid2", 256);
-        pool.acquire(&mut d, "small2", 64);
-        assert_eq!((pool.allocs(), pool.reuses()), (allocs0 + 1, reuses0 + 2));
-        assert_eq!(pool.idle_bytes(&d), 0);
-
-        // Trimming an already-small pool is a no-op.
-        assert_eq!(pool.trim_to(&mut d, usize::MAX), 0);
     }
 
     #[test]

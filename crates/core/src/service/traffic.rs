@@ -42,7 +42,6 @@
 use super::cache::{AnswerCache, CacheConfig};
 use super::{escalate_queues, note_query_parts, peak_overlap, run_on_lane, SsspService};
 use crate::gpu::rdbs::RdbsDriver;
-use crate::gpu::Variant;
 pub use crate::recover::AnswerSource;
 use crate::recover::{recover, Detection, RecoveredRun, Rerun};
 use crate::stats::{percentile, SsspResult, UpdateStats};
@@ -83,11 +82,6 @@ pub struct TrafficConfig {
     pub seed: u64,
     /// Sojourn SLO, simulated milliseconds from arrival.
     pub slo_ms: f64,
-    /// Every `tight_every`-th query (1-indexed; 0 disables) carries
-    /// `tight_slo_ms` instead — the mixed-deadline workload EDF
-    /// reorders for.
-    pub tight_slo_ms: Option<f64>,
-    pub tight_every: usize,
     pub sources: SourceMix,
     /// Safety factor multiplying the predicted service time in the
     /// admission test (≥ 1.0 sheds earlier, holding the answered tail
@@ -110,8 +104,6 @@ impl TrafficConfig {
             offered,
             seed,
             slo_ms,
-            tight_slo_ms: None,
-            tight_every: 0,
             sources: SourceMix::Uniform,
             shed_margin: 1.0,
             cache: None,
@@ -316,11 +308,19 @@ pub fn generate_arrivals(cfg: &TrafficConfig, n: u32) -> Vec<Query> {
     // MMPP phase state (unused for Poisson).
     let mut fast = false;
     let mut phase_end = match cfg.arrivals {
-        ArrivalProcess::Mmpp { mean_dwell_ms, .. } => exp_ms(&mut rng, 1.0 / mean_dwell_ms),
+        ArrivalProcess::Mmpp { mean_dwell_ms, .. } => {
+            // A zero dwell makes every phase zero-length: the phase
+            // would flip at t = 0 forever.
+            assert!(
+                mean_dwell_ms.is_finite() && mean_dwell_ms > 0.0,
+                "the mean MMPP dwell must be finite and positive"
+            );
+            exp_ms(&mut rng, 1.0 / mean_dwell_ms)
+        }
         ArrivalProcess::Poisson { .. } => f64::INFINITY,
     };
     let mut queries = Vec::with_capacity(cfg.offered);
-    for i in 0..cfg.offered {
+    for _ in 0..cfg.offered {
         match cfg.arrivals {
             ArrivalProcess::Poisson { qps } => t += exp_ms(&mut rng, qps / 1e3),
             ArrivalProcess::Mmpp { slow_qps, fast_qps, mean_dwell_ms } => loop {
@@ -349,11 +349,7 @@ pub fn generate_arrivals(cfg: &TrafficConfig, n: u32) -> Vec<Query> {
                 }
             }
         };
-        let slo = match cfg.tight_slo_ms {
-            Some(tight) if cfg.tight_every > 0 && (i + 1) % cfg.tight_every == 0 => tight,
-            _ => cfg.slo_ms,
-        };
-        queries.push(Query { source, arrival_ms: t, deadline_ms: t + slo });
+        queries.push(Query { source, arrival_ms: t, deadline_ms: t + cfg.slo_ms });
     }
     queries
 }
@@ -443,10 +439,7 @@ impl SsspService {
         {
             let Self { device, perm, arrays, graph, traffic_cache: cache, .. } = self;
             let lanes = &mut self.lanes[..streams];
-            let rdbs_cfg = match self.config.variant {
-                Variant::Rdbs(c) => Some(c),
-                Variant::Baseline => None,
-            };
+            let kernel = self.config.rdbs;
             let mut set = StreamSet::new(device, streams);
             let base = set.base_ns();
             let arrival_ns = |q: &Query| base + q.arrival_ms * 1e6;
@@ -498,7 +491,7 @@ impl SsspService {
                     // clock, which is monotonic across serve calls —
                     // answers from earlier calls stay visible.
                     let hit = cache
-                        .as_mut()
+                        .as_ref()
                         .filter(|_| cache_enabled)
                         .and_then(|c| c.lookup(generation, q.source, t_now / 1e6));
                     if let Some(dist) = hit {
@@ -551,10 +544,9 @@ impl SsspService {
                                 self.stats.escalations += 1;
                                 let source = queries[inflight.qi].source;
                                 let mapped = perm.as_ref().map_or(source, |p| p.new_id(source));
-                                let cfg_rdbs = rdbs_cfg.expect("a driver implies RDBS");
                                 inflight.driver = set.run(device, sid, |dev| {
                                     super::start_rdbs_driver(
-                                        dev, lane, *arrays, graph, mapped, cfg_rdbs,
+                                        dev, lane, *arrays, graph, mapped, kernel,
                                     )
                                 });
                             } else {
@@ -588,7 +580,7 @@ impl SsspService {
                         if start_ns > deadline_ns(&q) || predicted_done > deadline_ns(&q) {
                             let now_ms = (start_ns - base) / 1e6;
                             let bound = cache
-                                .as_mut()
+                                .as_ref()
                                 .filter(|_| cache_enabled && cfg.approx_on_shed)
                                 .and_then(|c| c.upper_bound(generation, q.source, start_ns / 1e6));
                             outcomes[qi] = Some(match bound {
@@ -622,23 +614,10 @@ impl SsspService {
                         let lane = &mut lanes[s];
                         let dispatched_wall = set.wall_ns(sid);
                         let started = Instant::now();
-                        if let Some(cfg_rdbs) = rdbs_cfg {
-                            let driver = set.run(device, sid, |dev| {
-                                super::start_rdbs_driver(
-                                    dev, lane, *arrays, graph, mapped, cfg_rdbs,
-                                )
-                            });
-                            running[s] = Some(Inflight { qi, driver, started, dispatched_wall });
-                        } else {
-                            // BL has no resumable driver: the whole
-                            // query is the scheduling grain.
-                            let answer = set
-                                .run(device, sid, |dev| {
-                                    run_on_lane(dev, lane, *arrays, graph, mapped, None)
-                                })
-                                .map(|result| (result, 0));
-                            finished = Some((qi, answer, dispatched_wall, started));
-                        }
+                        let driver = set.run(device, sid, |dev| {
+                            super::start_rdbs_driver(dev, lane, *arrays, graph, mapped, kernel)
+                        });
+                        running[s] = Some(Inflight { qi, driver, started, dispatched_wall });
                         break;
                     }
                 }
@@ -654,7 +633,7 @@ impl SsspService {
                 let overflowed = answer.is_err();
                 let mut rerun = || {
                     set.run(device, sid, |dev| {
-                        run_on_lane(dev, lane, *arrays, graph, mapped, rdbs_cfg)
+                        run_on_lane(dev, lane, *arrays, graph, mapped, kernel)
                     })
                 };
                 let RecoveredRun { mut result, via, detection } =
@@ -814,6 +793,16 @@ mod tests {
             cv2(&bursty),
             cv2(&poisson)
         );
+    }
+
+    /// A zero mean dwell makes every MMPP phase zero-length, so the
+    /// phase would flip at t = 0 forever: the generator refuses it.
+    #[test]
+    #[should_panic(expected = "dwell must be finite and positive")]
+    fn zero_dwell_mmpp_panics_instead_of_spinning() {
+        let mut cfg = TrafficConfig::poisson(0.0, 8, 5.0, 1);
+        cfg.arrivals = ArrivalProcess::Mmpp { slow_qps: 20.0, fast_qps: 180.0, mean_dwell_ms: 0.0 };
+        generate_arrivals(&cfg, 120);
     }
 
     #[test]

@@ -199,30 +199,21 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
 
 /// Relaxation tracing for the conformance localizer.
 ///
-/// A thread-local event sink that instrumented kernels
-/// ([`crate::seq::delta_stepping`], the simulated-GPU
-/// [`crate::gpu::rdbs()`](fn@crate::gpu::rdbs), and the CPU kernels in
-/// [`crate::cpu`]) record successful relaxations into. Disabled
-/// (zero-cost beyond one thread-local flag check) unless
-/// [`trace::start`] was called on the current thread, so production
-/// runs never pay for it.
-///
-/// Arming is thread-local, but the event storage behind it is shared:
-/// multi-threaded kernels call [`trace::shard`] on the host thread to
-/// capture a [`TraceShard`] — a `Send + Sync` handle onto the same
-/// buffer, stamped with the current bucket/phase/layer context — and
-/// hand it to their workers. Worker events merge into the armed
-/// thread's buffer, and [`trace::take`] orders the merged stream by
-/// (bucket, phase, layer) so cross-thread interleavings localize the
-/// same way single-threaded runs do. The conformance crate's
-/// first-divergence localizer replays a failing implementation with
-/// the sink armed and reports the first bucket/phase/edge whose
-/// settled distance departs from the Dijkstra oracle.
+/// A thread-local event buffer that instrumented kernels
+/// ([`crate::seq::delta_stepping`] and the simulated-GPU
+/// [`crate::gpu::rdbs()`](fn@crate::gpu::rdbs)) record successful
+/// relaxations into. Disabled (zero-cost beyond one thread-local flag
+/// check) unless [`trace::start`] was called on the current thread, so
+/// production runs never pay for it. Every instrumented kernel records
+/// on the thread that armed the buffer, bucket by bucket and layer by
+/// layer, so the events come back in (bucket, phase, layer) order as
+/// recorded. The conformance crate's first-divergence localizer
+/// replays a failing implementation with the buffer armed and reports
+/// the first bucket/phase/edge whose settled distance departs from the
+/// Dijkstra oracle.
 pub mod trace {
     use crate::{Dist, VertexId};
-    use parking_lot::Mutex;
     use std::cell::{Cell, RefCell};
-    use std::sync::Arc;
 
     /// Which relaxation site recorded the event.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -262,47 +253,14 @@ pub mod trace {
         pub new: Dist,
     }
 
-    /// The shared event store every shard of one armed run writes to.
-    struct Shared {
-        events: Vec<RelaxEvent>,
-        cap: usize,
-        dropped: u64,
-    }
-
-    impl Shared {
-        fn push(&mut self, ev: RelaxEvent) {
-            if self.events.len() >= self.cap {
-                self.dropped += 1;
-            } else {
-                self.events.push(ev);
-            }
-        }
-    }
-
+    /// The armed thread's buffer and the context its events carry.
     struct Sink {
         bucket: u64,
         phase: Phase,
         layer: u32,
-        shared: Arc<Mutex<Shared>>,
-    }
-
-    /// A `Send + Sync` recording handle for worker threads, stamped
-    /// with the bucket/phase/layer context current when it was
-    /// captured (via [`shard`]) on the armed host thread.
-    #[derive(Clone)]
-    pub struct TraceShard {
-        bucket: u64,
-        phase: Phase,
-        layer: u32,
-        shared: Arc<Mutex<Shared>>,
-    }
-
-    impl TraceShard {
-        /// Record one successful relaxation under the shard's context.
-        pub fn record(&self, src: VertexId, dst: VertexId, old: Dist, new: Dist) {
-            let (bucket, phase, layer) = (self.bucket, self.phase, self.layer);
-            self.shared.lock().push(RelaxEvent { bucket, phase, layer, src, dst, old, new });
-        }
+        events: Vec<RelaxEvent>,
+        cap: usize,
+        dropped: u64,
     }
 
     thread_local! {
@@ -310,20 +268,26 @@ pub mod trace {
         static SINK: RefCell<Option<Sink>> = const { RefCell::new(None) };
     }
 
-    /// Arm the sink on this thread, keeping at most `cap` events.
-    pub fn start(cap: usize) {
-        SINK.with(|s| {
-            *s.borrow_mut() = Some(Sink {
-                bucket: 0,
-                phase: Phase::Light,
-                layer: 0,
-                shared: Arc::new(Mutex::new(Shared { events: Vec::new(), cap, dropped: 0 })),
+    /// Run `f` on this thread's buffer when it is armed.
+    fn with_sink(f: impl FnOnce(&mut Sink)) {
+        if armed() {
+            SINK.with(|s| {
+                if let Some(sink) = s.borrow_mut().as_mut() {
+                    f(sink);
+                }
             });
-        });
+        }
+    }
+
+    /// Arm the buffer on this thread, keeping at most `cap` events.
+    pub fn start(cap: usize) {
+        let sink =
+            Sink { bucket: 0, phase: Phase::Light, layer: 0, events: Vec::new(), cap, dropped: 0 };
+        SINK.with(|s| *s.borrow_mut() = Some(sink));
         ARMED.with(|a| a.set(true));
     }
 
-    /// Is the sink armed on this thread? Kernels use this as the
+    /// Is the buffer armed on this thread? Kernels use this as the
     /// fast-path guard before assembling an event.
     #[inline(always)]
     pub fn armed() -> bool {
@@ -333,86 +297,40 @@ pub mod trace {
     /// Label subsequent events with the current bucket/phase/layer
     /// (host-side code calls this once per wave, not per edge).
     pub fn set_context(bucket: u64, phase: Phase, layer: u32) {
-        if !armed() {
-            return;
-        }
-        SINK.with(|s| {
-            if let Some(sink) = s.borrow_mut().as_mut() {
-                sink.bucket = bucket;
-                sink.phase = phase;
-                sink.layer = layer;
-            }
-        });
+        with_sink(|sink| (sink.bucket, sink.phase, sink.layer) = (bucket, phase, layer));
     }
 
-    /// Record one successful relaxation under the current context.
+    /// Record one successful relaxation under the current context;
+    /// past the cap it is counted, not stored.
     pub fn record(src: VertexId, dst: VertexId, old: Dist, new: Dist) {
-        if !armed() {
-            return;
-        }
-        SINK.with(|s| {
-            if let Some(sink) = s.borrow_mut().as_mut() {
+        with_sink(|sink| {
+            if sink.events.len() >= sink.cap {
+                sink.dropped += 1;
+            } else {
                 let (bucket, phase, layer) = (sink.bucket, sink.phase, sink.layer);
-                sink.shared.lock().push(RelaxEvent { bucket, phase, layer, src, dst, old, new });
+                sink.events.push(RelaxEvent { bucket, phase, layer, src, dst, old, new });
             }
         });
-    }
-
-    /// Capture a worker-thread recording handle under the current
-    /// context, or `None` when the sink is disarmed (the cheap guard
-    /// for multi-threaded kernels: capture once per wave on the host,
-    /// skip all instrumentation when it comes back `None`).
-    pub fn shard() -> Option<TraceShard> {
-        if !armed() {
-            return None;
-        }
-        SINK.with(|s| {
-            s.borrow().as_ref().map(|sink| TraceShard {
-                bucket: sink.bucket,
-                phase: sink.phase,
-                layer: sink.layer,
-                shared: Arc::clone(&sink.shared),
-            })
-        })
     }
 
     /// Rewrite the `src`/`dst` ids of every buffered event (used by
     /// runners that execute on a relabelled graph to map events back
-    /// to the caller's vertex ids before the sink is drained).
+    /// to the caller's vertex ids before the buffer is drained).
     pub fn remap_ids(f: impl Fn(VertexId) -> VertexId) {
-        if !armed() {
-            return;
-        }
-        SINK.with(|s| {
-            if let Some(sink) = s.borrow_mut().as_mut() {
-                for ev in &mut sink.shared.lock().events {
-                    ev.src = f(ev.src);
-                    ev.dst = f(ev.dst);
-                }
+        with_sink(|sink| {
+            for ev in &mut sink.events {
+                ev.src = f(ev.src);
+                ev.dst = f(ev.dst);
             }
         });
     }
 
-    /// Disarm and return the recorded events plus the overflow count.
-    ///
-    /// Events from worker shards interleave arbitrarily within one
-    /// wave, so the merged stream is put in (bucket, phase, layer)
-    /// order — a stable sort, which leaves already-ordered
-    /// single-threaded streams untouched and gives the localizer a
-    /// deterministic scan order across threads.
+    /// Disarm and return the recorded events, in recording order, plus
+    /// the overflow count.
     pub fn take() -> (Vec<RelaxEvent>, u64) {
         ARMED.with(|a| a.set(false));
-        SINK.with(|s| {
-            s.borrow_mut()
-                .take()
-                .map(|sink| {
-                    let mut shared = sink.shared.lock();
-                    let mut events = std::mem::take(&mut shared.events);
-                    events.sort_by_key(|e| (e.bucket, e.phase as u8, e.layer));
-                    (events, shared.dropped)
-                })
-                .unwrap_or_default()
-        })
+        SINK.with(|s| s.borrow_mut().take().map(|sink| (sink.events, sink.dropped)))
+            .unwrap_or_default()
     }
 }
 
@@ -438,35 +356,6 @@ mod tests {
         // Disarmed: records are no-ops.
         trace::record(0, 1, 2, 1);
         assert_eq!(trace::take().0.len(), 0);
-    }
-
-    #[test]
-    fn sharded_sink_merges_worker_events_in_context_order() {
-        trace::start(1 << 10);
-        // Host records a bucket-1 event before the workers' bucket-0
-        // wave: take() must put the merged stream back in bucket order.
-        trace::set_context(1, trace::Phase::Heavy, 0);
-        trace::record(9, 10, 40, 35);
-        trace::set_context(0, trace::Phase::Light, 2);
-        let shard = trace::shard().expect("armed thread yields a shard");
-        std::thread::scope(|s| {
-            for t in 0..4u32 {
-                let shard = shard.clone();
-                s.spawn(move || shard.record(t, t + 100, INF, t));
-            }
-        });
-        let (events, dropped) = trace::take();
-        assert_eq!(events.len(), 5);
-        assert_eq!(dropped, 0);
-        // The four worker events (bucket 0) sort before the host's
-        // bucket-1 event, and carry the context the shard captured.
-        for e in &events[..4] {
-            assert_eq!((e.bucket, e.phase, e.layer), (0, trace::Phase::Light, 2));
-        }
-        assert_eq!(events[4].bucket, 1);
-        assert_eq!(events[4].phase, trace::Phase::Heavy);
-        // Disarmed threads get no shard.
-        assert!(trace::shard().is_none());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `INF` — an overflowing path degrades to "unreachable" instead of
 //! corrupting finite distances.
 
-use rdbs_core::seq::{bellman_ford, delta_stepping, dial, dijkstra};
+use rdbs_core::seq::{bellman_ford, delta_stepping, dijkstra};
 use rdbs_core::{saturating_relax, INF};
 use rdbs_graph::builder::{build_undirected, EdgeList};
 
@@ -71,19 +71,6 @@ fn delta_stepping_narrow_delta_allocation_is_bounded() {
     for delta in [1, 7, 1000] {
         assert_eq!(delta_stepping(&g, 0, delta).dist, oracle.dist, "delta {delta}");
     }
-}
-
-#[test]
-fn dial_survives_near_max_weights() {
-    // Dial's bucket id *is* the distance: the classic w_max+1 circular
-    // array would be ~4 billion slots on this graph. The wheel caps the
-    // window and the cursor jumps between the sparse distance values.
-    let g = overflow_graph();
-    let oracle = dijkstra(&g, 0);
-    for s in 0..4 {
-        assert_eq!(dial(&g, s).dist, dijkstra(&g, s).dist, "source {s}");
-    }
-    assert_eq!(dial(&g, 0).dist, oracle.dist);
 }
 
 #[test]

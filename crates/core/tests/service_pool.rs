@@ -73,19 +73,6 @@ proptest! {
         }
     }
 
-    /// Same property for the Bellman-Ford baseline backend, checked
-    /// against the sequential oracle.
-    #[test]
-    fn baseline_batch_matches_dijkstra(g in arb_graph()) {
-        let n = g.num_vertices();
-        let sources: Vec<VertexId> = (0..4).map(|i| (i * 17 % n) as VertexId).collect();
-        let mut svc = SsspService::new(&g, ServiceConfig::baseline(tiny()));
-        for (i, r) in svc.batch(&sources).iter().enumerate() {
-            let oracle = dijkstra(&g, sources[i]);
-            prop_assert!(check_against(&oracle.dist, &r.dist).is_ok());
-        }
-    }
-
     /// The concurrent scheduler is an exactness-preserving throughput
     /// optimization: for the same sources, a batch spread across four
     /// command streams (per-query buffer leases, interleaved bucket
@@ -131,15 +118,14 @@ proptest! {
 }
 
 /// The amortization claim, asserted on the simulator's nvprof-style
-/// counters: the RDBS backend uploads row+adj+wt+heavy exactly once,
-/// the baseline row+adj+wt, and the count is independent of how many
-/// sources the batch answers.
+/// counters: full RDBS uploads row+adj+wt+light ranges exactly once,
+/// an ablation without PRO row+adj+wt, and the count is independent of
+/// how many sources the batch answers.
 #[test]
 fn upload_count_is_independent_of_batch_size() {
     let g = graph(150, 700, 11);
-    for (config, uploads) in
-        [(ServiceConfig::rdbs(tiny()), 4), (ServiceConfig::baseline(tiny()), 3)]
-    {
+    let no_pro = ServiceConfig { rdbs: RdbsConfig::basyn_adwl(), ..ServiceConfig::rdbs(tiny()) };
+    for (config, uploads) in [(ServiceConfig::rdbs(tiny()), 4), (no_pro, 3)] {
         for batch_size in [1usize, 4, 16] {
             let mut svc = SsspService::new(&g, config.clone());
             let sources: Vec<VertexId> = (0..batch_size as VertexId).collect();

@@ -165,35 +165,6 @@ impl Arena {
         Buf { id }
     }
 
-    /// Words currently sitting on the free list (recyclable but idle).
-    pub fn free_words(&self) -> usize {
-        self.free.iter().map(|(len, ids)| len * ids.len()).sum()
-    }
-
-    /// Evict free-list buffers, largest word-length classes first,
-    /// until at most `max_words` remain idle. Evicted buffers give
-    /// their memory back (the handle becomes permanently dead) and
-    /// can never be re-acquired. Returns the number of words evicted.
-    pub fn trim_free_to(&mut self, max_words: usize) -> usize {
-        let mut evicted = 0usize;
-        while self.free_words() > max_words {
-            let largest = self.free.keys().copied().max().expect("non-empty free map");
-            let ids = self.free.get_mut(&largest).expect("key exists");
-            let id = ids.pop().expect("non-empty class");
-            if ids.is_empty() {
-                self.free.remove(&largest);
-            }
-            let b = &mut self.buffers[id as usize];
-            b.label = "(evicted)";
-            b.words = Vec::new();
-            b.shadow = None;
-            b.poison = None;
-            b.shadow_poison = None;
-            evicted += largest;
-        }
-        evicted
-    }
-
     /// Enter synchronous-kernel snapshot mode (see type docs).
     pub fn begin_snapshot(&mut self) {
         debug_assert!(!self.snapshot_mode, "nested snapshot");
@@ -475,21 +446,5 @@ mod tests {
         st.fill(1);
         a.set_poison_from_unwritten(b, st.written());
         assert!(!a.poisoned_live(b, 1));
-    }
-
-    #[test]
-    fn trim_evicts_largest_free_classes_first() {
-        let mut a = Arena::new();
-        let big = a.alloc("big", 100);
-        let small = a.alloc("small", 10);
-        a.release(big);
-        a.release(small);
-        assert_eq!(a.free_words(), 110);
-        let evicted = a.trim_free_to(20);
-        assert_eq!(evicted, 100, "the 100-word class goes first");
-        assert_eq!(a.free_words(), 10);
-        assert_eq!(a.total_words(), 10);
-        assert!(a.acquire("again", 100).is_none(), "evicted buffers never come back");
-        assert!(a.acquire("again", 10).is_some());
     }
 }

@@ -345,16 +345,9 @@ impl Device {
 
     /// Arm seeded schedule fuzzing: subsequent waves execute their
     /// lanes in a deterministic permuted order drawn from `seed` (one
-    /// fresh permutation per wave). Disarm with
-    /// [`Device::disarm_schedule_fuzz`].
+    /// fresh permutation per wave).
     pub fn arm_schedule_fuzz(&mut self, seed: u64) {
         self.sched = Some(SchedPlan::new(seed));
-    }
-
-    /// Remove the armed schedule-fuzz plan (if any), returning it with
-    /// its wave count. Execution reverts to ascending lane order.
-    pub fn disarm_schedule_fuzz(&mut self) -> Option<SchedPlan> {
-        self.sched.take()
     }
 
     /// Arm a fault-injection plan. Subsequent kernels run under it;
@@ -518,19 +511,6 @@ impl Device {
         if let Some(rec) = self.rec.as_deref_mut() {
             rec.on_barrier();
         }
-    }
-
-    /// Words currently idle on the pool free list.
-    pub fn pooled_free_words(&self) -> usize {
-        self.arena.free_words()
-    }
-
-    /// Evict idle pooled buffers, largest first, until at most
-    /// `max_bytes` of free-list memory remains. Returns bytes evicted.
-    /// Evicted buffers are gone for good: a later
-    /// [`Device::alloc_pooled`] of that size allocates fresh.
-    pub fn trim_pool_to(&mut self, max_bytes: usize) -> usize {
-        self.arena.trim_free_to(max_bytes / 4) * 4
     }
 }
 

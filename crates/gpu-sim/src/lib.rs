@@ -107,7 +107,6 @@ pub use ir::{
 };
 pub use kernel::{GangScatter, Lane, ScatterTarget, Segment, WaveSession};
 pub use san::{SanCheck, SanConfig, SanViolation};
-pub use sched::SchedPlan;
 pub use stream::StreamSet;
 
 /// splitmix64 (Steele et al.): the workspace's small deterministic

@@ -22,33 +22,20 @@ use crate::splitmix64;
 /// A seeded, deterministic per-wave lane-order permuter.
 #[derive(Clone, Debug)]
 pub struct SchedPlan {
-    seed: u64,
     /// splitmix64 state; the orders drawn are a pure function of the
     /// seed and the sequence of waves executed.
     state: u64,
-    waves_permuted: u64,
 }
 
 impl SchedPlan {
     /// A plan drawing permutations from `seed`.
     pub fn new(seed: u64) -> Self {
-        Self { seed, state: seed, waves_permuted: 0 }
-    }
-
-    /// The seed the plan was armed with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Waves whose lane order this plan has permuted so far.
-    pub fn waves_permuted(&self) -> u64 {
-        self.waves_permuted
+        Self { state: seed }
     }
 
     /// Draw a fresh permutation of `0..n` (Fisher–Yates off the plan
     /// stream). Called once per executed wave.
     pub(crate) fn permutation(&mut self, n: u64) -> Vec<u64> {
-        self.waves_permuted += 1;
         let mut order: Vec<u64> = (0..n).collect();
         for i in (1..order.len()).rev() {
             let j = (splitmix64(&mut self.state) % (i as u64 + 1)) as usize;
@@ -74,7 +61,6 @@ mod tests {
             sorted.sort_unstable();
             assert_eq!(sorted, (0..n).collect::<Vec<_>>(), "a permutation, nothing lost");
         }
-        assert_eq!(a.waves_permuted(), 5);
     }
 
     #[test]

@@ -2,20 +2,19 @@
 //!
 //! Builds a soc-Pokec-like power-law graph, computes single-source
 //! shortest paths from several seed users on both the simulated GPU
-//! (RDBS) and the native CPU (PQ-Δ*-style and the async bucket port),
-//! and derives a closeness-centrality ranking from the distances —
+//! (RDBS) and the native CPU (PQ-Δ*, Table 2's CPU comparator), and
+//! derives a closeness-centrality ranking from the distances —
 //! the kind of downstream analysis the paper's intro motivates.
 //!
 //! ```text
 //! cargo run --release --example social_network
 //! ```
 
-use rdbs::baselines::pq_delta_stepping;
+use rdbs::baselines::{default_threads, pq_delta_stepping};
 use rdbs::graph::datasets::by_name;
 use rdbs::sim::DeviceConfig;
-use rdbs::sssp::cpu::{async_bucket_sssp, default_threads};
 use rdbs::sssp::gpu::{run_gpu, RdbsConfig, Variant};
-use rdbs::sssp::{default_delta, INF};
+use rdbs::sssp::INF;
 
 fn main() {
     let spec = by_name("soc-PK").expect("soc-PK spec");
@@ -26,12 +25,8 @@ fn main() {
         DeviceConfig::v100().with_overhead_scale(1.0 / 128.0).with_cache_scale(1.0 / 128.0);
     let seeds = [1u32, 77, 4242];
     let threads = default_threads();
-    let delta = default_delta(&graph);
 
-    println!(
-        "\n{:<8} {:>14} {:>16} {:>16}",
-        "seed", "GPU RDBS (ms)", "CPU PQ-D* (ms)", "CPU async (ms)"
-    );
+    println!("\n{:<8} {:>14} {:>16}", "seed", "GPU RDBS (ms)", "CPU PQ-D* (ms)");
     let mut best: Vec<(u32, f64)> = Vec::new();
     for &s in &seeds {
         let gpu = run_gpu(&graph, s, Variant::Rdbs(RdbsConfig::full()), device.clone());
@@ -40,14 +35,9 @@ fn main() {
         let cpu_pq = pq_delta_stepping(&graph, s, threads, None);
         let pq_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        let t0 = std::time::Instant::now();
-        let cpu_async = async_bucket_sssp(&graph, s, delta, threads);
-        let async_ms = t0.elapsed().as_secs_f64() * 1e3;
-
         assert_eq!(gpu.result.dist, cpu_pq.dist, "GPU and CPU must agree");
-        assert_eq!(cpu_pq.dist, cpu_async.dist);
 
-        println!("{:<8} {:>14.3} {:>16.3} {:>16.3}", s, gpu.elapsed_ms, pq_ms, async_ms);
+        println!("{:<8} {:>14.3} {:>16.3}", s, gpu.elapsed_ms, pq_ms);
 
         // Closeness centrality of the seed: n_reached / sum(dist).
         let (sum, reached) = gpu

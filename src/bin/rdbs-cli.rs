@@ -18,7 +18,7 @@
 //! its own through a hook, and rejects any other flag with its usage
 //! (exit 2).
 
-use rdbs::baselines::{adds, pq_delta_stepping};
+use rdbs::baselines::{adds, default_threads, pq_delta_stepping};
 use rdbs::conformance::SweepOptions;
 use rdbs::graph::builder::{build_directed, build_undirected};
 use rdbs::graph::generate::{
@@ -27,9 +27,7 @@ use rdbs::graph::generate::{
 };
 use rdbs::graph::{datasets, io, Csr, Dist, VertexId, Weight, INF};
 use rdbs::sim::{Device, DeviceConfig};
-use rdbs::sssp::cpu::{async_bucket_sssp, default_threads, parallel_delta_stepping};
 use rdbs::sssp::gpu::{run_gpu, FrontierKind, RdbsConfig, Variant};
-use rdbs::sssp::seq::dial;
 use rdbs::sssp::seq::{bellman_ford, delta_stepping, dijkstra};
 use rdbs::sssp::{default_delta, validate};
 use std::io::BufReader;
@@ -150,33 +148,35 @@ fn num<T: std::str::FromStr>(s: &str, usage: fn() -> !) -> T {
     s.parse().unwrap_or_else(|_| usage())
 }
 
-/// The engines with no bucket width: `--delta0` for one of them is a
-/// usage error, not a silent no-op. (`--algo all` still passes the
-/// width to the engines that read it.)
-const WIDTHLESS: [&str; 5] = ["bl", "dijkstra", "dial", "bellman-ford", "pq-delta"];
-
-/// Exit 2, naming the engine, when `--delta0` was given for one that
-/// takes no bucket width.
-fn reject_widthless(engine: &str, flag: &str) {
-    if WIDTHLESS.contains(&engine) {
-        eprintln!("error: {flag} {engine} takes no bucket width; drop --delta0");
-        exit(2);
+/// Parse a finite number that is positive (non-negative with
+/// `zero_ok`), or bail out through `usage`.
+fn finite(s: &str, usage: fn() -> !, zero_ok: bool) -> f64 {
+    let x: f64 = num(s, usage);
+    let in_range = if zero_ok { x >= 0.0 } else { x > 0.0 };
+    if x.is_finite() && in_range {
+        x
+    } else {
+        usage()
     }
 }
 
-/// The device variants `--algo` and `serve --backend` share: full
-/// RDBS, its ablations (BASYN+PRO, BASYN+ADWL, BASYN, sync Δ) and BL.
-fn variant_named(name: &str, delta0: Option<Weight>) -> Option<Variant> {
-    let rdbs = |cfg| Some(Variant::Rdbs(RdbsConfig { delta0, ..cfg }));
-    match name {
-        "rdbs" => rdbs(RdbsConfig::full()),
-        "basyn-pro" => rdbs(RdbsConfig::basyn_pro()),
-        "basyn-adwl" => rdbs(RdbsConfig::basyn_adwl()),
-        "basyn" => rdbs(RdbsConfig::basyn_only()),
-        "sync-delta" => rdbs(RdbsConfig::sync_delta()),
-        "bl" => Some(Variant::Baseline),
-        _ => None,
-    }
+/// The engines with no bucket width: `--delta0` for one of them is a
+/// usage error, not a silent no-op. (`--algo all` still passes the
+/// width to the engines that read it.)
+const WIDTHLESS: [&str; 4] = ["bl", "dijkstra", "bellman-ford", "pq-delta"];
+
+/// The RDBS kernels `--algo` and `serve --backend` share: full RDBS
+/// and its ablations (BASYN+PRO, BASYN+ADWL, BASYN, sync Δ).
+fn rdbs_named(name: &str, delta0: Option<Weight>) -> Option<RdbsConfig> {
+    let cfg = match name {
+        "rdbs" => RdbsConfig::full(),
+        "basyn-pro" => RdbsConfig::basyn_pro(),
+        "basyn-adwl" => RdbsConfig::basyn_adwl(),
+        "basyn" => RdbsConfig::basyn_only(),
+        "sync-delta" => RdbsConfig::sync_delta(),
+        _ => return None,
+    };
+    Some(RdbsConfig { delta0, ..cfg })
 }
 
 /// The `--validate` check: each `(source, dist)` answer against the
@@ -269,13 +269,12 @@ graph input (one of):
 
 run options:
   --algo rdbs|basyn-pro|basyn-adwl|basyn|sync-delta|bl|adds|
-         dijkstra|dial|bellman-ford|delta-stepping|
-         cpu-parallel|cpu-async|pq-delta|all
+         dijkstra|bellman-ford|delta-stepping|pq-delta|all
   --source V          starting vertex (default 0)
   --seed S            rng seed (default 42)
   --device V100|T4|TINY  simulated GPU (default V100)
   --delta0 W          bucket width override (an error for bl, dijkstra,
-                      dial, bellman-ford and pq-delta, which take none)
+                      bellman-ford and pq-delta, which take none)
   --profile           print nvprof-style counters (GPU algos)
   --validate          check against Dijkstra
   --print-dist N      print the first N distances"
@@ -307,8 +306,9 @@ fn run_main(args: Vec<String>) {
         eprintln!("error: provide --gen or --load\n");
         run_usage();
     }
-    if o.sweep.delta0.is_some() {
-        reject_widthless(&r.algo, "--algo");
+    if o.sweep.delta0.is_some() && WIDTHLESS.contains(&r.algo.as_str()) {
+        eprintln!("error: --algo {} takes no bucket width; drop --delta0", r.algo);
+        exit(2);
     }
     let g = build_graph(&o);
     println!(
@@ -322,7 +322,7 @@ fn run_main(args: Vec<String>) {
         exit(2);
     }
     let algos: Vec<String> = if r.algo == "all" {
-        ["rdbs", "bl", "adds", "dijkstra", "dial", "cpu-parallel", "pq-delta"]
+        ["rdbs", "bl", "adds", "dijkstra", "pq-delta"]
             .iter()
             .map(std::string::ToString::to_string)
             .collect()
@@ -337,11 +337,15 @@ fn run_main(args: Vec<String>) {
 fn run_algo(o: &Options, r: &Run, g: &Csr, algo: &str) {
     let delta = o.sweep.delta0.unwrap_or_else(|| default_delta(g));
     let device = o.device();
-    let threads = default_threads();
     let s = r.source;
     let started = std::time::Instant::now();
 
-    let (dist, sim_ms, label) = match variant_named(algo, o.sweep.delta0) {
+    // The device engines run one-shot: the RDBS kernels and BL.
+    let variant = match algo {
+        "bl" => Some(Variant::Baseline),
+        _ => rdbs_named(algo, o.sweep.delta0).map(Variant::Rdbs),
+    };
+    let (dist, sim_ms, label) = match variant {
         Some(v) => {
             let run = run_gpu(g, s, v, device);
             if r.profile {
@@ -365,20 +369,10 @@ fn run_algo(o: &Options, r: &Run, g: &Csr, algo: &str) {
                 (adds(&mut d, g, s, delta).dist, Some(d.elapsed_ms()), "ADDS".into())
             }
             "dijkstra" => (dijkstra(g, s).dist, None, "Dijkstra".into()),
-            "dial" => (dial(g, s).dist, None, "Dial".into()),
             "bellman-ford" => (bellman_ford(g, s).dist, None, "Bellman-Ford".into()),
             "delta-stepping" => (delta_stepping(g, s, delta).dist, None, "Δ-stepping".into()),
-            "cpu-parallel" => (
-                parallel_delta_stepping(g, s, delta, threads).dist,
-                None,
-                format!("CPU parallel Δ ({threads}t)"),
-            ),
-            "cpu-async" => (
-                async_bucket_sssp(g, s, delta, threads).dist,
-                None,
-                format!("CPU async ({threads}t)"),
-            ),
             "pq-delta" => {
+                let threads = default_threads();
                 (pq_delta_stepping(g, s, threads, None).dist, None, format!("PQ-Δ* ({threads}t)"))
             }
             other => {
@@ -437,18 +431,18 @@ with Dijkstra.
                       (default 1 = sequential)
   --gen SPEC          graph spec, as in the run mode (default
                       kronecker:12:16; erdos:1500:6000 with --quick)
-  --backend rdbs|basyn-pro|basyn-adwl|basyn|sync-delta|bl
-                      device variant (default rdbs = BASYN+PRO+ADWL)
+  --backend rdbs|basyn-pro|basyn-adwl|basyn|sync-delta
+                      RDBS kernel (default rdbs = BASYN+PRO+ADWL)
   --frontier single|mlmq
-                      device frontier layout for the rdbs backend
-                      (default single; mlmq spills overflow to the next
-                      level instead of escalating)
+                      device frontier layout (default single; mlmq
+                      spills overflow to the next level instead of
+                      escalating)
   --queue-capacity N  under- (or over-) provision each lane's frontier
                       queues at N logical slots instead of the vertex
                       count (stresses escalation / the MLMQ spill path)
   --seed S            rng seed for graph and source choice (default 42)
   --device V100|T4|TINY  simulated GPU (default V100; TINY with --quick)
-  --delta0 W          bucket width override (not for --backend bl)
+  --delta0 W          bucket width override
   --validate          check every query against Dijkstra
   --quick             small graph + tiny device (CI smoke job)
 
@@ -493,11 +487,11 @@ fn serve_main(args: Vec<String>) -> ! {
                 c => queue_capacity = Some(c),
             },
             "--arrivals" => arrivals = Some(val().to_lowercase()),
-            "--qps" => qps = Some(num::<f64>(&val(), serve_usage)),
-            "--fast-qps" => fast_qps = Some(num(&val(), serve_usage)),
-            "--dwell-ms" => dwell_ms = num(&val(), serve_usage),
-            "--slo-ms" => slo_ms = Some(num::<f64>(&val(), serve_usage)),
-            "--shed-margin" => shed_margin = num(&val(), serve_usage),
+            "--qps" => qps = Some(finite(&val(), serve_usage, false)),
+            "--fast-qps" => fast_qps = Some(finite(&val(), serve_usage, false)),
+            "--dwell-ms" => dwell_ms = finite(&val(), serve_usage, false),
+            "--slo-ms" => slo_ms = Some(finite(&val(), serve_usage, false)),
+            "--shed-margin" => shed_margin = finite(&val(), serve_usage, true),
             "--hot" => {
                 let spec = val();
                 let mut parts = spec.split(':');
@@ -519,23 +513,16 @@ fn serve_main(args: Vec<String>) -> ! {
         o.gen_spec = Some(spec.into());
     }
     let (seed, sources, delta0) = (o.seed(), o.sources.unwrap_or(16), o.sweep.delta0);
-    if delta0.is_some() {
-        reject_widthless(&backend_spec, "--backend");
-    }
     let g = build_graph(&o);
     let n = g.num_vertices();
     println!("graph: {} vertices, {} directed edges", n, g.num_edges());
 
-    let variant = variant_named(&backend_spec, delta0).unwrap_or_else(|| serve_usage());
+    let rdbs = rdbs_named(&backend_spec, delta0).unwrap_or_else(|| serve_usage());
     if streams == 0 {
         serve_usage();
     }
-    let mut config = ServiceConfig { variant, device: o.device(), streams, queue_capacity };
+    let mut config = ServiceConfig { rdbs, device: o.device(), streams, queue_capacity };
     if let Some(kind) = o.sweep.frontier {
-        if !matches!(variant, Variant::Rdbs(_)) {
-            eprintln!("error: --frontier only applies to the rdbs backend\n");
-            serve_usage();
-        }
         config = config.with_frontier(kind);
     }
 
@@ -579,8 +566,6 @@ fn serve_main(args: Vec<String>) -> ! {
             offered: sources,
             seed,
             slo_ms,
-            tight_slo_ms: None,
-            tight_every: 0,
             sources: match hot {
                 Some((k, w)) => SourceMix::Hot { hot_sources: k, hot_weight: w },
                 None => SourceMix::Uniform,

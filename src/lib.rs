@@ -7,7 +7,8 @@
 //! * [`sim`] — the SIMT GPU simulator substrate (warps, blocks, caches,
 //!   dynamic parallelism, nvprof-style counters, V100/T4 presets).
 //! * [`sssp`] — the SSSP algorithms: the paper's RDBS plus the ablations
-//!   (BL, BASYN, +PRO, +ADWL) and sequential/CPU-parallel references.
+//!   (BL, BASYN, +PRO, +ADWL), the resident service and the sequential
+//!   references.
 //! * [`baselines`] — comparators: ADDS (GPU, async Δ-stepping) and PQ-Δ*
 //!   (CPU, lazy-batched priority queue).
 //! * [`conformance`] — the differential correctness harness: every

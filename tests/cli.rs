@@ -67,7 +67,7 @@ fn loads_dimacs_file() {
 #[test]
 fn dataset_standin_and_cpu_algo() {
     let out = cli()
-        .args(["--gen", "dataset:Amazon:8", "--algo", "cpu-parallel", "--validate"])
+        .args(["--gen", "dataset:Amazon:8", "--algo", "pq-delta", "--validate"])
         .output()
         .expect("cli must run");
     assert!(out.status.success());
@@ -234,28 +234,42 @@ fn serve_quick_batch_is_green() {
 /// engine names are usage errors (exit 2).
 #[test]
 fn serve_and_verify_usage_errors() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 21] = [
         &["serve", "--quick", "--streams", "0"],
         &["serve", "--quick", "--queue-capacity", "0"],
         &["serve", "--quick", "--backend", "bl", "--frontier", "mlmq"],
         &["serve", "--quick", "--backend", "multi-gpu:2"],
+        &["serve", "--quick", "--backend", "bl"],
         &["--gen", "erdos:300:1500", "--algo", "multi-gpu:2"],
         &["--gen", "erdos:300:1500", "--algo", "near-far"],
+        &["--gen", "erdos:300:1500", "--algo", "cpu-parallel"],
+        &["--gen", "erdos:300:1500", "--algo", "cpu-async"],
+        &["--gen", "erdos:300:1500", "--algo", "dial"],
         &["serve", "--load", "x"],
         &["verify", "--device", "T4"],
+        // Traffic knobs out of range: a zero dwell would flip the MMPP
+        // phase at t = 0 forever, a zero or negative rate has no
+        // exponential draw, and a NaN SLO has no deadline order.
+        &["serve", "--quick", "--arrivals", "mmpp", "--dwell-ms", "0", "--sources", "8"],
+        &["serve", "--quick", "--arrivals", "mmpp", "--fast-qps", "inf"],
+        &["serve", "--quick", "--arrivals", "poisson", "--qps", "0"],
+        &["serve", "--quick", "--arrivals", "poisson", "--qps", "-3"],
+        &["serve", "--quick", "--arrivals", "poisson", "--qps", "NaN"],
+        &["serve", "--quick", "--arrivals", "poisson", "--slo-ms", "NaN"],
+        &["serve", "--quick", "--arrivals", "poisson", "--slo-ms", "0"],
+        &["serve", "--quick", "--arrivals", "poisson", "--shed-margin", "-1"],
+        &["serve", "--quick", "--arrivals", "poisson", "--shed-margin", "inf"],
     ];
     for args in cases {
         assert_eq!(exit_code(args), Some(2), "rdbs-cli {args:?}");
     }
     // A bucket width for an engine that takes none is refused, and the
     // error names the engine.
-    let widthless: [&[&str]; 6] = [
+    let widthless: [&[&str]; 4] = [
         &["--gen", "erdos:300:1500", "--algo", "bl", "--delta0", "5"],
         &["--gen", "erdos:300:1500", "--algo", "dijkstra", "--delta0", "5"],
-        &["--gen", "erdos:300:1500", "--algo", "dial", "--delta0", "5"],
         &["--gen", "erdos:300:1500", "--algo", "bellman-ford", "--delta0", "5"],
         &["--gen", "erdos:300:1500", "--algo", "pq-delta", "--delta0", "5"],
-        &["serve", "--quick", "--backend", "bl", "--delta0", "5"],
     ];
     for args in widthless {
         let out = cli().args(args).output().expect("cli must run");

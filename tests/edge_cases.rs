@@ -1,20 +1,19 @@
 //! Degenerate-input edge cases every implementation must survive:
 //! zero-weight edges, the widest possible bucket (Δ₀ = u32::MAX), a
 //! source sitting alone in a disconnected component, and a graph with
-//! no edges at all. Each case runs across the sequential, CPU-parallel
-//! and GPU-RDBS paths and is checked against the Dijkstra oracle.
+//! no edges at all. Each case runs across the sequential Δ-stepping and
+//! GPU-RDBS paths and is checked against the Dijkstra oracle.
 
 use rdbs::graph::builder::{build_undirected, EdgeList};
 use rdbs::graph::generate::{erdos_renyi, uniform_weights};
 use rdbs::graph::{Csr, VertexId, INF};
 use rdbs::sim::DeviceConfig;
-use rdbs::sssp::cpu::parallel_delta_stepping;
 use rdbs::sssp::gpu::{run_gpu, RdbsConfig, Variant};
 use rdbs::sssp::seq::{delta_stepping, dijkstra};
 use rdbs::sssp::validate::check_against;
 
-/// Run seq Δ-stepping, CPU-parallel Δ-stepping and GPU RDBS-full on
-/// `g` and compare each against the Dijkstra oracle.
+/// Run seq Δ-stepping and GPU RDBS-full on `g` and compare each
+/// against the Dijkstra oracle.
 fn assert_all_impls_agree(g: &Csr, source: VertexId, delta: u32, label: &str) {
     let oracle = dijkstra(g, source);
     let check = |impl_name: &str, dist: &[u32]| {
@@ -22,7 +21,6 @@ fn assert_all_impls_agree(g: &Csr, source: VertexId, delta: u32, label: &str) {
             .unwrap_or_else(|m| panic!("{label}/{impl_name} source {source}: {m}"));
     };
     check("seq/delta-stepping", &delta_stepping(g, source, delta).dist);
-    check("cpu/parallel-delta", &parallel_delta_stepping(g, source, delta, 2).dist);
     let cfg = RdbsConfig { delta0: Some(delta), ..RdbsConfig::full() };
     let run = run_gpu(g, source, Variant::Rdbs(cfg), DeviceConfig::test_tiny());
     check("gpu/full", &run.result.dist);

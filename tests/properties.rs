@@ -5,7 +5,6 @@ use rdbs::graph::builder::{build_undirected, EdgeList};
 use rdbs::graph::reorder::{self, Permutation};
 use rdbs::graph::{Csr, VertexId, Weight};
 use rdbs::sim::DeviceConfig;
-use rdbs::sssp::cpu::parallel_delta_stepping;
 use rdbs::sssp::gpu::{run_gpu, RdbsConfig, Variant};
 use rdbs::sssp::seq::{delta_stepping, dijkstra};
 use rdbs::sssp::validate::{audit_sssp, check_against};
@@ -37,14 +36,6 @@ proptest! {
         let oracle = dijkstra(&g, src);
         let run = run_gpu(&g, src, Variant::Rdbs(RdbsConfig::full()), DeviceConfig::test_tiny());
         prop_assert!(check_against(&oracle.dist, &run.result.dist).is_ok());
-    }
-
-    #[test]
-    fn cpu_parallel_matches_dijkstra(g in arb_graph(50, 160), delta in 1u32..1500, src in 0u32..50) {
-        let src = src % g.num_vertices() as u32;
-        let oracle = dijkstra(&g, src);
-        let r = parallel_delta_stepping(&g, src, delta, 2);
-        prop_assert_eq!(&r.dist, &oracle.dist);
     }
 
     #[test]
